@@ -78,6 +78,13 @@ step "async plane smoke (release)"
 # floor is only enforced at the full `large` scale, not here.
 cargo run --release -q -p racket-bench --bin bench_pipeline -- --async-smoke
 
+step "benchmark package smoke (release)"
+# benchmark/ is a workspace of its own, so none of the steps above compile
+# it: an API slip in racket-collect or racketstore would otherwise only
+# surface in the benchmark pipeline. Small sizes, every correctness check
+# on, < 20 s after the first build (into .bench_build, git-ignored).
+bash benchmark/run.sh --smoke
+
 if command -v cargo-clippy >/dev/null 2>&1; then
   step "cargo clippy --all-targets (warnings denied)"
   # First-party crates only; vendored dependency subsets are exempt.

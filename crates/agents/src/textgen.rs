@@ -32,8 +32,11 @@ use racket_types::Rating;
 /// (`stream_seed(seed, i)`), campaign, driver and fault stream families.
 pub const TEXT_STREAM_SALT: u64 = 0x7EA7_5EED_C0DE_2021;
 
-/// SplitMix64 finalizer (same mixer the fleet's `stream_seed` uses).
-fn mix64(mut z: u64) -> u64 {
+/// The SplitMix64 output rounds *without* the golden-ratio increment —
+/// not `racket_text::mix64`, which adds it first. Every generated review
+/// text is keyed through this function, so swapping in the other mixer
+/// would shift every text-on fingerprint.
+fn fmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -116,11 +119,11 @@ fn push_phrase(out: &mut String, phrase: &str) {
 /// the sentiment branch (4–5★ positive, 1–2★ negative, 3★ neutral); the
 /// key picks the template and fills its slots.
 fn compose(key: u64, stars: u8) -> String {
-    let k0 = mix64(key ^ 0xA1);
-    let k1 = mix64(key ^ 0xB2);
-    let k2 = mix64(key ^ 0xC3);
-    let k3 = mix64(key ^ 0xD4);
-    let k4 = mix64(key ^ 0xE5);
+    let k0 = fmix64(key ^ 0xA1);
+    let k1 = fmix64(key ^ 0xB2);
+    let k2 = fmix64(key ^ 0xC3);
+    let k3 = fmix64(key ^ 0xD4);
+    let k4 = fmix64(key ^ 0xE5);
     let mut text = String::with_capacity(80);
     if stars >= 4 {
         match k0 % 4 {
@@ -145,7 +148,7 @@ fn compose(key: u64, stars: u8) -> String {
                 push_phrase(&mut text, pick(SUBJECT, k2));
                 push_phrase(&mut text, pick(POS_TAIL, k3));
                 push_phrase(&mut text, pick(FILLER, k4));
-                push_phrase(&mut text, pick(POS_ADJ, mix64(k4 ^ k1)));
+                push_phrase(&mut text, pick(POS_ADJ, fmix64(k4 ^ k1)));
             }
             _ => {
                 push_phrase(&mut text, pick(POS_ADJ, k1));
@@ -201,20 +204,20 @@ impl TextGen {
     /// A generator on the fleet's text stream family.
     pub fn new(master_seed: u64) -> Self {
         TextGen {
-            seed: mix64(master_seed ^ TEXT_STREAM_SALT),
+            seed: fmix64(master_seed ^ TEXT_STREAM_SALT),
         }
     }
 
     /// Mix tier tag and two identity keys into one template key.
     fn key(&self, tier: u64, a: u64, b: u64) -> u64 {
-        mix64(mix64(mix64(self.seed ^ tier) ^ a) ^ b)
+        fmix64(fmix64(fmix64(self.seed ^ tier) ^ a) ^ b)
     }
 
     /// Personal-tier text: unique per (account, app, rating).
     pub fn personal(&self, google_id: u64, app: u64, rating: Rating) -> String {
         let stars = rating.stars();
         compose(
-            mix64(self.key(0x01, google_id, app) ^ u64::from(stars)),
+            fmix64(self.key(0x01, google_id, app) ^ u64::from(stars)),
             stars,
         )
     }
@@ -232,7 +235,7 @@ impl TextGen {
     ) -> String {
         let base_key = self.key(0x02, base_google_id, app);
         let mut text = compose(base_key, rating.stars().max(4));
-        let v = mix64(base_key ^ mix64(account_google_id ^ 0x51));
+        let v = fmix64(base_key ^ fmix64(account_google_id ^ 0x51));
         push_phrase(&mut text, pick(FILLER, v));
         text
     }
@@ -243,9 +246,9 @@ impl TextGen {
     pub fn campaign(&self, campaign: u32, app: u64, account_slot: u32, rating: Rating) -> String {
         let base_key = self.key(0x03, u64::from(campaign), app);
         let mut text = compose(base_key, rating.stars().max(4));
-        let v = mix64(base_key ^ mix64(u64::from(account_slot) ^ 0x77));
+        let v = fmix64(base_key ^ fmix64(u64::from(account_slot) ^ 0x77));
         if v % 10 < 3 {
-            push_phrase(&mut text, pick(FILLER, mix64(v)));
+            push_phrase(&mut text, pick(FILLER, fmix64(v)));
         }
         text
     }

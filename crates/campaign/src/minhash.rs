@@ -8,19 +8,11 @@
 //! lets the incremental ingest-time fold match the batch rebuild
 //! bit for bit (property-pinned in `tests/similarity_props.rs`).
 
+use racket_text::mix64;
+
 /// Salt separating the MinHash hash family from every other SplitMix64
 /// use in the workspace (fleet streams, fault streams, ...).
 pub const MINHASH_SALT: u64 = 0xC0_FFEE_5EED_CAFE;
-
-/// SplitMix64 finalizer — the same mixer the fleet RNG-stream contract
-/// uses, applied here as a hash function.
-#[inline]
-pub fn mix64(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seed of permutation `k` (a pure function, so incremental folds
 /// don't need a seed table in every record).

@@ -28,50 +28,47 @@
 //!   server-side file dedup) makes the shed invisible in the study data.
 //!   Sign-ins are never shed: they are tiny, and admission decisions
 //!   depend on them.
-//! * Sign-in gating and upload dedup live in a sharded admission table
-//!   (`Admission`'s internals) so workers only contend on installs that
-//!   hash to the same shard; decompression and parsing happen *outside*
-//!   every lock, and parsed snapshots feed the same
-//!   [`crate::shard::ShardedIngest`] the direct path uses.
+//! * Every admitted message goes through the shared
+//!   [`ProtocolCore`] — the same decision procedure and record store as
+//!   every other driver, so this module owns no protocol state of its
+//!   own: only connections, queues and timers.
 //!
-//! # Equivalence with the synchronous paths
-//!
-//! The async plane produces byte-identical study output because nothing
-//! order-dependent crosses a connection boundary: one install is one
-//! connection is one worker (per-install messages stay sequential), and
-//! everything cross-install — shard maps, atomic counters, admission
-//! stats — is commutative and idempotent. Timing-dependent quantities
-//! (load sheds, stall sweeps, queue depths, duplicate-file re-acks) exist
-//! only as observability counters, which are excluded from every output
-//! fingerprint. `ARCHITECTURE.md` §8 states the full contract;
+//! What is specific to this driver — shedding, stall sweeps, the
+//! reconnect handshake — is timing-dependent and exists only as
+//! observability counters, excluded from every output fingerprint.
+//! `ARCHITECTURE.md` §8 states the driver contract;
 //! `tests/async_equivalence.rs` and `tests/backpressure.rs` enforce it.
 
-use crate::collector::SnapshotCollector;
-use crate::hash::sha256;
-use crate::lzss;
 use crate::retry::SERVER_FAULT_SALT;
-use crate::server::ServerStats;
+use crate::server::{ProtocolCore, ServerStats};
 use crate::shard::ShardedIngest;
 use crate::transport::{FaultPlan, MemTransport, Transport};
 use crate::wire::{FrameCodec, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use racket_obs::{LocalHistogram, Registry, SPAN_PREFIX};
 use racket_reactor::{IdleStrategy, Poller, Source, TimerWheel, Token};
 use racket_types::metrics::keys;
-use racket_types::{FaultCounters, InstallId, ParticipantId, Snapshot};
-use std::collections::{HashMap, HashSet, VecDeque};
+use racket_types::{FaultCounters, ParticipantId};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Number of admission shards (sign-in sets, dedup tables, stats). Sized
-/// so that even a full worker pool rarely contends on one lock.
-const ADMISSION_SHARDS: usize = 64;
-
 /// Protocol error code for a load-shed upload (the wire-visible half of
 /// admission control; see `PROTOCOL.md` §"Concurrent connections").
 pub const SHED_ERROR_CODE: u16 = 429;
+
+/// A connection buffering a partial frame with no progress for this long
+/// (worker-clock milliseconds) is swept: transport purged, fresh strict
+/// codec. Recovers streams wedged by a corrupted length field.
+const STALL_DEADLINE_MS: u64 = 50;
+/// Max ready connections serviced per poll round (fairness bound; the
+/// poller's rotating cursor resumes where a truncated round stopped).
+const POLL_BUDGET: usize = 1024;
+/// Max queued messages processed per connection per service round, so one
+/// chatty device cannot starve its worker's other connections. Ignored
+/// during shutdown drain (everything queued is processed).
+const DRAIN_PER_CONN: usize = 32;
 
 /// Tuning knobs for the async collection plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,17 +78,6 @@ pub struct AsyncServerConfig {
     /// Bound on each connection's decoded-message queue. Uploads that
     /// would overflow it are load-shed with [`SHED_ERROR_CODE`].
     pub queue_limit: usize,
-    /// A connection buffering a partial frame with no progress for this
-    /// long (worker-clock milliseconds) is swept: transport purged, fresh
-    /// strict codec. Recovers streams wedged by a corrupted length field.
-    pub stall_deadline_ms: u64,
-    /// Max ready connections serviced per poll round (fairness bound; the
-    /// poller's rotating cursor resumes where a truncated round stopped).
-    pub poll_budget: usize,
-    /// Max queued messages processed per connection per service round, so
-    /// one chatty device cannot starve its worker's other connections.
-    /// Ignored during shutdown drain (everything queued is processed).
-    pub drain_per_conn: usize,
 }
 
 impl Default for AsyncServerConfig {
@@ -101,9 +87,6 @@ impl Default for AsyncServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_limit: 64,
-            stall_deadline_ms: 50,
-            poll_budget: 1024,
-            drain_per_conn: 32,
         }
     }
 }
@@ -223,159 +206,6 @@ impl Source for Connection {
     }
 }
 
-/// One admission shard: the sign-in set, the upload dedup table and the
-/// protocol stats for the installs hashing here.
-#[derive(Default)]
-struct AdmShard {
-    signed_in: HashSet<InstallId>,
-    /// `(install, file_id) → sha256` of every ingested file (the dedup
-    /// table that makes upload replays idempotent, PROTOCOL.md §6).
-    ingested: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
-    stats: ServerStats,
-}
-
-/// Shared admission state: participant gating, sharded sign-in/dedup
-/// tables, and the ingest sink.
-///
-/// The lock discipline that keeps the hot path parallel: hashing,
-/// decompression and parsing happen on the worker thread *outside* any
-/// shard lock; the lock is held only for set/map probes and counter
-/// bumps. Per-install sequentiality (one install = one connection = one
-/// worker) means the check-then-insert dedup window is race-free without
-/// holding the lock across the parse.
-struct Admission {
-    registered: HashSet<ParticipantId>,
-    shards: Vec<Mutex<AdmShard>>,
-    sharded: Arc<ShardedIngest>,
-}
-
-impl Admission {
-    fn new(
-        participants: impl IntoIterator<Item = ParticipantId>,
-        sharded: Arc<ShardedIngest>,
-    ) -> Self {
-        Admission {
-            registered: participants.into_iter().collect(),
-            shards: (0..ADMISSION_SHARDS)
-                .map(|_| Mutex::new(AdmShard::default()))
-                .collect(),
-            sharded,
-        }
-    }
-
-    fn shard(&self, install: InstallId) -> &Mutex<AdmShard> {
-        &self.shards[install.raw() as usize % self.shards.len()]
-    }
-
-    /// Handle one admitted message, producing the reply to send (if any).
-    /// Mirrors [`crate::server::CollectionServer::handle`] decision for
-    /// decision; the differences are purely structural (sharded state,
-    /// scratch owned by the worker, ingest through [`ShardedIngest`]).
-    fn handle(&self, msg: Message, scratch: &mut Vec<u8>) -> Option<Message> {
-        match msg {
-            Message::SignIn {
-                participant,
-                install,
-            } => {
-                let accepted = participant.is_valid() && self.registered.contains(&participant);
-                let mut shard = self.shard(install).lock();
-                if accepted {
-                    if shard.signed_in.insert(install) {
-                        shard.stats.sign_ins += 1;
-                    }
-                } else {
-                    shard.stats.rejected_sign_ins += 1;
-                }
-                Some(Message::SignInAck { accepted })
-            }
-            Message::SnapshotUpload {
-                install,
-                file_id,
-                fast: _,
-                payload,
-            } => Some(self.handle_upload(install, file_id, &payload, scratch)),
-            // Acks and errors addressed to clients are ignored, as on the
-            // synchronous server.
-            Message::SignInAck { .. } | Message::UploadAck { .. } | Message::Error { .. } => None,
-        }
-    }
-
-    fn handle_upload(
-        &self,
-        install: InstallId,
-        file_id: u64,
-        payload: &[u8],
-        scratch: &mut Vec<u8>,
-    ) -> Message {
-        // Hash exactly what was received, outside any lock.
-        let digest = sha256(payload);
-        {
-            let mut shard = self.shard(install).lock();
-            if !shard.signed_in.contains(&install) {
-                return Message::Error {
-                    code: 401,
-                    detail: "install not signed in".into(),
-                };
-            }
-            if shard
-                .ingested
-                .get(&install)
-                .and_then(|files| files.get(&file_id))
-                == Some(&digest)
-            {
-                // Replay of an already-ingested file (the ack was lost):
-                // re-acknowledge without re-ingesting.
-                shard.stats.dup_files += 1;
-                return Message::UploadAck {
-                    file_id,
-                    sha256: digest,
-                };
-            }
-        }
-        // Decompress + parse outside the lock; only the bookkeeping
-        // re-acquires it.
-        match lzss::decompress_into(payload, scratch)
-            .map_err(|e| e.to_string())
-            .and_then(|()| SnapshotCollector::deserialize_file(scratch).map_err(|e| e.to_string()))
-        {
-            Ok(snapshots) => {
-                self.ingest_file(&snapshots);
-                let mut shard = self.shard(install).lock();
-                shard.stats.files += 1;
-                shard
-                    .ingested
-                    .entry(install)
-                    .or_default()
-                    .insert(file_id, digest);
-                Message::UploadAck {
-                    file_id,
-                    sha256: digest,
-                }
-            }
-            Err(detail) => {
-                self.shard(install).lock().stats.bad_uploads += 1;
-                Message::Error { code: 400, detail }
-            }
-        }
-    }
-
-    /// Feed one decoded file's snapshots to the sharded ingest in
-    /// single-install runs (files are single-install in practice; mixed
-    /// files still ingest correctly, one batch per run).
-    fn ingest_file(&self, snapshots: &[Snapshot]) {
-        let mut i = 0;
-        while i < snapshots.len() {
-            let install = snapshots[i].install_id();
-            let mut j = i + 1;
-            while j < snapshots.len() && snapshots[j].install_id() == install {
-                j += 1;
-            }
-            self.sharded.ingest_batch(&snapshots[i..j]);
-            i = j;
-        }
-    }
-}
-
 /// Per-worker counters and span histograms, returned on join and merged
 /// into the study registry at shutdown. Everything here is observability
 /// only — none of it enters an output fingerprint.
@@ -396,12 +226,12 @@ struct WorkerReport {
 struct Worker {
     intake: Receiver<Connection>,
     stop: Arc<AtomicBool>,
-    admission: Arc<Admission>,
-    cfg: AsyncServerConfig,
+    core: Arc<ProtocolCore>,
+    queue_limit: usize,
     poller: Poller<Connection>,
     wheel: TimerWheel,
     idle: IdleStrategy,
-    /// Pooled decompression scratch shared by every upload this worker
+    /// Pooled inflate scratch shared by every upload this worker
     /// processes.
     scratch: Vec<u8>,
     /// Monotonic stamp generator for stall-timer entries.
@@ -413,14 +243,14 @@ impl Worker {
     fn new(
         intake: Receiver<Connection>,
         stop: Arc<AtomicBool>,
-        admission: Arc<Admission>,
-        cfg: AsyncServerConfig,
+        core: Arc<ProtocolCore>,
+        queue_limit: usize,
     ) -> Self {
         Worker {
             intake,
             stop,
-            admission,
-            cfg,
+            core,
+            queue_limit,
             poller: Poller::new(),
             wheel: TimerWheel::new(256),
             idle: IdleStrategy::default_for_io(),
@@ -452,7 +282,7 @@ impl Worker {
             // One poll round over this worker's share of the fleet.
             let now_ms = start.elapsed().as_millis() as u64;
             let poll_start = Instant::now();
-            let n_ready = self.poller.poll(&mut ready, self.cfg.poll_budget);
+            let n_ready = self.poller.poll(&mut ready, POLL_BUDGET);
             if n_ready > 0 {
                 for &token in &ready {
                     let (progress, close) = self.service(token, now_ms);
@@ -493,7 +323,7 @@ impl Worker {
 
     /// Service one ready connection: reconnect handshake, reads, decode,
     /// admission-bounded queueing (load-shedding overflow uploads), then
-    /// a fairness-bounded drain of the queue through admission. Returns
+    /// a fairness-bounded drain of the queue through the core. Returns
     /// `(made_progress, should_close)`.
     fn service(&mut self, token: Token, now_ms: u64) -> (bool, bool) {
         let Some(conn) = self.poller.get_mut(token) else {
@@ -536,7 +366,7 @@ impl Worker {
                 Ok(Some(msg)) => {
                     progress = true;
                     let sheddable = matches!(msg, Message::SnapshotUpload { .. });
-                    if sheddable && conn.queue.len() >= self.cfg.queue_limit {
+                    if sheddable && conn.queue.len() >= self.queue_limit {
                         // Admission control: reply 429 instead of
                         // buffering without bound. The client retries
                         // later; idempotency makes the retry safe.
@@ -584,11 +414,8 @@ impl Worker {
             if rearm {
                 self.stamp_counter += 1;
                 conn.wedge = Some((buffered, self.stamp_counter));
-                self.wheel.schedule(
-                    now_ms + self.cfg.stall_deadline_ms,
-                    token,
-                    self.stamp_counter,
-                );
+                self.wheel
+                    .schedule(now_ms + STALL_DEADLINE_MS, token, self.stamp_counter);
             }
         } else {
             conn.wedge = None;
@@ -598,7 +425,7 @@ impl Worker {
         let budget = if self.stop.load(Ordering::Acquire) {
             usize::MAX
         } else {
-            self.cfg.drain_per_conn
+            DRAIN_PER_CONN
         };
         let mut served = 0usize;
         while served < budget {
@@ -607,7 +434,7 @@ impl Worker {
             };
             served += 1;
             progress = true;
-            if let Some(reply) = self.admission.handle(msg, &mut self.scratch) {
+            if let Some(reply) = self.core.handle(msg, &mut self.scratch) {
                 let seq = conn.out_seq;
                 conn.out_seq += 1;
                 reply.encode_seq_into(seq, &mut conn.frame_buf);
@@ -648,35 +475,40 @@ impl Worker {
     }
 }
 
-/// The async collection plane: a worker pool plus the shared admission
-/// state. See the module docs for the architecture and
-/// `ARCHITECTURE.md` §8 for the full contract.
+/// The async collection plane: a worker pool driving one shared
+/// [`ProtocolCore`]. See the module docs for the architecture and
+/// `ARCHITECTURE.md` §8 for the driver contract.
 pub struct AsyncCollectServer {
     intakes: Vec<Sender<Connection>>,
     handles: Vec<std::thread::JoinHandle<WorkerReport>>,
     stop: Arc<AtomicBool>,
-    admission: Arc<Admission>,
+    core: Arc<ProtocolCore>,
     /// Round-robin cursor for connection placement.
     next: AtomicUsize,
 }
 
 impl AsyncCollectServer {
-    /// Start the worker pool. `participants` seeds the sign-in gate;
-    /// parsed snapshots flow into `sharded` (the caller keeps its own
-    /// `Arc` and drains it after [`AsyncCollectServer::shutdown`]).
+    /// Start the worker pool over a fresh core. `participants` seeds the
+    /// sign-in gate; parsed snapshots flow into `sharded` (the caller
+    /// keeps its own `Arc` and drains it after
+    /// [`AsyncCollectServer::shutdown`]).
     pub fn start(
         participants: impl IntoIterator<Item = ParticipantId>,
         sharded: Arc<ShardedIngest>,
         cfg: AsyncServerConfig,
     ) -> Self {
-        let admission = Arc::new(Admission::new(participants, sharded));
+        Self::start_with(Arc::new(ProtocolCore::new(participants, sharded)), cfg)
+    }
+
+    /// Start the worker pool over a core the caller also holds.
+    pub fn start_with(core: Arc<ProtocolCore>, cfg: AsyncServerConfig) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let workers = cfg.workers.max(1);
         let mut intakes = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = unbounded();
-            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&admission), cfg);
+            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core), cfg.queue_limit);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("collect-worker-{w}"))
@@ -689,7 +521,7 @@ impl AsyncCollectServer {
             intakes,
             handles,
             stop,
-            admission,
+            core,
             next: AtomicUsize::new(0),
         }
     }
@@ -730,13 +562,7 @@ impl AsyncCollectServer {
     /// Stop the workers (after they drain every queued message), merge
     /// their reports into `registry` (`server/*` spans, `server.*`
     /// counters, server-side fault and stale-frame tallies) and return
-    /// the folded protocol stats.
-    ///
-    /// The returned [`ServerStats`] counts sign-ins, files, dedups and
-    /// bad uploads; `snapshots` stays 0 because ingested snapshots are
-    /// counted by the [`ShardedIngest`] the caller drains (fold them via
-    /// [`crate::server::CollectionServer::add_ingested_snapshots`] or a
-    /// shard merge, exactly like the direct path).
+    /// the core's final stats.
     pub fn shutdown(self, registry: &Registry) -> ServerStats {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.intakes);
@@ -763,20 +589,21 @@ impl AsyncCollectServer {
         registry.gauge_set(keys::SERVER_QUEUE_DEPTH_PEAK, totals.queue_depth_peak);
         registry.add(keys::STALE_FRAMES, totals.stale_frames);
         totals.faults.record_to(registry);
-        let mut stats = ServerStats::default();
-        for shard in &self.admission.shards {
-            stats.merge(&shard.lock().stats);
-        }
-        stats
+        self.core.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::SnapshotCollector;
+    use crate::hash::sha256;
+    use crate::lzss;
     use racket_types::{
-        ApkHash, AppId, FastSnapshot, InstallDelta, InstalledApp, PermissionProfile, SimTime,
+        ApkHash, AppId, FastSnapshot, InstallDelta, InstallId, InstalledApp, PermissionProfile,
+        SimTime, Snapshot,
     };
+    use std::collections::HashSet;
 
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);
@@ -963,10 +790,7 @@ mod tests {
 
     #[test]
     fn wedged_partial_frame_is_stall_swept() {
-        let (srv, sharded) = start(AsyncServerConfig {
-            stall_deadline_ms: 25,
-            ..test_cfg()
-        });
+        let (srv, sharded) = start(test_cfg());
         let mut conn = srv.connect(FaultPlan::none(), 4);
         let mut codec = FrameCodec::strict();
         let mut seq = 0u32;
@@ -984,7 +808,7 @@ mod tests {
         .encode_seq(seq);
         seq += 1;
         conn.send(&frame[..frame.len() / 2]).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        std::thread::sleep(Duration::from_millis(3 * STALL_DEADLINE_MS));
         // The retransmission (fresh seq) decodes on the swept codec.
         let msg = Message::SnapshotUpload {
             install: I,
@@ -1003,25 +827,5 @@ mod tests {
             registry.snapshot().counter(keys::SERVER_STALL_SWEEPS) >= 1,
             "the wedged stream must be recovered by a sweep"
         );
-    }
-
-    #[test]
-    fn upload_before_sign_in_is_rejected() {
-        let (srv, sharded) = start(test_cfg());
-        let mut conn = srv.connect(FaultPlan::none(), 5);
-        let mut codec = FrameCodec::strict();
-        let msg = Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: payload(1),
-        };
-        conn.send(&msg.encode_seq(0)).unwrap();
-        let reply = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)).expect("reply");
-        assert!(matches!(reply, Message::Error { code: 401, .. }));
-        let registry = Registry::new();
-        let stats = srv.shutdown(&registry);
-        assert_eq!(stats.files, 0);
-        assert_eq!(sharded.snapshots_ingested(), 0);
     }
 }

@@ -25,17 +25,17 @@
 //!   (possibly fault-injected) loopback link with bounded exponential
 //!   backoff, reconnect-and-resume, and exactly-once delivery via the
 //!   server's idempotent ingest;
-//! * [`server`] — the collection server: sign-in validation, upload
-//!   ingestion (verify CRC → decompress → parse → acknowledge), and
-//!   per-install aggregation of snapshot statistics;
-//! * [`async_server`] — the reactor-driven collection plane:
+//! * [`server`] — the server side of the protocol as one sans-IO core
+//!   ([`ProtocolCore`]; the contract is `PROTOCOL.md` §6) and the
+//!   per-install aggregate it folds into;
+//! * [`async_server`] — the reactor-driven driver of that core:
 //!   thread-per-core workers multiplexing thousands of connections over
 //!   [`racket_reactor`] readiness polling, with bounded per-connection
 //!   queues, load-shedding admission control and server-side stall
 //!   sweeps (the million-device scale path; see `ARCHITECTURE.md` §8);
-//! * [`shard`] — the sharded ingestion facade: per-install records spread
-//!   over independently locked shards so batches from different devices
-//!   ingest concurrently (the parallel study driver's direct path);
+//! * [`shard`] — the one record table: per-install records spread over
+//!   independently locked shards so batches from different devices
+//!   ingest concurrently on every collection path;
 //! * [`columnar`] — the struct-of-arrays projection of the ingest store
 //!   ([`columnar::ColumnarSnapshots`]): dictionary-encoded identifiers and
 //!   contiguous per-field columns for the analyze-side scans
@@ -69,7 +69,7 @@ pub use columnar::{AppEntry, ColumnarSnapshots, NEVER_UNINSTALLED};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
 pub use hash::{crc32, md5, sha256};
 pub use retry::{RetryPolicy, RetryStats, WireLane};
-pub use server::{CollectionServer, InstallRecord};
+pub use server::{CollectionServer, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
 pub use stream::{AppStream, StreamAggregates};
 pub use transport::{FaultPlan, MemTransport, TcpTransport, Transport};

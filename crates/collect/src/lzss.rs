@@ -300,6 +300,11 @@ pub enum DecompressError {
         /// The offending distance.
         distance: usize,
     },
+    /// The stream inflates past the caller's output cap.
+    TooLarge {
+        /// The cap that was exceeded.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for DecompressError {
@@ -311,6 +316,9 @@ impl std::fmt::Display for DecompressError {
                     f,
                     "back-reference distance {distance} at output offset {at}"
                 )
+            }
+            DecompressError::TooLarge { limit } => {
+                write!(f, "stream inflates past the {limit}-byte limit")
             }
         }
     }
@@ -326,8 +334,37 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
 }
 
 /// Decompress into a caller-supplied buffer (cleared first), letting hot
-/// ingest paths reuse one scratch allocation across files.
+/// ingest paths reuse one scratch allocation across files. No output cap:
+/// for streams the caller compressed itself.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressError> {
+    decompress_capped(data, out, usize::MAX)
+}
+
+/// Make room for `n` more bytes without `out` ever exceeding `limit`, in
+/// length or capacity: growth doubles like `Vec`'s own, clamped to the
+/// limit.
+#[inline]
+fn reserve_within(out: &mut Vec<u8>, n: usize, limit: usize) -> Result<(), DecompressError> {
+    let need = out.len() + n;
+    if need > limit {
+        return Err(DecompressError::TooLarge { limit });
+    }
+    if need > out.capacity() {
+        let target = need.max(out.capacity().saturating_mul(2)).min(limit);
+        out.reserve_exact(target - out.len());
+    }
+    Ok(())
+}
+
+/// [`decompress_into`] for streams from outside the program: fails with
+/// [`DecompressError::TooLarge`] before `out` would pass `limit` bytes. A
+/// match token inflates 3 bytes to up to 259, so an uncapped inflate of a
+/// maximal wire payload is an ~80× allocation the sender chooses.
+pub fn decompress_capped(
+    data: &[u8],
+    out: &mut Vec<u8>,
+    limit: usize,
+) -> Result<(), DecompressError> {
     out.clear();
     let mut i = 0;
     while i < data.len() {
@@ -337,6 +374,7 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressE
             // All eight tokens are literals: one bulk copy instead of
             // eight pushes. (The tail of the stream may cover fewer than
             // eight tokens, so the slow loop handles that case.)
+            reserve_within(out, 8, limit)?;
             out.extend_from_slice(&data[i..i + 8]);
             i += 8;
             continue;
@@ -346,6 +384,7 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressE
                 break;
             }
             if flags & (1 << bit) == 0 {
+                reserve_within(out, 1, limit)?;
                 out.push(data[i]);
                 i += 1;
             } else {
@@ -361,6 +400,7 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressE
                         distance: dist,
                     });
                 }
+                reserve_within(out, len, limit)?;
                 let start = out.len() - dist;
                 if dist >= len {
                     // Non-overlapping back-reference: one block copy.
@@ -501,6 +541,26 @@ mod tests {
                 assert_eq!(distance, 9999);
             }
             other => panic!("expected BadReference, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn capped_decompress_stops_at_the_limit_without_outgrowing_it() {
+        // A long run is a legitimate bomb: ~9 KB of match tokens for
+        // 800 KB of output.
+        let data = vec![b'x'; 800_000];
+        let c = compress(&data);
+        assert!(c.len() < data.len() / 80);
+        let mut out = Vec::new();
+        assert_eq!(decompress_capped(&c, &mut out, data.len()), Ok(()));
+        assert_eq!(out, data);
+        for limit in [0, 1, 4096, data.len() - 1] {
+            let mut out = Vec::new();
+            assert_eq!(
+                decompress_capped(&c, &mut out, limit),
+                Err(DecompressError::TooLarge { limit })
+            );
+            assert!(out.capacity() <= limit, "grew to {}", out.capacity());
         }
     }
 

@@ -163,7 +163,7 @@ enum LaneBackend {
 /// study driver is an in-process simulation, so the "server side" of the
 /// pipe is pumped by a caller-supplied handler closure
 /// (`FnMut(Message) -> Option<Message>`, normally
-/// `|m| server.lock().handle(m)`); replies travel back through the same
+/// `|m| core.handle(m, &mut scratch)`); replies travel back through the same
 /// fault layer. Both directions get independent seeded fault streams
 /// derived from the lane seed. With the async backend the handler is
 /// unused (the async plane's workers handle messages) and replies are

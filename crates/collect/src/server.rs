@@ -1,24 +1,25 @@
-//! The collection server (the "web app" of Figure 3).
+//! The collection server (the "web app" of Figure 3): the sans-IO upload
+//! protocol core and the per-install aggregate it folds into.
 //!
-//! Responsibilities, mirroring §3:
-//!
-//! * **Sign-in**: validate the 6-digit participant code — RacketStore
-//!   collects nothing for codes the study never issued;
-//! * **Snapshot ingestion**: for each upload, decompress, parse, fold the
-//!   snapshots into per-install aggregates, and reply with the SHA-256 of
-//!   the received payload so the client can delete its local file;
-//! * **Aggregation**: the real backend inserted snapshots into MongoDB and
-//!   aggregated at query time; [`InstallRecord`] holds the equivalent
-//!   per-install aggregate the measurement and feature pipelines read.
-//!
-//! [`CollectionServer::serve_tcp`] runs the protocol threaded over real
-//! TCP connections (one thread per client, shared state behind a
-//! `parking_lot::Mutex`), which the integration tests exercise over
-//! loopback.
+//! * [`ProtocolCore`] is the *only* implementation of the server's
+//!   message → reply decision — sign-in gate, content-hash ack, replay
+//!   dedup, inflate cap, single-install rule. The contract is stated once,
+//!   in `PROTOCOL.md` §6. Every driver calls it: the async plane's reactor
+//!   workers ([`crate::async_server`]), the loopback lanes of the study
+//!   driver ([`crate::retry::WireLane`]), and the blocking TCP driver
+//!   ([`CollectionServer::serve_tcp`]).
+//! * [`InstallRecord`] is the per-install aggregate the measurement and
+//!   feature pipelines read (the real backend inserted snapshots into
+//!   MongoDB and aggregated at query time); the one table of them is
+//!   [`ShardedIngest`].
+//! * [`CollectionServer`] is a single-owner convenience over a core and
+//!   its store for fixtures, examples and the TCP driver.
 
+use crate::buffer::FAST_ROTATE_BYTES;
 use crate::collector::SnapshotCollector;
 use crate::hash::sha256;
 use crate::lzss;
+use crate::shard::ShardedIngest;
 use crate::stream::StreamAggregates;
 use crate::wire::{FrameCodec, Message};
 use parking_lot::Mutex;
@@ -188,9 +189,11 @@ pub struct ServerStats {
     pub rejected_sign_ins: u64,
     /// Snapshot files ingested (distinct `(install, file_id)` pairs).
     pub files: u64,
-    /// Snapshots ingested.
+    /// Snapshots ingested (the store's running count).
     pub snapshots: u64,
-    /// Uploads that failed to decompress or parse.
+    /// Uploads refused with a 400: failed to inflate within
+    /// [`MAX_INFLATED_BYTES`], failed to parse, or carried another
+    /// install's snapshots.
     pub bad_uploads: u64,
     /// Replayed uploads re-acknowledged without re-ingesting: the file's
     /// `(install, file_id, sha256)` had already been ingested, so the
@@ -201,9 +204,8 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Fold another stats block into this one. Every field is a plain
-    /// count, so merging is commutative — the async plane's admission
-    /// shards can fold in any order without changing the totals.
-    pub fn merge(&mut self, other: &ServerStats) {
+    /// count, so the core's shards fold in any order to the same totals.
+    fn merge(&mut self, other: &ServerStats) {
         self.sign_ins += other.sign_ins;
         self.rejected_sign_ins += other.rejected_sign_ins;
         self.files += other.files;
@@ -227,57 +229,87 @@ impl ServerStats {
     }
 }
 
-/// The collection server state.
-#[derive(Debug, Default)]
-pub struct CollectionServer {
-    /// Participant codes issued at recruitment.
-    registered: HashSet<ParticipantId>,
-    /// Installs that have signed in successfully.
+/// Largest inflated upload the core accepts. A rotated file is the fast
+/// threshold plus the one snapshot that crossed it (the largest seen in
+/// the text-on test fleets is 102,417 bytes); the biggest record the
+/// collector can emit is a device's first fast snapshot, which lists its
+/// whole pre-existing app set. Four thresholds leaves 3×
+/// [`FAST_ROTATE_BYTES`] of headroom for that one record, while bounding
+/// what a 4 MB payload of match tokens (~80× expansion) can make a pooled
+/// scratch grow to.
+pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
+
+/// Number of sign-in/dedup shards. Sized so that even a full worker pool
+/// rarely contends on one lock.
+const CORE_SHARDS: usize = 64;
+
+/// One shard of the core's tables: the sign-in set, the upload dedup
+/// table and the protocol counters for the installs hashing here
+/// (`stats.snapshots` stays 0 — the store counts snapshots).
+#[derive(Default)]
+struct CoreShard {
     signed_in: HashSet<InstallId>,
-    /// Content hash of every file already ingested, per install — the
-    /// dedup table that makes upload replays idempotent (PROTOCOL.md §6).
-    ingested_files: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
-    records: HashMap<InstallId, InstallRecord>,
+    /// `(install, file_id) → sha256` of every ingested file.
+    ingested: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
     stats: ServerStats,
-    /// Pooled decompression scratch: every upload inflates into this one
-    /// allocation instead of a fresh `Vec` per file.
-    scratch: Vec<u8>,
 }
 
-impl CollectionServer {
-    /// Create a server recognizing the given participant codes.
-    pub fn new(participants: impl IntoIterator<Item = ParticipantId>) -> Self {
-        CollectionServer {
+/// The server side of the upload protocol as a sans-IO state machine:
+/// one message in, at most one reply out (`PROTOCOL.md` §6 is the
+/// contract). Shared by reference across however many connections and
+/// threads a driver runs.
+///
+/// Lock discipline: hashing, inflating and parsing happen on the calling
+/// thread *outside* any lock; a shard lock is held only for set/map
+/// probes and counter bumps, and the fold takes the store's own shard
+/// lock. An install's messages arrive sequentially (one install = one
+/// connection), so the check-then-insert dedup window is race-free
+/// without holding a lock across the parse.
+pub struct ProtocolCore {
+    registered: HashSet<ParticipantId>,
+    shards: Vec<Mutex<CoreShard>>,
+    store: Arc<ShardedIngest>,
+}
+
+impl ProtocolCore {
+    /// A core recognizing the given participant codes and folding accepted
+    /// uploads into `store` (the caller keeps its own `Arc` to drain).
+    pub fn new(
+        participants: impl IntoIterator<Item = ParticipantId>,
+        store: Arc<ShardedIngest>,
+    ) -> Self {
+        ProtocolCore {
             registered: participants.into_iter().collect(),
-            signed_in: HashSet::new(),
-            ingested_files: HashMap::new(),
-            records: HashMap::new(),
-            stats: ServerStats::default(),
-            scratch: Vec::new(),
+            shards: (0..CORE_SHARDS)
+                .map(|_| Mutex::new(CoreShard::default()))
+                .collect(),
+            store,
         }
     }
 
-    /// Register one more participant code (late recruitment).
-    pub fn register_participant(&mut self, p: ParticipantId) {
-        self.registered.insert(p);
+    fn shard(&self, install: InstallId) -> &Mutex<CoreShard> {
+        &self.shards[install.raw() as usize % self.shards.len()]
     }
 
     /// Handle one protocol message, producing the reply to send (if any).
-    pub fn handle(&mut self, msg: Message) -> Option<Message> {
+    /// `scratch` is the caller's pooled inflate buffer (one per lane or
+    /// worker); it never grows past [`MAX_INFLATED_BYTES`].
+    pub fn handle(&self, msg: Message, scratch: &mut Vec<u8>) -> Option<Message> {
         match msg {
             Message::SignIn {
                 participant,
                 install,
             } => {
                 let accepted = participant.is_valid() && self.registered.contains(&participant);
+                let mut shard = self.shard(install).lock();
                 if accepted {
                     // Idempotent: a retried sign-in (lost ack) for an
                     // already-known install must not double-count.
-                    if self.signed_in.insert(install) {
-                        self.stats.sign_ins += 1;
+                    if shard.signed_in.insert(install) {
+                        shard.stats.sign_ins += 1;
                     }
                 } else {
-                    self.stats.rejected_sign_ins += 1;
+                    shard.stats.rejected_sign_ins += 1;
                 }
                 Some(Message::SignInAck { accepted })
             }
@@ -286,170 +318,160 @@ impl CollectionServer {
                 file_id,
                 fast: _,
                 payload,
-            } => {
-                if !self.signed_in.contains(&install) {
-                    return Some(Message::Error {
-                        code: 401,
-                        detail: "install not signed in".into(),
-                    });
-                }
-                // Hash exactly what was received — if transit corrupted the
-                // payload (and CRC somehow passed), the client's comparison
-                // fails and it retries.
-                let digest = sha256(&payload);
-                // Idempotent ingest: a file whose ack was lost gets
-                // retransmitted by the client; re-acknowledge it without
-                // folding its snapshots in a second time. (A colliding
-                // file_id with *different* content falls through and is
-                // processed as a new upload — client file ids are
-                // monotonic, so this only happens across a reinstall.)
-                if self
-                    .ingested_files
-                    .get(&install)
-                    .and_then(|files| files.get(&file_id))
-                    == Some(&digest)
-                {
-                    self.stats.dup_files += 1;
-                    return Some(Message::UploadAck {
-                        file_id,
-                        sha256: digest,
-                    });
-                }
-                // Decompress into the pooled scratch, then decode the whole
-                // file in one pass — parse once, ingest as a batch.
-                match lzss::decompress_into(&payload, &mut self.scratch)
-                    .map_err(|e| e.to_string())
-                    .and_then(|()| {
-                        SnapshotCollector::deserialize_file(&self.scratch)
-                            .map_err(|e| e.to_string())
-                    }) {
-                    Ok(snapshots) => {
-                        self.ingest_file(&snapshots);
-                        self.stats.files += 1;
-                        self.ingested_files
-                            .entry(install)
-                            .or_default()
-                            .insert(file_id, digest);
-                        Some(Message::UploadAck {
-                            file_id,
-                            sha256: digest,
-                        })
-                    }
-                    Err(detail) => {
-                        self.stats.bad_uploads += 1;
-                        Some(Message::Error { code: 400, detail })
-                    }
-                }
-            }
-            // Server ignores acks/errors addressed to clients.
+            } => Some(self.handle_upload(install, file_id, &payload, scratch)),
+            // Acks and errors addressed to clients are ignored.
             Message::SignInAck { .. } | Message::UploadAck { .. } | Message::Error { .. } => None,
         }
     }
 
-    /// Fold one snapshot into its install record (direct ingestion path,
-    /// used by the in-process study driver; the wire path converges here).
-    pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
-        self.stats.snapshots += 1;
-        let record = self
-            .records
-            .entry(snapshot.install_id())
-            .or_insert_with(|| {
-                InstallRecord::new(
-                    snapshot.install_id(),
-                    snapshot.participant_id(),
-                    snapshot.time(),
-                )
-            });
-        record.ingest(snapshot);
-    }
-
-    /// Fold one decoded upload file's snapshots in as a batch. Snapshots
-    /// in a rotated accumulation file come from a single install, so runs
-    /// sharing an install id are folded through one record lookup instead
-    /// of a map probe per snapshot (mixed files still ingest correctly —
-    /// each run resolves its own record).
-    fn ingest_file(&mut self, snapshots: &[Snapshot]) {
-        let mut i = 0;
-        while i < snapshots.len() {
-            let install = snapshots[i].install_id();
-            let record = self.records.entry(install).or_insert_with(|| {
-                InstallRecord::new(install, snapshots[i].participant_id(), snapshots[i].time())
-            });
-            let mut j = i;
-            while j < snapshots.len() && snapshots[j].install_id() == install {
-                record.ingest(&snapshots[j]);
-                j += 1;
+    fn handle_upload(
+        &self,
+        install: InstallId,
+        file_id: u64,
+        payload: &[u8],
+        scratch: &mut Vec<u8>,
+    ) -> Message {
+        // Hash exactly what was received — if transit corrupted the
+        // payload (and CRC somehow passed), the client's comparison fails
+        // and it retries.
+        let digest = sha256(payload);
+        let ack = Message::UploadAck {
+            file_id,
+            sha256: digest,
+        };
+        {
+            let mut shard = self.shard(install).lock();
+            if !shard.signed_in.contains(&install) {
+                return Message::Error {
+                    code: 401,
+                    detail: "install not signed in".into(),
+                };
             }
-            self.stats.snapshots += (j - i) as u64;
-            i = j;
+            // A file whose ack was lost gets retransmitted: re-acknowledge
+            // it without folding its snapshots in a second time. (A
+            // colliding file_id with *different* content falls through and
+            // is ingested as a new file — client file ids are monotonic,
+            // so this only happens across a reinstall.)
+            if shard
+                .ingested
+                .get(&install)
+                .and_then(|files| files.get(&file_id))
+                == Some(&digest)
+            {
+                shard.stats.dup_files += 1;
+                return ack;
+            }
+        }
+        let decoded = lzss::decompress_capped(payload, scratch, MAX_INFLATED_BYTES)
+            .map_err(|e| e.to_string())
+            .and_then(|()| SnapshotCollector::deserialize_file(scratch).map_err(|e| e.to_string()))
+            .and_then(|snapshots| {
+                // The gate checked the header's install; the records must
+                // name the same one, or a signed-in client could write
+                // into any install's aggregate.
+                if snapshots.iter().all(|s| s.install_id() == install) {
+                    Ok(snapshots)
+                } else {
+                    Err("file holds another install's snapshots".to_string())
+                }
+            });
+        match decoded {
+            Ok(snapshots) => {
+                self.store.ingest_batch(&snapshots);
+                let mut shard = self.shard(install).lock();
+                shard.stats.files += 1;
+                shard
+                    .ingested
+                    .entry(install)
+                    .or_default()
+                    .insert(file_id, digest);
+                ack
+            }
+            Err(detail) => {
+                self.shard(install).lock().stats.bad_uploads += 1;
+                Message::Error { code: 400, detail }
+            }
         }
     }
 
-    /// Adopt a fully aggregated record (from a [`crate::shard::ShardedIngest`]
-    /// drain). Replaces any record previously held for the same install.
-    pub fn adopt_record(&mut self, record: InstallRecord) {
-        self.records.insert(record.install_id, record);
+    /// Ingestion statistics so far: the shards' protocol counters plus
+    /// the store's snapshot count.
+    pub fn stats(&self) -> ServerStats {
+        let mut stats = ServerStats::default();
+        for shard in &self.shards {
+            stats.merge(&shard.lock().stats);
+        }
+        stats.snapshots = self.store.snapshots_ingested();
+        stats
+    }
+}
+
+/// A [`ProtocolCore`] with its own store and inflate scratch: the
+/// single-owner server that fixtures, examples and the TCP driver use.
+pub struct CollectionServer {
+    core: ProtocolCore,
+    scratch: Vec<u8>,
+}
+
+impl CollectionServer {
+    /// Create a server recognizing the given participant codes.
+    pub fn new(participants: impl IntoIterator<Item = ParticipantId>) -> Self {
+        CollectionServer {
+            core: ProtocolCore::new(participants, Arc::new(ShardedIngest::new(8))),
+            scratch: Vec::new(),
+        }
     }
 
-    /// Add externally ingested snapshots to the stats counter (the sharded
-    /// direct path counts its own ingests; this folds them back in).
-    pub fn add_ingested_snapshots(&mut self, n: u64) {
-        self.stats.snapshots += n;
+    /// Handle one protocol message ([`ProtocolCore::handle`]).
+    pub fn handle(&mut self, msg: Message) -> Option<Message> {
+        self.core.handle(msg, &mut self.scratch)
     }
 
-    /// Fold externally accumulated protocol stats into this server's —
-    /// the convergence point for the async plane, whose admission shards
-    /// count sign-ins, files, dedups and bad uploads on worker threads.
-    pub fn absorb_stats(&mut self, other: &ServerStats) {
-        self.stats.merge(other);
+    /// Fold one snapshot straight into its install record, bypassing the
+    /// protocol (fixtures that need a record, not an upload).
+    pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
+        self.core.store.ingest(snapshot);
     }
 
-    /// All install records.
-    pub fn records(&self) -> impl Iterator<Item = &InstallRecord> {
-        self.records.values()
-    }
-
-    /// One install's record.
-    pub fn record(&self, install: InstallId) -> Option<&InstallRecord> {
-        self.records.get(&install)
+    /// A copy of one install's record.
+    pub fn record(&self, install: InstallId) -> Option<InstallRecord> {
+        self.core.store.record(install)
     }
 
     /// Ingestion statistics.
     pub fn stats(&self) -> ServerStats {
-        self.stats
+        self.core.stats()
     }
 
     /// Serve the wire protocol on a TCP listener until the listener errors
     /// or `max_connections` clients have been handled (tests bound this;
-    /// pass `usize::MAX` to serve forever). One thread per connection.
+    /// pass `usize::MAX` to serve forever). One blocking thread per
+    /// connection, each with its own codec and inflate scratch; the
+    /// threads share only the core.
     pub fn serve_tcp(
-        server: Arc<Mutex<CollectionServer>>,
+        &self,
         listener: std::net::TcpListener,
         max_connections: usize,
     ) -> std::io::Result<()> {
-        let mut handles = Vec::new();
-        for stream in listener.incoming().take(max_connections) {
-            let stream = stream?;
-            let server = Arc::clone(&server);
-            handles.push(std::thread::spawn(move || {
-                let mut transport = crate::transport::TcpTransport::new(stream);
-                let mut codec = FrameCodec::new();
-                while let Ok(Some(msg)) = crate::transport::recv_message(&mut transport, &mut codec)
-                {
-                    let reply = server.lock().handle(msg);
-                    if let Some(reply) = reply {
-                        use crate::transport::Transport;
-                        if transport.send(&reply.encode()).is_err() {
-                            break;
+        use crate::transport::{recv_message, TcpTransport, Transport};
+        std::thread::scope(|scope| {
+            for stream in listener.incoming().take(max_connections) {
+                let stream = stream?;
+                scope.spawn(move || {
+                    let mut transport = TcpTransport::new(stream);
+                    let mut codec = FrameCodec::new();
+                    let mut scratch = Vec::new();
+                    while let Ok(Some(msg)) = recv_message(&mut transport, &mut codec) {
+                        if let Some(reply) = self.core.handle(msg, &mut scratch) {
+                            if transport.send(&reply.encode()).is_err() {
+                                break;
+                            }
                         }
                     }
-                }
-            }));
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        Ok(())
+                });
+            }
+            Ok(())
+        })
     }
 }
 
@@ -482,101 +504,118 @@ mod tests {
         })
     }
 
-    #[test]
-    fn sign_in_gating() {
-        let mut s = server();
-        let ok = s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        assert_eq!(ok, Some(Message::SignInAck { accepted: true }));
-        let bad = s.handle(Message::SignIn {
-            participant: ParticipantId(999_999),
-            install: InstallId(2_000_000_000),
-        });
-        assert_eq!(bad, Some(Message::SignInAck { accepted: false }));
-        assert_eq!(s.stats().sign_ins, 1);
-        assert_eq!(s.stats().rejected_sign_ins, 1);
-    }
-
-    #[test]
-    fn upload_requires_sign_in() {
-        let mut s = server();
-        let reply = s.handle(Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: vec![],
-        });
-        assert!(matches!(reply, Some(Message::Error { code: 401, .. })));
-    }
-
-    #[test]
-    fn upload_round_trip_acks_hash_and_ingests() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        // Build a compressed file of two snapshots.
-        let snaps = vec![
-            fast_with_install(100, 1, 50),
-            fast_with_install(105, 2, 104),
-        ];
+    /// A snapshot file as the buffer module would rotate it.
+    fn file_of(snapshots: &[Snapshot]) -> Vec<u8> {
         let mut raw = Vec::new();
-        for snap in &snaps {
+        for snap in snapshots {
             raw.extend_from_slice(&SnapshotCollector::serialize(snap));
         }
-        let payload = lzss::compress(&raw);
-        let expected_hash = sha256(&payload);
-        let reply = s
-            .handle(Message::SnapshotUpload {
-                install: I,
-                file_id: 9,
-                fast: true,
-                payload,
-            })
-            .unwrap();
-        assert_eq!(
-            reply,
-            Message::UploadAck {
-                file_id: 9,
-                sha256: expected_hash
-            }
-        );
-        let rec = s.record(I).unwrap();
-        assert_eq!(rec.n_fast, 2);
-        assert_eq!(rec.apps.len(), 2);
-        assert!(rec.installed_now.contains(&AppId(1)));
-        assert_eq!(s.stats().snapshots, 2);
+        lzss::compress(&raw)
+    }
+
+    fn upload(file_id: u64, payload: &[u8]) -> Message {
+        Message::SnapshotUpload {
+            install: I,
+            file_id,
+            fast: true,
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// What a row of the protocol table expects back.
+    enum Reply {
+        Is(Message),
+        Error(u16),
+        Nothing,
     }
 
     #[test]
-    fn replayed_upload_is_deduped_and_reacked() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&SnapshotCollector::serialize(&fast_with_install(
-            100, 1, 50,
-        )));
-        let payload = lzss::compress(&raw);
-        let upload = Message::SnapshotUpload {
-            install: I,
-            file_id: 3,
-            fast: true,
-            payload,
+    fn protocol_decision_table() {
+        // The one statement of the message → reply decision (PROTOCOL.md
+        // §6), run in order against one core: each row is a message, the
+        // reply it must get and the full stats block afterwards. Drivers
+        // only move these messages, so this runs once, here.
+        const OTHER: InstallId = InstallId(2_000_000_000);
+        let two = file_of(&[
+            fast_with_install(100, 1, 50),
+            fast_with_install(105, 2, 104),
+        ]);
+        let one = file_of(&[fast_with_install(200, 3, 150)]);
+        // A signed-in client naming someone else's install in its records.
+        let mut foreign = fast_with_install(300, 4, 250);
+        if let Snapshot::Fast(f) = &mut foreign {
+            f.install_id = OTHER;
+        }
+        let mixed = file_of(&[fast_with_install(290, 4, 250), foreign]);
+        // A hand-built bomb: the literal `x`, then back-references
+        // (distance 1, length byte 255 → 259 bytes each) until the output
+        // would pass the cap — under 5 KB on the wire.
+        let mut bomb = vec![0b1111_1110, b'x'];
+        for k in 0..MAX_INFLATED_BYTES / 259 + 8 {
+            if k >= 7 && (k - 7) % 8 == 0 {
+                bomb.push(0xFF); // the next eight tokens are references
+            }
+            bomb.extend_from_slice(&[1, 0, 255]);
+        }
+        assert!(lzss::decompress(&bomb).unwrap().len() > MAX_INFLATED_BYTES);
+        let ack = |file_id, payload: &[u8]| {
+            Reply::Is(Message::UploadAck {
+                file_id,
+                sha256: sha256(payload),
+            })
         };
-        let first = s.handle(upload.clone()).unwrap();
-        // Replay (the ack was "lost"): identical ack, nothing re-ingested.
-        let second = s.handle(upload).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(s.stats().snapshots, 1, "snapshot counted once");
-        assert_eq!(s.stats().files, 1, "file counted once");
-        assert_eq!(s.stats().dup_files, 1);
-        assert_eq!(s.record(I).unwrap().n_fast, 1);
+        let sign_in = |participant| Message::SignIn {
+            participant,
+            install: I,
+        };
+        let st =
+            |sign_ins, rejected_sign_ins, files, snapshots, bad_uploads, dup_files| ServerStats {
+                sign_ins,
+                rejected_sign_ins,
+                files,
+                snapshots,
+                bad_uploads,
+                dup_files,
+            };
+        #[rustfmt::skip]
+        let table = [
+            ("upload before sign-in",            upload(9, &two),                       Reply::Error(401),                                 st(0, 0, 0, 0, 0, 0)),
+            ("unknown participant code",         sign_in(ParticipantId(999_999)),       Reply::Is(Message::SignInAck { accepted: false }), st(0, 1, 0, 0, 0, 0)),
+            ("rejected sign-in opens nothing",   upload(9, &two),                       Reply::Error(401),                                 st(0, 1, 0, 0, 0, 0)),
+            ("sign-in",                          sign_in(P),                            Reply::Is(Message::SignInAck { accepted: true }),  st(1, 1, 0, 0, 0, 0)),
+            ("repeated sign-in",                 sign_in(P),                            Reply::Is(Message::SignInAck { accepted: true }),  st(1, 1, 0, 0, 0, 0)),
+            ("upload acks the content hash",     upload(9, &two),                       ack(9, &two),                                      st(1, 1, 1, 2, 0, 0)),
+            ("replay is re-acked, not refolded", upload(9, &two),                       ack(9, &two),                                      st(1, 1, 1, 2, 0, 1)),
+            ("same file_id, different content",  upload(9, &one),                       ack(9, &one),                                      st(1, 1, 2, 3, 0, 1)),
+            ("truncated LZSS reference",         upload(10, &[0b0000_0001, 0x01]),      Reply::Error(400),                                 st(1, 1, 2, 3, 1, 1)),
+            ("another install's snapshots",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 2, 1)),
+            ("...and it is not remembered",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 3, 1)),
+            ("inflate bomb",                     upload(12, &bomb),                     Reply::Error(400),                                 st(1, 1, 2, 3, 4, 1)),
+            ("client-addressed message",         Message::SignInAck { accepted: true }, Reply::Nothing,                                    st(1, 1, 2, 3, 4, 1)),
+        ];
+        let store = Arc::new(ShardedIngest::new(4));
+        let core = ProtocolCore::new([P], Arc::clone(&store));
+        let mut scratch = Vec::new();
+        for (name, msg, want, stats) in table {
+            let got = core.handle(msg, &mut scratch);
+            match (want, got) {
+                (Reply::Is(want), Some(got)) => assert_eq!(got, want, "{name}"),
+                (Reply::Error(want), Some(Message::Error { code, .. })) => {
+                    assert_eq!(code, want, "{name}")
+                }
+                (Reply::Nothing, None) => {}
+                (_, got) => panic!("{name}: unexpected reply {got:?}"),
+            }
+            assert_eq!(core.stats(), stats, "{name}");
+            assert!(scratch.capacity() <= MAX_INFLATED_BYTES, "{name}");
+        }
+        // Only the three accepted snapshots were folded, all under the
+        // uploader's install.
+        let rec = store.record(I).unwrap();
+        assert_eq!(rec.n_fast, 3);
+        assert_eq!(rec.apps.len(), 3);
+        assert!(rec.installed_now.contains(&AppId(1)));
+        assert!(store.record(OTHER).is_none());
     }
 
     #[test]
@@ -613,7 +652,7 @@ mod tests {
             payload,
         };
         s.handle(upload.clone()).unwrap();
-        let once = s.record(I).unwrap().clone();
+        let once = s.record(I).unwrap();
         for _ in 0..3 {
             s.handle(upload.clone()).unwrap();
         }
@@ -682,36 +721,6 @@ mod tests {
                     .max()
             );
         }
-    }
-
-    #[test]
-    fn repeated_sign_in_is_idempotent() {
-        let mut s = server();
-        for _ in 0..3 {
-            let reply = s.handle(Message::SignIn {
-                participant: P,
-                install: I,
-            });
-            assert_eq!(reply, Some(Message::SignInAck { accepted: true }));
-        }
-        assert_eq!(s.stats().sign_ins, 1, "distinct installs, not messages");
-    }
-
-    #[test]
-    fn malformed_upload_rejected() {
-        let mut s = server();
-        s.handle(Message::SignIn {
-            participant: P,
-            install: I,
-        });
-        let reply = s.handle(Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: vec![0b0000_0001, 0x01], // truncated LZSS reference
-        });
-        assert!(matches!(reply, Some(Message::Error { code: 400, .. })));
-        assert_eq!(s.stats().bad_uploads, 1);
     }
 
     #[test]
@@ -817,7 +826,7 @@ mod tests {
             payload,
         };
         s.handle(upload.clone()).unwrap();
-        let once = s.record(I).unwrap().clone();
+        let once = s.record(I).unwrap();
         s.handle(upload).unwrap();
         let rec = s.record(I).unwrap();
         assert_eq!(rec.review_events, once.review_events);

@@ -18,15 +18,16 @@
 //! [`ShardedIngest::into_records`] returns records sorted by install ID to
 //! give downstream consumers a canonical order.
 
-use crate::server::{CollectionServer, InstallRecord};
+use crate::server::InstallRecord;
 use parking_lot::Mutex;
 use racket_types::{InstallId, Snapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Concurrently usable snapshot store: per-install aggregates spread over
-/// independently locked shards. The facade the parallel study driver
-/// ingests through on the in-process (direct) collection path.
+/// independently locked shards. The one record table — every collection
+/// path folds into it, directly or through
+/// [`crate::server::ProtocolCore`].
 #[derive(Debug)]
 pub struct ShardedIngest {
     shards: Vec<Mutex<HashMap<InstallId, InstallRecord>>>,
@@ -50,13 +51,8 @@ impl ShardedIngest {
         Self::new(rayon::current_num_threads() * 2)
     }
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard an install's record lives on.
-    pub fn shard_of(&self, install: InstallId) -> usize {
+    fn shard_of(&self, install: InstallId) -> usize {
         (install.raw() as usize) % self.shards.len()
     }
 
@@ -109,6 +105,14 @@ impl ShardedIngest {
         self.snapshots.load(Ordering::Relaxed)
     }
 
+    /// A copy of one install's record.
+    pub fn record(&self, install: InstallId) -> Option<InstallRecord> {
+        self.shards[self.shard_of(install)]
+            .lock()
+            .get(&install)
+            .cloned()
+    }
+
     /// Install records held per shard (the occupancy series reported in
     /// [`racket_types::PipelineMetrics`]).
     pub fn occupancy(&self) -> Vec<usize> {
@@ -136,17 +140,6 @@ impl ShardedIngest {
             .collect();
         records.sort_by_key(|r| r.install_id);
         records
-    }
-
-    /// Drain the store into a [`CollectionServer`], folding every record
-    /// and the snapshot count into the server's table and stats — the
-    /// convergence point of the sharded direct path and the wire path.
-    pub fn merge_into(self, server: &mut CollectionServer) {
-        let snapshots = self.snapshots_ingested();
-        for record in self.into_records() {
-            server.adopt_record(record);
-        }
-        server.add_ingested_snapshots(snapshots);
     }
 }
 
@@ -215,17 +208,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run("1"), run("8"));
-    }
-
-    #[test]
-    fn merge_into_server_carries_stats() {
-        let ingest = ShardedIngest::new(2);
-        ingest.ingest(&snap(1_000_000_001, 5));
-        ingest.ingest(&snap(1_000_000_002, 6));
-        let mut server = CollectionServer::new([ParticipantId(123_456)]);
-        ingest.merge_into(&mut server);
-        assert_eq!(server.stats().snapshots, 2);
-        assert_eq!(server.records().count(), 2);
-        assert!(server.record(InstallId(1_000_000_001)).is_some());
     }
 }

@@ -7,10 +7,10 @@
 //! engine (ARCHITECTURE.md §7) maintains those per-app sufficient
 //! statistics inside `InstallRecord::ingest`, at the exact
 //! program points where the batch-visible vectors are appended — so the
-//! aggregate is equal to the batch scan **by construction**, rides every
-//! transport of the record (sharded ingest, `adopt_record`, clones), and
-//! inherits the server's idempotent-ingest guarantee: a deduplicated
-//! upload replay never reaches `ingest`, so it can never double-fold.
+//! aggregate is equal to the batch scan **by construction**, travels with
+//! the record (store drain, clones), and inherits the server's
+//! idempotent-ingest guarantee: a deduplicated upload replay never
+//! reaches `ingest`, so it can never double-fold.
 //!
 //! Everything here is an exact integer/latch aggregate (no floats), which
 //! is what lets the streaming feature vectors match batch bit-for-bit.

@@ -4,9 +4,10 @@
 //! The simulate→collect→assemble pipeline is parallel end to end (see
 //! ARCHITECTURE.md): devices run as independent *lanes*, each with its own
 //! driver RNG stream, snapshot collector and upload buffer. Cross-lane
-//! state is either sharded ([`racket_collect::ShardedIngest`] on the
-//! direct path), commutative (server stats counters), or merged serially
-//! in lane order (review posts) — so the output is a pure function of the
+//! state is either sharded (the one [`racket_collect::ShardedIngest`] and
+//! the [`racket_collect::ProtocolCore`] in front of it, on every path),
+//! commutative (server stats counters), or merged serially in lane order
+//! (review posts) — so the output is a pure function of the
 //! configuration, never of the worker-thread count.
 
 use racket_agents::{
@@ -16,9 +17,9 @@ use racket_agents::{
 use racket_campaign::{detect_with_text, CampaignReport, CampaignSketch, DetectorConfig};
 use racket_collect::wire::Message;
 use racket_collect::{
-    coalesce_installs, AsyncCollectServer, AsyncServerConfig, CandidateInstall, CollectionServer,
-    CollectorConfig, ColumnarSnapshots, DataBuffer, FaultPlan, InstallRecord, RetryPolicy,
-    ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
+    coalesce_installs, AsyncCollectServer, AsyncServerConfig, CandidateInstall, CollectorConfig,
+    ColumnarSnapshots, DataBuffer, FaultPlan, ProtocolCore, RetryPolicy, ShardedIngest,
+    SnapshotBatch, SnapshotCollector, WireLane,
 };
 use racket_features::{DeviceObservation, DeviceStreamState};
 use racket_obs::{span, LocalHistogram, Registry};
@@ -211,6 +212,9 @@ struct DeviceLane {
     /// wire) or a live connection into the async collection plane, plus
     /// the sequence-checked codec and retry/backoff state machine.
     wire: Option<WireLane>,
+    /// Pooled inflate scratch for the server half of a loopback lane
+    /// (what a reactor worker owns on the async path).
+    inflate: Vec<u8>,
     /// Per-lane driver RNG stream (seeded from the study seed + lane index).
     rng: StdRng,
     /// Compressed bytes this lane uploaded over the wire path,
@@ -248,29 +252,21 @@ impl Study {
         };
 
         let simulate_span = obs.span(keys::SPAN_SIMULATE);
-        let mut server = CollectionServer::new(fleet.devices.iter().map(|d| d.participant));
-        let mut crawler = ReviewCrawler::new();
-        let sharded = match config.path {
-            CollectionPath::Direct => Some(ShardedIngest::for_current_threads()),
-            CollectionPath::Wire | CollectionPath::AsyncWire => None,
-        };
-        // Async plane: the reactor server owns its own sharded store (its
-        // workers ingest into it concurrently); both drain back into the
-        // aggregation server at shutdown. The worker count never shows in
-        // the data output (ARCHITECTURE.md §8's equivalence contract), so
+        // One record store and one protocol core in front of it, whatever
+        // the path: Direct lanes fold into the store themselves, loopback
+        // lanes call the core inline, and the async plane's reactor
+        // workers call the same core from their own threads. The worker
+        // count never shows in the data output (ARCHITECTURE.md §8), so
         // the default topology is always safe here.
-        let async_plane = match config.path {
-            CollectionPath::AsyncWire => {
-                let store = Arc::new(ShardedIngest::for_current_threads());
-                let srv = AsyncCollectServer::start(
-                    fleet.devices.iter().map(|d| d.participant),
-                    Arc::clone(&store),
-                    AsyncServerConfig::default(),
-                );
-                Some((srv, store))
-            }
-            CollectionPath::Direct | CollectionPath::Wire => None,
-        };
+        let store = Arc::new(ShardedIngest::for_current_threads());
+        let core = Arc::new(ProtocolCore::new(
+            fleet.devices.iter().map(|d| d.participant),
+            Arc::clone(&store),
+        ));
+        let async_plane = (config.path == CollectionPath::AsyncWire).then(|| {
+            AsyncCollectServer::start_with(Arc::clone(&core), AsyncServerConfig::default())
+        });
+        let mut crawler = ReviewCrawler::new();
 
         // Sign in + per-device lane state. Sign-ins are serial (one frame
         // per device); the simulation loop below is where the time goes.
@@ -315,7 +311,7 @@ impl Study {
                     // as a loopback lane's would be, so a chaos plan
                     // perturbs both paths identically.
                     CollectionPath::AsyncWire => {
-                        let (srv, _) = async_plane.as_ref().expect("async plane is running");
+                        let srv = async_plane.as_ref().expect("async plane is running");
                         Some(WireLane::new_async(
                             d.install_id,
                             d.participant,
@@ -343,6 +339,7 @@ impl Study {
                     directive_plan,
                     directive_cursor: 0,
                     wire,
+                    inflate: Vec::new(),
                     rng: StdRng::seed_from_u64(stream_seed(
                         config.seed ^ DRIVER_STREAM_SALT,
                         i as u64,
@@ -356,26 +353,24 @@ impl Study {
         {
             let _span = obs.span("simulate/sign_in");
             for lane in &mut lanes {
-                match &mut lane.wire {
-                    Some(wire) => {
-                        let accepted = wire
-                            .sign_in(&mut |m| server.handle(m))
-                            .expect("sign-in retry budget exhausted");
-                        assert!(accepted, "study participants are registered");
-                    }
+                let mut handler = |m| core.handle(m, &mut lane.inflate);
+                let accepted = match &mut lane.wire {
+                    Some(wire) => wire
+                        .sign_in(&mut handler)
+                        .expect("sign-in retry budget exhausted"),
                     None => {
-                        server.handle(Message::SignIn {
+                        handler(Message::SignIn {
                             participant: lane.dev.participant,
                             install: lane.dev.install_id,
-                        });
+                        }) == Some(Message::SignInAck { accepted: true })
                     }
-                }
+                };
+                assert!(accepted, "study participants are registered");
             }
         }
 
         // ---- main loop: one study day at a time, all device lanes in ------
         // ---- parallel, reviews merged serially in lane order --------------
-        let server = parking_lot::Mutex::new(server);
         let study_start = config.fleet.study_start();
         let horizon = config.fleet.horizon();
         let total_days = config.fleet.max_study_days;
@@ -405,8 +400,8 @@ impl Study {
                     catalog,
                     day_start,
                     horizon,
-                    sharded.as_ref(),
-                    &server,
+                    &core,
+                    &store,
                     config.path,
                 );
             });
@@ -452,8 +447,9 @@ impl Study {
                 lane.buffer.flush();
                 if let Some(wire) = lane.wire.as_mut() {
                     for _ in 0..8 {
-                        lane.bytes_compressed +=
-                            wire.upload_pending(&mut lane.buffer, &mut |m| server.lock().handle(m));
+                        lane.bytes_compressed += wire.upload_pending(&mut lane.buffer, &mut |m| {
+                            core.handle(m, &mut lane.inflate)
+                        });
                         if lane.buffer.pending_count() == 0 {
                             break;
                         }
@@ -461,8 +457,6 @@ impl Study {
                 }
             }
         }
-        let mut server = server.into_inner();
-
         // Lane retirement: chaos/retry counters and the per-lane deliver
         // histogram shards fold into the registry. Everything here is a
         // commutative add, so lane order cannot show in the totals.
@@ -491,36 +485,28 @@ impl Study {
         // Devices return to the fleet in lane (= fleet) order.
         fleet.devices = lanes.into_iter().map(|l| l.dev).collect();
 
-        // Sharded direct-path records converge into the server table.
-        if let Some(sharded) = sharded {
-            let _span = obs.span("simulate/shard_merge");
-            sharded.record_occupancy_to(&obs);
-            sharded.merge_into(&mut server);
-        }
         // Async-plane teardown: stop the reactor workers (their reports —
         // shed/stall/queue-depth counters and server spans — land in the
-        // registry), then drain the plane's sharded store and protocol
-        // stats into the aggregation server. Every lane has fully drained
-        // by now, so the workers' shutdown sweep only flushes queued
-        // duplicate retransmissions, which the idempotent ingest absorbs.
-        if let Some((srv, store)) = async_plane {
+        // registry). Every lane has fully drained by now, so the workers'
+        // shutdown sweep only flushes queued duplicate retransmissions,
+        // which the core's dedup absorbs.
+        if let Some(plane) = async_plane {
             let _span = obs.span("simulate/async_shutdown");
-            let async_stats = srv.shutdown(&obs);
-            let store = Arc::try_unwrap(store)
-                .expect("workers joined at shutdown; the driver holds the last reference");
-            store.record_occupancy_to(&obs);
-            store.merge_into(&mut server);
-            server.absorb_stats(&async_stats);
+            plane.shutdown(&obs);
         }
-        server.stats().record_to(&obs);
+        let server_stats = core.stats();
+        server_stats.record_to(&obs);
+        drop(core);
+        let store = Arc::try_unwrap(store)
+            .expect("workers joined and the core dropped; the driver holds the last reference");
+        store.record_occupancy_to(&obs);
         drop(simulate_span);
 
         // ---- assemble the measurement database ----------------------------
         let assemble_span = obs.span(keys::SPAN_ASSEMBLE);
         // Canonical record order: sorted by install ID (HashMap iteration
         // order must never reach coalescing, which is order-sensitive).
-        let mut records: Vec<InstallRecord> = server.records().cloned().collect();
-        records.sort_by_key(|r| r.install_id);
+        let records = store.into_records();
         let coalesced_devices = {
             let _span = obs.span("assemble/coalesce");
             let candidates: Vec<CandidateInstall> =
@@ -645,7 +631,7 @@ impl Study {
             columnar,
             campaigns,
             reviews_crawled: crawler.total_collected(),
-            server_stats: server.stats(),
+            server_stats,
             coalesced_devices,
             fleet,
             metrics,
@@ -663,8 +649,8 @@ impl Study {
         catalog: &racket_playstore::AppCatalog,
         day_start: SimTime,
         horizon: SimTime,
-        sharded: Option<&ShardedIngest>,
-        server: &parking_lot::Mutex<CollectionServer>,
+        core: &ProtocolCore,
+        store: &ShardedIngest,
         path: CollectionPath,
     ) {
         lane.scratch.begin_day();
@@ -718,7 +704,7 @@ impl Study {
             lane.batch.clear();
             lane.collector
                 .poll_into(&lane.dev.device, ta.time, &mut lane.batch);
-            Self::deliver(lane, sharded, server, path);
+            Self::deliver(lane, core, store, path);
             // Install/uninstall actions feed the incremental indexes and
             // the crawl-set deltas — guarded on the device's pre-action
             // state, so a directive re-install or a no-op uninstall
@@ -768,20 +754,20 @@ impl Study {
         lane.batch.clear();
         lane.collector
             .poll_into(&lane.dev.device, last_tick, &mut lane.batch);
-        Self::deliver(lane, sharded, server, path);
+        Self::deliver(lane, core, store, path);
         lane.scratch.actions = actions;
     }
 
     /// Deliver the lane's batched snapshots along the configured path.
     ///
-    /// Direct: straight into the sharded store (concurrent across lanes).
-    /// Wire: through the lane's buffer and transport, with the server
-    /// behind a mutex — per-install aggregation is disjoint across lanes,
-    /// so the lock order cannot change the result.
+    /// Direct: straight into the sharded store. Wire: through the lane's
+    /// buffer and transport into the core. Both are concurrent across
+    /// lanes — per-install aggregation is disjoint, so lane interleaving
+    /// cannot change the result.
     fn deliver(
         lane: &mut DeviceLane,
-        sharded: Option<&ShardedIngest>,
-        server: &parking_lot::Mutex<CollectionServer>,
+        core: &ProtocolCore,
+        store: &ShardedIngest,
         path: CollectionPath,
     ) {
         // Timed into the lane's local histogram shard, not the shared
@@ -790,9 +776,7 @@ impl Study {
         let start = Instant::now();
         match path {
             CollectionPath::Direct => {
-                sharded
-                    .expect("direct path has a sharded store")
-                    .ingest_batch(lane.batch.snapshots());
+                store.ingest_batch(lane.batch.snapshots());
             }
             CollectionPath::Wire | CollectionPath::AsyncWire => {
                 for s in lane.batch.snapshots() {
@@ -802,11 +786,11 @@ impl Study {
                     // Upload any rotated files through the retry/backoff
                     // state machine. Files whose retry budget runs out stay
                     // queued and resume on the next delivery tick or the
-                    // final flush; replays are absorbed by the server's
-                    // idempotent ingest.
+                    // final flush; replays are absorbed by the core's dedup.
                     let wire = lane.wire.as_mut().expect("wire path without lane");
-                    lane.bytes_compressed +=
-                        wire.upload_pending(&mut lane.buffer, &mut |m| server.lock().handle(m));
+                    lane.bytes_compressed += wire.upload_pending(&mut lane.buffer, &mut |m| {
+                        core.handle(m, &mut lane.inflate)
+                    });
                 }
             }
         }
@@ -873,9 +857,10 @@ mod tests {
             out.metrics.bytes_compressed > 0,
             "wire path compresses uploads"
         );
-        assert!(
-            out.metrics.shard_occupancy.is_empty(),
-            "wire path is unsharded"
+        assert_eq!(
+            out.metrics.shard_occupancy.iter().sum::<usize>(),
+            60,
+            "the wire path folds into the same sharded store"
         );
         assert!(out.metrics.simulate_secs > 0.0);
         assert!(out.metrics.threads >= 1);

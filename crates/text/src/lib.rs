@@ -40,7 +40,7 @@ pub mod token;
 pub use index::{NearDupIndex, NearDupScan};
 pub use minhash::{MinHash, TextHasher, TEXT_MINHASH_SALT};
 pub use sentiment::sentiment_score;
-pub use shingle::{shingle_hashes, SHINGLE_SALT};
+pub use shingle::{mix64, shingle_hashes, SHINGLE_SALT};
 pub use simhash::{hamming, simhash64, simhash64_of_text};
 pub use sketch::{ReviewRow, TextParams, TextSketch};
 pub use token::{token_count, token_hashes, TOKEN_HASH_SEED};

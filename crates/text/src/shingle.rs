@@ -11,9 +11,11 @@ use crate::token::for_each_token_hash;
 /// SplitMix64 use in the workspace.
 pub const SHINGLE_SALT: u64 = 0x5819_57E1_7E87_51ED;
 
-/// SplitMix64 finalizer, the workspace-standard bit mixer.
+/// SplitMix64 finalizer (golden-ratio increment, then the two
+/// multiply-xorshift rounds): the bit mixer every sketch hash family here
+/// and in `racket-campaign` is salted over.
 #[inline]
-pub(crate) fn mix64(z: u64) -> u64 {
+pub fn mix64(z: u64) -> u64 {
     let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -10,7 +10,6 @@
 //! cargo run --release --example live_collection
 //! ```
 
-use parking_lot::Mutex;
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
@@ -29,13 +28,12 @@ fn main() {
     println!("== Live collection over TCP loopback ==\n");
 
     // Server side.
-    let server = Arc::new(Mutex::new(CollectionServer::new([PARTICIPANT])));
+    let server = Arc::new(CollectionServer::new([PARTICIPANT]));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     println!("collection server listening on {addr}");
     let server_bg = Arc::clone(&server);
-    let server_thread =
-        std::thread::spawn(move || CollectionServer::serve_tcp(server_bg, listener, 1));
+    let server_thread = std::thread::spawn(move || server_bg.serve_tcp(listener, 1));
 
     // Client side: a device with a few apps and some activity.
     let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(0xFEED));
@@ -125,7 +123,6 @@ fn main() {
         .expect("serve_tcp");
 
     // 4. What the server aggregated.
-    let server = server.lock();
     let record = server.record(INSTALL).expect("record exists");
     println!(
         "\nserver aggregate: {} fast + {} slow snapshots over {} active day(s), {} apps observed",

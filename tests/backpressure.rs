@@ -95,7 +95,6 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
         AsyncServerConfig {
             workers: 1,
             queue_limit,
-            ..AsyncServerConfig::default()
         },
     );
     let mut conn = srv.connect(FaultPlan::none(), 9);

@@ -2,7 +2,6 @@
 //! in concurrently, stream buffered snapshot files, and the threaded
 //! server aggregates everything without loss.
 
-use parking_lot::Mutex;
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
@@ -26,14 +25,11 @@ fn install(i: usize) -> InstallId {
 
 #[test]
 fn concurrent_tcp_clients_are_fully_ingested() {
-    let server = Arc::new(Mutex::new(CollectionServer::new(
-        (0..N_CLIENTS).map(participant),
-    )));
+    let server = Arc::new(CollectionServer::new((0..N_CLIENTS).map(participant)));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server_bg = Arc::clone(&server);
-    let server_thread =
-        std::thread::spawn(move || CollectionServer::serve_tcp(server_bg, listener, N_CLIENTS));
+    let server_thread = std::thread::spawn(move || server_bg.serve_tcp(listener, N_CLIENTS));
 
     let mut clients = Vec::new();
     for i in 0..N_CLIENTS {
@@ -112,7 +108,6 @@ fn concurrent_tcp_clients_are_fully_ingested() {
         .expect("server thread")
         .expect("serve_tcp");
 
-    let server = server.lock();
     let stats = server.stats();
     assert_eq!(stats.sign_ins, N_CLIENTS as u64);
     assert_eq!(stats.bad_uploads, 0);
@@ -128,11 +123,11 @@ fn concurrent_tcp_clients_are_fully_ingested() {
 
 #[test]
 fn unknown_participant_is_rejected_over_tcp() {
-    let server = Arc::new(Mutex::new(CollectionServer::new([participant(0)])));
+    let server = Arc::new(CollectionServer::new([participant(0)]));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server_bg = Arc::clone(&server);
-    let handle = std::thread::spawn(move || CollectionServer::serve_tcp(server_bg, listener, 1));
+    let handle = std::thread::spawn(move || server_bg.serve_tcp(listener, 1));
 
     let mut transport = TcpTransport::connect(addr).expect("connect");
     let mut codec = FrameCodec::new();
@@ -151,5 +146,5 @@ fn unknown_participant_is_rejected_over_tcp() {
     assert_eq!(ack, Message::SignInAck { accepted: false });
     drop(transport);
     handle.join().expect("thread").expect("serve");
-    assert_eq!(server.lock().stats().rejected_sign_ins, 1);
+    assert_eq!(server.stats().rejected_sign_ins, 1);
 }
