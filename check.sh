@@ -118,4 +118,8 @@ else
   step "cargo fmt --check skipped (rustfmt not installed)"
 fi
 
+step "code size (informational)"
+# Non-test Rust lines and `pub` items per crate; both should only go down.
+./size.sh
+
 printf '\nAll checks passed.\n'

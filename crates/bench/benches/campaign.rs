@@ -1,10 +1,11 @@
-//! Microbenchmarks for the lockstep-detection hot path: shingle packing,
-//! MinHash signature folding/merging, LSH candidate generation, and the
-//! full `detect` kernel over a synthetic fleet of sketches.
+//! Microbenchmarks for the lockstep-detection hot path: the per-event
+//! sketch fold, MinHash signature folding/merging, LSH candidate
+//! generation, and the full `detect` kernel over a synthetic fleet of
+//! sketches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use racket_campaign::{detect, CampaignSketch, DetectorConfig, LshParams, MinHash, ShingleParams};
-use racket_columnar::shingle_set;
+use racket_campaign::lsh::{candidate_pairs, LSH_BANDS, LSH_ROWS};
+use racket_campaign::{detect, CampaignSketch, DetectorConfig, MinHash};
 use racket_types::{AppId, InstallId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,29 +19,29 @@ fn device_events(seed: u64, n: usize) -> (Vec<u32>, Vec<u64>) {
     (apps, times)
 }
 
-fn bench_shingle(c: &mut Criterion) {
+/// The sketch of one device's events: what ingest folds per install
+/// event and `batch_report` rebuilds per record.
+fn sketch_of(apps: &[u32], times: &[u64]) -> CampaignSketch {
+    let mut sk = CampaignSketch::default();
+    for (&a, &t) in apps.iter().zip(times) {
+        sk.observe(AppId(a), SimTime::from_secs(t));
+    }
+    sk
+}
+
+fn bench_sketch(c: &mut Criterion) {
     let (apps, times) = device_events(1, 10_000);
-    let mut g = c.benchmark_group("campaign_shingle");
+    let mut g = c.benchmark_group("campaign_sketch");
     g.throughput(Throughput::Elements(apps.len() as u64));
-    g.bench_function("pack_10k_events", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            shingle_set(
-                std::hint::black_box(&apps),
-                std::hint::black_box(&times),
-                21_600,
-                &mut out,
-            );
-            out.len()
-        })
+    g.bench_function("observe_10k_events", |b| {
+        b.iter(|| sketch_of(std::hint::black_box(&apps), std::hint::black_box(&times)))
     });
     g.finish();
 }
 
 fn bench_minhash(c: &mut Criterion) {
     let (apps, times) = device_events(2, 10_000);
-    let mut shingles = Vec::new();
-    shingle_set(&apps, &times, 21_600, &mut shingles);
+    let shingles: Vec<u64> = sketch_of(&apps, &times).shingles().collect();
     let mut g = c.benchmark_group("campaign_minhash");
     g.throughput(Throughput::Elements(shingles.len() as u64));
     for k in [64usize, 128] {
@@ -72,14 +73,10 @@ fn bench_minhash(c: &mut Criterion) {
 /// A fleet of sketches: `n` devices with ~120 organic events each, plus a
 /// planted 10-device lockstep cluster hitting 4 shared apps in one bucket.
 fn fleet_sketches(n: usize) -> Vec<(InstallId, CampaignSketch)> {
-    let params = ShingleParams::default();
     (0..n)
         .map(|i| {
-            let mut sk = CampaignSketch::new(params);
             let (apps, times) = device_events(100 + i as u64, 120);
-            for (&a, &t) in apps.iter().zip(&times) {
-                sk.observe(AppId(a), SimTime::from_secs(t));
-            }
+            let mut sk = sketch_of(&apps, &times);
             if i < 10 {
                 for a in 0..4u32 {
                     sk.observe(
@@ -100,12 +97,7 @@ fn bench_lsh_and_detect(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_lsh");
     g.throughput(Throughput::Elements(sigs.len() as u64));
     g.bench_function("candidate_pairs_800", |b| {
-        b.iter(|| {
-            racket_campaign::lsh::candidate_pairs(
-                std::hint::black_box(&sigs),
-                &LshParams::default(),
-            )
-        })
+        b.iter(|| candidate_pairs(std::hint::black_box(&sigs), LSH_BANDS, LSH_ROWS))
     });
     g.bench_function("detect_800", |b| {
         b.iter(|| {
@@ -119,5 +111,5 @@ fn bench_lsh_and_detect(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_shingle, bench_minhash, bench_lsh_and_detect);
+criterion_group!(benches, bench_sketch, bench_minhash, bench_lsh_and_detect);
 criterion_main!(benches);

@@ -11,8 +11,7 @@
 //! are exact ratios of small integers compared with the same operations
 //! on both paths.
 
-use crate::lsh::{candidate_pairs, LshParams};
-use crate::shingle::ShingleParams;
+use crate::lsh::{candidate_pairs, LSH_BANDS, LSH_ROWS};
 use crate::sketch::CampaignSketch;
 use racket_obs::Registry;
 use racket_text::{NearDupIndex, TextSketch};
@@ -25,10 +24,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// mines zero clusters (both pinned by `tests/conformance.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// Shingle extraction parameters (must match the sketches').
-    pub shingle: ShingleParams,
-    /// LSH banding layout for the candidate-pair pass.
-    pub lsh: LshParams,
     /// Two events on the same app count as co-occurring when their
     /// timestamps differ by at most this many seconds.
     pub window_secs: u64,
@@ -57,8 +52,6 @@ pub struct DetectorConfig {
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            shingle: ShingleParams::default(),
-            lsh: LshParams::default(),
             window_secs: 21_600,
             min_co_apps: 2,
             min_jaccard: 0.10,
@@ -240,7 +233,7 @@ pub fn detect_with_text(
     let pairs = {
         let _g = obs.map(|r| r.span(keys::SPAN_CAMPAIGN_LSH));
         let sigs: Vec<&[u64]> = order.iter().map(|(_, s)| s.signature()).collect();
-        candidate_pairs(&sigs, &cfg.lsh)
+        candidate_pairs(&sigs, LSH_BANDS, LSH_ROWS)
     };
 
     // Score candidates: exact Jaccard over shingles + temporal
@@ -457,6 +450,13 @@ mod tests {
         assert_eq!(c.apps, vec![AppId(10), AppId(11), AppId(12)]);
         assert_eq!(c.n_edges, 3);
         assert_eq!(c.density, 1.0);
+        // Known answer, computed before the MinHash kernels were merged.
+        assert_eq!(
+            report.fingerprint(),
+            "candidates=3 edges=3 campaigns=1\n\
+             devices=[InstallId(1000000000), InstallId(1000000001), InstallId(1000000002)] \
+             apps=[AppId(10), AppId(11), AppId(12)] n_edges=3 density=3ff0000000000000\n"
+        );
 
         let mut reversed = inputs.clone();
         reversed.reverse();

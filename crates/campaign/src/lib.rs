@@ -7,12 +7,13 @@
 //! lockstep structure from install telemetry alone:
 //!
 //! 1. **Shingles** — each device's monitored install events become a set
-//!    of `(app, time-bucket)` shingles ([`ShingleParams`]; packing shared
-//!    with the columnar kernel `racket_columnar::shingle` so batch and
-//!    incremental extraction are bit-identical).
-//! 2. **MinHash** — a K-permutation [`MinHash`] signature summarises each
-//!    shingle set; signatures merge by elementwise min, which makes the
-//!    fold order-insensitive and mergeable across ingest shards.
+//!    of `(app, 6-hour bucket)` shingles (`BUCKET_SECS` in `sketch.rs`,
+//!    packed by `racket_columnar::pack_shingle`).
+//! 2. **MinHash** — a 128-row [`MinHash`] signature summarises each
+//!    shingle set: the workspace's one MinHash kernel
+//!    (`racket_text::MinHash`) at this crate's [`MINHASH_SALT`].
+//!    Signatures merge by elementwise min, which makes the fold
+//!    order-insensitive and mergeable across ingest shards.
 //! 3. **LSH banding** — [`lsh::candidate_pairs`] buckets signature bands
 //!    to propose likely-similar device pairs without the O(n²) scan.
 //! 4. **Temporal co-occurrence scoring** — candidate pairs are verified
@@ -42,14 +43,9 @@
 
 #![deny(missing_docs)]
 
-pub mod detect;
+mod detect;
 pub mod lsh;
-pub mod minhash;
-pub mod shingle;
-pub mod sketch;
+mod sketch;
 
 pub use detect::{detect, detect_with_text, CampaignReport, DetectedCampaign, DetectorConfig};
-pub use lsh::LshParams;
-pub use minhash::MinHash;
-pub use shingle::ShingleParams;
-pub use sketch::CampaignSketch;
+pub use sketch::{CampaignSketch, MinHash, MINHASH_SALT};

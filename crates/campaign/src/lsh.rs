@@ -15,56 +15,37 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Banding parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LshParams {
-    /// Number of bands (each an exact-match bucket key).
-    pub bands: usize,
-    /// Rows per band.
-    pub rows: usize,
-}
+/// Bands the detector cuts a signature into. 64 bands × 2 rows over the
+/// 128-row signature is tuned for the low-Jaccard regime of campaign
+/// detection, where workers share a handful of campaign shingles amid
+/// larger organic activity (`j ≈ 0.15` is proposed with probability
+/// ≈ 0.77, `j ≥ 0.3` essentially always).
+pub const LSH_BANDS: usize = 64;
 
-impl Default for LshParams {
-    /// 64 bands × 2 rows over the default 128-row signature: tuned for
-    /// the low-Jaccard regime of campaign detection, where workers share
-    /// a handful of campaign shingles amid larger organic activity
-    /// (`j ≈ 0.15` is proposed with probability ≈ 0.77, `j ≥ 0.3`
-    /// essentially always).
-    fn default() -> Self {
-        LshParams { bands: 64, rows: 2 }
-    }
-}
-
-impl LshParams {
-    /// Number of bands usable against signatures of length `k` (bands
-    /// beyond the signature are ignored, so shorter signatures degrade
-    /// gracefully instead of panicking).
-    pub fn usable_bands(&self, k: usize) -> usize {
-        if self.rows == 0 {
-            return 0;
-        }
-        self.bands.min(k / self.rows)
-    }
-}
+/// Rows per band.
+pub const LSH_ROWS: usize = 2;
 
 /// Propose candidate pairs from a slice of signatures.
 ///
 /// `sigs[i]` is the signature row-slice of input `i`; the result is the
-/// set of index pairs `(i, j)` with `i < j` that share at least one band.
+/// set of index pairs `(i, j)` with `i < j` that share at least one of
+/// the first `bands` bands of `rows` rows. Bands beyond the shortest
+/// signature are ignored, so short signatures degrade gracefully instead
+/// of panicking.
 /// Deterministic: buckets are B-tree keyed on the band slice itself and
 /// the output is an ordered set — no `RandomState` anywhere.
 ///
 /// Callers must exclude empty signatures (all `u64::MAX`): every pair of
 /// empty signatures trivially matches every band.
-pub fn candidate_pairs(sigs: &[&[u64]], p: &LshParams) -> BTreeSet<(usize, usize)> {
+pub fn candidate_pairs(sigs: &[&[u64]], bands: usize, rows: usize) -> BTreeSet<(usize, usize)> {
     let mut pairs = BTreeSet::new();
-    if sigs.is_empty() {
+    if sigs.is_empty() || rows == 0 {
         return pairs;
     }
     let k = sigs.iter().map(|s| s.len()).min().unwrap_or(0);
-    for band in 0..p.usable_bands(k) {
-        let lo = band * p.rows;
-        let hi = lo + p.rows;
+    for band in 0..bands.min(k / rows) {
+        let lo = band * rows;
+        let hi = lo + rows;
         let mut buckets: BTreeMap<&[u64], Vec<usize>> = BTreeMap::new();
         for (i, sig) in sigs.iter().enumerate() {
             buckets.entry(&sig[lo..hi]).or_default().push(i);
@@ -83,16 +64,23 @@ pub fn candidate_pairs(sigs: &[&[u64]], p: &LshParams) -> BTreeSet<(usize, usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::MinHasher;
+    use crate::MinHash;
+
+    fn signature(shingles: &[u64]) -> MinHash {
+        let mut m = MinHash::empty(128);
+        for &s in shingles {
+            m.observe(s);
+        }
+        m
+    }
 
     #[test]
     fn identical_signatures_always_pair() {
-        let h = MinHasher::new(128);
-        let a = h.signature(&[1, 2, 3]);
-        let b = h.signature(&[1, 2, 3]);
-        let c = h.signature(&[900, 901, 902, 903]);
+        let a = signature(&[1, 2, 3]);
+        let b = signature(&[1, 2, 3]);
+        let c = signature(&[900, 901, 902, 903]);
         let sigs = vec![a.rows(), b.rows(), c.rows()];
-        let pairs = candidate_pairs(&sigs, &LshParams::default());
+        let pairs = candidate_pairs(&sigs, LSH_BANDS, LSH_ROWS);
         assert!(pairs.contains(&(0, 1)));
         // disjoint sets share a band only by hash coincidence; with 2-row
         // bands over 64-bit hashes that is ~2⁻¹²⁸ per band
@@ -100,11 +88,12 @@ mod tests {
     }
 
     #[test]
-    fn usable_bands_clamps_to_signature() {
-        let p = LshParams { bands: 64, rows: 2 };
-        assert_eq!(p.usable_bands(128), 64);
-        assert_eq!(p.usable_bands(16), 8);
-        assert_eq!(p.usable_bands(1), 0);
-        assert_eq!(LshParams { bands: 4, rows: 0 }.usable_bands(128), 0);
+    fn bands_clamp_to_the_signature() {
+        let a = signature(&[1, 2, 3]);
+        let sigs = vec![&a.rows()[..16], &a.rows()[..16]];
+        // 8 usable bands of 2 rows, none of 32 rows, none of 0 rows
+        assert!(candidate_pairs(&sigs, 64, 2).contains(&(0, 1)));
+        assert!(candidate_pairs(&sigs, 64, 32).is_empty());
+        assert!(candidate_pairs(&sigs, 4, 0).is_empty());
     }
 }

@@ -18,15 +18,40 @@
 //! and associative with the default sketch as identity, so sharded
 //! ingest can combine partial sketches in any order.
 
-use crate::minhash::MinHash;
-use crate::shingle::ShingleParams;
 use racket_types::{AppId, SimTime};
 use std::collections::BTreeSet;
+
+/// Salt of the install-event MinHash family, distinct from the text
+/// family's (`racket_text::TEXT_MINHASH_SALT`) and every other SplitMix64
+/// use in the workspace (fleet streams, fault streams, ...).
+pub const MINHASH_SALT: u64 = 0xC0_FFEE_5EED_CAFE;
+
+/// An install-event MinHash signature: the shared kernel
+/// [`racket_text::MinHash`] at this crate's salt. The salt is part of the
+/// type, so a signature of another family cannot be merged into it:
+///
+/// ```
+/// let mut a = racket_campaign::MinHash::empty(32);
+/// a.merge(&racket_campaign::MinHash::empty(32));
+/// ```
+///
+/// ```compile_fail
+/// let mut a = racket_campaign::MinHash::empty(32);
+/// a.merge(&racket_text::TextMinHash::empty(32));
+/// ```
+pub type MinHash = racket_text::MinHash<MINHASH_SALT>;
+
+/// Width of one shingle time bucket: 6 hours. Coarse enough that a burst
+/// campaign's workers land in the same bucket, fine enough that a day
+/// still has 4 distinguishable windows.
+const BUCKET_SECS: u64 = 21_600;
+
+/// Rows of the per-device MinHash signature.
+const N_HASHES: usize = 128;
 
 /// Per-device lockstep-detection state. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSketch {
-    params: ShingleParams,
     events: BTreeSet<(AppId, u64)>,
     shingles: BTreeSet<u64>,
     minhash: MinHash,
@@ -34,33 +59,22 @@ pub struct CampaignSketch {
 
 impl Default for CampaignSketch {
     fn default() -> Self {
-        CampaignSketch::new(ShingleParams::default())
+        CampaignSketch {
+            events: BTreeSet::new(),
+            shingles: BTreeSet::new(),
+            minhash: MinHash::empty(N_HASHES),
+        }
     }
 }
 
 impl CampaignSketch {
-    /// The empty sketch under `params` (merge identity).
-    pub fn new(params: ShingleParams) -> Self {
-        CampaignSketch {
-            params,
-            events: BTreeSet::new(),
-            shingles: BTreeSet::new(),
-            minhash: MinHash::empty(params.n_hashes),
-        }
-    }
-
-    /// The extraction parameters this sketch folds under.
-    pub fn params(&self) -> ShingleParams {
-        self.params
-    }
-
     /// Fold one monitored install event. Idempotent: replaying an event
     /// already in the set changes nothing (the MinHash fold only runs
     /// when the shingle is new, and re-folding a shingle is a no-op
     /// anyway).
     pub fn observe(&mut self, app: AppId, t: SimTime) {
         self.events.insert((app, t.as_secs()));
-        let s = self.params.pack(app, t);
+        let s = racket_columnar::pack_shingle(app.0, t.as_secs(), BUCKET_SECS);
         if self.shingles.insert(s) {
             self.minhash.observe(s);
         }
@@ -68,14 +82,8 @@ impl CampaignSketch {
 
     /// Merge a sketch built over another slice of the same install's
     /// snapshots: set unions plus a MinHash merge. Commutative and
-    /// associative with [`CampaignSketch::default`] as identity. Panics
-    /// if the parameters differ — mixed-parameter sketches have no
-    /// meaningful union.
+    /// associative with [`CampaignSketch::default`] as identity.
     pub fn merge(&mut self, other: &CampaignSketch) {
-        assert_eq!(
-            self.params, other.params,
-            "cannot merge campaign sketches with different shingle params"
-        );
         self.events.extend(other.events.iter().copied());
         self.shingles.extend(other.shingles.iter().copied());
         self.minhash.merge(&other.minhash);
@@ -118,11 +126,6 @@ impl CampaignSketch {
         } else {
             inter as f64 / union as f64
         }
-    }
-
-    /// Estimated Jaccard similarity from the MinHash signatures.
-    pub fn estimated_jaccard(&self, other: &CampaignSketch) -> f64 {
-        self.minhash.estimate_jaccard(&other.minhash)
     }
 }
 

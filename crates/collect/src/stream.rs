@@ -193,6 +193,21 @@ mod tests {
         assert_eq!(s.len(), 2);
     }
 
+    /// `install_time` is decoded from the socket as a raw `u64`: the
+    /// largest one must fold (into the saturated last bucket) like any
+    /// other, in debug builds too.
+    #[test]
+    fn note_install_accepts_any_wire_timestamp() {
+        let mut s = StreamAggregates::new();
+        s.note_install(A, SimTime::from_secs(u64::MAX));
+        s.note_install(A, SimTime::from_secs(0));
+        assert_eq!(s.n_install_events, 2);
+        assert_eq!(
+            s.campaign().shingles().collect::<Vec<_>>(),
+            vec![1 << 32, (1 << 32) | u64::from(u32::MAX)]
+        );
+    }
+
     #[test]
     fn merge_is_commutative_with_identity() {
         let mut x = StreamAggregates::new();

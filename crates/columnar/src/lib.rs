@@ -78,4 +78,4 @@ pub use column::{ColumnMatrix, FlatMatrix};
 pub use dict::Dict;
 pub use hist::{bin_column, BinnedColumn, GradHistogram};
 pub use kernel::{sort_pairs, sq_dist, SortPair};
-pub use shingle::{pack_shingle, shingle_set, unpack_shingle};
+pub use shingle::{pack_shingle, unpack_shingle};

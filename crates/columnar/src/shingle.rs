@@ -1,33 +1,24 @@
-//! App-time shingle extraction kernels.
+//! App-time shingle packing.
 //!
 //! The campaign detector (ARCHITECTURE.md §10) summarises a device's
 //! monitored install activity as a set of *shingles*: `(app, time-bucket)`
-//! pairs packed into one `u64`. Packing lives here — next to the other
-//! columnar kernels — because the batch detector extracts shingles
-//! straight out of the install-event column family of
-//! `ColumnarSnapshots`, and the kernel must be shared bit-for-bit with
-//! the incremental fold in `racket-collect` for the batch ≡ incremental
-//! contract to hold.
-//!
-//! The packed layout is `app_code << 32 | bucket`, where
-//! `bucket = t_secs / bucket_secs`. Both halves are `u32`-ranged by
-//! construction: app identifiers are dense `u32`s throughout the
-//! pipeline, and a `u32` bucket index covers > 8 000 simulated years at
-//! the coarsest supported granularity (1 s buckets still cover the whole
-//! study window of any realistic configuration; callers assert via
-//! [`pack_shingle`]'s debug checks).
+//! pairs packed into one `u64` as `app << 32 | bucket`, where
+//! `bucket = t_secs / bucket_secs`. App identifiers are dense `u32`s
+//! throughout the pipeline, and a `u32` bucket index covers > 8 000
+//! simulated years at the detector's 6-hour granularity; timestamps
+//! beyond that (only a hostile snapshot carries one) saturate.
 
 /// Pack one `(app, time)` observation into a shingle.
 ///
-/// `bucket_secs` must be non-zero. The bucket index must fit in 32 bits
-/// (checked in debug builds); all simulator timestamps are far below
-/// that at the default 6-hour granularity.
+/// `bucket_secs` must be non-zero. `t_secs` can be any `u64` — the
+/// install time of a decoded snapshot is wire input — so a bucket index
+/// past 32 bits saturates at `u32::MAX` instead of wrapping into the
+/// bucket of an unrelated time.
 #[inline]
 pub fn pack_shingle(app: u32, t_secs: u64, bucket_secs: u64) -> u64 {
     debug_assert!(bucket_secs > 0, "bucket_secs must be non-zero");
-    let bucket = t_secs / bucket_secs;
-    debug_assert!(bucket <= u32::MAX as u64, "bucket index overflows u32");
-    ((app as u64) << 32) | (bucket & 0xFFFF_FFFF)
+    let bucket = (t_secs / bucket_secs).min(u32::MAX as u64);
+    ((app as u64) << 32) | bucket
 }
 
 /// Recover `(app, bucket_index)` from a packed shingle.
@@ -36,30 +27,9 @@ pub fn unpack_shingle(s: u64) -> (u32, u32) {
     ((s >> 32) as u32, (s & 0xFFFF_FFFF) as u32)
 }
 
-/// Extract the sorted, deduplicated shingle set of one device from
-/// parallel `(app, time)` event columns.
-///
-/// This is the batch-side extraction kernel: `apps` and `times` are the
-/// slices of the install-event column family for one install record.
-/// `out` is cleared first so callers can reuse one scratch buffer across
-/// records. The result is ascending and unique — the canonical shingle
-/// order every consumer (MinHash folds, exact-Jaccard scans) iterates in.
-pub fn shingle_set(apps: &[u32], times: &[u64], bucket_secs: u64, out: &mut Vec<u64>) {
-    assert_eq!(apps.len(), times.len(), "event columns must be parallel");
-    out.clear();
-    out.extend(
-        apps.iter()
-            .zip(times)
-            .map(|(&a, &t)| pack_shingle(a, t, bucket_secs)),
-    );
-    out.sort_unstable();
-    out.dedup();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn pack_roundtrip() {
@@ -76,25 +46,13 @@ mod tests {
         assert_ne!(pack_shingle(3, 0, b), pack_shingle(4, 0, b));
     }
 
-    proptest! {
-        #[test]
-        fn shingle_set_is_sorted_unique_and_complete(
-            events in proptest::collection::vec((0u32..50, 0u64..2_000_000), 0..80),
-            bucket_secs in 1u64..100_000,
-        ) {
-            let apps: Vec<u32> = events.iter().map(|e| e.0).collect();
-            let times: Vec<u64> = events.iter().map(|e| e.1).collect();
-            let mut out = vec![0xDEAD]; // stale scratch must be cleared
-            shingle_set(&apps, &times, bucket_secs, &mut out);
-
-            let mut naive: Vec<u64> = events
-                .iter()
-                .map(|&(a, t)| pack_shingle(a, t, bucket_secs))
-                .collect();
-            naive.sort_unstable();
-            naive.dedup();
-            prop_assert_eq!(&out, &naive);
-            prop_assert!(out.windows(2).all(|w| w[0] < w[1]));
-        }
+    /// `t_secs` is wire input: an out-of-range bucket saturates, it
+    /// neither panics nor aliases a small bucket.
+    #[test]
+    fn oversized_bucket_saturates() {
+        assert_eq!(unpack_shingle(pack_shingle(9, u64::MAX, 1)), (9, u32::MAX));
+        let edge = 21_600 * (1u64 << 32);
+        assert_eq!(unpack_shingle(pack_shingle(9, edge, 21_600)), (9, u32::MAX));
+        assert_ne!(pack_shingle(9, edge, 21_600), pack_shingle(9, 0, 21_600));
     }
 }

@@ -21,21 +21,16 @@ use std::collections::BTreeSet;
 /// Run the lockstep detector in batch mode: rebuild one sketch per install
 /// from the columnar install-event column family (`campaign/shingle` span,
 /// `campaign.shingles` counter), then hand the sketches to the same
-/// [`detect()`](racket_campaign::detect::detect) kernel the incremental
+/// [`detect()`](racket_campaign::detect()) kernel the incremental
 /// path uses.
 pub fn batch_report(out: &StudyOutput) -> CampaignReport {
-    batch_report_with(out, &DetectorConfig::default())
-}
-
-/// [`batch_report`] with an explicit detector configuration.
-pub fn batch_report_with(out: &StudyOutput, cfg: &DetectorConfig) -> CampaignReport {
     let obs = &out.obs;
     let mut sketches: Vec<(InstallId, CampaignSketch)> =
         Vec::with_capacity(out.columnar.n_installs());
     {
         let _span = obs.span(keys::SPAN_CAMPAIGN_SHINGLE);
         for code in 0..out.columnar.n_installs() as u32 {
-            let mut sk = CampaignSketch::new(cfg.shingle);
+            let mut sk = CampaignSketch::default();
             for (app, t) in out.columnar.install_events_of(code) {
                 sk.observe(app, t);
             }
@@ -54,7 +49,7 @@ pub fn batch_report_with(out: &StudyOutput, cfg: &DetectorConfig) -> CampaignRep
     // path bit-for-bit, matching the incremental side.
     let texts: Vec<(InstallId, TextSketch)> = crate::text::batch_text_sketches(out);
     let text_inputs: Vec<(InstallId, &TextSketch)> = texts.iter().map(|(id, s)| (*id, s)).collect();
-    detect_with_text(&inputs, &text_inputs, cfg, Some(obs))
+    detect_with_text(&inputs, &text_inputs, &DetectorConfig::default(), Some(obs))
 }
 
 /// Detection quality against the fleet's scheduled-campaign ground truth.

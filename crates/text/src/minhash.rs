@@ -1,46 +1,58 @@
-//! K-permutation MinHash over text shingle sets.
+//! K-permutation MinHash over `u64` shingle sets — the one MinHash kernel
+//! in the workspace, generic over its hash family.
 //!
-//! Same construction as the campaign crate's install-event MinHash — each
-//! "permutation" is a seeded SplitMix64 hash, the signature keeps the
-//! per-permutation minimum — but on its **own salted hash family**
-//! ([`TEXT_MINHASH_SALT`]), so text signatures and install-event
-//! signatures can never be confused and this crate stays dependency-free.
+//! Permutation `k` of family `SALT` hashes a shingle `s` to
+//! `mix64(s ^ mix64(SALT ^ k))`; a signature keeps the minimum per
+//! permutation. `min` is commutative, associative and idempotent, so a
+//! signature is a pure function of the shingle *set*: fold order,
+//! duplicate folds and merge order are all invisible — the whole
+//! batch ≡ incremental argument at the kernel level.
 //!
-//! `min` is commutative, associative and idempotent, so a signature is a
-//! pure function of the shingle *set*: fold order, duplicate folds and
-//! merge order are all invisible. That is the whole batch ≡ incremental
-//! argument at the kernel level.
+//! The salt is a const parameter, so signatures of different families are
+//! different types: review-text signatures ([`TextMinHash`]) and the
+//! campaign crate's install-event signatures cannot be merged or compared.
 
 use crate::shingle::mix64;
 
-/// Salt separating the text MinHash family from the campaign crate's
-/// (`MINHASH_SALT`) and every other SplitMix64 use in the workspace.
+/// Longest supported signature (the size of the per-family seed table).
+pub const MAX_ROWS: usize = 128;
+
+/// Salt of the review-text family, distinct from the campaign crate's
+/// `MINHASH_SALT` and every other SplitMix64 use in the workspace.
 pub const TEXT_MINHASH_SALT: u64 = 0x7E17_AB1E_5EED_F00D;
 
-/// The seed of text permutation `k` (pure function — no seed table needs
-/// to live in any record).
-#[inline]
-pub fn perm_seed(k: usize) -> u64 {
-    mix64(TEXT_MINHASH_SALT ^ (k as u64))
-}
+/// A review-text MinHash signature.
+pub type TextMinHash = MinHash<TEXT_MINHASH_SALT>;
 
-/// Hash one shingle under a permutation seed.
-#[inline]
-pub fn perm_hash(shingle: u64, seed: u64) -> u64 {
-    mix64(shingle ^ seed)
-}
-
-/// A MinHash signature over text shingles: `sig[k]` is the minimum of
-/// `perm_hash(s, perm_seed(k))` over every shingle folded so far
+/// A MinHash signature of family `SALT`: row `k` is the minimum of
+/// `mix64(s ^ mix64(SALT ^ k))` over every shingle `s` folded so far
 /// (`u64::MAX` when empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinHash {
+pub struct MinHash<const SALT: u64> {
     sig: Vec<u64>,
 }
 
-impl MinHash {
+impl<const SALT: u64> MinHash<SALT> {
+    /// The family's permutation seeds, computed at compile time.
+    const SEEDS: [u64; MAX_ROWS] = {
+        let mut seeds = [0u64; MAX_ROWS];
+        let mut k = 0;
+        while k < MAX_ROWS {
+            seeds[k] = mix64(SALT ^ k as u64);
+            k += 1;
+        }
+        seeds
+    };
+
     /// The empty signature of length `k` (merge identity).
+    ///
+    /// # Panics
+    /// If `k` exceeds [`MAX_ROWS`].
     pub fn empty(k: usize) -> Self {
+        assert!(
+            k <= MAX_ROWS,
+            "a MinHash signature has at most {MAX_ROWS} rows"
+        );
         MinHash {
             sig: vec![u64::MAX; k],
         }
@@ -56,32 +68,33 @@ impl MinHash {
         self.sig.iter().all(|&v| v == u64::MAX)
     }
 
-    /// The raw signature rows.
+    /// The raw signature rows (for LSH banding).
     pub fn rows(&self) -> &[u64] {
         &self.sig
     }
 
     /// Fold one shingle into the signature.
+    #[inline]
     pub fn observe(&mut self, shingle: u64) {
-        for (k, slot) in self.sig.iter_mut().enumerate() {
-            let h = perm_hash(shingle, perm_seed(k));
+        for (slot, &seed) in self.sig.iter_mut().zip(&Self::SEEDS) {
+            let h = mix64(shingle ^ seed);
             if h < *slot {
                 *slot = h;
             }
         }
     }
 
-    /// Merge a signature over another shingle set: elementwise min, equal
-    /// to the signature of the union. Commutative, associative,
-    /// idempotent, with [`MinHash::empty`] as identity.
+    /// Merge a signature built over another shingle set: elementwise min,
+    /// so the result equals the signature of the union. Commutative,
+    /// associative, idempotent, with [`MinHash::empty`] as identity.
     ///
     /// # Panics
     /// If the signature lengths differ.
-    pub fn merge(&mut self, other: &MinHash) {
+    pub fn merge(&mut self, other: &Self) {
         assert_eq!(
             self.sig.len(),
             other.sig.len(),
-            "cannot merge text MinHash signatures of different lengths"
+            "cannot merge MinHash signatures of different lengths"
         );
         for (a, &b) in self.sig.iter_mut().zip(&other.sig) {
             if b < *a {
@@ -90,9 +103,11 @@ impl MinHash {
         }
     }
 
-    /// Jaccard estimate: fraction of agreeing rows. Two empty signatures
-    /// estimate 1.0 (the `J(∅, ∅) = 1` convention).
-    pub fn estimate_jaccard(&self, other: &MinHash) -> f64 {
+    /// Estimate the Jaccard similarity of the underlying sets as the
+    /// fraction of agreeing rows. Two empty signatures agree on every row
+    /// and estimate 1.0 (the `J(∅, ∅) = 1` convention of the exact
+    /// computations downstream).
+    pub fn estimate_jaccard(&self, other: &Self) -> f64 {
         assert_eq!(self.sig.len(), other.sig.len());
         if self.sig.is_empty() {
             return 1.0;
@@ -105,48 +120,6 @@ impl MinHash {
             .count();
         agree as f64 / self.sig.len() as f64
     }
-
-    pub(crate) fn sig_mut(&mut self) -> &mut [u64] {
-        &mut self.sig
-    }
-}
-
-/// A MinHash folder with the permutation seed table precomputed — the
-/// batch-rebuild / benchmark hot loop. Pinned by tests to produce
-/// signatures identical to [`MinHash::observe`].
-#[derive(Debug, Clone)]
-pub struct TextHasher {
-    seeds: Vec<u64>,
-}
-
-impl TextHasher {
-    /// Build the seed table for signatures of length `k`.
-    pub fn new(k: usize) -> Self {
-        TextHasher {
-            seeds: (0..k).map(perm_seed).collect(),
-        }
-    }
-
-    /// Fold one shingle into `sig` (must have length `k`).
-    #[inline]
-    pub fn fold(&self, sig: &mut [u64], shingle: u64) {
-        debug_assert_eq!(sig.len(), self.seeds.len());
-        for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
-            let h = perm_hash(shingle, seed);
-            if h < *slot {
-                *slot = h;
-            }
-        }
-    }
-
-    /// Signature of a whole shingle slice, starting from empty.
-    pub fn signature(&self, shingles: &[u64]) -> MinHash {
-        let mut m = MinHash::empty(self.seeds.len());
-        for &s in shingles {
-            self.fold(&mut m.sig, s);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -154,40 +127,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observe_is_order_and_duplicate_insensitive() {
-        let mut a = MinHash::empty(32);
-        for s in [9u64, 5, 7, 7, 5] {
-            a.observe(s);
-        }
-        let mut b = MinHash::empty(32);
-        for s in [5u64, 7, 9] {
-            b.observe(s);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hasher_matches_observe() {
-        let shingles = [42u64, 1, 999_999, 42];
-        let mut via_observe = MinHash::empty(32);
-        for &s in &shingles {
-            via_observe.observe(s);
-        }
-        assert_eq!(TextHasher::new(32).signature(&shingles), via_observe);
-    }
-
-    #[test]
     fn family_is_distinct_from_plain_mixing() {
         // The salted family must not degenerate to unsalted SplitMix64.
-        assert_ne!(perm_hash(123, perm_seed(0)), mix64(123));
-        assert_ne!(perm_seed(0), perm_seed(1));
+        let mut m = TextMinHash::empty(2);
+        m.observe(123);
+        assert_ne!(m.rows()[0], mix64(123));
+        assert_ne!(m.rows()[0], m.rows()[1]);
     }
 
     #[test]
-    fn empty_signatures_estimate_one() {
-        let a = MinHash::empty(32);
-        assert_eq!(a.estimate_jaccard(&MinHash::empty(32)), 1.0);
-        assert!(a.is_empty());
-        assert_eq!(a.len(), 32);
+    #[should_panic(expected = "at most 128 rows")]
+    fn oversized_signature_rejected() {
+        let _ = TextMinHash::empty(MAX_ROWS + 1);
     }
 }

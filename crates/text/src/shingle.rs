@@ -9,13 +9,13 @@ use crate::token::for_each_token_hash;
 
 /// Salt separating the shingle-combination hash family from every other
 /// SplitMix64 use in the workspace.
-pub const SHINGLE_SALT: u64 = 0x5819_57E1_7E87_51ED;
+const SHINGLE_SALT: u64 = 0x5819_57E1_7E87_51ED;
 
 /// SplitMix64 finalizer (golden-ratio increment, then the two
 /// multiply-xorshift rounds): the bit mixer every sketch hash family here
 /// and in `racket-campaign` is salted over.
 #[inline]
-pub fn mix64(z: u64) -> u64 {
+pub const fn mix64(z: u64) -> u64 {
     let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -23,14 +23,14 @@ pub fn mix64(z: u64) -> u64 {
 }
 
 /// Longest shingle width supported by the fixed-size rolling window.
-pub const MAX_SHINGLE_K: usize = 8;
+const MAX_SHINGLE_K: usize = 8;
 
 /// Call `f` with the hash of every `k`-word shingle of `text`, in order.
 ///
 /// `k` is clamped to `1..=`[`MAX_SHINGLE_K`]. The window is a fixed stack
 /// ring, so the scan allocates nothing.
 #[inline]
-pub fn for_each_shingle(text: &str, k: usize, f: impl FnMut(u64)) {
+pub(crate) fn for_each_shingle(text: &str, k: usize, f: impl FnMut(u64)) {
     for_each_token_and_shingle(text, k, |_| {}, f);
 }
 
@@ -72,7 +72,7 @@ pub(crate) fn for_each_token_and_shingle(
 }
 
 /// The shingle hashes of `text`, collected (test/diagnostic convenience;
-/// hot paths use [`for_each_shingle`]).
+/// hot paths fold the scan without collecting).
 pub fn shingle_hashes(text: &str, k: usize) -> Vec<u64> {
     let mut out = Vec::new();
     for_each_shingle(text, k, |s| out.push(s));

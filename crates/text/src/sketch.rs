@@ -7,50 +7,31 @@
 //! campaign sketch's algebra:
 //!
 //! * each review reduces to one canonical [`ReviewRow`] (pure function of
-//!   the review fields and the sketch parameters) kept in a B-tree set —
-//!   fold **order-insensitive** and **idempotent**;
+//!   the review fields) kept in a B-tree set — fold **order-insensitive**
+//!   and **idempotent**;
 //! * the install-level MinHash folds each inserted row's shingles, and
 //!   `min` makes duplicate and out-of-order folds invisible;
 //! * [`TextSketch::merge`] is commutative and associative with the
 //!   default sketch as identity, so sharded ingest merges freely.
 
-use crate::minhash::{perm_hash, perm_seed, MinHash};
+use crate::minhash::TextMinHash;
 use crate::sentiment::{sentiment_score, token_vote};
 use crate::shingle::for_each_token_and_shingle;
 use crate::simhash::{simhash64, simhash64_of_text};
 
-/// Text-kernel parameters shared by every sketch in a study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TextParams {
-    /// Words per shingle.
-    pub shingle_k: usize,
-    /// MinHash signature length (capped at [`TextParams::MAX_N_HASHES`]).
-    pub n_hashes: usize,
-}
+/// Words per shingle: short review texts need narrow shingles to overlap.
+const SHINGLE_K: usize = 2;
 
-impl TextParams {
-    /// Largest supported MinHash signature (the fold's stack seed table).
-    pub const MAX_N_HASHES: usize = 64;
-}
-
-impl Default for TextParams {
-    /// 2-word shingles, 32 permutations: short review texts need narrow
-    /// shingles to overlap, and 32 rows estimate Jaccard to ±0.09 at one
-    /// standard error — plenty for a *feature*, cheap enough for the
-    /// per-review ingest fold.
-    fn default() -> Self {
-        TextParams {
-            shingle_k: 2,
-            n_hashes: 32,
-        }
-    }
-}
+/// Rows of the install-level MinHash: 32 rows estimate Jaccard to ±0.09
+/// at one standard error — plenty for a *feature*, cheap enough for the
+/// per-review ingest fold.
+const N_HASHES: usize = 32;
 
 /// One review, reduced to the canonical fixed-width row the sketch keeps.
 ///
-/// The row is a pure function of `(params, review)`: raw identity fields
-/// plus the three content digests (length, sentiment, SimHash) every
-/// text feature and the near-duplicate index read.
+/// The row is a pure function of the review: raw identity fields plus
+/// the three content digests (length, sentiment, SimHash) every text
+/// feature and the near-duplicate index read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReviewRow {
     /// Raw app identifier.
@@ -70,15 +51,9 @@ pub struct ReviewRow {
 }
 
 impl ReviewRow {
-    /// Reduce one review to its canonical row under `k`-word shingling.
-    pub fn of(
-        shingle_k: usize,
-        app: u32,
-        reviewer: u64,
-        time: u64,
-        rating: u8,
-        text: &str,
-    ) -> Self {
+    /// Reduce one review to its canonical row: the definition
+    /// [`TextSketch::observe`]'s single-scan fold is checked against.
+    fn of(app: u32, reviewer: u64, time: u64, rating: u8, text: &str) -> Self {
         ReviewRow {
             app,
             reviewer,
@@ -86,7 +61,7 @@ impl ReviewRow {
             rating,
             len: text.len().min(u32::MAX as usize) as u32,
             sentiment: sentiment_score(text),
-            simhash: simhash64_of_text(text, shingle_k),
+            simhash: simhash64_of_text(text, SHINGLE_K),
         }
     }
 }
@@ -95,40 +70,20 @@ impl ReviewRow {
 /// install-level MinHash over all review shingles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextSketch {
-    params: TextParams,
     rows: std::collections::BTreeSet<ReviewRow>,
-    minhash: MinHash,
+    minhash: TextMinHash,
 }
 
 impl Default for TextSketch {
     fn default() -> Self {
-        TextSketch::new(TextParams::default())
+        TextSketch {
+            rows: std::collections::BTreeSet::new(),
+            minhash: TextMinHash::empty(N_HASHES),
+        }
     }
 }
 
 impl TextSketch {
-    /// An empty sketch with the given parameters.
-    ///
-    /// # Panics
-    /// If `n_hashes` exceeds [`TextParams::MAX_N_HASHES`] or is zero.
-    pub fn new(params: TextParams) -> Self {
-        assert!(
-            (1..=TextParams::MAX_N_HASHES).contains(&params.n_hashes),
-            "n_hashes must be in 1..={}",
-            TextParams::MAX_N_HASHES
-        );
-        TextSketch {
-            params,
-            rows: std::collections::BTreeSet::new(),
-            minhash: MinHash::empty(params.n_hashes),
-        }
-    }
-
-    /// The sketch parameters.
-    pub fn params(&self) -> TextParams {
-        self.params
-    }
-
     /// The canonical review rows, ascending.
     pub fn rows(&self) -> impl Iterator<Item = &ReviewRow> {
         self.rows.iter()
@@ -145,7 +100,7 @@ impl TextSketch {
     }
 
     /// The install-level MinHash over all review shingles.
-    pub fn minhash(&self) -> &MinHash {
+    pub fn minhash(&self) -> &TextMinHash {
         &self.minhash
     }
 
@@ -153,7 +108,7 @@ impl TextSketch {
     /// the sketch unchanged (the row set dedups it and `min` makes the
     /// MinHash refold a no-op).
     ///
-    /// Equivalent to building [`ReviewRow::of`] and refolding the text's
+    /// Equivalent to building `ReviewRow::of` and refolding the text's
     /// shingles, but scans the text exactly once: token votes accumulate
     /// the sentiment while the shingle hashes buffer for the SimHash vote
     /// and (for newly inserted rows) the MinHash fold. This is the ingest
@@ -168,7 +123,7 @@ impl TextSketch {
         let mut sentiment = 0i32;
         for_each_token_and_shingle(
             text,
-            self.params.shingle_k,
+            SHINGLE_K,
             |h| sentiment += token_vote(h),
             |sh| {
                 if count < STACK_SHINGLES {
@@ -192,42 +147,20 @@ impl TextSketch {
         };
         debug_assert_eq!(
             row,
-            ReviewRow::of(self.params.shingle_k, app, reviewer, time, rating, text),
+            ReviewRow::of(app, reviewer, time, rating, text),
             "single-scan fold must agree with the canonical row reduction"
         );
         if !self.rows.insert(row) {
             return;
         }
-        // Stack seed table: one `perm_seed` chain per review, not per
-        // shingle — then fold the buffered shingles into the signature.
-        // Shingle-major order keeps the `n` permutation hashes of one
-        // shingle independent, so they pipeline.
-        let n = self.params.n_hashes;
-        let mut seeds = [0u64; TextParams::MAX_N_HASHES];
-        for (k, s) in seeds.iter_mut().take(n).enumerate() {
-            *s = perm_seed(k);
-        }
-        let sig = self.minhash.sig_mut();
         for sh in shingles() {
-            for k in 0..n {
-                let h = perm_hash(sh, seeds[k]);
-                if h < sig[k] {
-                    sig[k] = h;
-                }
-            }
+            self.minhash.observe(sh);
         }
     }
 
     /// Merge another sketch (row-set union + MinHash min). Commutative,
     /// associative, idempotent; the default sketch is the identity.
-    ///
-    /// # Panics
-    /// If the parameters differ.
     pub fn merge(&mut self, other: &TextSketch) {
-        assert_eq!(
-            self.params, other.params,
-            "cannot merge text sketches with different parameters"
-        );
         self.rows.extend(other.rows.iter().copied());
         self.minhash.merge(&other.minhash);
     }
@@ -289,25 +222,5 @@ mod tests {
         assert!(row.sentiment >= 2);
         assert_ne!(row.simhash, 0);
         assert!(!s.minhash().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "different parameters")]
-    fn mixed_params_refuse_to_merge() {
-        let mut a = TextSketch::new(TextParams {
-            shingle_k: 2,
-            n_hashes: 16,
-        });
-        let b = TextSketch::default();
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "n_hashes")]
-    fn oversized_signature_rejected() {
-        let _ = TextSketch::new(TextParams {
-            shingle_k: 2,
-            n_hashes: 65,
-        });
     }
 }

@@ -7,7 +7,7 @@
 //! pass over the input bytes.
 
 /// FNV-1a offset basis, doubling as the seed of the token hash family.
-pub const TOKEN_HASH_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+const TOKEN_HASH_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 
 const FNV_PRIME: u64 = 0x1_0000_0000_01B3;
 
@@ -30,7 +30,7 @@ pub(crate) const fn fnv1a_folded(bytes: &[u8]) -> u64 {
 /// shingling, SimHash voting and MinHash folding all run off this single
 /// byte scan.
 #[inline]
-pub fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {
+pub(crate) fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {
     let mut h = TOKEN_HASH_SEED;
     let mut in_token = false;
     for &b in text.as_bytes() {
@@ -50,7 +50,7 @@ pub fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {
 }
 
 /// The token hashes of `text`, collected (test/diagnostic convenience;
-/// hot paths use [`for_each_token_hash`]).
+/// hot paths fold the scan without collecting).
 pub fn token_hashes(text: &str) -> Vec<u64> {
     let mut out = Vec::new();
     for_each_token_hash(text, |h| out.push(h));

@@ -1,0 +1,83 @@
+//! Known-answer pins for the sketch kernels.
+//!
+//! Every other check on these kernels is differential (batch ≡
+//! incremental, N threads ≡ 1 thread), so a slipped salt, seed order or
+//! empty-row value moves both sides together and nothing fails. These
+//! literals were computed at `beaa3f2`, when the campaign and text MinHash
+//! were two separate types, and must never be re-baselined: they are what
+//! "every signature is bit-identical to the parent" means.
+
+use racket_campaign::CampaignSketch;
+use racket_text::TextSketch;
+use racket_types::{AppId, SimTime};
+
+/// Campaign family (`MINHASH_SALT`), K = 128, shingle set {1, 2, 3}.
+#[test]
+fn campaign_family_rows_are_pinned() {
+    let mut m = racket_campaign::MinHash::empty(128);
+    for s in [3u64, 1, 2, 1] {
+        m.observe(s);
+    }
+    assert_eq!(m.len(), 128);
+    assert_eq!(m.rows()[0], 0x2761_d252_c03c_0677);
+    assert_eq!(m.rows()[1], 0x49fc_e1c6_f617_9b21);
+    assert_eq!(m.rows()[64], 0x3a8f_d4d4_3f87_7c15);
+    assert_eq!(m.rows()[127], 0x1d3c_fac7_6092_4421);
+}
+
+/// Text family (`TEXT_MINHASH_SALT`), K = 32, the same set. The empty
+/// signature is taken from an empty sketch so that this file names no
+/// text-side MinHash type.
+#[test]
+fn text_family_rows_are_pinned() {
+    let mut m = TextSketch::default().minhash().clone();
+    assert!(m.is_empty());
+    for s in [3u64, 1, 2, 1] {
+        m.observe(s);
+    }
+    assert_eq!(m.len(), 32);
+    assert_eq!(m.rows()[0], 0x169e_8f1e_7082_183c);
+    assert_eq!(m.rows()[1], 0x51ef_8b9a_f55d_ef27);
+    assert_eq!(m.rows()[16], 0x4342_533b_dddb_18b3);
+    assert_eq!(m.rows()[31], 0x295e_e917_d6ce_bf2b);
+}
+
+/// The empty row is `u64::MAX` and `J(∅, ∅) = 1` in both families.
+#[test]
+fn empty_signatures_are_pinned() {
+    let c = racket_campaign::MinHash::empty(128);
+    assert!(c.rows().iter().all(|&r| r == u64::MAX));
+    assert_eq!(c.estimate_jaccard(&c), 1.0);
+    let t = TextSketch::default().minhash().clone();
+    assert!(t.rows().iter().all(|&r| r == u64::MAX));
+    assert_eq!(t.estimate_jaccard(&t), 1.0);
+}
+
+/// Two install events through the default campaign sketch: 6-hour
+/// buckets, `app << 32 | bucket` packing, 128 rows.
+#[test]
+fn campaign_sketch_signature_is_pinned() {
+    let mut s = CampaignSketch::default();
+    s.observe(AppId(7), SimTime::from_hours(13));
+    s.observe(AppId(9), SimTime::from_days(3));
+    assert_eq!(
+        s.shingles().collect::<Vec<_>>(),
+        vec![(7 << 32) | 2, (9 << 32) | 12]
+    );
+    assert_eq!(s.signature().len(), 128);
+    assert_eq!(s.signature()[0], 0x0ed5_5b3d_3caa_78c6);
+    assert_eq!(s.signature()[127], 0x04cd_e619_601a_fec5);
+}
+
+/// One fixed review through the default text sketch: 2-word shingles,
+/// SimHash row digest, 32-row install-level MinHash.
+#[test]
+fn text_sketch_digests_are_pinned() {
+    let mut s = TextSketch::default();
+    s.observe(7, 1_001, 86_400, 5, "Great app, works perfectly. Love it!");
+    let row = *s.rows().next().unwrap();
+    assert_eq!((row.len, row.sentiment), (36, 3));
+    assert_eq!(row.simhash, 0xf7ff_5322_6728_0116);
+    assert_eq!(s.minhash().rows()[0], 0x1114_3ac8_c47f_7155);
+    assert_eq!(s.minhash().rows()[31], 0x461d_8abc_ad6c_6f24);
+}
