@@ -1,6 +1,7 @@
 //! End-to-end pipeline benchmark: run the study (plus the downstream
 //! labeling/feature/CV stages) at increasing fleet scales and emit
-//! `BENCH_pipeline.json` — per-stage wall clock, ingestion throughput,
+//! `BENCH_pipeline.json` — per-stage wall clock, ingestion throughput
+//! (plus the test scale's study wall once more on one worker thread),
 //! compressed bytes, p50/p95/p99 stage latencies and every fault/retry
 //! counter. The schema lives in `racket_bench::report` and is documented
 //! in `EXPERIMENTS.md`.
@@ -314,7 +315,35 @@ fn run_scale(scale: Scale) -> report::RunReport {
         out.metrics.snapshots_per_sec()
     );
     eprintln!("{}", render_timing_tree(&snapshot));
-    report::run_report(scale_name, path_name, out.observations.len(), &snapshot)
+    let mut run = report::run_report(scale_name, path_name, out.observations.len(), &snapshot);
+    if scale == Scale::Test {
+        let wall_1t = study_wall_1t(scale);
+        eprintln!(
+            "[bench_pipeline] {scale_name} study wall: {:.3} s on {} threads, {wall_1t:.3} s on 1",
+            run.total_secs, run.threads
+        );
+        run.wall_1t_secs = Some(wall_1t);
+    }
+    run
+}
+
+/// `total_secs` of the study at `scale` run once more with
+/// `RAYON_NUM_THREADS=1` (in a throwaway global registry): the baseline a
+/// run's `threads` and `total_secs` are read against. Called between
+/// runs, when no other thread of this process exists to read the
+/// environment.
+fn study_wall_1t(scale: Scale) -> f64 {
+    const VAR: &str = "RAYON_NUM_THREADS";
+    let caller_threads = std::env::var_os(VAR);
+    std::env::set_var(VAR, "1");
+    let previous = install_global(Registry::new());
+    let out = Study::new(scale.config()).run();
+    install_global(previous);
+    match caller_threads {
+        Some(v) => std::env::set_var(VAR, v),
+        None => std::env::remove_var(VAR),
+    }
+    out.metrics.total_secs()
 }
 
 /// The `large` scale: not a study, but the async ingest plane at fleet

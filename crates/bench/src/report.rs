@@ -49,6 +49,10 @@ pub struct RunReport {
     pub devices: usize,
     /// Worker threads the parallel stages ran with.
     pub threads: usize,
+    /// `total_secs` of the same study run once more on one worker thread
+    /// (`RAYON_NUM_THREADS=1`) — the baseline `threads` is read against.
+    /// Measured at the `test` scale only; `null` on every other run.
+    pub wall_1t_secs: Option<f64>,
     /// End-to-end study wall time (fleet gen + simulate + assemble), s.
     pub total_secs: f64,
     /// Snapshots ingested by the collection server.
@@ -122,6 +126,7 @@ pub fn run_report(
         path: path.to_string(),
         devices,
         threads: metrics.threads,
+        wall_1t_secs: None,
         total_secs: metrics.total_secs(),
         snapshots_ingested: metrics.snapshots_ingested,
         snapshots_per_sec: metrics.snapshots_per_sec(),
@@ -172,7 +177,8 @@ pub const MID_SIMULATE_MAX_SECS: f64 = 1.50;
 /// Returns the parsed report, or a description of the first violation:
 /// wrong schema header, no runs, a run missing one of the required
 /// stages (the three top-level study stages plus the two end-of-study
-/// scoring paths), or a run with zero ingestion throughput. A `large`
+/// scoring paths), a run with zero ingestion throughput, or a `test` run
+/// without its one-thread wall (`wall_1t_secs`). A `large`
 /// run is held to the async ingest-plane contract instead: path
 /// `async`, ≥ 10⁴ devices, a nonzero `ingest` stage, and at least
 /// [`LARGE_MIN_SNAPSHOTS_PER_SEC`] aggregate throughput.
@@ -244,6 +250,9 @@ pub fn validate(json: &str) -> Result<BenchReport, String> {
         }
         if run.threads == 0 {
             return Err(format!("run `{}` reports zero threads", run.scale));
+        }
+        if run.scale == "test" && !run.wall_1t_secs.is_some_and(|s| s > 0.0) {
+            return Err("test run reports no one-thread wall (wall_1t_secs)".to_string());
         }
         // The columnar analyze engine's wall-clock contract (mid scale
         // only: the test scale is noise-dominated and paper scale is not
@@ -372,26 +381,49 @@ mod tests {
         reg.snapshot()
     }
 
+    /// A test-scale run as `bench_pipeline` emits it: the report of the
+    /// snapshot plus the one-thread wall of the rerun.
+    fn plausible_test_run() -> RunReport {
+        let mut run = run_report("test", "wire", 60, &plausible_snapshot());
+        run.wall_1t_secs = Some(6.5);
+        run
+    }
+
     #[test]
     fn report_round_trips_and_validates() {
         let mut report = BenchReport::new();
-        report
-            .runs
-            .push(run_report("test", "wire", 60, &plausible_snapshot()));
+        report.runs.push(plausible_test_run());
         let json = serde_json::to_string(&report).unwrap();
         let back = validate(&json).expect("valid report");
         assert_eq!(back, report);
         let run = &back.runs[0];
         assert_eq!(run.devices, 60);
         assert_eq!(run.threads, 4);
+        assert_eq!(run.wall_1t_secs, Some(6.5));
         assert!(run.snapshots_per_sec > 0.0);
         assert!(run.stages.contains_key("simulate"));
     }
 
     #[test]
+    fn validate_requires_the_one_thread_wall_on_test_runs() {
+        let mut report = BenchReport::new();
+        report
+            .runs
+            .push(run_report("test", "wire", 60, &plausible_snapshot()));
+        let json = serde_json::to_string(&report).unwrap();
+        let err = validate(&json).unwrap_err();
+        assert!(err.contains("wall_1t_secs"), "{err}");
+        // A file from before the field existed does not parse at all.
+        let old = json.replace("\"wall_1t_secs\":null,", "");
+        assert_ne!(old, json);
+        let err = validate(&old).unwrap_err();
+        assert!(err.contains("wall_1t_secs"), "{err}");
+    }
+
+    #[test]
     fn validate_rejects_missing_stage() {
         let mut report = BenchReport::new();
-        let mut run = run_report("test", "wire", 60, &plausible_snapshot());
+        let mut run = plausible_test_run();
         run.stages.remove(keys::SPAN_SIMULATE);
         report.runs.push(run);
         let json = serde_json::to_string(&report).unwrap();
@@ -479,9 +511,7 @@ mod tests {
 
         // Test-scale runs are exempt (noise-dominated).
         let mut test_run = BenchReport::new();
-        test_run
-            .runs
-            .push(run_report("test", "wire", 60, &plausible_snapshot()));
+        test_run.runs.push(plausible_test_run());
         test_run.runs[0]
             .stages
             .get_mut(keys::SPAN_SCORE_BATCH)
@@ -517,9 +547,7 @@ mod tests {
 
         // Test-scale runs are exempt (noise-dominated).
         let mut test_run = BenchReport::new();
-        test_run
-            .runs
-            .push(run_report("test", "wire", 60, &plausible_snapshot()));
+        test_run.runs.push(plausible_test_run());
         test_run.runs[0]
             .stages
             .get_mut(keys::SPAN_SIMULATE)
@@ -560,9 +588,7 @@ mod tests {
 
         // Test-scale runs are exempt.
         let mut test_run = BenchReport::new();
-        test_run
-            .runs
-            .push(run_report("test", "wire", 60, &plausible_snapshot()));
+        test_run.runs.push(plausible_test_run());
         test_run.runs[0].counters.remove(keys::TEXT_REVIEWS);
         validate(&serde_json::to_string(&test_run).unwrap()).expect("test runs have no floor");
     }

@@ -13,7 +13,12 @@
 //!   workers. Each worker owns a [`racket_reactor::Poller`] over its
 //!   share of connections, a [`racket_reactor::TimerWheel`] for stall
 //!   deadlines and an [`racket_reactor::IdleStrategy`] so an idle fleet
-//!   costs no CPU.
+//!   costs no CPU: a worker with nothing ready parks, and every
+//!   cross-thread signal that creates work for it — a client's
+//!   [`AsyncConn::send`], a reconnect request, shutdown — publishes
+//!   first and then unparks that worker. A request is picked up when it
+//!   is sent, not at the worker's next polling tick; the park's 1 ms
+//!   timeout only paces the stall timers.
 //! * [`AsyncCollectServer::connect`] hands out an [`AsyncConn`] — the
 //!   client half of an in-memory duplex pair, optionally behind the same
 //!   seeded [`FaultPlan`] the chaos suite drives — and registers the
@@ -118,13 +123,20 @@ struct ConnShared {
 pub struct AsyncConn {
     transport: MemTransport,
     shared: Arc<ConnShared>,
+    /// The worker thread that polls the server half. Unparked after
+    /// every signal published to it (park's token makes publish-then-
+    /// unpark race-free against the worker's poll-then-park).
+    worker: std::thread::Thread,
 }
 
 impl AsyncConn {
-    /// Send one frame towards the server. Errors surface injected
-    /// connection resets exactly like the loopback lane.
+    /// Send one frame towards the server and wake the worker that owns
+    /// the connection. Errors surface injected connection resets exactly
+    /// like the loopback lane.
     pub fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.transport.send(bytes)
+        let sent = self.transport.send(bytes);
+        self.worker.unpark();
+        sent
     }
 
     /// Non-blocking receive (`WouldBlock` when nothing is waiting).
@@ -155,13 +167,15 @@ impl AsyncConn {
     /// restart its sequence numbers at 0 — the worker has done the same.
     ///
     /// The bound (1 s of yields) only matters if the worker is wedged or
-    /// gone; the handshake normally completes within one poll round. An
-    /// unacknowledged reset is still safe: the worker applies it at its
-    /// next service round, and until then the strict codec discards the
-    /// client's restarted sequence numbers exactly like stale frames —
-    /// the retry loop absorbs the extra round trips.
+    /// gone; the worker is woken for the request, so the handshake
+    /// normally completes within one poll round. An unacknowledged reset
+    /// is still safe: the worker applies it at its next service round,
+    /// and until then the strict codec discards the client's restarted
+    /// sequence numbers exactly like stale frames — the retry loop
+    /// absorbs the extra round trips.
     pub fn request_reset(&mut self) {
         let generation = self.shared.reset_req.fetch_add(1, Ordering::SeqCst) + 1;
+        self.worker.unpark();
         let deadline = Instant::now() + Duration::from_secs(1);
         while self.shared.reset_ack.load(Ordering::SeqCst) < generation {
             if Instant::now() >= deadline {
@@ -556,6 +570,7 @@ impl AsyncCollectServer {
         AsyncConn {
             transport: client,
             shared,
+            worker: self.handles[w].thread().clone(),
         }
     }
 
@@ -566,6 +581,9 @@ impl AsyncCollectServer {
     pub fn shutdown(self, registry: &Registry) -> ServerStats {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.intakes);
+        for handle in &self.handles {
+            handle.thread().unpark();
+        }
         let mut totals = WorkerReport::default();
         for handle in self.handles {
             let report = handle.join().expect("collection worker panicked");
@@ -724,12 +742,15 @@ mod tests {
         let mut seq = 0u32;
         sign_in(&mut conn, &mut codec, &mut seq);
         // Flood far more uploads than the queue admits, then keep
-        // retrying whatever was shed until every file is acked.
+        // retrying whatever was shed until every file is acked. A round's
+        // frames go out as one write, so they reach the (woken) worker
+        // together instead of being drained one by one as they are sent.
         let n_files = 32u64;
         let mut unacked: HashSet<u64> = (1..=n_files).collect();
         for round in 0..100 {
             assert!(round < 99, "files should ack within the retry budget");
             let sent = unacked.len();
+            let mut flood = Vec::new();
             for &file_id in &unacked {
                 let msg = Message::SnapshotUpload {
                     install: I,
@@ -737,9 +758,10 @@ mod tests {
                     fast: true,
                     payload: payload(file_id * 10),
                 };
-                conn.send(&msg.encode_seq(seq)).unwrap();
+                flood.extend_from_slice(&msg.encode_seq(seq));
                 seq += 1;
             }
+            conn.send(&flood).unwrap();
             // On a clean link every sent frame gets exactly one reply:
             // an ack if it was admitted, a 429 if it was shed.
             let mut replies = 0;

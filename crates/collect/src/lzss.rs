@@ -143,6 +143,12 @@ impl Workspace {
 
     /// Longest match for `data[i..]` among chained earlier positions.
     /// Returns `(length, distance)`; length 0 means no candidate.
+    ///
+    /// With `WIDE`, a candidate is first tested on the single byte at
+    /// offset `best_len`: to replace the best match it must be strictly
+    /// longer, so it must match there. Rejected candidates still count
+    /// against the chain limit, so the search visits the same candidates
+    /// and returns the same answer as the scalar walk.
     #[inline]
     fn find_match<const WIDE: bool>(&self, data: &[u8], i: usize) -> (usize, usize) {
         let mut best_len = 0usize;
@@ -155,12 +161,16 @@ impl Workspace {
         let mut chain = 0;
         while cand != NIL && i - cand as usize <= WINDOW && chain < CHAIN_LIMIT {
             let c = cand as usize;
-            let l = match_len::<WIDE>(data, c, i, max_len);
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l == max_len {
-                    break;
+            // `best_len < max_len` here (a full-length match broke out),
+            // so `i + best_len` is in bounds.
+            if !WIDE || data[c + best_len] == data[i + best_len] {
+                let l = match_len::<WIDE>(data, c, i, max_len);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l == max_len {
+                        break;
+                    }
                 }
             }
             cand = self.prev[c];
@@ -176,17 +186,20 @@ impl Workspace {
     /// Uses one-step lazy matching: when the position after a match start
     /// holds a strictly longer match, the first byte is emitted as a
     /// literal instead, improving ratio on snapshot streams at equal
-    /// speed. Match comparison runs eight bytes at a time; the output is
-    /// byte-identical to [`Workspace::compress_into_scalar`]
-    /// (property-tested in `tests/codec_props.rs`).
+    /// speed. Match comparison runs eight bytes at a time, chain
+    /// candidates that cannot win are skipped on one byte, and a winning
+    /// look-ahead is carried into the next step instead of searched for
+    /// again; the output is byte-identical to
+    /// [`Workspace::compress_into_scalar`] (property-tested in
+    /// `tests/codec_props.rs`).
     pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
         self.compress_impl::<true>(data, out);
     }
 
     /// Byte-at-a-time reference implementation of
-    /// [`Workspace::compress_into`]: same tokenizer, scalar match loop.
-    /// Exists so the wide-compare fast path has an in-tree oracle; not
-    /// used on any hot path.
+    /// [`Workspace::compress_into`]: same tokenizer, scalar match loop,
+    /// every candidate compared in full, every search run afresh. Exists
+    /// so the fast path has an in-tree oracle; not used on any hot path.
     pub fn compress_into_scalar(&mut self, data: &[u8], out: &mut Vec<u8>) {
         self.compress_impl::<false>(data, out);
     }
@@ -220,8 +233,14 @@ impl Workspace {
             }};
         }
 
+        // A look-ahead match that beat the current one, kept for the step
+        // that emits it (wide path only; the scalar oracle searches again).
+        let mut deferred: Option<(usize, usize)> = None;
         while i < data.len() {
-            let (best_len, best_dist) = self.find_match::<WIDE>(data, i);
+            let (best_len, best_dist) = match deferred.take() {
+                Some(found) => found,
+                None => self.find_match::<WIDE>(data, i),
+            };
 
             if best_len >= MIN_MATCH {
                 // One-step lazy matching: peek at i + 1 before committing.
@@ -230,12 +249,17 @@ impl Workspace {
                     self.insert(hash4(&data[i..]), i);
                 }
                 if best_len < MAX_MATCH {
-                    let (next_len, _) = self.find_match::<WIDE>(data, i + 1);
-                    if next_len > best_len {
+                    let next = self.find_match::<WIDE>(data, i + 1);
+                    if next.0 > best_len {
                         // The deferred match is strictly better: spend a
-                        // literal and re-find it on the next iteration.
+                        // literal and take it up on the next iteration
+                        // (nothing is inserted in between, so searching
+                        // again would find exactly `next`).
                         emit_token!(false, &data[i..=i]);
                         i += 1;
+                        if WIDE {
+                            deferred = Some(next);
+                        }
                         continue;
                     }
                 }

@@ -238,8 +238,11 @@ impl FaultState {
 pub struct MemTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    /// Residue of a partially consumed incoming chunk.
+    /// The incoming chunk being consumed; `pending[read_pos..]` is its
+    /// unread residue. Emptied (and the cursor rewound) by the read that
+    /// consumes its last byte, so `pending.is_empty()` means no residue.
     pending: Vec<u8>,
+    read_pos: usize,
     /// Corrupt one bit in every n-th outgoing chunk (0 = never).
     corrupt_every: usize,
     sends: usize,
@@ -259,6 +262,7 @@ impl MemTransport {
             tx,
             rx,
             pending: Vec::new(),
+            read_pos: 0,
             corrupt_every: 0,
             sends: 0,
             faults: None,
@@ -299,6 +303,7 @@ impl MemTransport {
     /// stream across reconnects.
     pub fn purge(&mut self) {
         self.pending.clear();
+        self.read_pos = 0;
         self.held = None;
         while self.rx.try_recv().is_ok() {}
     }
@@ -323,10 +328,23 @@ impl MemTransport {
                 Err(TryRecvError::Disconnected) => return Ok(0),
             }
         }
-        let n = buf.len().min(self.pending.len());
-        buf[..n].copy_from_slice(&self.pending[..n]);
-        self.pending.drain(..n);
-        Ok(n)
+        Ok(self.read_pending(buf))
+    }
+
+    /// Copy as much of the residue as fits into `buf` and advance the
+    /// read cursor past it. A cursor, not `drain(..n)`: shifting the
+    /// remainder down after every read made consuming one chunk quadratic
+    /// in its length.
+    fn read_pending(&mut self, buf: &mut [u8]) -> usize {
+        let residue = &self.pending[self.read_pos..];
+        let n = buf.len().min(residue.len());
+        buf[..n].copy_from_slice(&residue[..n]);
+        self.read_pos += n;
+        if self.read_pos == self.pending.len() {
+            self.pending.clear();
+            self.read_pos = 0;
+        }
+        n
     }
 
     /// Whether bytes are waiting to be received — the readiness probe the
@@ -362,10 +380,7 @@ impl MemTransport {
                 Err(RecvTimeoutError::Disconnected) => return Ok(0),
             }
         }
-        let n = buf.len().min(self.pending.len());
-        buf[..n].copy_from_slice(&self.pending[..n]);
-        self.pending.drain(..n);
-        Ok(n)
+        Ok(self.read_pending(buf))
     }
 
     /// Push one chunk into the channel, flushing any reorder-held chunk
@@ -453,10 +468,7 @@ impl Transport for MemTransport {
                 Err(_) => return Ok(0), // peer closed
             }
         }
-        let n = buf.len().min(self.pending.len());
-        buf[..n].copy_from_slice(&self.pending[..n]);
-        self.pending.drain(..n);
-        Ok(n)
+        Ok(self.read_pending(buf))
     }
 }
 
@@ -530,6 +542,42 @@ mod tests {
         assert_eq!(&buf[..2], b"lo");
         assert_eq!(b.recv(&mut buf).unwrap(), 3);
         assert_eq!(&buf, b" wo");
+    }
+
+    #[test]
+    fn large_chunk_read_in_slices_keeps_bytes_and_residue() {
+        // One 1 MB chunk consumed 4 KB at a time through each of the three
+        // receive calls in turn: the same bytes come out, and the residue
+        // stays visible to the readiness probe until the last slice.
+        let data: Vec<u8> = (0..1_048_576u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let (mut a, mut b) = MemTransport::pair();
+        a.send(&data).unwrap();
+        let mut got = Vec::with_capacity(data.len());
+        let mut buf = [0u8; 4096];
+        let mut reads = 0usize;
+        while got.len() < data.len() {
+            assert!(b.has_incoming(), "residue after {} bytes", got.len());
+            let n = match reads % 3 {
+                0 => b.try_recv(&mut buf),
+                1 => b.recv_deadline(&mut buf, std::time::Duration::from_secs(5)),
+                _ => b.recv(&mut buf),
+            }
+            .unwrap();
+            assert_eq!(n, 4096);
+            got.extend_from_slice(&buf[..n]);
+            reads += 1;
+        }
+        assert!(got == data, "sliced reads reassemble the chunk");
+        assert!(!b.has_incoming());
+        // A purge mid-chunk discards the unread part; the next chunk
+        // starts clean.
+        a.send(&data).unwrap();
+        assert_eq!(b.try_recv(&mut buf).unwrap(), 4096);
+        b.purge();
+        assert!(!b.has_incoming());
+        a.send(b"next").unwrap();
+        assert_eq!(b.try_recv(&mut buf).unwrap(), 4);
+        assert_eq!(&buf[..4], b"next");
     }
 
     #[test]

@@ -440,10 +440,12 @@ impl Study {
         // the resume point for any file whose retry budget ran out during
         // the day loop: keep flushing until the lane drains (bounded — a
         // fault plan the budget cannot beat would be a test bug, so cap
-        // the rounds and let the exhaustion counter surface it).
+        // the rounds and let the exhaustion counter surface it). Lanes
+        // flush in parallel like a study day: all of it is per-install
+        // state plus the core, and no reviews are posted here.
         {
             let _span = obs.span("simulate/flush");
-            for lane in &mut lanes {
+            lanes.par_iter_mut().for_each(|lane| {
                 lane.buffer.flush();
                 if let Some(wire) = lane.wire.as_mut() {
                     for _ in 0..8 {
@@ -455,7 +457,7 @@ impl Study {
                         }
                     }
                 }
-            }
+            });
         }
         // Lane retirement: chaos/retry counters and the per-lane deliver
         // histogram shards fold into the registry. Everything here is a

@@ -14,9 +14,9 @@
 //!   Deadlines are scheduled in coarse ticks (the collection plane uses
 //!   milliseconds) and cancelled lazily through per-token stamps, the
 //!   classic trick that makes `O(1)` cancellation free of bookkeeping.
-//! * [`IdleStrategy`] — an escalating spin → yield → park backoff for
-//!   workers with nothing to do, bounding both wasted CPU when idle and
-//!   wakeup latency when work arrives.
+//! * [`IdleStrategy`] — a spin → park backoff for workers with nothing
+//!   to do: an idle worker costs no CPU, and whoever hands it work wakes
+//!   it with `Thread::unpark`, so wakeup latency is not a polling period.
 //!
 //! The crate is dependency-free and deliberately sans-IO: it never blocks
 //! on a file descriptor and owns no threads. That keeps the study driver's

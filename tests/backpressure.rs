@@ -114,7 +114,10 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
     assert_eq!(ack, Message::SignInAck { accepted: true });
 
     // Flood every file at once (overfilling a tiny queue), then keep
-    // re-sending whatever was not acknowledged. On a clean link every
+    // re-sending whatever was not acknowledged. A round's frames go out
+    // as one write: the worker is woken by the send and would otherwise
+    // drain each frame before the next is even encoded, so whether the
+    // queue overfills would depend on scheduling. On a clean link every
     // sent frame gets exactly one reply — an ack if admitted, a 429 if
     // shed — so counting replies per round keeps the loop deterministic.
     let mut unacked: HashSet<u64> = (1..=N_FILES).collect();
@@ -122,6 +125,7 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
     for round in 0..100 {
         assert!(round < 99, "files should ack within the retry budget");
         let sent = unacked.len();
+        let mut flood = Vec::new();
         for &file_id in &unacked {
             let data = payload(file_id * 10);
             let digest = sha256(&data);
@@ -131,10 +135,11 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
                 fast: true,
                 payload: data,
             };
-            conn.send(&msg.encode_seq(seq)).unwrap();
+            flood.extend_from_slice(&msg.encode_seq(seq));
             seq += 1;
             expected.insert(file_id, digest);
         }
+        conn.send(&flood).unwrap();
         let mut replies = 0;
         while replies < sent {
             let Some(reply) = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)) else {

@@ -5,7 +5,8 @@
 //! per-device RNG streams, disjoint ID ranges, ordered merges, and sorted
 //! record drains. This test pins the contract: the same configuration and
 //! seed must produce a byte-identical study output whether the pipeline
-//! runs on 1, 2 or 8 worker threads.
+//! runs on 1, 2, 3 or 8 worker threads (3 does not divide the 20-lane
+//! fleet, so its workers claim lanes in yet another interleaving).
 //!
 //! All runs happen inside one `#[test]` because the worker-thread count is
 //! pinned through the `RAYON_NUM_THREADS` environment variable, which is
@@ -62,7 +63,7 @@ fn output_is_invariant_to_worker_thread_count() {
         "Fleet::generate depends on thread count"
     );
 
-    // Full study, direct (sharded-ingest) path: 1 vs 2 vs 8 threads.
+    // Full study, direct (sharded-ingest) path: 1 vs 2 vs 3 vs 8 threads.
     let run = |threads: &str, path| {
         with_threads(threads, || {
             fingerprint(&Study::new(small_config(path)).run())
@@ -70,12 +71,16 @@ fn output_is_invariant_to_worker_thread_count() {
     };
     let d1 = run("1", CollectionPath::Direct);
     let d2 = run("2", CollectionPath::Direct);
+    let d3 = run("3", CollectionPath::Direct);
     let d8 = run("8", CollectionPath::Direct);
     assert_eq!(d1, d2, "direct path differs between 1 and 2 threads");
+    assert_eq!(d1, d3, "direct path differs between 1 and 3 threads");
     assert_eq!(d1, d8, "direct path differs between 1 and 8 threads");
 
-    // Full study, wire (framed upload) path: 1 vs 8 threads.
+    // Full study, wire (framed upload) path: 1 vs 3 vs 8 threads.
     let w1 = run("1", CollectionPath::Wire);
+    let w3 = run("3", CollectionPath::Wire);
     let w8 = run("8", CollectionPath::Wire);
+    assert_eq!(w1, w3, "wire path differs between 1 and 3 threads");
     assert_eq!(w1, w8, "wire path differs between 1 and 8 threads");
 }
