@@ -212,6 +212,25 @@ struct Connection {
     frame_buf: Vec<u8>,
 }
 
+impl Connection {
+    /// A freshly accepted connection: strict codec, both sequence spaces
+    /// at 0, nothing queued.
+    fn new(transport: MemTransport, shared: Arc<ConnShared>) -> Self {
+        Connection {
+            transport,
+            codec: FrameCodec::strict(),
+            out_seq: 0,
+            shared,
+            handled_reset: 0,
+            queue: VecDeque::new(),
+            wedge: None,
+            stale_accum: 0,
+            closed: false,
+            frame_buf: Vec::new(),
+        }
+    }
+}
+
 impl Source for Connection {
     fn ready(&mut self) -> bool {
         self.shared.reset_req.load(Ordering::Acquire) != self.handled_reset
@@ -550,18 +569,7 @@ impl AsyncCollectServer {
         client.inject_faults(plan, seed);
         server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
         let shared = Arc::new(ConnShared::default());
-        let conn = Connection {
-            transport: server_end,
-            codec: FrameCodec::strict(),
-            out_seq: 0,
-            shared: Arc::clone(&shared),
-            handled_reset: 0,
-            queue: VecDeque::new(),
-            wedge: None,
-            stale_accum: 0,
-            closed: false,
-            frame_buf: Vec::new(),
-        };
+        let conn = Connection::new(server_end, Arc::clone(&shared));
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.intakes.len();
         assert!(
             self.intakes[w].send(conn).is_ok(),
@@ -733,24 +741,45 @@ mod tests {
 
     #[test]
     fn overflowed_queue_sheds_uploads_without_data_loss() {
-        let (srv, sharded) = start(AsyncServerConfig {
-            queue_limit: 1,
-            ..test_cfg()
-        });
-        let mut conn = srv.connect(FaultPlan::none(), 2);
+        // The worker is stepped by hand, so how far the frame-by-frame
+        // flood gets ahead of it is this test's choice and not the
+        // scheduler's: a whole round of sends, then one service round.
+        // (Against a running worker, which every send wakes, the same
+        // flood may be drained as fast as it arrives and shed nothing;
+        // `tests/backpressure.rs` covers what holds either way.)
+        let sharded = Arc::new(ShardedIngest::new(4));
+        let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
+        let mut worker = Worker::new(unbounded().1, Arc::default(), Arc::clone(&core), 1);
+        let (mut client, server_end) = MemTransport::pair();
+        let token = worker
+            .poller
+            .register(Connection::new(server_end, Arc::default()));
         let mut codec = FrameCodec::strict();
-        let mut seq = 0u32;
-        sign_in(&mut conn, &mut codec, &mut seq);
-        // Flood far more uploads than the queue admits, then keep
-        // retrying whatever was shed until every file is acked. A round's
-        // frames go out as one write, so they reach the (woken) worker
-        // together instead of being drained one by one as they are sent.
+        let mut replies = |client: &mut MemTransport| -> Vec<Message> {
+            let mut buf = [0u8; 4096];
+            while let Ok(n) = client.try_recv(&mut buf) {
+                codec.feed(&buf[..n]);
+            }
+            std::iter::from_fn(|| codec.try_decode_message().expect("clean link")).collect()
+        };
+        let sign_in = Message::SignIn {
+            participant: P,
+            install: I,
+        };
+        client.send(&sign_in.encode_seq(0)).unwrap();
+        worker.service(token, 0);
+        assert_eq!(
+            replies(&mut client),
+            [Message::SignInAck { accepted: true }]
+        );
+        // Flood far more uploads than the queue admits, one send per
+        // frame, then keep retrying whatever was shed until every file
+        // is acked.
         let n_files = 32u64;
         let mut unacked: HashSet<u64> = (1..=n_files).collect();
-        for round in 0..100 {
-            assert!(round < 99, "files should ack within the retry budget");
-            let sent = unacked.len();
-            let mut flood = Vec::new();
+        let mut seq = 1u32;
+        let mut sheds_seen = 0u64;
+        while !unacked.is_empty() {
             for &file_id in &unacked {
                 let msg = Message::SnapshotUpload {
                     install: I,
@@ -758,37 +787,90 @@ mod tests {
                     fast: true,
                     payload: payload(file_id * 10),
                 };
-                flood.extend_from_slice(&msg.encode_seq(seq));
+                client.send(&msg.encode_seq(seq)).unwrap();
                 seq += 1;
             }
-            conn.send(&flood).unwrap();
-            // On a clean link every sent frame gets exactly one reply:
-            // an ack if it was admitted, a 429 if it was shed.
-            let mut replies = 0;
-            while replies < sent {
-                let Some(reply) = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)) else {
-                    break;
-                };
-                replies += 1;
-                if let Message::UploadAck { file_id, .. } = reply {
-                    unacked.remove(&file_id);
+            worker.service(token, 0);
+            // Every sent frame gets exactly one reply: the one upload
+            // the 1-deep queue admitted is acked, the rest get a 429.
+            let round = replies(&mut client);
+            assert_eq!(round.len(), unacked.len());
+            for reply in round {
+                match reply {
+                    Message::UploadAck { file_id, .. } => assert!(unacked.remove(&file_id)),
+                    Message::Error { code, .. } => {
+                        assert_eq!(code, SHED_ERROR_CODE);
+                        sheds_seen += 1;
+                    }
+                    other => panic!("unexpected reply {other:?}"),
                 }
             }
-            if unacked.is_empty() {
-                break;
-            }
         }
-        let registry = Registry::new();
-        let stats = srv.shutdown(&registry);
+        // Rounds of 32, 31, … 1 uploads admit one each and shed the rest.
+        assert_eq!(sheds_seen, n_files * (n_files - 1) / 2);
+        assert_eq!(worker.report.load_sheds, sheds_seen);
+        assert_eq!(worker.report.queue_depth_peak, 1);
         // Zero data loss and exactly-once ingest despite the sheds.
+        assert_eq!(core.stats().files, n_files);
+        assert_eq!(sharded.snapshots_ingested(), n_files);
+    }
+
+    #[test]
+    fn every_cross_thread_signal_wakes_a_parked_worker() {
+        // Lost-wake regression. This worker parks at once on every empty
+        // round and its park tick is a minute, so nothing below can be
+        // served by the tick: each exchange, the reconnect handshake and
+        // the shutdown completes only because its signal unparked the
+        // worker, and one lost wake fails an `expect` (or the last
+        // assertion) instead of costing a millisecond nobody notices.
+        const TICK: Duration = Duration::from_secs(60);
+        let start_time = Instant::now();
+        let sharded = Arc::new(ShardedIngest::new(4));
+        let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (intake, rx) = unbounded();
+        let mut worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core), 64);
+        worker.idle = IdleStrategy::new(0, TICK);
+        let srv = AsyncCollectServer {
+            intakes: vec![intake],
+            handles: vec![std::thread::spawn(move || worker.run())],
+            stop,
+            core,
+            next: AtomicUsize::new(0),
+        };
+        let mut conn = srv.connect(FaultPlan::none(), 12);
+        let mut codec = FrameCodec::strict();
+        let mut seq = 0u32;
+        // 2 000 strictly sequential exchanges: the worker is back in its
+        // park between any two of them.
+        let n_files = 1_500u64;
+        for file_id in 1..=n_files {
+            if file_id % 3 == 1 {
+                sign_in(&mut conn, &mut codec, &mut seq);
+            }
+            let msg = Message::SnapshotUpload {
+                install: I,
+                file_id,
+                fast: true,
+                payload: payload(file_id * 10),
+            };
+            conn.send(&msg.encode_seq(seq)).unwrap();
+            seq += 1;
+            let reply = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)).expect("ack");
+            assert!(matches!(reply, Message::UploadAck { file_id: f, .. } if f == file_id));
+        }
+        // A reconnect request is acknowledged before its one-second
+        // give-up bound…
+        conn.request_reset();
+        assert_eq!(conn.shared.reset_ack.load(Ordering::SeqCst), 1);
+        // …and shutdown's stop flag is seen without a further send.
+        let stats = srv.shutdown(&Registry::new());
         assert_eq!(stats.files, n_files);
         assert_eq!(sharded.snapshots_ingested(), n_files);
-        let snap = registry.snapshot();
         assert!(
-            snap.counter(keys::SERVER_LOAD_SHED) > 0,
-            "a 64-deep flood into a 1-deep queue must shed"
+            start_time.elapsed() < TICK,
+            "ran into the park tick: some signal above did not unpark the worker"
         );
-        assert!(snap.gauge(keys::SERVER_QUEUE_DEPTH_PEAK) >= 1);
     }
 
     #[test]

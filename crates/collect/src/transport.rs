@@ -238,11 +238,8 @@ impl FaultState {
 pub struct MemTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    /// The incoming chunk being consumed; `pending[read_pos..]` is its
-    /// unread residue. Emptied (and the cursor rewound) by the read that
-    /// consumes its last byte, so `pending.is_empty()` means no residue.
+    /// Residue of a partially consumed incoming chunk.
     pending: Vec<u8>,
-    read_pos: usize,
     /// Corrupt one bit in every n-th outgoing chunk (0 = never).
     corrupt_every: usize,
     sends: usize,
@@ -262,7 +259,6 @@ impl MemTransport {
             tx,
             rx,
             pending: Vec::new(),
-            read_pos: 0,
             corrupt_every: 0,
             sends: 0,
             faults: None,
@@ -303,7 +299,6 @@ impl MemTransport {
     /// stream across reconnects.
     pub fn purge(&mut self) {
         self.pending.clear();
-        self.read_pos = 0;
         self.held = None;
         while self.rx.try_recv().is_ok() {}
     }
@@ -331,19 +326,12 @@ impl MemTransport {
         Ok(self.read_pending(buf))
     }
 
-    /// Copy as much of the residue as fits into `buf` and advance the
-    /// read cursor past it. A cursor, not `drain(..n)`: shifting the
-    /// remainder down after every read made consuming one chunk quadratic
-    /// in its length.
+    /// Move as much of the residue as fits into `buf` — the shared tail
+    /// of the three receive calls.
     fn read_pending(&mut self, buf: &mut [u8]) -> usize {
-        let residue = &self.pending[self.read_pos..];
-        let n = buf.len().min(residue.len());
-        buf[..n].copy_from_slice(&residue[..n]);
-        self.read_pos += n;
-        if self.read_pos == self.pending.len() {
-            self.pending.clear();
-            self.read_pos = 0;
-        }
+        let n = buf.len().min(self.pending.len());
+        buf[..n].copy_from_slice(&self.pending[..n]);
+        self.pending.drain(..n);
         n
     }
 

@@ -12,7 +12,16 @@
 //! observability: two runs of the same uploads, one squeezed through a
 //! 1-deep queue and one through a roomy queue, must produce byte-identical
 //! install records and protocol stats.
+//!
+//! How much is shed depends on who is faster. A worker is woken by every
+//! send, so against a client that writes frame by frame it may drain each
+//! upload before the next arrives and never overfill — correct, and up to
+//! the scheduler. The frame-by-frame flood therefore asserts only what
+//! holds however the race goes (nothing lost, every shed answered, the
+//! queue bound kept); a flood written as one chunk, which reaches the
+//! worker whole, pins the shed count itself.
 
+use racket_collect::async_server::SHED_ERROR_CODE;
 use racket_collect::wire::Message;
 use racket_collect::{
     lzss, sha256, AsyncCollectServer, AsyncConn, AsyncServerConfig, FaultPlan, FrameCodec,
@@ -82,11 +91,23 @@ struct PlaneRun {
     bad_uploads: u64,
     load_sheds: u64,
     queue_depth_peak: u64,
+    /// `Error{429}` replies the client received.
+    sheds_seen: u64,
+}
+
+/// How a retry round's uploads are written to the connection.
+#[derive(Clone, Copy)]
+enum Flood {
+    /// One send per frame: the worker races the client.
+    FrameByFrame,
+    /// Every frame of the round in a single send: the worker finds them
+    /// all at once.
+    OneWrite,
 }
 
 /// Push the same `N_FILES` uploads through an async plane with the given
 /// queue limit, retrying whatever gets shed until everything is acked.
-fn run_plane(queue_limit: usize) -> PlaneRun {
+fn run_plane(queue_limit: usize, flood: Flood) -> PlaneRun {
     let registry = Registry::new();
     let store = Arc::new(ShardedIngest::new(4));
     let srv = AsyncCollectServer::start(
@@ -114,18 +135,16 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
     assert_eq!(ack, Message::SignInAck { accepted: true });
 
     // Flood every file at once (overfilling a tiny queue), then keep
-    // re-sending whatever was not acknowledged. A round's frames go out
-    // as one write: the worker is woken by the send and would otherwise
-    // drain each frame before the next is even encoded, so whether the
-    // queue overfills would depend on scheduling. On a clean link every
+    // re-sending whatever was not acknowledged. On a clean link every
     // sent frame gets exactly one reply — an ack if admitted, a 429 if
     // shed — so counting replies per round keeps the loop deterministic.
     let mut unacked: HashSet<u64> = (1..=N_FILES).collect();
     let mut expected: std::collections::HashMap<u64, [u8; 32]> = Default::default();
+    let mut sheds_seen = 0u64;
     for round in 0..100 {
         assert!(round < 99, "files should ack within the retry budget");
         let sent = unacked.len();
-        let mut flood = Vec::new();
+        let mut one_write = Vec::new();
         for &file_id in &unacked {
             let data = payload(file_id * 10);
             let digest = sha256(&data);
@@ -135,22 +154,34 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
                 fast: true,
                 payload: data,
             };
-            flood.extend_from_slice(&msg.encode_seq(seq));
+            match flood {
+                Flood::FrameByFrame => conn.send(&msg.encode_seq(seq)).unwrap(),
+                Flood::OneWrite => one_write.extend_from_slice(&msg.encode_seq(seq)),
+            }
             seq += 1;
             expected.insert(file_id, digest);
         }
-        conn.send(&flood).unwrap();
+        if let Flood::OneWrite = flood {
+            conn.send(&one_write).unwrap();
+        }
         let mut replies = 0;
         while replies < sent {
             let Some(reply) = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)) else {
                 break;
             };
             replies += 1;
-            if let Message::UploadAck { file_id, sha256 } = reply {
-                // The ack echoes the content digest (PROTOCOL.md §4) —
-                // only then may the client delete the buffered file.
-                assert_eq!(Some(&sha256), expected.get(&file_id), "ack digest");
-                unacked.remove(&file_id);
+            match reply {
+                Message::UploadAck { file_id, sha256 } => {
+                    // The ack echoes the content digest (PROTOCOL.md §4) —
+                    // only then may the client delete the buffered file.
+                    assert_eq!(Some(&sha256), expected.get(&file_id), "ack digest");
+                    unacked.remove(&file_id);
+                }
+                Message::Error { code, .. } => {
+                    assert_eq!(code, SHED_ERROR_CODE);
+                    sheds_seen += 1;
+                }
+                other => panic!("unexpected reply {other:?}"),
             }
         }
         if unacked.is_empty() {
@@ -180,21 +211,19 @@ fn run_plane(queue_limit: usize) -> PlaneRun {
         bad_uploads: stats.bad_uploads,
         load_sheds: snap.counter(keys::SERVER_LOAD_SHED),
         queue_depth_peak: snap.gauge(keys::SERVER_QUEUE_DEPTH_PEAK),
+        sheds_seen,
     }
 }
 
-#[test]
-fn overfilled_queues_shed_loudly_and_lose_nothing() {
-    let squeezed = run_plane(1);
-    let roomy = run_plane(1024);
-
-    // The pressure was real and the counters saw it…
-    assert!(
-        squeezed.load_sheds > 0,
-        "a {N_FILES}-deep flood into a 1-deep queue must shed"
-    );
-    assert!(squeezed.queue_depth_peak >= 1);
+/// What must hold for a squeezed run whichever way the client/worker race
+/// went: sheds are loud, nothing is lost, nothing reaches the data.
+fn assert_lossless(squeezed: &PlaneRun, roomy: &PlaneRun) {
+    // Every shed was answered with a 429 the client saw, and the queue
+    // never grew past its 1-deep bound…
+    assert_eq!(squeezed.load_sheds, squeezed.sheds_seen);
+    assert_eq!(squeezed.queue_depth_peak, 1);
     assert_eq!(roomy.load_sheds, 0, "a roomy queue never sheds");
+    assert_eq!(roomy.sheds_seen, 0);
 
     // …but zero data was lost: after retries, both runs ingested every
     // file exactly once.
@@ -211,4 +240,22 @@ fn overfilled_queues_shed_loudly_and_lose_nothing() {
         squeezed.record_fp, roomy.record_fp,
         "backpressure must never reach the measurement database"
     );
+}
+
+#[test]
+fn overfilled_queues_shed_loudly_and_lose_nothing() {
+    let squeezed = run_plane(1, Flood::FrameByFrame);
+    let roomy = run_plane(1024, Flood::FrameByFrame);
+    assert_lossless(&squeezed, &roomy);
+}
+
+#[test]
+fn a_flood_in_one_write_sheds_all_but_one_upload_per_round() {
+    let squeezed = run_plane(1, Flood::OneWrite);
+    let roomy = run_plane(1024, Flood::OneWrite);
+    // A round of k uploads reaches the worker as one chunk: it admits the
+    // first into the empty 1-deep queue and sheds the other k - 1 before
+    // it drains anything. Rounds of 24, 23, … 1 shed 23 + 22 + … + 0.
+    assert_eq!(squeezed.load_sheds, N_FILES * (N_FILES - 1) / 2);
+    assert_lossless(&squeezed, &roomy);
 }
