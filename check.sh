@@ -6,6 +6,16 @@ cd "$(dirname "$0")"
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+# First-party packages (vendored dependency subsets are exempt from the
+# lint, documentation and formatting gates). The umbrella package has no
+# library target, so rustdoc leaves it out.
+first_party=()
+for pkg in racket-obs racket-types racket-stats racket-device racket-features \
+  racket-playstore racket-agents racket-reactor racket-collect racket-columnar \
+  racket-text racket-campaign racket-ml racketstore racket-bench; do
+  first_party+=(-p "$pkg")
+done
+
 step "cargo build --release"
 cargo build --release
 
@@ -87,33 +97,17 @@ bash benchmark/run.sh --smoke
 
 if command -v cargo-clippy >/dev/null 2>&1; then
   step "cargo clippy --all-targets (warnings denied)"
-  # First-party crates only; vendored dependency subsets are exempt.
-  cargo clippy --all-targets -q -p racket-obs -p racket-types -p racket-stats \
-    -p racket-device -p racket-features -p racket-playstore \
-    -p racket-agents -p racket-reactor -p racket-collect -p racket-columnar \
-    -p racket-text -p racket-campaign \
-    -p racket-ml -p racketstore -p racket-bench -p racketstore-suite -- -D warnings
+  cargo clippy --all-targets -q "${first_party[@]}" -p racketstore-suite -- -D warnings
 else
   step "cargo clippy skipped (clippy not installed)"
 fi
 
 step "cargo doc --no-deps (warnings denied)"
-# Only the workspace's own crates; vendored dependency subsets are excluded
-# from the documentation gate.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-  -p racket-obs -p racket-types -p racket-stats -p racket-device \
-  -p racket-features -p racket-playstore -p racket-agents -p racket-reactor \
-  -p racket-collect -p racket-columnar -p racket-text -p racket-campaign \
-  -p racket-ml -p racketstore -p racket-bench
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${first_party[@]}"
 
 if command -v rustfmt >/dev/null 2>&1; then
   step "cargo fmt --check"
-  # Vendored crates are formatted as imported; gate only first-party code.
-  cargo fmt --check -p racketstore-suite -p racket-obs -p racket-types \
-    -p racket-stats -p racket-device -p racket-features -p racket-playstore \
-    -p racket-agents -p racket-reactor -p racket-collect -p racket-columnar \
-    -p racket-text -p racket-campaign \
-    -p racket-ml -p racketstore -p racket-bench
+  cargo fmt --check "${first_party[@]}" -p racketstore-suite
 else
   step "cargo fmt --check skipped (rustfmt not installed)"
 fi

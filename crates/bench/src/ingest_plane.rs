@@ -85,7 +85,7 @@ pub struct IngestPlaneResult {
     /// Aggregate ingest throughput over the window.
     pub snapshots_per_sec: f64,
     /// The run's private registry: the `ingest` span, server spans
-    /// (`server/accept`, `server/poll`, `server/shed`) and every
+    /// (`server/accept`, `server/poll`) and every
     /// shed/stall/ingest counter the workers reported at shutdown.
     pub registry: Registry,
 }

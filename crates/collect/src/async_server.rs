@@ -25,47 +25,37 @@
 //!   server half with one worker. A connection lives on exactly one
 //!   worker for its lifetime, so per-connection frame order is preserved
 //!   without any cross-thread coordination.
-//! * Decoded messages land in a **bounded per-connection queue**
-//!   (admission control). When the queue is full, further uploads are
-//!   *load-shed* with a protocol `Error {{ code: 429 }}` reply instead of
-//!   buffered without limit — the client's retry loop redelivers them
-//!   later, and the end-to-end idempotency contract (fresh frame seqs +
-//!   server-side file dedup) makes the shed invisible in the study data.
-//!   Sign-ins are never shed: they are tiny, and admission decisions
-//!   depend on them.
-//! * Every admitted message goes through the shared
-//!   [`ProtocolCore`] — the same decision procedure and record store as
-//!   every other driver, so this module owns no protocol state of its
-//!   own: only connections, queues and timers.
+//! * Each connection's bytes go through its own `Session`
+//!   (`session.rs`) — the same decode / bounded-queue admission / 429
+//!   shed / reply numbering as every other driver — and every admitted
+//!   message through the shared [`ProtocolCore`], so this module owns no
+//!   protocol state of its own: only connections, readiness and timers.
 //!
-//! What is specific to this driver — shedding, stall sweeps, the
-//! reconnect handshake — is timing-dependent and exists only as
-//! observability counters, excluded from every output fingerprint.
+//! What is specific to this driver — how much a flood overfills a queue
+//! before the worker looks, stall sweeps, the reconnect handshake — is
+//! timing-dependent and exists only as observability counters, excluded
+//! from every output fingerprint.
 //! `ARCHITECTURE.md` §8 states the driver contract;
 //! `tests/async_equivalence.rs` and `tests/backpressure.rs` enforce it.
 
 use crate::retry::SERVER_FAULT_SALT;
 use crate::server::{ProtocolCore, ServerStats};
+pub use crate::session::SHED_ERROR_CODE;
+use crate::session::{Session, QUEUE_LIMIT};
 use crate::shard::ShardedIngest;
 use crate::transport::{FaultPlan, MemTransport, Transport};
-use crate::wire::{FrameCodec, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use racket_obs::{LocalHistogram, Registry, SPAN_PREFIX};
 use racket_reactor::{IdleStrategy, Poller, Source, TimerWheel, Token};
 use racket_types::metrics::keys;
 use racket_types::{FaultCounters, ParticipantId};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Protocol error code for a load-shed upload (the wire-visible half of
-/// admission control; see `PROTOCOL.md` §"Concurrent connections").
-pub const SHED_ERROR_CODE: u16 = 429;
-
 /// A connection buffering a partial frame with no progress for this long
-/// (worker-clock milliseconds) is swept: transport purged, fresh strict
-/// codec. Recovers streams wedged by a corrupted length field.
+/// (worker-clock milliseconds) is swept: transport purged, session
+/// resynchronized. Recovers streams wedged by a corrupted length field.
 const STALL_DEADLINE_MS: u64 = 50;
 /// Max ready connections serviced per poll round (fairness bound; the
 /// poller's rotating cursor resumes where a truncated round stopped).
@@ -91,7 +81,7 @@ impl Default for AsyncServerConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            queue_limit: 64,
+            queue_limit: QUEUE_LIMIT,
         }
     }
 }
@@ -150,12 +140,6 @@ impl AsyncConn {
         self.transport.recv_deadline(buf, timeout)
     }
 
-    /// Discard everything in flight towards this endpoint (the client's
-    /// transport half of a reconnect).
-    pub fn purge(&mut self) {
-        self.transport.purge();
-    }
-
     /// Faults injected on the client→server direction so far.
     pub fn fault_stats(&self) -> FaultCounters {
         self.transport.fault_stats()
@@ -187,46 +171,34 @@ impl AsyncConn {
     }
 }
 
-/// The worker-side half of one connection: transport, decode state, the
-/// bounded message queue and stall-tracking bookkeeping.
+/// The worker-side half of one connection: its transport, its protocol
+/// [`Session`] and the handshake/stall bookkeeping that needs a clock or
+/// another thread.
 struct Connection {
     transport: MemTransport,
-    codec: FrameCodec,
-    /// Server→client frame sequence counter.
-    out_seq: u32,
+    session: Session,
     shared: Arc<ConnShared>,
     /// Last reconnect generation this worker acknowledged.
     handled_reset: u32,
-    /// Decoded messages awaiting admission (bounded by
-    /// [`AsyncServerConfig::queue_limit`]).
-    queue: VecDeque<Message>,
-    /// `(buffered_bytes, stamp)` while the codec holds a partial frame:
+    /// `(buffered_bytes, stamp)` while the session holds a partial frame:
     /// the stall detector's progress marker. A timer expiry whose stamp
     /// and byte count both still match means the stream is wedged.
     wedge: Option<(usize, u64)>,
-    /// Stale-frame discards accumulated from retired codec instances.
-    stale_accum: u64,
     /// Peer closed its half (drain the queue, then deregister).
     closed: bool,
-    /// Pooled reply-frame buffer.
-    frame_buf: Vec<u8>,
 }
 
 impl Connection {
-    /// A freshly accepted connection: strict codec, both sequence spaces
-    /// at 0, nothing queued.
-    fn new(transport: MemTransport, shared: Arc<ConnShared>) -> Self {
+    /// A freshly accepted connection: both sequence spaces at 0, nothing
+    /// queued.
+    fn new(transport: MemTransport, shared: Arc<ConnShared>, queue_limit: usize) -> Self {
         Connection {
             transport,
-            codec: FrameCodec::strict(),
-            out_seq: 0,
+            session: Session::strict(queue_limit),
             shared,
             handled_reset: 0,
-            queue: VecDeque::new(),
             wedge: None,
-            stale_accum: 0,
             closed: false,
-            frame_buf: Vec::new(),
         }
     }
 }
@@ -235,7 +207,7 @@ impl Source for Connection {
     fn ready(&mut self) -> bool {
         self.shared.reset_req.load(Ordering::Acquire) != self.handled_reset
             || self.transport.has_incoming()
-            || !self.queue.is_empty()
+            || self.session.queued() > 0
     }
 }
 
@@ -251,7 +223,6 @@ struct WorkerReport {
     faults: FaultCounters,
     accept: LocalHistogram,
     poll: LocalHistogram,
-    shed: LocalHistogram,
 }
 
 /// One reactor worker: accepts connections from its intake channel,
@@ -260,7 +231,6 @@ struct Worker {
     intake: Receiver<Connection>,
     stop: Arc<AtomicBool>,
     core: Arc<ProtocolCore>,
-    queue_limit: usize,
     poller: Poller<Connection>,
     wheel: TimerWheel,
     idle: IdleStrategy,
@@ -273,17 +243,11 @@ struct Worker {
 }
 
 impl Worker {
-    fn new(
-        intake: Receiver<Connection>,
-        stop: Arc<AtomicBool>,
-        core: Arc<ProtocolCore>,
-        queue_limit: usize,
-    ) -> Self {
+    fn new(intake: Receiver<Connection>, stop: Arc<AtomicBool>, core: Arc<ProtocolCore>) -> Self {
         Worker {
             intake,
             stop,
             core,
-            queue_limit,
             poller: Poller::new(),
             wheel: TimerWheel::new(256),
             idle: IdleStrategy::default_for_io(),
@@ -354,9 +318,9 @@ impl Worker {
         self.report
     }
 
-    /// Service one ready connection: reconnect handshake, reads, decode,
-    /// admission-bounded queueing (load-shedding overflow uploads), then
-    /// a fairness-bounded drain of the queue through the core. Returns
+    /// Service one ready connection: reconnect handshake, reads, then one
+    /// round of its [`Session`] — decode, admit or shed, and a
+    /// fairness-bounded drain of the queue through the core. Returns
     /// `(made_progress, should_close)`.
     fn service(&mut self, token: Token, now_ms: u64) -> (bool, bool) {
         let Some(conn) = self.poller.get_mut(token) else {
@@ -367,16 +331,14 @@ impl Worker {
         // the acknowledged generation so the blocked client proceeds.
         let reset_req = conn.shared.reset_req.load(Ordering::Acquire);
         if reset_req != conn.handled_reset {
-            conn.stale_accum += conn.codec.stale_discards();
             conn.transport.purge();
-            conn.codec = FrameCodec::strict();
-            conn.out_seq = 0;
+            conn.session.reset();
             conn.wedge = None;
             conn.handled_reset = reset_req;
             conn.shared.reset_ack.store(reset_req, Ordering::Release);
             progress = true;
         }
-        // Drain the transport into the codec (bounded for fairness; any
+        // Drain the transport into the session (bounded for fairness; any
         // remainder keeps the connection ready for the next round).
         let mut buf = [0u8; 4096];
         for _ in 0..256 {
@@ -386,59 +348,43 @@ impl Worker {
                     break;
                 }
                 Ok(n) => {
-                    conn.codec.feed(&buf[..n]);
+                    conn.session.feed(&buf[..n]);
                     progress = true;
                 }
                 Err(_) => break, // WouldBlock: drained
             }
         }
-        // Decode everything decodable; queue or shed.
-        loop {
-            match conn.codec.try_decode_message() {
-                Ok(None) => break,
-                Ok(Some(msg)) => {
-                    progress = true;
-                    let sheddable = matches!(msg, Message::SnapshotUpload { .. });
-                    if sheddable && conn.queue.len() >= self.queue_limit {
-                        // Admission control: reply 429 instead of
-                        // buffering without bound. The client retries
-                        // later; idempotency makes the retry safe.
-                        let shed_start = Instant::now();
-                        self.report.load_sheds += 1;
-                        let reply = Message::Error {
-                            code: SHED_ERROR_CODE,
-                            detail: "upload queue full".into(),
-                        };
-                        let seq = conn.out_seq;
-                        conn.out_seq += 1;
-                        reply.encode_seq_into(seq, &mut conn.frame_buf);
-                        let _ = conn.transport.send(&conn.frame_buf);
-                        self.report
-                            .shed
-                            .record(shed_start.elapsed().as_nanos() as u64);
-                    } else {
-                        conn.queue.push_back(msg);
-                        self.report.queue_depth_peak =
-                            self.report.queue_depth_peak.max(conn.queue.len() as u64);
-                    }
-                }
-                Err(_) => {
-                    // Poisoned frame stream (corruption/truncation):
-                    // discard it and resynchronize on the client's next
-                    // transmission — a fresh strict codec accepts any
-                    // continuing sequence number (monotonic acceptance).
-                    conn.stale_accum += conn.codec.stale_discards();
-                    conn.transport.purge();
-                    conn.codec = FrameCodec::strict();
-                    conn.wedge = None;
-                    progress = true;
-                    break;
-                }
-            }
+        // Queued messages are admitted a bounded number per round for
+        // fairness (the shutdown drain processes everything).
+        let budget = if self.stop.load(Ordering::Acquire) {
+            usize::MAX
+        } else {
+            DRAIN_PER_CONN
+        };
+        let Connection {
+            transport, session, ..
+        } = &mut *conn;
+        let served = session.service(&self.core, &mut self.scratch, budget, |frame| {
+            // A failed reply send (injected reset, client gone) is the
+            // client's problem to recover: its retry loop times out and
+            // retransmits.
+            let _ = transport.send(frame);
+        });
+        progress |= served.progress;
+        self.report.load_sheds += served.sheds;
+        self.report.queue_depth_peak = self
+            .report
+            .queue_depth_peak
+            .max(conn.session.queue_peak() as u64);
+        if served.poisoned {
+            // The session has resynchronized on the client's next
+            // transmission (a fresh strict codec accepts any continuing
+            // sequence number); what the pipe still holds is garbage.
+            conn.transport.purge();
         }
         // Stall bookkeeping: a partial frame with no byte progress past
         // the deadline will be swept; any progress re-arms the timer.
-        let buffered = conn.codec.buffered();
+        let buffered = conn.session.buffered();
         if buffered > 0 {
             let rearm = match conn.wedge {
                 Some((len, _)) => len != buffered,
@@ -453,31 +399,7 @@ impl Worker {
         } else {
             conn.wedge = None;
         }
-        // Admit queued messages, bounded per round for fairness (the
-        // shutdown drain processes everything).
-        let budget = if self.stop.load(Ordering::Acquire) {
-            usize::MAX
-        } else {
-            DRAIN_PER_CONN
-        };
-        let mut served = 0usize;
-        while served < budget {
-            let Some(msg) = conn.queue.pop_front() else {
-                break;
-            };
-            served += 1;
-            progress = true;
-            if let Some(reply) = self.core.handle(msg, &mut self.scratch) {
-                let seq = conn.out_seq;
-                conn.out_seq += 1;
-                reply.encode_seq_into(seq, &mut conn.frame_buf);
-                // A failed reply send (injected reset, client gone) is
-                // the client's problem to recover: its retry loop times
-                // out and retransmits.
-                let _ = conn.transport.send(&conn.frame_buf);
-            }
-        }
-        let close = conn.closed && conn.queue.is_empty();
+        let close = conn.closed && conn.session.queued() == 0;
         (progress, close)
     }
 
@@ -489,10 +411,9 @@ impl Worker {
             return; // connection retired; lazily cancelled timer
         };
         match conn.wedge {
-            Some((len, s)) if s == stamp && conn.codec.buffered() == len => {
-                conn.stale_accum += conn.codec.stale_discards();
+            Some((len, s)) if s == stamp && conn.session.buffered() == len => {
                 conn.transport.purge();
-                conn.codec = FrameCodec::strict();
+                conn.session.resync();
                 conn.wedge = None;
                 self.report.stall_sweeps += 1;
             }
@@ -500,10 +421,10 @@ impl Worker {
         }
     }
 
-    /// Fold a retiring connection's transport and codec tallies into the
+    /// Fold a retiring connection's transport and session tallies into the
     /// worker report.
     fn retire(&mut self, conn: Connection) {
-        self.report.stale_frames += conn.stale_accum + conn.codec.stale_discards();
+        self.report.stale_frames += conn.session.stale_discards();
         self.report.faults.merge(&conn.transport.fault_stats());
     }
 }
@@ -516,6 +437,7 @@ pub struct AsyncCollectServer {
     handles: Vec<std::thread::JoinHandle<WorkerReport>>,
     stop: Arc<AtomicBool>,
     core: Arc<ProtocolCore>,
+    queue_limit: usize,
     /// Round-robin cursor for connection placement.
     next: AtomicUsize,
 }
@@ -541,7 +463,7 @@ impl AsyncCollectServer {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = unbounded();
-            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core), cfg.queue_limit);
+            let worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("collect-worker-{w}"))
@@ -555,6 +477,7 @@ impl AsyncCollectServer {
             handles,
             stop,
             core,
+            queue_limit: cfg.queue_limit,
             next: AtomicUsize::new(0),
         }
     }
@@ -569,7 +492,7 @@ impl AsyncCollectServer {
         client.inject_faults(plan, seed);
         server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
         let shared = Arc::new(ConnShared::default());
-        let conn = Connection::new(server_end, Arc::clone(&shared));
+        let conn = Connection::new(server_end, Arc::clone(&shared), self.queue_limit);
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.intakes.len();
         assert!(
             self.intakes[w].send(conn).is_ok(),
@@ -606,9 +529,6 @@ impl AsyncCollectServer {
             registry
                 .histogram(&format!("{SPAN_PREFIX}{}", keys::SPAN_SERVER_POLL))
                 .merge_local(&report.poll);
-            registry
-                .histogram(&format!("{SPAN_PREFIX}{}", keys::SPAN_SERVER_SHED))
-                .merge_local(&report.shed);
         }
         registry.add(keys::SERVER_LOAD_SHED, totals.load_sheds);
         registry.add(keys::SERVER_STALL_SWEEPS, totals.stall_sweeps);
@@ -620,19 +540,20 @@ impl AsyncCollectServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::collector::SnapshotCollector;
     use crate::hash::sha256;
     use crate::lzss;
+    use crate::wire::{FrameCodec, Message};
     use racket_types::{
         ApkHash, AppId, FastSnapshot, InstallDelta, InstallId, InstalledApp, PermissionProfile,
         SimTime, Snapshot,
     };
     use std::collections::HashSet;
 
-    const P: ParticipantId = ParticipantId(123_456);
-    const I: InstallId = InstallId(1_000_000_000);
+    pub(crate) const P: ParticipantId = ParticipantId(123_456);
+    pub(crate) const I: InstallId = InstallId(1_000_000_000);
 
     fn test_cfg() -> AsyncServerConfig {
         AsyncServerConfig {
@@ -648,7 +569,7 @@ mod tests {
     }
 
     /// One compressed single-snapshot upload payload, distinct per `t`.
-    fn payload(t: u64) -> Vec<u8> {
+    pub(crate) fn payload(t: u64) -> Vec<u8> {
         let snap = Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
@@ -739,6 +660,30 @@ mod tests {
         assert_eq!(snap.counter(keys::SERVER_STALL_SWEEPS), 0);
     }
 
+    /// Play raw client frames, one send and one service round each,
+    /// through a hand-stepped worker owning a single connection; returns
+    /// the replies in arrival order (`session::tests::drivers_agree`).
+    pub(crate) fn play_worker(core: Arc<ProtocolCore>, script: &[Vec<u8>]) -> Vec<Message> {
+        let mut worker = Worker::new(unbounded().1, Arc::default(), core);
+        let (mut client, server_end) = MemTransport::pair();
+        let conn = Connection::new(server_end, Arc::default(), QUEUE_LIMIT);
+        let token = worker.poller.register(conn);
+        let mut codec = FrameCodec::strict();
+        let mut buf = [0u8; 4096];
+        let mut replies = Vec::new();
+        for frame in script {
+            client.send(frame).unwrap();
+            worker.service(token, 0);
+            while let Ok(n) = client.try_recv(&mut buf) {
+                codec.feed(&buf[..n]);
+            }
+            replies.extend(std::iter::from_fn(|| {
+                codec.try_decode_message().expect("clean link")
+            }));
+        }
+        replies
+    }
+
     #[test]
     fn overflowed_queue_sheds_uploads_without_data_loss() {
         // The worker is stepped by hand, so how far the frame-by-frame
@@ -749,11 +694,11 @@ mod tests {
         // `tests/backpressure.rs` covers what holds either way.)
         let sharded = Arc::new(ShardedIngest::new(4));
         let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
-        let mut worker = Worker::new(unbounded().1, Arc::default(), Arc::clone(&core), 1);
+        let mut worker = Worker::new(unbounded().1, Arc::default(), Arc::clone(&core));
         let (mut client, server_end) = MemTransport::pair();
         let token = worker
             .poller
-            .register(Connection::new(server_end, Arc::default()));
+            .register(Connection::new(server_end, Arc::default(), 1));
         let mut codec = FrameCodec::strict();
         let mut replies = |client: &mut MemTransport| -> Vec<Message> {
             let mut buf = [0u8; 4096];
@@ -829,13 +774,14 @@ mod tests {
         let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
         let stop = Arc::new(AtomicBool::new(false));
         let (intake, rx) = unbounded();
-        let mut worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core), 64);
+        let mut worker = Worker::new(rx, Arc::clone(&stop), Arc::clone(&core));
         worker.idle = IdleStrategy::new(0, TICK);
         let srv = AsyncCollectServer {
             intakes: vec![intake],
             handles: vec![std::thread::spawn(move || worker.run())],
             stop,
             core,
+            queue_limit: QUEUE_LIMIT,
             next: AtomicUsize::new(0),
         };
         let mut conn = srv.connect(FaultPlan::none(), 12);

@@ -15,14 +15,11 @@
 //! └────────┴──────────────┴──────────────────┘
 //! ```
 //!
-//! The leading tag byte doubles as the file-format version marker:
-//! legacy accumulation files are JSON lines and always start with `{`
-//! (0x7B), so [`SnapshotCollector::deserialize_file`] sniffs the first
-//! byte of a file to pick the decoder — old files keep parsing forever,
-//! and a future `0xB2` body layout can ride the same dispatch. All
-//! multi-byte integers are little-endian; `Option` fields are a presence
-//! byte (0/1) followed by the value; `Vec` fields are a `u32` count
-//! followed by the elements.
+//! The leading tag byte doubles as the format version marker: a record
+//! that starts with anything else is refused as corrupt, and a future
+//! `0xB2` body layout can dispatch on it. All multi-byte integers are
+//! little-endian; `Option` fields are a presence byte (0/1) followed by
+//! the value; `Vec` fields are a `u32` count followed by the elements.
 //!
 //! The body starts with a kind byte (0 = fast, 1 = slow) and then the
 //! snapshot fields in declaration order. `Permission` is encoded as its
@@ -33,8 +30,6 @@
 //! Every decoder validates: truncation, unknown tags, out-of-range
 //! discriminants and trailing garbage all return [`DecodeError`], never
 //! panic — the chaos harness feeds this path corrupted payloads.
-//!
-//! [`SnapshotCollector::deserialize_file`]: crate::SnapshotCollector::deserialize_file
 
 use racket_types::{
     AccountId, AccountService, AndroidId, ApkHash, AppId, FastSnapshot, GoogleId, InstallDelta,
@@ -59,8 +54,6 @@ pub enum DecodeError {
     /// A structurally invalid value (unknown tag, bad discriminant,
     /// trailing bytes); the payload names the violation.
     Corrupt(&'static str),
-    /// A legacy JSON-lines file failed to parse.
-    Json(serde_json::Error),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -68,18 +61,11 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "snapshot record truncated"),
             DecodeError::Corrupt(what) => write!(f, "snapshot record corrupt: {what}"),
-            DecodeError::Json(e) => write!(f, "legacy JSON snapshot line: {e:?}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
-
-impl From<serde_json::Error> for DecodeError {
-    fn from(e: serde_json::Error) -> Self {
-        DecodeError::Json(e)
-    }
-}
 
 // ---------------------------------------------------------------- encode
 

@@ -336,22 +336,10 @@ impl SnapshotCollector {
         crate::codec::encode_record(snapshot, out);
     }
 
-    /// Parse an accumulation file back into snapshots.
-    ///
-    /// Format is sniffed from the first byte: current files start with the
-    /// binary record tag ([`crate::codec::TAG_BINARY_V1`]); anything else
-    /// is treated as the legacy JSON-lines format (whose lines start with
-    /// `{`), so files written before the codec switch keep parsing.
+    /// Parse an accumulation file ([`crate::codec`] records back to back)
+    /// into snapshots.
     pub fn deserialize_file(data: &[u8]) -> Result<Vec<Snapshot>, crate::codec::DecodeError> {
-        match data.first() {
-            None => Ok(Vec::new()),
-            Some(&crate::codec::TAG_BINARY_V1) => crate::codec::decode_file(data),
-            Some(_) => data
-                .split(|&b| b == b'\n')
-                .filter(|line| !line.is_empty())
-                .map(|line| serde_json::from_slice(line).map_err(Into::into))
-                .collect(),
-        }
+        crate::codec::decode_file(data)
     }
 }
 
@@ -490,21 +478,6 @@ mod tests {
         let mut file = Vec::new();
         for s in &snaps {
             file.extend_from_slice(&SnapshotCollector::serialize(s));
-        }
-        let back = SnapshotCollector::deserialize_file(&file).unwrap();
-        assert_eq!(back, snaps);
-    }
-
-    #[test]
-    fn legacy_json_lines_files_still_parse() {
-        let d = device();
-        let mut c = collector();
-        let snaps = c.poll(&d, SimTime::from_secs(100));
-        // A file written by the pre-codec implementation: JSON lines.
-        let mut file = Vec::new();
-        for s in &snaps {
-            file.extend_from_slice(&serde_json::to_vec(s).unwrap());
-            file.push(b'\n');
         }
         let back = SnapshotCollector::deserialize_file(&file).unwrap();
         assert_eq!(back, snaps);

@@ -12,18 +12,12 @@
 //! The store is **derived, append-only and lossy by design**: it carries
 //! exactly the fields the analyze stages read (activity columns, per-app
 //! streaming aggregates, account services), never the full protocol
-//! state, and it is rebuilt from records rather than updated in place.
-//! Population happens either in batch ([`ColumnarSnapshots::from_records`]
-//! over [`ShardedIngest::into_records`] output — see
-//! [`ShardedIngest::columnarize`]) or incrementally
-//! ([`ColumnarSnapshots::adopt`] per record at the study's assembly fold
-//! point, where records are already merged and sorted). Both produce
-//! identical stores for identical record sequences; adopting records in
-//! ascending-install order is what makes dictionary codes deterministic
-//! run to run.
+//! state, and it is rebuilt from records rather than updated in place:
+//! [`ColumnarSnapshots::from_records`] over
+//! [`crate::ShardedIngest::into_records`] output, whose ascending-install
+//! order is what makes dictionary codes deterministic run to run.
 
 use crate::server::InstallRecord;
-use crate::shard::ShardedIngest;
 use racket_columnar::Dict;
 use racket_types::{AccountService, AppId, GoogleId, InstallId, ParticipantId, Rating, SimTime};
 
@@ -123,41 +117,31 @@ pub struct AppEntry {
 }
 
 impl ColumnarSnapshots {
-    /// An empty store (zero installs; `adopt` to populate).
-    pub fn new() -> ColumnarSnapshots {
+    /// Build the store from merged records, in the given order.
+    ///
+    /// Callers that need deterministic dictionary codes pass records in
+    /// ascending-install order ([`crate::ShardedIngest::into_records`]
+    /// already does).
+    ///
+    /// # Panics
+    /// If an install appears twice (a record must be fully merged before
+    /// it is projected), or if a dictionary or offset column would
+    /// overflow `u32`.
+    pub fn from_records(records: &[InstallRecord]) -> ColumnarSnapshots {
         let mut s = ColumnarSnapshots::default();
         s.app_offsets.push(0);
         s.account_offsets.push(0);
         s.ev_offsets.push(0);
         s.rev_offsets.push(0);
         s.rev_text_offsets.push(0);
-        s
-    }
-
-    /// Batch population: adopt every record in the given order.
-    ///
-    /// Callers that need deterministic dictionary codes pass records in
-    /// ascending-install order ([`ShardedIngest::into_records`] already
-    /// does).
-    pub fn from_records(records: &[InstallRecord]) -> ColumnarSnapshots {
-        let mut s = ColumnarSnapshots::new();
         for r in records {
             s.adopt(r);
         }
         s
     }
 
-    /// Incremental population: append one merged install record's columns.
-    ///
-    /// This is the streaming fold point — the study's assembly loop calls
-    /// it once per coalesced record, right where the per-device streaming
-    /// state is folded.
-    ///
-    /// # Panics
-    /// If the install was already adopted (the store is append-only; a
-    /// record must be fully merged before adoption), or if a dictionary
-    /// or offset column would overflow `u32`.
-    pub fn adopt(&mut self, r: &InstallRecord) {
+    /// Append one merged install record's columns.
+    fn adopt(&mut self, r: &InstallRecord) {
         let code = self.installs.encode(r.install_id);
         assert_eq!(
             code as usize,
@@ -375,19 +359,10 @@ impl ColumnarSnapshots {
     }
 }
 
-impl ShardedIngest {
-    /// Drain the store into its canonical record vector *and* the
-    /// columnar projection built from it — the batch population path.
-    pub fn columnarize(self) -> (Vec<InstallRecord>, ColumnarSnapshots) {
-        let records = self.into_records();
-        let columnar = ColumnarSnapshots::from_records(&records);
-        (records, columnar)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedIngest;
     use racket_types::{
         ApkHash, FastSnapshot, InstallDelta, InstalledApp, PermissionProfile, ReviewEvent, SimTime,
         SlowSnapshot, Snapshot,
@@ -438,7 +413,8 @@ mod tests {
         })
     }
 
-    fn ingest_fixture() -> ShardedIngest {
+    /// Two installs' records, drained in canonical order, and their store.
+    fn fixture() -> (Vec<InstallRecord>, ColumnarSnapshots) {
         let ingest = ShardedIngest::new(4);
         ingest.ingest(&snap(2_000_000_001, 10, None, vec![AppId(7), AppId(3)]));
         ingest.ingest(&snap(2_000_000_001, 86_410, Some(AppId(7)), vec![]));
@@ -459,12 +435,14 @@ mod tests {
             60,
             vec![review(AppId(3), 77, 55, 4, "good app overall")],
         ));
-        ingest
+        let records = ingest.into_records();
+        let columnar = ColumnarSnapshots::from_records(&records);
+        (records, columnar)
     }
 
     #[test]
-    fn columnarize_matches_per_record_adoption() {
-        let (records, columnar) = ingest_fixture().columnarize();
+    fn columns_mirror_the_records() {
+        let (records, columnar) = fixture();
         assert_eq!(records.len(), 2);
         assert_eq!(columnar.n_installs(), 2);
         // Records come back ascending by install id; codes follow.
@@ -506,7 +484,7 @@ mod tests {
     /// batch side of the batch ≡ incremental contract, at the unit level.
     #[test]
     fn event_columns_rebuild_the_streaming_sketch() {
-        let (records, columnar) = ingest_fixture().columnarize();
+        let (records, columnar) = fixture();
         for (code, r) in records.iter().enumerate() {
             let mut rebuilt = racket_campaign::CampaignSketch::default();
             for (app, t) in columnar.install_events_of(code as u32) {
@@ -522,7 +500,7 @@ mod tests {
     /// the unit-level half of the streaming ≡ batch text contract.
     #[test]
     fn review_columns_rebuild_the_streaming_text_sketch() {
-        let (records, columnar) = ingest_fixture().columnarize();
+        let (records, columnar) = fixture();
         for (code, r) in records.iter().enumerate() {
             let mut rebuilt = racket_text::TextSketch::default();
             for e in columnar.reviews_of(code as u32) {
@@ -540,40 +518,15 @@ mod tests {
     }
 
     #[test]
-    fn incremental_adoption_equals_batch() {
-        let records = ingest_fixture().into_records();
-        let batch = ColumnarSnapshots::from_records(&records);
-        let mut incremental = ColumnarSnapshots::new();
-        for r in &records {
-            incremental.adopt(r);
-        }
-        assert_eq!(incremental.n_installs(), batch.n_installs());
-        assert_eq!(incremental.n_apps(), batch.n_apps());
-        assert_eq!(incremental.n_app_entries(), batch.n_app_entries());
-        for code in 0..batch.n_installs() as u32 {
-            assert_eq!(incremental.install_id(code), batch.install_id(code));
-            let a: Vec<AppEntry> = incremental.apps_of(code).collect();
-            let b: Vec<AppEntry> = batch.apps_of(code).collect();
-            assert_eq!(a, b);
-            let ra: Vec<ReviewEntry> = incremental.reviews_of(code).collect();
-            let rb: Vec<ReviewEntry> = batch.reviews_of(code).collect();
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(incremental.n_review_events(), batch.n_review_events());
-    }
-
-    #[test]
     #[should_panic(expected = "install adopted twice")]
-    fn double_adoption_rejected() {
-        let records = ingest_fixture().into_records();
-        let mut s = ColumnarSnapshots::new();
-        s.adopt(&records[0]);
-        s.adopt(&records[0]);
+    fn a_repeated_install_is_rejected() {
+        let (records, _) = fixture();
+        ColumnarSnapshots::from_records(&[records[0].clone(), records[0].clone()]);
     }
 
     #[test]
     fn empty_store_is_well_formed() {
-        let s = ColumnarSnapshots::new();
+        let s = ColumnarSnapshots::from_records(&[]);
         assert_eq!(s.n_installs(), 0);
         assert_eq!(s.n_apps(), 0);
         assert_eq!(s.n_app_entries(), 0);

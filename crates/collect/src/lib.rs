@@ -9,7 +9,7 @@
 //!   deleted only once the server acknowledges the upload with a matching
 //!   content hash;
 //! * [`codec`] — the compact, version-tagged binary record format those
-//!   accumulation files use (legacy JSON-lines files still parse);
+//!   accumulation files use;
 //! * [`hash`] — SHA-256 (upload acknowledgement), MD5 (apk hashes) and
 //!   CRC32 (frame checksums), all implemented in-crate and pinned against
 //!   published test vectors;
@@ -22,17 +22,20 @@
 //!   drive;
 //! * [`retry`] — the client-side retry/backoff state machine:
 //!   [`retry::WireLane`] runs one device's protocol session over a
-//!   (possibly fault-injected) loopback link with bounded exponential
-//!   backoff, reconnect-and-resume, and exactly-once delivery via the
-//!   server's idempotent ingest;
+//!   (possibly fault-injected) link with bounded exponential backoff,
+//!   reconnect-and-resume, and exactly-once delivery via the server's
+//!   idempotent ingest; a loopback lane also steps the server half of
+//!   its link inline;
 //! * [`server`] — the server side of the protocol as one sans-IO core
 //!   ([`ProtocolCore`]; the contract is `PROTOCOL.md` §6) and the
-//!   per-install aggregate it folds into;
-//! * [`async_server`] — the reactor-driven driver of that core:
-//!   thread-per-core workers multiplexing thousands of connections over
-//!   [`racket_reactor`] readiness polling, with bounded per-connection
-//!   queues, load-shedding admission control and server-side stall
-//!   sweeps (the million-device scale path; see `ARCHITECTURE.md` §8);
+//!   per-install aggregate it folds into; the private `session` module
+//!   is the per-connection half of the same contract (decode, bounded
+//!   admission with its 429 shed, reply numbering), owned by every
+//!   driver;
+//! * [`async_server`] — the reactor-driven driver: thread-per-core
+//!   workers multiplexing thousands of connections over
+//!   [`racket_reactor`] readiness polling, with server-side stall sweeps
+//!   (the million-device scale path; see `ARCHITECTURE.md` §8);
 //! * [`shard`] — the one record table: per-install records spread over
 //!   independently locked shards so batches from different devices
 //!   ingest concurrently on every collection path;
@@ -56,6 +59,7 @@ pub mod hash;
 pub mod lzss;
 pub mod retry;
 pub mod server;
+mod session;
 pub mod shard;
 pub mod stream;
 pub mod transport;
@@ -68,7 +72,7 @@ pub use collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
 pub use columnar::{AppEntry, ColumnarSnapshots, NEVER_UNINSTALLED};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
 pub use hash::{crc32, md5, sha256};
-pub use retry::{RetryPolicy, RetryStats, WireLane};
+pub use retry::{RetryStats, WireLane};
 pub use server::{CollectionServer, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
 pub use stream::{AppStream, StreamAggregates};

@@ -33,9 +33,10 @@
 //! construction):
 //!
 //! * **Loopback** ([`WireLane::new`]) — the lane owns both transport
-//!   endpoints and pumps the server side inline through a caller-supplied
-//!   handler closure. Fully deterministic, no threads; the original
-//!   synchronous study path.
+//!   endpoints and the server half of the connection (a `Session` over
+//!   the shared [`ProtocolCore`]), which it steps inline after every
+//!   send: a one-connection worker without a thread. Fully deterministic;
+//!   the synchronous study path.
 //! * **Async** ([`WireLane::new_async`]) — the lane owns only the client
 //!   half of an [`AsyncConn`] from
 //!   [`crate::async_server::AsyncCollectServer::connect`]; replies are
@@ -46,9 +47,12 @@
 
 use crate::async_server::AsyncConn;
 use crate::buffer::{DataBuffer, StageTimers};
+use crate::server::ProtocolCore;
+use crate::session::{Session, QUEUE_LIMIT};
 use crate::transport::{splitmix64, FaultPlan, MemTransport, Transport};
 use crate::wire::{self, FrameCodec, Message};
 use racket_types::{FaultCounters, InstallId, ParticipantId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Salt separating the server endpoint's fault RNG stream from the
@@ -66,37 +70,21 @@ const ASYNC_REPLY_BASE_MS: u64 = 4;
 /// Async backend: ceiling on any single reply deadline, in milliseconds.
 const ASYNC_REPLY_CAP_MS: u64 = 64;
 
-/// Bounded exponential backoff configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Transmissions attempted per exchange before giving up.
-    pub max_attempts: u32,
-    /// Delay before the first retry, in milliseconds.
-    pub base_backoff_ms: u64,
-    /// Ceiling on any single delay, in milliseconds.
-    pub max_backoff_ms: u64,
-    /// Jitter width as a fraction of the delay: the sampled delay is
-    /// uniform in `delay * [1 - jitter/2, 1 + jitter/2]`.
-    pub jitter: f64,
-    /// Timeout escalation: after this many consecutive attempts with no
-    /// matching reply, tear the connection down and resume fresh. This is
-    /// what recovers from a *silently* wedged stream — e.g. a corrupted
-    /// length field leaves the peer's decoder waiting for bytes that never
-    /// come, which produces timeouts but no decode error. Must be ≥ 1.
-    pub reconnect_after: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 16,
-            base_backoff_ms: 40,
-            max_backoff_ms: 5_000,
-            jitter: 0.5,
-            reconnect_after: 4,
-        }
-    }
-}
+/// Transmissions attempted per exchange before giving up.
+const MAX_ATTEMPTS: u32 = 16;
+/// Delay before the first retry, in milliseconds; doubles per retry.
+const BASE_BACKOFF_MS: u64 = 40;
+/// Ceiling on any single delay, in milliseconds.
+const MAX_BACKOFF_MS: u64 = 5_000;
+/// Jitter width as a fraction of the delay: the sampled delay is uniform
+/// in `delay * [1 - JITTER/2, 1 + JITTER/2]`.
+const JITTER: f64 = 0.5;
+/// Timeout escalation: after this many consecutive attempts with no
+/// matching reply, tear the connection down and resume fresh. This is
+/// what recovers from a *silently* wedged stream — e.g. a corrupted
+/// length field leaves the peer's decoder waiting for bytes that never
+/// come, which produces timeouts but no decode error.
+const RECONNECT_AFTER: u32 = 4;
 
 /// Counters describing one lane's retry behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,14 +131,18 @@ impl RetryStats {
 /// differ. The equivalence is enforced end-to-end by
 /// `tests/async_equivalence.rs`.
 enum LaneBackend {
-    /// The lane owns both endpoints of an in-memory pair and pumps the
-    /// server side inline through a handler closure (the deterministic,
+    /// The lane owns both endpoints of an in-memory pair and the server
+    /// half of the connection, stepped inline (the deterministic,
     /// thread-free study path).
     Loopback {
         client: MemTransport,
         server_end: MemTransport,
-        server_codec: FrameCodec,
-        server_seq: u32,
+        /// Boxed so an async lane does not carry a loopback lane's size.
+        session: Box<Session>,
+        core: Arc<ProtocolCore>,
+        /// Pooled inflate scratch (what a reactor worker owns on the
+        /// async path).
+        scratch: Vec<u8>,
     },
     /// The lane owns the client half of an async-plane connection; the
     /// server half lives on a reactor worker thread.
@@ -160,21 +152,18 @@ enum LaneBackend {
 /// One device's protocol session over a fault-injected link.
 ///
 /// With the loopback backend the lane owns both transport endpoints — the
-/// study driver is an in-process simulation, so the "server side" of the
-/// pipe is pumped by a caller-supplied handler closure
-/// (`FnMut(Message) -> Option<Message>`, normally
-/// `|m| core.handle(m, &mut scratch)`); replies travel back through the same
-/// fault layer. Both directions get independent seeded fault streams
-/// derived from the lane seed. With the async backend the handler is
-/// unused (the async plane's workers handle messages) and replies are
-/// awaited with escalating deadlines.
+/// study driver is an in-process simulation, so the lane itself steps the
+/// server half of the pipe against the shared [`ProtocolCore`]; replies
+/// travel back through the same fault layer. Both directions get
+/// independent seeded fault streams derived from the lane seed. With the
+/// async backend the async plane's workers own the server half and
+/// replies are awaited with escalating deadlines.
 pub struct WireLane {
     backend: LaneBackend,
     client_codec: FrameCodec,
     client_seq: u32,
     install: InstallId,
     participant: ParticipantId,
-    policy: RetryPolicy,
     /// SplitMix64 state for backoff jitter.
     jitter_rng: u64,
     stats: RetryStats,
@@ -188,36 +177,28 @@ pub struct WireLane {
 }
 
 impl WireLane {
-    /// Create a connected lane. `plan` is installed on both directions
-    /// with independent RNG streams derived from `seed`; pass
-    /// [`FaultPlan::none`] for a clean link.
+    /// Create a connected lane whose server half answers from `core`.
+    /// `plan` is installed on both directions with independent RNG
+    /// streams derived from `seed`; pass [`FaultPlan::none`] for a clean
+    /// link.
     pub fn new(
         install: InstallId,
         participant: ParticipantId,
         plan: FaultPlan,
-        policy: RetryPolicy,
         seed: u64,
+        core: Arc<ProtocolCore>,
     ) -> Self {
         let (mut client, mut server_end) = MemTransport::pair();
         client.inject_faults(plan, seed);
         server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
-        WireLane {
-            backend: LaneBackend::Loopback {
-                client,
-                server_end,
-                server_codec: FrameCodec::strict(),
-                server_seq: 0,
-            },
-            client_codec: FrameCodec::strict(),
-            client_seq: 0,
-            install,
-            participant,
-            policy,
-            jitter_rng: seed ^ JITTER_SALT,
-            stats: RetryStats::default(),
-            frame_buf: Vec::new(),
-            timers: StageTimers::default(),
-        }
+        let backend = LaneBackend::Loopback {
+            client,
+            server_end,
+            session: Box::new(Session::strict(QUEUE_LIMIT)),
+            core,
+            scratch: Vec::new(),
+        };
+        Self::over(backend, install, participant, seed)
     }
 
     /// Create a lane over an async-plane connection (from
@@ -228,17 +209,24 @@ impl WireLane {
     pub fn new_async(
         install: InstallId,
         participant: ParticipantId,
-        policy: RetryPolicy,
         seed: u64,
         conn: AsyncConn,
     ) -> Self {
+        Self::over(LaneBackend::Async { conn }, install, participant, seed)
+    }
+
+    fn over(
+        backend: LaneBackend,
+        install: InstallId,
+        participant: ParticipantId,
+        seed: u64,
+    ) -> Self {
         WireLane {
-            backend: LaneBackend::Async { conn },
+            backend,
             client_codec: FrameCodec::strict(),
             client_seq: 0,
             install,
             participant,
-            policy,
             jitter_rng: seed ^ JITTER_SALT,
             stats: RetryStats::default(),
             frame_buf: Vec::new(),
@@ -253,8 +241,8 @@ impl WireLane {
     pub fn stats(&self) -> RetryStats {
         let mut s = self.stats;
         s.stale_frames += self.client_codec.stale_discards();
-        if let LaneBackend::Loopback { server_codec, .. } = &self.backend {
-            s.stale_frames += server_codec.stale_discards();
+        if let LaneBackend::Loopback { session, .. } = &self.backend {
+            s.stale_frames += session.stale_discards();
         }
         s
     }
@@ -278,16 +266,13 @@ impl WireLane {
 
     /// Sign in (with retries). Returns the server's verdict, or `None` if
     /// the exchange exhausted its retry budget.
-    pub fn sign_in(
-        &mut self,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> Option<bool> {
+    pub fn sign_in(&mut self) -> Option<bool> {
         let msg = Message::SignIn {
             participant: self.participant,
             install: self.install,
         };
         let encode = |seq: u32, out: &mut Vec<u8>| msg.encode_seq_into(seq, out);
-        match self.request(encode, handler, |m| matches!(m, Message::SignInAck { .. }))? {
+        match self.request(encode, |m| matches!(m, Message::SignInAck { .. }))? {
             Message::SignInAck { accepted } => Some(accepted),
             _ => unreachable!("matcher admits only SignInAck"),
         }
@@ -298,11 +283,7 @@ impl WireLane {
     /// Returns compressed bytes transmitted, retransmissions included.
     /// Files whose retry budget is exhausted stay queued — a later call
     /// (next delivery tick or the final flush) resumes them.
-    pub fn upload_pending(
-        &mut self,
-        buffer: &mut DataBuffer,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> u64 {
+    pub fn upload_pending(&mut self, buffer: &mut DataBuffer) -> u64 {
         let mut bytes = 0u64;
         // Ids only — payloads stay in the buffer's queue and are borrowed
         // in place per transmission, never cloned into an owned message.
@@ -310,7 +291,7 @@ impl WireLane {
         for file_id in ids {
             let len = buffer.file(file_id).map_or(0, |f| f.data.len() as u64);
             let before = self.stats.attempts;
-            let acked = self.upload_file(file_id, buffer, handler);
+            let acked = self.upload_file(file_id, buffer);
             bytes += len * (self.stats.attempts - before);
             if acked {
                 self.stats.files_acked += 1;
@@ -320,16 +301,11 @@ impl WireLane {
     }
 
     /// Upload one file until acknowledged with a matching hash.
-    fn upload_file(
-        &mut self,
-        file_id: u64,
-        buffer: &mut DataBuffer,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-    ) -> bool {
+    fn upload_file(&mut self, file_id: u64, buffer: &mut DataBuffer) -> bool {
         let install = self.install;
         // Outer loop: hash-mismatch rounds (an ack that fails the content
         // comparison keeps the file queued; §3's retransmission rule).
-        for _ in 0..self.policy.max_attempts {
+        for _ in 0..MAX_ATTEMPTS {
             let Some(file) = buffer.file(file_id) else {
                 return false; // already acknowledged (stale ack raced us)
             };
@@ -342,7 +318,7 @@ impl WireLane {
             let Some(Message::UploadAck {
                 file_id: acked_id,
                 sha256,
-            }) = self.request(encode, handler, want)
+            }) = self.request(encode, want)
             else {
                 return false; // budget exhausted
             };
@@ -367,10 +343,9 @@ impl WireLane {
     fn request(
         &mut self,
         encode: impl Fn(u32, &mut Vec<u8>),
-        handler: &mut impl FnMut(Message) -> Option<Message>,
         matcher: impl Fn(&Message) -> bool,
     ) -> Option<Message> {
-        for attempt in 1..=self.policy.max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             self.stats.attempts += 1;
             if attempt > 1 {
                 self.stats.retries += 1;
@@ -392,7 +367,7 @@ impl WireLane {
                 self.reconnect();
                 continue;
             }
-            match self.exchange_replies(handler, attempt) {
+            match self.exchange_replies(attempt) {
                 Err(()) => {
                     self.reconnect();
                     continue;
@@ -407,7 +382,7 @@ impl WireLane {
             // Timeout escalation: repeated silent attempts suggest a
             // wedged stream (e.g. a corrupted length field has the peer's
             // decoder waiting forever) — reconnect rather than feed it.
-            if attempt % self.policy.reconnect_after.max(1) == 0 {
+            if attempt % RECONNECT_AFTER == 0 {
                 self.reconnect();
             }
         }
@@ -415,16 +390,12 @@ impl WireLane {
         None
     }
 
-    /// Move the exchange forward after a send: on loopback, pump the
-    /// server side through the handler and drain its replies; on async,
-    /// await replies up to a per-attempt escalating deadline. Returns the
-    /// decoded replies (possibly none — loss or stall); `Err` means a
-    /// poisoned frame stream or a reset link (the caller reconnects).
-    fn exchange_replies(
-        &mut self,
-        handler: &mut impl FnMut(Message) -> Option<Message>,
-        attempt: u32,
-    ) -> Result<Vec<Message>, ()> {
+    /// Move the exchange forward after a send: on loopback, step the
+    /// server half and drain its replies; on async, await replies up to a
+    /// per-attempt escalating deadline. Returns the decoded replies
+    /// (possibly none — loss or stall); `Err` means a poisoned frame
+    /// stream or a reset link (the caller reconnects).
+    fn exchange_replies(&mut self, attempt: u32) -> Result<Vec<Message>, ()> {
         let WireLane {
             backend,
             client_codec,
@@ -436,48 +407,33 @@ impl WireLane {
             LaneBackend::Loopback {
                 client,
                 server_end,
-                server_codec,
-                server_seq,
+                session,
+                core,
+                scratch,
             } => {
-                // Deliver buffered client→server bytes to the handler and
-                // send its replies back through the fault layer.
-                loop {
-                    match server_end.try_recv(&mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => server_codec.feed(&buf[..n]),
-                        Err(_) => break, // WouldBlock: drained
-                    }
+                // One service round of the server half over whatever the
+                // fault layer let through; its replies go back through
+                // the fault layer too.
+                while let Ok(n @ 1..) = server_end.try_recv(&mut buf) {
+                    session.feed(&buf[..n]);
                 }
-                loop {
-                    match server_codec.try_decode_message() {
-                        Ok(None) => break,
-                        Ok(Some(msg)) => {
-                            if let Some(reply) = handler(msg) {
-                                let seq = *server_seq;
-                                *server_seq += 1;
-                                if server_end.send(&reply.encode_seq(seq)).is_err() {
-                                    return Err(());
-                                }
-                            }
-                        }
-                        Err(_) => return Err(()),
+                let mut reply_sent = Ok(());
+                let served = session.service(core, scratch, usize::MAX, |frame| {
+                    if reply_sent.is_ok() {
+                        reply_sent = server_end.send(frame);
                     }
+                });
+                // A poisoned stream is recovered from this end: the
+                // client reconnects, which retires both sequence spaces.
+                if served.poisoned || reply_sent.is_err() {
+                    return Err(());
                 }
                 // Drain everything waiting on the client side.
-                loop {
-                    match client.try_recv(&mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => client_codec.feed(&buf[..n]),
-                        Err(_) => break, // WouldBlock: drained
-                    }
+                while let Ok(n @ 1..) = client.try_recv(&mut buf) {
+                    client_codec.feed(&buf[..n]);
                 }
-                loop {
-                    match client_codec.try_decode_message() {
-                        Ok(None) => return Ok(msgs),
-                        Ok(Some(m)) => msgs.push(m),
-                        Err(_) => return Err(()),
-                    }
-                }
+                decode_all(client_codec, &mut msgs)?;
+                Ok(msgs)
             }
             LaneBackend::Async { conn } => {
                 // Await replies from the worker thread. The deadline
@@ -490,13 +446,7 @@ impl WireLane {
                     .min(ASYNC_REPLY_CAP_MS);
                 let deadline = Instant::now() + Duration::from_millis(wait_ms);
                 loop {
-                    loop {
-                        match client_codec.try_decode_message() {
-                            Ok(None) => break,
-                            Ok(Some(m)) => msgs.push(m),
-                            Err(_) => return Err(()),
-                        }
-                    }
+                    decode_all(client_codec, &mut msgs)?;
                     if !msgs.is_empty() {
                         return Ok(msgs);
                     }
@@ -522,23 +472,20 @@ impl WireLane {
     /// worker retires its half of the sequence space in step.
     fn reconnect(&mut self) {
         self.stats.reconnects += 1;
-        self.stats.stale_frames += self.client_codec.stale_discards();
         match &mut self.backend {
             LaneBackend::Loopback {
                 client,
                 server_end,
-                server_codec,
-                server_seq,
+                session,
+                ..
             } => {
-                self.stats.stale_frames += server_codec.stale_discards();
                 client.purge();
                 server_end.purge();
-                *server_codec = FrameCodec::strict();
-                *server_seq = 0;
+                session.reset();
             }
             LaneBackend::Async { conn } => conn.request_reset(),
         }
-        self.client_codec = FrameCodec::strict();
+        self.client_codec.reset();
         self.client_seq = 0;
     }
 
@@ -548,22 +495,29 @@ impl WireLane {
     /// have waited.
     fn backoff_delay_ms(&mut self, nth_retry: u32) -> u64 {
         let exp = nth_retry.saturating_sub(1).min(20);
-        let raw = self
-            .policy
-            .base_backoff_ms
+        let raw = BASE_BACKOFF_MS
             .saturating_mul(1u64 << exp)
-            .min(self.policy.max_backoff_ms);
+            .min(MAX_BACKOFF_MS);
         let u = (splitmix64(&mut self.jitter_rng) >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 - self.policy.jitter / 2.0 + self.policy.jitter * u;
+        let factor = 1.0 - JITTER / 2.0 + JITTER * u;
         ((raw as f64 * factor).round() as u64).max(1)
     }
 }
 
+/// Decode every complete reply buffered in `codec` onto `msgs`; `Err` is
+/// a poisoned stream.
+fn decode_all(codec: &mut FrameCodec, msgs: &mut Vec<Message>) -> Result<(), ()> {
+    while let Some(msg) = codec.try_decode_message().map_err(drop)? {
+        msgs.push(msg);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::collector::{CollectorConfig, SnapshotCollector};
-    use crate::server::CollectionServer;
+    use crate::shard::ShardedIngest;
     use racket_device::{Device, DeviceModel};
     use racket_types::{AndroidId, ApkHash, AppId, DeviceId, PermissionProfile, SimTime};
 
@@ -597,14 +551,37 @@ mod tests {
         (buffer, n_snapshots)
     }
 
+    /// A loopback lane and the core + store its server half answers from.
+    fn loopback(plan: FaultPlan, seed: u64) -> (WireLane, Arc<ProtocolCore>, Arc<ShardedIngest>) {
+        let store = Arc::new(ShardedIngest::new(4));
+        let core = Arc::new(ProtocolCore::new([P], Arc::clone(&store)));
+        let lane = WireLane::new(I, P, plan, seed, Arc::clone(&core));
+        (lane, core, store)
+    }
+
+    /// Play raw client frames, one send and one server step each, through
+    /// a loopback lane's own transports; returns the replies in arrival
+    /// order (`session::tests::drivers_agree`).
+    pub(crate) fn play_loopback(core: Arc<ProtocolCore>, script: &[Vec<u8>]) -> Vec<Message> {
+        let mut lane = WireLane::new(I, P, FaultPlan::none(), 1, core);
+        let mut replies = Vec::new();
+        for frame in script {
+            let LaneBackend::Loopback { client, .. } = &mut lane.backend else {
+                unreachable!("WireLane::new builds a loopback lane")
+            };
+            client.send(frame).unwrap();
+            replies.extend(lane.exchange_replies(1).expect("clean link"));
+        }
+        replies
+    }
+
     #[test]
     fn clean_lane_uploads_without_retries() {
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::none(), RetryPolicy::default(), 1);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (mut lane, server, _store) = loopback(FaultPlan::none(), 1);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
-        let bytes = lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+        let bytes = lane.upload_pending(&mut buffer);
         assert_eq!(buffer.pending_count(), 0);
         assert!(bytes > 0);
         let s = lane.stats();
@@ -619,15 +596,14 @@ mod tests {
 
     #[test]
     fn hostile_lane_delivers_every_snapshot_exactly_once() {
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::hostile(), RetryPolicy::default(), 2021);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (mut lane, server, store) = loopback(FaultPlan::hostile(), 2021);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         // Keep calling until drained (exhausted files resume, like the
         // study's delivery ticks + final flush).
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -640,7 +616,7 @@ mod tests {
         // The recovery guarantee: exactly-once ingestion despite replays.
         assert_eq!(server.stats().snapshots, n_snapshots);
         assert_eq!(server.stats().files, n_files);
-        let rec = server.record(I).expect("record");
+        let rec = store.record(I).expect("record");
         assert_eq!(rec.n_fast + rec.n_slow, n_snapshots);
     }
 
@@ -649,12 +625,11 @@ mod tests {
         // Faults on the ack direction only would be ideal; with the plan
         // on both directions and a fixed seed, drops still hit acks and
         // the server must re-ack replayed files without re-ingesting.
-        let mut server = CollectionServer::new([P]);
-        let mut lane = WireLane::new(I, P, FaultPlan::drops(), RetryPolicy::default(), 7);
-        assert_eq!(lane.sign_in(&mut |m| server.handle(m)), Some(true));
+        let (mut lane, server, _store) = loopback(FaultPlan::drops(), 7);
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut |m| server.handle(m));
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -676,37 +651,32 @@ mod tests {
         seed: u64,
     ) -> (
         crate::async_server::AsyncCollectServer,
-        std::sync::Arc<crate::shard::ShardedIngest>,
+        Arc<ShardedIngest>,
         WireLane,
     ) {
         use crate::async_server::{AsyncCollectServer, AsyncServerConfig};
-        let sharded = std::sync::Arc::new(crate::shard::ShardedIngest::new(4));
+        let sharded = Arc::new(ShardedIngest::new(4));
         let srv = AsyncCollectServer::start(
             [P],
-            std::sync::Arc::clone(&sharded),
+            Arc::clone(&sharded),
             AsyncServerConfig {
                 workers: 1,
                 ..AsyncServerConfig::default()
             },
         );
         let conn = srv.connect(plan, seed);
-        let lane = WireLane::new_async(I, P, RetryPolicy::default(), seed, conn);
+        let lane = WireLane::new_async(I, P, seed, conn);
         (srv, sharded, lane)
-    }
-
-    /// The handler is unused on the async backend; the worker replies.
-    fn no_handler(_: Message) -> Option<Message> {
-        unreachable!("async lanes never invoke the loopback handler")
     }
 
     #[test]
     fn clean_async_lane_delivers_through_the_worker() {
         let (srv, sharded, mut lane) = start_async(FaultPlan::none(), 11);
-        assert_eq!(lane.sign_in(&mut no_handler), Some(true));
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         for _ in 0..10 {
-            lane.upload_pending(&mut buffer, &mut no_handler);
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -723,11 +693,11 @@ mod tests {
     #[test]
     fn hostile_async_lane_delivers_every_snapshot_exactly_once() {
         let (srv, sharded, mut lane) = start_async(FaultPlan::hostile(), 2021);
-        assert_eq!(lane.sign_in(&mut no_handler), Some(true));
+        assert_eq!(lane.sign_in(), Some(true));
         let (mut buffer, n_snapshots) = loaded_buffer();
         let n_files = buffer.pending_count() as u64;
         for _ in 0..20 {
-            lane.upload_pending(&mut buffer, &mut no_handler);
+            lane.upload_pending(&mut buffer);
             if buffer.pending_count() == 0 {
                 break;
             }
@@ -745,30 +715,29 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_is_capped() {
-        let mut lane = WireLane::new(
-            I,
-            P,
-            FaultPlan::none(),
-            RetryPolicy {
-                max_attempts: 16,
-                base_backoff_ms: 100,
-                max_backoff_ms: 1_000,
-                jitter: 0.0,
-                reconnect_after: 4,
-            },
-            9,
-        );
-        assert_eq!(lane.backoff_delay_ms(1), 100);
-        assert_eq!(lane.backoff_delay_ms(2), 200);
-        assert_eq!(lane.backoff_delay_ms(3), 400);
-        assert_eq!(lane.backoff_delay_ms(5), 1_000, "capped at max");
-        assert_eq!(lane.backoff_delay_ms(12), 1_000);
+        let (mut lane, ..) = loopback(FaultPlan::none(), 9);
+        // The n-th retry waits BASE · 2^(n-1), capped, within the jitter
+        // band around it.
+        let mut band = |nth: u32, raw: u64| {
+            let delay = lane.backoff_delay_ms(nth) as f64;
+            let half = raw as f64 * JITTER / 2.0;
+            assert!(
+                (raw as f64 - half..=raw as f64 + half).contains(&delay),
+                "retry {nth}: {delay} ms outside {raw} ± {half}"
+            );
+        };
+        band(1, BASE_BACKOFF_MS);
+        band(2, 2 * BASE_BACKOFF_MS);
+        band(3, 4 * BASE_BACKOFF_MS);
+        band(8, MAX_BACKOFF_MS);
+        band(12, MAX_BACKOFF_MS);
+        band(MAX_ATTEMPTS, MAX_BACKOFF_MS);
     }
 
     #[test]
     fn backoff_jitter_is_deterministic_per_seed() {
         let delays = |seed: u64| {
-            let mut lane = WireLane::new(I, P, FaultPlan::none(), RetryPolicy::default(), seed);
+            let (mut lane, ..) = loopback(FaultPlan::none(), seed);
             (1..8).map(|n| lane.backoff_delay_ms(n)).collect::<Vec<_>>()
         };
         assert_eq!(delays(5), delays(5));

@@ -4,9 +4,11 @@
 //! * [`ProtocolCore`] is the *only* implementation of the server's
 //!   message → reply decision — sign-in gate, content-hash ack, replay
 //!   dedup, inflate cap, single-install rule. The contract is stated once,
-//!   in `PROTOCOL.md` §6. Every driver calls it: the async plane's reactor
-//!   workers ([`crate::async_server`]), the loopback lanes of the study
-//!   driver ([`crate::retry::WireLane`]), and the blocking TCP driver
+//!   in `PROTOCOL.md` §6. Every driver reaches it through its
+//!   connection's `Session` (`session.rs`, the bytes → messages → replies
+//!   half of the same section): the async plane's reactor workers
+//!   ([`crate::async_server`]), the loopback lanes of the study driver
+//!   ([`crate::retry::WireLane`]), and the blocking TCP driver
 //!   ([`CollectionServer::serve_tcp`]).
 //! * [`InstallRecord`] is the per-install aggregate the measurement and
 //!   feature pipelines read (the real backend inserted snapshots into
@@ -19,9 +21,10 @@ use crate::buffer::FAST_ROTATE_BYTES;
 use crate::collector::SnapshotCollector;
 use crate::hash::sha256;
 use crate::lzss;
+use crate::session::{Session, QUEUE_LIMIT};
 use crate::shard::ShardedIngest;
 use crate::stream::StreamAggregates;
-use crate::wire::{FrameCodec, Message};
+use crate::wire::Message;
 use parking_lot::Mutex;
 use racket_types::{
     AndroidId, AppId, InstallDelta, InstallId, InstalledApp, ParticipantId, RegisteredAccount,
@@ -446,26 +449,32 @@ impl CollectionServer {
     /// Serve the wire protocol on a TCP listener until the listener errors
     /// or `max_connections` clients have been handled (tests bound this;
     /// pass `usize::MAX` to serve forever). One blocking thread per
-    /// connection, each with its own codec and inflate scratch; the
-    /// threads share only the core.
+    /// connection — read, feed its `Session`, write the replies — each
+    /// with its own inflate scratch; the threads share only the core. A
+    /// stream that fails to decode closes its connection.
     pub fn serve_tcp(
         &self,
         listener: std::net::TcpListener,
         max_connections: usize,
     ) -> std::io::Result<()> {
-        use crate::transport::{recv_message, TcpTransport, Transport};
+        use crate::transport::{TcpTransport, Transport};
         std::thread::scope(|scope| {
             for stream in listener.incoming().take(max_connections) {
                 let stream = stream?;
                 scope.spawn(move || {
                     let mut transport = TcpTransport::new(stream);
-                    let mut codec = FrameCodec::new();
-                    let mut scratch = Vec::new();
-                    while let Ok(Some(msg)) = recv_message(&mut transport, &mut codec) {
-                        if let Some(reply) = self.core.handle(msg, &mut scratch) {
-                            if transport.send(&reply.encode()).is_err() {
-                                break;
-                            }
+                    let mut session = Session::lenient(QUEUE_LIMIT);
+                    let (mut scratch, mut replies) = (Vec::new(), Vec::new());
+                    let mut buf = [0u8; 4096];
+                    while let Ok(n @ 1..) = transport.recv(&mut buf) {
+                        session.feed(&buf[..n]);
+                        replies.clear();
+                        let served =
+                            session.service(&self.core, &mut scratch, usize::MAX, |frame| {
+                                replies.extend_from_slice(frame)
+                            });
+                        if transport.send(&replies).is_err() || served.poisoned {
+                            break;
                         }
                     }
                 });
@@ -558,6 +567,9 @@ mod tests {
             bomb.extend_from_slice(&[1, 0, 255]);
         }
         assert!(lzss::decompress(&bomb).unwrap().len() > MAX_INFLATED_BYTES);
+        // What collectors wrote before the binary codec: one JSON object
+        // per line. No client sends it any more; it is malformed input.
+        let json_lines = lzss::compress(b"{\"Fast\":{\"install_id\":1000000000}}\n");
         let ack = |file_id, payload: &[u8]| {
             Reply::Is(Message::UploadAck {
                 file_id,
@@ -591,7 +603,8 @@ mod tests {
             ("another install's snapshots",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 2, 1)),
             ("...and it is not remembered",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 3, 1)),
             ("inflate bomb",                     upload(12, &bomb),                     Reply::Error(400),                                 st(1, 1, 2, 3, 4, 1)),
-            ("client-addressed message",         Message::SignInAck { accepted: true }, Reply::Nothing,                                    st(1, 1, 2, 3, 4, 1)),
+            ("a JSON-lines file",                upload(13, &json_lines),               Reply::Error(400),                                 st(1, 1, 2, 3, 5, 1)),
+            ("client-addressed message",         Message::SignInAck { accepted: true }, Reply::Nothing,                                    st(1, 1, 2, 3, 5, 1)),
         ];
         let store = Arc::new(ShardedIngest::new(4));
         let core = ProtocolCore::new([P], Arc::clone(&store));

@@ -385,6 +385,14 @@ impl FrameCodec {
         }
     }
 
+    /// Start over as on a fresh connection: buffered bytes are dropped and
+    /// a strict codec accepts any sequence number again. The mode and the
+    /// [`FrameCodec::stale_discards`] tally are kept.
+    pub fn reset(&mut self) {
+        self.buf = BytesMut::new();
+        self.strict = self.strict.map(|_| 0);
+    }
+
     /// Append received bytes to the decode buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);

@@ -1,12 +1,11 @@
 //! Property tests for the delivery fast-path kernels.
 //!
 //! * The binary snapshot codec must round-trip *every* representable
-//!   snapshot and agree with the serde model it replaced (the same struct
-//!   encoded as legacy JSON lines must decode to the same value).
+//!   snapshot.
 //! * A reused LZSS workspace must be a pure optimization: its output is
 //!   byte-for-byte the output of a fresh compressor.
-//! * `deserialize_file` must reject truncated or corrupted input — both
-//!   binary and legacy JSON — with an error, never a panic.
+//! * `deserialize_file` must reject truncated or corrupted input with an
+//!   error, never a panic.
 
 use proptest::prelude::*;
 use racket_collect::collector::SnapshotCollector;
@@ -173,25 +172,6 @@ proptest! {
         prop_assert_eq!(decoded, snaps);
     }
 
-    /// The binary codec agrees with the serde data model it replaced: the
-    /// same snapshots shipped as legacy JSON lines decode to the same
-    /// values as the binary encoding.
-    #[test]
-    fn binary_codec_agrees_with_serde_baseline(
-        snaps in proptest::collection::vec(snapshot(), 1..8)
-    ) {
-        let mut binary = Vec::new();
-        let mut json = Vec::new();
-        for s in &snaps {
-            SnapshotCollector::serialize_into(s, &mut binary);
-            json.extend_from_slice(&serde_json::to_vec(s).expect("serde encode"));
-            json.push(b'\n');
-        }
-        let from_binary = SnapshotCollector::deserialize_file(&binary).expect("binary");
-        let from_json = SnapshotCollector::deserialize_file(&json).expect("legacy json");
-        prop_assert_eq!(from_binary, from_json);
-    }
-
     /// Workspace reuse is invisible in the output: compressing through a
     /// workspace dirtied by unrelated inputs yields bytes identical to a
     /// fresh compressor's, and both decompress back to the input.
@@ -280,8 +260,8 @@ proptest! {
         }
     }
 
-    /// Arbitrary garbage — random bytes under either format sniff — must
-    /// decode to `Ok` (if it happens to be valid) or `Err`, never panic.
+    /// Arbitrary garbage must decode to `Ok` (if it happens to be valid)
+    /// or `Err`, never panic.
     #[test]
     fn garbage_input_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = SnapshotCollector::deserialize_file(&data);
@@ -289,9 +269,5 @@ proptest! {
         let mut tagged = vec![racket_collect::codec::TAG_BINARY_V1];
         tagged.extend_from_slice(&data);
         let _ = SnapshotCollector::deserialize_file(&tagged);
-        // And the legacy JSON path.
-        let mut json = vec![b'{'];
-        json.extend_from_slice(&data);
-        let _ = SnapshotCollector::deserialize_file(&json);
     }
 }

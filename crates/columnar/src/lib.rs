@@ -22,9 +22,6 @@
 //! * [`Dict`] — a dictionary encoder mapping sparse external identifiers
 //!   (app / account-service / install IDs) to dense `u32` codes, so
 //!   columnar stores index arrays instead of hashing IDs.
-//! * [`hist::BinnedColumn`] / [`hist::GradHistogram`] — quantile-binned
-//!   feature codes and the gradient-histogram kernel for approximate
-//!   (histogram-based) split finding.
 //!
 //! # The row→column equivalence contract
 //!
@@ -69,13 +66,11 @@
 pub mod arena;
 pub mod column;
 pub mod dict;
-pub mod hist;
 pub mod kernel;
 pub mod shingle;
 
 pub use arena::ScratchArena;
 pub use column::{ColumnMatrix, FlatMatrix};
 pub use dict::Dict;
-pub use hist::{bin_column, BinnedColumn, GradHistogram};
 pub use kernel::{sort_pairs, sq_dist, SortPair};
 pub use shingle::{pack_shingle, unpack_shingle};

@@ -18,8 +18,8 @@ use racket_campaign::{detect_with_text, CampaignReport, CampaignSketch, Detector
 use racket_collect::wire::Message;
 use racket_collect::{
     coalesce_installs, AsyncCollectServer, AsyncServerConfig, CandidateInstall, CollectorConfig,
-    ColumnarSnapshots, DataBuffer, FaultPlan, ProtocolCore, RetryPolicy, ShardedIngest,
-    SnapshotBatch, SnapshotCollector, WireLane,
+    ColumnarSnapshots, DataBuffer, FaultPlan, ProtocolCore, ShardedIngest, SnapshotBatch,
+    SnapshotCollector, WireLane,
 };
 use racket_features::{DeviceObservation, DeviceStreamState};
 use racket_obs::{span, LocalHistogram, Registry};
@@ -212,9 +212,6 @@ struct DeviceLane {
     /// wire) or a live connection into the async collection plane, plus
     /// the sequence-checked codec and retry/backoff state machine.
     wire: Option<WireLane>,
-    /// Pooled inflate scratch for the server half of a loopback lane
-    /// (what a reactor worker owns on the async path).
-    inflate: Vec<u8>,
     /// Per-lane driver RNG stream (seeded from the study seed + lane index).
     rng: StdRng,
     /// Compressed bytes this lane uploaded over the wire path,
@@ -254,10 +251,10 @@ impl Study {
         let simulate_span = obs.span(keys::SPAN_SIMULATE);
         // One record store and one protocol core in front of it, whatever
         // the path: Direct lanes fold into the store themselves, loopback
-        // lanes call the core inline, and the async plane's reactor
-        // workers call the same core from their own threads. The worker
-        // count never shows in the data output (ARCHITECTURE.md §8), so
-        // the default topology is always safe here.
+        // lanes step their server half against the core inline, and the
+        // async plane's reactor workers do the same from their own
+        // threads. The worker count never shows in the data output
+        // (ARCHITECTURE.md §8), so the default topology is always safe here.
         let store = Arc::new(ShardedIngest::for_current_threads());
         let core = Arc::new(ProtocolCore::new(
             fleet.devices.iter().map(|d| d.participant),
@@ -303,8 +300,8 @@ impl Study {
                         d.install_id,
                         d.participant,
                         config.faults,
-                        RetryPolicy::default(),
                         lane_seed,
+                        Arc::clone(&core),
                     )),
                     // Same per-lane fault stream as the sync path: the
                     // connection's two fault injectors are seeded exactly
@@ -315,7 +312,6 @@ impl Study {
                         Some(WireLane::new_async(
                             d.install_id,
                             d.participant,
-                            RetryPolicy::default(),
                             lane_seed,
                             srv.connect(config.faults, lane_seed),
                         ))
@@ -339,7 +335,6 @@ impl Study {
                     directive_plan,
                     directive_cursor: 0,
                     wire,
-                    inflate: Vec::new(),
                     rng: StdRng::seed_from_u64(stream_seed(
                         config.seed ^ DRIVER_STREAM_SALT,
                         i as u64,
@@ -353,16 +348,15 @@ impl Study {
         {
             let _span = obs.span("simulate/sign_in");
             for lane in &mut lanes {
-                let mut handler = |m| core.handle(m, &mut lane.inflate);
                 let accepted = match &mut lane.wire {
-                    Some(wire) => wire
-                        .sign_in(&mut handler)
-                        .expect("sign-in retry budget exhausted"),
+                    Some(wire) => wire.sign_in().expect("sign-in retry budget exhausted"),
                     None => {
-                        handler(Message::SignIn {
+                        let sign_in = Message::SignIn {
                             participant: lane.dev.participant,
                             install: lane.dev.install_id,
-                        }) == Some(Message::SignInAck { accepted: true })
+                        };
+                        core.handle(sign_in, &mut Vec::new())
+                            == Some(Message::SignInAck { accepted: true })
                     }
                 };
                 assert!(accepted, "study participants are registered");
@@ -395,15 +389,7 @@ impl Study {
                 // any thread-local stack) is what nests them under the
                 // day in the timing tree.
                 let _lane_span = span!(obs, "simulate/day/lane", device = lane.idx);
-                Self::run_lane_day(
-                    lane,
-                    catalog,
-                    day_start,
-                    horizon,
-                    &core,
-                    &store,
-                    config.path,
-                );
+                Self::run_lane_day(lane, catalog, day_start, horizon, &store);
             });
             // Reviews post serially in lane order: the store's pagination
             // (and therefore the crawler) sees one canonical posting order.
@@ -449,9 +435,7 @@ impl Study {
                 lane.buffer.flush();
                 if let Some(wire) = lane.wire.as_mut() {
                     for _ in 0..8 {
-                        lane.bytes_compressed += wire.upload_pending(&mut lane.buffer, &mut |m| {
-                            core.handle(m, &mut lane.inflate)
-                        });
+                        lane.bytes_compressed += wire.upload_pending(&mut lane.buffer);
                         if lane.buffer.pending_count() == 0 {
                             break;
                         }
@@ -524,17 +508,22 @@ impl Study {
         };
 
         let preinstalled: HashSet<AppId> = fleet.catalog.system_apps().iter().copied().collect();
-        let by_install: HashMap<_, _> = records.into_iter().map(|r| (r.install_id, r)).collect();
+        // Each device takes ownership of its record (devices that never
+        // snapshotted have none to join), in fleet order.
+        let mut by_install: HashMap<_, _> =
+            records.into_iter().map(|r| (r.install_id, r)).collect();
+        let paired: Vec<_> = fleet
+            .devices
+            .iter()
+            .filter_map(|dev| Some((dev, by_install.remove(&dev.install_id)?)))
+            .collect();
 
         // Per-device joins (Google-ID crawl, review join, VirusTotal) are
         // independent — one observation per device, built in parallel.
         let join_span = obs.span("assemble/join");
-        let joined: Vec<Option<(DeviceObservation, DeviceStreamState, GroundTruth)>> = fleet
-            .devices
-            .par_iter()
-            .map(|dev| {
-                // Devices that never snapshotted have no record to join.
-                let record = by_install.get(&dev.install_id)?;
+        let joined: Vec<(DeviceObservation, DeviceStreamState, GroundTruth)> = paired
+            .into_par_iter()
+            .map(|(dev, record)| {
                 // Google-ID crawl: resolve every Gmail account on the device.
                 let google_ids: Vec<_> = record
                     .accounts
@@ -561,7 +550,7 @@ impl Study {
                     .collect();
 
                 let observation = DeviceObservation {
-                    record: record.clone(),
+                    record,
                     monitoring: dev.monitoring,
                     google_ids,
                     reviews_by_app,
@@ -580,20 +569,20 @@ impl Study {
                     );
                     DeviceStreamState::fold(&observation)
                 };
-                Some((
+                (
                     observation,
                     stream_state,
                     GroundTruth {
                         persona: dev.persona(),
                     },
-                ))
+                )
             })
             .collect();
         drop(join_span);
         let mut observations = Vec::with_capacity(joined.len());
         let mut streaming = Vec::with_capacity(joined.len());
         let mut truth = Vec::with_capacity(joined.len());
-        for (observation, stream_state, gt) in joined.into_iter().flatten() {
+        for (observation, stream_state, gt) in joined {
             observations.push(observation);
             streaming.push(stream_state);
             truth.push(gt);
@@ -651,9 +640,7 @@ impl Study {
         catalog: &racket_playstore::AppCatalog,
         day_start: SimTime,
         horizon: SimTime,
-        core: &ProtocolCore,
         store: &ShardedIngest,
-        path: CollectionPath,
     ) {
         lane.scratch.begin_day();
         if !lane.dev.monitoring.contains(day_start) {
@@ -706,7 +693,7 @@ impl Study {
             lane.batch.clear();
             lane.collector
                 .poll_into(&lane.dev.device, ta.time, &mut lane.batch);
-            Self::deliver(lane, core, store, path);
+            Self::deliver(lane, store);
             // Install/uninstall actions feed the incremental indexes and
             // the crawl-set deltas — guarded on the device's pre-action
             // state, so a directive re-install or a no-op uninstall
@@ -756,31 +743,25 @@ impl Study {
         lane.batch.clear();
         lane.collector
             .poll_into(&lane.dev.device, last_tick, &mut lane.batch);
-        Self::deliver(lane, core, store, path);
+        Self::deliver(lane, store);
         lane.scratch.actions = actions;
     }
 
     /// Deliver the lane's batched snapshots along the configured path.
     ///
-    /// Direct: straight into the sharded store. Wire: through the lane's
-    /// buffer and transport into the core. Both are concurrent across
-    /// lanes — per-install aggregation is disjoint, so lane interleaving
-    /// cannot change the result.
-    fn deliver(
-        lane: &mut DeviceLane,
-        core: &ProtocolCore,
-        store: &ShardedIngest,
-        path: CollectionPath,
-    ) {
+    /// A lane without a wire session (Direct) folds straight into the
+    /// sharded store; one with a session goes through its buffer and
+    /// transport into the core. Both are concurrent across lanes —
+    /// per-install aggregation is disjoint, so lane interleaving cannot
+    /// change the result.
+    fn deliver(lane: &mut DeviceLane, store: &ShardedIngest) {
         // Timed into the lane's local histogram shard, not the shared
         // registry: delivery is the per-lane hot path, and a shard costs
         // one unsynchronized array bump per call.
         let start = Instant::now();
-        match path {
-            CollectionPath::Direct => {
-                store.ingest_batch(lane.batch.snapshots());
-            }
-            CollectionPath::Wire | CollectionPath::AsyncWire => {
+        match lane.wire.as_mut() {
+            None => store.ingest_batch(lane.batch.snapshots()),
+            Some(wire) => {
                 for s in lane.batch.snapshots() {
                     lane.buffer.push(s);
                 }
@@ -789,10 +770,7 @@ impl Study {
                     // state machine. Files whose retry budget runs out stay
                     // queued and resume on the next delivery tick or the
                     // final flush; replays are absorbed by the core's dedup.
-                    let wire = lane.wire.as_mut().expect("wire path without lane");
-                    lane.bytes_compressed += wire.upload_pending(&mut lane.buffer, &mut |m| {
-                        core.handle(m, &mut lane.inflate)
-                    });
+                    lane.bytes_compressed += wire.upload_pending(&mut lane.buffer);
                 }
             }
         }

@@ -13,10 +13,7 @@
 //!   `fold(f64::INFINITY, f64::min)`, so emission is bit-identical;
 //! * [`GapAccum`] for inter-review gaps — exact integer second gaps whose
 //!   min/max map to the batch's per-gap `secs as f64 / day` values through
-//!   a monotone transform (same bits);
-//! * [`Welford`] for tolerance-grade delay mean/variance diagnostics
-//!   (never used for feature emission — see the module docs of
-//!   [`racket_types::online`]).
+//!   a monotone transform (same bits).
 //!
 //! The f64 *sums* that feed emitted means (`delay_sum_days`,
 //! `gap_sum_days`) are folded in the batch's canonical order (reviews
@@ -24,7 +21,7 @@
 //! returns them), replicating `iter().sum::<f64>()` add-for-add so the
 //! emitted means match batch bit-for-bit.
 
-pub use racket_types::online::{Distinct, GapAccum, MinMax, Welford};
+pub use racket_types::online::{Distinct, GapAccum, MinMax};
 
 use racket_types::{GoogleId, Review, SimTime, TimeInterval};
 
@@ -48,8 +45,6 @@ pub struct AppReviewStream {
     pub delay_sum_days: f64,
     /// Extrema/count of the same delays (min latch = batch min fold).
     pub delays: MinMax,
-    /// Tolerance-grade delay mean/variance (diagnostics only).
-    pub delay_stats: Welford,
     /// Exact integer inter-review gaps, in seconds.
     pub gaps: GapAccum,
     /// Sum of inter-review gaps in days, folded in coalesced order
@@ -86,7 +81,6 @@ impl AppReviewStream {
             let days = d as f64 / DAY_SECS;
             self.delay_sum_days += days;
             self.delays.fold(days);
-            self.delay_stats.fold(days);
         }
 
         // (3) inter-review gap from the previous review.
@@ -157,8 +151,6 @@ mod tests {
         assert_eq!(min, 1.0);
         let (mean, gmin, gmax) = s.gap_features();
         assert_eq!((mean, gmin, gmax), (5.0, 1.0, 9.0));
-        // Welford diagnostics agree with the exact mean in tolerance.
-        assert!((s.delay_stats.mean - avg).abs() < 1e-9);
     }
 
     #[test]

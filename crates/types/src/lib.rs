@@ -30,7 +30,7 @@ pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};
 pub use event::{DeviceEvent, EventKind};
 pub use id::{AndroidId, DeviceId, GoogleId, InstallId, ParticipantId};
 pub use metrics::{FaultCounters, PipelineMetrics};
-pub use online::{Distinct, GapAccum, MinMax, Welford};
+pub use online::{Distinct, GapAccum, MinMax};
 pub use permission::{Permission, PermissionProfile};
 pub use review::{Rating, RatingSummary, Review, ReviewEvent};
 pub use snapshot::{FastSnapshot, InstallDelta, ReclaimedBuffer, SlowSnapshot, Snapshot};

@@ -51,9 +51,6 @@ pub mod keys {
     /// Span: async plane — one worker poll round (readiness scan + frame
     /// decode + admission + ingest for every ready connection).
     pub const SPAN_SERVER_POLL: &str = "server/poll";
-    /// Span: async plane — rejecting a frame because the connection's
-    /// bounded upload queue was full (encoding and sending the 429).
-    pub const SPAN_SERVER_SHED: &str = "server/shed";
     /// Counter: async plane — uploads load-shed with a 429 because a
     /// per-connection queue was full. Varies with timing; excluded from
     /// all output fingerprints (same contract as `ingest.dup_files`).

@@ -6,12 +6,9 @@
 //! property suite (`tests/aggregators.rs`) pins:
 //!
 //! * **fold is order-insensitive after coalescing** — folding the same
-//!   multiset of values in any order yields the same aggregate (exactly,
-//!   for the integer/set/min-max aggregates; within a 1-ULP-scaled
-//!   tolerance for [`Welford`], whose running mean is a float
-//!   recurrence);
+//!   multiset of values in any order yields exactly the same aggregate;
 //! * **merge is associative with an empty identity** — state built over
-//!   shards can be combined in any grouping. [`Welford`], [`MinMax`] and
+//!   shards can be combined in any grouping. [`MinMax`] and
 //!   [`Distinct`] merges are additionally commutative; [`GapAccum`]
 //!   merges by *concatenation* of adjacent time ranges, which is
 //!   associative but deliberately not commutative (gaps are defined on
@@ -19,70 +16,10 @@
 //!
 //! Nothing here is used to *emit* the paper's feature vectors directly —
 //! emission reproduces the batch formulas bit-for-bit from exact
-//! sufficient statistics (see `racket-features`). [`Welford`] exists for
-//! summary statistics where a tolerance is acceptable and the two-pass
-//! reference would need a second scan.
+//! sufficient statistics (see `racket-features`).
 
 use std::collections::HashSet;
 use std::hash::Hash;
-
-/// Welford's online mean/variance accumulator.
-///
-/// Folds one value at a time in O(1) and merges shards with the parallel
-/// (Chan et al.) update. The mean/variance agree with the two-pass
-/// reference within a tolerance proportional to the magnitude of the
-/// data (pinned by proptest), not bit-for-bit — use exact sums where
-/// bitwise reproducibility is required.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    /// Number of folded values.
-    pub count: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Running sum of squared deviations from the mean.
-    pub m2: f64,
-}
-
-impl Welford {
-    /// The empty accumulator (merge identity).
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Fold one value.
-    pub fn fold(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merge another accumulator built over a disjoint shard of the data.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let n = n1 + n2;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (n2 / n);
-        self.m2 += other.m2 + delta * delta * (n1 * n2 / n);
-        self.count += other.count;
-    }
-
-    /// Population variance (0.0 when fewer than two values were folded).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        self.m2 / self.count as f64
-    }
-}
 
 /// Exact running minimum/maximum over folded `f64` values.
 ///
@@ -285,34 +222,6 @@ impl GapAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_two_pass_closely() {
-        let xs = [3.5, -1.0, 2.25, 8.0, 0.5, 4.75];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.fold(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-12);
-        assert_eq!(w.count, xs.len() as u64);
-    }
-
-    #[test]
-    fn welford_merge_is_identity_safe() {
-        let mut a = Welford::new();
-        let empty = Welford::new();
-        a.fold(1.0);
-        a.fold(3.0);
-        let before = a;
-        a.merge(&empty);
-        assert_eq!(a, before);
-        let mut b = Welford::new();
-        b.merge(&before);
-        assert_eq!(b, before);
-    }
 
     #[test]
     fn minmax_folds_and_merges() {

@@ -15,7 +15,7 @@ use crate::app::{AppId, InstalledApp};
 use crate::id::{AndroidId, InstallId, ParticipantId};
 use crate::review::ReviewEvent;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cadence of the fast snapshot collector.
 pub const FAST_SNAPSHOT_PERIOD_SECS: u64 = 5;
@@ -23,7 +23,7 @@ pub const FAST_SNAPSHOT_PERIOD_SECS: u64 = 5;
 pub const SLOW_SNAPSHOT_PERIOD_SECS: u64 = 120;
 
 /// An install/uninstall delta carried by a fast snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum InstallDelta {
     /// An app appeared since the last report.
     Installed(InstalledApp),
@@ -50,7 +50,7 @@ impl InstallDelta {
 }
 
 /// A fast (5 s) snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FastSnapshot {
     /// Install ID of the reporting RacketStore instance.
     pub install_id: InstallId,
@@ -69,13 +69,7 @@ pub struct FastSnapshot {
 }
 
 /// A slow (2 min) snapshot.
-///
-/// `Serialize`/`Deserialize` are hand-written (the derive supports no
-/// field attributes): `review_events` is emitted only when non-empty and
-/// defaults to empty when absent, so review-off studies serialize
-/// byte-identically to the pre-review format and legacy snapshot files
-/// still parse.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SlowSnapshot {
     /// Install ID of the reporting RacketStore instance.
     pub install_id: InstallId,
@@ -99,48 +93,8 @@ pub struct SlowSnapshot {
     pub review_events: Vec<ReviewEvent>,
 }
 
-impl Serialize for SlowSnapshot {
-    fn to_content(&self) -> serde::Content {
-        let mut entries = vec![
-            ("install_id".to_string(), self.install_id.to_content()),
-            (
-                "participant_id".to_string(),
-                self.participant_id.to_content(),
-            ),
-            ("android_id".to_string(), self.android_id.to_content()),
-            ("time".to_string(), self.time.to_content()),
-            ("accounts".to_string(), self.accounts.to_content()),
-            ("save_mode".to_string(), self.save_mode.to_content()),
-            ("stopped_apps".to_string(), self.stopped_apps.to_content()),
-        ];
-        if !self.review_events.is_empty() {
-            entries.push(("review_events".to_string(), self.review_events.to_content()));
-        }
-        serde::Content::Map(entries)
-    }
-}
-
-impl Deserialize for SlowSnapshot {
-    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
-        use serde::__private::field;
-        Ok(SlowSnapshot {
-            install_id: Deserialize::from_content(field(c, "install_id")?)?,
-            participant_id: Deserialize::from_content(field(c, "participant_id")?)?,
-            android_id: Deserialize::from_content(field(c, "android_id")?)?,
-            time: Deserialize::from_content(field(c, "time")?)?,
-            accounts: Deserialize::from_content(field(c, "accounts")?)?,
-            save_mode: Deserialize::from_content(field(c, "save_mode")?)?,
-            stopped_apps: Deserialize::from_content(field(c, "stopped_apps")?)?,
-            review_events: match field(c, "review_events") {
-                Ok(v) => Deserialize::from_content(v)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
-}
-
 /// Either snapshot kind, as shipped through the collection pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Snapshot {
     /// A fast (5 s) snapshot.
     Fast(FastSnapshot),
@@ -329,51 +283,5 @@ mod tests {
             });
         });
         assert_eq!(kinds, ["accounts", "stopped", "reviews"]);
-    }
-
-    #[test]
-    fn snapshots_serialize() {
-        let s = Snapshot::Fast(fast(42));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Snapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    fn slow_with_reviews(review_events: Vec<crate::review::ReviewEvent>) -> SlowSnapshot {
-        SlowSnapshot {
-            install_id: InstallId(42),
-            participant_id: ParticipantId(111111),
-            android_id: Some(AndroidId(7)),
-            time: SimTime::from_secs(240),
-            accounts: vec![],
-            save_mode: false,
-            stopped_apps: vec![AppId(3)],
-            review_events,
-        }
-    }
-
-    #[test]
-    fn review_events_round_trip_and_hide_when_empty() {
-        use crate::review::{Rating, ReviewEvent};
-        use crate::GoogleId;
-
-        let empty = slow_with_reviews(vec![]);
-        let json = serde_json::to_string(&empty).unwrap();
-        assert!(
-            !json.contains("review_events"),
-            "empty review list must serialize away: {json}"
-        );
-        assert_eq!(serde_json::from_str::<SlowSnapshot>(&json).unwrap(), empty);
-
-        let full = slow_with_reviews(vec![ReviewEvent {
-            app: AppId(3),
-            reviewer: GoogleId(9),
-            time: SimTime::from_secs(200),
-            rating: Rating::FIVE,
-            text: "great app".to_string(),
-        }]);
-        let json = serde_json::to_string(&full).unwrap();
-        assert!(json.contains("review_events"));
-        assert_eq!(serde_json::from_str::<SlowSnapshot>(&json).unwrap(), full);
     }
 }

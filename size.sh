@@ -3,7 +3,8 @@
 # both columns). Each `src/*.rs` is cut at its first `#[cfg(test)]` line;
 # blank lines and lines that start with `//` are dropped (indented
 # comments therefore count: deleting them is not a way to shrink); a `pub`
-# item is a remaining line that starts with `pub `.
+# item is a remaining line that starts with `pub `. The last row sums both
+# columns.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -14,4 +15,4 @@ for dir in crates/*/; do
     sed '/#\[cfg(test)\]/,$d' "$f"
   done | grep -v -e '^[[:space:]]*$' -e '^//' |
     awk -v name="$name" '/^pub / { p++ } END { printf "%-18s %7d %5d\n", name, NR, p }'
-done
+done | awk '{ print; lines += $2; pub += $3 } END { printf "%-18s %7d %5d\n", "total", lines, pub }'

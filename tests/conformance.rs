@@ -1,7 +1,8 @@
 //! Statistical conformance: the simulated fleet must reproduce the
 //! paper's §6 cohort statistics within tolerance.
 //!
-//! The fleet is a generative model *calibrated* to the paper (DESIGN.md);
+//! The fleet is a generative model *calibrated* to the paper
+//! (ARCHITECTURE.md §11);
 //! these tests are the tripwire that keeps the calibration honest as the
 //! pipeline evolves. Each check has a tolerance band wide enough to
 //! absorb small-fleet sampling noise at test scale but tight enough that
