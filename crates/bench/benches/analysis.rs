@@ -1,81 +1,14 @@
-//! Microbenchmarks for the substrate crates: hashes, compression, wire
-//! codec, statistics and the ML learners.
+//! Microbenchmarks for the analysis side: the statistical tests, the ML
+//! learners and per-observation feature extraction. The delivery kernels
+//! (checksums, LZSS, framing) are measured against their baselines in
+//! `delivery.rs` and on real bytes by `benchmark/`'s per-layer metrics.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use racket_collect::wire::{FrameCodec, Message};
-use racket_collect::{crc32, md5, sha256};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use racket_features::{app_features, device_features};
 use racket_ml::{
     Classifier, DecisionTree, DecisionTreeParams, GradientBoosting, GradientBoostingParams,
     KNearestNeighbors, RandomForest, RandomForestParams,
 };
-use racket_types::InstallId;
-
-/// A snapshot-file-like payload: repetitive JSON lines.
-fn snapshot_payload(n_lines: usize) -> Vec<u8> {
-    let mut data = Vec::new();
-    for i in 0..n_lines {
-        data.extend_from_slice(
-            format!(
-                "{{\"install_id\":1234567890,\"time\":{},\"foreground_app\":\"app-42\",\
-                 \"screen_on\":true,\"battery_pct\":87}}\n",
-                i * 5
-            )
-            .as_bytes(),
-        );
-    }
-    data
-}
-
-fn bench_hashes(c: &mut Criterion) {
-    let data = snapshot_payload(600); // ~64 KiB
-    let mut g = c.benchmark_group("hash");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("sha256_64k", |b| {
-        b.iter(|| sha256(std::hint::black_box(&data)))
-    });
-    g.bench_function("md5_64k", |b| b.iter(|| md5(std::hint::black_box(&data))));
-    g.bench_function("crc32_64k", |b| {
-        b.iter(|| crc32(std::hint::black_box(&data)))
-    });
-    g.finish();
-}
-
-fn bench_lzss(c: &mut Criterion) {
-    let data = snapshot_payload(600);
-    let compressed = racket_collect::lzss::compress(&data);
-    let mut g = c.benchmark_group("lzss");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("compress_64k", |b| {
-        b.iter(|| racket_collect::lzss::compress(std::hint::black_box(&data)))
-    });
-    g.bench_function("decompress_64k", |b| {
-        b.iter(|| racket_collect::lzss::decompress(std::hint::black_box(&compressed)).unwrap())
-    });
-    g.finish();
-}
-
-fn bench_wire(c: &mut Criterion) {
-    let msg = Message::SnapshotUpload {
-        install: InstallId(1_234_567_890),
-        file_id: 7,
-        fast: true,
-        payload: racket_collect::lzss::compress(&snapshot_payload(600)),
-    };
-    let encoded = msg.encode();
-    let mut g = c.benchmark_group("wire");
-    g.throughput(Throughput::Bytes(encoded.len() as u64));
-    g.bench_function("encode_upload", |b| {
-        b.iter(|| std::hint::black_box(&msg).encode())
-    });
-    g.bench_function("decode_upload", |b| {
-        b.iter(|| {
-            let mut codec = FrameCodec::new();
-            codec.feed(std::hint::black_box(&encoded));
-            codec.try_decode_message().unwrap().unwrap()
-        })
-    });
-    g.finish();
-}
 
 fn bench_stats(c: &mut Criterion) {
     let a: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.7).sin() * 10.0).collect();
@@ -162,12 +95,24 @@ impl BenchExt for criterion::BenchmarkGroup<'_, criterion::measurement::WallTime
     }
 }
 
-criterion_group!(
-    benches,
-    bench_hashes,
-    bench_lzss,
-    bench_wire,
-    bench_stats,
-    bench_ml
-);
+fn bench_features(c: &mut Criterion) {
+    // Build one observation through a tiny study.
+    let out = racketstore::study::Study::new(racketstore::study::StudyConfig::test_scale()).run();
+    let obs = out
+        .observations
+        .iter()
+        .max_by_key(|o| o.record.apps.len())
+        .expect("study has observations");
+    let app = *obs.record.apps.keys().next().expect("device has apps");
+    let mut g = c.benchmark_group("features");
+    g.bench_function("app_features", |b| {
+        b.iter(|| app_features(std::hint::black_box(obs), app))
+    });
+    g.bench_function("device_features", |b| {
+        b.iter(|| device_features(std::hint::black_box(obs), 0.5))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_stats, bench_ml, bench_features);
 criterion_main!(benches);

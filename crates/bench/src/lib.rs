@@ -12,15 +12,11 @@
 //! * `mid`   — 268 devices (default);
 //! * `paper` — the full 803-device population of §5.
 //!
-//! The `bench_pipeline` binary additionally runs a `large` scale that is
-//! not a study at all: the [`ingest_plane`] harness floods the async
-//! collection server from ≥ 10⁴ concurrent connections and reports the
-//! aggregate ingest throughput (floor: 1M snapshots/s).
+//! Performance numbers do not come from here: the `benchmark/` package at
+//! the repository root is the one measurement harness (`study_summary`
+//! prints a run's stage-timing tree for orientation only).
 
 #![deny(missing_docs)]
-
-pub mod ingest_plane;
-pub mod report;
 
 use racket_agents::FleetConfig;
 use racket_collect::CollectorConfig;

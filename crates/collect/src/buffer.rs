@@ -41,7 +41,7 @@ impl UploadFile {
 /// Per-lane wall-clock shards for the delivery sub-stages. Unsynchronized
 /// ([`LocalHistogram`]); the study driver merges each retiring lane's
 /// shards into the shared `span.simulate/deliver/*` histograms so the
-/// BENCH report attributes the delivery cost per kernel.
+/// benchmark's per-layer metrics attribute the delivery cost per kernel.
 #[derive(Debug, Default, Clone)]
 pub struct StageTimers {
     /// Nanoseconds encoding snapshots into the accumulation file.

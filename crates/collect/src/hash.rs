@@ -1,11 +1,13 @@
 //! Cryptographic and checksum hashes, implemented from scratch.
 //!
-//! The platform needs three digests (§3): **SHA-256** for the resilient
+//! The platform computes two digests (§3): **SHA-256** for the resilient
 //! upload protocol (the server returns the hash of received data and the
-//! app deletes its local file only on a match), **MD5** for apk hashes
-//! (what the fast snapshot collector reports and VirusTotal keys on), and
-//! **CRC32** for wire-frame integrity. All three are pinned against their
-//! published test vectors below.
+//! app deletes its local file only on a match) and **CRC32** for
+//! wire-frame integrity. Both are pinned against their published test
+//! vectors below. The paper's third digest, the MD5 apk hash that the fast
+//! collector reports and VirusTotal keys on, is never computed here: a
+//! simulated app has no apk bytes, so its `ApkHash` is a synthetic 16-byte
+//! value drawn by the catalog.
 
 // FIPS 180-4 round constants.
 const SHA256_K: [u32; 64] = [
@@ -108,75 +110,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     for (i, word) in h.iter().enumerate() {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
-    out
-}
-
-/// MD5 digest of a byte slice (RFC 1321).
-pub fn md5(data: &[u8]) -> [u8; 16] {
-    // Per-round shift amounts.
-    const S: [u32; 64] = [
-        7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 5, 9, 14, 20, 5, 9, 14, 20, 5,
-        9, 14, 20, 5, 9, 14, 20, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 6, 10,
-        15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-    ];
-    // K[i] = floor(2^32 × |sin(i + 1)|).
-    const K: [u32; 64] = [
-        0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
-        0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
-        0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
-        0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed,
-        0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
-        0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-        0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244,
-        0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-        0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
-        0xeb86d391,
-    ];
-
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
-
-    // Padding: 0x80, zeros, 64-bit little-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for block in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, word) in m.iter_mut().enumerate() {
-            *word = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let f = f.wrapping_add(a).wrapping_add(K[i]).wrapping_add(m[g]);
-            a = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(f.rotate_left(S[i]));
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
-    }
-
-    let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
     out
 }
 
@@ -286,20 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn md5_test_vectors() {
-        assert_eq!(to_hex(&md5(b"")), "d41d8cd98f00b204e9800998ecf8427e");
-        assert_eq!(to_hex(&md5(b"abc")), "900150983cd24fb0d6963f7d28e17f72");
-        assert_eq!(
-            to_hex(&md5(b"The quick brown fox jumps over the lazy dog")),
-            "9e107d9d372bb6826bd81d3542a419d6"
-        );
-        assert_eq!(
-            to_hex(&md5(b"message digest")),
-            "f96b697d7cb7938d525a2f31aaf161d0"
-        );
-    }
-
-    #[test]
     fn crc32_test_vector() {
         // The canonical CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -364,7 +283,6 @@ mod tests {
     fn digests_are_deterministic() {
         let data = b"same input";
         assert_eq!(sha256(data), sha256(data));
-        assert_eq!(md5(data), md5(data));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   content hash;
 //! * [`codec`] — the compact, version-tagged binary record format those
 //!   accumulation files use;
-//! * [`hash`] — SHA-256 (upload acknowledgement), MD5 (apk hashes) and
-//!   CRC32 (frame checksums), all implemented in-crate and pinned against
-//!   published test vectors;
+//! * [`hash`] — SHA-256 (upload acknowledgement) and CRC32 (frame
+//!   checksums), both implemented in-crate and pinned against published
+//!   test vectors;
 //! * [`lzss`] — the compression applied to rotated snapshot files;
 //! * [`wire`] — the length-prefixed, CRC-protected frame codec and message
 //!   set (sign-in, snapshot upload, hash acknowledgement);
@@ -71,7 +71,7 @@ pub use codec::DecodeError;
 pub use collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
 pub use columnar::{AppEntry, ColumnarSnapshots, NEVER_UNINSTALLED};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
-pub use hash::{crc32, md5, sha256};
+pub use hash::{crc32, sha256};
 pub use retry::{RetryStats, WireLane};
 pub use server::{CollectionServer, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;

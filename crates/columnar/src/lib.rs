@@ -1,8 +1,9 @@
 //! Columnar (struct-of-arrays) storage and kernels for the analyze side
 //! of the RacketStore pipeline.
 //!
-//! BENCH_pipeline.json showed the analyze stage group dominating non-wire
-//! runs: feature builds and learner inner loops walked row-oriented state
+//! The analyze stage group dominates non-wire runs (on `benchmark/`'s
+//! `e2e_direct`, CV + training alone are ≈ 40 % of the wall): feature
+//! builds and learner inner loops used to walk row-oriented state
 //! (`Vec<Vec<f64>>` feature matrices, `HashMap`-of-`BTreeMap` install
 //! records), paying a pointer chase per comparison. This crate is the
 //! storage layer that removes those chases — ARCHITECTURE.md §9 documents

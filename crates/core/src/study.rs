@@ -173,8 +173,8 @@ pub struct StudyOutput {
     /// counter and shard-occupancy gauge. Private per run — never the
     /// process-global registry — so concurrent studies (e.g. the test
     /// suite) cannot pollute each other's metrics. Excluded from output
-    /// fingerprints; downstream stages (dataset builders, the bench
-    /// harness) keep recording into it.
+    /// fingerprints; downstream stages (scoring, the batch campaign
+    /// and text rebuilds) keep recording into it.
     pub obs: Registry,
 }
 

@@ -14,9 +14,10 @@
 //! * [`AtomicHistogram`] — the shared, registry-owned sink;
 //! * [`LocalHistogram`] — an unsynchronized per-thread (or per-lane) shard,
 //!   merged into an atomic histogram in one pass when the shard retires;
-//! * [`HistogramSnapshot`] — a frozen copy with quantile arithmetic and a
-//!   commutative, associative [`HistogramSnapshot::merge`] (property-tested
-//!   in `tests/histogram_props.rs`).
+//! * [`HistogramSnapshot`] — a frozen copy with quantile arithmetic.
+//!
+//! Shard retirement order never shows in a snapshot; that is
+//! property-tested in `tests/histogram_props.rs`.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,7 +124,7 @@ impl AtomicHistogram {
 }
 
 /// Unsynchronized histogram shard for a single thread or lane; merged into
-/// an [`AtomicHistogram`] (or another snapshot) when the owner retires.
+/// an [`AtomicHistogram`] when the owner retires.
 #[derive(Debug, Clone)]
 pub struct LocalHistogram {
     buckets: Box<[u64]>,
@@ -166,9 +167,8 @@ impl LocalHistogram {
     }
 }
 
-/// A frozen histogram: what snapshots, reports and the BENCH emitter
-/// consume. `min`/`max` carry their empty-state sentinels (`u64::MAX`/`0`)
-/// so that [`merge`](HistogramSnapshot::merge) has an identity element.
+/// A frozen histogram: what snapshots and reports consume. `min`/`max`
+/// carry their empty-state sentinels (`u64::MAX`/`0`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (dense, [`BUCKETS`] entries).
@@ -190,7 +190,7 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The merge identity: an empty snapshot.
+    /// An empty snapshot.
     pub fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; BUCKETS],
@@ -199,22 +199,6 @@ impl HistogramSnapshot {
             min: u64::MAX,
             max: 0,
         }
-    }
-
-    /// Fold another snapshot in. Commutative and associative with
-    /// [`empty`](HistogramSnapshot::empty) as identity (property-tested),
-    /// which is what lets per-thread shards merge in any retirement order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Approximate quantile (`q ∈ [0, 1]`) by linear interpolation inside
@@ -316,20 +300,6 @@ mod tests {
         assert_eq!(s.sum, 60);
         assert_eq!(s.min, 10);
         assert_eq!(s.max, 30);
-    }
-
-    #[test]
-    fn empty_snapshot_is_merge_identity() {
-        let h = AtomicHistogram::new();
-        h.record(7);
-        h.record(99);
-        let base = h.snapshot();
-        let mut merged = base.clone();
-        merged.merge(&HistogramSnapshot::empty());
-        assert_eq!(merged, base);
-        let mut from_empty = HistogramSnapshot::empty();
-        from_empty.merge(&base);
-        assert_eq!(from_empty, base);
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //!   ([`render_timing_tree`] prints it).
 //! * [`LocalHistogram`] — unsynchronized per-thread/per-lane histogram
 //!   shards, merged into the shared registry when the owner retires
-//!   (merge is associative and commutative — property-tested — so
-//!   retirement order is irrelevant).
+//!   (the merge is a set of atomic adds — property-tested — so retirement
+//!   order is irrelevant).
 //!
 //! [`RegistrySnapshot`] freezes a registry into serializable maps; the
-//! `bench_pipeline` binary in `racket-bench` turns snapshots into
-//! `BENCH_pipeline.json`, the repository's machine-readable perf
-//! trajectory.
+//! `benchmark/` package reads its per-layer metrics out of snapshots of
+//! the registries `Study::run` and `AsyncCollectServer::shutdown` fill.
 
 #![deny(missing_docs)]
 

@@ -20,6 +20,9 @@ use std::sync::{Arc, OnceLock};
 /// Trace events recorded with field payloads are capped at this many per
 /// registry (cardinality control; aggregation is never capped).
 pub const MAX_TRACE_EVENTS: usize = 4096;
+/// Counter: trace events discarded because the registry already held
+/// [`MAX_TRACE_EVENTS`].
+const TRACE_DROPPED: &str = "trace.dropped";
 
 /// One span completion that carried `key = value` fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,7 +142,8 @@ impl Registry {
         self.histogram(name).record(v);
     }
 
-    /// Append a trace event (dropped silently past [`MAX_TRACE_EVENTS`]).
+    /// Append a trace event; past [`MAX_TRACE_EVENTS`] it is discarded and
+    /// counted under the `trace.dropped` counter.
     pub fn trace(&self, path: &str, fields: String, nanos: u64) {
         let mut events = self.inner.events.lock();
         if events.len() < MAX_TRACE_EVENTS {
@@ -148,6 +152,9 @@ impl Registry {
                 fields,
                 nanos,
             });
+        } else {
+            drop(events);
+            self.add(TRACE_DROPPED, 1);
         }
     }
 
@@ -187,7 +194,7 @@ impl Registry {
     }
 }
 
-/// A frozen registry: plain maps, serializable, mergeable.
+/// A frozen registry: plain maps, serializable.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// Counter values by name.
@@ -199,23 +206,6 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Fold another snapshot in: counters and histograms add (commutative),
-    /// gauges take the other side's value when present (last write wins).
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_insert_with(HistogramSnapshot::empty)
-                .merge(h);
-        }
-    }
-
     /// Counter value, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -249,8 +239,9 @@ fn global_cell() -> &'static RwLock<Registry> {
 ///
 /// Components without an explicit registry parameter — per-fold CV spans
 /// in `racket-ml`, per-device fleet-generation timing — record here.
-/// Harnesses that need per-run isolation (e.g. `bench_pipeline`) swap in a
-/// fresh registry with [`install_global`] around each run; the study
+/// Harnesses that need per-run isolation (`benchmark/`'s traced
+/// repetitions) swap in a fresh registry with [`install_global`] around
+/// each run; the study
 /// driver itself always uses its own private registry, so test
 /// parallelism never pollutes study metrics.
 pub fn global() -> Registry {
@@ -296,24 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_adds_counters_and_histograms() {
-        let a = Registry::new();
-        a.add("c", 1);
-        a.record("h", 10);
-        let b = Registry::new();
-        b.add("c", 2);
-        b.record("h", 20);
-        b.gauge_set("g", 7);
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        assert_eq!(snap.counter("c"), 3);
-        assert_eq!(snap.gauge("g"), 7);
-        let h = snap.histogram("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 30);
-    }
-
-    #[test]
     fn snapshot_round_trips_through_json() {
         let reg = Registry::new();
         reg.add("c", 42);
@@ -332,6 +305,7 @@ mod tests {
             reg.trace("p", format!("i={i}"), 1);
         }
         assert_eq!(reg.events().len(), MAX_TRACE_EVENTS);
+        assert_eq!(reg.snapshot().counter(TRACE_DROPPED), 10);
     }
 
     #[test]

@@ -1,72 +1,57 @@
-//! Property tests for histogram merge algebra.
+//! Property tests for histogram shard retirement.
 //!
-//! The pipeline merges per-thread/per-lane histogram shards in whatever
-//! order workers retire, so determinism of the merged totals requires the
-//! merge to be commutative and associative with `empty()` as identity.
+//! The pipeline merges per-thread/per-lane histogram shards into the
+//! shared histogram in whatever order workers retire, so determinism of
+//! the merged totals requires that neither the order of retirement nor
+//! the way observations were split over shards shows in the snapshot.
 
 use proptest::prelude::*;
-use racket_obs::{HistogramSnapshot, LocalHistogram};
+use racket_obs::{AtomicHistogram, HistogramSnapshot, LocalHistogram};
 
-fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
-    let shared = racket_obs::AtomicHistogram::new();
-    let mut local = LocalHistogram::new();
-    for &v in values {
-        local.record(v);
+/// One shared histogram after the given shards retired into it, in order.
+fn retired(shards: &[&[u64]]) -> HistogramSnapshot {
+    let shared = AtomicHistogram::new();
+    for values in shards {
+        let mut local = LocalHistogram::new();
+        for &v in *values {
+            local.record(v);
+        }
+        shared.merge_local(&local);
     }
-    shared.merge_local(&local);
     shared.snapshot()
-}
-
-fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut out = a.clone();
-    out.merge(b);
-    out
 }
 
 proptest! {
     #[test]
-    fn merge_is_commutative(
-        xs in proptest::collection::vec(0u64..1_000_000_000, 0..64),
-        ys in proptest::collection::vec(0u64..1_000_000_000, 0..64),
-    ) {
-        let a = snapshot_of(&xs);
-        let b = snapshot_of(&ys);
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
-
-    #[test]
-    fn merge_is_associative(
+    fn retirement_order_is_invisible(
         xs in proptest::collection::vec(0u64..1_000_000_000, 0..48),
         ys in proptest::collection::vec(0u64..1_000_000_000, 0..48),
         zs in proptest::collection::vec(0u64..1_000_000_000, 0..48),
     ) {
-        let a = snapshot_of(&xs);
-        let b = snapshot_of(&ys);
-        let c = snapshot_of(&zs);
-        prop_assert_eq!(
-            merged(&merged(&a, &b), &c),
-            merged(&a, &merged(&b, &c))
-        );
+        let forward = retired(&[&xs, &ys, &zs]);
+        prop_assert_eq!(&retired(&[&zs, &xs, &ys]), &forward);
+        prop_assert_eq!(&retired(&[&ys, &zs, &xs]), &forward);
     }
 
     #[test]
-    fn merge_equals_concatenated_recording(
+    fn sharded_recording_equals_direct_recording(
         xs in proptest::collection::vec(0u64..1_000_000_000, 0..64),
         ys in proptest::collection::vec(0u64..1_000_000_000, 0..64),
     ) {
-        let split = merged(&snapshot_of(&xs), &snapshot_of(&ys));
-        let mut all = xs.clone();
-        all.extend_from_slice(&ys);
-        prop_assert_eq!(split, snapshot_of(&all));
+        let direct = AtomicHistogram::new();
+        for &v in xs.iter().chain(&ys) {
+            direct.record(v);
+        }
+        prop_assert_eq!(retired(&[&xs, &ys]), direct.snapshot());
     }
 
     #[test]
-    fn empty_is_identity(
+    fn an_empty_shard_changes_nothing(
         xs in proptest::collection::vec(0u64..1_000_000_000, 0..64),
     ) {
-        let a = snapshot_of(&xs);
-        prop_assert_eq!(merged(&a, &HistogramSnapshot::empty()), a.clone());
-        prop_assert_eq!(merged(&HistogramSnapshot::empty(), &a), a);
+        prop_assert_eq!(retired(&[&xs, &[]]), retired(&[&xs]));
+        prop_assert_eq!(retired(&[&[], &xs]), retired(&[&xs]));
+        prop_assert_eq!(retired(&[&[]]), HistogramSnapshot::empty());
     }
 
     #[test]
@@ -74,7 +59,7 @@ proptest! {
         xs in proptest::collection::vec(1u64..1_000_000_000, 1..128),
         q in 0.0f64..=1.0,
     ) {
-        let s = snapshot_of(&xs);
+        let s = retired(&[&xs]);
         let est = s.quantile(q);
         let lo = *xs.iter().min().unwrap() as f64;
         let hi = *xs.iter().max().unwrap() as f64;

@@ -112,7 +112,7 @@ impl TextSketch {
     /// shingles, but scans the text exactly once: token votes accumulate
     /// the sentiment while the shingle hashes buffer for the SimHash vote
     /// and (for newly inserted rows) the MinHash fold. This is the ingest
-    /// hot path held to the bench floor.
+    /// hot path (`benchmark/`'s `text.sketch.observe_ns_per_review`).
     pub fn observe(&mut self, app: u32, reviewer: u64, time: u64, rating: u8, text: &str) {
         // Review texts are short; a stack buffer covers them, the spill
         // vector keeps arbitrary inputs correct.

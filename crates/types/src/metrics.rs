@@ -116,12 +116,9 @@ pub mod keys {
     /// the columnar store.
     pub const SPAN_TEXT_REBUILD: &str = "campaign/text_rebuild";
     /// Counter: distinct shingles folded by campaign detection (batch
-    /// rebuild path; the throughput denominator for the bench floor).
+    /// rebuild path; the numerator of `benchmark/`'s
+    /// `campaign.sketch.shingles_per_s`).
     pub const CAMPAIGN_SHINGLES: &str = "campaign.shingles";
-    /// Counter: reviews folded through the text-sketch rebuild kernel
-    /// (the numerator of the bench `reviews/s` floor; the matching wall
-    /// time lives under [`SPAN_TEXT_REBUILD`]).
-    pub const TEXT_REVIEWS: &str = "text.reviews";
 }
 
 /// Per-class counts of transport faults injected by a chaos run.

@@ -26,9 +26,10 @@
 
 mod common;
 
-use common::{small_config, with_threads};
+use common::{small_config, span_count, with_threads};
 use racket_columnar::FlatMatrix;
 use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, Model};
+use racket_types::metrics::keys;
 use racketstore::app_classifier::{AppClassifier, AppUsageDataset};
 use racketstore::device_classifier::DeviceDataset;
 use racketstore::labeling::{label_apps, LabelingConfig};
@@ -175,6 +176,19 @@ fn ambient_columnar_engine_matches_row_reference() {
         assert_eq!(s.suspiciousness.to_bits(), b.suspiciousness.to_bits());
         assert_eq!(s.proba.to_bits(), b.proba.to_bits());
         assert_eq!(s.is_worker, b.is_worker);
+    }
+
+    // Every stage a study-plus-scoring run crosses completed exactly once
+    // in the study's registry: a span name denotes one operation.
+    for stage in [
+        keys::SPAN_FLEET_GEN,
+        keys::SPAN_SIMULATE,
+        keys::SPAN_ASSEMBLE,
+        keys::SPAN_CAMPAIGN_INCREMENTAL,
+        keys::SPAN_SCORE_STREAM,
+        keys::SPAN_SCORE_BATCH,
+    ] {
+        assert_eq!(span_count(&out, stage), 1, "stage `{stage}`");
     }
 }
 

@@ -10,6 +10,7 @@
 use racket_agents::FleetConfig;
 use racket_collect::CollectorConfig;
 use racket_features::{app_features, device_features};
+use racket_types::metrics::keys;
 use racket_types::AppId;
 use racketstore::study::{CollectionPath, StudyConfig, StudyOutput};
 use std::collections::BTreeMap;
@@ -212,15 +213,30 @@ pub fn text_fingerprint(out: &StudyOutput) -> String {
     )
 }
 
+/// Completions of the span named `stage` in the study's registry so far.
+pub fn span_count(out: &StudyOutput, stage: &str) -> u64 {
+    let name = format!("{}{stage}", racket_obs::SPAN_PREFIX);
+    out.obs.snapshot().histogram(&name).map_or(0, |h| h.count)
+}
+
 /// Assert the text engine's differential contract: the per-install
 /// [`racket_text::TextSketch`] folded review-by-review at ingest time
 /// must be byte-identical to the sketch rebuilt in batch from the
 /// columnar review family. `context` names the scenario in failures.
+///
+/// The comparison rebuilds once, so it also holds the `campaign/text_rebuild`
+/// span to its meaning: one completion per `batch_text_sketches` call.
 pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) {
+    let before = span_count(out, keys::SPAN_TEXT_REBUILD);
     assert_eq!(
         racketstore::text::streaming_text_fingerprint(out),
         racketstore::text::batch_text_fingerprint(out),
         "{context}: streaming text sketches != batch rebuild from columnar reviews"
+    );
+    assert_eq!(
+        span_count(out, keys::SPAN_TEXT_REBUILD),
+        before + 1,
+        "{context}: campaign/text_rebuild is not one span per batch rebuild"
     );
 }
 
