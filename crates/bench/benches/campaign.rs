@@ -1,12 +1,16 @@
 //! Microbenchmarks for the lockstep-detection hot path: the per-event
 //! sketch fold, MinHash signature folding/merging, LSH candidate
 //! generation, and the full `detect` kernel over a synthetic fleet of
-//! sketches.
+//! sketches — plus the review-text candidate source's scaling curve
+//! (`text_index`: near-duplicate index insert + scan at corpus sizes the
+//! `benchmark/` workloads do not reach).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use racket_agents::TextGen;
 use racket_campaign::lsh::{candidate_pairs, LSH_BANDS, LSH_ROWS};
 use racket_campaign::{detect, CampaignSketch, DetectorConfig, MinHash};
-use racket_types::{AppId, InstallId, SimTime};
+use racket_text::{NearDupIndex, TextSketch};
+use racket_types::{AppId, InstallId, Rating, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,5 +115,104 @@ fn bench_lsh_and_detect(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sketch, bench_minhash, bench_lsh_and_detect);
+/// `(owner, simhash)` rows of the `detect_corpus` review corpus, owner =
+/// install index. The recipe is `benchmark/src/detect_corpus.rs::setup`'s,
+/// copied (that package is a workspace of its own) at its default seed:
+/// 100 reviews per install; the first 20 × 5 installs are hired, five per
+/// planted campaign, and paste 20 organizer templates each; every fourth
+/// install is a worker device reposting one text per app from each of its
+/// accounts; everything else is personal.
+fn corpus_rows(installs: u64) -> Vec<(u64, u64)> {
+    const REVIEWS_PER_INSTALL: u64 = 100;
+    const PLANTED_MEMBERS: u64 = 5;
+    const HIRED: u64 = 20 * PLANTED_MEMBERS;
+    const CAMPAIGN_REVIEWS: u64 = 20;
+    let textgen = TextGen::new(7);
+    let mut rows = Vec::new();
+    for i in 0..installs {
+        let mut sketch = TextSketch::default();
+        for r in 0..REVIEWS_PER_INSTALL {
+            let reviewer = i * 1_000 + r;
+            let stars = (1 + (i + r) % 5) as u8;
+            let rating = Rating::new(stars).expect("1..=5 stars");
+            let (app, text) = if i < HIRED && r < CAMPAIGN_REVIEWS {
+                let campaign = i / PLANTED_MEMBERS;
+                let app = 1_000_000 + campaign * 100 + r;
+                let slot = (i % PLANTED_MEMBERS) as u32;
+                (
+                    app,
+                    textgen.campaign(campaign as u32, app, slot, Rating::FIVE),
+                )
+            } else if i % 4 == 3 {
+                let app = (i * 7 + r / 4) % 997;
+                (app, textgen.worker_promo(i, app, reviewer, rating))
+            } else {
+                let app = (i * REVIEWS_PER_INSTALL + r) % 997;
+                (app, textgen.personal(reviewer, app, rating))
+            };
+            sketch.observe(app as u32, reviewer, r * 60, stars, &text);
+        }
+        rows.extend(sketch.rows().map(|row| (i, row.simhash)));
+    }
+    rows
+}
+
+/// One `Vm*` line of `/proc/self/status`, in MB (0 where there is no procfs).
+fn proc_status_mb(field: &str) -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let line = status.lines().find(|l| l.starts_with(field));
+    let kb = line.and_then(|l| l.split_whitespace().nth(1)?.parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
+}
+
+/// Insert + scan at 40 k / 100 k / 200 k rows. Before each size's timed
+/// passes one untimed pass prints what the scan found and how far it
+/// pushed peak RSS over the resident size before any index existed —
+/// the two columns a time alone cannot show (EXPERIMENTS.md, "Pipeline
+/// performance").
+fn bench_text_index(c: &mut Criterion) {
+    let max_hamming = DetectorConfig::default().text_max_hamming;
+    let insert_and_scan = |rows: &[(u64, u64)]| {
+        let mut index = NearDupIndex::new();
+        for &(owner, simhash) in rows {
+            index.insert(owner, simhash);
+        }
+        index.scan(max_hamming)
+    };
+    let all = corpus_rows(2_000);
+    let resident_mb = proc_status_mb("VmRSS:");
+    let mut g = c.benchmark_group("text_index");
+    for installs in [400u64, 1_000, 2_000] {
+        let rows = &all[..all.partition_point(|&(owner, _)| owner < installs)];
+        // "5" resets this process's peak-RSS mark (Linux ≥ 4.0); where the
+        // write fails the mark is the largest size so far, which ascending
+        // sizes keep meaningful.
+        let _ = std::fs::write("/proc/self/clear_refs", "5");
+        let scan = insert_and_scan(rows);
+        println!(
+            "text_index/{} rows: n_candidates={} n_verified={} pairs={} peak_rss_growth_mb={:.0}",
+            rows.len(),
+            scan.n_candidates,
+            scan.n_verified,
+            scan.pairs.len(),
+            proc_status_mb("VmHWM:") - resident_mb,
+        );
+        drop(scan);
+        g.throughput(Throughput::Elements(rows.len() as u64));
+        g.bench_with_input(
+            BenchmarkId::new("insert_scan", rows.len()),
+            rows,
+            |b, rows| b.iter(|| insert_and_scan(std::hint::black_box(rows))),
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sketch,
+    bench_minhash,
+    bench_lsh_and_detect,
+    bench_text_index
+);
 criterion_main!(benches);

@@ -314,12 +314,7 @@ impl MemTransport {
         if self.pending.is_empty() {
             match self.rx.try_recv() {
                 Ok(chunk) => self.pending = chunk,
-                Err(TryRecvError::Empty) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WouldBlock,
-                        "no data waiting",
-                    ))
-                }
+                Err(TryRecvError::Empty) => return Err(std::io::ErrorKind::WouldBlock.into()),
                 Err(TryRecvError::Disconnected) => return Ok(0),
             }
         }
@@ -359,12 +354,7 @@ impl MemTransport {
         if self.pending.is_empty() {
             match self.rx.recv_timeout(timeout) {
                 Ok(chunk) => self.pending = chunk,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WouldBlock,
-                        "no data within deadline",
-                    ))
-                }
+                Err(RecvTimeoutError::Timeout) => return Err(std::io::ErrorKind::WouldBlock.into()),
                 Err(RecvTimeoutError::Disconnected) => return Ok(0),
             }
         }

@@ -1,26 +1,51 @@
 //! A streaming near-duplicate index over review SimHashes.
 //!
-//! The index buckets each inserted SimHash under four 16-bit bands. Two
-//! hashes within Hamming distance 3 of each other share at least one
-//! exact band (pigeonhole over 4 bands), and copy-paste campaign
-//! templates land at distance 0–2, so banding recalls them with
-//! certainty while keeping bucket scans cheap. [`NearDupIndex::scan`]
-//! then *verifies* every in-bucket candidate pair against a caller-chosen
-//! Hamming threshold, which may exceed the banding guarantee — banding is
-//! recall floor, verification is the precision gate.
+//! Candidates come from banding: two hashes are compared when they agree
+//! on at least one of four 16-bit bands. Two hashes within Hamming
+//! distance 3 of each other share at least one exact band (pigeonhole
+//! over 4 bands), and copy-paste campaign templates land at distance 0–2,
+//! so banding recalls them with certainty. [`NearDupIndex::scan`] then
+//! *verifies* every candidate pair against a caller-chosen Hamming
+//! threshold, which may exceed the banding guarantee — banding is recall
+//! floor, verification is the precision gate.
 //!
-//! All state is B-tree keyed, so the index — and the scan report — is a
-//! canonical function of the inserted **set**, independent of insertion
-//! order and duplicate inserts. That makes "streaming index state ≡
-//! batch-rebuilt index state" a byte-level comparison.
+//! The state is one ordered set of `(simhash, owner)` entries, so the
+//! index — and the scan report — is a canonical function of the inserted
+//! **set**, independent of insertion order and duplicate inserts. That
+//! makes "streaming index state ≡ batch-rebuilt index state" a byte-level
+//! comparison. Nothing is bucketed at insert: the scan derives each band's
+//! buckets by sorting a copy of the entries on that band's key and
+//! sweeping the equal-key runs, and a pair that shares several bands is
+//! accounted in the lowest one only, so every distinct candidate is
+//! counted and verified exactly once, as it is generated. The candidates
+//! themselves are never stored. Verified owner pairs gather in a buffer
+//! that, whenever it is full, drops its repeats (many SimHash pairs can
+//! support one owner pair) and leaves at least as much room as it keeps,
+//! so memory is O(entries + distinct verified owner pairs) and the
+//! sorting amortises.
+//!
+//! Two things a larger corpus might suggest are deliberately absent. A
+//! per-bucket work cap would change `n_candidates` and `pairs`, which are
+//! part of the detector's fingerprint. Verifying a row against its
+//! buckets at insert would serve a caller that scans one index twice;
+//! every caller builds an index, scans it once and drops it.
 
 use crate::simhash::hamming;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Number of SimHash bands the index buckets on.
-const N_BANDS: u32 = 4;
-/// Bits per band (`64 / N_BANDS`).
-const BAND_BITS: u32 = 64 / N_BANDS;
+/// Bits per band: a SimHash is four 16-bit bands.
+const BAND_BITS: u32 = 16;
+
+/// The `band`-th 16-bit field of a SimHash, or of the XOR of two.
+fn band_key(bits: u64, band: u32) -> u16 {
+    (bits >> (band * BAND_BITS)) as u16
+}
+
+/// Sort and drop duplicates.
+fn sort_dedup(pairs: &mut Vec<(u64, u64)>) {
+    pairs.sort_unstable();
+    pairs.dedup();
+}
 
 /// A banded near-duplicate index over `(owner, simhash)` pairs.
 ///
@@ -28,7 +53,7 @@ const BAND_BITS: u32 = 64 / N_BANDS;
 /// pairs sharing an owner are never reported.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NearDupIndex {
-    buckets: BTreeMap<(u8, u16), BTreeSet<(u64, u64)>>,
+    entries: BTreeSet<(u64, u64)>,
 }
 
 /// The result of a verification scan over a [`NearDupIndex`].
@@ -51,23 +76,12 @@ impl NearDupIndex {
 
     /// Insert one `(owner, simhash)` observation. Idempotent.
     pub fn insert(&mut self, owner: u64, simhash: u64) {
-        for band in 0..N_BANDS {
-            let key = ((simhash >> (band * BAND_BITS)) & 0xFFFF) as u16;
-            self.buckets
-                .entry((band as u8, key))
-                .or_default()
-                .insert((simhash, owner));
-        }
-    }
-
-    /// Number of distinct `(band, key)` buckets in use.
-    pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
+        self.entries.insert((simhash, owner));
     }
 
     /// Whether nothing has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.entries.is_empty()
     }
 
     /// Verify all in-bucket candidate pairs against `max_hamming`.
@@ -77,33 +91,36 @@ impl NearDupIndex {
     /// when several bands propose it. A verified owner pair is reported
     /// once even when several SimHash pairs support it.
     pub fn scan(&self, max_hamming: u32) -> NearDupScan {
-        let mut candidates: BTreeSet<((u64, u64), (u64, u64))> = BTreeSet::new();
-        for entries in self.buckets.values() {
-            let flat: Vec<(u64, u64)> = entries.iter().copied().collect();
-            for i in 0..flat.len() {
-                for j in (i + 1)..flat.len() {
-                    let (a, b) = (flat[i], flat[j]);
-                    if a.1 == b.1 {
-                        continue;
+        let mut scan = NearDupScan::default();
+        let mut verified: Vec<(u64, u64)> = Vec::new();
+        let mut view: Vec<(u64, u64)> = self.entries.iter().copied().collect();
+        for band in 0..u64::BITS / BAND_BITS {
+            view.sort_unstable_by_key(|&(simhash, _)| band_key(simhash, band));
+            for bucket in view.chunk_by(|a, b| band_key(a.0 ^ b.0, band) == 0) {
+                for (i, &(sim_a, own_a)) in bucket.iter().enumerate() {
+                    for &(sim_b, own_b) in &bucket[i + 1..] {
+                        // Meeting in a lower band too, the pair was accounted there.
+                        let diff = sim_a ^ sim_b;
+                        if own_a == own_b || (0..band).any(|low| band_key(diff, low) == 0) {
+                            continue;
+                        }
+                        scan.n_candidates += 1;
+                        if hamming(sim_a, sim_b) > max_hamming {
+                            continue;
+                        }
+                        scan.n_verified += 1;
+                        // Drop repeated owner pairs before growing the buffer.
+                        if verified.len() == verified.capacity() {
+                            sort_dedup(&mut verified);
+                            verified.reserve(verified.len().max(1024));
+                        }
+                        verified.push((own_a.min(own_b), own_a.max(own_b)));
                     }
-                    candidates.insert(if a <= b { (a, b) } else { (b, a) });
                 }
             }
         }
-        let mut scan = NearDupScan {
-            n_candidates: candidates.len(),
-            ..NearDupScan::default()
-        };
-        for ((sim_a, own_a), (sim_b, own_b)) in candidates {
-            if hamming(sim_a, sim_b) <= max_hamming {
-                scan.n_verified += 1;
-                scan.pairs.insert(if own_a <= own_b {
-                    (own_a, own_b)
-                } else {
-                    (own_b, own_a)
-                });
-            }
-        }
+        sort_dedup(&mut verified);
+        scan.pairs = verified.into_iter().collect();
         scan
     }
 }

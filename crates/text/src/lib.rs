@@ -20,10 +20,11 @@
 //!   is idempotent and merge is commutative/associative with the default
 //!   sketch as identity, which is what makes the incremental ingest-time
 //!   fold byte-identical to a batch rebuild from the columnar store;
-//! * [`NearDupIndex`] — a streaming-capable banded-bucket index over
-//!   review SimHashes with Hamming verification; its state is a pure
-//!   function of the inserted *set*, so batch and incremental population
-//!   agree exactly.
+//! * [`NearDupIndex`] — a streaming-capable banded index over review
+//!   SimHashes with Hamming verification; its state is the inserted *set*
+//!   itself, so batch and incremental population agree exactly, and its
+//!   scan verifies each candidate as a per-band sorted sweep generates it,
+//!   in memory proportional to the rows and the verified pairs.
 //!
 //! Everything here is deterministic: no `RandomState`, no floats in any
 //! state, B-tree ordering throughout.

@@ -1,4 +1,12 @@
-//! Steady-state allocation pin for the simulator hot path.
+//! Allocation pins, by count under a counting allocator (never by clock).
+//!
+//! Three hot paths whose cost model *is* their allocation count: the
+//! simulator's steady-state lane-day (below), an empty poll of an
+//! in-memory connection (the async plane's load generator makes 10⁴ of
+//! them per round, so one boxed error each was most of `ingest_plane`'s
+//! allocations per snapshot), and the near-duplicate scan (which used to
+//! allocate per bucket and per candidate and now allocates for its output
+//! only). The counter is per thread, so the tests run side by side.
 //!
 //! The lane engine's contract (ARCHITECTURE.md §12) is that a steady-state
 //! device-day — plan, poll snapshots at every action boundary, apply —
@@ -15,26 +23,40 @@
 //! thousands per day and trips the pin immediately.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use racket_agents::{apply_action_collecting, DeviceAgent, LaneScratch, PersonaParams};
-use racket_collect::{CollectorConfig, SnapshotBatch, SnapshotCollector};
+use racket_collect::{CollectorConfig, MemTransport, SnapshotBatch, SnapshotCollector};
 use racket_device::{Device, DeviceModel};
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
+use racket_text::{mix64, NearDupIndex};
 use racket_types::{AndroidId, DeviceId, InstallId, ParticipantId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Counts every allocation (and reallocation) made through the global
-/// allocator. Deallocations are not interesting here: the pin is on how
-/// often the hot path *asks* for memory.
+/// Counts every allocation (and reallocation) the calling thread makes
+/// through the global allocator. Deallocations are not interesting here:
+/// the pin is on how often the hot path *asks* for memory.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: touching it from inside
+    // the allocator allocates nothing and is valid for the thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -43,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -110,7 +132,7 @@ fn steady_state_lane_day_is_allocation_free() {
 
     for day in 0..(WARMUP_DAYS + MEASURED_DAYS) {
         if day == WARMUP_DAYS {
-            measured_start = ALLOCATIONS.load(Ordering::Relaxed);
+            measured_start = allocations();
         }
         let day_start = day0 + SimDuration::from_days(day);
         let day_end = day_start + SimDuration::from_days(1);
@@ -140,7 +162,7 @@ fn steady_state_lane_day_is_allocation_free() {
         scratch.actions = actions;
     }
 
-    let measured = ALLOCATIONS.load(Ordering::Relaxed) - measured_start;
+    let measured = allocations() - measured_start;
     let per_day = measured / MEASURED_DAYS;
     assert!(
         snapshots_seen > 10_000,
@@ -155,5 +177,62 @@ fn steady_state_lane_day_is_allocation_free() {
         "steady-state lane-day allocated {per_day}×/day (total {measured} over \
          {MEASURED_DAYS} days); the hot path has regressed past the \
          {MAX_ALLOCS_PER_DAY}/day pin"
+    );
+}
+
+/// An empty poll of a connected in-memory pair is a stall, not an event:
+/// `WouldBlock` must come back without touching the heap, from the
+/// non-blocking call and from the deadline call alike.
+#[test]
+fn empty_polls_allocate_nothing() {
+    let (mut end, _peer) = MemTransport::pair();
+    let mut buf = [0u8; 64];
+    let would_block = |r: std::io::Result<usize>| matches!(r, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock);
+    let before = allocations();
+    for _ in 0..10_000 {
+        assert!(would_block(end.try_recv(&mut buf)));
+    }
+    assert!(would_block(
+        end.recv_deadline(&mut buf, std::time::Duration::ZERO)
+    ));
+    assert_eq!(allocations() - before, 0, "an empty poll allocated");
+}
+
+/// The near-duplicate scan verifies candidates as it generates them: its
+/// allocations are a handful of buffers plus the B-tree of verified owner
+/// pairs it returns, however many candidates the buckets hold. Here 200
+/// low-band buckets of 100 rows each give ~10⁶ candidates for < 2·10⁴
+/// owner pairs; a scan that stores per bucket or per candidate allocates
+/// 10⁵ times and more.
+#[test]
+fn near_dup_scan_allocates_for_its_output_only() {
+    let mut index = NearDupIndex::new();
+    for row in 0..20_000u64 {
+        let (bucket, owner, noise) = (row / 100, mix64(!row) % 200, mix64(row));
+        // Every other row is its bucket's template with up to two bits
+        // flipped (verified against each other); the rest share nothing
+        // with it but the low band (candidates, rejected).
+        let upper = if row % 2 == 0 {
+            mix64(bucket) ^ (1 << (16 + noise % 48)) ^ (1 << (16 + (noise >> 8) % 48))
+        } else {
+            noise
+        };
+        index.insert(owner, (upper & !0xFFFF) | bucket);
+    }
+    let before = allocations();
+    let scan = index.scan(6);
+    let spent = allocations() - before;
+    assert!(
+        scan.n_candidates > 900_000 && scan.n_verified > 200_000,
+        "the corpus must be collision-heavy ({} candidates, {} verified)",
+        scan.n_candidates,
+        scan.n_verified
+    );
+    let ceiling = 64 + scan.pairs.len() as u64 / 4;
+    assert!(
+        spent <= ceiling,
+        "scan allocated {spent}× for {} candidates and {} owner pairs (ceiling {ceiling})",
+        scan.n_candidates,
+        scan.pairs.len()
     );
 }

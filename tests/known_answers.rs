@@ -81,3 +81,41 @@ fn text_sketch_digests_are_pinned() {
     assert_eq!(s.minhash().rows()[0], 0x1114_3ac8_c47f_7155);
     assert_eq!(s.minhash().rows()[31], 0x461d_8abc_ad6c_6f24);
 }
+
+/// A dozen literal `(owner, simhash)` rows through the near-duplicate
+/// index at the detector's default threshold (6). Computed at `b7e722f`,
+/// when the index was nested B-tree buckets and the scan a materialised
+/// candidate set; the counts are part of `CampaignReport::fingerprint`
+/// (`text_candidates=`), so they are pinned exactly. `H` shares, by row:
+/// everything (another owner, and once more as a duplicate insert), three
+/// bands at distance 1, no band at distance 4 (inside the threshold yet
+/// never a candidate: banding is the recall floor), one band at distance
+/// 48, and three bands at distances 7 and 6 from one owner.
+#[test]
+fn near_dup_scan_is_pinned() {
+    const H: u64 = 0x1234_5678_9abc_def0;
+    const G: u64 = 0x0fed_cba9_8765_4321;
+    let mut index = racket_text::NearDupIndex::new();
+    for (owner, simhash) in [
+        (1u64, H),
+        (2, H),
+        (3, H ^ 0x0001),
+        (1, H ^ 0x0001_0001_0001_0001),
+        (4, H ^ 0xffff_ffff_ffff_0000),
+        (5, H ^ 0x0000_0000_007f_0000),
+        (5, H ^ 0x0000_0000_003f_0000),
+        (6, G),
+        (7, G ^ 0x8000_0000_0000_0000),
+        (7, G ^ 0x0000_00ff_0000_0000),
+        (8, 0xaaaa_bbbb_cccc_dddd),
+        (2, H),
+    ] {
+        index.insert(owner, simhash);
+    }
+    let scan = index.scan(6);
+    assert_eq!(
+        scan.pairs.iter().copied().collect::<Vec<_>>(),
+        vec![(1u64, 2u64), (1, 3), (1, 5), (2, 3), (2, 5), (6, 7)]
+    );
+    assert_eq!((scan.n_candidates, scan.n_verified), (16, 7));
+}
