@@ -39,9 +39,10 @@ RAYON_NUM_THREADS=8 cargo test --release --test streaming_equivalence -q -- --te
 step "columnar equivalence matrix (release)"
 # Differential harness for the columnar analyze engine: the columnar
 # store must mirror the row records (with dictionary codes invariant
-# across paths and thread counts), the presorted GBT split search must be
-# byte-identical to the row-oriented reference, and batch scoring must be
-# bitwise per-row scoring. Same RAYON_NUM_THREADS discipline as above.
+# across paths and thread counts), the GBT split search (presorted once,
+# then partitioned between two buffers) must be byte-identical to the
+# row-oriented reference, and batch scoring must be bitwise per-row
+# scoring. Same RAYON_NUM_THREADS discipline as above.
 RAYON_NUM_THREADS=1 cargo test --release --test columnar_equivalence -q -- --test-threads=1
 RAYON_NUM_THREADS=8 cargo test --release --test columnar_equivalence -q -- --test-threads=1
 

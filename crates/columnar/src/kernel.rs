@@ -16,8 +16,8 @@ pub type SortPair = (f64, u32);
 /// per-feature ordering: a stable sort by feature value over pairs whose
 /// row indices are ascending, which yields exactly the `(value, row)`
 /// lexicographic order the equivalence contract pins. The GBT fit sorts
-/// every feature's full pair list **once**; per-node lists are then
-/// derived by stable partition, which preserves this order without
+/// every feature's full pair list **once**; every tree node's list is a
+/// stable partition of its parent's, which preserves this order without
 /// re-sorting (see `racket-ml`'s `gbt` module docs).
 ///
 /// # Panics

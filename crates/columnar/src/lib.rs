@@ -2,13 +2,13 @@
 //! of the RacketStore pipeline.
 //!
 //! The analyze stage group dominates non-wire runs (on `benchmark/`'s
-//! `e2e_direct`, CV + training alone are ≈ 40 % of the wall): feature
+//! `e2e_direct`, CV + training are the largest measured cost): feature
 //! builds and learner inner loops used to walk row-oriented state
 //! (`Vec<Vec<f64>>` feature matrices, `HashMap`-of-`BTreeMap` install
 //! records), paying a pointer chase per comparison. This crate is the
 //! storage layer that removes those chases — ARCHITECTURE.md §9 documents
-//! the memory layout, the dictionary-encoding scheme and the arena
-//! lifetime rules; this crate-level doc is the API-side summary.
+//! the memory layout, the dictionary-encoding scheme and the split
+//! search's buffer ranges; this crate-level doc is the API-side summary.
 //!
 //! # Column families
 //!
@@ -52,25 +52,14 @@
 //! Consumers that promise bit-identical results (`racket-ml`'s gradient
 //! boosting, the detection service's scoring paths) are held to this
 //! contract by the `tests/columnar_equivalence.rs` differential harness.
-//!
-//! # Arena lifetime rules
-//!
-//! [`ScratchArena`] pools the per-node scratch buffers of recursive
-//! kernels (sort-pair buffers, index partitions). Buffers are cleared on
-//! every take, so no value ever survives a round trip through the pool —
-//! reuse affects allocation count only, never results (property-tested in
-//! [`arena`]). Pools are plain `Vec`s owned by one fit: they are neither
-//! `Send` nor shared, and they drop with the training call.
 
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod column;
 pub mod dict;
 pub mod kernel;
 pub mod shingle;
 
-pub use arena::ScratchArena;
 pub use column::{ColumnMatrix, FlatMatrix};
 pub use dict::Dict;
 pub use kernel::{sort_pairs, sq_dist, SortPair};

@@ -16,10 +16,12 @@
 //! # Columnar split search and the batch-canonical order
 //!
 //! Training runs on `racket-columnar` storage. The feature matrix is
-//! transposed once per fit into a [`ColumnMatrix`], each column is
-//! argsorted **once per fit** into contiguous `(value, row)` pairs, and
-//! every tree node derives its per-feature scan order by stable
-//! partition of its parent's pair lists — no per-node sorting at all.
+//! transposed once per fit into a [`ColumnMatrix`] and each column is
+//! argsorted **once per fit** into contiguous `(value, row)` pairs. The
+//! search then moves pairs between two flat buffers sized once per fit
+//! and never sorts or allocates again: a tree node is a range of the
+//! buffer its depth reads, a split is one branch-free stable partition
+//! of that range into the other buffer (`SplitBuffers`).
 //!
 //! That presorting demands a canonical tie order, so the split search
 //! defines the **batch-canonical order**: row sets are kept ascending by
@@ -33,7 +35,7 @@
 
 use crate::persist::{PersistError, Reader, Writer};
 use crate::{Classifier, FeatureImportance};
-use racket_columnar::{sort_pairs, ColumnMatrix, FlatMatrix, ScratchArena, SortPair};
+use racket_columnar::{sort_pairs, ColumnMatrix, FlatMatrix, SortPair};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -121,6 +123,100 @@ impl RegTree {
     }
 }
 
+/// Working memory of the columnar split search: everything a fit moves,
+/// sized once per fit.
+///
+/// A node at depth `d` is a range `[lo, hi)` of the buffers with index
+/// `d % 2`: of the ascending row list in `rows`, and of one
+/// `(value, row)`-sorted stripe per sampled feature in `pairs` (the k-th
+/// stripe starts at `k * n`). Its children are `[lo, lo + n_left)` and
+/// `[lo + n_left, hi)` of the other buffer. Trees grow depth-first, left
+/// then right, and a subtree writes only inside its own range of either
+/// buffer — so the right child's lists are intact when the left subtree
+/// returns, and no node allocates, takes or returns anything.
+struct SplitBuffers {
+    cols: ColumnMatrix,
+    /// Every column's pair list, sorted once per fit, back to back.
+    presorted: Vec<SortPair>,
+    pairs: [Vec<SortPair>; 2],
+    rows: [Vec<u32>; 2],
+    /// Per row, 1 when the partition in progress sends it left.
+    side: Vec<u8>,
+    /// Per row, the weight of the leaf that took it this round.
+    leaf_weight: Vec<f64>,
+}
+
+impl SplitBuffers {
+    /// Transpose and argsort `x`, and size the buffers for `n_feats`
+    /// sampled features. (Columns containing NaN are rejected here, up
+    /// front, with the reference search's panic message.)
+    fn new(x: &[Vec<f64>], n_feats: usize) -> SplitBuffers {
+        let n = x.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "columnar split search indexes rows with u32"
+        );
+        let cols = ColumnMatrix::from_rows(x);
+        let mut presorted = Vec::with_capacity(n * cols.n_cols());
+        for f in 0..cols.n_cols() {
+            presorted.extend(cols.col(f).iter().zip(0u32..).map(|(&v, i)| (v, i)));
+            sort_pairs(&mut presorted[f * n..]);
+        }
+        SplitBuffers {
+            cols,
+            presorted,
+            pairs: [vec![(0.0, 0); n_feats * n], vec![(0.0, 0); n_feats * n]],
+            rows: [vec![0; n], vec![0; n]],
+            side: vec![0; n],
+            leaf_weight: vec![0.0; n],
+        }
+    }
+
+    /// Load the root node `[0, idx.len())`: the ascending sampled rows,
+    /// and per feature the presorted list with the rows outside the
+    /// sample partitioned away behind the node (a filter of a sorted
+    /// list is sorted) — a plain copy when nothing is subsampled.
+    fn load_root(&mut self, idx: &[usize], feats: &[usize], in_sample: &[u8]) {
+        let n = self.side.len();
+        for (slot, &i) in self.rows[0].iter_mut().zip(idx) {
+            *slot = i as u32;
+        }
+        for (stripe, &f) in self.pairs[0].chunks_exact_mut(n).zip(feats) {
+            let sorted = &self.presorted[f * n..(f + 1) * n];
+            if idx.len() == n {
+                stripe.copy_from_slice(sorted);
+            } else {
+                stable_partition(sorted, stripe, idx.len(), |p| in_sample[p.1 as usize]);
+            }
+        }
+    }
+}
+
+/// Stable partition of `src` into `dst`: elements whose `side` is 1 fill
+/// `dst[..n_left]`, the rest `dst[n_left..]`, each in source order.
+/// Branch-free on purpose: in a list sorted by anything but the split
+/// feature the side is a coin flip, and a branch on it would mispredict
+/// about every other element.
+fn stable_partition<T: Copy>(src: &[T], dst: &mut [T], n_left: usize, side: impl Fn(T) -> u8) {
+    let (mut li, mut ri) = (0, n_left);
+    for &item in src {
+        let left = usize::from(side(item));
+        dst[if left == 1 { li } else { ri }] = item;
+        li += left;
+        ri += 1 - left;
+    }
+}
+
+/// The `(read, write)` halves of a ping-pong buffer pair at `depth`.
+fn ping_pong<T>(pair: &mut [Vec<T>; 2], depth: usize) -> (&[T], &mut [T]) {
+    let [even, odd] = pair;
+    if depth.is_multiple_of(2) {
+        (even, odd)
+    } else {
+        (odd, even)
+    }
+}
+
 /// Gradient-boosted tree ensemble with logistic loss.
 #[derive(Debug, Clone)]
 pub struct GradientBoosting {
@@ -165,7 +261,7 @@ impl GradientBoosting {
     /// row-oriented **reference** implementation.
     ///
     /// This is the executable specification of the split search: the
-    /// columnar [`GradientBoosting::grow_col`] must produce bit-identical
+    /// columnar [`GradientBoosting::grow_buffers`] must produce bit-identical
     /// trees (the `fit_matches_reference` tests and the
     /// `columnar_equivalence` harness enforce it). Everything folds in
     /// the batch-canonical order:
@@ -250,146 +346,113 @@ impl GradientBoosting {
         slot
     }
 
-    /// Grow one regression tree over presorted columnar pair lists — the
-    /// default path.
+    /// Whether a node of `n_rows` rows at `depth` searches for a split;
+    /// one that does not is a leaf, and never reads its pair stripes.
+    fn scans(&self, depth: usize, n_rows: usize) -> bool {
+        depth < self.params.max_depth && n_rows >= 2
+    }
+
+    /// Grow the node `[lo, hi)` at `depth` (see [`SplitBuffers`]) and its
+    /// subtree — the default path.
     ///
-    /// `rows` is the node's row set, ascending; `sorted[k]` is the node's
-    /// `(value, row)` pair list for `feats[k]`, sorted by
-    /// `(value, row index)`. Bit-identical to
-    /// [`GradientBoosting::grow_reference`] because stable partition
-    /// preserves that invariant: filtering a `(value, row)`-sorted list
-    /// by the split predicate yields the child's `(value, row)`-sorted
-    /// list, which is exactly what the reference's fresh stable sort of
-    /// the ascending child rows produces. Gradient/hessian partial sums
-    /// therefore fold in the reference's scan order, and the node's
-    /// `g_sum`/`h_sum` fold over ascending `rows` like the reference —
-    /// yet no node ever sorts: sorting happens once per fit, in
-    /// [`GradientBoosting::fit_impl`].
-    ///
-    /// All buffers are recycled through the [`ScratchArena`] on every
-    /// exit path.
+    /// Bit-identical to [`GradientBoosting::grow_reference`]: the node's
+    /// rows are ascending and each stripe is sorted by
+    /// `(value, row index)`, a stable partition by the split predicate
+    /// keeps both true for the children, and a fresh stable sort of
+    /// ascending rows — what the reference does at every node — yields
+    /// exactly that order. So `g_sum`/`h_sum` and every scan's partial
+    /// sums fold in the reference's order, and nothing below skips or
+    /// reorders an addition whose result is read: a stripe whose first
+    /// and last values are equal has no candidate to evaluate, and a
+    /// node that will not scan needs only its rows.
     #[allow(clippy::too_many_arguments)]
-    fn grow_col(
+    fn grow_buffers(
         &mut self,
         tree: &mut Vec<RegNode>,
-        cols: &ColumnMatrix,
+        bufs: &mut SplitBuffers,
         g: &[f64],
         h: &[f64],
-        rows: Vec<u32>,
-        sorted: Vec<Vec<SortPair>>,
         feats: &[usize],
+        (lo, hi): (usize, usize),
         depth: usize,
-        arena: &mut ScratchArena,
     ) -> usize {
+        let n = bufs.side.len();
+        let rows = &bufs.rows[depth % 2][lo..hi];
         let g_sum: f64 = rows.iter().map(|&i| g[i as usize]).sum();
         let h_sum: f64 = rows.iter().map(|&i| h[i as usize]).sum();
         let lambda = self.params.lambda;
-        let n_node = rows.len();
 
-        let recycle = |arena: &mut ScratchArena, rows: Vec<u32>, sorted: Vec<Vec<SortPair>>| {
-            arena.put_indices(rows);
-            for list in sorted {
-                arena.put_pairs(list);
-            }
-        };
-        let leaf = |tree: &mut Vec<RegNode>| {
-            tree.push(RegNode::Leaf {
-                weight: -g_sum / (h_sum + lambda),
-            });
-            tree.len() - 1
-        };
-
-        if depth >= self.params.max_depth || n_node < 2 {
-            recycle(arena, rows, sorted);
-            return leaf(tree);
-        }
-
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
         let mut best: Option<(usize, f64, f64)> = None;
-        for (pairs, &f) in sorted.iter().zip(feats) {
-            debug_assert_eq!(pairs.len(), n_node);
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for w in 0..pairs.len() - 1 {
-                let i = pairs[w].1 as usize;
-                gl += g[i];
-                hl += h[i];
-                if pairs[w].0 == pairs[w + 1].0 {
+        if self.scans(depth, hi - lo) {
+            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            for (k, &f) in feats.iter().enumerate() {
+                let pairs = &bufs.pairs[depth % 2][k * n + lo..k * n + hi];
+                if pairs[0].0 == pairs[pairs.len() - 1].0 {
                     continue;
                 }
-                let hr = h_sum - hl;
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
-                    continue;
-                }
-                let gr = g_sum - gl;
-                let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
-                    - self.params.gamma;
-                if gain > best.map_or(1e-12, |(_, _, bg)| bg) {
-                    let threshold = (pairs[w].0 + pairs[w + 1].0) / 2.0;
-                    best = Some((f, threshold, gain));
+                let mut gl = 0.0;
+                let mut hl = 0.0;
+                for w in 0..pairs.len() - 1 {
+                    let i = pairs[w].1 as usize;
+                    gl += g[i];
+                    hl += h[i];
+                    if pairs[w].0 == pairs[w + 1].0 {
+                        continue;
+                    }
+                    let hr = h_sum - hl;
+                    if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                        continue;
+                    }
+                    let gr = g_sum - gl;
+                    let gain = 0.5
+                        * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                        - self.params.gamma;
+                    if gain > best.map_or(1e-12, |(_, _, bg)| bg) {
+                        let threshold = (pairs[w].0 + pairs[w + 1].0) / 2.0;
+                        best = Some((f, threshold, gain));
+                    }
                 }
             }
         }
 
         let Some((feature, threshold, gain)) = best else {
-            recycle(arena, rows, sorted);
-            return leaf(tree);
+            let weight = -g_sum / (h_sum + lambda);
+            for &i in rows {
+                bufs.leaf_weight[i as usize] = weight;
+            }
+            tree.push(RegNode::Leaf { weight });
+            return tree.len() - 1;
         };
         self.gain_importance[feature] += gain;
 
-        // Stable partitions by the split predicate: ascending row order
-        // and per-feature (value, row) order both survive filtering.
-        let col = cols.col(feature);
-        let mut left_rows = arena.take_indices();
-        let mut right_rows = arena.take_indices();
-        for &i in &rows {
-            if col[i as usize] <= threshold {
-                left_rows.push(i);
-            } else {
-                right_rows.push(i);
+        // One side byte per row from the predicate `RegTree::predict`
+        // applies, then every list the children will read is partitioned
+        // by looking that byte up.
+        let col = bufs.cols.col(feature);
+        let mut n_left = 0;
+        for &i in rows {
+            let left = u8::from(col[i as usize] <= threshold);
+            bufs.side[i as usize] = left;
+            n_left += usize::from(left);
+        }
+        let side = &bufs.side;
+        let (src, dst) = ping_pong(&mut bufs.rows, depth);
+        stable_partition(&src[lo..hi], &mut dst[lo..hi], n_left, |i| side[i as usize]);
+        if self.scans(depth + 1, n_left.max(hi - lo - n_left)) {
+            let (src, dst) = ping_pong(&mut bufs.pairs, depth);
+            for k in 0..feats.len() {
+                let at = k * n + lo..k * n + hi;
+                stable_partition(&src[at.clone()], &mut dst[at], n_left, |p| {
+                    side[p.1 as usize]
+                });
             }
         }
-        let mut left_sorted = Vec::with_capacity(sorted.len());
-        let mut right_sorted = Vec::with_capacity(sorted.len());
-        for pairs in &sorted {
-            let mut l = arena.take_pairs();
-            let mut r = arena.take_pairs();
-            for &p in pairs {
-                if col[p.1 as usize] <= threshold {
-                    l.push(p);
-                } else {
-                    r.push(p);
-                }
-            }
-            left_sorted.push(l);
-            right_sorted.push(r);
-        }
-        recycle(arena, rows, sorted);
 
         let slot = tree.len();
         tree.push(RegNode::Leaf { weight: 0.0 }); // placeholder
-        let left = self.grow_col(
-            tree,
-            cols,
-            g,
-            h,
-            left_rows,
-            left_sorted,
-            feats,
-            depth + 1,
-            arena,
-        );
-        let right = self.grow_col(
-            tree,
-            cols,
-            g,
-            h,
-            right_rows,
-            right_sorted,
-            feats,
-            depth + 1,
-            arena,
-        );
+        let mid = lo + n_left;
+        let left = self.grow_buffers(tree, bufs, g, h, feats, (lo, mid), depth + 1);
+        let right = self.grow_buffers(tree, bufs, g, h, feats, (mid, hi), depth + 1);
         tree[slot] = RegNode::Split {
             feature,
             threshold,
@@ -453,47 +516,21 @@ impl GradientBoosting {
             (y.iter().filter(|&&l| l == 1).count() as f64 / n as f64).clamp(1e-6, 1.0 - 1e-6);
         self.base_score = (pos_rate / (1.0 - pos_rate)).ln();
 
-        // Columnar path: transpose once, then argsort every column once
-        // per fit into (value, row) pairs with ties ascending by row —
-        // the batch-canonical order every node's scan inherits by stable
-        // partition. (Columns containing NaN are rejected here, up
-        // front, with the reference search's panic message.)
-        let cols = if reference {
-            None
-        } else {
-            assert!(
-                u32::try_from(n).is_ok(),
-                "columnar split search indexes rows with u32"
-            );
-            Some(ColumnMatrix::from_rows(x))
-        };
-        let presorted: Vec<Vec<SortPair>> = cols
-            .iter()
-            .flat_map(|cols| {
-                (0..self.n_features).map(|f| {
-                    let mut pairs: Vec<SortPair> = cols
-                        .col(f)
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (v, i as u32))
-                        .collect();
-                    sort_pairs(&mut pairs);
-                    pairs
-                })
-            })
-            .collect();
-        let mut in_sample = vec![true; n];
-        let mut arena = ScratchArena::new();
-
         let mut margins = vec![self.base_score; n];
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let n_cols = ((self.n_features as f64) * self.params.colsample).ceil() as usize;
         let n_rows = ((n as f64) * self.params.subsample).ceil() as usize;
+        let mut bufs = (!reference).then(|| SplitBuffers::new(x, n_cols));
+
+        let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
+        // The round's row sample: as a mask, and ascending (the
+        // batch-canonical fold order).
+        let mut in_sample = vec![1u8; n];
+        let mut idx: Vec<usize> = (0..n).collect();
+        let mut shuffled: Vec<usize> = Vec::new();
 
         for _ in 0..self.params.n_rounds {
             // Gradients / hessians of the logistic loss at current margins.
-            let mut g = vec![0.0; n];
-            let mut h = vec![0.0; n];
             for i in 0..n {
                 let p = Self::sigmoid(margins[i]);
                 g[i] = p - f64::from(y[i]);
@@ -502,21 +539,22 @@ impl GradientBoosting {
 
             // Row subsample (without replacement) and column subsample.
             // The draw is a shuffle, but the trained-on set is a *set*:
-            // it is canonicalized to ascending row order (the
-            // batch-canonical fold order) before growing.
-            let idx: Vec<usize> = if n_rows < n {
-                let mut all: Vec<usize> = (0..n).collect();
-                all.shuffle(&mut rng);
-                all.truncate(n_rows);
-                all.sort_unstable();
-                all
-            } else {
-                (0..n).collect()
-            };
+            // read back off the mask it is ascending whatever the draw.
+            if n_rows < n {
+                shuffled.clear();
+                shuffled.extend(0..n);
+                shuffled.shuffle(&mut rng);
+                in_sample.fill(0);
+                for &i in &shuffled[..n_rows] {
+                    in_sample[i] = 1;
+                }
+                idx.clear();
+                idx.extend((0..n).filter(|&i| in_sample[i] == 1));
+            }
             let feats: Vec<usize> = if n_cols < self.n_features {
                 let mut all: Vec<usize> = (0..self.n_features).collect();
                 all.shuffle(&mut rng);
-                all.truncate(n_cols.max(1));
+                all.truncate(n_cols);
                 all
             } else {
                 (0..self.n_features).collect()
@@ -526,49 +564,10 @@ impl GradientBoosting {
             let _: u32 = rng.gen();
 
             let mut nodes = Vec::new();
-            match &cols {
-                Some(cols) => {
-                    // Root row set and per-feature pair lists: filter the
-                    // fit-wide presorted lists by the subsample mask —
-                    // a stable filter, so the (value, row) order holds.
-                    let mut root_rows = arena.take_indices();
-                    root_rows.extend(idx.iter().map(|&i| i as u32));
-                    let root_sorted: Vec<Vec<SortPair>> = if idx.len() == n {
-                        feats
-                            .iter()
-                            .map(|&f| {
-                                let mut list = arena.take_pairs();
-                                list.extend_from_slice(&presorted[f]);
-                                list
-                            })
-                            .collect()
-                    } else {
-                        in_sample.fill(false);
-                        for &i in &idx {
-                            in_sample[i] = true;
-                        }
-                        feats
-                            .iter()
-                            .map(|&f| {
-                                let mut list = arena.take_pairs();
-                                list.extend(
-                                    presorted[f].iter().filter(|p| in_sample[p.1 as usize]),
-                                );
-                                list
-                            })
-                            .collect()
-                    };
-                    self.grow_col(
-                        &mut nodes,
-                        cols,
-                        &g,
-                        &h,
-                        root_rows,
-                        root_sorted,
-                        &feats,
-                        0,
-                        &mut arena,
-                    );
+            match &mut bufs {
+                Some(bufs) => {
+                    bufs.load_root(&idx, &feats, &in_sample);
+                    self.grow_buffers(&mut nodes, bufs, &g, &h, &feats, (0, idx.len()), 0);
                 }
                 None => {
                     self.grow_reference(&mut nodes, x, &g, &h, &idx, &feats, 0);
@@ -576,8 +575,14 @@ impl GradientBoosting {
             }
             let tree = RegTree { nodes };
 
+            // The search already knows the leaf of every row it trained
+            // on; only the rows left out of the round walk the tree.
             for i in 0..n {
-                margins[i] += self.params.learning_rate * tree.predict(&x[i]);
+                let weight = match &bufs {
+                    Some(bufs) if in_sample[i] == 1 => bufs.leaf_weight[i],
+                    _ => tree.predict(&x[i]),
+                };
+                margins[i] += self.params.learning_rate * weight;
             }
             self.trees.push(tree);
         }
@@ -674,21 +679,20 @@ impl GradientBoosting {
         }
         let n_trees = r.len(9)?;
         let mut trees = Vec::with_capacity(n_trees);
+        let mut max_feature = None;
         for _ in 0..n_trees {
             let n_nodes = r.len(9)?;
+            if n_nodes == 0 {
+                return Err(PersistError::Malformed("regression tree without nodes"));
+            }
             let mut nodes = Vec::with_capacity(n_nodes);
-            for _ in 0..n_nodes {
+            for at in 0..n_nodes {
                 nodes.push(match r.u8()? {
                     0 => {
                         let feature = r.usize()?;
                         let threshold = r.f64()?;
-                        let left = r.usize()?;
-                        let right = r.usize()?;
-                        if left >= n_nodes || right >= n_nodes {
-                            return Err(PersistError::Malformed(
-                                "regression-tree child index out of range",
-                            ));
-                        }
+                        let (left, right) = r.children(at, n_nodes)?;
+                        max_feature = max_feature.max(Some(feature));
                         RegNode::Split {
                             feature,
                             threshold,
@@ -705,6 +709,12 @@ impl GradientBoosting {
         let base_score = r.f64()?;
         let gain_importance = r.f64s()?;
         let n_features = r.usize()?;
+        if max_feature.is_some_and(|f| f >= n_features) {
+            return Err(PersistError::Malformed("split feature out of range"));
+        }
+        if gain_importance.len() != n_features {
+            return Err(PersistError::Malformed("importance length mismatch"));
+        }
         Ok(GradientBoosting {
             params,
             trees,
@@ -890,22 +900,49 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// fit ≡ fit_reference on arbitrary small datasets, including
-            /// constant columns, dense ties and subsampled RNG streams.
+            /// fit ≡ fit_reference on arbitrary small datasets: dense
+            /// ties, all-distinct, constant and duplicated columns, with
+            /// and without either subsample, from stumps to trees deep
+            /// enough for one-row children, and `min_child_weight`s
+            /// that leave nodes without an admissible split.
             #[test]
             fn columnar_fit_is_bitwise_reference(
-                rows in proptest::collection::vec(
-                    proptest::collection::vec(-4i8..4, 3), 4..40),
-                labels in proptest::collection::vec(0u8..2, 40),
+                cells in proptest::collection::vec(
+                    proptest::collection::vec(-4i8..4, 6), 4..=120),
+                labels in proptest::collection::vec(0u8..2, 120),
+                // Per column: 0–1 the drawn cell (eight levels), 2 eight
+                // adjacent floats (a midpoint threshold rounds onto one
+                // of its neighbours, so the predicate and the scan
+                // position disagree about where the split falls), 3 made
+                // distinct per row, 4 constant, 5 a copy of column 0.
+                shapes in proptest::collection::vec(0usize..6, 1..=6),
+                knobs in (0usize..4, 0usize..3, 0usize..3, 0usize..3),
                 seed in 0u64..1000,
             ) {
-                let x: Vec<Vec<f64>> =
-                    rows.iter().map(|r| r.iter().map(|&v| f64::from(v)).collect()).collect();
+                let x: Vec<Vec<f64>> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| {
+                        let cell = |f: usize| f64::from(row[f]);
+                        (0..shapes.len())
+                            .map(|f| match shapes[f] {
+                                2 => f64::from_bits(1f64.to_bits() + (row[f] + 4) as u64),
+                                3 => cell(f) + i as f64 / 128.0,
+                                4 => 1.0,
+                                5 => cell(0),
+                                _ => cell(f),
+                            })
+                            .collect()
+                    })
+                    .collect();
                 let y: Vec<u8> = labels[..x.len()].to_vec();
                 let params = GradientBoostingParams {
                     n_rounds: 8,
-                    subsample: 0.75,
-                    colsample: 0.67,
+                    max_depth: [1, 2, 4, 6][knobs.0],
+                    subsample: [0.5, 0.75, 1.0][knobs.1],
+                    colsample: [0.34, 0.67, 1.0][knobs.2],
+                    // 0 admits one-row children (a row's hessian is at most ¼).
+                    min_child_weight: [0.0, 1.0, 5.0][knobs.3],
                     seed,
                     ..GradientBoostingParams::default()
                 };
@@ -914,6 +951,10 @@ mod tests {
                 columnar.fit(&x, &y);
                 reference.fit_reference(&x, &y);
                 prop_assert_eq!(bytes_of(&columnar), bytes_of(&reference));
+                let bits = |m: &GradientBoosting| -> Vec<u64> {
+                    m.feature_importances().iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&columnar), bits(&reference));
             }
         }
     }

@@ -179,6 +179,21 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// The child indices of the split in slot `at` of an `n_nodes` tree.
+    /// Every tree is written depth-first, so a child always follows its
+    /// parent — which is also what makes every descent end.
+    pub(crate) fn children(
+        &mut self,
+        at: usize,
+        n_nodes: usize,
+    ) -> Result<(usize, usize), PersistError> {
+        let (left, right) = (self.usize()?, self.usize()?);
+        if left.min(right) <= at || left.max(right) >= n_nodes {
+            return Err(PersistError::Malformed("tree child index out of range"));
+        }
+        Ok((left, right))
+    }
+
     pub(crate) fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -367,6 +382,137 @@ mod tests {
         let mut r = Reader::new(&[3, 0, 0, 0, 0, 0, 0, 0, 1, 2]);
         // 3 elements of 8 bytes each cannot fit in 2 remaining bytes.
         assert_eq!(r.len(8), Err(PersistError::Truncated));
+    }
+
+    /// A body (envelope minus checksum) after an edit: payload length
+    /// rewritten, checksum recomputed — what a hostile writer would ship.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let payload_len = (body.len() - HEADER) as u64;
+        body[HEADER - 8..HEADER].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
+    }
+
+    /// Magic, version, tag and payload length precede the payload.
+    const HEADER: usize = 4 + 2 + 1 + 8;
+
+    fn body_of(model: Model) -> Vec<u8> {
+        let mut bytes = model.to_bytes();
+        bytes.truncate(bytes.len() - 8);
+        assert!(Model::from_bytes(&reseal(bytes.clone())).is_ok());
+        bytes
+    }
+
+    fn u64_at(body: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(body[at..at + 8].try_into().unwrap())
+    }
+
+    fn with_u64(body: &[u8], at: usize, v: u64) -> Vec<u8> {
+        let mut out = body.to_vec();
+        out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        out
+    }
+
+    /// Eight rows the first split separates; three features.
+    fn stump_data() -> (Vec<Vec<f64>>, Vec<u8>) {
+        let x = (0..8).map(|i| vec![f64::from(i), 1.0, 2.0]).collect();
+        (x, (0..8).map(|i| u8::from(i >= 4)).collect())
+    }
+
+    /// `leaf_only`'s first tree is one leaf (tag + value): cut it out, so
+    /// the tree is empty and scoring would index node 0 of nothing.
+    fn without_its_only_node(leaf_only: &[u8], n_nodes: usize) -> Vec<u8> {
+        assert_eq!(u64_at(leaf_only, n_nodes), 1);
+        let mut empty = with_u64(leaf_only, n_nodes, 0);
+        empty.drain(n_nodes + 8..n_nodes + 8 + 9);
+        empty
+    }
+
+    fn assert_malformed(what: &str, body: Vec<u8>) {
+        assert!(
+            matches!(
+                Model::from_bytes(&reseal(body)),
+                Err(PersistError::Malformed(_))
+            ),
+            "{what}: a correctly sealed model that cannot be scored must not decode"
+        );
+    }
+
+    /// Fields the checksum cannot vouch for: the writer that forged them
+    /// recomputed it. Each case is one edit of a real fitted ensemble.
+    #[test]
+    fn sealed_xgb_models_that_cannot_be_scored_are_rejected() {
+        use crate::{GradientBoosting, GradientBoostingParams};
+        let (x, y) = stump_data();
+        let fit = |max_depth| {
+            let mut m = GradientBoosting::new(GradientBoostingParams {
+                n_rounds: 1,
+                max_depth,
+                subsample: 1.0,
+                colsample: 1.0,
+                ..GradientBoostingParams::default()
+            });
+            m.fit(&x, &y);
+            body_of(Model::Xgb(m))
+        };
+        // Nine 8-byte parameters, the tree count, then tree 0: node
+        // count, root tag, feature, threshold, left, right.
+        let n_nodes = HEADER + 9 * 8 + 8;
+        let (feature, left, right) = (n_nodes + 9, n_nodes + 25, n_nodes + 33);
+        let body = fit(1);
+        assert_eq!(
+            (
+                u64_at(&body, n_nodes),
+                body[n_nodes + 8],
+                u64_at(&body, feature)
+            ),
+            (3, 0, 0)
+        );
+        assert_eq!((u64_at(&body, left), u64_at(&body, right)), (1, 2));
+
+        assert_malformed("split feature = n_features", with_u64(&body, feature, 3));
+        assert_malformed("left child = own slot", with_u64(&body, left, 0));
+        assert_malformed("right child = own slot", with_u64(&body, right, 0));
+
+        // [importance len | 3 × f64 | n_features] end the payload.
+        let imp_len = body.len() - 8 - 3 * 8 - 8;
+        assert_eq!(u64_at(&body, imp_len), 3);
+        let mut short = with_u64(&body, imp_len, 2);
+        short.drain(imp_len + 8..imp_len + 16);
+        assert_malformed("importance vector shorter than n_features", short);
+
+        // A depth-0 fit is one leaf.
+        assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
+    }
+
+    #[test]
+    fn sealed_forests_that_cannot_be_scored_are_rejected() {
+        use crate::RandomForestParams;
+        let (x, y) = stump_data();
+        let fit = |max_depth| {
+            let mut m = RandomForest::new(RandomForestParams {
+                n_trees: 1,
+                max_depth,
+                // Every feature at every node: the root must find column 0.
+                max_features: Some(3),
+                ..RandomForestParams::default()
+            });
+            m.fit(&x, &y);
+            body_of(Model::Rf(m))
+        };
+        // Forest: four sizes, `Some(max_features)`, seed, tree count;
+        // tree 0: three sizes, `Some(max_features)`, seed, node count.
+        let n_nodes = HEADER + (4 * 8 + 9 + 8 + 8) + (3 * 8 + 9 + 8);
+        let (left, right) = (n_nodes + 25, n_nodes + 33);
+        let body = fit(1);
+        assert_eq!((u64_at(&body, n_nodes), body[n_nodes + 8]), (3, 0));
+        assert_eq!((u64_at(&body, left), u64_at(&body, right)), (1, 2));
+
+        assert_malformed("left child = own slot", with_u64(&body, left, 0));
+        assert_malformed("right child = own slot", with_u64(&body, right, 0));
+
+        assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
     }
 
     #[test]

@@ -307,17 +307,16 @@ impl DecisionTree {
             seed: r.u64()?,
         };
         let n_nodes = r.len(9)?;
+        if n_nodes == 0 {
+            return Err(PersistError::Malformed("tree without nodes"));
+        }
         let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        for at in 0..n_nodes {
             nodes.push(match r.u8()? {
                 0 => {
                     let feature = r.usize()?;
                     let threshold = r.f64()?;
-                    let left = r.usize()?;
-                    let right = r.usize()?;
-                    if left >= n_nodes || right >= n_nodes {
-                        return Err(PersistError::Malformed("tree child index out of range"));
-                    }
+                    let (left, right) = r.children(at, n_nodes)?;
                     Node::Split {
                         feature,
                         threshold,

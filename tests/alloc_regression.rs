@@ -1,12 +1,13 @@
 //! Allocation pins, by count under a counting allocator (never by clock).
 //!
-//! Three hot paths whose cost model *is* their allocation count: the
+//! Four hot paths whose cost model *is* their allocation count: the
 //! simulator's steady-state lane-day (below), an empty poll of an
 //! in-memory connection (the async plane's load generator makes 10⁴ of
 //! them per round, so one boxed error each was most of `ingest_plane`'s
-//! allocations per snapshot), and the near-duplicate scan (which used to
+//! allocations per snapshot), the near-duplicate scan (which used to
 //! allocate per bucket and per candidate and now allocates for its output
-//! only). The counter is per thread, so the tests run side by side.
+//! only), and a boosted fit (whose split search works inside buffers sized
+//! once per fit). The counter is per thread, so the tests run side by side.
 //!
 //! The lane engine's contract (ARCHITECTURE.md §12) is that a steady-state
 //! device-day — plan, poll snapshots at every action boundary, apply —
@@ -234,5 +235,51 @@ fn near_dup_scan_allocates_for_its_output_only() {
         "scan allocated {spent}× for {} candidates and {} owner pairs (ceiling {ceiling})",
         scan.n_candidates,
         scan.pairs.len()
+    );
+}
+
+/// A boosted fit asks for memory per *round* — the tree's node vector as
+/// it grows, the two subsample draws, the finished tree — and never per
+/// node: the split search works inside buffers sized once per fit.
+/// Differencing a 100-round against a 50-round fit of the same matrix
+/// cancels the per-fit set-up (transpose, presort, buffers) and leaves 50
+/// rounds of steady state: 4.9 allocations a round. A search that takes
+/// and returns per-node lists from a pool measured 31 a round here (pool
+/// growth, per-node list-of-lists, per-round gradient vectors).
+#[test]
+fn gbt_fit_allocates_per_round_not_per_node() {
+    use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams};
+    // 1,500 × 21, column f holding 2, 5, 17, 100 or ~1,500 distinct values.
+    let mut s: u64 = 0x5eed_0020;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 33
+    };
+    let levels = [2u64, 5, 17, 100, 1 << 20];
+    let x: Vec<Vec<f64>> = (0..1_500)
+        .map(|_| (0..21).map(|f| (next() % levels[f % 5]) as f64).collect())
+        .collect();
+    let y: Vec<u8> = x
+        .iter()
+        .map(|r| u8::from(r[2] + r[7] / 2.0 + (next() % 8) as f64 > 12.0))
+        .collect();
+    let fit_allocations = |n_rounds: usize| {
+        let mut m = GradientBoosting::new(GradientBoostingParams {
+            n_rounds,
+            ..GradientBoostingParams::default()
+        });
+        let before = allocations();
+        m.fit(&x, &y);
+        assert_eq!(m.n_trees(), n_rounds);
+        allocations() - before
+    };
+    let (short, long) = (fit_allocations(50), fit_allocations(100));
+    let spent = long - short;
+    assert!(
+        spent <= 50 * 8,
+        "rounds 51-100 of a fit allocated {spent}× ({} a round; 50 rounds {short}, 100 rounds {long})",
+        spent as f64 / 50.0
     );
 }

@@ -1,11 +1,12 @@
-//! Known-answer pins for the sketch kernels.
+//! Known-answer pins for the sketch kernels and the boosted-tree fit.
 //!
 //! Every other check on these kernels is differential (batch ≡
-//! incremental, N threads ≡ 1 thread), so a slipped salt, seed order or
-//! empty-row value moves both sides together and nothing fails. These
-//! literals were computed at `beaa3f2`, when the campaign and text MinHash
-//! were two separate types, and must never be re-baselined: they are what
-//! "every signature is bit-identical to the parent" means.
+//! incremental, N threads ≡ 1 thread, columnar ≡ row reference), so a
+//! slipped salt, seed order or empty-row value moves both sides together
+//! and nothing fails. The sketch literals were computed at `beaa3f2`, when
+//! the campaign and text MinHash were two separate types (the others name
+//! their commit), and must never be re-baselined: they are what "every
+//! signature is bit-identical to the parent" means.
 
 use racket_campaign::CampaignSketch;
 use racket_text::TextSketch;
@@ -118,4 +119,69 @@ fn near_dup_scan_is_pinned() {
         vec![(1u64, 2u64), (1, 3), (1, 5), (2, 3), (2, 5), (6, 7)]
     );
     assert_eq!((scan.n_candidates, scan.n_verified), (16, 7));
+}
+
+/// An LCG-drawn 200 × 6 matrix covering every column shape the split
+/// search distinguishes: two high-cardinality columns, two with at most
+/// four values, one constant, and one that duplicates column 0 (every
+/// gain on it ties with the original, so the first-scanned feature must
+/// keep winning).
+fn gbt_matrix() -> (Vec<Vec<f64>>, Vec<u8>) {
+    let mut s: u64 = 0x2021_0c0d_e5ee_d001;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 33
+    };
+    let mut x = Vec::new();
+    let mut y = Vec::new();
+    for _ in 0..200 {
+        let a = (next() % 1000) as f64 / 8.0;
+        let b = (next() % 4096) as f64 - 2048.0;
+        let c = (next() % 4) as f64;
+        let d = (next() % 3) as f64 * 0.5;
+        let label = u8::from(a + 25.0 * c + b / 64.0 > 90.0);
+        y.push(if next() % 10 == 0 { 1 - label } else { label });
+        x.push(vec![a, b, c, d, 2.5, a]);
+    }
+    (x, y)
+}
+
+/// The boosted ensemble's bytes, pinned as literals. The differential
+/// tests (`fit` ≡ `fit_reference`, `tests/columnar_equivalence.rs`) run
+/// both searches through one `fit_impl`, so a slip in the shared
+/// scaffolding — the RNG stream, the canonical row order, the margin
+/// update — moves both sides together; this does not move. Computed at
+/// `f8365cb`, when every node owned a `Vec` of sorted pair lists, and
+/// never re-baselined. Two parameter sets: the default (row and column
+/// subsampling, depth 4) and an unsampled deeper fit with a
+/// `min_child_weight` that rejects candidates.
+#[test]
+fn gbt_model_bytes_are_pinned() {
+    use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, Model};
+    let (x, y) = gbt_matrix();
+    let pinned = |params: GradientBoostingParams| {
+        let mut m = GradientBoosting::new(params);
+        m.fit(&x, &y);
+        let proba = m.predict_proba(&x[17]).to_bits();
+        let bytes = Model::Xgb(m).to_bytes();
+        let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        (bytes.len(), checksum, proba)
+    };
+    assert_eq!(
+        pinned(GradientBoostingParams::default()),
+        (32_115, 0xabff_4c40_617a_3be2, 0x3fed_f6e8_e4ba_9962)
+    );
+    assert_eq!(
+        pinned(GradientBoostingParams {
+            n_rounds: 30,
+            max_depth: 6,
+            min_child_weight: 5.0,
+            subsample: 1.0,
+            colsample: 1.0,
+            ..GradientBoostingParams::default()
+        }),
+        (5_347, 0x93c4_ab4a_f8e7_0964, 0x3fe9_3a4c_de62_0cba)
+    );
 }
