@@ -52,7 +52,10 @@ step "text equivalence matrix (release)"
 # and the streaming per-install text sketch must be byte-identical to the
 # batch rebuild from the columnar review family, across thread counts,
 # delivery paths, fault plans and fleet compositions. Same
-# RAYON_NUM_THREADS discipline as above.
+# RAYON_NUM_THREADS discipline as above. Before it, racket-text's own
+# tests in the build every matrix runs (release): the one-pass review row
+# against the two-scan kernels, the sentiment table against its word lists.
+cargo test --release -p racket-text -q
 RAYON_NUM_THREADS=1 cargo test --release --test text_equivalence -q -- --test-threads=1
 RAYON_NUM_THREADS=8 cargo test --release --test text_equivalence -q -- --test-threads=1
 

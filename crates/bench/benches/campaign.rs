@@ -1,7 +1,8 @@
 //! Microbenchmarks for the lockstep-detection hot path: the per-event
 //! sketch fold, MinHash signature folding/merging, LSH candidate
 //! generation, and the full `detect` kernel over a synthetic fleet of
-//! sketches — plus the review-text candidate source's scaling curve
+//! sketches — plus the review-text side: the per-review ingest fold split
+//! into its kernels (`text_fold`) and the candidate source's scaling curve
 //! (`text_index`: near-duplicate index insert + scan at corpus sizes the
 //! `benchmark/` workloads do not reach).
 
@@ -9,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use racket_agents::TextGen;
 use racket_campaign::lsh::{candidate_pairs, LSH_BANDS, LSH_ROWS};
 use racket_campaign::{detect, CampaignSketch, DetectorConfig, MinHash};
-use racket_text::{NearDupIndex, TextSketch};
+use racket_text::{sentiment_score, simhash64_of_text, NearDupIndex, TextSketch};
 use racket_types::{AppId, InstallId, Rating, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,23 +116,30 @@ fn bench_lsh_and_detect(c: &mut Criterion) {
     g.finish();
 }
 
-/// `(owner, simhash)` rows of the `detect_corpus` review corpus, owner =
-/// install index. The recipe is `benchmark/src/detect_corpus.rs::setup`'s,
-/// copied (that package is a workspace of its own) at its default seed:
-/// 100 reviews per install; the first 20 × 5 installs are hired, five per
-/// planted campaign, and paste 20 organizer templates each; every fourth
-/// install is a worker device reposting one text per app from each of its
+/// One review of the `detect_corpus` corpus, as `TextSketch::observe`
+/// takes it.
+struct CorpusReview {
+    app: u32,
+    reviewer: u64,
+    time: u64,
+    stars: u8,
+    text: String,
+}
+
+/// The reviews of install `i` of the `detect_corpus` review corpus. The
+/// recipe is `benchmark/src/detect_corpus.rs::setup`'s, copied (that
+/// package is a workspace of its own) at its default seed: 100 reviews per
+/// install; the first 20 × 5 installs are hired, five per planted
+/// campaign, and paste 20 organizer templates each; every fourth install
+/// is a worker device reposting one text per app from each of its
 /// accounts; everything else is personal.
-fn corpus_rows(installs: u64) -> Vec<(u64, u64)> {
+fn corpus_install(textgen: &TextGen, i: u64) -> Vec<CorpusReview> {
     const REVIEWS_PER_INSTALL: u64 = 100;
     const PLANTED_MEMBERS: u64 = 5;
     const HIRED: u64 = 20 * PLANTED_MEMBERS;
     const CAMPAIGN_REVIEWS: u64 = 20;
-    let textgen = TextGen::new(7);
-    let mut rows = Vec::new();
-    for i in 0..installs {
-        let mut sketch = TextSketch::default();
-        for r in 0..REVIEWS_PER_INSTALL {
+    (0..REVIEWS_PER_INSTALL)
+        .map(|r| {
             let reviewer = i * 1_000 + r;
             let stars = (1 + (i + r) % 5) as u8;
             let rating = Rating::new(stars).expect("1..=5 stars");
@@ -150,11 +158,73 @@ fn corpus_rows(installs: u64) -> Vec<(u64, u64)> {
                 let app = (i * REVIEWS_PER_INSTALL + r) % 997;
                 (app, textgen.personal(reviewer, app, rating))
             };
-            sketch.observe(app as u32, reviewer, r * 60, stars, &text);
-        }
+            CorpusReview {
+                app: app as u32,
+                reviewer,
+                time: r * 60,
+                stars,
+                text,
+            }
+        })
+        .collect()
+}
+
+/// One install's reviews folded as ingest folds them.
+fn text_sketch_of(reviews: &[CorpusReview]) -> TextSketch {
+    let mut sketch = TextSketch::default();
+    for r in reviews {
+        sketch.observe(r.app, r.reviewer, r.time, r.stars, &r.text);
+    }
+    sketch
+}
+
+/// `(owner, simhash)` rows of the first `installs` installs of the corpus,
+/// owner = install index.
+fn corpus_rows(installs: u64) -> Vec<(u64, u64)> {
+    let textgen = TextGen::new(7);
+    let mut rows = Vec::new();
+    for i in 0..installs {
+        let sketch = text_sketch_of(&corpus_install(&textgen, i));
         rows.extend(sketch.rows().map(|row| (i, row.simhash)));
     }
     rows
+}
+
+/// The per-review ingest fold over 400 installs of the corpus (the hired
+/// block and 300 worker/personal installs), single-threaded, and its two
+/// text kernels alone — the split `benchmark/`'s
+/// `text.sketch.observe_ns_per_review` cannot show. What `observe` costs
+/// over the sum of the two kernels is the row set's insert plus whatever
+/// the fold does beyond one scan.
+fn bench_text_fold(c: &mut Criterion) {
+    let textgen = TextGen::new(7);
+    let corpus: Vec<Vec<CorpusReview>> = (0..400).map(|i| corpus_install(&textgen, i)).collect();
+    let texts = || corpus.iter().flatten().map(|r| r.text.as_str());
+    let mut g = c.benchmark_group("text_fold");
+    g.throughput(Throughput::Elements(texts().count() as u64));
+    g.bench_function("observe", |b| {
+        b.iter(|| {
+            std::hint::black_box(&corpus)
+                .iter()
+                .map(|reviews| text_sketch_of(reviews).n_reviews())
+                .sum::<usize>()
+        })
+    });
+    g.bench_function("sentiment_score", |b| {
+        b.iter(|| {
+            texts()
+                .map(|t| sentiment_score(std::hint::black_box(t)))
+                .sum::<i32>()
+        })
+    });
+    g.bench_function("simhash64_of_text", |b| {
+        b.iter(|| {
+            texts().fold(0u64, |acc, t| {
+                acc ^ simhash64_of_text(std::hint::black_box(t), 2)
+            })
+        })
+    });
+    g.finish();
 }
 
 /// One `Vm*` line of `/proc/self/status`, in MB (0 where there is no procfs).
@@ -213,6 +283,7 @@ criterion_group!(
     bench_sketch,
     bench_minhash,
     bench_lsh_and_detect,
+    bench_text_fold,
     bench_text_index
 );
 criterion_main!(benches);

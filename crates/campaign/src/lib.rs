@@ -10,10 +10,9 @@
 //!    of `(app, 6-hour bucket)` shingles (`BUCKET_SECS` in `sketch.rs`,
 //!    packed by `racket_columnar::pack_shingle`).
 //! 2. **MinHash** — a 128-row [`MinHash`] signature summarises each
-//!    shingle set: the workspace's one MinHash kernel
-//!    (`racket_text::MinHash`) at this crate's [`MINHASH_SALT`].
-//!    Signatures merge by elementwise min, which makes the fold
-//!    order-insensitive and mergeable across ingest shards.
+//!    shingle set — the workspace's one MinHash kernel. Signatures merge
+//!    by elementwise min, which makes the fold order-insensitive and
+//!    mergeable across ingest shards.
 //! 3. **LSH banding** — [`lsh::candidate_pairs`] buckets signature bands
 //!    to propose likely-similar device pairs without the O(n²) scan.
 //! 4. **Temporal co-occurrence scoring** — candidate pairs are verified
@@ -45,7 +44,9 @@
 
 mod detect;
 pub mod lsh;
+mod minhash;
 mod sketch;
 
 pub use detect::{detect, detect_with_text, CampaignReport, DetectedCampaign, DetectorConfig};
-pub use sketch::{CampaignSketch, MinHash, MINHASH_SALT};
+pub use minhash::MinHash;
+pub use sketch::CampaignSketch;

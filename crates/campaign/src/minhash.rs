@@ -1,53 +1,46 @@
 //! K-permutation MinHash over `u64` shingle sets — the one MinHash kernel
-//! in the workspace, generic over its hash family.
+//! in the workspace.
 //!
-//! Permutation `k` of family `SALT` hashes a shingle `s` to
-//! `mix64(s ^ mix64(SALT ^ k))`; a signature keeps the minimum per
-//! permutation. `min` is commutative, associative and idempotent, so a
-//! signature is a pure function of the shingle *set*: fold order,
-//! duplicate folds and merge order are all invisible — the whole
-//! batch ≡ incremental argument at the kernel level.
-//!
-//! The salt is a const parameter, so signatures of different families are
-//! different types: review-text signatures ([`TextMinHash`]) and the
-//! campaign crate's install-event signatures cannot be merged or compared.
+//! Permutation `k` hashes a shingle `s` to `mix64(s ^ mix64(SALT ^ k))`;
+//! a signature keeps the minimum per permutation. `min` is commutative,
+//! associative and idempotent, so a signature is a pure function of the
+//! shingle *set*: fold order, duplicate folds and merge order are all
+//! invisible — the whole batch ≡ incremental argument at the kernel level.
 
-use crate::shingle::mix64;
+use racket_text::mix64;
 
-/// Longest supported signature (the size of the per-family seed table).
-pub const MAX_ROWS: usize = 128;
+/// Longest supported signature (the size of the seed table).
+const MAX_ROWS: usize = 128;
 
-/// Salt of the review-text family, distinct from the campaign crate's
-/// `MINHASH_SALT` and every other SplitMix64 use in the workspace.
-pub const TEXT_MINHASH_SALT: u64 = 0x7E17_AB1E_5EED_F00D;
+/// Salt of the install-event MinHash family, distinct from every other
+/// SplitMix64 use in the workspace (shingle chaining, fleet streams,
+/// fault streams, ...).
+const SALT: u64 = 0xC0_FFEE_5EED_CAFE;
 
-/// A review-text MinHash signature.
-pub type TextMinHash = MinHash<TEXT_MINHASH_SALT>;
+/// The permutation seeds, computed at compile time.
+const SEEDS: [u64; MAX_ROWS] = {
+    let mut seeds = [0u64; MAX_ROWS];
+    let mut k = 0;
+    while k < MAX_ROWS {
+        seeds[k] = mix64(SALT ^ k as u64);
+        k += 1;
+    }
+    seeds
+};
 
-/// A MinHash signature of family `SALT`: row `k` is the minimum of
+/// An install-event MinHash signature: row `k` is the minimum of
 /// `mix64(s ^ mix64(SALT ^ k))` over every shingle `s` folded so far
 /// (`u64::MAX` when empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinHash<const SALT: u64> {
+pub struct MinHash {
     sig: Vec<u64>,
 }
 
-impl<const SALT: u64> MinHash<SALT> {
-    /// The family's permutation seeds, computed at compile time.
-    const SEEDS: [u64; MAX_ROWS] = {
-        let mut seeds = [0u64; MAX_ROWS];
-        let mut k = 0;
-        while k < MAX_ROWS {
-            seeds[k] = mix64(SALT ^ k as u64);
-            k += 1;
-        }
-        seeds
-    };
-
+impl MinHash {
     /// The empty signature of length `k` (merge identity).
     ///
     /// # Panics
-    /// If `k` exceeds [`MAX_ROWS`].
+    /// If `k` exceeds the 128-entry seed table.
     pub fn empty(k: usize) -> Self {
         assert!(
             k <= MAX_ROWS,
@@ -76,7 +69,7 @@ impl<const SALT: u64> MinHash<SALT> {
     /// Fold one shingle into the signature.
     #[inline]
     pub fn observe(&mut self, shingle: u64) {
-        for (slot, &seed) in self.sig.iter_mut().zip(&Self::SEEDS) {
+        for (slot, &seed) in self.sig.iter_mut().zip(&SEEDS) {
             let h = mix64(shingle ^ seed);
             if h < *slot {
                 *slot = h;
@@ -129,7 +122,7 @@ mod tests {
     #[test]
     fn family_is_distinct_from_plain_mixing() {
         // The salted family must not degenerate to unsalted SplitMix64.
-        let mut m = TextMinHash::empty(2);
+        let mut m = MinHash::empty(2);
         m.observe(123);
         assert_ne!(m.rows()[0], mix64(123));
         assert_ne!(m.rows()[0], m.rows()[1]);
@@ -138,6 +131,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 128 rows")]
     fn oversized_signature_rejected() {
-        let _ = TextMinHash::empty(MAX_ROWS + 1);
+        let _ = MinHash::empty(MAX_ROWS + 1);
     }
 }

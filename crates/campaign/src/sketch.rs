@@ -18,28 +18,9 @@
 //! and associative with the default sketch as identity, so sharded
 //! ingest can combine partial sketches in any order.
 
+use crate::minhash::MinHash;
 use racket_types::{AppId, SimTime};
 use std::collections::BTreeSet;
-
-/// Salt of the install-event MinHash family, distinct from the text
-/// family's (`racket_text::TEXT_MINHASH_SALT`) and every other SplitMix64
-/// use in the workspace (fleet streams, fault streams, ...).
-pub const MINHASH_SALT: u64 = 0xC0_FFEE_5EED_CAFE;
-
-/// An install-event MinHash signature: the shared kernel
-/// [`racket_text::MinHash`] at this crate's salt. The salt is part of the
-/// type, so a signature of another family cannot be merged into it:
-///
-/// ```
-/// let mut a = racket_campaign::MinHash::empty(32);
-/// a.merge(&racket_campaign::MinHash::empty(32));
-/// ```
-///
-/// ```compile_fail
-/// let mut a = racket_campaign::MinHash::empty(32);
-/// a.merge(&racket_text::TextMinHash::empty(32));
-/// ```
-pub type MinHash = racket_text::MinHash<MINHASH_SALT>;
 
 /// Width of one shingle time bucket: 6 hours. Coarse enough that a burst
 /// campaign's workers land in the same bucket, fine enough that a day

@@ -68,11 +68,11 @@ pub struct StreamAggregates {
     /// the batch rebuild from the install-event column family by
     /// construction. Never enters feature vectors or fingerprints.
     campaign: CampaignSketch,
-    /// Review-text sketch over the reported review events (canonical
-    /// per-review rows + install-level MinHash — ARCHITECTURE.md §13).
-    /// Folded at the same program point as the record's review-event
-    /// vector, so it equals the batch rebuild from the columnar review
-    /// family by construction. Stays empty in review-off studies.
+    /// Review-text sketch over the reported review events (the set of
+    /// canonical per-review rows — ARCHITECTURE.md §13). Folded at the
+    /// same program point as the record's review-event vector, so it
+    /// equals the batch rebuild from the columnar review family by
+    /// construction. Stays empty in review-off studies.
     text: TextSketch,
 }
 

@@ -40,24 +40,11 @@ pub fn batch_text_sketches(out: &StudyOutput) -> Vec<(InstallId, TextSketch)> {
 }
 
 /// Canonical rendering of one install's text-sketch state: every review
-/// row plus a fold of the install-level MinHash signature. Byte-identical
-/// iff the sketches are identical (rows are a B-tree set, the signature
-/// a fixed-width vector).
+/// row. Byte-identical iff the sketches are identical (rows are a B-tree
+/// set).
 fn render_sketch(out: &mut String, id: InstallId, sk: &TextSketch) {
     use std::fmt::Write;
-    let sig = sk
-        .minhash()
-        .rows()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |acc, &r| {
-            (acc ^ r).wrapping_mul(0x100_0000_01b3)
-        });
-    let _ = writeln!(
-        out,
-        "install={} reviews={} sig={sig:016x}",
-        id.0,
-        sk.n_reviews()
-    );
+    let _ = writeln!(out, "install={} reviews={}", id.0, sk.n_reviews());
     for r in sk.rows() {
         let _ = writeln!(
             out,

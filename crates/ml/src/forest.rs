@@ -154,6 +154,9 @@ impl RandomForest {
             seed: r.u64()?,
         };
         let n_trees = r.len(1)?;
+        if n_trees == 0 {
+            return Err(PersistError::Malformed("forest without trees"));
+        }
         let trees = (0..n_trees)
             .map(|_| DecisionTree::read_from(r))
             .collect::<Result<Vec<_>, _>>()?;

@@ -678,6 +678,9 @@ impl GradientBoosting {
             return Err(PersistError::Malformed("colsample out of (0, 1]"));
         }
         let n_trees = r.len(9)?;
+        if n_trees == 0 {
+            return Err(PersistError::Malformed("ensemble without trees"));
+        }
         let mut trees = Vec::with_capacity(n_trees);
         let mut max_feature = None;
         for _ in 0..n_trees {

@@ -484,6 +484,13 @@ mod tests {
 
         // A depth-0 fit is one leaf.
         assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
+
+        // What `to_bytes` seals for an ensemble that was never fitted.
+        let unfitted = Model::Xgb(GradientBoosting::new(GradientBoostingParams::default()));
+        assert!(matches!(
+            Model::from_bytes(&unfitted.to_bytes()),
+            Err(PersistError::Malformed("ensemble without trees"))
+        ));
     }
 
     #[test]
@@ -513,6 +520,13 @@ mod tests {
         assert_malformed("right child = own slot", with_u64(&body, right, 0));
 
         assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
+
+        // What `to_bytes` seals for a forest that was never fitted.
+        let unfitted = Model::Rf(RandomForest::new(RandomForestParams::default()));
+        assert!(matches!(
+            Model::from_bytes(&unfitted.to_bytes()),
+            Err(PersistError::Malformed("forest without trees"))
+        ));
     }
 
     #[test]

@@ -10,16 +10,13 @@
 //! * [`token_hashes`] — ASCII word tokenization with case-folded hashing;
 //! * [`shingle_hashes`] — `k`-word shingle hashes over a token stream;
 //! * [`simhash64`] / [`hamming`] — 64-bit SimHash over shingle sets;
-//! * [`MinHash`] — the workspace's one K-permutation MinHash kernel,
-//!   generic over its salted SplitMix64 hash family: [`TextMinHash`] is
-//!   the review-text family, `racket_campaign::MinHash` the install-event
-//!   one;
 //! * [`sentiment_score`] — a compile-time hashed positive/negative lexicon;
-//! * [`TextSketch`] — the per-install streaming fold: one canonical
-//!   [`ReviewRow`] per review plus an install-level MinHash. Observation
-//!   is idempotent and merge is commutative/associative with the default
-//!   sketch as identity, which is what makes the incremental ingest-time
-//!   fold byte-identical to a batch rebuild from the columnar store;
+//! * [`TextSketch`] — the per-install streaming fold: the set of
+//!   canonical [`ReviewRow`]s, each reduced from its review in one scan
+//!   of the text. Observation is idempotent and merge is
+//!   commutative/associative with the default sketch as identity, which
+//!   is what makes the incremental ingest-time fold byte-identical to a
+//!   batch rebuild from the columnar store;
 //! * [`NearDupIndex`] — a streaming-capable banded index over review
 //!   SimHashes with Hamming verification; its state is the inserted *set*
 //!   itself, so batch and incremental population agree exactly, and its
@@ -32,7 +29,6 @@
 #![deny(missing_docs)]
 
 mod index;
-mod minhash;
 mod sentiment;
 mod shingle;
 mod simhash;
@@ -40,7 +36,6 @@ mod sketch;
 mod token;
 
 pub use index::{NearDupIndex, NearDupScan};
-pub use minhash::{MinHash, TextMinHash, MAX_ROWS, TEXT_MINHASH_SALT};
 pub use sentiment::sentiment_score;
 pub use shingle::{mix64, shingle_hashes};
 pub use simhash::{hamming, simhash64, simhash64_of_text};

@@ -27,7 +27,7 @@ const CHUNK: u32 = 255;
 /// shingle is a ripple-carry increment of the lanes where the shingle has
 /// a 1-bit. Inputs longer than one chunk spill into the 64 scalar
 /// counters, so arbitrary iterator lengths stay exact.
-struct Votes {
+pub(crate) struct Votes {
     planes: [u64; PLANES],
     counts: [u64; 64],
     chunk: u32,
@@ -49,7 +49,7 @@ impl Default for Votes {
 
 impl Votes {
     #[inline]
-    fn observe(&mut self, s: u64) {
+    pub(crate) fn observe(&mut self, s: u64) {
         let mut x = s;
         for p in &mut self.planes {
             let carry = *p & x;
@@ -79,7 +79,7 @@ impl Votes {
         self.flushed = true;
     }
 
-    fn finish(mut self) -> u64 {
+    pub(crate) fn finish(mut self) -> u64 {
         if !self.flushed {
             // Single chunk: 64-lane bit-sliced `count > ⌊n/2⌋`, MSB-first.
             // `votes[b] > 0` ⟺ `2·ones > n` ⟺ `ones > ⌊n/2⌋` (both

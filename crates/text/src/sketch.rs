@@ -3,29 +3,20 @@
 //! A [`TextSketch`] is folded one review at a time at snapshot-ingest
 //! time (inside `StreamAggregates`) and rebuilt in batch from the
 //! columnar review family; both paths must produce identical sketches.
-//! The state is engineered for exactly that contract, mirroring the
-//! campaign sketch's algebra:
-//!
-//! * each review reduces to one canonical [`ReviewRow`] (pure function of
-//!   the review fields) kept in a B-tree set — fold **order-insensitive**
-//!   and **idempotent**;
-//! * the install-level MinHash folds each inserted row's shingles, and
-//!   `min` makes duplicate and out-of-order folds invisible;
-//! * [`TextSketch::merge`] is commutative and associative with the
-//!   default sketch as identity, so sharded ingest merges freely.
+//! The state is engineered for exactly that contract: each review reduces
+//! to one canonical [`ReviewRow`] (a pure function of the review fields)
+//! and the sketch is the B-tree *set* of those rows. Folding is therefore
+//! order-insensitive and idempotent, and [`TextSketch::merge`] (set
+//! union) is commutative and associative with the default sketch as
+//! identity, so sharded ingest merges freely.
 
-use crate::minhash::TextMinHash;
-use crate::sentiment::{sentiment_score, token_vote};
+use crate::sentiment::token_vote;
 use crate::shingle::for_each_token_and_shingle;
-use crate::simhash::{simhash64, simhash64_of_text};
+use crate::simhash::Votes;
+use std::collections::BTreeSet;
 
 /// Words per shingle: short review texts need narrow shingles to overlap.
 const SHINGLE_K: usize = 2;
-
-/// Rows of the install-level MinHash: 32 rows estimate Jaccard to ±0.09
-/// at one standard error — plenty for a *feature*, cheap enough for the
-/// per-review ingest fold.
-const N_HASHES: usize = 32;
 
 /// One review, reduced to the canonical fixed-width row the sketch keeps.
 ///
@@ -51,36 +42,38 @@ pub struct ReviewRow {
 }
 
 impl ReviewRow {
-    /// Reduce one review to its canonical row: the definition
-    /// [`TextSketch::observe`]'s single-scan fold is checked against.
+    /// Reduce one review to its canonical row in exactly one scan of the
+    /// text: each token hash votes the sentiment and each shingle hash
+    /// ripples straight into the SimHash tally, with nothing buffered.
+    /// This is the ingest hot path (`benchmark/`'s
+    /// `text.sketch.observe_ns_per_review`); it equals the public
+    /// two-scan kernels `sentiment_score` and `simhash64_of_text` field
+    /// for field, which the crate's proptests hold it to.
     fn of(app: u32, reviewer: u64, time: u64, rating: u8, text: &str) -> Self {
+        let mut sentiment = 0i32;
+        let mut votes = Votes::default();
+        for_each_token_and_shingle(
+            text,
+            SHINGLE_K,
+            |h| sentiment += token_vote(h),
+            |sh| votes.observe(sh),
+        );
         ReviewRow {
             app,
             reviewer,
             time,
             rating,
             len: text.len().min(u32::MAX as usize) as u32,
-            sentiment: sentiment_score(text),
-            simhash: simhash64_of_text(text, SHINGLE_K),
+            sentiment,
+            simhash: votes.finish(),
         }
     }
 }
 
-/// Streaming per-install text state: canonical review rows plus an
-/// install-level MinHash over all review shingles.
-#[derive(Debug, Clone, PartialEq)]
+/// Streaming per-install text state: the set of canonical review rows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TextSketch {
-    rows: std::collections::BTreeSet<ReviewRow>,
-    minhash: TextMinHash,
-}
-
-impl Default for TextSketch {
-    fn default() -> Self {
-        TextSketch {
-            rows: std::collections::BTreeSet::new(),
-            minhash: TextMinHash::empty(N_HASHES),
-        }
-    }
+    rows: BTreeSet<ReviewRow>,
 }
 
 impl TextSketch {
@@ -99,76 +92,89 @@ impl TextSketch {
         self.rows.is_empty()
     }
 
-    /// The install-level MinHash over all review shingles.
-    pub fn minhash(&self) -> &TextMinHash {
-        &self.minhash
-    }
-
     /// Fold one review. Idempotent: re-folding an identical review leaves
-    /// the sketch unchanged (the row set dedups it and `min` makes the
-    /// MinHash refold a no-op).
-    ///
-    /// Equivalent to building `ReviewRow::of` and refolding the text's
-    /// shingles, but scans the text exactly once: token votes accumulate
-    /// the sentiment while the shingle hashes buffer for the SimHash vote
-    /// and (for newly inserted rows) the MinHash fold. This is the ingest
-    /// hot path (`benchmark/`'s `text.sketch.observe_ns_per_review`).
+    /// the sketch unchanged (the row set dedups it).
     pub fn observe(&mut self, app: u32, reviewer: u64, time: u64, rating: u8, text: &str) {
-        // Review texts are short; a stack buffer covers them, the spill
-        // vector keeps arbitrary inputs correct.
-        const STACK_SHINGLES: usize = 64;
-        let mut stack = [0u64; STACK_SHINGLES];
-        let mut spill: Vec<u64> = Vec::new();
-        let mut count = 0usize;
-        let mut sentiment = 0i32;
-        for_each_token_and_shingle(
-            text,
-            SHINGLE_K,
-            |h| sentiment += token_vote(h),
-            |sh| {
-                if count < STACK_SHINGLES {
-                    stack[count] = sh;
-                } else {
-                    spill.push(sh);
-                }
-                count += 1;
-            },
-        );
-        let buffered = &stack[..count.min(STACK_SHINGLES)];
-        let shingles = || buffered.iter().copied().chain(spill.iter().copied());
-        let row = ReviewRow {
-            app,
-            reviewer,
-            time,
-            rating,
-            len: text.len().min(u32::MAX as usize) as u32,
-            sentiment,
-            simhash: simhash64(shingles()),
-        };
-        debug_assert_eq!(
-            row,
-            ReviewRow::of(app, reviewer, time, rating, text),
-            "single-scan fold must agree with the canonical row reduction"
-        );
-        if !self.rows.insert(row) {
-            return;
-        }
-        for sh in shingles() {
-            self.minhash.observe(sh);
-        }
+        self.rows
+            .insert(ReviewRow::of(app, reviewer, time, rating, text));
     }
 
-    /// Merge another sketch (row-set union + MinHash min). Commutative,
-    /// associative, idempotent; the default sketch is the identity.
+    /// Merge another sketch (row-set union). Commutative, associative,
+    /// idempotent; the default sketch is the identity.
     pub fn merge(&mut self, other: &TextSketch) {
         self.rows.extend(other.rows.iter().copied());
-        self.minhash.merge(&other.minhash);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sentiment_score, shingle_hashes, simhash64};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A text of `n_pieces` pieces: lexicon and filler words in random
+    /// letter case, random alphanumeric runs, and separators that include
+    /// multi-byte characters (every non-ASCII byte separates tokens).
+    fn arbitrary_text(n_pieces: usize, seed: u64) -> String {
+        const WORDS: [&str; 8] = [
+            "great", "love", "works", "bad", "crashes", "refund", "app", "the",
+        ];
+        const SEPARATORS: [&str; 8] = [" ", ", ", "!", "\n", "é", "日本", "👍", "-"];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut text = String::new();
+        for _ in 0..n_pieces {
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    for c in WORDS[rng.gen_range(0..WORDS.len())].chars() {
+                        text.push(if rng.gen() { c.to_ascii_uppercase() } else { c });
+                    }
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..6u32) {
+                        text.push(rng.gen_range(b'0'..=b'z') as char);
+                    }
+                }
+                _ => {}
+            }
+            text.push_str(SEPARATORS[rng.gen_range(0..SEPARATORS.len())]);
+        }
+        text
+    }
+
+    proptest! {
+        /// The one-pass row against the public two-scan kernels, from
+        /// empty and one-token texts up to more than 255 shingles, where
+        /// the SimHash tally crosses its chunk flush. `check.sh` runs it
+        /// optimised, the way every matrix runs this crate.
+        #[test]
+        fn one_pass_row_equals_the_two_scan_kernels(
+            n_pieces in prop_oneof![0usize..4, 0usize..60, 380usize..700],
+            seed in any::<u64>(),
+        ) {
+            let text = arbitrary_text(n_pieces, seed);
+            let mut s = TextSketch::default();
+            s.observe(7, 11, 13, 5, &text);
+            let row = *s.rows().next().expect("one review folded");
+            prop_assert_eq!(
+                (row.app, row.reviewer, row.time, row.rating, row.len as usize),
+                (7, 11, 13, 5, text.len())
+            );
+            prop_assert_eq!(row.sentiment, sentiment_score(&text));
+            prop_assert_eq!(row.simhash, simhash64(shingle_hashes(&text, SHINGLE_K)));
+        }
+    }
+
+    /// The size classes of the property above reach what they claim to.
+    #[test]
+    fn arbitrary_texts_cover_short_and_chunk_crossing_inputs() {
+        let shingles = |n, seed| shingle_hashes(&arbitrary_text(n, seed), SHINGLE_K).len();
+        assert_eq!(shingles(0, 1), 0);
+        assert!((0..64).any(|seed| shingles(2, seed) == 1));
+        assert!((0..64).all(|seed| shingles(699, seed) > 255));
+        assert!((0..64).any(|seed| shingles(380, seed) < 255));
+    }
 
     fn sketch_of(reviews: &[(u32, u64, u64, u8, &str)]) -> TextSketch {
         let mut s = TextSketch::default();
@@ -221,6 +227,5 @@ mod tests {
         assert_eq!(row.len, 19);
         assert!(row.sentiment >= 2);
         assert_ne!(row.simhash, 0);
-        assert!(!s.minhash().is_empty());
     }
 }

@@ -27,7 +27,7 @@ pub(crate) const fn fnv1a_folded(bytes: &[u8]) -> u64 {
 /// Call `f` with the case-folded hash of every token of `text`, in order.
 ///
 /// The closure-based shape keeps the per-review hot path allocation-free:
-/// shingling, SimHash voting and MinHash folding all run off this single
+/// shingling, sentiment and SimHash voting all run off this single
 /// byte scan.
 #[inline]
 pub(crate) fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {

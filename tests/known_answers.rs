@@ -12,7 +12,7 @@ use racket_campaign::CampaignSketch;
 use racket_text::TextSketch;
 use racket_types::{AppId, SimTime};
 
-/// Campaign family (`MINHASH_SALT`), K = 128, shingle set {1, 2, 3}.
+/// The MinHash kernel at K = 128, shingle set {1, 2, 3}.
 #[test]
 fn campaign_family_rows_are_pinned() {
     let mut m = racket_campaign::MinHash::empty(128);
@@ -26,32 +26,12 @@ fn campaign_family_rows_are_pinned() {
     assert_eq!(m.rows()[127], 0x1d3c_fac7_6092_4421);
 }
 
-/// Text family (`TEXT_MINHASH_SALT`), K = 32, the same set. The empty
-/// signature is taken from an empty sketch so that this file names no
-/// text-side MinHash type.
-#[test]
-fn text_family_rows_are_pinned() {
-    let mut m = TextSketch::default().minhash().clone();
-    assert!(m.is_empty());
-    for s in [3u64, 1, 2, 1] {
-        m.observe(s);
-    }
-    assert_eq!(m.len(), 32);
-    assert_eq!(m.rows()[0], 0x169e_8f1e_7082_183c);
-    assert_eq!(m.rows()[1], 0x51ef_8b9a_f55d_ef27);
-    assert_eq!(m.rows()[16], 0x4342_533b_dddb_18b3);
-    assert_eq!(m.rows()[31], 0x295e_e917_d6ce_bf2b);
-}
-
-/// The empty row is `u64::MAX` and `J(∅, ∅) = 1` in both families.
+/// The empty row is `u64::MAX` and `J(∅, ∅) = 1`.
 #[test]
 fn empty_signatures_are_pinned() {
     let c = racket_campaign::MinHash::empty(128);
     assert!(c.rows().iter().all(|&r| r == u64::MAX));
     assert_eq!(c.estimate_jaccard(&c), 1.0);
-    let t = TextSketch::default().minhash().clone();
-    assert!(t.rows().iter().all(|&r| r == u64::MAX));
-    assert_eq!(t.estimate_jaccard(&t), 1.0);
 }
 
 /// Two install events through the default campaign sketch: 6-hour
@@ -71,7 +51,7 @@ fn campaign_sketch_signature_is_pinned() {
 }
 
 /// One fixed review through the default text sketch: 2-word shingles,
-/// SimHash row digest, 32-row install-level MinHash.
+/// lexicon sentiment, SimHash row digest.
 #[test]
 fn text_sketch_digests_are_pinned() {
     let mut s = TextSketch::default();
@@ -79,8 +59,6 @@ fn text_sketch_digests_are_pinned() {
     let row = *s.rows().next().unwrap();
     assert_eq!((row.len, row.sentiment), (36, 3));
     assert_eq!(row.simhash, 0xf7ff_5322_6728_0116);
-    assert_eq!(s.minhash().rows()[0], 0x1114_3ac8_c47f_7155);
-    assert_eq!(s.minhash().rows()[31], 0x461d_8abc_ad6c_6f24);
 }
 
 /// A dozen literal `(owner, simhash)` rows through the near-duplicate

@@ -16,10 +16,9 @@
 //!   permutation-insensitive and multiset-scale-invariant, Hamming
 //!   distance is a metric, and the deterministic review-text generator is
 //!   a pure function of its keys;
-//! * the shared MinHash kernel (ARCHITECTURE.md "Sketch kernel"), once per
-//!   hash family: signatures distribute over set union, merge is
-//!   associative, the Jaccard estimate is bounded, symmetric and inside a
-//!   statistical error band, and the two families disagree on one set.
+//! * the MinHash kernel (ARCHITECTURE.md "Sketch kernel"): signatures
+//!   distribute over set union, merge is associative, and the Jaccard
+//!   estimate is bounded, symmetric and inside a statistical error band.
 
 use proptest::prelude::*;
 use racket_collect::wire::{FrameCodec, Message};
@@ -325,142 +324,122 @@ proptest! {
     }
 }
 
-/// The MinHash laws, written once against the shared kernel
-/// `racket_text::MinHash<SALT>` and instantiated per hash family: each
-/// family brings its salt, the signature length its sketch uses, and the
+/// The MinHash laws, against the workspace's one kernel
+/// (`racket_campaign::MinHash`) at the campaign sketch's 128 rows and the
 /// mean-error band that length buys.
-macro_rules! minhash_laws {
-    ($salt:expr, $k:expr, $max_mean_err:expr) => {
-        fn sig(shingles: impl IntoIterator<Item = u64>) -> racket_text::MinHash<{ $salt }> {
-            let mut m = racket_text::MinHash::empty($k);
-            for s in shingles {
-                m.observe(s);
-            }
-            m
-        }
-
-        proptest! {
-            /// Signatures distribute over set union — the exact algebra
-            /// the streaming folds depend on: observing shingles one at a
-            /// time, in any order, with any duplication, then merging
-            /// shard signatures, lands on the signature of the union.
-            #[test]
-            fn minhash_distributes_over_union(
-                a in proptest::collection::vec(any::<u64>(), 0..40),
-                b in proptest::collection::vec(any::<u64>(), 0..40),
-                seed in any::<u64>(),
-            ) {
-                use rand::seq::SliceRandom;
-                use rand::SeedableRng;
-                let (sa, sb) = (sig(a.iter().copied()), sig(b.iter().copied()));
-                let mut union: Vec<u64> = a.iter().chain(&b).copied().collect();
-                union.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-                // Duplicates are invisible: double every element.
-                let su = sig(union.iter().flat_map(|&s| [s, s]));
-                let mut merged = sa.clone();
-                merged.merge(&sb);
-                prop_assert_eq!(&merged, &su);
-                // Merge commutes and the empty signature is an identity.
-                let mut swapped = sb.clone();
-                swapped.merge(&sa);
-                prop_assert_eq!(&swapped, &su);
-                let mut id = sig([]);
-                id.merge(&su);
-                prop_assert_eq!(&id, &su);
-            }
-
-            /// Merge is associative, so sharded ingest may combine partial
-            /// signatures in any grouping.
-            #[test]
-            fn minhash_merge_is_associative(
-                a in proptest::collection::vec(any::<u64>(), 0..40),
-                b in proptest::collection::vec(any::<u64>(), 0..40),
-                c in proptest::collection::vec(any::<u64>(), 0..40),
-            ) {
-                let (sa, sb, sc) = (sig(a), sig(b), sig(c));
-                let mut ab_c = sa.clone();
-                ab_c.merge(&sb);
-                ab_c.merge(&sc);
-                let mut bc = sb.clone();
-                bc.merge(&sc);
-                let mut a_bc = sa.clone();
-                a_bc.merge(&bc);
-                prop_assert_eq!(&ab_c, &a_bc);
-            }
-
-            /// The Jaccard estimate is bounded, symmetric, and exact at the
-            /// extremes (identical sets estimate 1.0).
-            #[test]
-            fn minhash_jaccard_estimate_is_bounded_and_symmetric(
-                a in proptest::collection::hash_set(0u64..200, 1..30),
-                b in proptest::collection::hash_set(0u64..200, 1..30),
-            ) {
-                let (sa, sb) = (sig(a.iter().copied()), sig(b.iter().copied()));
-                let ab = sa.estimate_jaccard(&sb);
-                prop_assert!((0.0..=1.0).contains(&ab));
-                prop_assert_eq!(sb.estimate_jaccard(&sa), ab);
-                prop_assert_eq!(sa.estimate_jaccard(&sa), 1.0);
-                if a == b {
-                    prop_assert_eq!(ab, 1.0);
-                }
-            }
-        }
-
-        /// The Jaccard estimator is unbiased with per-row match
-        /// probability equal to the true Jaccard similarity, so one
-        /// K-row estimate has a standard error of at most `sqrt(0.25/K)`
-        /// (0.088 at 32 rows, 0.044 at 128). Averaged over 300
-        /// deterministic set pairs the mean absolute error must sit well
-        /// inside that band — which a constant or correlated hash family
-        /// (estimate pinned at 1.0) cannot. Fully seeded, so this is a
-        /// regression pin, not a flaky statistical assertion.
-        #[test]
-        fn minhash_jaccard_mean_error_stays_in_band() {
-            use rand::Rng;
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(2021);
-            let mut total_err = 0.0;
-            let n_pairs = 300;
-            for _ in 0..n_pairs {
-                let n_shared = rng.gen_range(0..20);
-                let n_only_a = rng.gen_range(1..15);
-                let n_only_b = rng.gen_range(1..15);
-                let mut draw = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.gen()).collect() };
-                let shared = draw(n_shared);
-                let ma = sig(shared.iter().copied().chain(draw(n_only_a)));
-                let mb = sig(shared.iter().copied().chain(draw(n_only_b)));
-                // 64-bit draws collide with negligible probability: the
-                // true Jaccard is the shared count over the union count.
-                let truth = n_shared as f64 / (n_shared + n_only_a + n_only_b) as f64;
-                total_err += (ma.estimate_jaccard(&mb) - truth).abs();
-            }
-            let mean_err = total_err / n_pairs as f64;
-            assert!(
-                mean_err < $max_mean_err,
-                "MinHash({}) mean |estimate - true Jaccard| = {mean_err:.4}, outside the error band",
-                $k
-            );
-        }
-    };
-}
-
-// The review-text family, at the install-level text sketch's 32 rows.
-minhash_laws!(racket_text::TEXT_MINHASH_SALT, 32, 0.08);
-
-/// The install-event family, at the campaign sketch's 128 rows.
 mod campaign_family {
     use proptest::prelude::*;
-    minhash_laws!(racket_campaign::MINHASH_SALT, 128, 0.04);
-}
+    use racket_campaign::MinHash;
 
-/// The one law only a shared kernel can state: the salt really selects
-/// the family, so the same non-empty set signs differently under each.
-#[test]
-fn minhash_families_disagree_on_the_same_set() {
-    let text = sig([1, 2, 3]);
-    let mut campaign = racket_campaign::MinHash::empty(32);
-    for s in [1, 2, 3] {
-        campaign.observe(s);
+    const K: usize = 128;
+    const MAX_MEAN_ERR: f64 = 0.04;
+
+    fn sig(shingles: impl IntoIterator<Item = u64>) -> MinHash {
+        let mut m = MinHash::empty(K);
+        for s in shingles {
+            m.observe(s);
+        }
+        m
     }
-    assert!(text.rows().iter().zip(campaign.rows()).all(|(t, c)| t != c));
+
+    proptest! {
+        /// Signatures distribute over set union — the exact algebra the
+        /// streaming fold depends on: observing shingles one at a time,
+        /// in any order, with any duplication, then merging shard
+        /// signatures, lands on the signature of the union.
+        #[test]
+        fn minhash_distributes_over_union(
+            a in proptest::collection::vec(any::<u64>(), 0..40),
+            b in proptest::collection::vec(any::<u64>(), 0..40),
+            seed in any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let (sa, sb) = (sig(a.iter().copied()), sig(b.iter().copied()));
+            let mut union: Vec<u64> = a.iter().chain(&b).copied().collect();
+            union.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            // Duplicates are invisible: double every element.
+            let su = sig(union.iter().flat_map(|&s| [s, s]));
+            let mut merged = sa.clone();
+            merged.merge(&sb);
+            prop_assert_eq!(&merged, &su);
+            // Merge commutes and the empty signature is an identity.
+            let mut swapped = sb.clone();
+            swapped.merge(&sa);
+            prop_assert_eq!(&swapped, &su);
+            let mut id = sig([]);
+            id.merge(&su);
+            prop_assert_eq!(&id, &su);
+        }
+
+        /// Merge is associative, so sharded ingest may combine partial
+        /// signatures in any grouping.
+        #[test]
+        fn minhash_merge_is_associative(
+            a in proptest::collection::vec(any::<u64>(), 0..40),
+            b in proptest::collection::vec(any::<u64>(), 0..40),
+            c in proptest::collection::vec(any::<u64>(), 0..40),
+        ) {
+            let (sa, sb, sc) = (sig(a), sig(b), sig(c));
+            let mut ab_c = sa.clone();
+            ab_c.merge(&sb);
+            ab_c.merge(&sc);
+            let mut bc = sb.clone();
+            bc.merge(&sc);
+            let mut a_bc = sa.clone();
+            a_bc.merge(&bc);
+            prop_assert_eq!(&ab_c, &a_bc);
+        }
+
+        /// The Jaccard estimate is bounded, symmetric, and exact at the
+        /// extremes (identical sets estimate 1.0).
+        #[test]
+        fn minhash_jaccard_estimate_is_bounded_and_symmetric(
+            a in proptest::collection::hash_set(0u64..200, 1..30),
+            b in proptest::collection::hash_set(0u64..200, 1..30),
+        ) {
+            let (sa, sb) = (sig(a.iter().copied()), sig(b.iter().copied()));
+            let ab = sa.estimate_jaccard(&sb);
+            prop_assert!((0.0..=1.0).contains(&ab));
+            prop_assert_eq!(sb.estimate_jaccard(&sa), ab);
+            prop_assert_eq!(sa.estimate_jaccard(&sa), 1.0);
+            if a == b {
+                prop_assert_eq!(ab, 1.0);
+            }
+        }
+    }
+
+    /// The Jaccard estimator is unbiased with per-row match probability
+    /// equal to the true Jaccard similarity, so one K-row estimate has a
+    /// standard error of at most `sqrt(0.25/K)` (0.044 at 128 rows).
+    /// Averaged over 300 deterministic set pairs the mean absolute error
+    /// must sit well inside that band — which a constant or correlated
+    /// hash family (estimate pinned at 1.0) cannot. Fully seeded, so this
+    /// is a regression pin, not a flaky statistical assertion.
+    #[test]
+    fn minhash_jaccard_mean_error_stays_in_band() {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2021);
+        let mut total_err = 0.0;
+        let n_pairs = 300;
+        for _ in 0..n_pairs {
+            let n_shared = rng.gen_range(0..20);
+            let n_only_a = rng.gen_range(1..15);
+            let n_only_b = rng.gen_range(1..15);
+            let mut draw = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.gen()).collect() };
+            let shared = draw(n_shared);
+            let ma = sig(shared.iter().copied().chain(draw(n_only_a)));
+            let mb = sig(shared.iter().copied().chain(draw(n_only_b)));
+            // 64-bit draws collide with negligible probability: the
+            // true Jaccard is the shared count over the union count.
+            let truth = n_shared as f64 / (n_shared + n_only_a + n_only_b) as f64;
+            total_err += (ma.estimate_jaccard(&mb) - truth).abs();
+        }
+        let mean_err = total_err / n_pairs as f64;
+        assert!(
+            mean_err < MAX_MEAN_ERR,
+            "MinHash({K}) mean |estimate - true Jaccard| = {mean_err:.4}, outside the error band"
+        );
+    }
 }
