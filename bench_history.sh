@@ -6,7 +6,10 @@
 #
 #   commit, dirty   HEAD, and whether the measured tree differs from it (a
 #                   PR measures its working tree before it is committed)
-#   nproc           the box; a line from another box is another series
+#   nproc, sha_ni   the box: its core count and whether its CPU has the SHA
+#                   extensions `racket_collect::hash::sha256` dispatches on
+#                   (the `sha_ni` flag of /proc/cpuinfo; false where that is
+#                   unreadable); a line from another box is another series
 #   workloads.<w>   median/q1/q3 of the ten untraced runs of each end-to-end
 #                   metric BENCHMARK.json declares (quartiles as Python's
 #                   statistics.quantiles(n=4), like benchmark/src/stats.rs),
@@ -39,9 +42,15 @@ else
   dirty=false
 fi
 
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+  sha_ni=true
+else
+  sha_ni=false
+fi
+
 line="$(jq -c --slurpfile spec BENCHMARK.json \
   --arg commit "$(git rev-parse --short HEAD)" --argjson dirty "$dirty" \
-  --argjson nproc "$(nproc)" '
+  --argjson nproc "$(nproc)" --argjson sha_ni "$sha_ni" '
   def median: sort | length as $n
     | if $n == 0 then null
       elif $n % 2 == 1 then .[($n - 1) / 2]
@@ -53,9 +62,11 @@ line="$(jq -c --slurpfile spec BENCHMARK.json \
         | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4 end;
   ["collect.retry.wait_s", "collect.lzss.compress_busy_s", "snapshots_per_s",
    "alloc.count_per_snapshot", "text.index.scan_busy_s", "ml.cv.busy_s",
-   "ml.gbt.train_busy_s", "scaling_efficiency", "obs.overhead_share"] as $layers
+   "ml.gbt.train_busy_s", "scaling_efficiency", "obs.overhead_share",
+   "collect.hash.sha256_mb_per_s"] as $layers
   | .runs as $runs
-  | { commit: $commit, dirty: $dirty, nproc: $nproc, source: "bench_history.sh",
+  | { commit: $commit, dirty: $dirty, nproc: $nproc, sha_ni: $sha_ni,
+      source: "bench_history.sh",
       workloads: ($spec[0].workloads | map(.name as $w | {
         key: $w,
         value: (
@@ -77,8 +88,10 @@ printf '%s\n' "$line" | jq . >&2
 
 [ -n "$previous" ] || exit 0
 previous_commit="$(jq -r .commit <<<"$previous")"
-if [ "$(jq .nproc <<<"$previous")" != "$(nproc)" ]; then
-  echo "previous line is from a box with another nproc: nothing to hold this one against" >&2
+# Lines older than the `sha_ni` field were recorded on this series' box.
+if [ "$(jq .nproc <<<"$previous")" != "$(nproc)" ] ||
+  [ "$(jq 'if has("sha_ni") then .sha_ni else '"$sha_ni"' end' <<<"$previous")" != "$sha_ni" ]; then
+  echo "previous line is from a box with another nproc or sha_ni: another series, nothing to hold this one against" >&2
   exit 0
 fi
 regressions="$(jq -rn --slurpfile spec BENCHMARK.json \

@@ -71,18 +71,10 @@ fn bench_serialize(c: &mut Criterion) {
     for s in &snaps {
         SnapshotCollector::serialize_into(s, &mut file);
     }
-    let mut json_file = Vec::new();
-    for s in &snaps {
-        json_file.extend_from_slice(&serde_json::to_vec(s).unwrap());
-        json_file.push(b'\n');
-    }
     let mut g = c.benchmark_group("delivery/deserialize");
     g.throughput(Throughput::Elements(snaps.len() as u64));
     g.bench_function("binary", |b| {
         b.iter(|| SnapshotCollector::deserialize_file(std::hint::black_box(&file)).unwrap())
-    });
-    g.bench_function("json_baseline", |b| {
-        b.iter(|| SnapshotCollector::deserialize_file(std::hint::black_box(&json_file)).unwrap())
     });
     g.finish();
 }
@@ -120,9 +112,7 @@ fn bench_checksums(c: &mut Criterion) {
     g.bench_function("crc32_slice8", |b| {
         b.iter(|| crc32(std::hint::black_box(&data)))
     });
-    g.bench_function("sha256_unrolled", |b| {
-        b.iter(|| sha256(std::hint::black_box(&data)))
-    });
+    g.bench_function("sha256", |b| b.iter(|| sha256(std::hint::black_box(&data))));
     g.finish();
 }
 

@@ -99,11 +99,14 @@ impl InstallRecord {
     }
 
     /// The observed monitoring interval `[first, last]` (half-open at
-    /// `last + 1 s` so single-snapshot records are non-degenerate).
+    /// `last + 1 s` so single-snapshot records are non-degenerate). The end
+    /// saturates: `last_seen` is a wire timestamp, and a client may send
+    /// `u64::MAX`.
     pub fn observed_interval(&self) -> TimeInterval {
         TimeInterval::new(
             self.first_seen,
-            self.last_seen + racket_types::SimDuration::from_secs(1),
+            self.last_seen
+                .saturating_add(racket_types::SimDuration::from_secs(1)),
         )
     }
 
@@ -164,9 +167,9 @@ impl InstallRecord {
                     self.android_id = s.android_id;
                 }
                 if !s.accounts.is_empty() || self.accounts.is_empty() {
-                    self.accounts = s.accounts.clone();
+                    self.accounts.clone_from(&s.accounts);
                 }
-                self.stopped_apps = s.stopped_apps.clone();
+                self.stopped_apps.clone_from(&s.stopped_apps);
                 for review in &s.review_events {
                     self.review_events.push(review.clone());
                     self.stream.note_review(
@@ -683,6 +686,39 @@ mod tests {
         assert_eq!(app.fg_total, 2, "one foreground fold per snapshot");
         assert_eq!(rec.stream.n_install_events, 1);
         assert_eq!(rec.stream.n_uninstall_events, 1);
+    }
+
+    #[test]
+    fn record_accepts_any_wire_timestamp() {
+        // `time` is a client-supplied u64. A signed-in client that sends
+        // the largest one is acked like any other, and the record it
+        // leaves must not take the analysis down: the half-open end of
+        // its interval saturates instead of overflowing.
+        let mut s = server();
+        s.handle(Message::SignIn {
+            participant: P,
+            install: I,
+        });
+        let payload = file_of(&[
+            fast_with_install(100, 7, 50),
+            fast_with_install(u64::MAX, 8, u64::MAX),
+        ]);
+        assert_eq!(
+            s.handle(upload(1, &payload)),
+            Some(Message::UploadAck {
+                file_id: 1,
+                sha256: sha256(&payload),
+            })
+        );
+        let rec = s.record(I).unwrap();
+        assert_eq!(rec.last_seen, SimTime::from_secs(u64::MAX));
+        let interval = rec.observed_interval();
+        assert_eq!(interval.start, SimTime::from_secs(100));
+        assert_eq!(interval.end, SimTime::from_secs(u64::MAX));
+        let devices = crate::fingerprint::coalesce_installs(vec![
+            crate::fingerprint::CandidateInstall::from_record(&rec),
+        ]);
+        assert_eq!(devices.len(), 1);
     }
 
     #[test]

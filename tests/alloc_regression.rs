@@ -1,10 +1,11 @@
 //! Allocation pins, by count under a counting allocator (never by clock).
 //!
-//! Four hot paths whose cost model *is* their allocation count: the
+//! Five hot paths whose cost model *is* their allocation count: the
 //! simulator's steady-state lane-day (below), an empty poll of an
 //! in-memory connection (the async plane's load generator makes 10⁴ of
 //! them per round, so one boxed error each was most of `ingest_plane`'s
-//! allocations per snapshot), the near-duplicate scan (which used to
+//! allocations per snapshot), the server's fold of a slow snapshot (lists
+//! overwritten in place), the near-duplicate scan (which used to
 //! allocate per bucket and per candidate and now allocates for its output
 //! only), and a boosted fit (whose split search works inside buffers sized
 //! once per fit). The counter is per thread, so the tests run side by side.
@@ -27,11 +28,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use racket_agents::{apply_action_collecting, DeviceAgent, LaneScratch, PersonaParams};
-use racket_collect::{CollectorConfig, MemTransport, SnapshotBatch, SnapshotCollector};
+use racket_collect::{
+    CollectionServer, CollectorConfig, MemTransport, SnapshotBatch, SnapshotCollector,
+};
 use racket_device::{Device, DeviceModel};
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
 use racket_text::{mix64, NearDupIndex};
-use racket_types::{AndroidId, DeviceId, InstallId, ParticipantId, SimDuration, SimTime};
+use racket_types::{
+    AccountId, AccountService, AndroidId, AppId, DeviceId, InstallId, ParticipantId,
+    RegisteredAccount, SimDuration, SimTime, SlowSnapshot, Snapshot,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,6 +61,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+// `GlobalAlloc` is an unsafe trait; every method forwards to `System`.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -197,6 +205,42 @@ fn empty_polls_allocate_nothing() {
         end.recv_deadline(&mut buf, std::time::Duration::ZERO)
     ));
     assert_eq!(allocations() - before, 0, "an empty poll allocated");
+}
+
+/// The server-side fold of a slow snapshot overwrites the record's account
+/// and stopped-app lists in place: once the record has seen one snapshot of
+/// a shape, more of the same shape ask for no memory. Assigning fresh
+/// clones instead costs two allocations a snapshot.
+#[test]
+fn steady_state_slow_snapshot_fold_allocates_nothing() {
+    let slow = |t: u64| {
+        Snapshot::Slow(SlowSnapshot {
+            install_id: InstallId(1),
+            participant_id: ParticipantId(1),
+            android_id: Some(AndroidId(1)),
+            time: SimTime::from_secs(t),
+            accounts: (0..3)
+                .map(|i| RegisteredAccount::non_gmail(AccountId(i), AccountService::Facebook))
+                .collect(),
+            save_mode: false,
+            stopped_apps: (0..5).map(AppId).collect(),
+            review_events: Vec::new(),
+        })
+    };
+    // One calendar day, so the per-day count map gains no entry either.
+    let snapshots: Vec<Snapshot> = (0..=1_000).map(|i| slow(60 * i)).collect();
+    let mut server = CollectionServer::new([ParticipantId(1)]);
+    server.ingest_snapshot(&snapshots[0]);
+    let before = allocations();
+    for snapshot in &snapshots[1..] {
+        server.ingest_snapshot(snapshot);
+    }
+    let spent = allocations() - before;
+    assert_eq!(server.record(InstallId(1)).expect("record").n_slow, 1_001);
+    assert_eq!(
+        spent, 0,
+        "1,000 same-shape slow snapshots allocated {spent}×"
+    );
 }
 
 /// The near-duplicate scan verifies candidates as it generates them: its
