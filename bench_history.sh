@@ -60,7 +60,8 @@ line="$(jq -c --slurpfile spec BENCHMARK.json \
       else ([1, ([($i * ($m + 1) / 4 | floor), $m - 1] | min)] | max) as $j
         | ($i * ($m + 1) - $j * 4) as $d
         | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4 end;
-  ["collect.retry.wait_s", "collect.lzss.compress_busy_s", "snapshots_per_s",
+  ["collect.retry.wait_s", "collect.retry.retries", "collect.server.dup_files",
+   "reactor.poll.rounds", "collect.lzss.compress_busy_s", "snapshots_per_s",
    "alloc.count_per_snapshot", "text.index.scan_busy_s", "ml.cv.busy_s",
    "ml.gbt.train_busy_s", "scaling_efficiency", "obs.overhead_share",
    "collect.hash.sha256_mb_per_s"] as $layers

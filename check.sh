@@ -24,7 +24,10 @@ cargo test -q
 
 step "chaos matrix (release)"
 # The fault-injection suite runs eight full studies (one per fault
-# profile); release mode keeps it to seconds.
+# profile); release mode keeps it to seconds. Before it, the hand-stepped
+# window test: one lane, session and core under every fault profile at
+# window 1, 2 and 16, in the build the matrices run.
+cargo test --release -p racket-collect --lib -q window_delivers_in_file_order_under_every_fault_plan
 cargo test --release --test chaos -q
 
 step "streaming equivalence matrix (release)"

@@ -143,7 +143,8 @@ fn bench_frame(c: &mut Criterion) {
                 true,
                 std::hint::black_box(&payload),
                 &mut out,
-            );
+            )
+            .expect("a rotated file fits a frame");
             out.len()
         })
     });

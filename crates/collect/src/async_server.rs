@@ -145,6 +145,12 @@ impl AsyncConn {
         self.transport.fault_stats()
     }
 
+    /// Whether the worker has yet to take frames already sent off the
+    /// pipe ([`MemTransport::peer_is_behind`]).
+    pub(crate) fn worker_is_behind(&self) -> bool {
+        self.transport.peer_is_behind()
+    }
+
     /// Run the reconnect handshake: request a server-side reset and wait
     /// (bounded) for the worker to acknowledge it, then purge this end.
     /// After it returns the client must install a fresh strict codec and
@@ -550,7 +556,7 @@ pub(crate) mod tests {
         ApkHash, AppId, FastSnapshot, InstallDelta, InstallId, InstalledApp, PermissionProfile,
         SimTime, Snapshot,
     };
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     pub(crate) const P: ParticipantId = ParticipantId(123_456);
     pub(crate) const I: InstallId = InstallId(1_000_000_000);
@@ -718,10 +724,11 @@ pub(crate) mod tests {
             [Message::SignInAck { accepted: true }]
         );
         // Flood far more uploads than the queue admits, one send per
-        // frame, then keep retrying whatever was shed until every file
-        // is acked.
+        // frame and in file order (the core folds an install's files in
+        // order, so the one upload a round admits must be the next one),
+        // then keep retrying whatever was shed until every file is acked.
         let n_files = 32u64;
-        let mut unacked: HashSet<u64> = (1..=n_files).collect();
+        let mut unacked: BTreeSet<u64> = (1..=n_files).collect();
         let mut seq = 1u32;
         let mut sheds_seen = 0u64;
         while !unacked.is_empty() {

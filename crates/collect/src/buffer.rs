@@ -159,10 +159,11 @@ impl DataBuffer {
         self.ready.iter()
     }
 
-    /// A queued file by id (`None` once acknowledged), letting the upload
-    /// loop borrow payloads in place instead of cloning the queue.
-    pub fn file(&self, file_id: u64) -> Option<&UploadFile> {
-        self.ready.iter().find(|f| f.file_id == file_id)
+    /// Whether nothing is accumulating: every pushed snapshot sits in a
+    /// queued file, so no later rotation is implied (the state
+    /// [`DataBuffer::flush`] leaves behind).
+    pub(crate) fn is_flushed(&self) -> bool {
+        self.fast_file.is_empty() && self.slow_file.is_empty()
     }
 
     /// Number of files awaiting acknowledgement.

@@ -20,12 +20,13 @@
 //!   in-memory (crossbeam channel) and TCP implementations, plus the
 //!   seeded fault-injection layer ([`transport::FaultPlan`]) chaos tests
 //!   drive;
-//! * [`retry`] — the client-side retry/backoff state machine:
+//! * [`retry`] — the client-side window/retry/backoff state machine:
 //!   [`retry::WireLane`] runs one device's protocol session over a
-//!   (possibly fault-injected) link with bounded exponential backoff,
-//!   reconnect-and-resume, and exactly-once delivery via the server's
-//!   idempotent ingest; a loopback lane also steps the server half of
-//!   its link inline;
+//!   (possibly fault-injected) link with a sliding window of files in
+//!   flight, Go-Back-N recovery, bounded exponential backoff,
+//!   reconnect-and-resume, and exactly-once in-order delivery via the
+//!   server's file-order rule; a loopback lane also steps the server
+//!   half of its link inline;
 //! * [`server`] — the server side of the protocol as one sans-IO core
 //!   ([`ProtocolCore`]; the contract is `PROTOCOL.md` §6) and the
 //!   per-install aggregate it folds into; the private `session` module

@@ -1,31 +1,35 @@
-//! Client-side retry/backoff state machine for the upload protocol.
+//! Client-side window, retry and backoff state machine for the upload
+//! protocol.
 //!
 //! §3's transfer loop keeps a rotated snapshot file queued until the
 //! server acknowledges it with a matching content hash. This module
-//! supplies the part the paper leaves implicit: *how* the client survives
-//! a flaky link. [`WireLane`] drives one device's protocol session over an
-//! in-memory loopback transport (optionally behind a seeded
-//! [`FaultPlan`]), retrying every exchange with bounded exponential
-//! backoff and jittered, RNG-seeded delays, and reconnecting (purge +
-//! fresh sequence-checked codecs) after a connection reset or a poisoned
-//! frame stream.
+//! supplies the part the paper leaves implicit: *how* the client keeps the
+//! link busy and survives a flaky one. [`WireLane`] drives one device's
+//! protocol session over an in-memory transport (optionally behind a
+//! seeded [`FaultPlan`]): a sliding window of up to `WINDOW` files sent
+//! and not yet acknowledged, Go-Back-N recovery — any trouble with the
+//! oldest unacknowledged file rewinds the window to it — with bounded
+//! exponential backoff and jittered, RNG-seeded delays, and a reconnect
+//! (purge + fresh sequence-checked codecs) after a connection reset or a
+//! poisoned frame stream.
 //!
 //! Recovery is safe because the protocol is idempotent end to end:
 //!
 //! * every *transmission* carries a fresh frame sequence number, so the
 //!   receiver's strict codec discards duplicated or reordered stale
 //!   copies at the frame layer;
-//! * the server deduplicates replayed upload files by `(install,
-//!   file_id)` and re-acknowledges without re-ingesting, so an upload
-//!   whose ack was lost can be retried without double-counting a single
-//!   snapshot;
+//! * the server folds an install's files in file order, each once: a file
+//!   ahead of its turn is refused until the client rewinds to the gap, a
+//!   file behind it is re-acknowledged without re-ingesting, so a window
+//!   can be resent from its oldest file without double-counting, or
+//!   reordering, a single snapshot;
 //! * sign-in is idempotent and survives reconnects server-side, so a
-//!   resumed session just replays its unacknowledged files.
+//!   resumed session just resends its unacknowledged files.
 //!
-//! Everything is deterministic given the seed: backoff jitter and fault
-//! decisions come from SplitMix64 streams, and no wall-clock time is
-//! involved (delays are accounted, not slept — the study driver is a
-//! simulation). The full state machine is specified in `PROTOCOL.md`.
+//! The loopback backend is deterministic given the seed: backoff jitter
+//! and fault decisions come from SplitMix64 streams, and no wall-clock
+//! time is involved (delays are accounted, not slept — the study driver is
+//! a simulation). The full state machine is specified in `PROTOCOL.md` §7.
 //!
 //! # Backends
 //!
@@ -34,16 +38,16 @@
 //!
 //! * **Loopback** ([`WireLane::new`]) — the lane owns both transport
 //!   endpoints and the server half of the connection (a `Session` over
-//!   the shared [`ProtocolCore`]), which it steps inline after every
-//!   send: a one-connection worker without a thread. Fully deterministic;
-//!   the synchronous study path.
+//!   the shared [`ProtocolCore`]), which it steps inline whenever it looks
+//!   for replies: a one-connection worker without a thread. Fully
+//!   deterministic; the synchronous study path.
 //! * **Async** ([`WireLane::new_async`]) — the lane owns only the client
 //!   half of an [`AsyncConn`] from
-//!   [`crate::async_server::AsyncCollectServer::connect`]; replies are
-//!   awaited with escalating deadlines and the server side runs on the
-//!   async plane's reactor workers. Same state machine, same wire
-//!   semantics; reconnect becomes the explicit cross-thread handshake
-//!   ([`AsyncConn::request_reset`]).
+//!   [`crate::async_server::AsyncCollectServer::connect`]; the server side
+//!   runs on the async plane's reactor workers, and replies are awaited
+//!   up to a deadline that follows the lane's observed ack latency. Same
+//!   state machine, same wire semantics; reconnect becomes the explicit
+//!   cross-thread handshake ([`AsyncConn::request_reset`]).
 
 use crate::async_server::AsyncConn;
 use crate::buffer::{DataBuffer, StageTimers};
@@ -63,11 +67,22 @@ pub(crate) const SERVER_FAULT_SALT: u64 = 0x9E6C_63D0_3F15_2A85;
 /// Salt separating backoff jitter from fault sampling.
 const JITTER_SALT: u64 = 0x4CF5_AD43_2745_937F;
 
-/// Async backend: reply deadline for the first attempt of an exchange, in
-/// milliseconds. Doubles per retry up to [`ASYNC_REPLY_CAP_MS`] — slow
-/// (but alive) workers get more slack before the client retransmits.
-const ASYNC_REPLY_BASE_MS: u64 = 4;
-/// Async backend: ceiling on any single reply deadline, in milliseconds.
+/// Upload files a lane keeps in flight, sent and not yet acknowledged.
+/// Stop-and-wait is this constant at 1.
+const WINDOW: usize = 16;
+// A full window must fit a connection's admission queue, or the server
+// would shed an honest lane.
+const _: () = assert!(WINDOW <= QUEUE_LIMIT);
+
+/// Async backend: the shortest reply deadline, in milliseconds. The
+/// deadline follows the lane's observed ack latency (smoothed latency plus
+/// four mean deviations) but never drops below this, so a worker thread
+/// that loses the CPU for a scheduler slice is not taken for a lost frame.
+const ASYNC_REPLY_FLOOR_MS: u64 = 16;
+/// Async backend: ceiling on any single reply deadline, in milliseconds,
+/// and the deadline before the first latency sample. Each retransmission
+/// of a file doubles its deadline up to this — slow (but alive) workers
+/// get more slack before the client retransmits.
 const ASYNC_REPLY_CAP_MS: u64 = 64;
 
 /// Transmissions attempted per exchange before giving up.
@@ -91,7 +106,7 @@ const RECONNECT_AFTER: u32 = 4;
 pub struct RetryStats {
     /// Transmissions attempted (first tries and retries combined).
     pub attempts: u64,
-    /// Retransmissions after a timeout, decode error or reset.
+    /// Retransmissions after a timeout, refusal, decode error or reset.
     pub retries: u64,
     /// Reconnect-and-resume cycles.
     pub reconnects: u64,
@@ -126,9 +141,9 @@ impl RetryStats {
 /// Which kind of link a [`WireLane`] runs over.
 ///
 /// Private enum, public concept: the lane's observable protocol behaviour
-/// (sequence discipline, retry/backoff, idempotent recovery) is identical
-/// across backends; only the mechanics of moving bytes and reconnecting
-/// differ. The equivalence is enforced end-to-end by
+/// (sequence discipline, window, retry/backoff, idempotent recovery) is
+/// identical across backends; only the mechanics of moving bytes, waiting
+/// and reconnecting differ. The equivalence is enforced end-to-end by
 /// `tests/async_equivalence.rs`.
 enum LaneBackend {
     /// The lane owns both endpoints of an in-memory pair and the server
@@ -143,10 +158,48 @@ enum LaneBackend {
         /// Pooled inflate scratch (what a reactor worker owns on the
         /// async path).
         scratch: Vec<u8>,
+        /// The server half lost framing, or its reply send was reset:
+        /// once the replies it produced before that are read, the link is
+        /// [`Reply::Broken`] until the lane reconnects.
+        broken: bool,
     },
     /// The lane owns the client half of an async-plane connection; the
     /// server half lives on a reactor worker thread.
     Async { conn: AsyncConn },
+}
+
+impl LaneBackend {
+    /// Whether frames the lane sent are still in the pipe, unread by a
+    /// reactor worker. (A loopback lane steps its server half itself.)
+    fn worker_is_behind(&self) -> bool {
+        matches!(self, LaneBackend::Async { conn } if conn.worker_is_behind())
+    }
+}
+
+/// What [`WireLane::next_reply`] found on the link.
+enum Reply {
+    /// A decoded reply, and whether the lane was parked on the link when
+    /// its bytes came in (only then is its arrival time known).
+    Msg(Message, bool),
+    /// Nothing more arrives before the deadline.
+    Quiet,
+    /// A poisoned frame stream or a reset link: reconnect.
+    Broken,
+}
+
+/// How a round of [`WireLane::settle_replies`] ended.
+enum Step {
+    /// The oldest unacknowledged file was acknowledged and deleted: the
+    /// window slid forward by one file.
+    Acked,
+    /// Nothing has arrived and nothing is overdue; the window stays in
+    /// flight.
+    Idle,
+    /// The oldest unacknowledged file, or its ack, did not make it: resend
+    /// from that file.
+    Rewind,
+    /// Reconnect, then resend from the oldest unacknowledged file.
+    Reconnect,
 }
 
 /// One device's protocol session over a fault-injected link.
@@ -157,7 +210,8 @@ enum LaneBackend {
 /// travel back through the same fault layer. Both directions get
 /// independent seeded fault streams derived from the lane seed. With the
 /// async backend the async plane's workers own the server half and
-/// replies are awaited with escalating deadlines.
+/// replies are awaited up to a deadline that follows the observed ack
+/// latency.
 pub struct WireLane {
     backend: LaneBackend,
     client_codec: FrameCodec,
@@ -170,6 +224,23 @@ pub struct WireLane {
     /// Pooled frame buffer: every transmission (first tries and
     /// retransmissions alike) encodes into this one allocation.
     frame_buf: Vec<u8>,
+    /// Most files in flight at once ([`WINDOW`]; tests narrow it).
+    window: usize,
+    /// How many files at the front of the buffer's queue are in flight.
+    /// The server folds and acknowledges an install's files in order, so
+    /// the in-flight set is always that prefix and needs no list.
+    in_flight: usize,
+    /// Transmissions of the oldest unacknowledged file so far.
+    head_sends: u32,
+    /// When the oldest unacknowledged file was last sent or, if later,
+    /// became the oldest: the instant its reply deadline runs from.
+    head_since: Instant,
+    /// Highest file id transmitted so far; a send at or below it is a
+    /// retransmission.
+    sent_through: u64,
+    /// Smoothed ack latency and its mean deviation (async backend; `None`
+    /// before the first sample).
+    ack_latency: Option<(Duration, Duration)>,
     /// Delivery sub-stage shards this lane owns: `hash` (ack
     /// verification) and `frame` (wire encoding). The buffer's own
     /// [`StageTimers`] covers serialize + compress.
@@ -197,6 +268,7 @@ impl WireLane {
             session: Box::new(Session::strict(QUEUE_LIMIT)),
             core,
             scratch: Vec::new(),
+            broken: false,
         };
         Self::over(backend, install, participant, seed)
     }
@@ -230,6 +302,12 @@ impl WireLane {
             jitter_rng: seed ^ JITTER_SALT,
             stats: RetryStats::default(),
             frame_buf: Vec::new(),
+            window: WINDOW,
+            in_flight: 0,
+            head_sends: 0,
+            head_since: Instant::now(),
+            sent_through: 0,
+            ack_latency: None,
             timers: StageTimers::default(),
         }
     }
@@ -271,203 +349,344 @@ impl WireLane {
             participant: self.participant,
             install: self.install,
         };
-        let encode = |seq: u32, out: &mut Vec<u8>| msg.encode_seq_into(seq, out);
-        match self.request(encode, |m| matches!(m, Message::SignInAck { .. }))? {
-            Message::SignInAck { accepted } => Some(accepted),
-            _ => unreachable!("matcher admits only SignInAck"),
-        }
-    }
-
-    /// Upload every pending file in the buffer, retrying each until the
-    /// server's hash acknowledgement matches and the buffer deletes it.
-    /// Returns compressed bytes transmitted, retransmissions included.
-    /// Files whose retry budget is exhausted stay queued — a later call
-    /// (next delivery tick or the final flush) resumes them.
-    pub fn upload_pending(&mut self, buffer: &mut DataBuffer) -> u64 {
-        let mut bytes = 0u64;
-        // Ids only — payloads stay in the buffer's queue and are borrowed
-        // in place per transmission, never cloned into an owned message.
-        let ids: Vec<u64> = buffer.pending().map(|f| f.file_id).collect();
-        for file_id in ids {
-            let len = buffer.file(file_id).map_or(0, |f| f.data.len() as u64);
-            let before = self.stats.attempts;
-            let acked = self.upload_file(file_id, buffer);
-            bytes += len * (self.stats.attempts - before);
-            if acked {
-                self.stats.files_acked += 1;
-            }
-        }
-        bytes
-    }
-
-    /// Upload one file until acknowledged with a matching hash.
-    fn upload_file(&mut self, file_id: u64, buffer: &mut DataBuffer) -> bool {
-        let install = self.install;
-        // Outer loop: hash-mismatch rounds (an ack that fails the content
-        // comparison keeps the file queued; §3's retransmission rule).
-        for _ in 0..MAX_ATTEMPTS {
-            let Some(file) = buffer.file(file_id) else {
-                return false; // already acknowledged (stale ack raced us)
-            };
-            let (fast, payload) = (file.fast, file.data.as_slice());
-            let encode = |seq: u32, out: &mut Vec<u8>| {
-                wire::encode_upload_into(seq, install, file_id, fast, payload, out);
-            };
-            let want =
-                |m: &Message| matches!(m, Message::UploadAck { file_id: id, .. } if *id == file_id);
-            let Some(Message::UploadAck {
-                file_id: acked_id,
-                sha256,
-            }) = self.request(encode, want)
-            else {
-                return false; // budget exhausted
-            };
-            let start = Instant::now();
-            let acked = buffer.acknowledge(acked_id, sha256);
-            self.timers.hash.record(start.elapsed().as_nanos() as u64);
-            if acked {
-                return true;
-            }
-            self.stats.hash_mismatches += 1;
-        }
-        self.stats.exhausted += 1;
-        false
-    }
-
-    /// One request/response exchange with retry, backoff and
-    /// reconnect-on-error. `encode` writes the frame for a given sequence
-    /// number into the lane's pooled buffer (callers hand it a closure so
-    /// upload payloads can be borrowed straight out of the data buffer).
-    /// Replies not admitted by `matcher` (stale acks from earlier
-    /// exchanges, errors) are discarded.
-    fn request(
-        &mut self,
-        encode: impl Fn(u32, &mut Vec<u8>),
-        matcher: impl Fn(&Message) -> bool,
-    ) -> Option<Message> {
         for attempt in 1..=MAX_ATTEMPTS {
-            self.stats.attempts += 1;
             if attempt > 1 {
                 self.stats.retries += 1;
                 self.stats.backoff_ms += self.backoff_delay_ms(attempt - 1);
             }
-            // Every transmission takes a fresh sequence number — receivers
-            // discard stale copies, and the application layer (file_id
-            // dedup) absorbs replays.
-            let seq = self.client_seq;
-            self.client_seq += 1;
             let start = Instant::now();
-            encode(seq, &mut self.frame_buf);
+            msg.encode_seq_into(self.client_seq, &mut self.frame_buf);
             self.timers.frame.record(start.elapsed().as_nanos() as u64);
-            let sent = match &mut self.backend {
-                LaneBackend::Loopback { client, .. } => client.send(&self.frame_buf),
-                LaneBackend::Async { conn } => conn.send(&self.frame_buf),
-            };
-            if sent.is_err() {
+            if self.transmit().is_err() {
                 self.reconnect();
                 continue;
             }
-            match self.exchange_replies(attempt) {
-                Err(()) => {
-                    self.reconnect();
-                    continue;
-                }
-                Ok(replies) => {
-                    if let Some(hit) = replies.into_iter().find(|r| matcher(r)) {
-                        return Some(hit);
+            let sent = Instant::now();
+            let deadline = sent + self.reply_deadline(attempt);
+            loop {
+                match self.next_reply(Some(deadline)) {
+                    Reply::Msg(Message::SignInAck { accepted }, awaited) => {
+                        if awaited && attempt == 1 {
+                            self.observe_ack_latency(sent.elapsed());
+                        }
+                        return Some(accepted);
                     }
-                    // No reply within the deadline: loss or stall — retry.
+                    // A reply to an earlier transmission; keep waiting.
+                    Reply::Msg(..) => {}
+                    Reply::Broken => {
+                        self.reconnect();
+                        break;
+                    }
+                    Reply::Quiet => {
+                        if attempt.is_multiple_of(RECONNECT_AFTER) {
+                            self.reconnect();
+                        }
+                        break;
+                    }
                 }
-            }
-            // Timeout escalation: repeated silent attempts suggest a
-            // wedged stream (e.g. a corrupted length field has the peer's
-            // decoder waiting forever) — reconnect rather than feed it.
-            if attempt % RECONNECT_AFTER == 0 {
-                self.reconnect();
             }
         }
         self.stats.exhausted += 1;
         None
     }
 
-    /// Move the exchange forward after a send: on loopback, step the
-    /// server half and drain its replies; on async, await replies up to a
-    /// per-attempt escalating deadline. Returns the decoded replies
-    /// (possibly none — loss or stall); `Err` means a poisoned frame
-    /// stream or a reset link (the caller reconnects).
-    fn exchange_replies(&mut self, attempt: u32) -> Result<Vec<Message>, ()> {
+    /// One delivery tick of the sliding window (Go-Back-N): settle whatever
+    /// acks have arrived, send queued files from the front of `buffer`
+    /// while fewer than the window are unacknowledged, and wait only when
+    /// the window is full — or when `buffer` is flushed (nothing is
+    /// accumulating, so no later tick is implied: the final flush), in
+    /// which case the call returns once the queue is empty. A file leaves
+    /// the buffer only on an ack whose hash matches the buffer's own
+    /// (§3's transfer validation). Any trouble with the oldest
+    /// unacknowledged file — silence past its deadline, a mismatching ack,
+    /// a refusal, a poisoned stream, a reset — rewinds the window to that
+    /// file and resends from there, with backoff accounted per rewind. A
+    /// file whose `MAX_ATTEMPTS` run out stays queued with everything
+    /// behind it; a later call resumes on a fresh budget.
+    ///
+    /// Returns compressed bytes transmitted, retransmissions included.
+    pub fn upload_pending(&mut self, buffer: &mut DataBuffer) -> u64 {
+        let drain = buffer.is_flushed();
+        let mut bytes = 0u64;
+        // Set by a queued file no frame can hold: nothing behind it can be
+        // delivered in order, so the queue ends there for this call.
+        let mut unsendable = false;
+        loop {
+            while self.in_flight < self.window && !unsendable {
+                let Some(file) = buffer.pending().nth(self.in_flight) else {
+                    break;
+                };
+                let start = Instant::now();
+                let framed = wire::encode_upload_into(
+                    self.client_seq,
+                    self.install,
+                    file.file_id,
+                    file.fast,
+                    &file.data,
+                    &mut self.frame_buf,
+                );
+                self.timers.frame.record(start.elapsed().as_nanos() as u64);
+                if framed.is_err() {
+                    self.stats.exhausted += 1;
+                    unsendable = true;
+                    break;
+                }
+                if self.in_flight == 0 {
+                    if self.head_sends == MAX_ATTEMPTS {
+                        self.stats.exhausted += 1;
+                        self.head_sends = 0;
+                        return bytes;
+                    }
+                    self.head_sends += 1;
+                    if self.head_sends > 1 {
+                        self.stats.backoff_ms += self.backoff_delay_ms(self.head_sends - 1);
+                    }
+                    self.head_since = Instant::now();
+                }
+                if file.file_id > self.sent_through {
+                    self.sent_through = file.file_id;
+                } else {
+                    self.stats.retries += 1;
+                }
+                bytes += file.data.len() as u64;
+                if self.transmit().is_ok() {
+                    self.in_flight += 1;
+                } else {
+                    // The link reset under this frame. That loses the
+                    // frame and whatever the pipes still hold, not what
+                    // already reached either end: settle the acks that
+                    // are back before reconnecting.
+                    while let Step::Acked = self.settle_replies(buffer, false) {}
+                    self.reconnect();
+                    self.in_flight = 0;
+                }
+            }
+            if self.in_flight == 0 {
+                return bytes;
+            }
+            let wait = drain || self.in_flight == self.window;
+            match self.settle_replies(buffer, wait) {
+                Step::Acked => {}
+                Step::Idle => return bytes,
+                Step::Rewind => self.in_flight = 0,
+                Step::Reconnect => {
+                    self.reconnect();
+                    self.in_flight = 0;
+                }
+            }
+        }
+    }
+
+    /// Read replies until one moves the window: the oldest file's ack, or
+    /// a reason to resend it. With `wait` the lane parks on the link until
+    /// that file's deadline; without, it takes only what has arrived.
+    fn settle_replies(&mut self, buffer: &mut DataBuffer, wait: bool) -> Step {
+        let mut deadline = self.head_since + self.reply_deadline(self.head_sends);
+        loop {
+            match self.next_reply(wait.then_some(deadline)) {
+                Reply::Msg(msg, awaited) => {
+                    let first_send = self.head_sends == 1;
+                    match self.settle(msg, buffer) {
+                        Some(Step::Acked) => {
+                            let now = Instant::now();
+                            // A retransmitted file's ack may answer either
+                            // copy, and an ack found waiting arrived at an
+                            // unknown time: neither is a latency sample.
+                            if awaited && first_send {
+                                self.observe_ack_latency(now - self.head_since);
+                            }
+                            self.head_since = now;
+                            return Step::Acked;
+                        }
+                        Some(step) => return step,
+                        None => {}
+                    }
+                }
+                Reply::Broken => return Step::Reconnect,
+                Reply::Quiet if self.in_flight == 0 || Instant::now() < deadline => {
+                    return Step::Idle
+                }
+                // The worker has not taken what was sent off the pipe yet:
+                // the silence is its backlog (or a stolen CPU), nothing was
+                // lost, and resending would only deepen the backlog. The
+                // deadline starts over.
+                Reply::Quiet if self.backend.worker_is_behind() => {
+                    self.head_since = Instant::now();
+                    deadline = self.head_since + self.reply_deadline(self.head_sends);
+                    if !wait {
+                        return Step::Idle;
+                    }
+                }
+                // Silence past the deadline: loss, stall, or — when it
+                // repeats — a wedged stream (a corrupted length field has
+                // the peer's decoder waiting forever): reconnect rather
+                // than feed it.
+                Reply::Quiet if self.head_sends.is_multiple_of(RECONNECT_AFTER) => {
+                    return Step::Reconnect
+                }
+                Reply::Quiet => return Step::Rewind,
+            }
+        }
+    }
+
+    /// Apply one reply to the window (`None`: a reply to an exchange that
+    /// is already over). Only the oldest unacknowledged file's own ack,
+    /// verified against the buffer's hash of it, deletes anything.
+    fn settle(&mut self, msg: Message, buffer: &mut DataBuffer) -> Option<Step> {
+        let head = buffer.pending().next().map_or(0, |f| f.file_id);
+        match msg {
+            Message::UploadAck { file_id, sha256 } if file_id == head => {
+                let start = Instant::now();
+                let deleted = buffer.acknowledge(file_id, sha256);
+                self.timers.hash.record(start.elapsed().as_nanos() as u64);
+                if deleted {
+                    self.stats.files_acked += 1;
+                    // (Nothing is in flight when a reset took the oldest
+                    // file's resend and an earlier copy's ack still came.)
+                    self.in_flight = self.in_flight.saturating_sub(1);
+                    self.head_sends = self.in_flight.min(1) as u32;
+                    Some(Step::Acked)
+                } else {
+                    self.stats.hash_mismatches += 1;
+                    Some(Step::Rewind)
+                }
+            }
+            // A settled file acknowledged again (a replay's re-ack).
+            Message::UploadAck { file_id, .. } if file_id < head => None,
+            // A later file's ack (the oldest's own was lost) or an error
+            // (409: a later file overtook a lost one; 429; 400). Replies
+            // keep their order, so once the oldest file has been resent,
+            // more of these are answers to the copies sent before the
+            // rewind: acting on each would resend the window once per
+            // stale reply. From there only its ack or its deadline counts.
+            Message::UploadAck { .. } | Message::Error { .. } if self.head_sends == 1 => {
+                Some(Step::Rewind)
+            }
+            _ => None,
+        }
+    }
+
+    /// Send the frame in `frame_buf`, which was encoded under `client_seq`.
+    /// Every transmission takes a fresh number — receivers discard stale
+    /// copies, and the server's file order absorbs replays.
+    fn transmit(&mut self) -> std::io::Result<()> {
+        self.stats.attempts += 1;
+        self.client_seq += 1;
+        match &mut self.backend {
+            LaneBackend::Loopback { client, .. } => client.send(&self.frame_buf),
+            LaneBackend::Async { conn } => conn.send(&self.frame_buf),
+        }
+    }
+
+    /// The next reply on the link. On loopback: step the server half over
+    /// whatever the fault layer let through (its replies come back through
+    /// the fault layer too) — what that round does not bring never comes,
+    /// so `deadline` is not consulted. On async: take what has arrived,
+    /// else park until `deadline` (`None`: do not park).
+    fn next_reply(&mut self, deadline: Option<Instant>) -> Reply {
         let WireLane {
             backend,
             client_codec,
             ..
         } = self;
-        let mut buf = [0u8; 4096];
-        let mut msgs = Vec::new();
-        match backend {
-            LaneBackend::Loopback {
-                client,
-                server_end,
-                session,
-                core,
-                scratch,
-            } => {
-                // One service round of the server half over whatever the
-                // fault layer let through; its replies go back through
-                // the fault layer too.
-                while let Ok(n @ 1..) = server_end.try_recv(&mut buf) {
-                    session.feed(&buf[..n]);
-                }
-                let mut reply_sent = Ok(());
-                let served = session.service(core, scratch, usize::MAX, |frame| {
-                    if reply_sent.is_ok() {
-                        reply_sent = server_end.send(frame);
-                    }
-                });
-                // A poisoned stream is recovered from this end: the
-                // client reconnects, which retires both sequence spaces.
-                if served.poisoned || reply_sent.is_err() {
-                    return Err(());
-                }
-                // Drain everything waiting on the client side.
-                while let Ok(n @ 1..) = client.try_recv(&mut buf) {
-                    client_codec.feed(&buf[..n]);
-                }
-                decode_all(client_codec, &mut msgs)?;
-                Ok(msgs)
+        let mut buf = [0u8; 1024];
+        let mut awaited = false;
+        loop {
+            match client_codec.try_decode_message() {
+                Ok(Some(msg)) => return Reply::Msg(msg, awaited),
+                Ok(None) => {}
+                Err(_) => return Reply::Broken,
             }
-            LaneBackend::Async { conn } => {
-                // Await replies from the worker thread. The deadline
-                // escalates with the attempt number so a slow-but-alive
-                // server eventually gets enough slack; a reply batch
-                // returns as soon as anything decodes (the matcher
-                // decides whether it settles the exchange).
-                let wait_ms = ASYNC_REPLY_BASE_MS
-                    .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
-                    .min(ASYNC_REPLY_CAP_MS);
-                let deadline = Instant::now() + Duration::from_millis(wait_ms);
-                loop {
-                    decode_all(client_codec, &mut msgs)?;
-                    if !msgs.is_empty() {
-                        return Ok(msgs);
+            match backend {
+                LaneBackend::Loopback {
+                    client,
+                    server_end,
+                    session,
+                    core,
+                    scratch,
+                    broken,
+                } => {
+                    while let Ok(n @ 1..) = server_end.try_recv(&mut buf) {
+                        session.feed(&buf[..n]);
                     }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(msgs); // timed out: loss or stall
+                    let mut reply_sent = Ok(());
+                    let served = session.service(core, scratch, usize::MAX, |frame| {
+                        if reply_sent.is_ok() {
+                            reply_sent = server_end.send(frame);
+                        }
+                    });
+                    // A poisoned stream is recovered from this end: the
+                    // client reconnects, which retires both sequence
+                    // spaces — after it has read what the server answered
+                    // before the stream broke.
+                    *broken |= served.poisoned || reply_sent.is_err();
+                    let mut arrived = false;
+                    while let Ok(n @ 1..) = client.try_recv(&mut buf) {
+                        client_codec.feed(&buf[..n]);
+                        arrived = true;
                     }
-                    match conn.recv_deadline(&mut buf, deadline - now) {
-                        Ok(0) => return Err(()), // server closed the pipe
+                    if !arrived {
+                        return if *broken { Reply::Broken } else { Reply::Quiet };
+                    }
+                }
+                LaneBackend::Async { conn } => {
+                    let received = match conn.try_recv(&mut buf) {
+                        Ok(n) => Ok(n),
+                        Err(_) => {
+                            let Some(deadline) = deadline else {
+                                return Reply::Quiet;
+                            };
+                            let now = Instant::now();
+                            if now >= deadline {
+                                return Reply::Quiet;
+                            }
+                            awaited = true;
+                            conn.recv_deadline(&mut buf, deadline - now)
+                        }
+                    };
+                    match received {
+                        Ok(0) => return Reply::Broken, // server closed the pipe
                         Ok(n) => client_codec.feed(&buf[..n]),
-                        Err(_) => {} // deadline re-checked above
+                        Err(_) => {} // timed out; the deadline check above ends it
                     }
                 }
             }
         }
     }
 
+    /// How long a reply may take before its file counts as lost, for the
+    /// `sends`-th transmission of that file. Loopback has no clock and
+    /// needs none ([`WireLane::next_reply`]).
+    fn reply_deadline(&self, sends: u32) -> Duration {
+        if matches!(self.backend, LaneBackend::Loopback { .. }) {
+            return Duration::ZERO;
+        }
+        let cap = Duration::from_millis(ASYNC_REPLY_CAP_MS);
+        let floor = Duration::from_millis(ASYNC_REPLY_FLOOR_MS);
+        let base = self.ack_latency.map_or(cap, |(smoothed, deviation)| {
+            (smoothed + 4 * deviation).max(floor)
+        });
+        base.saturating_mul(1 << sends.saturating_sub(1).min(10))
+            .min(cap)
+    }
+
+    /// Fold one ack-latency sample into the smoothed estimate (the
+    /// 1/8, 1/4 gains of TCP's retransmission timer).
+    fn observe_ack_latency(&mut self, sample: Duration) {
+        self.ack_latency = Some(match self.ack_latency {
+            None => (sample, sample / 2),
+            Some((smoothed, deviation)) => (
+                (smoothed * 7 + sample) / 8,
+                (deviation * 3 + smoothed.abs_diff(sample)) / 4,
+            ),
+        });
+    }
+
     /// Simulated reconnect: discard everything in flight, restart both
     /// codecs (fresh per-connection sequence spaces) and resume. The
-    /// server keeps the install's sign-in session, so resuming is just
-    /// replaying unacknowledged files. On the async backend this runs the
+    /// server keeps the install's sign-in session and its place in the
+    /// file order, so resuming is just resending from the oldest
+    /// unacknowledged file. On the async backend this runs the
     /// cross-thread handshake ([`AsyncConn::request_reset`]) so the
     /// worker retires its half of the sequence space in step.
     fn reconnect(&mut self) {
@@ -477,11 +696,13 @@ impl WireLane {
                 client,
                 server_end,
                 session,
+                broken,
                 ..
             } => {
                 client.purge();
                 server_end.purge();
                 session.reset();
+                *broken = false;
             }
             LaneBackend::Async { conn } => conn.request_reset(),
         }
@@ -502,15 +723,6 @@ impl WireLane {
         let factor = 1.0 - JITTER / 2.0 + JITTER * u;
         ((raw as f64 * factor).round() as u64).max(1)
     }
-}
-
-/// Decode every complete reply buffered in `codec` onto `msgs`; `Err` is
-/// a poisoned stream.
-fn decode_all(codec: &mut FrameCodec, msgs: &mut Vec<Message>) -> Result<(), ()> {
-    while let Some(msg) = codec.try_decode_message().map_err(drop)? {
-        msgs.push(msg);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -570,7 +782,9 @@ pub(crate) mod tests {
                 unreachable!("WireLane::new builds a loopback lane")
             };
             client.send(frame).unwrap();
-            replies.extend(lane.exchange_replies(1).expect("clean link"));
+            while let Reply::Msg(reply, _) = lane.next_reply(None) {
+                replies.push(reply);
+            }
         }
         replies
     }
@@ -644,6 +858,166 @@ pub(crate) mod tests {
             server.stats().dup_files > 0,
             "seed 7 drops at least one ack, forcing a replay"
         );
+    }
+
+    /// Queue file `k` of the window fixture as a rotated file of its own:
+    /// odd `k` is one fast snapshot installing app `k` at its own
+    /// timestamp, even `k` one slow snapshot whose stopped-app list is
+    /// `[k]` — between them every order-sensitive part of the record fold
+    /// (the event log, `first_seen`, the last-writer lists).
+    fn queue_file(buffer: &mut DataBuffer, k: u32) {
+        use racket_types::{FastSnapshot, InstallDelta, InstalledApp, SlowSnapshot, Snapshot};
+        let time = SimTime::from_secs(1_000 + u64::from(k));
+        buffer.push(&if k % 2 == 1 {
+            Snapshot::Fast(FastSnapshot {
+                install_id: I,
+                participant_id: P,
+                time,
+                foreground_app: Some(AppId(k)),
+                screen_on: true,
+                battery_pct: 60,
+                install_events: vec![InstallDelta::Installed(InstalledApp::fresh(
+                    AppId(k),
+                    time,
+                    PermissionProfile::default(),
+                    ApkHash([k as u8; 16]),
+                ))],
+            })
+        } else {
+            Snapshot::Slow(SlowSnapshot {
+                install_id: I,
+                participant_id: P,
+                android_id: Some(AndroidId(9)),
+                time,
+                accounts: vec![],
+                save_mode: false,
+                stopped_apps: vec![AppId(k)],
+                review_events: vec![],
+            })
+        });
+        buffer.flush();
+    }
+
+    /// Deliver the window fixture through a loopback lane `window` wide
+    /// under `plan`, one delivery tick at a time, holding every tick to
+    /// the transfer contract; returns the server's record, rendered.
+    fn run_window(plan: FaultPlan, window: usize) -> String {
+        let (mut lane, core, store) = loopback(plan, 2021);
+        lane.window = window;
+        assert_eq!(lane.sign_in(), Some(true));
+        let mut buffer = DataBuffer::new();
+        let mut queued = 0u32;
+        // Ticks that starve the window and ticks that overfill it.
+        for batch in [1, 3, 20, 2, 40, 5, 17, 33] {
+            for _ in 0..batch {
+                queued += 1;
+                queue_file(&mut buffer, queued);
+            }
+            lane.upload_pending(&mut buffer);
+            let what = format!("{plan:?} window {window} after {queued} files");
+            // Whatever was deleted was acknowledged with a matching hash
+            // (the only way out of the buffer), oldest first, and the
+            // server holds it.
+            let stats = lane.stats();
+            let acked = u64::from(queued) - buffer.pending_count() as u64;
+            assert_eq!(stats.files_acked, acked, "{what}");
+            let kept: Vec<u64> = buffer.pending().map(|f| f.file_id).collect();
+            assert_eq!(kept, (acked + 1..=u64::from(queued)).collect::<Vec<u64>>());
+            assert_eq!(stats.exhausted, 0, "{what}");
+            // The server folded a prefix of the files, each once, in order.
+            let served = core.stats();
+            assert!(served.files >= acked, "{what}");
+            assert_eq!(served.snapshots, served.files, "{what}");
+            let rec = store.record(I).expect("record");
+            let folded: Vec<u32> = rec.install_events.iter().map(|(app, _)| app.0).collect();
+            let odd_files = (1..=served.files as u32).filter(|k| k % 2 == 1);
+            assert_eq!(folded, odd_files.collect::<Vec<u32>>(), "{what}");
+        }
+        assert_eq!(buffer.pending_count(), 0, "{plan:?} window {window}");
+        let r = store.record(I).expect("record");
+        let mut installed: Vec<AppId> = r.installed_now.iter().copied().collect();
+        installed.sort();
+        format!(
+            "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            r.n_fast,
+            r.n_slow,
+            r.first_seen,
+            r.last_seen,
+            r.android_id,
+            r.snapshots_per_day,
+            r.install_events,
+            r.stopped_apps,
+            installed
+        )
+    }
+
+    #[test]
+    fn window_delivers_in_file_order_under_every_fault_plan() {
+        let clean = run_window(FaultPlan::none(), WINDOW);
+        for plan in [
+            FaultPlan::none(),
+            FaultPlan::drops(),
+            FaultPlan::duplicates(),
+            FaultPlan::reorders(),
+            FaultPlan::truncations(),
+            FaultPlan::corruptions(),
+            FaultPlan::disconnects(),
+            FaultPlan::stalls(),
+            FaultPlan::hostile(),
+        ] {
+            for window in [1, 2, 16] {
+                assert_eq!(
+                    run_window(plan, window),
+                    clean,
+                    "{plan:?} window {window}: record differs from the clean run's"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_no_frame_can_hold_is_reported_not_sent() {
+        use racket_types::{GoogleId, Rating, ReviewEvent, SlowSnapshot, Snapshot};
+        let (mut lane, core, _store) = loopback(FaultPlan::none(), 3);
+        assert_eq!(lane.sign_in(), Some(true));
+        let mut buffer = DataBuffer::new();
+        queue_file(&mut buffer, 1);
+        // One review whose text LZSS cannot shrink below the frame limit.
+        let mut noise = 0x5eed_u64;
+        let text: String = (0..wire::MAX_PAYLOAD + wire::MAX_PAYLOAD / 8)
+            .map(|_| char::from(b'0' + (splitmix64(&mut noise) % 64) as u8))
+            .collect();
+        buffer.push(&Snapshot::Slow(SlowSnapshot {
+            install_id: I,
+            participant_id: P,
+            android_id: None,
+            time: SimTime::from_secs(2_000),
+            accounts: vec![],
+            save_mode: false,
+            stopped_apps: vec![],
+            review_events: vec![ReviewEvent {
+                app: AppId(1),
+                reviewer: GoogleId(1),
+                time: SimTime::from_secs(1_999),
+                rating: Rating::FIVE,
+                text,
+            }],
+        }));
+        queue_file(&mut buffer, 3);
+        let oversized = buffer.pending().nth(1).expect("queued");
+        assert!(oversized.data.len() > wire::MAX_PAYLOAD);
+        assert!(matches!(
+            wire::encode_upload_into(0, I, 2, false, &oversized.data, &mut Vec::new()),
+            Err(wire::WireError::TooLarge(_))
+        ));
+        // The file ahead of it is delivered; it is counted as an exchange
+        // the lane could not complete, and stays queued with the file
+        // behind it (which cannot be folded ahead of it).
+        lane.upload_pending(&mut buffer);
+        assert_eq!(buffer.pending_count(), 2);
+        assert_eq!(lane.stats().exhausted, 1);
+        assert_eq!(lane.stats().files_acked, 1);
+        assert_eq!(core.stats().files, 1);
     }
 
     fn start_async(

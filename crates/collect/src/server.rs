@@ -2,11 +2,12 @@
 //! protocol core and the per-install aggregate it folds into.
 //!
 //! * [`ProtocolCore`] is the *only* implementation of the server's
-//!   message → reply decision — sign-in gate, content-hash ack, replay
-//!   dedup, inflate cap, single-install rule. The contract is stated once,
-//!   in `PROTOCOL.md` §6. Every driver reaches it through its
-//!   connection's `Session` (`session.rs`, the bytes → messages → replies
-//!   half of the same section): the async plane's reactor workers
+//!   message → reply decision — sign-in gate, per-install file order,
+//!   content-hash ack, replay re-ack, inflate cap, single-install rule.
+//!   The contract is stated once, in `PROTOCOL.md` §6. Every driver
+//!   reaches it through its connection's `Session` (`session.rs`, the
+//!   bytes → messages → replies half of the same section): the async
+//!   plane's reactor workers
 //!   ([`crate::async_server`]), the loopback lanes of the study driver
 //!   ([`crate::retry::WireLane`]), and the blocking TCP driver
 //!   ([`CollectionServer::serve_tcp`]).
@@ -30,6 +31,7 @@ use racket_types::{
     AndroidId, AppId, InstallDelta, InstallId, InstalledApp, ParticipantId, RegisteredAccount,
     ReviewEvent, SimTime, Snapshot, TimeInterval,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -202,9 +204,9 @@ pub struct ServerStats {
     /// install's snapshots.
     pub bad_uploads: u64,
     /// Replayed uploads re-acknowledged without re-ingesting: the file's
-    /// `(install, file_id, sha256)` had already been ingested, so the
-    /// client's ack was lost in transit. Varies with the fault plan, so it
-    /// is *excluded* from the chaos determinism fingerprint.
+    /// id lies below the install's next one, so it was already folded and
+    /// the client's ack was lost in transit. Varies with the fault plan,
+    /// so it is *excluded* from the chaos determinism fingerprint.
     pub dup_files: u64,
 }
 
@@ -249,14 +251,15 @@ pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
 /// rarely contends on one lock.
 const CORE_SHARDS: usize = 64;
 
-/// One shard of the core's tables: the sign-in set, the upload dedup
-/// table and the protocol counters for the installs hashing here
-/// (`stats.snapshots` stays 0 — the store counts snapshots).
+/// One shard of the core's tables: the signed-in installs and the
+/// protocol counters for the installs hashing here (`stats.snapshots`
+/// stays 0 — the store counts snapshots).
 #[derive(Default)]
 struct CoreShard {
-    signed_in: HashSet<InstallId>,
-    /// `(install, file_id) → sha256` of every ingested file.
-    ingested: HashMap<InstallId, HashMap<u64, [u8; 32]>>,
+    /// Signed-in install → the `file_id` its next upload must carry. Client
+    /// file ids are dense from 1, so this one integer is all the core
+    /// remembers of an install's files, however many it has folded.
+    next_file: HashMap<InstallId, u64>,
     stats: ServerStats,
 }
 
@@ -266,11 +269,11 @@ struct CoreShard {
 /// threads a driver runs.
 ///
 /// Lock discipline: hashing, inflating and parsing happen on the calling
-/// thread *outside* any lock; a shard lock is held only for set/map
-/// probes and counter bumps, and the fold takes the store's own shard
-/// lock. An install's messages arrive sequentially (one install = one
-/// connection), so the check-then-insert dedup window is race-free
-/// without holding a lock across the parse.
+/// thread *outside* any lock; a shard lock is held only for map probes
+/// and counter bumps, and the fold takes the store's own shard lock. An
+/// install's messages arrive sequentially (one install = one
+/// connection), so the window between reading an install's next file id
+/// and advancing it is race-free without holding a lock across the parse.
 pub struct ProtocolCore {
     registered: HashSet<ParticipantId>,
     shards: Vec<Mutex<CoreShard>>,
@@ -310,8 +313,10 @@ impl ProtocolCore {
                 let mut shard = self.shard(install).lock();
                 if accepted {
                     // Idempotent: a retried sign-in (lost ack) for an
-                    // already-known install must not double-count.
-                    if shard.signed_in.insert(install) {
+                    // already-known install must not double-count, nor
+                    // move its place in the file order.
+                    if let Entry::Vacant(first) = shard.next_file.entry(install) {
+                        first.insert(1);
                         shard.stats.sign_ins += 1;
                     }
                 } else {
@@ -337,36 +342,34 @@ impl ProtocolCore {
         payload: &[u8],
         scratch: &mut Vec<u8>,
     ) -> Message {
+        let Some(next) = self.shard(install).lock().next_file.get(&install).copied() else {
+            return Message::Error {
+                code: 401,
+                detail: "install not signed in".into(),
+            };
+        };
+        // An install's files fold in file order or not at all: the record
+        // fold is order-sensitive, so a file that overtook a lost one waits
+        // for the client to rewind to the gap.
+        if file_id > next {
+            return Message::Error {
+                code: 409,
+                detail: "file out of order".into(),
+            };
+        }
         // Hash exactly what was received — if transit corrupted the
         // payload (and CRC somehow passed), the client's comparison fails
         // and it retries.
-        let digest = sha256(payload);
         let ack = Message::UploadAck {
             file_id,
-            sha256: digest,
+            sha256: sha256(payload),
         };
-        {
-            let mut shard = self.shard(install).lock();
-            if !shard.signed_in.contains(&install) {
-                return Message::Error {
-                    code: 401,
-                    detail: "install not signed in".into(),
-                };
-            }
-            // A file whose ack was lost gets retransmitted: re-acknowledge
-            // it without folding its snapshots in a second time. (A
-            // colliding file_id with *different* content falls through and
-            // is ingested as a new file — client file ids are monotonic,
-            // so this only happens across a reinstall.)
-            if shard
-                .ingested
-                .get(&install)
-                .and_then(|files| files.get(&file_id))
-                == Some(&digest)
-            {
-                shard.stats.dup_files += 1;
-                return ack;
-            }
+        // A file whose ack was lost gets retransmitted: re-acknowledge it
+        // without folding its snapshots in a second time, whatever the
+        // bytes of this copy.
+        if file_id < next {
+            self.shard(install).lock().stats.dup_files += 1;
+            return ack;
         }
         let decoded = lzss::decompress_capped(payload, scratch, MAX_INFLATED_BYTES)
             .map_err(|e| e.to_string())
@@ -386,11 +389,7 @@ impl ProtocolCore {
                 self.store.ingest_batch(&snapshots);
                 let mut shard = self.shard(install).lock();
                 shard.stats.files += 1;
-                shard
-                    .ingested
-                    .entry(install)
-                    .or_default()
-                    .insert(file_id, digest);
+                shard.next_file.insert(install, next + 1);
                 ack
             }
             Err(detail) => {
@@ -594,20 +593,24 @@ mod tests {
             };
         #[rustfmt::skip]
         let table = [
-            ("upload before sign-in",            upload(9, &two),                       Reply::Error(401),                                 st(0, 0, 0, 0, 0, 0)),
+            ("upload before sign-in",            upload(1, &two),                       Reply::Error(401),                                 st(0, 0, 0, 0, 0, 0)),
             ("unknown participant code",         sign_in(ParticipantId(999_999)),       Reply::Is(Message::SignInAck { accepted: false }), st(0, 1, 0, 0, 0, 0)),
-            ("rejected sign-in opens nothing",   upload(9, &two),                       Reply::Error(401),                                 st(0, 1, 0, 0, 0, 0)),
+            ("rejected sign-in opens nothing",   upload(1, &two),                       Reply::Error(401),                                 st(0, 1, 0, 0, 0, 0)),
             ("sign-in",                          sign_in(P),                            Reply::Is(Message::SignInAck { accepted: true }),  st(1, 1, 0, 0, 0, 0)),
-            ("repeated sign-in",                 sign_in(P),                            Reply::Is(Message::SignInAck { accepted: true }),  st(1, 1, 0, 0, 0, 0)),
-            ("upload acks the content hash",     upload(9, &two),                       ack(9, &two),                                      st(1, 1, 1, 2, 0, 0)),
-            ("replay is re-acked, not refolded", upload(9, &two),                       ack(9, &two),                                      st(1, 1, 1, 2, 0, 1)),
-            ("same file_id, different content",  upload(9, &one),                       ack(9, &one),                                      st(1, 1, 2, 3, 0, 1)),
-            ("truncated LZSS reference",         upload(10, &[0b0000_0001, 0x01]),      Reply::Error(400),                                 st(1, 1, 2, 3, 1, 1)),
-            ("another install's snapshots",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 2, 1)),
-            ("...and it is not remembered",      upload(11, &mixed),                    Reply::Error(400),                                 st(1, 1, 2, 3, 3, 1)),
-            ("inflate bomb",                     upload(12, &bomb),                     Reply::Error(400),                                 st(1, 1, 2, 3, 4, 1)),
-            ("a JSON-lines file",                upload(13, &json_lines),               Reply::Error(400),                                 st(1, 1, 2, 3, 5, 1)),
-            ("client-addressed message",         Message::SignInAck { accepted: true }, Reply::Nothing,                                    st(1, 1, 2, 3, 5, 1)),
+            ("a file ahead of its turn waits",   upload(2, &one),                       Reply::Error(409),                                 st(1, 1, 0, 0, 0, 0)),
+            ("upload acks the content hash",     upload(1, &two),                       ack(1, &two),                                      st(1, 1, 1, 2, 0, 0)),
+            ("repeated sign-in keeps the order", sign_in(P),                            Reply::Is(Message::SignInAck { accepted: true }),  st(1, 1, 1, 2, 0, 0)),
+            ("replay is re-acked, not refolded", upload(1, &two),                       ack(1, &two),                                      st(1, 1, 1, 2, 0, 1)),
+            ("same file_id, different content",  upload(1, &one),                       ack(1, &one),                                      st(1, 1, 1, 2, 0, 2)),
+            ("...even one that would not fold",  upload(1, &bomb),                      ack(1, &bomb),                                     st(1, 1, 1, 2, 0, 3)),
+            ("a gap: refused, nothing counted",  upload(4, &one),                       Reply::Error(409),                                 st(1, 1, 1, 2, 0, 3)),
+            ("the next file in order",           upload(2, &one),                       ack(2, &one),                                      st(1, 1, 2, 3, 0, 3)),
+            ("truncated LZSS reference",         upload(3, &[0b0000_0001, 0x01]),       Reply::Error(400),                                 st(1, 1, 2, 3, 1, 3)),
+            ("another install's snapshots",      upload(3, &mixed),                     Reply::Error(400),                                 st(1, 1, 2, 3, 2, 3)),
+            ("...and it takes no place in line", upload(3, &mixed),                     Reply::Error(400),                                 st(1, 1, 2, 3, 3, 3)),
+            ("inflate bomb",                     upload(3, &bomb),                      Reply::Error(400),                                 st(1, 1, 2, 3, 4, 3)),
+            ("a JSON-lines file",                upload(3, &json_lines),                Reply::Error(400),                                 st(1, 1, 2, 3, 5, 3)),
+            ("client-addressed message",         Message::SignInAck { accepted: true }, Reply::Nothing,                                    st(1, 1, 2, 3, 5, 3)),
         ];
         let store = Arc::new(ShardedIngest::new(4));
         let core = ProtocolCore::new([P], Arc::clone(&store));
@@ -625,13 +628,96 @@ mod tests {
             assert_eq!(core.stats(), stats, "{name}");
             assert!(scratch.capacity() <= MAX_INFLATED_BYTES, "{name}");
         }
-        // Only the three accepted snapshots were folded, all under the
-        // uploader's install.
+        // Only the three accepted snapshots were folded, in file order and
+        // all under the uploader's install.
         let rec = store.record(I).unwrap();
         assert_eq!(rec.n_fast, 3);
         assert_eq!(rec.apps.len(), 3);
         assert!(rec.installed_now.contains(&AppId(1)));
+        let folded: Vec<u32> = rec.install_events.iter().map(|(app, _)| app.0).collect();
+        assert_eq!(folded, [2, 3], "file 1's monitored install, then file 2's");
         assert!(store.record(OTHER).is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn files_fold_once_each_in_file_order_whatever_arrives(
+            arrivals in proptest::collection::vec(1u64..=12, 0..96),
+        ) {
+            // Any arrival sequence over twelve files — a window's frames
+            // permuted, dropped and duplicated — against a bare core. File
+            // `k` is one snapshot installing app `k` at its own timestamp,
+            // so the record's install-event log is the fold sequence (and
+            // a file folded ahead of file 1 would move `first_seen` past
+            // file 1's install and drop it from the log).
+            let files: Vec<Vec<u8>> = (0..=12u64)
+                .map(|k| file_of(&[fast_with_install(100 + k, k as u32, 100 + k)]))
+                .collect();
+            let store = Arc::new(ShardedIngest::new(4));
+            let core = ProtocolCore::new([P], Arc::clone(&store));
+            let mut scratch = Vec::new();
+            let sign_in = Message::SignIn { participant: P, install: I };
+            core.handle(sign_in, &mut scratch);
+            let mut next = 1u64;
+            let mut replays = 0u64;
+            for &k in &arrivals {
+                let reply = core.handle(upload(k, &files[k as usize]), &mut scratch);
+                let acked = matches!(reply, Some(Message::UploadAck { file_id, .. }) if file_id == k);
+                let refused = matches!(reply, Some(Message::Error { code: 409, .. }));
+                proptest::prop_assert!(if k > next { refused } else { acked }, "file {k} at {next}: {reply:?}");
+                replays += u64::from(k < next);
+                next += u64::from(k == next);
+            }
+            let folded: Vec<u64> = store
+                .record(I)
+                .map(|rec| rec.install_events.iter().map(|(app, _)| u64::from(app.0)).collect())
+                .unwrap_or_default();
+            proptest::prop_assert_eq!(folded, (1..next).collect::<Vec<u64>>());
+            let stats = core.stats();
+            proptest::prop_assert_eq!(
+                (stats.files, stats.snapshots, stats.dup_files),
+                (next - 1, next - 1, replays)
+            );
+        }
+    }
+
+    #[test]
+    fn per_install_state_is_one_integer_however_many_files() {
+        // 10⁵ files from one install: the core remembers the next id and
+        // nothing else, and a replay of the very first file is still
+        // recognized as one.
+        const N: u64 = 100_000;
+        let core = ProtocolCore::new([P], Arc::new(ShardedIngest::new(4)));
+        let mut scratch = Vec::new();
+        core.handle(
+            Message::SignIn {
+                participant: P,
+                install: I,
+            },
+            &mut scratch,
+        );
+        let payload = file_of(&[Snapshot::Fast(FastSnapshot {
+            install_id: I,
+            participant_id: P,
+            time: SimTime::from_secs(7),
+            foreground_app: None,
+            screen_on: false,
+            battery_pct: 50,
+            install_events: vec![],
+        })]);
+        for file_id in 1..=N {
+            let reply = core.handle(upload(file_id, &payload), &mut scratch);
+            assert!(matches!(reply, Some(Message::UploadAck { file_id: f, .. }) if f == file_id));
+        }
+        core.handle(upload(1, &payload), &mut scratch);
+        let stats = core.stats();
+        assert_eq!((stats.files, stats.snapshots, stats.dup_files), (N, N, 1));
+        let tables: Vec<(InstallId, u64)> = core
+            .shards
+            .iter()
+            .flat_map(|shard| shard.lock().next_file.clone())
+            .collect();
+        assert_eq!(tables, [(I, N + 1)]);
     }
 
     #[test]
@@ -663,7 +749,7 @@ mod tests {
         let payload = lzss::compress(&raw);
         let upload = Message::SnapshotUpload {
             install: I,
-            file_id: 9,
+            file_id: 1,
             fast: true,
             payload,
         };

@@ -339,6 +339,13 @@ impl MemTransport {
         !self.pending.is_empty() || !self.rx.is_empty()
     }
 
+    /// Whether chunks sent from this endpoint are still waiting for the
+    /// peer to take them off the pipe: the peer is behind, not the link
+    /// lossy. (What a fault discarded never entered the pipe.)
+    pub(crate) fn peer_is_behind(&self) -> bool {
+        !self.tx.is_empty()
+    }
+
     /// Blocking receive with a timeout: the async client's reply wait.
     ///
     /// Like [`MemTransport::try_recv`] but parks on the channel's condvar

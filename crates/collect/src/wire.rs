@@ -211,12 +211,16 @@ impl Message {
 
     /// Decode a message from a frame.
     pub fn from_frame(frame: &Frame) -> Result<Message, WireError> {
-        let p = frame.payload.as_slice();
+        Message::from_parts(frame.msg_type, &frame.payload)
+    }
+
+    /// Decode a message from a frame's type byte and payload bytes.
+    fn from_parts(msg_type: u8, p: &[u8]) -> Result<Message, WireError> {
         let take_u32 =
             |b: &[u8]| -> u32 { u32::from_le_bytes(b[..4].try_into().expect("4 bytes")) };
         let take_u64 =
             |b: &[u8]| -> u64 { u64::from_le_bytes(b[..8].try_into().expect("8 bytes")) };
-        match frame.msg_type {
+        match msg_type {
             msg_type::SIGN_IN => {
                 if p.len() != 12 {
                     return Err(WireError::Malformed("sign-in needs 12 bytes"));
@@ -294,14 +298,29 @@ impl Message {
     /// the payload size is known, then the CRC computed in place. Hot
     /// senders keep one frame buffer per connection and reuse it for every
     /// transmission.
+    ///
+    /// # Panics
+    ///
+    /// If the payload exceeds [`MAX_PAYLOAD`], which only an owned
+    /// [`Message::SnapshotUpload`] or [`Message::Error`] built that large
+    /// can; the upload path encodes through [`encode_upload_into`], which
+    /// returns the error instead.
     pub fn encode_seq_into(&self, seq: u32, out: &mut Vec<u8>) {
-        frame_into(self.msg_type(), seq, out, |p| self.write_payload(p));
+        frame_into(self.msg_type(), seq, out, |p| self.write_payload(p))
+            .expect("an owned message fits a frame");
     }
 }
 
 /// Frame skeleton writer: header with a length placeholder, payload via
-/// `write_payload`, then the backpatched length and the CRC trailer.
-fn frame_into(msg_type: u8, seq: u32, out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+/// `write_payload`, then the backpatched length and the CRC trailer. A
+/// payload past [`MAX_PAYLOAD`] is [`WireError::TooLarge`] and leaves
+/// `out` empty: no receiver would accept the frame.
+fn frame_into(
+    msg_type: u8,
+    seq: u32,
+    out: &mut Vec<u8>,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
     out.clear();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
@@ -310,10 +329,14 @@ fn frame_into(msg_type: u8, seq: u32, out: &mut Vec<u8>, write_payload: impl FnO
     out.extend_from_slice(&[0u8; 4]); // length, backpatched below
     write_payload(out);
     let len = out.len() - HEADER;
-    assert!(len <= MAX_PAYLOAD, "payload exceeds protocol limit");
+    if len > MAX_PAYLOAD {
+        out.clear();
+        return Err(WireError::TooLarge(len));
+    }
     out[HEADER - 4..HEADER].copy_from_slice(&(len as u32).to_le_bytes());
     let crc = crc32(&out[CRC_START..]);
     out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Encode a snapshot-upload frame from a *borrowed* payload.
@@ -321,7 +344,9 @@ fn frame_into(msg_type: u8, seq: u32, out: &mut Vec<u8>, write_payload: impl FnO
 /// Byte-identical to encoding [`Message::SnapshotUpload`] with the same
 /// fields, but the compressed file contents are copied exactly once — from
 /// the buffer's queue into the frame — instead of first being cloned into
-/// an owned `Message`.
+/// an owned `Message`. A file too large for one frame is
+/// [`WireError::TooLarge`]: the caller keeps it queued and reports it,
+/// since no retransmission can deliver it.
 pub fn encode_upload_into(
     seq: u32,
     install: InstallId,
@@ -329,13 +354,13 @@ pub fn encode_upload_into(
     fast: bool,
     payload: &[u8],
     out: &mut Vec<u8>,
-) {
+) -> Result<(), WireError> {
     frame_into(msg_type::SNAPSHOT_UPLOAD, seq, out, |p| {
         p.extend_from_slice(&install.raw().to_le_bytes());
         p.extend_from_slice(&file_id.to_le_bytes());
         p.push(u8::from(fast));
         p.extend_from_slice(payload);
-    });
+    })
 }
 
 /// Incremental frame decoder (sans-IO): feed bytes, pull complete frames.
@@ -414,68 +439,69 @@ impl FrameCodec {
     /// be discarded along with the connection (framing is unrecoverable
     /// after corruption).
     pub fn try_decode(&mut self) -> Result<Option<Frame>, WireError> {
+        self.next_accepted(|msg_type, seq, payload| {
+            Ok(Frame {
+                msg_type,
+                seq,
+                payload: payload.to_vec(),
+            })
+        })
+    }
+
+    /// Decode the next complete *message*, straight from the buffered
+    /// bytes: an upload's payload is copied once, an ack not at all.
+    pub fn try_decode_message(&mut self) -> Result<Option<Message>, WireError> {
+        self.next_accepted(|msg_type, _, payload| Message::from_parts(msg_type, payload))
+    }
+
+    /// Check the next complete frame off the buffer, skip it if sequence
+    /// acceptance discards it, else hand its type, sequence number and
+    /// payload bytes to `build`; the whole frame is then released with one
+    /// O(1) cursor advance, whatever `build` made of it.
+    fn next_accepted<T>(
+        &mut self,
+        build: impl Fn(u8, u32, &[u8]) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
         loop {
-            let Some(frame) = self.decode_one()? else {
+            if self.buf.len() < HEADER {
                 return Ok(None);
-            };
+            }
+            let magic = u16::from_le_bytes([self.buf[0], self.buf[1]]);
+            if magic != MAGIC {
+                return Err(WireError::BadMagic(magic));
+            }
+            let version = self.buf[2];
+            if version != VERSION {
+                return Err(WireError::BadVersion(version));
+            }
+            let msg_type = self.buf[3];
+            let seq = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
+            let len =
+                u32::from_le_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]]) as usize;
+            if len > MAX_PAYLOAD {
+                return Err(WireError::TooLarge(len));
+            }
+            let total = HEADER + len + TRAILER;
+            if self.buf.len() < total {
+                return Ok(None);
+            }
+            let actual = crc32(&self.buf[CRC_START..HEADER + len]);
+            let expected =
+                u32::from_le_bytes(self.buf[HEADER + len..total].try_into().expect("4 bytes"));
+            if expected != actual {
+                return Err(WireError::BadCrc { expected, actual });
+            }
             if let Some(next_accept) = self.strict {
-                if frame.seq < next_accept {
+                if seq < next_accept {
                     self.stale_discards += 1;
+                    self.buf.advance(total);
                     continue; // duplicate or stale reordered copy
                 }
-                self.strict = Some(frame.seq + 1);
+                self.strict = Some(seq + 1);
             }
-            return Ok(Some(frame));
-        }
-    }
-
-    /// Decode the next complete frame off the buffer, ignoring sequence
-    /// acceptance.
-    fn decode_one(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buf.len() < HEADER {
-            return Ok(None);
-        }
-        let magic = u16::from_le_bytes([self.buf[0], self.buf[1]]);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = self.buf[2];
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let msg_type = self.buf[3];
-        let seq = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
-        let len =
-            u32::from_le_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(WireError::TooLarge(len));
-        }
-        let total = HEADER + len + TRAILER;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let actual = crc32(&self.buf[CRC_START..HEADER + len]);
-        let expected =
-            u32::from_le_bytes(self.buf[HEADER + len..total].try_into().expect("4 bytes"));
-        if expected != actual {
-            return Err(WireError::BadCrc { expected, actual });
-        }
-        // The payload is copied exactly once (into the frame); the whole
-        // frame is then released with one O(1) cursor advance.
-        let payload = self.buf[HEADER..HEADER + len].to_vec();
-        self.buf.advance(total);
-        Ok(Some(Frame {
-            msg_type,
-            seq,
-            payload,
-        }))
-    }
-
-    /// Decode the next complete *message*.
-    pub fn try_decode_message(&mut self) -> Result<Option<Message>, WireError> {
-        match self.try_decode()? {
-            None => Ok(None),
-            Some(frame) => Message::from_frame(&frame).map(Some),
+            let built = build(msg_type, seq, &self.buf[HEADER..HEADER + len]);
+            self.buf.advance(total);
+            return built.map(Some);
         }
     }
 }
@@ -721,7 +747,7 @@ mod tests {
             payload: payload.clone(),
         };
         let mut pooled = Vec::new();
-        encode_upload_into(5, InstallId(77), 9, true, &payload, &mut pooled);
+        encode_upload_into(5, InstallId(77), 9, true, &payload, &mut pooled).unwrap();
         assert_eq!(pooled, msg.encode_seq(5));
     }
 

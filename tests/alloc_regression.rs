@@ -1,14 +1,16 @@
 //! Allocation pins, by count under a counting allocator (never by clock).
 //!
-//! Five hot paths whose cost model *is* their allocation count: the
+//! Six hot paths whose cost model *is* their allocation count: the
 //! simulator's steady-state lane-day (below), an empty poll of an
 //! in-memory connection (the async plane's load generator makes 10⁴ of
 //! them per round, so one boxed error each was most of `ingest_plane`'s
-//! allocations per snapshot), the server's fold of a slow snapshot (lists
-//! overwritten in place), the near-duplicate scan (which used to
-//! allocate per bucket and per candidate and now allocates for its output
-//! only), and a boosted fit (whose split search works inside buffers sized
-//! once per fit). The counter is per thread, so the tests run side by side.
+//! allocations per snapshot), a lane's windowed upload tick (whose window
+//! is two integers and a timestamp, not a list), the server's fold of a
+//! slow snapshot (lists overwritten in place), the near-duplicate scan
+//! (which used to allocate per bucket and per candidate and now allocates
+//! for its output only), and a boosted fit (whose split search works inside
+//! buffers sized once per fit). The counter is per thread, so the tests run
+//! side by side.
 //!
 //! The lane engine's contract (ARCHITECTURE.md §12) is that a steady-state
 //! device-day — plan, poll snapshots at every action boundary, apply —
@@ -29,7 +31,8 @@ use std::cell::Cell;
 
 use racket_agents::{apply_action_collecting, DeviceAgent, LaneScratch, PersonaParams};
 use racket_collect::{
-    CollectionServer, CollectorConfig, MemTransport, SnapshotBatch, SnapshotCollector,
+    AsyncCollectServer, AsyncServerConfig, CollectionServer, CollectorConfig, DataBuffer,
+    FaultPlan, MemTransport, ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
 };
 use racket_device::{Device, DeviceModel};
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
@@ -205,6 +208,71 @@ fn empty_polls_allocate_nothing() {
         end.recv_deadline(&mut buf, std::time::Duration::ZERO)
     ));
     assert_eq!(allocations() - before, 0, "an empty poll allocated");
+}
+
+/// A lane's upload tick — pick up the acks that are back, send what the
+/// window admits, settle — keeps no list of what is in flight (the server
+/// acknowledges an install's files in order, so that set is a prefix of the
+/// buffer's queue) and decodes an ack without copying it. What is left is
+/// the in-memory transport's own copy of each transmitted frame: the file's
+/// bytes in flight, one allocation per transmission and none per tick. The
+/// server half runs on the async plane's worker thread, so this thread's
+/// count is the lane's alone.
+#[test]
+fn steady_state_windowed_upload_allocates_nothing() {
+    const P: ParticipantId = ParticipantId(123_456);
+    const I: InstallId = InstallId(1_000_000_000);
+    let server = AsyncCollectServer::start(
+        [P],
+        std::sync::Arc::new(ShardedIngest::new(4)),
+        AsyncServerConfig {
+            workers: 1,
+            ..AsyncServerConfig::default()
+        },
+    );
+    let mut lane = WireLane::new_async(I, P, 7, server.connect(FaultPlan::none(), 7));
+    assert_eq!(lane.sign_in(), Some(true));
+    let slow = |t: u64| {
+        Snapshot::Slow(SlowSnapshot {
+            install_id: I,
+            participant_id: P,
+            android_id: Some(AndroidId(1)),
+            time: SimTime::from_secs(t),
+            accounts: Vec::new(),
+            save_mode: false,
+            stopped_apps: (0..5).map(AppId).collect(),
+            review_events: Vec::new(),
+        })
+    };
+    let mut buffer = DataBuffer::new();
+    let (mut t, mut ticks, mut spent, mut sent) = (0u64, 0u64, 0u64, 0u64);
+    // Ticks of one to five files each, the buffer left mid-file so the lane
+    // does not wait the window out; the first 50 files warm the pooled
+    // frame buffer, the codec and the channel queues up.
+    while lane.stats().files_acked < 400 {
+        let queued = buffer.pending_count();
+        while buffer.pending_count() < queued + 1 + (ticks % 5) as usize {
+            t += 1;
+            buffer.push(&slow(t));
+        }
+        let (before, attempts) = (allocations(), lane.stats().attempts);
+        lane.upload_pending(&mut buffer);
+        if lane.stats().files_acked >= 50 {
+            spent += allocations() - before;
+            sent += lane.stats().attempts - attempts;
+            ticks += 1;
+        }
+    }
+    assert!(ticks >= 70 && sent >= 300, "{ticks} ticks, {sent} frames");
+    // How deep the reply queue and the codec's buffer get depends on how the
+    // worker thread is scheduled; reaching a new depth grows a pool once.
+    // A list per tick or a copy per ack costs one or more per tick.
+    assert!(
+        spent <= sent + 8,
+        "{ticks} upload ticks sending {sent} frames allocated {spent}×: \
+         more than the transport's one copy of each frame"
+    );
+    server.shutdown(&racket_obs::Registry::new());
 }
 
 /// The server-side fold of a slow snapshot overwrites the record's account
