@@ -71,6 +71,17 @@ step "campaign equivalence matrix (release)"
 RAYON_NUM_THREADS=1 cargo test --release --test campaign_equivalence -q -- --test-threads=1
 RAYON_NUM_THREADS=8 cargo test --release --test campaign_equivalence -q -- --test-threads=1
 
+step "paper report (release, test scale)"
+# The one gate that runs the experiment code. tests/report.rs runs the
+# `paper_report` binary twice at RACKET_SCALE=test, at RAYON_NUM_THREADS=1
+# and =8 side by side in two scratch directories under target/tmp, and
+# compares stdout and every file they write (paper_report.csv, index.md,
+# the twenty per-figure CSVs) byte for byte; then it checks that every band
+# covers all 16 seeds, that the file set is the one the 23 retired binaries
+# wrote, and that an unwritable output directory fails before the sweep.
+# ~6 min on 2 vCPUs: the one-thread sweep is the long pole.
+cargo test --release -p racket-bench --test report -q
+
 step "criterion benches compile"
 # The criterion microbenchmarks must stay buildable even though CI never
 # runs them to completion.
