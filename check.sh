@@ -22,54 +22,26 @@ cargo build --release
 step "cargo test -q"
 cargo test -q
 
-step "chaos matrix (release)"
-# The fault-injection suite runs eight full studies (one per fault
-# profile); release mode keeps it to seconds. Before it, the hand-stepped
-# window test: one lane, session and core under every fault profile at
-# window 1, 2 and 16, in the build the matrices run.
+step "scenario matrix (release)"
+# The scenario table (tests/scenario/mod.rs) runs each (path, fault plan,
+# threads) study once and checks every equivalence contract on that output
+# (streaming == batch, text stream == batch, campaign batch == incremental,
+# columnar == row, wire == direct, async == sync, faulted == clean, N
+# threads == 1); its module doc lists the contracts and the test and rows
+# that check each. Each binary below runs one slice of it; tests/matrix.rs
+# adds the fleet-generation and training/scoring checks. Run at 1 and 8
+# worker threads so the ambient rows see both a serial and a parallel pool.
+# Before it, in the same release build: the hand-stepped window test (one
+# lane, session and core under every fault profile at window 1, 2 and 16)
+# and racket-text's own tests (the one-pass review row against the two-scan
+# kernels, the sentiment table against its word lists).
 cargo test --release -p racket-collect --lib -q window_delivers_in_file_order_under_every_fault_plan
-cargo test --release --test chaos -q
-
-step "streaming equivalence matrix (release)"
-# Differential harness: feature vectors emitted from streaming state must
-# be f64-bit-identical to the batch formulas, across thread counts and
-# every fault profile. Run twice so the ambient (unpinned) scenario sees
-# both a serial and a parallel worker pool; the suite manages
-# RAYON_NUM_THREADS internally for the pinned matrix, so single-threaded.
-RAYON_NUM_THREADS=1 cargo test --release --test streaming_equivalence -q -- --test-threads=1
-RAYON_NUM_THREADS=8 cargo test --release --test streaming_equivalence -q -- --test-threads=1
-
-step "columnar equivalence matrix (release)"
-# Differential harness for the columnar analyze engine: the columnar
-# store must mirror the row records (with dictionary codes invariant
-# across paths and thread counts), the GBT split search (presorted once,
-# then partitioned between two buffers) must be byte-identical to the
-# row-oriented reference, and batch scoring must be bitwise per-row
-# scoring. Same RAYON_NUM_THREADS discipline as above.
-RAYON_NUM_THREADS=1 cargo test --release --test columnar_equivalence -q -- --test-threads=1
-RAYON_NUM_THREADS=8 cargo test --release --test columnar_equivalence -q -- --test-threads=1
-
-step "text equivalence matrix (release)"
-# Differential harness for the review-text engine: enabling text must not
-# perturb any pre-existing fingerprint (dedicated keyed stream family),
-# and the streaming per-install text sketch must be byte-identical to the
-# batch rebuild from the columnar review family, across thread counts,
-# delivery paths, fault plans and fleet compositions. Same
-# RAYON_NUM_THREADS discipline as above. Before it, racket-text's own
-# tests in the build every matrix runs (release): the one-pass review row
-# against the two-scan kernels, the sentiment table against its word lists.
 cargo test --release -p racket-text -q
-RAYON_NUM_THREADS=1 cargo test --release --test text_equivalence -q -- --test-threads=1
-RAYON_NUM_THREADS=8 cargo test --release --test text_equivalence -q -- --test-threads=1
-
-step "campaign equivalence matrix (release)"
-# Differential harness for the lockstep (coordinated-campaign) detector:
-# the batch report rebuilt from the columnar install-event family must be
-# byte-identical to the incremental report computed from ingest-time
-# sketches, across thread counts, delivery paths and fault plans. Same
-# RAYON_NUM_THREADS discipline as above.
-RAYON_NUM_THREADS=1 cargo test --release --test campaign_equivalence -q -- --test-threads=1
-RAYON_NUM_THREADS=8 cargo test --release --test campaign_equivalence -q -- --test-threads=1
+scenario=(--test matrix --test streaming_equivalence --test path_equivalence
+  --test async_equivalence --test chaos --test text_equivalence
+  --test campaign_equivalence --test columnar_equivalence)
+RAYON_NUM_THREADS=1 cargo test --release -q "${scenario[@]}"
+RAYON_NUM_THREADS=8 cargo test --release -q "${scenario[@]}"
 
 step "paper report (release, test scale)"
 # The one gate that runs the experiment code. tests/report.rs runs the

@@ -14,7 +14,7 @@
 //! decision from `stream_seed(config.seed ^ CAMPAIGN_STREAM_SALT, c)`, so
 //! the plan is a pure function of [`FleetConfig`] — independent of thread
 //! count, and byte-identical across the direct / wire / async delivery
-//! paths (pinned by `tests/campaign_equivalence.rs`).
+//! paths (pinned by the scenario table, `tests/scenario/mod.rs`).
 
 use crate::agent::{Action, TimelineAction};
 use crate::fleet::{stream_seed, FleetConfig};

@@ -4,7 +4,7 @@
 //! drawn from a device's RNG stream. Enabling text therefore cannot
 //! perturb any existing decision stream: a text-off study is byte-identical
 //! to a pre-text build, and a text-on study differs only by the text
-//! payloads themselves (pinned by `tests/text_equivalence.rs`).
+//! payloads themselves (pinned by the scenario table, `tests/scenario/mod.rs`).
 //!
 //! Three generation tiers mirror the paper's §6.3 review-writing economy:
 //!

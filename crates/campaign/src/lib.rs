@@ -37,8 +37,8 @@
 //! Two pipelines that feed the same event sets — the batch path over
 //! `ColumnarSnapshots` and the incremental fold on streaming state —
 //! therefore produce byte-identical [`CampaignReport`]s; the contract is
-//! enforced by `tests/campaign_equivalence.rs` at the workspace root and
-//! documented in ARCHITECTURE.md §10.
+//! enforced by the scenario table (`tests/scenario/mod.rs`) at the workspace
+//! root and documented in ARCHITECTURE.md §10.
 
 #![deny(missing_docs)]
 

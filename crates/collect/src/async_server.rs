@@ -36,7 +36,8 @@
 //! timing-dependent and exists only as observability counters, excluded
 //! from every output fingerprint.
 //! `ARCHITECTURE.md` §8 states the driver contract;
-//! `tests/async_equivalence.rs` and `tests/backpressure.rs` enforce it.
+//! The scenario table (`tests/scenario/mod.rs`) and
+//! `tests/backpressure.rs` enforce it.
 
 use crate::retry::SERVER_FAULT_SALT;
 use crate::server::{ProtocolCore, ServerStats};

@@ -224,11 +224,6 @@ impl ColumnarSnapshots {
         self.apps.len()
     }
 
-    /// Number of distinct account services seen.
-    pub fn n_services(&self) -> usize {
-        self.services.len()
-    }
-
     /// Total per-(install, app) entries (CSR payload length).
     pub fn n_app_entries(&self) -> usize {
         self.app_codes.len()

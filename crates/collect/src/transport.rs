@@ -231,18 +231,13 @@ impl FaultState {
 
 /// One endpoint of an in-memory duplex pipe.
 ///
-/// Created in pairs by [`MemTransport::pair`]. Two fault-injection knobs
-/// exist: the legacy [`MemTransport::corrupt_every`] (flip one bit of
-/// every n-th send; kept for the CRC regression tests) and the full
-/// seeded [`FaultPlan`] via [`MemTransport::inject_faults`].
+/// Created in pairs by [`MemTransport::pair`]; faults are injected by
+/// installing a seeded [`FaultPlan`] with [`MemTransport::inject_faults`].
 pub struct MemTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     /// Residue of a partially consumed incoming chunk.
     pending: Vec<u8>,
-    /// Corrupt one bit in every n-th outgoing chunk (0 = never).
-    corrupt_every: usize,
-    sends: usize,
     /// Seeded fault-injection state (None = clean link).
     faults: Option<Box<FaultState>>,
     /// A chunk held back by a reorder fault, delivered after the next
@@ -259,17 +254,10 @@ impl MemTransport {
             tx,
             rx,
             pending: Vec::new(),
-            corrupt_every: 0,
-            sends: 0,
             faults: None,
             held: None,
         };
         (end(tx_a, rx_b), end(tx_b, rx_a))
-    }
-
-    /// Enable fault injection: flip one bit in every `n`-th outgoing chunk.
-    pub fn corrupt_every(&mut self, n: usize) {
-        self.corrupt_every = n;
     }
 
     /// Install a seeded fault plan on this endpoint's *outgoing* direction.
@@ -382,15 +370,7 @@ impl MemTransport {
 
 impl Transport for MemTransport {
     fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.sends += 1;
         let mut chunk = bytes.to_vec();
-        if self.corrupt_every > 0
-            && self.sends.is_multiple_of(self.corrupt_every)
-            && !chunk.is_empty()
-        {
-            let idx = chunk.len() / 2;
-            chunk[idx] ^= 0x40;
-        }
         let Some(faults) = self.faults.as_mut() else {
             return self.deliver(chunk);
         };
@@ -609,25 +589,6 @@ mod tests {
         let mut codec = FrameCodec::new();
         let got = recv_message(&mut server, &mut codec).unwrap().unwrap();
         assert_eq!(got, msg);
-    }
-
-    #[test]
-    fn corruption_injection_breaks_crc() {
-        let (mut client, mut server) = MemTransport::pair();
-        client.corrupt_every(1);
-        // A payload long enough that the midpoint bit-flip lands in the
-        // payload (a flip in the length field would stall the decoder
-        // instead — that recovery path is exercised by the chaos tests).
-        let msg = Message::SnapshotUpload {
-            install: InstallId(1),
-            file_id: 1,
-            fast: true,
-            payload: vec![0xAA; 64],
-        };
-        client.send(&msg.encode()).unwrap();
-        let mut codec = FrameCodec::new();
-        let err = recv_message(&mut server, &mut codec).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     fn drain(t: &mut MemTransport) -> Vec<Vec<u8>> {

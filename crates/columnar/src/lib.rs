@@ -51,7 +51,7 @@
 //!
 //! Consumers that promise bit-identical results (`racket-ml`'s gradient
 //! boosting, the detection service's scoring paths) are held to this
-//! contract by the `tests/columnar_equivalence.rs` differential harness.
+//! contract by the training check in `tests/matrix.rs`.
 
 #![deny(missing_docs)]
 

@@ -7,7 +7,8 @@
 //! from the columnar install-event and review families and feeds the
 //! identical [`racket_campaign::detect_with_text()`] kernel, so the two
 //! reports are byte-equal by construction (pinned across thread counts and
-//! delivery paths by `tests/campaign_equivalence.rs`). [`evaluate`] scores either report
+//! delivery paths by the scenario table, `tests/scenario/mod.rs`).
+//! [`evaluate`] scores either report
 //! against the fleet's [`racket_agents::CampaignSpec`] ground truth for the
 //! EXPERIMENTS.md recall/precision-vs-stealth table.
 

@@ -5,8 +5,8 @@
 //! — two-sample Kolmogorov–Smirnov, parametric one-way ANOVA and
 //! non-parametric ANOVA (Kruskal–Wallis) — with Shapiro–Wilk and
 //! Fligner–Killeen pre-tests (the paper runs the non-parametric tests
-//! because both pre-tests reject for every feature). The experiment
-//! binaries in `racket-bench` only format what this module computes.
+//! because both pre-tests reject for every feature). The §6 sections of
+//! `racket-bench`'s `paper_report` only format what this module computes.
 
 use crate::study::StudyOutput;
 use racket_stats::{

@@ -23,15 +23,16 @@
 //! The two paths must agree **bitwise**: streaming state is maintained
 //! from exact sufficient statistics (see `racket_features::streaming`),
 //! so every suspiciousness ratio, feature vector and verdict probability
-//! is `f64`-identical between them. `tests/streaming_equivalence.rs`
-//! pins this across thread counts and chaos fault profiles.
+//! is `f64`-identical between them. The scenario table
+//! (`tests/scenario/mod.rs`) pins the feature vectors across paths, thread
+//! counts and fault profiles, and `tests/matrix.rs` the verdicts on a
+//! test-scale study.
 //!
 //! Both paths score through `racket-columnar`: feature vectors are packed
 //! into contiguous [`FlatMatrix`] rows and classified by one
 //! [`Model::score_batch`] pass per matrix, which is bitwise-equal per row
 //! to calling [`Model::score`] (the row→column equivalence contract,
-//! ARCHITECTURE.md §9) — `tests/columnar_equivalence.rs` holds the
-//! verdicts to that.
+//! ARCHITECTURE.md §9) — `tests/matrix.rs` holds the verdicts to that.
 
 use crate::app_classifier::AppClassifier;
 use crate::device_classifier::DEDICATED_SUSPICIOUSNESS;

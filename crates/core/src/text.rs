@@ -4,10 +4,9 @@
 //! at snapshot-ingest time (`StreamAggregates::note_review`); this module
 //! is the batch half of that contract: [`batch_text_sketches`] rebuilds
 //! every sketch from the columnar review column family, and the two
-//! fingerprint helpers render either side canonically so the differential
-//! harness (`tests/text_equivalence.rs`, `tests/chaos.rs`) can compare
-//! them byte for byte across thread counts, delivery paths and fault
-//! profiles.
+//! fingerprint helpers render either side canonically so the scenario
+//! table (`tests/scenario/mod.rs`) can compare them byte for byte across thread
+//! counts, delivery paths and fault profiles.
 
 use crate::study::StudyOutput;
 use racket_text::TextSketch;

@@ -20,7 +20,7 @@
 //! feature vectors **without scanning any event or review list** — every
 //! O(n) pass of the batch extractors ([`crate::app_features`],
 //! [`crate::device_features`]) is replaced by an O(1) read of streaming
-//! state. The contract, enforced by `tests/streaming_equivalence.rs`, is
+//! state. The contract, enforced by `tests/scenario/mod.rs`, is
 //! *bitwise* equality with the batch vectors: integer and set statistics
 //! are exact by construction, and every emitted `f64` is produced by the
 //! same operation sequence as the batch expression it replaces (sums
@@ -72,11 +72,6 @@ impl DeviceStreamState {
         state.n_installed_and_reviewed = obs.installed_and_reviewed() as u64;
         state.n_total_reviews = obs.total_reviews() as u64;
         state
-    }
-
-    /// The review stream for one observed app, if any.
-    pub fn app_stream(&self, app: AppId) -> Option<&AppReviewStream> {
-        self.app_reviews.get(&app)
     }
 
     /// Emit the §7.1 app-usage feature vector for `app` from streaming

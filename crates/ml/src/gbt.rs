@@ -263,7 +263,7 @@ impl GradientBoosting {
     /// This is the executable specification of the split search: the
     /// columnar [`GradientBoosting::grow_buffers`] must produce bit-identical
     /// trees (the `fit_matches_reference` tests and the
-    /// `columnar_equivalence` harness enforce it). Everything folds in
+    /// scenario matrix's training check enforce it). Everything folds in
     /// the batch-canonical order:
     ///
     /// * `rows` is ascending by row index and the gradient/hessian sums

@@ -2,8 +2,8 @@
 //!
 //! The paper's study ingested 58.3M snapshots from 803 devices (§5); the
 //! reproduction's simulate→collect→analyze pipeline reports its own
-//! throughput through [`PipelineMetrics`], printed by the `study_summary`
-//! experiment binary. The struct is the observable half of the parallelism
+//! throughput through [`PipelineMetrics`], which `paper_report` prints to
+//! stderr for its first seed. The struct is the observable half of the parallelism
 //! contract documented in `ARCHITECTURE.md`: stage wall times shrink with
 //! worker threads while every count stays bit-identical.
 //!
@@ -301,7 +301,8 @@ impl PipelineMetrics {
         }
     }
 
-    /// Multi-line human-readable report (what `study_summary` prints).
+    /// Multi-line human-readable report (the `== Pipeline metrics ==`
+    /// block `paper_report` writes to stderr).
     pub fn report(&self) -> String {
         let occupancy = if self.shard_occupancy.is_empty() {
             "unsharded (wire path)".to_string()

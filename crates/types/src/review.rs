@@ -18,8 +18,6 @@ pub struct Rating(u8);
 impl Rating {
     /// One star.
     pub const ONE: Rating = Rating(1);
-    /// Two stars.
-    pub const TWO: Rating = Rating(2);
     /// Three stars.
     pub const THREE: Rating = Rating(3);
     /// Four stars.

@@ -1,90 +1,26 @@
-//! Differential harness: batch campaign detection must equal incremental.
-//!
-//! The lockstep detector (ARCHITECTURE.md §10) runs twice over every
-//! study: *incrementally*, on the per-install sketches the streaming
-//! engine folded at snapshot-ingest time (`StudyOutput::campaigns`), and
-//! in *batch*, rebuilding every sketch from the columnar install-event
-//! family (`racketstore::campaign::batch_report`). The contract is exact
-//! equality — same candidate counts, same clusters, same device and app
-//! lists, `f64`-bit-identical densities — because both paths feed the
-//! identical `racket_campaign::detect` kernel with sketches built from
-//! the same event stream.
-//!
-//! The matrix checks that contract everywhere it could break:
-//!
-//! * **thread counts** — 1, 2 and 8 rayon workers (sharded ingest merges
-//!   sketches across shards; MinHash merge must stay order-insensitive);
-//! * **collection paths** — direct in-process ingest, the framed sync
-//!   wire, and the async reactor plane;
-//! * **fault profiles** — clean and the combined hostile plan (replays
-//!   must never double-fold a sketch; idempotent ingest dedups first).
-//!
-//! Every scenario runs a campaign-carrying fleet, so the comparison is
-//! never vacuous, and every scenario must produce one byte-identical
-//! campaign fingerprint — the detector's answer is a pure function of the
-//! configuration, not of scheduling or transport.
-//!
-//! Scenarios pin `RAYON_NUM_THREADS` (process-global), so the matrix
-//! lives in one `#[test]` and `check.sh` runs this binary with
-//! `--test-threads=1` at worker counts 1 and 8.
+//! Two slices of the scenario table (`tests/scenario/mod.rs`), which
+//! checks every contract on each row; named for the lockstep detector's
+//! contract (ARCHITECTURE.md §10): the batch report rebuilt from the
+//! columnar install-event family equals the incremental one folded at
+//! ingest, and is not vacuous.
 
 mod common;
+mod scenario;
 
-use common::{campaign_config, campaign_fingerprint, with_threads};
-use racket_agents::PacingStrategy;
-use racket_collect::FaultPlan;
-use racketstore::campaign::batch_report;
-use racketstore::study::{CollectionPath, Study};
+use racketstore::study::CollectionPath::{AsyncWire, Direct, Wire};
 
-/// Ambient thread pool (no pinning): the configuration every other test
-/// runs with. Named to sort first so it executes before anything touches
-/// `RAYON_NUM_THREADS`.
+/// Whatever thread pool the environment gives us (no pinning).
 #[test]
 fn ambient_batch_report_equals_incremental() {
-    let out = Study::new(campaign_config(
-        CollectionPath::Direct,
-        2,
-        PacingStrategy::Burst,
-    ))
-    .run();
-    assert!(!out.campaigns.campaigns.is_empty(), "vacuous scenario");
-    assert_eq!(batch_report(&out), out.campaigns, "ambient/direct/clean");
+    scenario::check(&[(Direct, "clean", None)]);
 }
 
+/// An async hostile row against the clean sync wire baseline: replays
+/// never double-fold a sketch, and the campaign fingerprint does not move.
 #[test]
 fn matrix_batch_report_equals_incremental_everywhere() {
-    let scenarios: [(&str, CollectionPath, FaultPlan); 5] = [
-        ("direct/clean", CollectionPath::Direct, FaultPlan::none()),
-        ("wire/clean", CollectionPath::Wire, FaultPlan::none()),
-        ("wire/hostile", CollectionPath::Wire, FaultPlan::hostile()),
-        ("async/clean", CollectionPath::AsyncWire, FaultPlan::none()),
-        (
-            "async/hostile",
-            CollectionPath::AsyncWire,
-            FaultPlan::hostile(),
-        ),
-    ];
-    let mut canonical: Option<String> = None;
-    for threads in ["1", "2", "8"] {
-        for (name, path, faults) in &scenarios {
-            let context = format!("{threads} threads, {name}");
-            let fp = with_threads(threads, || {
-                let mut config = campaign_config(*path, 2, PacingStrategy::Burst);
-                config.faults = *faults;
-                let out = Study::new(config).run();
-                // Non-vacuity: the scenario's fleet carries campaigns and
-                // the detector finds at least one cluster.
-                assert!(!out.campaigns.campaigns.is_empty(), "{context}: vacuous");
-                // Batch over the columnar event family == incremental
-                // over ingest-time sketches, byte for byte.
-                assert_eq!(batch_report(&out), out.campaigns, "{context}");
-                campaign_fingerprint(&out)
-            });
-            // One answer across every thread count, path and fault plan.
-            match &canonical {
-                None => canonical = Some(fp),
-                Some(c) => assert_eq!(c, &fp, "{context}: campaign report diverged"),
-            }
-        }
-    }
+    scenario::check(&[
+        (Wire, "clean", Some("1")),
+        (AsyncWire, "hostile", Some("3")),
+    ]);
 }

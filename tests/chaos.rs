@@ -1,199 +1,30 @@
-//! Chaos suite: the transfer protocol must deliver a byte-identical study
-//! under every injected fault class.
-//!
-//! The contract under test (ARCHITECTURE.md "Chaos and idempotency",
-//! PROTOCOL.md §§5–7): the study's *data* output is a pure function of the
-//! configuration and seed — a hostile network can change how many times
-//! things are sent, never what is ultimately ingested. The retry/backoff
-//! state machine recovers from loss, the sequence-checked codec absorbs
-//! duplication and reordering, reconnect-and-resume recovers from stream
-//! poisoning and resets, and the server's idempotent ingest absorbs
-//! replays without double-counting.
-//!
-//! One full study runs per fault profile (each class alone, then the
-//! combined hostile profile) and every run's data fingerprint must equal
-//! the fault-free baseline's, while the fault/retry metrics prove the
-//! faults actually happened and were actually survived.
+//! The sync wire fault rows of the scenario table
+//! (`tests/scenario/mod.rs`), which checks every contract on each row. A
+//! hostile network can change how many times things are sent, never what
+//! is ingested (ARCHITECTURE.md "Chaos and idempotency", PROTOCOL.md
+//! §§5–7): each fault class alone, then the combined hostile plan at 1 and
+//! 8 threads, reproduces the clean run's data, streaming and text state,
+//! with evidence that the faults happened and were survived. The async
+//! hostile rows are the last rows of the text, campaign and columnar
+//! slices.
 
 mod common;
+mod scenario;
 
-use common::{
-    assert_text_stream_equals_batch, data_fingerprint, streaming_fingerprint, text_config,
-    text_fingerprint,
-};
-use racket_collect::FaultPlan;
-use racketstore::study::{CollectionPath, Study, StudyOutput};
-
-/// The chaos fleet generates review text (ARCHITECTURE.md §13), so every
-/// fault profile also exercises the streaming near-duplicate text index:
-/// a replayed or reordered upload must never double-fold a review row.
-/// Text generation is keyed off a dedicated stream family, so this
-/// changes nothing else about the study (`tests/text_equivalence.rs`
-/// pins that no-perturbation contract explicitly).
-fn run_with(path: CollectionPath, faults: FaultPlan) -> (String, StudyOutput) {
-    let mut config = text_config(path);
-    config.faults = faults;
-    let out = Study::new(config).run();
-    (data_fingerprint(&out), out)
-}
+use racketstore::study::CollectionPath::Wire;
 
 #[test]
 fn study_output_survives_every_fault_class() {
-    let (baseline, clean) = run_with(CollectionPath::Wire, FaultPlan::none());
-    let streaming_baseline = streaming_fingerprint(&clean);
-    let text_baseline = text_fingerprint(&clean);
-    assert!(
-        !text_baseline.starts_with("streaming:texted_installs=0 "),
-        "chaos baseline carries no review text (text recovery is vacuous)"
-    );
-
-    // The clean run is genuinely clean: the fault layer is off and the
-    // retry machinery never fires.
-    let m = &clean.metrics;
-    assert_eq!(m.faults.total(), 0);
-    assert!(m.upload_attempts > 0);
-    assert_eq!(m.upload_retries, 0);
-    assert_eq!(m.reconnects, 0);
-    assert_eq!(m.backoff_ms, 0);
-    assert_eq!(m.stale_frames, 0);
-    assert_eq!(m.dup_files_deduped, 0);
-    assert_eq!(clean.server_stats.dup_files, 0);
-
-    let profiles: [(&str, FaultPlan); 8] = [
-        ("drop", FaultPlan::drops()),
-        ("duplicate", FaultPlan::duplicates()),
-        ("reorder", FaultPlan::reorders()),
-        ("truncate", FaultPlan::truncations()),
-        ("corrupt", FaultPlan::corruptions()),
-        ("disconnect", FaultPlan::disconnects()),
-        ("stall", FaultPlan::stalls()),
-        ("hostile", FaultPlan::hostile()),
-    ];
-    for (name, plan) in profiles {
-        let (fp, out) = run_with(CollectionPath::Wire, plan);
-
-        // The headline assertion: data output byte-identical to the
-        // fault-free run.
-        assert_eq!(
-            fp, baseline,
-            "{name}: study data diverged from the fault-free baseline"
-        );
-
-        // The streaming feature state folded at ingest time must recover
-        // byte-identically too: replays, reorders and reconnects are
-        // deduplicated *before* the fold hooks run, so a hostile network
-        // can never double-count an aggregate.
-        assert_eq!(
-            streaming_fingerprint(&out),
-            streaming_baseline,
-            "{name}: streaming feature state diverged from the fault-free baseline"
-        );
-
-        // So must the streaming text index: post-recovery sketch state is
-        // byte-identical to the clean run's, and still equals the batch
-        // rebuild from the columnar review family.
-        assert_eq!(
-            text_fingerprint(&out),
-            text_baseline,
-            "{name}: text-index state diverged from the fault-free baseline"
-        );
-        assert_text_stream_equals_batch(&out, name);
-
-        // The faults really happened…
-        let m = &out.metrics;
-        let f = &m.faults;
-        assert!(f.total() > 0, "{name}: plan injected no faults");
-        match name {
-            "drop" => assert!(f.dropped > 0, "drop class never sampled"),
-            "duplicate" => assert!(f.duplicated > 0, "duplicate class never sampled"),
-            "reorder" => assert!(f.reordered > 0, "reorder class never sampled"),
-            "truncate" => assert!(f.truncated > 0, "truncate class never sampled"),
-            "corrupt" => assert!(f.corrupted > 0, "corrupt class never sampled"),
-            "disconnect" => assert!(f.disconnected > 0, "disconnect class never sampled"),
-            "stall" => assert!(f.stalled > 0, "stall class never sampled"),
-            _ => {}
-        }
-
-        // …and the protocol visibly worked to survive them.
-        match name {
-            // Loss-like faults force timeouts and retransmissions.
-            "drop" | "stall" => assert!(m.upload_retries > 0, "{name}: no retries"),
-            // Duplicated frames are absorbed by strict sequence checking.
-            "duplicate" => assert!(m.stale_frames > 0, "{name}: no stale discards"),
-            // A held-back frame arrives after its retransmission and is
-            // discarded as stale.
-            "reorder" => assert!(
-                m.upload_retries > 0 && m.stale_frames > 0,
-                "{name}: retries={} stale={}",
-                m.upload_retries,
-                m.stale_frames
-            ),
-            // Stream poisoning and resets force reconnect-and-resume.
-            "truncate" | "corrupt" | "disconnect" => {
-                assert!(m.reconnects > 0, "{name}: no reconnects")
-            }
-            "hostile" => assert!(
-                m.upload_retries > 0 && m.reconnects > 0 && m.stale_frames > 0,
-                "{name}: retries={} reconnects={} stale={}",
-                m.upload_retries,
-                m.reconnects,
-                m.stale_frames
-            ),
-            _ => unreachable!(),
-        }
-        // Retries accumulate simulated backoff.
-        if m.upload_retries > 0 {
-            assert!(m.backoff_ms > 0, "{name}: retries without backoff");
-        }
-        // Dropped acks force replays the server must dedup, not re-ingest.
-        if matches!(name, "drop" | "hostile") {
-            assert!(
-                m.dup_files_deduped > 0,
-                "{name}: no replayed files were deduped"
-            );
-            assert_eq!(m.dup_files_deduped, out.server_stats.dup_files);
-        }
-        // Nothing was abandoned: every exchange eventually completed.
-        assert_eq!(
-            m.exchanges_exhausted, 0,
-            "{name}: retry budget exhausted on some exchange"
-        );
-    }
-
-    // The async collection plane is a different front end, not a
-    // different protocol: driven through the reactor server — clean and
-    // under the combined hostile profile — the study must reproduce the
-    // same bytes as the synchronous baseline (ARCHITECTURE.md §8).
-    for (name, plan) in [
-        ("async/clean", FaultPlan::none()),
-        ("async/hostile", FaultPlan::hostile()),
-    ] {
-        let (fp, out) = run_with(CollectionPath::AsyncWire, plan);
-        assert_eq!(
-            fp, baseline,
-            "{name}: async-plane study data diverged from the fault-free baseline"
-        );
-        assert_eq!(
-            streaming_fingerprint(&out),
-            streaming_baseline,
-            "{name}: async-plane streaming state diverged from the fault-free baseline"
-        );
-        assert_eq!(
-            text_fingerprint(&out),
-            text_baseline,
-            "{name}: async-plane text-index state diverged from the fault-free baseline"
-        );
-        assert_text_stream_equals_batch(&out, name);
-        let m = &out.metrics;
-        if name == "async/hostile" {
-            assert!(m.faults.total() > 0, "{name}: plan injected no faults");
-            assert!(m.upload_retries > 0, "{name}: no retries");
-        } else {
-            assert_eq!(m.faults.total(), 0, "{name}: clean link injects nothing");
-        }
-        assert_eq!(
-            m.exchanges_exhausted, 0,
-            "{name}: retry budget exhausted on some exchange"
-        );
-    }
+    scenario::check(&[
+        (Wire, "clean", Some("1")),
+        (Wire, "drop", Some("1")),
+        (Wire, "duplicate", Some("1")),
+        (Wire, "reorder", Some("1")),
+        (Wire, "truncate", Some("1")),
+        (Wire, "corrupt", Some("1")),
+        (Wire, "disconnect", Some("1")),
+        (Wire, "stall", Some("1")),
+        (Wire, "hostile", Some("1")),
+        (Wire, "hostile", Some("8")),
+    ]);
 }

@@ -1,6 +1,7 @@
 //! Shared helpers for the integration-test binaries: canonical study
-//! fingerprints and the small study configuration used by the determinism
-//! and chaos suites.
+//! fingerprints, the per-study contract checks and the small study
+//! configurations the scenario table (`tests/scenario/mod.rs`) and the
+//! conformance suites run.
 //!
 //! Each integration test compiles this module independently, so not every
 //! binary uses every helper.
@@ -14,25 +15,29 @@ use racket_types::metrics::keys;
 use racket_types::AppId;
 use racketstore::study::{CollectionPath, StudyConfig, StudyOutput};
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::fmt::Write;
+use std::sync::Mutex;
 
 /// Canonical fingerprint of everything in a [`StudyOutput`] except the
 /// pipeline metrics (wall times are thread-dependent; fault/retry counters
 /// vary with the fault plan by design). Hash-map contents are rendered in
 /// sorted key order so the fingerprint reflects *data*, never iteration
 /// order. Includes the full server stats — the right choice when comparing
-/// runs under the *same* fault plan (thread invariance).
+/// runs over the *same* path and fault plan (thread invariance).
 pub fn fingerprint(out: &StudyOutput) -> String {
     let mut s = data_fingerprint(out);
-    write!(s, " dup_files={}", out.server_stats.dup_files).unwrap();
+    let st = &out.server_stats;
+    write!(s, " files={} dup_files={}", st.files, st.dup_files).unwrap();
     s
 }
 
-/// Like [`fingerprint`], but excluding the server's `dup_files` counter —
-/// the one data-plane stat that legitimately varies with the fault plan
-/// (it counts replays absorbed by idempotent ingest). This is the
-/// fingerprint the chaos suite compares across fault plans: everything in
-/// it must be byte-identical between a clean run and any survivable
+/// Like [`fingerprint`], but excluding the server's two file counters:
+/// `files` (uploaded files folded; the direct path uploads none) and
+/// `dup_files` (replays absorbed by idempotent ingest, which vary with the
+/// fault plan). This is the fingerprint the scenario matrix compares
+/// across paths and fault plans: everything in it must be byte-identical
+/// between a direct run, a clean wire run and any survivable
 /// hostile-network run.
 pub fn data_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
@@ -77,16 +82,15 @@ pub fn data_fingerprint(out: &StudyOutput) -> String {
         writeln!(s, "{pre:?}|{:?}", truth.persona).unwrap();
     }
     // Render the stats field-by-field (not `{:?}` of the whole struct) so
-    // the fault-variant `dup_files` counter stays out of this fingerprint.
+    // the path- and fault-variant file counters stay out of this fingerprint.
     let st = &out.server_stats;
     write!(
         s,
-        "crawled={} coalesced={} sign_ins={} rejected={} files={} snapshots={} bad={} store_reviews={}",
+        "crawled={} coalesced={} sign_ins={} rejected={} snapshots={} bad={} store_reviews={}",
         out.reviews_crawled,
         out.coalesced_devices,
         st.sign_ins,
         st.rejected_sign_ins,
-        st.files,
         st.snapshots,
         st.bad_uploads,
         out.fleet.store.total_reviews()
@@ -98,9 +102,10 @@ pub fn data_fingerprint(out: &StudyOutput) -> String {
 /// Canonical fingerprint of the *streaming* feature state: the per-app
 /// ingest-time aggregates latched on each install record, plus the exact
 /// bit pattern (`f64::to_bits`) of every feature vector emitted from
-/// streaming state. Per-app maps render in sorted ID order. The chaos
-/// suite compares this across fault plans: streaming state recovered from
-/// a hostile network must be byte-identical to a clean run's.
+/// streaming state. Per-app maps render in sorted ID order. The scenario
+/// matrix compares this across paths, thread counts and fault plans:
+/// streaming state recovered from a hostile network must be
+/// byte-identical to a clean run's.
 pub fn streaming_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
     for (obs, stream) in out.observations.iter().zip(&out.streaming) {
@@ -185,51 +190,26 @@ pub fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
     }
 }
 
-/// Canonical fingerprint of a study's campaign-detection report: the
-/// incremental report carried on the output plus the batch recomputation
-/// from the columnar install-event family, rendered through
-/// `CampaignReport::fingerprint` (densities as exact `f64` bit patterns).
-/// The equivalence suite compares this string across thread counts and
-/// delivery paths.
-pub fn campaign_fingerprint(out: &StudyOutput) -> String {
-    format!(
-        "incremental:{}\nbatch:{}",
-        out.campaigns.fingerprint(),
-        racketstore::campaign::batch_report(out).fingerprint()
-    )
-}
-
-/// Canonical fingerprint of the per-install streaming text-sketch state
-/// next to its batch recomputation from the columnar review family
-/// (ARCHITECTURE.md §13). The text suites compare this string across
-/// thread counts, delivery paths and fault plans; the two halves must
-/// also equal each other, which [`assert_text_stream_equals_batch`]
-/// checks per scenario.
-pub fn text_fingerprint(out: &StudyOutput) -> String {
-    format!(
-        "streaming:{}\nbatch:{}",
-        racketstore::text::streaming_text_fingerprint(out),
-        racketstore::text::batch_text_fingerprint(out)
-    )
-}
-
 /// Completions of the span named `stage` in the study's registry so far.
 pub fn span_count(out: &StudyOutput, stage: &str) -> u64 {
     let name = format!("{}{stage}", racket_obs::SPAN_PREFIX);
     out.obs.snapshot().histogram(&name).map_or(0, |h| h.count)
 }
 
-/// Assert the text engine's differential contract: the per-install
-/// [`racket_text::TextSketch`] folded review-by-review at ingest time
-/// must be byte-identical to the sketch rebuilt in batch from the
-/// columnar review family. `context` names the scenario in failures.
+/// Assert the text engine's differential contract and return the text
+/// fingerprint: the per-install [`racket_text::TextSketch`] folded
+/// review-by-review at ingest time must be byte-identical to the sketch
+/// rebuilt in batch from the columnar review family (ARCHITECTURE.md
+/// §13). `context` names the scenario in failures. The fingerprint of an
+/// output without review text is the bare `texted_installs=0 …` header.
 ///
 /// The comparison rebuilds once, so it also holds the `campaign/text_rebuild`
 /// span to its meaning: one completion per `batch_text_sketches` call.
-pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) {
+pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) -> String {
     let before = span_count(out, keys::SPAN_TEXT_REBUILD);
+    let streamed = racketstore::text::streaming_text_fingerprint(out);
     assert_eq!(
-        racketstore::text::streaming_text_fingerprint(out),
+        streamed,
         racketstore::text::batch_text_fingerprint(out),
         "{context}: streaming text sketches != batch rebuild from columnar reviews"
     );
@@ -238,13 +218,13 @@ pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) {
         before + 1,
         "{context}: campaign/text_rebuild is not one span per batch rebuild"
     );
+    streamed
 }
 
-/// [`small_config`] with deterministic review-text generation enabled —
-/// the configuration of the text-equivalence suites. Everything else
-/// (fleet, cadence, seed) is byte-identical to [`small_config`], which
-/// is exactly what the no-perturbation pin in `tests/text_equivalence.rs`
-/// relies on.
+/// [`small_config`] with deterministic review-text generation enabled.
+/// Everything else (fleet, cadence, seed) is byte-identical to
+/// [`small_config`], which is what the text-off twin of the scenario
+/// table (`tests/scenario/mod.rs`) relies on.
 pub fn text_config(path: CollectionPath) -> StudyConfig {
     let mut config = small_config(path);
     config.fleet.review_text = true;
@@ -276,20 +256,43 @@ pub fn campaign_config(
     config
 }
 
+/// Held by [`with_threads`] for the whole of its closure.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// Puts a saved `RAYON_NUM_THREADS` back when dropped, panics included.
+struct RestoreThreads(Option<OsString>);
+
+impl Drop for RestoreThreads {
+    fn drop(&mut self) {
+        match self.0.take() {
+            Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
+    }
+}
+
 /// Run `f` with the rayon worker-thread count pinned through the
-/// process-global `RAYON_NUM_THREADS` variable. Callers that pin threads
-/// must run their scenarios inside a single `#[test]` — concurrent tests
-/// flipping the variable would race.
-pub fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("RAYON_NUM_THREADS", threads);
-    let out = f();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    out
+/// process-global `RAYON_NUM_THREADS` variable, then put back whatever
+/// value (or absence) was there before. `None` pins nothing: `f` runs at
+/// the count the environment set. Every call holds one process-wide lock,
+/// so tests in one binary may run concurrently without ever seeing each
+/// other's pins.
+pub fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
+    // A test that panicked inside `f` still restored the variable on
+    // unwind, so a poisoned lock guards nothing stale.
+    let _serial = THREADS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _restore = RestoreThreads(std::env::var_os("RAYON_NUM_THREADS"));
+    if let Some(threads) = threads {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+    }
+    f()
 }
 
 /// A deliberately small configuration so repeated full study runs stay
-/// cheap in debug builds; neither determinism nor chaos recovery depends
-/// on scale.
+/// cheap in debug builds; none of the equivalence contracts depends on
+/// scale.
 pub fn small_config(path: CollectionPath) -> StudyConfig {
     let mut fleet = FleetConfig::test_scale();
     fleet.n_regular = 8;

@@ -179,8 +179,8 @@ fn conformance_detects_a_perturbed_calibration() {
 /// The observability registry never reaches the data fingerprint: two
 /// identically-configured runs fingerprint identically even though their
 /// wall-clock histograms differ (tested here at the conformance config so
-/// the suite exercises the direct path; tests/determinism.rs covers the
-/// wire path and thread invariance).
+/// the suite exercises the direct path; the scenario table,
+/// tests/scenario/mod.rs, covers the wire path and thread invariance).
 #[test]
 fn metrics_stay_out_of_the_fingerprint() {
     let (out, _) = baseline();

@@ -2,7 +2,8 @@
 //! configuration must keep reproducing the same Table 1 / Table 2 /
 //! Figure 15 numbers it produced when these pins were recorded.
 //!
-//! Unlike `tests/determinism.rs` (bit-exact dataset fingerprints) and
+//! Unlike the scenario table (`tests/scenario/mod.rs`, bit-exact
+//! dataset fingerprints) and
 //! `tests/conformance.rs` (distributional bands), this suite pins the
 //! *analysis outputs* — XGB F1 scores under the paper's CV protocols and
 //! the Figure 15 organic/dedicated split — so a change anywhere in the

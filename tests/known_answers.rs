@@ -127,7 +127,7 @@ fn gbt_matrix() -> (Vec<Vec<f64>>, Vec<u8>) {
 }
 
 /// The boosted ensemble's bytes, pinned as literals. The differential
-/// tests (`fit` ≡ `fit_reference`, `tests/columnar_equivalence.rs`) run
+/// tests (`fit` ≡ `fit_reference`, `tests/matrix.rs`) run
 /// both searches through one `fit_impl`, so a slip in the shared
 /// scaffolding — the RNG stream, the canonical row order, the margin
 /// update — moves both sides together; this does not move. Computed at

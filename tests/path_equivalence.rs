@@ -1,40 +1,19 @@
-//! The wire path (buffer → LZSS → frames → transport → decode → ack) must
-//! deliver *exactly* the same data as direct in-process ingestion: the
-//! study's server-side aggregates have to be identical bit for bit. This
-//! pins the protocol stack against silent data loss or reordering.
+//! The clean wire rows of the scenario table (`tests/scenario/mod.rs`),
+//! which checks every contract on each row. The wire path (buffer → LZSS →
+//! frames → transport → decode → ack) must deliver exactly the data that
+//! direct in-process ingestion does, at every worker count.
 
-use racketstore::study::{CollectionPath, Study, StudyConfig};
+mod common;
+mod scenario;
+
+use racketstore::study::CollectionPath::{Direct, Wire};
 
 #[test]
 fn wire_and_direct_paths_yield_identical_aggregates() {
-    let mut wire_config = StudyConfig::test_scale();
-    wire_config.path = CollectionPath::Wire;
-    let mut direct_config = StudyConfig::test_scale();
-    direct_config.path = CollectionPath::Direct;
-
-    let wire = Study::new(wire_config).run();
-    let direct = Study::new(direct_config).run();
-
-    assert_eq!(wire.observations.len(), direct.observations.len());
-    assert_eq!(wire.server_stats.snapshots, direct.server_stats.snapshots);
-    assert_eq!(wire.reviews_crawled, direct.reviews_crawled);
-
-    for (w, d) in wire.observations.iter().zip(&direct.observations) {
-        assert_eq!(w.record.install_id, d.record.install_id);
-        assert_eq!(w.record.n_fast, d.record.n_fast, "fast counts diverge");
-        assert_eq!(w.record.n_slow, d.record.n_slow, "slow counts diverge");
-        assert_eq!(w.record.snapshots_per_day, d.record.snapshots_per_day);
-        assert_eq!(w.record.installed_now, d.record.installed_now);
-        assert_eq!(w.record.stopped_apps, d.record.stopped_apps);
-        assert_eq!(w.record.accounts, d.record.accounts);
-        assert_eq!(w.record.install_events, d.record.install_events);
-        assert_eq!(w.record.uninstall_events, d.record.uninstall_events);
-        assert_eq!(w.record.foreground, d.record.foreground);
-        assert_eq!(w.google_ids, d.google_ids);
-        assert_eq!(w.reviews_by_app, d.reviews_by_app);
-    }
-
-    // The wire run must have actually exercised the protocol.
-    assert!(wire.server_stats.files > 0);
-    assert_eq!(direct.server_stats.files, 0);
+    scenario::check(&[
+        (Direct, "clean", Some("1")),
+        (Wire, "clean", Some("1")),
+        (Wire, "clean", Some("3")),
+        (Wire, "clean", Some("8")),
+    ]);
 }

@@ -3,9 +3,9 @@
 //! mismatches), the client keeps the file and retries until the server's
 //! hash matches — no snapshot is ever lost or duplicated.
 
-use racket_collect::transport::{recv_message, MemTransport, Transport};
+use racket_collect::transport::{MemTransport, Transport};
 use racket_collect::wire::{FrameCodec, Message};
-use racket_collect::{CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector};
+use racket_collect::{CollectionServer, CollectorConfig, DataBuffer, FaultPlan, SnapshotCollector};
 use racket_device::{Device, DeviceModel};
 use racket_types::{
     AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
@@ -43,9 +43,15 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
     let total_files = buffer.pending_count();
     assert!(total_files >= 1);
 
-    // Lossy channel: every 2nd chunk has one bit flipped.
+    // Lossy channel: a seeded plan flips one bit in about half the chunks.
     let (mut client, mut server_end) = MemTransport::pair();
-    client.corrupt_every(2);
+    client.inject_faults(
+        FaultPlan {
+            corrupt: 0.5,
+            ..FaultPlan::none()
+        },
+        7,
+    );
 
     let mut attempts = 0;
     let mut delivered = 0;
@@ -64,25 +70,27 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
                 .encode(),
             )
             .expect("send");
-        // Server side: a corrupted frame fails CRC decode; the connection
-        // would be dropped and the client retries on a fresh one.
+        // Server side, one fresh connection per attempt: a flipped bit fails
+        // the CRC, or lands in the length field and leaves the frame
+        // waiting for bytes that never come. Either way nothing decodes,
+        // the connection is dropped and the client retries on a fresh one.
         let mut codec = FrameCodec::new();
-        match recv_message(&mut server_end, &mut codec) {
-            Ok(Some(msg)) => {
-                if let Some(Message::UploadAck { file_id, sha256 }) = server.handle(msg) {
-                    if buffer.acknowledge(file_id, sha256) {
-                        delivered += 1;
-                    }
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = server_end.try_recv(&mut chunk) {
+            codec.feed(&chunk[..n]);
+        }
+        if let Ok(Some(msg)) = codec.try_decode_message() {
+            if let Some(Message::UploadAck { file_id, sha256 }) = server.handle(msg) {
+                if buffer.acknowledge(file_id, sha256) {
+                    delivered += 1;
                 }
-            }
-            Ok(None) => {}
-            Err(_) => {
-                // CRC failure: drain the channel residue (fresh connection).
-                let mut sink = [0u8; 4096];
-                while server_end.try_recv(&mut sink).unwrap_or(0) > 0 {}
             }
         }
     }
+    assert!(
+        client.fault_stats().corrupted > 0,
+        "the plan flipped no bit"
+    );
 
     assert_eq!(delivered, total_files);
     assert!(

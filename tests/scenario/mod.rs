@@ -1,0 +1,374 @@
+//! The scenario table: every equivalence contract, checked on every study.
+//!
+//! A row is one study of the same small fleet (review text on, two
+//! burst-paced campaigns) over one collection path, under one fault plan,
+//! at one rayon worker count (`None` runs at the count the environment
+//! set; `check.sh` runs the table's binaries at `RAYON_NUM_THREADS=1` and
+//! `=8`). [`check`] runs each row of a slice once, checks every row-local
+//! contract on its output, and compares each output's fingerprints with
+//! the first row of the slice that produced them. The table is split into
+//! slices, one per test, so that each study of the table runs once in the
+//! suite:
+//!
+//! | test | rows (path/fault @ threads) |
+//! |---|---|
+//! | `streaming_equivalence::ambient_streaming_state_equals_batch_features` | direct/clean @ ambient |
+//! | `streaming_equivalence::matrix_streaming_state_equals_batch_features` | direct/clean @ ambient, 1, 2, 3, 8 |
+//! | `path_equivalence::wire_and_direct_paths_yield_identical_aggregates` | direct/clean @ 1; wire/clean @ 1, 3, 8 |
+//! | `async_equivalence::async_driver_reproduces_the_sync_wire_study` | wire/clean @ 1; async/clean @ 1, 2, 3, 8 |
+//! | `chaos::study_output_survives_every_fault_class` | wire/clean @ 1; wire/each of the seven classes @ 1; wire/hostile @ 1, 8 |
+//! | `text_equivalence::ambient_text_on_study_reproduces_text_off_bytes` | direct/clean @ ambient, then its text-off twin |
+//! | `text_equivalence::matrix_streaming_text_equals_batch_everywhere` | wire/clean @ 1; async/hostile @ 1 |
+//! | `campaign_equivalence::ambient_batch_report_equals_incremental` | direct/clean @ ambient |
+//! | `campaign_equivalence::matrix_batch_report_equals_incremental_everywhere` | wire/clean @ 1; async/hostile @ 3 |
+//! | `columnar_equivalence::matrix_columnar_store_is_path_and_thread_invariant` | wire/clean @ 1; async/hostile @ 8 |
+//!
+//! 34 small studies in all: the 24 rows of the table, the text-off twin,
+//! and the nine direct or clean wire reference rows that anchor a slice's
+//! cross-row comparisons. Three are async + hostile. Every multi-row slice
+//! starts at direct/clean or wire/clean at 1 thread; the streaming slice
+//! holds direct at ambient and 1 thread, and the path slice holds direct
+//! and wire at 1 thread. So the per-slice comparisons chain into one
+//! equality over the whole table. Every slice with an async row starts at
+//! clean sync wire, so each async row's uploaded-file count is compared
+//! with the sync wire count.
+//!
+//! The contracts, each with the test file that checked it before the
+//! table, and the rows that check it now:
+//!
+//! 1. **N threads ≡ 1 thread** on direct and wire (`determinism.rs`): the
+//!    full [`fingerprint`] (`files` and `dup_files` included) is equal
+//!    across the thread counts of each direct and sync wire (path, fault)
+//!    pair in a slice: direct clean at ambient/1/2/3/8, wire clean at
+//!    1/3/8, wire hostile at 1/8. 3 does not divide the 20-lane fleet, so
+//!    its workers claim lanes in an interleaving no other count produces.
+//! 2. **Fleet generation is thread-invariant** (`determinism.rs`):
+//!    `tests/matrix.rs`, 1 vs 8 threads.
+//! 3. **Wire ≡ direct** (`path_equivalence.rs`): every row's
+//!    [`data_fingerprint`] (all records, review joins and server totals)
+//!    equals its slice's first row's; every wire and async row uploaded
+//!    files, as many as the slice's first off-direct row, and no direct
+//!    row uploaded any.
+//! 4. **Async ≡ sync** (`async_equivalence.rs`, `chaos.rs`): the async rows
+//!    (clean at 1/2/3/8, hostile at 1/3/8) reproduce the data and streaming
+//!    fingerprints and the uploaded-file count of the clean sync wire row
+//!    their slice starts with; the async plane ingested through shards,
+//!    injected nothing on a clean link, and its hostile rows sampled
+//!    faults, retried and exhausted no exchange.
+//! 5. **Faulted ≡ clean** (`chaos.rs`, `streaming_equivalence.rs`): every
+//!    fault row (the seven single classes on wire at 1 thread, hostile on
+//!    wire at 1/8 and async at 1/3/8) reproduces the clean data, streaming
+//!    and text fingerprints; it shows its class sampled and the protocol's
+//!    recovery (retries, stale discards, reconnects, dedups as the class
+//!    calls for, backoff behind every sync retry); it exhausts no exchange
+//!    and reports `dup_files_deduped == server_stats.dup_files`. The clean
+//!    wire rows really are clean: no fault, retry, reconnect, backoff,
+//!    stale frame or dedup.
+//! 6. **Streaming ≡ batch feature bits** (`streaming_equivalence.rs`):
+//!    every row.
+//! 7. **Text stream ≡ batch, one span per rebuild** (`text_equivalence.rs`,
+//!    `streaming_equivalence.rs`, `chaos.rs`): every row; the text
+//!    fingerprint is non-vacuous and equal on every row of a slice.
+//! 8. **Text-on reproduces text-off** (`text_equivalence.rs`): the text-off
+//!    twin of the ambient direct row has that row's full and streaming
+//!    fingerprints and no review text.
+//! 9. **Campaign batch ≡ incremental** (`campaign_equivalence.rs`,
+//!    `text_equivalence.rs`): every row, with at least one detected
+//!    cluster, text candidate pairs > 0 and one campaign fingerprint per
+//!    slice.
+//! 10. **The columnar store mirrors the records**
+//!     (`columnar_equivalence.rs`): every row, and the columnar fingerprint
+//!     is equal on every row of a slice.
+//! 11. **Training and scoring equal their references**
+//!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
+//!     study: GBT `fit` ≡ `fit_reference` bytes, `score_batch` ≡ `score`,
+//!     streaming ≡ batch verdicts, each stage's span completed once.
+//!
+//! Tests in one binary may run concurrently: [`with_threads`] serialises
+//! every study behind one lock and restores the worker count it found.
+//!
+//! Each binary that runs a slice compiles this module, so not every binary
+//! uses every item.
+
+#![allow(dead_code)]
+
+use crate::common::{
+    assert_stream_equals_batch, assert_text_stream_equals_batch, campaign_config, data_fingerprint,
+    fingerprint, streaming_fingerprint, text_campaign_config, with_threads,
+};
+use racket_agents::PacingStrategy;
+use racket_collect::FaultPlan;
+use racketstore::campaign::batch_report;
+use racketstore::study::{CollectionPath, Study, StudyOutput};
+use std::collections::BTreeMap;
+use std::fmt::Write;
+use CollectionPath::{AsyncWire, Direct, Wire};
+
+/// (path, fault plan, worker threads).
+pub type Row = (CollectionPath, &'static str, Option<&'static str>);
+
+fn plan(fault: &str) -> FaultPlan {
+    match fault {
+        "clean" => FaultPlan::none(),
+        "drop" => FaultPlan::drops(),
+        "duplicate" => FaultPlan::duplicates(),
+        "reorder" => FaultPlan::reorders(),
+        "truncate" => FaultPlan::truncations(),
+        "corrupt" => FaultPlan::corruptions(),
+        "disconnect" => FaultPlan::disconnects(),
+        "stall" => FaultPlan::stalls(),
+        "hostile" => FaultPlan::hostile(),
+        other => unreachable!("no fault plan named {other}"),
+    }
+}
+
+/// The first value each fingerprint took; later rows must match it.
+#[derive(Default)]
+pub struct Canon(BTreeMap<String, String>);
+
+impl Canon {
+    fn pin(&mut self, key: String, value: String, context: &str) {
+        let first = self.0.entry(key.clone()).or_insert_with(|| value.clone());
+        if *first != value {
+            let (was, is) = first
+                .lines()
+                .zip(value.lines())
+                .find(|(was, is)| was != is)
+                .unwrap_or(("(one is a prefix of the other)", ""));
+            panic!(
+                "{context}: {key} fingerprint diverged from the first row that produced it\n\
+                 first line that differs:\n  was {was}\n  now {is}"
+            );
+        }
+    }
+
+    /// Text-off twin of the direct rows: generating review text draws from
+    /// its own keyed stream family, so switching it off changes nothing the
+    /// other fingerprints can see, and leaves no review text behind.
+    pub fn check_text_off_twin(&mut self) {
+        let off = with_threads(None, || {
+            Study::new(campaign_config(Direct, 2, PacingStrategy::Burst)).run()
+        });
+        let context = "Direct/clean text-off";
+        self.pin("full Direct/clean".into(), fingerprint(&off), context);
+        self.pin("streaming".into(), streaming_fingerprint(&off), context);
+        let text = assert_text_stream_equals_batch(&off, context);
+        assert!(
+            text.starts_with("texted_installs=0 "),
+            "{context}: review text from nowhere"
+        );
+    }
+}
+
+/// Run each row's study once and check every contract that applies to it;
+/// returns the fingerprints the slice pinned.
+pub fn check(rows: &[Row]) -> Canon {
+    let mut canon = Canon::default();
+    for &(path, fault, threads) in rows {
+        let context = format!("{path:?}/{fault} @ {}", threads.unwrap_or("ambient"));
+        let out = with_threads(threads, || {
+            let mut config = text_campaign_config(path, 2, PacingStrategy::Burst);
+            config.faults = plan(fault);
+            Study::new(config).run()
+        });
+
+        // Row-local contracts.
+        assert_stream_equals_batch(&out, &context);
+        let text = assert_text_stream_equals_batch(&out, &context);
+        assert!(
+            !text.starts_with("texted_installs=0 "),
+            "{context}: no review text generated"
+        );
+        assert!(
+            !out.campaigns.campaigns.is_empty(),
+            "{context}: no campaign detected"
+        );
+        assert!(
+            out.campaigns.n_text_candidate_pairs > 0,
+            "{context}: near-duplicate index produced no candidates"
+        );
+        assert_eq!(
+            batch_report(&out),
+            out.campaigns,
+            "{context}: campaign batch != incremental"
+        );
+        assert_columnar_mirrors_records(&out, &context);
+        assert_delivery_evidence(&out, path, fault, &context);
+
+        // Cross-row contracts. Every off-direct row uploads as many files
+        // as the slice's first one. The full fingerprint adds the file
+        // counters: equal across thread counts of one direct or sync wire
+        // (path, fault) pair, while the async plane's `dup_files` follows
+        // its timing.
+        canon.pin("data".into(), data_fingerprint(&out), &context);
+        canon.pin("streaming".into(), streaming_fingerprint(&out), &context);
+        canon.pin("text".into(), text, &context);
+        canon.pin("campaign".into(), out.campaigns.fingerprint(), &context);
+        canon.pin("columnar".into(), columnar_fingerprint(&out), &context);
+        if path != Direct {
+            canon.pin("files".into(), out.server_stats.files.to_string(), &context);
+        }
+        if path != AsyncWire {
+            canon.pin(
+                format!("full {path:?}/{fault}"),
+                fingerprint(&out),
+                &context,
+            );
+        }
+    }
+    canon
+}
+
+/// The fault layer's evidence on one row: the plan's class was sampled,
+/// the protocol visibly recovered, and nothing was abandoned.
+fn assert_delivery_evidence(out: &StudyOutput, path: CollectionPath, fault: &str, context: &str) {
+    let m = &out.metrics;
+    let f = &m.faults;
+    assert_eq!(
+        m.exchanges_exhausted, 0,
+        "{context}: retry budget exhausted"
+    );
+    assert_eq!(m.dup_files_deduped, out.server_stats.dup_files, "{context}");
+    assert_eq!(
+        out.server_stats.files > 0,
+        path != Direct,
+        "{context}: files uploaded"
+    );
+    if path == AsyncWire {
+        assert!(
+            !m.shard_occupancy.is_empty(),
+            "{context}: async plane ingests through shards"
+        );
+    }
+    let summary = format!(
+        "{context}: retries={} reconnects={} stale={} dedups={}",
+        m.upload_retries, m.reconnects, m.stale_frames, m.dup_files_deduped
+    );
+    if fault == "clean" {
+        assert_eq!(f.total(), 0, "{context}: a clean link injected faults");
+        if path == Wire {
+            assert!(m.upload_attempts > 0, "{context}");
+            let quiet = m.upload_retries
+                + m.reconnects
+                + m.backoff_ms
+                + m.stale_frames
+                + m.dup_files_deduped;
+            assert_eq!(quiet, 0, "{summary}");
+        }
+        return;
+    }
+    let (sampled, recovered) = match fault {
+        "drop" => (f.dropped, m.upload_retries > 0 && m.dup_files_deduped > 0),
+        "duplicate" => (f.duplicated, m.stale_frames > 0),
+        "reorder" => (f.reordered, m.upload_retries > 0 && m.stale_frames > 0),
+        "truncate" => (f.truncated, m.reconnects > 0),
+        "corrupt" => (f.corrupted, m.reconnects > 0),
+        "disconnect" => (f.disconnected, m.reconnects > 0),
+        "stall" => (f.stalled, m.upload_retries > 0),
+        _ if path == AsyncWire => (f.total(), m.upload_retries > 0),
+        _ => (
+            f.total(),
+            m.upload_retries > 0
+                && m.reconnects > 0
+                && m.stale_frames > 0
+                && m.dup_files_deduped > 0,
+        ),
+    };
+    assert!(sampled > 0, "{context}: the plan injected no {fault} fault");
+    assert!(recovered, "{summary}: no evidence of recovery");
+    if path == Wire && m.upload_retries > 0 {
+        assert!(m.backoff_ms > 0, "{summary}: retries without backoff");
+    }
+}
+
+/// Assert the columnar store is an exact projection of the row records.
+pub fn assert_columnar_mirrors_records(out: &StudyOutput, context: &str) {
+    assert_eq!(
+        out.columnar.n_installs(),
+        out.observations.len(),
+        "{context}: one columnar row per joined record"
+    );
+    for obs in &out.observations {
+        let r = &obs.record;
+        let code = out
+            .columnar
+            .install_code(r.install_id)
+            .unwrap_or_else(|| panic!("{context}: {:?} missing from dictionary", r.install_id));
+        assert_eq!(out.columnar.install_id(code), r.install_id, "{context}");
+        assert_eq!(out.columnar.participant(code), r.participant, "{context}");
+        assert_eq!(
+            out.columnar.snapshot_counts(code),
+            (r.n_fast, r.n_slow),
+            "{context}"
+        );
+        assert_eq!(
+            out.columnar.active_days(code) as usize,
+            r.active_days(),
+            "{context}"
+        );
+        assert_eq!(
+            out.columnar.avg_snapshots_per_day(code).to_bits(),
+            r.avg_snapshots_per_day().to_bits(),
+            "{context}: avg snapshots/day must be the same f64"
+        );
+        assert_eq!(
+            out.columnar.event_totals(code),
+            (r.stream.n_install_events, r.stream.n_uninstall_events),
+            "{context}"
+        );
+        // CSR app entries: ascending AppId, stats equal to the streaming
+        // aggregates latched on the record.
+        let entries: Vec<_> = out.columnar.apps_of(code).collect();
+        assert_eq!(entries.len(), r.apps.len(), "{context}: app entry count");
+        let mut expected: Vec<_> = r.apps.keys().copied().collect();
+        expected.sort_unstable();
+        for (entry, &app) in entries.iter().zip(&expected) {
+            assert_eq!(entry.app, app, "{context}: apps sorted by AppId");
+            let stream = r.stream.app(app).copied().unwrap_or_default();
+            assert_eq!(entry.fg_total, stream.fg_total, "{context}: {app:?}");
+            assert_eq!(entry.n_installs, stream.n_installs, "{context}: {app:?}");
+            assert_eq!(
+                entry.n_uninstalls, stream.n_uninstalls,
+                "{context}: {app:?}"
+            );
+            let last = stream
+                .last_uninstall
+                .map_or(racket_collect::NEVER_UNINSTALLED, |t| t.as_secs());
+            assert_eq!(entry.last_uninstall, last, "{context}: {app:?}");
+        }
+        // Account services, in snapshot order.
+        let services: Vec<_> = out.columnar.services_of(code).collect();
+        let expected_services: Vec<_> = r.accounts.iter().map(|a| a.service).collect();
+        assert_eq!(services, expected_services, "{context}: account services");
+    }
+}
+
+/// Canonical dump of the columnar store (codes come from the sorted
+/// record order, so it is identical across thread counts and paths).
+fn columnar_fingerprint(out: &StudyOutput) -> String {
+    let mut s = String::new();
+    for code in 0..out.columnar.n_installs() as u32 {
+        write!(
+            s,
+            "{:?}|{:?}|{:?}|{}|{:x}|{:?}",
+            out.columnar.install_id(code),
+            out.columnar.participant(code),
+            out.columnar.snapshot_counts(code),
+            out.columnar.active_days(code),
+            out.columnar.avg_snapshots_per_day(code).to_bits(),
+            out.columnar.event_totals(code),
+        )
+        .unwrap();
+        for e in out.columnar.apps_of(code) {
+            write!(
+                s,
+                "|{:?}:{},{},{},{}",
+                e.app, e.fg_total, e.n_installs, e.n_uninstalls, e.last_uninstall
+            )
+            .unwrap();
+        }
+        let services: Vec<_> = out.columnar.services_of(code).collect();
+        writeln!(s, "|{services:?}").unwrap();
+    }
+    s
+}

@@ -1,105 +1,27 @@
-//! Differential harness: streaming feature state must equal batch.
-//!
-//! The streaming analysis engine (ARCHITECTURE.md §7) maintains per-install
-//! and per-app feature state incrementally at ingest time, so that the
-//! Table 1/Table 2 feature vectors are available the moment the last
-//! snapshot lands. Its correctness contract is *exact* equality with the
-//! batch path: for every device and every observed app, the vector emitted
-//! from streaming state must be `f64`-bit-identical to the one recomputed
-//! from the raw assembled observation by `racket_features::app_features` /
-//! `device_features`.
-//!
-//! This harness runs a full study per scenario and checks that contract
-//! across everything that could plausibly break it:
-//!
-//! * **thread counts** — 1, 2 and 8 rayon workers (sharded ingest merges
-//!   stream state across shards in adopt order);
-//! * **collection paths** — direct in-process delivery, the framed wire
-//!   protocol over a synchronous loopback, and the asynchronous reactor
-//!   plane (`CollectionPath::AsyncWire`), clean and hostile;
-//! * **chaos fault profiles** — every fault class alone plus the combined
-//!   hostile profile: replays, reorders and reconnects must never
-//!   double-fold streaming state (idempotent ingest dedups uploads before
-//!   they reach the fold hooks).
-//!
-//! The matrix fleet also generates review text, so every scenario pins
-//! the streaming text-sketch contract (ARCHITECTURE.md §13) next to the
-//! feature-vector one: the per-install `TextSketch` folded at ingest must
-//! equal the batch rebuild from the columnar review family.
-//!
-//! Scenarios pin `RAYON_NUM_THREADS`, which is process-global, so both
-//! tests live in one binary that `check.sh` runs with `--test-threads=1`;
-//! the ambient test is named to sort (and therefore run) first, before
-//! anything has touched the variable.
+//! The direct rows of the scenario table (`tests/scenario/mod.rs`), which
+//! checks every contract on each row; named for the streaming ≡ batch
+//! feature-bits contract (ARCHITECTURE.md §7).
 
 mod common;
+mod scenario;
 
-use common::{
-    assert_stream_equals_batch, assert_text_stream_equals_batch, small_config, text_config,
-    with_threads,
-};
-use racket_collect::FaultPlan;
-use racketstore::study::{CollectionPath, Study};
+use racketstore::study::CollectionPath::Direct;
 
-/// Whatever thread pool the environment gives us (no pinning): the
-/// configuration every other test and binary in the repository runs with.
+/// Whatever thread pool the environment gives us (no pinning).
 #[test]
 fn ambient_streaming_state_equals_batch_features() {
-    let out = Study::new(small_config(CollectionPath::Direct)).run();
-    assert_stream_equals_batch(&out, "ambient/direct/clean");
-    assert_text_stream_equals_batch(&out, "ambient/direct/clean");
+    scenario::check(&[(Direct, "clean", None)]);
 }
 
+/// The direct path at every worker count: N threads ≡ 1 thread on the
+/// full fingerprint, and every row-local contract at each count.
 #[test]
 fn matrix_streaming_state_equals_batch_features() {
-    let scenarios: [(&str, CollectionPath, FaultPlan); 12] = [
-        ("direct/clean", CollectionPath::Direct, FaultPlan::none()),
-        ("wire/clean", CollectionPath::Wire, FaultPlan::none()),
-        ("wire/drop", CollectionPath::Wire, FaultPlan::drops()),
-        (
-            "wire/duplicate",
-            CollectionPath::Wire,
-            FaultPlan::duplicates(),
-        ),
-        ("wire/reorder", CollectionPath::Wire, FaultPlan::reorders()),
-        (
-            "wire/truncate",
-            CollectionPath::Wire,
-            FaultPlan::truncations(),
-        ),
-        (
-            "wire/corrupt",
-            CollectionPath::Wire,
-            FaultPlan::corruptions(),
-        ),
-        (
-            "wire/disconnect",
-            CollectionPath::Wire,
-            FaultPlan::disconnects(),
-        ),
-        ("wire/stall", CollectionPath::Wire, FaultPlan::stalls()),
-        ("wire/hostile", CollectionPath::Wire, FaultPlan::hostile()),
-        ("async/clean", CollectionPath::AsyncWire, FaultPlan::none()),
-        (
-            "async/hostile",
-            CollectionPath::AsyncWire,
-            FaultPlan::hostile(),
-        ),
-    ];
-    for threads in ["1", "2", "8"] {
-        for (name, path, plan) in scenarios {
-            // The matrix fleet generates review text, so every scenario
-            // also pins the streaming text-sketch contract
-            // (ARCHITECTURE.md §13); the feature-vector contract is
-            // unaffected — text draws from its own keyed stream family.
-            let out = with_threads(threads, || {
-                let mut config = text_config(path);
-                config.faults = plan;
-                Study::new(config).run()
-            });
-            let context = format!("{name} @ {threads} threads");
-            assert_stream_equals_batch(&out, &context);
-            assert_text_stream_equals_batch(&out, &context);
-        }
-    }
+    scenario::check(&[
+        (Direct, "clean", None),
+        (Direct, "clean", Some("1")),
+        (Direct, "clean", Some("2")),
+        (Direct, "clean", Some("3")),
+        (Direct, "clean", Some("8")),
+    ]);
 }

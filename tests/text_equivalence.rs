@@ -1,167 +1,26 @@
-//! Differential harness for the review-text engine: streaming must equal
-//! batch, and turning text on must not perturb anything else.
-//!
-//! Two contracts are pinned here (ARCHITECTURE.md §13):
-//!
-//! 1. **No perturbation.** Review-text generation draws from a dedicated
-//!    keyed stream family (`TEXT_STREAM_SALT`) and consumes *zero* values
-//!    from the device/persona RNG streams. A study with `review_text`
-//!    enabled must therefore reproduce the text-off study byte-for-byte
-//!    in every pre-existing fingerprint — data, streaming feature state,
-//!    server stats — with the review columns strictly additive. No golden
-//!    pin anywhere in the repository is re-baselined for text.
-//!
-//! 2. **Streaming ≡ batch.** The per-install [`racket_text::TextSketch`]
-//!    folded review-by-review at snapshot-ingest time must be
-//!    byte-identical to the sketch rebuilt in batch from the columnar
-//!    review family — across thread counts (sharded ingest merges
-//!    sketches), delivery paths (direct, framed wire, async reactor),
-//!    fault plans (replays must never double-fold a review row) and
-//!    fleet compositions (organic-only and campaign-carrying).
-//!
-//! Scenarios pin `RAYON_NUM_THREADS` (process-global), so the matrix
-//! lives in one `#[test]` and `check.sh` runs this binary with
-//! `--test-threads=1` at worker counts 1 and 8; the ambient test is
-//! named to sort first, before anything touches the variable.
+//! Two slices of the scenario table (`tests/scenario/mod.rs`), which
+//! checks every contract on each row; named for the review-text engine's
+//! contracts (ARCHITECTURE.md §13): turning text on perturbs nothing else,
+//! and the streaming text sketch equals its batch rebuild.
 
 mod common;
+mod scenario;
 
-use common::{
-    assert_text_stream_equals_batch, data_fingerprint, fingerprint, small_config,
-    streaming_fingerprint, text_campaign_config, text_config, text_fingerprint, with_threads,
-};
-use racket_agents::PacingStrategy;
-use racket_collect::FaultPlan;
-use racketstore::campaign::batch_report;
-use racketstore::study::{CollectionPath, Study, StudyConfig};
+use racketstore::study::CollectionPath::{AsyncWire, Direct, Wire};
 
-/// A text fingerprint is vacuous when no install carried any review text;
-/// the header line renders the texted-install count first.
-fn is_vacuous(text_fp: &str) -> bool {
-    text_fp.starts_with("streaming:texted_installs=0 ")
-}
-
-/// Ambient thread pool (no pinning). Pins contract 1 — the text-off study
-/// is byte-identical whether or not the generator ran — and contract 2 on
-/// the direct path.
+/// The ambient direct row and its text-off twin: the no-perturbation
+/// contract.
 #[test]
 fn ambient_text_on_study_reproduces_text_off_bytes() {
-    let off = Study::new(small_config(CollectionPath::Direct)).run();
-    let on = Study::new(text_config(CollectionPath::Direct)).run();
-
-    // Contract 1: everything the pre-text fingerprints can see is
-    // byte-identical — enabling text never perturbs a device RNG stream,
-    // a snapshot, an aggregate or a feature bit.
-    assert_eq!(
-        data_fingerprint(&off),
-        data_fingerprint(&on),
-        "enabling review text perturbed the study's data output"
-    );
-    assert_eq!(
-        fingerprint(&off),
-        fingerprint(&on),
-        "enabling review text perturbed the server stats"
-    );
-    assert_eq!(
-        streaming_fingerprint(&off),
-        streaming_fingerprint(&on),
-        "enabling review text perturbed the streaming feature state"
-    );
-
-    // The review columns are strictly additive: absent when off, present
-    // and non-vacuous when on.
-    assert!(
-        is_vacuous(&text_fingerprint(&off)),
-        "text-off study grew review text from nowhere"
-    );
-    assert!(
-        !is_vacuous(&text_fingerprint(&on)),
-        "text-on study generated no review text (vacuous scenario)"
-    );
-
-    // Contract 2 on both: an empty index trivially, a populated one really.
-    assert_text_stream_equals_batch(&off, "ambient/direct/text-off");
-    assert_text_stream_equals_batch(&on, "ambient/direct/text-on");
+    scenario::check(&[(Direct, "clean", None)]).check_text_off_twin();
 }
 
+/// An async hostile row against the clean sync wire baseline: replays and
+/// reconnects on the reactor plane never double-fold a review row.
 #[test]
 fn matrix_streaming_text_equals_batch_everywhere() {
-    struct Scenario {
-        name: &'static str,
-        config: fn(CollectionPath) -> StudyConfig,
-        path: CollectionPath,
-        faults: FaultPlan,
-    }
-    fn campaign(path: CollectionPath) -> StudyConfig {
-        text_campaign_config(path, 2, PacingStrategy::Burst)
-    }
-    let scenarios = [
-        Scenario {
-            name: "organic/direct/clean",
-            config: text_config,
-            path: CollectionPath::Direct,
-            faults: FaultPlan::none(),
-        },
-        Scenario {
-            name: "organic/wire/clean",
-            config: text_config,
-            path: CollectionPath::Wire,
-            faults: FaultPlan::none(),
-        },
-        Scenario {
-            name: "organic/async/clean",
-            config: text_config,
-            path: CollectionPath::AsyncWire,
-            faults: FaultPlan::none(),
-        },
-        Scenario {
-            name: "campaign/direct/clean",
-            config: campaign,
-            path: CollectionPath::Direct,
-            faults: FaultPlan::none(),
-        },
-        Scenario {
-            name: "campaign/wire/hostile",
-            config: campaign,
-            path: CollectionPath::Wire,
-            faults: FaultPlan::hostile(),
-        },
-        Scenario {
-            name: "campaign/async/hostile",
-            config: campaign,
-            path: CollectionPath::AsyncWire,
-            faults: FaultPlan::hostile(),
-        },
-    ];
-    // One canonical text fingerprint per fleet composition: thread count,
-    // delivery path and fault plan must all be invisible.
-    let mut canonical: [Option<String>; 2] = [None, None];
-    for threads in ["1", "2", "8"] {
-        for s in &scenarios {
-            let context = format!("{} @ {threads} threads", s.name);
-            let (fp, out) = with_threads(threads, || {
-                let mut config = (s.config)(s.path);
-                config.faults = s.faults;
-                let out = Study::new(config).run();
-                (text_fingerprint(&out), out)
-            });
-            assert!(!is_vacuous(&fp), "{context}: no review text generated");
-            assert_text_stream_equals_batch(&out, &context);
-            let which = usize::from(s.name.starts_with("campaign"));
-            match &canonical[which] {
-                None => canonical[which] = Some(fp),
-                Some(c) => assert_eq!(c, &fp, "{context}: text state diverged"),
-            }
-            if s.name.starts_with("campaign") {
-                // The text-aware detector ran over real candidates, and
-                // its batch recomputation (columnar review family in,
-                // same kernel) reproduces the incremental report exactly.
-                assert!(
-                    out.campaigns.n_text_candidate_pairs > 0,
-                    "{context}: near-duplicate index produced no candidates"
-                );
-                assert_eq!(batch_report(&out), out.campaigns, "{context}");
-            }
-        }
-    }
+    scenario::check(&[
+        (Wire, "clean", Some("1")),
+        (AsyncWire, "hostile", Some("1")),
+    ]);
 }
