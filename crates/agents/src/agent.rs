@@ -40,12 +40,12 @@ impl IdAllocator {
     /// (device *i* starts at `i * stride`), so per-device allocators can
     /// run on worker threads without coordination and still produce
     /// fleet-unique IDs.
-    pub fn with_base(base: u64) -> Self {
+    pub(crate) fn with_base(base: u64) -> Self {
         IdAllocator { next: base }
     }
 
     /// Allocate the next (account, google) ID pair.
-    pub fn next_account(&mut self) -> (AccountId, GoogleId) {
+    pub(crate) fn next_account(&mut self) -> (AccountId, GoogleId) {
         self.next += 1;
         (AccountId(self.next), GoogleId(self.next))
     }
@@ -242,7 +242,7 @@ impl DeviceAgent {
     /// Enable (or disable) deterministic review-text generation. Consumes
     /// no RNG draws — safe to call between [`DeviceAgent::with_params`]
     /// and [`DeviceAgent::setup_history`] without perturbing any stream.
-    pub fn set_textgen(&mut self, textgen: Option<crate::textgen::TextGen>) {
+    pub(crate) fn set_textgen(&mut self, textgen: Option<crate::textgen::TextGen>) {
         self.textgen = textgen;
     }
 
@@ -282,11 +282,6 @@ impl DeviceAgent {
     /// The device's Gmail identities (populated by `setup_history`).
     pub fn gmail_identities(&self) -> &[(AccountId, GoogleId)] {
         &self.gmail
-    }
-
-    /// Number of reviews scheduled but not yet posted.
-    pub fn pending_reviews(&self) -> usize {
-        self.pending.len()
     }
 
     /// Star rating for a promotion review: overwhelmingly 5★ (§2).
@@ -604,7 +599,7 @@ impl DeviceAgent {
     /// Post every pending review due at or before `now` directly (used for
     /// the history phase; during the study the planner emits them as
     /// timeline actions instead).
-    pub fn flush_due_reviews(
+    pub(crate) fn flush_due_reviews(
         &mut self,
         device: &mut racket_device::Device,
         store: &mut ReviewStore,
@@ -776,27 +771,8 @@ impl DeviceAgent {
     }
 }
 
-/// Apply one action to a device (and the review store when it's a review).
-///
-/// The study driver replays planned actions through this single entry point
-/// so ground truth (device event log), the store and the agent stay
-/// consistent.
-pub fn apply_action(
-    device: &mut racket_device::Device,
-    store: &mut ReviewStore,
-    catalog: &AppCatalog,
-    ta: &TimelineAction,
-    rng: &mut impl Rng,
-) {
-    let mut reviews = Vec::new();
-    apply_action_collecting(device, &mut reviews, catalog, ta, rng);
-    for review in reviews {
-        store.post(review);
-    }
-}
-
-/// [`apply_action`] with the store mutation deferred: posted reviews are
-/// pushed to `reviews` instead of a [`ReviewStore`].
+/// Apply one action to a device, pushing any review it posts to `reviews`
+/// instead of a [`ReviewStore`].
 ///
 /// This is the per-device half of the parallel study driver's contract —
 /// every other effect of an action is local to `device`, so worker threads
@@ -965,8 +941,12 @@ mod tests {
                 SimTime::from_days(195),
                 &mut rng,
             );
+            let mut reviews = Vec::new();
             for ta in &actions {
-                apply_action(&mut device, &mut store, &catalog, ta, &mut rng);
+                apply_action_collecting(&mut device, &mut reviews, &catalog, ta, &mut rng);
+            }
+            for review in reviews {
+                store.post(review);
             }
         }
         assert!(
@@ -980,7 +960,7 @@ mod tests {
     fn pending_reviews_respect_one_per_app() {
         let (_, mut agent, _, _) = setup(Persona::DedicatedWorker);
         let mut rng = StdRng::seed_from_u64(5);
-        let n_before = agent.pending_reviews();
+        let n_before = agent.pending.len();
         // Re-scheduling the same app is a no-op.
         let app = agent.promoted_done.first().copied();
         if let Some(app) = app {
@@ -990,7 +970,7 @@ mod tests {
                 SimTime::from_days(195),
                 &mut rng,
             );
-            assert_eq!(agent.pending_reviews(), n_before);
+            assert_eq!(agent.pending.len(), n_before);
         }
     }
 

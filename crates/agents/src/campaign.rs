@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 
 /// Salt separating the campaign RNG stream family from device streams
 /// (`stream_seed(seed, i)`) and the study's driver/fault families.
-pub const CAMPAIGN_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const CAMPAIGN_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How a campaign paces its correlated actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +123,7 @@ pub struct CampaignSpec {
 /// The full campaign schedule for a fleet: ground-truth specs plus the
 /// per-device directive lists.
 #[derive(Debug, Clone, Default)]
-pub struct CampaignPlan {
+pub(crate) struct CampaignPlan {
     /// Ground-truth campaign descriptions, by index.
     pub specs: Vec<CampaignSpec>,
     /// `directives[i]` = jobs for fleet device `i`, sorted by install time.
@@ -134,7 +134,7 @@ impl CampaignPlan {
     /// Build the deterministic campaign schedule for `config` against the
     /// generated catalog. Pure function of `(config, catalog)`; the catalog
     /// is itself a pure function of `config.catalog`.
-    pub fn generate(config: &FleetConfig, catalog: &AppCatalog) -> CampaignPlan {
+    pub(crate) fn generate(config: &FleetConfig, catalog: &AppCatalog) -> CampaignPlan {
         let cc = config.campaigns;
         let n_devices = config.n_devices();
         let mut plan = CampaignPlan {
@@ -240,7 +240,7 @@ impl CampaignPlan {
 }
 
 /// The rating object for a directive (`stars` is always 4 or 5).
-pub fn directive_rating(d: &CampaignDirective) -> Rating {
+pub(crate) fn directive_rating(d: &CampaignDirective) -> Rating {
     Rating::new(d.stars).expect("campaign stars are valid")
 }
 

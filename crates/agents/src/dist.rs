@@ -39,11 +39,6 @@ impl ClampedLogNormal {
         }
     }
 
-    /// Mean of the *unclamped* distribution (`median · e^{σ²/2}`).
-    pub fn unclamped_mean(&self) -> f64 {
-        self.median * (self.sigma * self.sigma / 2.0).exp()
-    }
-
     /// Draw one value.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         let d = LogNormal::new(self.median.ln(), self.sigma.max(1e-12))
@@ -52,7 +47,7 @@ impl ClampedLogNormal {
     }
 
     /// Draw and round to a non-negative integer count.
-    pub fn sample_count(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_count(&self, rng: &mut impl Rng) -> u64 {
         self.sample(rng).round().max(0.0) as u64
     }
 }
@@ -75,7 +70,7 @@ pub struct DelayMixture {
 
 impl DelayMixture {
     /// Draw a delay in days.
-    pub fn sample_days(&self, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample_days(&self, rng: &mut impl Rng) -> f64 {
         if rng.gen_bool(self.fast_weight) {
             let e = Exp::new(1.0 / self.fast_mean_days).expect("positive rate");
             e.sample(rng).min(self.body.max)
@@ -89,13 +84,22 @@ impl DelayMixture {
 ///
 /// Daily event counts (installs, uninstalls, opens) are Poisson around a
 /// per-device latent rate.
-pub fn poisson(rng: &mut impl Rng, mean: f64) -> u64 {
+pub(crate) fn poisson(rng: &mut impl Rng, mean: f64) -> u64 {
     if mean <= 0.0 {
         return 0;
     }
     rand_distr::Poisson::new(mean)
         .expect("positive mean")
         .sample(rng) as u64
+}
+
+#[cfg(test)]
+impl ClampedLogNormal {
+    /// Mean of the *unclamped* distribution (`median · e^{σ²/2}`): the
+    /// reference the persona calibration tests compare against.
+    pub(crate) fn unclamped_mean(&self) -> f64 {
+        self.median * (self.sigma * self.sigma / 2.0).exp()
+    }
 }
 
 #[cfg(test)]

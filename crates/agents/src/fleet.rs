@@ -74,7 +74,7 @@ pub struct FleetConfig {
     pub campaigns: CampaignConfig,
     /// Generate review text for every posted review (ARCHITECTURE.md §13).
     /// Text is keyed on its own stream family
-    /// ([`crate::textgen::TEXT_STREAM_SALT`]), never drawn from device
+    /// (`TEXT_STREAM_SALT`), never drawn from device
     /// RNGs, so the default `false` keeps every text-off study
     /// byte-identical to pre-text builds.
     pub review_text: bool,
@@ -93,7 +93,7 @@ pub struct PersonaOverrides {
 
 impl PersonaOverrides {
     /// The effective parameters for a persona.
-    pub fn params_for(&self, persona: Persona) -> PersonaParams {
+    pub(crate) fn params_for(&self, persona: Persona) -> PersonaParams {
         let slot = match persona {
             Persona::Regular => &self.regular,
             Persona::OrganicWorker => &self.organic,
@@ -268,7 +268,7 @@ impl Fleet {
         let built: Vec<(StudyDevice, ReviewStore, GoogleIdDirectory)> = personas
             .into_par_iter()
             .map(|(i, persona)| {
-                let _span = racket_obs::span!(obs, "fleet_gen/device", device = i);
+                let _span = obs.span("fleet_gen/device");
                 Self::build_device(&config, &catalog, study_start, i, persona)
             })
             .collect();

@@ -121,16 +121,6 @@ impl LaneScratch {
             self.openable.remove(i);
         }
     }
-
-    /// The current uninstall pool (test/inspection hook).
-    pub fn removable(&self) -> &[AppId] {
-        &self.removable
-    }
-
-    /// The current organic-open pool (test/inspection hook).
-    pub fn openable(&self) -> &[AppId] {
-        &self.openable
-    }
 }
 
 #[cfg(test)]
@@ -189,8 +179,8 @@ mod tests {
         let mut scratch = LaneScratch::new();
         scratch.seed_indexes(&device, &catalog, persona);
         let (removable, openable) = rebuild(&device);
-        assert_eq!(scratch.removable(), removable.as_slice());
-        assert_eq!(scratch.openable(), openable.as_slice());
+        assert_eq!(scratch.removable, removable.as_slice());
+        assert_eq!(scratch.openable, openable.as_slice());
 
         // Churn: uninstall some existing apps, install fresh ones
         // (including promoted, which stays out of a worker's openable).
@@ -222,8 +212,8 @@ mod tests {
         }
 
         let (removable, openable) = rebuild(&device);
-        assert_eq!(scratch.removable(), removable.as_slice());
-        assert_eq!(scratch.openable(), openable.as_slice());
+        assert_eq!(scratch.removable, removable.as_slice());
+        assert_eq!(scratch.openable, openable.as_slice());
     }
 
     #[test]
@@ -233,9 +223,9 @@ mod tests {
         let app = catalog.promoted_apps()[0];
         scratch.note_install(app, &catalog, Persona::DedicatedWorker);
         scratch.note_install(app, &catalog, Persona::DedicatedWorker);
-        assert_eq!(scratch.removable(), &[app]);
-        assert!(scratch.openable().is_empty(), "worker skips promoted apps");
+        assert_eq!(scratch.removable, [app]);
+        assert!(scratch.openable.is_empty(), "worker skips promoted apps");
         scratch.note_uninstall(app);
-        assert!(scratch.removable().is_empty());
+        assert!(scratch.removable.is_empty());
     }
 }

@@ -22,24 +22,22 @@
 
 #![deny(missing_docs)]
 
-pub mod agent;
-pub mod campaign;
-pub mod dist;
-pub mod fleet;
-pub mod lane;
+mod agent;
+mod campaign;
+mod dist;
+mod fleet;
+mod lane;
 pub mod params;
-pub mod textgen;
+mod textgen;
 
 pub use agent::{
-    apply_action, apply_action_collecting, Action, DeviceAgent, DeviceProfile, IdAllocator,
-    TimelineAction,
+    apply_action_collecting, Action, DeviceAgent, DeviceProfile, IdAllocator, TimelineAction,
 };
 pub use campaign::{
-    expand_directives, CampaignConfig, CampaignDirective, CampaignPlan, CampaignSpec,
-    PacingStrategy, CAMPAIGN_STREAM_SALT,
+    expand_directives, CampaignConfig, CampaignDirective, CampaignSpec, PacingStrategy,
 };
 pub use dist::{ClampedLogNormal, DelayMixture};
 pub use fleet::{stream_seed, Fleet, FleetConfig, PersonaOverrides, StudyDevice};
 pub use lane::LaneScratch;
 pub use params::PersonaParams;
-pub use textgen::{TextGen, TEXT_STREAM_SALT};
+pub use textgen::TextGen;

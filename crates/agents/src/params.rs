@@ -207,7 +207,7 @@ impl PersonaParams {
     }
 
     /// The parameter set for a persona.
-    pub fn for_persona(persona: Persona) -> Self {
+    pub(crate) fn for_persona(persona: Persona) -> Self {
         match persona {
             Persona::Regular => Self::regular(),
             Persona::OrganicWorker => Self::organic_worker(),

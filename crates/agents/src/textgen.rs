@@ -30,7 +30,7 @@ use racket_types::Rating;
 
 /// Salt separating the review-text key family from the device
 /// (`stream_seed(seed, i)`), campaign, driver and fault stream families.
-pub const TEXT_STREAM_SALT: u64 = 0x7EA7_5EED_C0DE_2021;
+pub(crate) const TEXT_STREAM_SALT: u64 = 0x7EA7_5EED_C0DE_2021;
 
 /// The SplitMix64 output rounds *without* the golden-ratio increment —
 /// not `racket_text::mix64`, which adds it first. Every generated review

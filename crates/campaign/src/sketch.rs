@@ -99,7 +99,7 @@ impl CampaignSketch {
 
     /// Exact Jaccard similarity of the two shingle sets (`J(∅, ∅) = 1`,
     /// matching [`MinHash::estimate_jaccard`]).
-    pub fn exact_jaccard(&self, other: &CampaignSketch) -> f64 {
+    pub(crate) fn exact_jaccard(&self, other: &CampaignSketch) -> f64 {
         let inter = self.shingles.intersection(&other.shingles).count();
         let union = self.shingles.len() + other.shingles.len() - inter;
         if union == 0 {

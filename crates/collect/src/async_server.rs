@@ -3,7 +3,7 @@
 //! worker threads.
 //!
 //! The synchronous paths ([`crate::server::CollectionServer::serve_tcp`],
-//! the loopback lane in [`crate::retry`]) dedicate a thread or an inline
+//! the loopback [`crate::WireLane`]) dedicate a thread or an inline
 //! pump to every connection. That is the right shape for tens of devices
 //! and the wrong one for the paper's scale ambition (§5 ingested 58.3M
 //! snapshots from a fleet): a million idle installs must not cost a
@@ -164,7 +164,7 @@ impl AsyncConn {
     /// and until then the strict codec discards the client's restarted
     /// sequence numbers exactly like stale frames — the retry loop
     /// absorbs the extra round trips.
-    pub fn request_reset(&mut self) {
+    pub(crate) fn request_reset(&mut self) {
         let generation = self.shared.reset_req.fetch_add(1, Ordering::SeqCst) + 1;
         self.worker.unpark();
         let deadline = Instant::now() + Duration::from_secs(1);

@@ -33,7 +33,7 @@ pub struct UploadFile {
 
 impl UploadFile {
     /// SHA-256 of the compressed contents — what a valid ack must carry.
-    pub fn expected_hash(&self) -> [u8; 32] {
+    pub(crate) fn expected_hash(&self) -> [u8; 32] {
         sha256(&self.data)
     }
 }
@@ -118,7 +118,7 @@ impl DataBuffer {
     /// reused scratch buffer; the accumulation file keeps its capacity for
     /// the next fill, so steady-state rotation allocates only the queued
     /// file's exact-size copy.
-    pub fn rotate(&mut self, fast: bool) {
+    pub(crate) fn rotate(&mut self, fast: bool) {
         let start = Instant::now();
         if fast {
             if self.fast_file.is_empty() {

@@ -115,7 +115,7 @@ fn put_installed_app(out: &mut Vec<u8>, app: &InstalledApp) {
 /// Appends (never clears), so the per-lane accumulation file is built by
 /// encoding each polled snapshot straight into it — no intermediate
 /// per-snapshot `Vec`.
-pub fn encode_record(snapshot: &Snapshot, out: &mut Vec<u8>) {
+pub(crate) fn encode_record(snapshot: &Snapshot, out: &mut Vec<u8>) {
     out.push(TAG_BINARY_V1);
     let len_pos = out.len();
     out.extend_from_slice(&[0; 4]); // length backpatched below
@@ -467,7 +467,7 @@ fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
 
 /// Decode a whole binary accumulation file (a concatenation of
 /// [`encode_record`] outputs) into its snapshots.
-pub fn decode_file(data: &[u8]) -> Result<Vec<Snapshot>, DecodeError> {
+pub(crate) fn decode_file(data: &[u8]) -> Result<Vec<Snapshot>, DecodeError> {
     // A fast snapshot without events is ~36 bytes of body + 5 of framing.
     let mut snapshots = Vec::with_capacity(data.len() / 40 + 1);
     let mut pos = 0;

@@ -103,7 +103,7 @@ impl SnapshotBatch {
     }
 
     /// Surrender the batched snapshots as a plain vector (pools are kept).
-    pub fn into_snapshots(self) -> Vec<Snapshot> {
+    pub(crate) fn into_snapshots(self) -> Vec<Snapshot> {
         self.snaps
     }
 
@@ -210,15 +210,11 @@ impl SnapshotCollector {
         self.next_slow = Some(t);
     }
 
-    /// Take one fast snapshot right now (advances the delta baseline).
-    pub fn sample_fast(&mut self, device: &racket_device::Device, now: SimTime) -> FastSnapshot {
-        self.sample_fast_pooled(device, now, Vec::new())
-    }
-
-    /// [`SnapshotCollector::sample_fast`] writing deltas into a recycled
-    /// vector (cleared first). The delta scan itself is gated on the
-    /// device's package stamp: unchanged stamp ⇒ unchanged installed-app
-    /// map ⇒ the scan would produce zero deltas, so it is skipped.
+    /// Take one fast snapshot right now (advances the delta baseline),
+    /// writing deltas into a recycled vector (cleared first). The delta
+    /// scan itself is gated on the device's package stamp: unchanged stamp
+    /// ⇒ unchanged installed-app map ⇒ the scan would produce zero deltas,
+    /// so it is skipped.
     fn sample_fast_pooled(
         &mut self,
         device: &racket_device::Device,
@@ -279,12 +275,7 @@ impl SnapshotCollector {
     }
 
     /// Take one slow snapshot right now (advances the review cursor when
-    /// review collection is enabled).
-    pub fn sample_slow(&mut self, device: &racket_device::Device, now: SimTime) -> SlowSnapshot {
-        self.sample_slow_pooled(device, now, Vec::new(), Vec::new(), Vec::new())
-    }
-
-    /// [`SnapshotCollector::sample_slow`] writing the account, stopped-app
+    /// review collection is enabled), writing the account, stopped-app
     /// and review lists into recycled vectors (cleared first). With review
     /// collection enabled, every review the device log gained since the
     /// previous slow sample ships in this snapshot — the first slow
@@ -406,7 +397,7 @@ mod tests {
             ApkHash([2; 16]),
         );
         d.uninstall_app(AppId(1), SimTime::from_secs(3));
-        let snap = c.sample_fast(&d, SimTime::from_secs(5));
+        let snap = c.sample_fast_pooled(&d, SimTime::from_secs(5), Vec::new());
         let installs: Vec<_> = snap
             .install_events
             .iter()
@@ -423,7 +414,7 @@ mod tests {
         assert_eq!(uninstalls[0].app(), AppId(1));
         // Next sample: no deltas.
         assert!(c
-            .sample_fast(&d, SimTime::from_secs(10))
+            .sample_fast_pooled(&d, SimTime::from_secs(10), Vec::new())
             .install_events
             .is_empty());
     }
@@ -439,7 +430,7 @@ mod tests {
             PermissionProfile::default(),
             ApkHash([1; 16]),
         );
-        let snap = c.sample_fast(&d, SimTime::from_secs(55));
+        let snap = c.sample_fast_pooled(&d, SimTime::from_secs(55), Vec::new());
         assert_eq!(snap.install_events.len(), 1);
         assert!(snap.install_events[0].is_install());
     }
@@ -460,13 +451,25 @@ mod tests {
             get_accounts: false,
         });
         let mut c = collector();
-        let fast = c.sample_fast(&d, SimTime::from_secs(2));
+        let fast = c.sample_fast_pooled(&d, SimTime::from_secs(2), Vec::new());
         assert_eq!(fast.foreground_app, None, "PACKAGE_USAGE_STATS denied");
-        let slow = c.sample_slow(&d, SimTime::from_secs(2));
+        let slow = c.sample_slow_pooled(
+            &d,
+            SimTime::from_secs(2),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        );
         assert!(slow.accounts.is_empty(), "GET_ACCOUNTS denied");
         // Stopped apps are package-manager data, still reported.
         d.set_permissions(DevicePermissions::default());
-        let slow2 = c.sample_slow(&d, SimTime::from_secs(3));
+        let slow2 = c.sample_slow_pooled(
+            &d,
+            SimTime::from_secs(3),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        );
         assert_eq!(slow2.accounts.len(), 1);
     }
 
@@ -545,7 +548,7 @@ mod tests {
         c.poll(&d, SimTime::from_secs(0));
         for quiet in 1..=3 {
             assert!(c
-                .sample_fast(&d, SimTime::from_secs(quiet))
+                .sample_fast_pooled(&d, SimTime::from_secs(quiet), Vec::new())
                 .install_events
                 .is_empty());
         }
@@ -555,7 +558,7 @@ mod tests {
             PermissionProfile::default(),
             ApkHash([2; 16]),
         );
-        let snap = c.sample_fast(&d, SimTime::from_secs(5));
+        let snap = c.sample_fast_pooled(&d, SimTime::from_secs(5), Vec::new());
         assert_eq!(snap.install_events.len(), 1);
         assert_eq!(snap.install_events[0].app(), AppId(2));
         // Uninstall then reinstall between samples: both the uninstall and
@@ -568,11 +571,11 @@ mod tests {
             PermissionProfile::default(),
             ApkHash([3; 16]),
         );
-        let snap = c.sample_fast(&d, SimTime::from_secs(8));
+        let snap = c.sample_fast_pooled(&d, SimTime::from_secs(8), Vec::new());
         assert_eq!(snap.install_events.len(), 1, "reinstall is a fresh install");
         assert!(snap.install_events[0].is_install());
         assert!(c
-            .sample_fast(&d, SimTime::from_secs(9))
+            .sample_fast_pooled(&d, SimTime::from_secs(9), Vec::new())
             .install_events
             .is_empty());
     }

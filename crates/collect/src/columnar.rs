@@ -219,16 +219,6 @@ impl ColumnarSnapshots {
         self.participant.len()
     }
 
-    /// Number of distinct apps seen across all installs.
-    pub fn n_apps(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// Total per-(install, app) entries (CSR payload length).
-    pub fn n_app_entries(&self) -> usize {
-        self.app_codes.len()
-    }
-
     /// The dictionary code for an install, if adopted.
     pub fn install_code(&self, id: InstallId) -> Option<u32> {
         self.installs.code(id)
@@ -320,12 +310,6 @@ impl ColumnarSnapshots {
         })
     }
 
-    /// Total reported review events across all installs (review CSR
-    /// payload length).
-    pub fn n_review_events(&self) -> usize {
-        self.rev_app_codes.len()
-    }
-
     /// Account services registered on one install, in snapshot order.
     pub fn services_of(&self, code: u32) -> impl Iterator<Item = AccountService> + '_ {
         let lo = self.account_offsets[code as usize] as usize;
@@ -411,25 +395,29 @@ mod tests {
     /// Two installs' records, drained in canonical order, and their store.
     fn fixture() -> (Vec<InstallRecord>, ColumnarSnapshots) {
         let ingest = ShardedIngest::new(4);
-        ingest.ingest(&snap(2_000_000_001, 10, None, vec![AppId(7), AppId(3)]));
-        ingest.ingest(&snap(2_000_000_001, 86_410, Some(AppId(7)), vec![]));
-        ingest.ingest(&snap(2_000_000_001, 86_420, None, vec![]));
-        ingest.ingest(&slow(
-            2_000_000_001,
-            86_430,
-            vec![
-                review(AppId(7), 42, 86_400, 5, "great app works perfectly"),
-                // An app never installed during monitoring: review columns
-                // must extend the app dictionary, not panic.
-                review(AppId(99), 42, 400, 1, "crashes a lot"),
-            ],
-        ));
-        ingest.ingest(&snap(1_000_000_002, 50, Some(AppId(3)), vec![AppId(3)]));
-        ingest.ingest(&slow(
-            1_000_000_002,
-            60,
-            vec![review(AppId(3), 77, 55, 4, "good app overall")],
-        ));
+        ingest.ingest_batch(&[
+            snap(2_000_000_001, 10, None, vec![AppId(7), AppId(3)]),
+            snap(2_000_000_001, 86_410, Some(AppId(7)), vec![]),
+            snap(2_000_000_001, 86_420, None, vec![]),
+            slow(
+                2_000_000_001,
+                86_430,
+                vec![
+                    review(AppId(7), 42, 86_400, 5, "great app works perfectly"),
+                    // An app never installed during monitoring: review
+                    // columns must extend the app dictionary, not panic.
+                    review(AppId(99), 42, 400, 1, "crashes a lot"),
+                ],
+            ),
+        ]);
+        ingest.ingest_batch(&[
+            snap(1_000_000_002, 50, Some(AppId(3)), vec![AppId(3)]),
+            slow(
+                1_000_000_002,
+                60,
+                vec![review(AppId(3), 77, 55, 4, "good app overall")],
+            ),
+        ]);
         let records = ingest.into_records();
         let columnar = ColumnarSnapshots::from_records(&records);
         (records, columnar)
@@ -471,7 +459,7 @@ mod tests {
                 .collect();
             assert_eq!(reviews, r.review_events);
         }
-        assert_eq!(columnar.n_review_events(), 3);
+        assert_eq!(columnar.rev_app_codes.len(), 3);
     }
 
     /// A campaign sketch rebuilt from the install-event columns equals
@@ -509,7 +497,7 @@ mod tests {
             }
             assert_eq!(&rebuilt, r.stream.text());
         }
-        assert!(columnar.n_review_events() > 0);
+        assert!(!columnar.rev_app_codes.is_empty());
     }
 
     #[test]
@@ -523,8 +511,8 @@ mod tests {
     fn empty_store_is_well_formed() {
         let s = ColumnarSnapshots::from_records(&[]);
         assert_eq!(s.n_installs(), 0);
-        assert_eq!(s.n_apps(), 0);
-        assert_eq!(s.n_app_entries(), 0);
+        assert_eq!(s.apps.len(), 0);
+        assert_eq!(s.app_codes.len(), 0);
         assert_eq!(s.install_code(InstallId(1)), None);
         assert!(s.column_bytes() < 64);
     }

@@ -24,9 +24,9 @@ use std::collections::HashSet;
 /// Jaccard threshold on (app, install-time) sets above which two
 /// Android-ID-less installs are considered the same device (Appendix A's
 /// separation point: different devices stayed at or below 0.5625).
-pub const APP_JACCARD_THRESHOLD: f64 = 0.5625;
+pub(crate) const APP_JACCARD_THRESHOLD: f64 = 0.5625;
 /// Jaccard threshold on registered-account sets (Appendix A: 0.53).
-pub const ACCOUNT_JACCARD_THRESHOLD: f64 = 0.53;
+pub(crate) const ACCOUNT_JACCARD_THRESHOLD: f64 = 0.53;
 
 /// The fingerprint-relevant view of one install.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ impl CandidateInstall {
 
     /// Whether this install and `other` can belong to the same physical
     /// device under the Appendix A rules.
-    pub fn same_device(&self, other: &CandidateInstall) -> bool {
+    pub(crate) fn same_device(&self, other: &CandidateInstall) -> bool {
         // Rule 2: overlapping installation intervals → different devices.
         if self.interval.overlaps(&other.interval) {
             return false;
@@ -91,14 +91,6 @@ impl CoalescedDevice {
     /// worker devices have more than one, Appendix A).
     pub fn participants(&self) -> HashSet<ParticipantId> {
         self.installs.iter().map(|i| i.participant).collect()
-    }
-
-    /// Total observed coverage across installs.
-    pub fn total_coverage(&self) -> racket_types::SimDuration {
-        self.installs
-            .iter()
-            .map(|i| i.interval.duration())
-            .fold(racket_types::SimDuration::ZERO, |acc, d| acc + d)
     }
 }
 
@@ -240,7 +232,12 @@ mod tests {
         let out = coalesce_installs(vec![a, b]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].participants().len(), 2);
-        assert_eq!(out[0].total_coverage().as_days(), 6.0);
+        let coverage: f64 = out[0]
+            .installs
+            .iter()
+            .map(|i| i.interval.duration().as_days())
+            .sum();
+        assert_eq!(coverage, 6.0);
     }
 
     #[test]

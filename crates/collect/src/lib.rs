@@ -20,8 +20,8 @@
 //!   in-memory (crossbeam channel) and TCP implementations, plus the
 //!   seeded fault-injection layer ([`transport::FaultPlan`]) chaos tests
 //!   drive;
-//! * [`retry`] — the client-side window/retry/backoff state machine:
-//!   [`retry::WireLane`] runs one device's protocol session over a
+//! * `retry` — the client-side window/retry/backoff state machine:
+//!   [`WireLane`] runs one device's protocol session over a
 //!   (possibly fault-injected) link with a sliding window of files in
 //!   flight, Go-Back-N recovery, bounded exponential backoff,
 //!   reconnect-and-resume, and exactly-once in-order delivery via the
@@ -37,14 +37,14 @@
 //!   workers multiplexing thousands of connections over
 //!   [`racket_reactor`] readiness polling, with server-side stall sweeps
 //!   (the million-device scale path; see `ARCHITECTURE.md` §8);
-//! * [`shard`] — the one record table: per-install records spread over
+//! * `shard` — the one record table ([`ShardedIngest`]): per-install records spread over
 //!   independently locked shards so batches from different devices
 //!   ingest concurrently on every collection path;
-//! * [`columnar`] — the struct-of-arrays projection of the ingest store
-//!   ([`columnar::ColumnarSnapshots`]): dictionary-encoded identifiers and
+//! * `columnar` — the struct-of-arrays projection of the ingest store
+//!   ([`ColumnarSnapshots`]): dictionary-encoded identifiers and
 //!   contiguous per-field columns for the analyze-side scans
 //!   (`ARCHITECTURE.md` §9);
-//! * [`fingerprint`] — Appendix A's snapshot fingerprinting: coalescing
+//! * `fingerprint` — Appendix A's snapshot fingerprinting: coalescing
 //!   RacketStore installs into physical devices using install intervals,
 //!   Android IDs and Jaccard similarity.
 
@@ -54,15 +54,15 @@ pub mod async_server;
 pub mod buffer;
 pub mod codec;
 pub mod collector;
-pub mod columnar;
-pub mod fingerprint;
+mod columnar;
+mod fingerprint;
 pub mod hash;
 pub mod lzss;
-pub mod retry;
+mod retry;
 pub mod server;
 mod session;
-pub mod shard;
-pub mod stream;
+mod shard;
+mod stream;
 pub mod transport;
 pub mod wire;
 
@@ -70,7 +70,7 @@ pub use async_server::{AsyncCollectServer, AsyncConn, AsyncServerConfig};
 pub use buffer::{DataBuffer, UploadFile};
 pub use codec::DecodeError;
 pub use collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
-pub use columnar::{AppEntry, ColumnarSnapshots, NEVER_UNINSTALLED};
+pub use columnar::{AppEntry, ColumnarSnapshots, ReviewEntry, NEVER_UNINSTALLED};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
 pub use hash::{crc32, sha256};
 pub use retry::{RetryStats, WireLane};

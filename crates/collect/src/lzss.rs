@@ -30,7 +30,7 @@ const NIL: u32 = u32::MAX;
 /// costs one flag byte per 8 literals, plus a small cushion. Reserving
 /// this up front means [`Workspace::compress_into`] never regrows its
 /// output, even on incompressible input.
-pub const fn max_compressed_len(n: usize) -> usize {
+pub(crate) const fn max_compressed_len(n: usize) -> usize {
     n + n / 8 + 16
 }
 
@@ -181,7 +181,7 @@ impl Workspace {
 
     /// Compress `data`, replacing the contents of `out`.
     ///
-    /// `out` is cleared and reserved to [`max_compressed_len`] up front,
+    /// `out` is cleared and reserved to `max_compressed_len` up front,
     /// so a buffer that already has that capacity is never reallocated.
     /// Uses one-step lazy matching: when the position after a match start
     /// holds a strictly longer match, the first byte is emitted as a
@@ -384,7 +384,7 @@ fn reserve_within(out: &mut Vec<u8>, n: usize, limit: usize) -> Result<(), Decom
 /// [`DecompressError::TooLarge`] before `out` would pass `limit` bytes. A
 /// match token inflates 3 bytes to up to 259, so an uncapped inflate of a
 /// maximal wire payload is an ~80× allocation the sender chooses.
-pub fn decompress_capped(
+pub(crate) fn decompress_capped(
     data: &[u8],
     out: &mut Vec<u8>,
     limit: usize,

@@ -1092,6 +1092,41 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_lane_on_a_dead_link_gives_up_within_budget() {
+        let dead = FaultPlan {
+            drop: 1.0,
+            ..FaultPlan::none()
+        };
+        let gave_up = |lane: &WireLane| {
+            let s = lane.stats();
+            assert_eq!(s.exhausted, 1, "one exchange abandoned");
+            assert_eq!(
+                s.attempts,
+                u64::from(MAX_ATTEMPTS),
+                "budget spent, not exceeded"
+            );
+            assert_eq!(s.retries, u64::from(MAX_ATTEMPTS) - 1);
+            s.backoff_ms
+        };
+        let (mut lane, core, _store) = loopback(dead, 13);
+        assert_eq!(lane.sign_in(), None);
+        gave_up(&lane);
+        assert_eq!(core.stats().sign_ins, 0);
+        // The async lane waits out a reply deadline per send (at most
+        // ASYNC_REPLY_CAP_MS each) and a reset handshake every
+        // RECONNECT_AFTER sends, so its wall time to give up is bounded.
+        let (srv, _sharded, mut lane) = start_async(dead, 13);
+        let start = Instant::now();
+        assert_eq!(lane.sign_in(), None);
+        let wall = start.elapsed();
+        let backoff_ms = gave_up(&lane);
+        eprintln!("async lane gave up after {wall:?}, {backoff_ms} ms backoff accounted");
+        let deadlines = Duration::from_millis(ASYNC_REPLY_CAP_MS) * MAX_ATTEMPTS;
+        assert!(wall < 4 * deadlines, "gave up after {wall:?}");
+        assert_eq!(srv.shutdown(&racket_obs::Registry::new()).sign_ins, 0);
+    }
+
+    #[test]
     fn backoff_grows_and_is_capped() {
         let (mut lane, ..) = loopback(FaultPlan::none(), 9);
         // The n-th retry waits BASE · 2^(n-1), capped, within the jitter

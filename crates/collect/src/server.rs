@@ -73,7 +73,7 @@ pub struct InstallRecord {
     /// the fleet collects reviews).
     pub review_events: Vec<ReviewEvent>,
     /// Per-app streaming aggregates folded at the same program points as
-    /// the batch-visible vectors above (see [`crate::stream`]).
+    /// the batch-visible vectors above (see [`StreamAggregates`]).
     pub stream: StreamAggregates,
 }
 
@@ -104,7 +104,7 @@ impl InstallRecord {
     /// `last + 1 s` so single-snapshot records are non-degenerate). The end
     /// saturates: `last_seen` is a wire timestamp, and a client may send
     /// `u64::MAX`.
-    pub fn observed_interval(&self) -> TimeInterval {
+    pub(crate) fn observed_interval(&self) -> TimeInterval {
         TimeInterval::new(
             self.first_seen,
             self.last_seen
@@ -200,7 +200,7 @@ pub struct ServerStats {
     /// Snapshots ingested (the store's running count).
     pub snapshots: u64,
     /// Uploads refused with a 400: failed to inflate within
-    /// [`MAX_INFLATED_BYTES`], failed to parse, or carried another
+    /// `MAX_INFLATED_BYTES`, failed to parse, or carried another
     /// install's snapshots.
     pub bad_uploads: u64,
     /// Replayed uploads re-acknowledged without re-ingesting: the file's
@@ -245,7 +245,7 @@ impl ServerStats {
 /// [`FAST_ROTATE_BYTES`] of headroom for that one record, while bounding
 /// what a 4 MB payload of match tokens (~80× expansion) can make a pooled
 /// scratch grow to.
-pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
+pub(crate) const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
 
 /// Number of sign-in/dedup shards. Sized so that even a full worker pool
 /// rarely contends on one lock.
@@ -302,7 +302,7 @@ impl ProtocolCore {
 
     /// Handle one protocol message, producing the reply to send (if any).
     /// `scratch` is the caller's pooled inflate buffer (one per lane or
-    /// worker); it never grows past [`MAX_INFLATED_BYTES`].
+    /// worker); it never grows past `MAX_INFLATED_BYTES`.
     pub fn handle(&self, msg: Message, scratch: &mut Vec<u8>) -> Option<Message> {
         match msg {
             Message::SignIn {
@@ -435,7 +435,7 @@ impl CollectionServer {
     /// Fold one snapshot straight into its install record, bypassing the
     /// protocol (fixtures that need a record, not an upload).
     pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
-        self.core.store.ingest(snapshot);
+        self.core.store.ingest_batch(std::slice::from_ref(snapshot));
     }
 
     /// A copy of one install's record.

@@ -56,24 +56,8 @@ impl ShardedIngest {
         (install.raw() as usize) % self.shards.len()
     }
 
-    /// Ingest one snapshot (callable from any thread).
-    pub fn ingest(&self, snapshot: &Snapshot) {
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(snapshot.install_id())];
-        let mut map = shard.lock();
-        map.entry(snapshot.install_id())
-            .or_insert_with(|| {
-                InstallRecord::new(
-                    snapshot.install_id(),
-                    snapshot.participant_id(),
-                    snapshot.time(),
-                )
-            })
-            .ingest(snapshot);
-    }
-
-    /// Ingest a batch of snapshots from one device: the shard lock is taken
-    /// once for the whole batch.
+    /// Ingest a batch of snapshots from one device (callable from any
+    /// thread): the shard lock is taken once for the whole batch.
     pub fn ingest_batch(&self, snapshots: &[Snapshot]) {
         let Some(first) = snapshots.first() else {
             return;
@@ -163,9 +147,8 @@ mod tests {
     #[test]
     fn ingest_aggregates_per_install() {
         let ingest = ShardedIngest::new(4);
-        ingest.ingest(&snap(1_000_000_001, 10));
-        ingest.ingest(&snap(1_000_000_001, 15));
-        ingest.ingest(&snap(1_000_000_002, 20));
+        ingest.ingest_batch(&[snap(1_000_000_001, 10), snap(1_000_000_001, 15)]);
+        ingest.ingest_batch(&[snap(1_000_000_002, 20)]);
         assert_eq!(ingest.snapshots_ingested(), 3);
         assert_eq!(ingest.occupancy().iter().sum::<usize>(), 2);
         let records = ingest.into_records();
@@ -181,7 +164,7 @@ mod tests {
         let b = ShardedIngest::new(3);
         let batch: Vec<Snapshot> = (0..10).map(|t| snap(1_000_000_007, t)).collect();
         for s in &batch {
-            a.ingest(s);
+            a.ingest_batch(std::slice::from_ref(s));
         }
         b.ingest_batch(&batch);
         let (ra, rb) = (a.into_records(), b.into_records());
@@ -199,7 +182,9 @@ mod tests {
             let snaps: Vec<Snapshot> = (0..64u64)
                 .flat_map(|d| (0..50u64).map(move |t| snap(1_000_000_000 + d, t * 7)))
                 .collect();
-            snaps.par_iter().for_each(|s| ingest.ingest(s));
+            snaps
+                .par_iter()
+                .for_each(|s| ingest.ingest_batch(std::slice::from_ref(s)));
             std::env::remove_var("RAYON_NUM_THREADS");
             ingest
                 .into_records()

@@ -91,7 +91,7 @@ impl FaultPlan {
     }
 
     /// Sum of all class rates (the per-chunk fault probability).
-    pub fn total_rate(&self) -> f64 {
+    pub(crate) fn total_rate(&self) -> f64 {
         self.drop
             + self.duplicate
             + self.reorder
@@ -285,7 +285,7 @@ impl MemTransport {
     /// reconnect (both endpoints of the pair must purge). Fault RNG state
     /// and tallies survive, so a chaos run stays on one deterministic
     /// stream across reconnects.
-    pub fn purge(&mut self) {
+    pub(crate) fn purge(&mut self) {
         self.pending.clear();
         self.held = None;
         while self.rx.try_recv().is_ok() {}
@@ -323,7 +323,7 @@ impl MemTransport {
     /// is definitive (residue or a queued chunk exists); a `false` may be
     /// stale by the next instruction, which level-triggered polling
     /// tolerates (the next round sees it).
-    pub fn has_incoming(&self) -> bool {
+    pub(crate) fn has_incoming(&self) -> bool {
         !self.pending.is_empty() || !self.rx.is_empty()
     }
 

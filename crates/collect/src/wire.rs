@@ -48,7 +48,7 @@ pub const MAGIC: u16 = 0x5253;
 pub const VERSION: u8 = 2;
 /// Maximum payload size (a rotated fast-snapshot file is ~100 KB before
 /// compression; 4 MiB leaves ample slack while bounding memory).
-pub const MAX_PAYLOAD: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD: usize = 4 * 1024 * 1024;
 
 /// Fixed header size: magic + version + type + seq + length.
 const HEADER: usize = 2 + 1 + 1 + 4 + 4;
@@ -115,11 +115,11 @@ pub enum Message {
 
 /// Message type discriminants.
 mod msg_type {
-    pub const SIGN_IN: u8 = 1;
-    pub const SIGN_IN_ACK: u8 = 2;
-    pub const SNAPSHOT_UPLOAD: u8 = 3;
-    pub const UPLOAD_ACK: u8 = 4;
-    pub const ERROR: u8 = 5;
+    pub(crate) const SIGN_IN: u8 = 1;
+    pub(crate) const SIGN_IN_ACK: u8 = 2;
+    pub(crate) const SNAPSHOT_UPLOAD: u8 = 3;
+    pub(crate) const UPLOAD_ACK: u8 = 4;
+    pub(crate) const ERROR: u8 = 5;
 }
 
 /// Codec errors.
@@ -129,7 +129,7 @@ pub enum WireError {
     BadMagic(u16),
     /// Unsupported protocol version.
     BadVersion(u8),
-    /// Declared payload length exceeds [`MAX_PAYLOAD`].
+    /// Declared payload length exceeds `MAX_PAYLOAD`.
     TooLarge(usize),
     /// Payload failed its CRC check.
     BadCrc {
@@ -166,7 +166,7 @@ impl std::error::Error for WireError {}
 
 impl Message {
     /// The frame type byte for this message.
-    pub fn msg_type(&self) -> u8 {
+    pub(crate) fn msg_type(&self) -> u8 {
         match self {
             Message::SignIn { .. } => msg_type::SIGN_IN,
             Message::SignInAck { .. } => msg_type::SIGN_IN_ACK,
@@ -305,7 +305,7 @@ impl Message {
     /// [`Message::SnapshotUpload`] or [`Message::Error`] built that large
     /// can; the upload path encodes through [`encode_upload_into`], which
     /// returns the error instead.
-    pub fn encode_seq_into(&self, seq: u32, out: &mut Vec<u8>) {
+    pub(crate) fn encode_seq_into(&self, seq: u32, out: &mut Vec<u8>) {
         frame_into(self.msg_type(), seq, out, |p| self.write_payload(p))
             .expect("an owned message fits a frame");
     }
@@ -402,7 +402,7 @@ impl FrameCodec {
     /// Create a sequence-checking codec for one connection: frames whose
     /// sequence number has already been seen (duplicates) or is lower than
     /// a frame already accepted (stale reordered copies) are silently
-    /// discarded and counted in [`FrameCodec::stale_discards`].
+    /// discarded and counted in `stale_discards`.
     pub fn strict() -> Self {
         FrameCodec {
             strict: Some(0),
@@ -412,7 +412,7 @@ impl FrameCodec {
 
     /// Start over as on a fresh connection: buffered bytes are dropped and
     /// a strict codec accepts any sequence number again. The mode and the
-    /// [`FrameCodec::stale_discards`] tally are kept.
+    /// `stale_discards` tally are kept.
     pub fn reset(&mut self) {
         self.buf = BytesMut::new();
         self.strict = self.strict.map(|_| 0);
@@ -430,7 +430,7 @@ impl FrameCodec {
 
     /// Duplicate or stale frames discarded by strict sequence checking
     /// (always 0 on a lenient codec).
-    pub fn stale_discards(&self) -> u64 {
+    pub(crate) fn stale_discards(&self) -> u64 {
         self.stale_discards
     }
 

@@ -55,12 +55,12 @@
 
 #![deny(missing_docs)]
 
-pub mod column;
-pub mod dict;
-pub mod kernel;
-pub mod shingle;
+mod column;
+mod dict;
+mod kernel;
+mod shingle;
 
 pub use column::{ColumnMatrix, FlatMatrix};
 pub use dict::Dict;
 pub use kernel::{sort_pairs, sq_dist, SortPair};
-pub use shingle::{pack_shingle, unpack_shingle};
+pub use shingle::pack_shingle;

@@ -22,8 +22,8 @@ pub fn pack_shingle(app: u32, t_secs: u64, bucket_secs: u64) -> u64 {
 }
 
 /// Recover `(app, bucket_index)` from a packed shingle.
-#[inline]
-pub fn unpack_shingle(s: u64) -> (u32, u32) {
+#[cfg(test)]
+pub(crate) fn unpack_shingle(s: u64) -> (u32, u32) {
     ((s >> 32) as u32, (s & 0xFFFF_FFFF) as u32)
 }
 

@@ -85,7 +85,7 @@ impl AppUsageDataset {
 
 /// A named factory producing fresh, unfitted classifiers for CV folds.
 /// `Sync` so cross-validation can call it from any worker thread.
-pub type AlgorithmFactory = (&'static str, Box<dyn Fn() -> Box<dyn Classifier> + Sync>);
+pub(crate) type AlgorithmFactory = (&'static str, Box<dyn Fn() -> Box<dyn Classifier> + Sync>);
 
 /// The algorithms evaluated in Table 1, by display name.
 pub fn table1_algorithms() -> Vec<AlgorithmFactory> {
@@ -122,7 +122,7 @@ pub fn table1_algorithms() -> Vec<AlgorithmFactory> {
 }
 
 /// The algorithms evaluated in Table 2 (SVM replaces LR).
-pub fn table2_algorithms() -> Vec<AlgorithmFactory> {
+pub(crate) fn table2_algorithms() -> Vec<AlgorithmFactory> {
     vec![
         (
             "XGB",
@@ -178,7 +178,7 @@ pub struct AppClassifierReport {
 }
 
 /// CV protocol constants from the paper: repeated (n = 5) 10-fold CV.
-pub const CV_FOLDS: usize = 10;
+pub(crate) const CV_FOLDS: usize = 10;
 /// Repeats of the cross-validation.
 pub const CV_REPEATS: usize = 5;
 
@@ -218,7 +218,7 @@ pub fn evaluate(
 
 /// Fit a random forest on the full dataset and rank features by mean
 /// decrease in Gini (the Figure 13/14 measure).
-pub fn feature_importance(data: &Dataset) -> Vec<(String, f64)> {
+pub(crate) fn feature_importance(data: &Dataset) -> Vec<(String, f64)> {
     let mut rf = RandomForest::new(RandomForestParams::default());
     rf.fit(&data.x, &data.y);
     let mut ranked: Vec<(String, f64)> = data
@@ -253,7 +253,7 @@ impl AppClassifier {
 
     /// Export the fitted model as a serializable [`racket_ml::Model`] for
     /// the live detection service (ARCHITECTURE.md §7).
-    pub fn export(&self) -> racket_ml::Model {
+    pub(crate) fn export(&self) -> racket_ml::Model {
         racket_ml::Model::Xgb(self.model.clone())
     }
 
@@ -263,7 +263,7 @@ impl AppClassifier {
     /// examples of personally-used apps on worker devices are Samsung
     /// system messaging/call apps (§8.2), so a device whose owner lives
     /// in its system apps reads as organic.
-    pub fn device_suspiciousness(&self, obs: &racket_features::DeviceObservation) -> f64 {
+    pub(crate) fn device_suspiciousness(&self, obs: &racket_features::DeviceObservation) -> f64 {
         let apps: Vec<AppId> = obs.record.apps.keys().copied().collect();
         if apps.is_empty() {
             return 0.0;
@@ -280,17 +280,17 @@ impl AppClassifier {
 mod tests {
     use super::*;
     use crate::labeling::{label_apps, LabelingConfig};
-    use crate::study::{Study, StudyConfig};
+    use crate::study::test_output;
     use std::sync::OnceLock;
 
-    fn dataset() -> &'static (StudyOutput, AppUsageDataset) {
-        static D: OnceLock<(StudyOutput, AppUsageDataset)> = OnceLock::new();
-        D.get_or_init(|| {
-            let out = Study::new(StudyConfig::test_scale()).run();
-            let labels = label_apps(&out, &LabelingConfig::test_scale());
-            let ds = AppUsageDataset::build(&out, &labels);
-            (out, ds)
-        })
+    fn dataset() -> (&'static StudyOutput, &'static AppUsageDataset) {
+        static D: OnceLock<AppUsageDataset> = OnceLock::new();
+        let out = test_output();
+        let ds = D.get_or_init(|| {
+            let labels = label_apps(out, &LabelingConfig::test_scale());
+            AppUsageDataset::build(out, &labels)
+        });
+        (out, ds)
     }
 
     #[test]

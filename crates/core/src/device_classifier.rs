@@ -193,19 +193,19 @@ mod tests {
     use super::*;
     use crate::app_classifier::{AppClassifier, AppUsageDataset};
     use crate::labeling::{label_apps, LabelingConfig};
-    use crate::study::{Study, StudyConfig};
+    use crate::study::test_output;
     use std::sync::OnceLock;
 
-    fn pipeline() -> &'static (StudyOutput, DeviceDataset) {
-        static P: OnceLock<(StudyOutput, DeviceDataset)> = OnceLock::new();
-        P.get_or_init(|| {
-            let out = Study::new(StudyConfig::test_scale()).run();
-            let labels = label_apps(&out, &LabelingConfig::test_scale());
-            let app_ds = AppUsageDataset::build(&out, &labels);
+    fn pipeline() -> (&'static StudyOutput, &'static DeviceDataset) {
+        static P: OnceLock<DeviceDataset> = OnceLock::new();
+        let out = test_output();
+        let ds = P.get_or_init(|| {
+            let labels = label_apps(out, &LabelingConfig::test_scale());
+            let app_ds = AppUsageDataset::build(out, &labels);
             let clf = AppClassifier::train(&app_ds);
-            let ds = DeviceDataset::build(&out, &clf, 2, None, 5);
-            (out, ds)
-        })
+            DeviceDataset::build(out, &clf, 2, None, 5)
+        });
+        (out, ds)
     }
 
     #[test]

@@ -151,13 +151,7 @@ pub fn label_apps(out: &StudyOutput, config: &LabelingConfig) -> AppLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{Study, StudyConfig};
-    use std::sync::OnceLock;
-
-    fn output() -> &'static StudyOutput {
-        static OUT: OnceLock<StudyOutput> = OnceLock::new();
-        OUT.get_or_init(|| Study::new(StudyConfig::test_scale()).run())
-    }
+    use crate::study::test_output as output;
 
     #[test]
     fn holdouts_have_expected_sizes() {

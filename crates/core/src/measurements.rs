@@ -9,9 +9,7 @@
 //! `racket-bench`'s `paper_report` only format what this module computes.
 
 use crate::study::StudyOutput;
-use racket_stats::{
-    anova_oneway, fligner_killeen, kruskal_wallis, ks_2samp, shapiro_wilk, Summary, TestOutcome,
-};
+use racket_stats::{anova_oneway, kruskal_wallis, ks_2samp, Summary, TestOutcome};
 use racket_types::Cohort;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -61,31 +59,6 @@ impl CohortComparison {
     /// Summary of the worker sample.
     pub fn worker_summary(&self) -> Summary {
         Summary::of(&self.worker).expect("non-empty")
-    }
-
-    /// §6 preamble pre-tests: Shapiro–Wilk normality on the pooled sample
-    /// and Fligner–Killeen variance homogeneity across cohorts. Returns
-    /// `None` when the pooled sample is degenerate (constant or too
-    /// small).
-    pub fn pretests(&self) -> Option<(TestOutcome, TestOutcome)> {
-        let pooled: Vec<f64> = self
-            .regular
-            .iter()
-            .chain(self.worker.iter())
-            .copied()
-            .collect();
-        if pooled.len() < 3 || pooled.len() > 5000 {
-            return None;
-        }
-        let min = pooled.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = pooled.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if min == max {
-            return None;
-        }
-        Some((
-            shapiro_wilk(&pooled),
-            fligner_killeen(&[&self.regular, &self.worker]),
-        ))
     }
 }
 
@@ -444,19 +417,42 @@ impl MeasurementReport {
 }
 
 #[cfg(test)]
+impl CohortComparison {
+    /// §6 preamble pre-tests: Shapiro–Wilk normality on the pooled sample
+    /// and Fligner–Killeen variance homogeneity across cohorts. Returns
+    /// `None` when the pooled sample is degenerate (constant or too
+    /// small).
+    pub(crate) fn pretests(&self) -> Option<(TestOutcome, TestOutcome)> {
+        let pooled: Vec<f64> = self
+            .regular
+            .iter()
+            .chain(self.worker.iter())
+            .copied()
+            .collect();
+        if pooled.len() < 3 || pooled.len() > 5000 {
+            return None;
+        }
+        let min = pooled.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = pooled.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if min == max {
+            return None;
+        }
+        Some((
+            racket_stats::shapiro_wilk(&pooled),
+            racket_stats::fligner_killeen(&[&self.regular, &self.worker]),
+        ))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{Study, StudyConfig};
+    use crate::study::test_output;
     use std::sync::OnceLock;
 
     fn report() -> &'static MeasurementReport {
-        static R: OnceLock<(StudyOutput, MeasurementReport)> = OnceLock::new();
-        &R.get_or_init(|| {
-            let out = Study::new(StudyConfig::test_scale()).run();
-            let report = MeasurementReport::compute(&out);
-            (out, report)
-        })
-        .1
+        static R: OnceLock<MeasurementReport> = OnceLock::new();
+        R.get_or_init(|| MeasurementReport::compute(test_output()))
     }
 
     #[test]

@@ -130,16 +130,6 @@ impl DetectionService {
         }
     }
 
-    /// The fitted app model.
-    pub fn app_model(&self) -> &Model {
-        &self.app_model
-    }
-
-    /// The fitted device model.
-    pub fn device_model(&self) -> &Model {
-        &self.device_model
-    }
-
     /// Serialize both models: `u64` little-endian app-blob length, the
     /// app model's RKML bytes, then the same for the device model. Each
     /// blob carries its own magic/version/checksum envelope.
@@ -285,20 +275,20 @@ mod tests {
     use crate::app_classifier::{AppClassifier, AppUsageDataset};
     use crate::device_classifier::DeviceDataset;
     use crate::labeling::{label_apps, LabelingConfig};
-    use crate::study::{Study, StudyConfig};
+    use crate::study::test_output;
     use std::sync::OnceLock;
 
-    fn service() -> &'static (StudyOutput, DetectionService) {
-        static S: OnceLock<(StudyOutput, DetectionService)> = OnceLock::new();
-        S.get_or_init(|| {
-            let out = Study::new(StudyConfig::test_scale()).run();
-            let labels = label_apps(&out, &LabelingConfig::test_scale());
-            let app_ds = AppUsageDataset::build(&out, &labels);
+    fn service() -> (&'static StudyOutput, &'static DetectionService) {
+        static S: OnceLock<DetectionService> = OnceLock::new();
+        let out = test_output();
+        let svc = S.get_or_init(|| {
+            let labels = label_apps(out, &LabelingConfig::test_scale());
+            let app_ds = AppUsageDataset::build(out, &labels);
             let clf = AppClassifier::train(&app_ds);
-            let dev_ds = DeviceDataset::build(&out, &clf, 2, None, 5);
-            let svc = DetectionService::train(&clf, &dev_ds);
-            (out, svc)
-        })
+            let dev_ds = DeviceDataset::build(out, &clf, 2, None, 5);
+            DetectionService::train(&clf, &dev_ds)
+        });
+        (out, svc)
     }
 
     #[test]

@@ -22,7 +22,7 @@ use racket_collect::{
     SnapshotCollector, WireLane,
 };
 use racket_features::{DeviceObservation, DeviceStreamState};
-use racket_obs::{span, LocalHistogram, Registry};
+use racket_obs::{LocalHistogram, Registry};
 use racket_playstore::crawler::ReviewCrawler;
 use racket_types::metrics::keys;
 use racket_types::{AppId, Cohort, Persona, PipelineMetrics, Review, SimDuration, SimTime};
@@ -192,8 +192,6 @@ impl StudyOutput {
 /// One device's lane through the study: the device plus all per-device
 /// driver state, mutated on a worker thread without touching other lanes.
 struct DeviceLane {
-    /// Lane index (= fleet order); labels this lane's trace spans.
-    idx: usize,
     dev: racket_agents::StudyDevice,
     collector: SnapshotCollector,
     buffer: DataBuffer,
@@ -244,7 +242,7 @@ impl Study {
         obs.gauge_set(keys::THREADS, rayon::current_num_threads() as u64);
 
         let mut fleet = {
-            let _span = span!(obs, keys::SPAN_FLEET_GEN);
+            let _span = obs.span(keys::SPAN_FLEET_GEN);
             Fleet::generate(config.fleet.clone())
         };
 
@@ -326,7 +324,6 @@ impl Study {
                 let directive_plan =
                     expand_directives(&d.directives, d.agent.gmail_identities(), textgen.as_ref());
                 DeviceLane {
-                    idx: i,
                     dev: d,
                     collector,
                     buffer: DataBuffer::new(),
@@ -382,13 +379,13 @@ impl Study {
             }
         }
         for day in 0..total_days {
-            let _day_span = span!(obs, "simulate/day", day = day);
+            let _day_span = obs.span("simulate/day");
             let day_start = study_start + SimDuration::from_days(day);
             lanes.par_iter_mut().for_each(|lane| {
                 // Lane spans run on rayon workers; the slash path (not
                 // any thread-local stack) is what nests them under the
                 // day in the timing tree.
-                let _lane_span = span!(obs, "simulate/day/lane", device = lane.idx);
+                let _lane_span = obs.span("simulate/day/lane");
                 Self::run_lane_day(lane, catalog, day_start, horizon, &store);
             });
             // Reviews post serially in lane order: the store's pagination
@@ -562,11 +559,7 @@ impl Study {
                 // record, folded at ingest), so the feature vectors are
                 // ready without any later re-scan.
                 let stream_state = {
-                    let _span = span!(
-                        obs,
-                        keys::SPAN_STREAM_FOLD,
-                        device = observation.record.install_id.0
-                    );
+                    let _span = obs.span(keys::SPAN_STREAM_FOLD);
                     DeviceStreamState::fold(&observation)
                 };
                 (
@@ -778,17 +771,21 @@ impl Study {
     }
 }
 
+/// The one `StudyConfig::test_scale()` study the crate's unit tests share:
+/// run once per test binary, on first use.
+#[cfg(test)]
+pub(crate) fn test_output() -> &'static StudyOutput {
+    static OUT: std::sync::OnceLock<StudyOutput> = std::sync::OnceLock::new();
+    OUT.get_or_init(|| Study::new(StudyConfig::test_scale()).run())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_test_study() -> StudyOutput {
-        Study::new(StudyConfig::test_scale()).run()
-    }
-
     #[test]
     fn study_produces_observations_for_every_device() {
-        let out = run_test_study();
+        let out = test_output();
         assert_eq!(out.observations.len(), 60);
         assert_eq!(out.truth.len(), 60);
         assert_eq!(out.cohort(Cohort::Regular).count(), 20);
@@ -797,7 +794,7 @@ mod tests {
 
     #[test]
     fn wire_path_ingests_files_and_snapshots() {
-        let out = run_test_study();
+        let out = test_output();
         assert!(out.server_stats.files > 0, "rotated files uploaded");
         assert!(out.server_stats.snapshots > 1000, "snapshots ingested");
         assert_eq!(out.server_stats.bad_uploads, 0);
@@ -806,7 +803,7 @@ mod tests {
 
     #[test]
     fn observations_have_accounts_and_reviews() {
-        let out = run_test_study();
+        let out = test_output();
         let worker_reviews: usize = out.cohort(Cohort::Worker).map(|o| o.total_reviews()).sum();
         let regular_reviews: usize = out.cohort(Cohort::Regular).map(|o| o.total_reviews()).sum();
         assert!(worker_reviews > 20 * regular_reviews.max(1));
@@ -818,20 +815,20 @@ mod tests {
 
     #[test]
     fn crawler_collected_live_reviews() {
-        let out = run_test_study();
+        let out = test_output();
         assert!(out.reviews_crawled > 0);
     }
 
     #[test]
     fn coalescing_recovers_physical_devices() {
-        let out = run_test_study();
+        let out = test_output();
         // One install per device in this scenario.
         assert_eq!(out.coalesced_devices, 60);
     }
 
     #[test]
     fn wire_path_reports_metrics() {
-        let out = run_test_study();
+        let out = test_output();
         assert_eq!(out.metrics.snapshots_ingested, out.server_stats.snapshots);
         assert!(
             out.metrics.bytes_compressed > 0,
@@ -848,7 +845,7 @@ mod tests {
 
     #[test]
     fn clean_wire_run_reports_zero_faults_and_retries() {
-        let out = run_test_study();
+        let out = test_output();
         assert_eq!(out.metrics.faults.total(), 0);
         assert!(out.metrics.upload_attempts > 0, "exchanges are counted");
         assert_eq!(out.metrics.upload_retries, 0);
@@ -880,7 +877,7 @@ mod tests {
 
     #[test]
     fn async_wire_path_matches_sync_wire_output() {
-        let sync = run_test_study();
+        let sync = test_output();
         let mut config = StudyConfig::test_scale();
         config.path = CollectionPath::AsyncWire;
         let out = Study::new(config).run();
@@ -907,7 +904,7 @@ mod tests {
 
     #[test]
     fn columnar_store_mirrors_the_records() {
-        let out = run_test_study();
+        let out = test_output();
         assert_eq!(out.columnar.n_installs(), out.observations.len());
         for o in &out.observations {
             let code = out
@@ -933,8 +930,8 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = run_test_study();
-        let b = run_test_study();
+        let a = test_output();
+        let b = Study::new(StudyConfig::test_scale()).run();
         assert_eq!(a.server_stats.snapshots, b.server_stats.snapshots);
         assert_eq!(a.reviews_crawled, b.reviews_crawled);
         for (x, y) in a.observations.iter().zip(&b.observations) {

@@ -277,12 +277,6 @@ impl Device {
         }
     }
 
-    /// Set the battery level (0–100) and save-mode flag.
-    pub fn set_power(&mut self, battery_pct: u8, save_mode: bool) {
-        self.battery_pct = battery_pct.min(100);
-        self.save_mode = save_mode;
-    }
-
     // ---- queries (what the collectors read) -------------------------------
 
     /// The app currently in the foreground.
@@ -323,11 +317,6 @@ impl Device {
     /// Number of installed apps.
     pub fn installed_count(&self) -> usize {
         self.installed.len()
-    }
-
-    /// Number of preinstalled (system) apps.
-    pub fn preinstalled_count(&self) -> usize {
-        self.installed.values().filter(|a| a.preinstalled).count()
     }
 
     /// Apps currently in the stopped state (the slow snapshot's
@@ -392,6 +381,15 @@ impl Device {
     /// Lifetime install / uninstall event counts.
     pub fn churn_totals(&self) -> (u64, u64) {
         (self.installs_total, self.uninstalls_total)
+    }
+}
+
+#[cfg(test)]
+impl Device {
+    /// Set the battery level (0–100) and save-mode flag.
+    pub(crate) fn set_power(&mut self, battery_pct: u8, save_mode: bool) {
+        self.battery_pct = battery_pct.min(100);
+        self.save_mode = save_mode;
     }
 }
 
@@ -468,7 +466,7 @@ mod tests {
         d.preinstall_app(AppId(100), PermissionProfile::default(), ApkHash([0; 16]));
         install(&mut d, 1, 0);
         assert_eq!(d.installed_count(), 2);
-        assert_eq!(d.preinstalled_count(), 1);
+        assert_eq!(d.installed_apps().filter(|a| a.preinstalled).count(), 1);
         assert_eq!(
             d.stopped_apps(),
             vec![AppId(1)],

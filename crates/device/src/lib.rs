@@ -14,11 +14,11 @@
 
 #![deny(missing_docs)]
 
-pub mod model;
-pub mod usage;
+mod model;
+mod usage;
 
 mod device;
 
 pub use device::{Device, DevicePermissions};
-pub use model::DeviceModel;
+pub use model::{DeviceModel, Manufacturer};
 pub use usage::{AppUsage, UsageStats};

@@ -27,17 +27,6 @@ pub enum Manufacturer {
     Other,
 }
 
-impl Manufacturer {
-    /// The top-5 manufacturers of §3, in reported order.
-    pub const TOP5: [Manufacturer; 5] = [
-        Manufacturer::Samsung,
-        Manufacturer::Huawei,
-        Manufacturer::Oppo,
-        Manufacturer::Xiaomi,
-        Manufacturer::Vivo,
-    ];
-}
-
 /// A concrete device model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DeviceModel {
@@ -54,14 +43,6 @@ pub struct DeviceModel {
 }
 
 impl DeviceModel {
-    /// Minimum supported API level (Android 5, Lollipop).
-    pub const MIN_API: u8 = 21;
-
-    /// Whether RacketStore can run on this model at all.
-    pub fn is_compatible(&self) -> bool {
-        self.api_level >= Self::MIN_API
-    }
-
     /// A generic compatible model for tests and defaults.
     pub fn generic() -> Self {
         DeviceModel {
@@ -71,6 +52,29 @@ impl DeviceModel {
             reports_android_id: true,
         }
     }
+}
+
+#[cfg(test)]
+impl DeviceModel {
+    /// Minimum supported API level (Android 5, Lollipop).
+    pub(crate) const MIN_API: u8 = 21;
+
+    /// Whether RacketStore can run on this model at all.
+    pub(crate) fn is_compatible(&self) -> bool {
+        self.api_level >= Self::MIN_API
+    }
+}
+
+#[cfg(test)]
+impl Manufacturer {
+    /// The top-5 manufacturers of §3, in reported order.
+    pub(crate) const TOP5: [Manufacturer; 5] = [
+        Manufacturer::Samsung,
+        Manufacturer::Huawei,
+        Manufacturer::Oppo,
+        Manufacturer::Xiaomi,
+        Manufacturer::Vivo,
+    ];
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub struct UsageStats {
 impl UsageStats {
     /// Record a foreground session of `app` starting at `time` and lasting
     /// `secs` seconds.
-    pub fn record_open(&mut self, app: AppId, time: SimTime, secs: u64) {
+    pub(crate) fn record_open(&mut self, app: AppId, time: SimTime, secs: u64) {
         let entry = self.per_app.entry(app).or_default();
         entry.days_opened.insert(time.day_index());
         entry.total_opens += 1;
@@ -50,7 +50,7 @@ impl UsageStats {
 
     /// Drop an app's record (on uninstall the usage history disappears
     /// with the package).
-    pub fn forget(&mut self, app: AppId) {
+    pub(crate) fn forget(&mut self, app: AppId) {
         self.per_app.remove(&app);
     }
 
@@ -64,10 +64,18 @@ impl UsageStats {
         self.per_app.len()
     }
 
+    /// Iterate all per-app records.
+    pub fn iter(&self) -> impl Iterator<Item = (&AppId, &AppUsage)> {
+        self.per_app.iter()
+    }
+}
+
+#[cfg(test)]
+impl UsageStats {
     /// Average number of distinct apps opened per active day — the Figure
     /// 10 y-axis. An *active day* is any day on which at least one app was
     /// opened. Returns 0.0 if nothing was ever opened.
-    pub fn avg_apps_per_day(&self) -> f64 {
+    pub(crate) fn avg_apps_per_day(&self) -> f64 {
         let mut per_day: BTreeMap<u64, usize> = BTreeMap::new();
         for usage in self.per_app.values() {
             for &d in &usage.days_opened {
@@ -78,11 +86,6 @@ impl UsageStats {
             return 0.0;
         }
         per_day.values().map(|&c| c as f64).sum::<f64>() / per_day.len() as f64
-    }
-
-    /// Iterate all per-app records.
-    pub fn iter(&self) -> impl Iterator<Item = (&AppId, &AppUsage)> {
-        self.per_app.iter()
     }
 }
 

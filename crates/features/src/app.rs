@@ -12,7 +12,7 @@ use racket_types::AppId;
 
 /// Column names of the app-usage feature vector, aligned with
 /// [`app_features`]. These names appear in the Figure 13 importance plot.
-pub const APP_FEATURE_NAMES: [&str; 19] = [
+pub(crate) const APP_FEATURE_NAMES: [&str; 19] = [
     "n_reviewing_accounts_before", // (1) device accounts reviewing before install of RacketStore
     "n_reviewing_accounts_during", // (1) … while RacketStore was installed
     "n_reviewing_accounts_after",  // (1) … after it was uninstalled
@@ -33,11 +33,6 @@ pub const APP_FEATURE_NAMES: [&str; 19] = [
     "n_permissions_denied",        // (9)
     "vt_flags",                    // (10)
 ];
-
-/// Index of the install/uninstall-count feature appended by
-/// [`app_features`] — kept separate in the names list because the paper
-/// counts family (11) as one feature over both event kinds.
-pub const N_APP_FEATURES: usize = APP_FEATURE_NAMES.len() + 2;
 
 /// Full column names including family (11).
 pub fn app_feature_names() -> Vec<String> {
@@ -245,8 +240,10 @@ mod tests {
     fn feature_vector_has_stable_width_and_names() {
         let obs = base_observation();
         let v = app_features(&obs, AppId(1));
-        assert_eq!(v.len(), N_APP_FEATURES);
-        assert_eq!(app_feature_names().len(), N_APP_FEATURES);
+        // Family (11) is one feature in the paper but two columns here
+        // (install and uninstall counts), appended after the names list.
+        assert_eq!(v.len(), APP_FEATURE_NAMES.len() + 2);
+        assert_eq!(app_feature_names().len(), v.len());
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl DeviceObservation {
 
     /// Number of distinct apps reviewed from device accounts, installed
     /// or not (Figure 6, right).
-    pub fn total_apps_reviewed(&self) -> usize {
+    pub(crate) fn total_apps_reviewed(&self) -> usize {
         self.reviews_by_app
             .iter()
             .filter(|(_, v)| !v.is_empty())

@@ -21,7 +21,7 @@
 //! returns them), replicating `iter().sum::<f64>()` add-for-add so the
 //! emitted means match batch bit-for-bit.
 
-pub use racket_types::online::{Distinct, GapAccum, MinMax};
+pub(crate) use racket_types::online::{Distinct, GapAccum, MinMax};
 
 use racket_types::{GoogleId, Review, SimTime, TimeInterval};
 
@@ -94,7 +94,7 @@ impl AppReviewStream {
 
     /// Emitted §7.1 family (2): `(avg_install_review_days,
     /// min_install_review_days)` with the −1 sentinels.
-    pub fn delay_features(&self) -> (f64, f64) {
+    pub(crate) fn delay_features(&self) -> (f64, f64) {
         if self.delays.count == 0 {
             (-1.0, -1.0)
         } else {
@@ -107,7 +107,7 @@ impl AppReviewStream {
 
     /// Emitted §7.1 family (3): `(mean, min, max)` inter-review days with
     /// the −1 sentinels.
-    pub fn gap_features(&self) -> (f64, f64, f64) {
+    pub(crate) fn gap_features(&self) -> (f64, f64, f64) {
         if self.gaps.count == 0 {
             (-1.0, -1.0, -1.0)
         } else {

@@ -4,8 +4,8 @@
 //! [`racket_text::TextSketch`] (folded at snapshot-ingest time from
 //! reported reviews) and are **not** part of the default §7.1 vector:
 //! the paper's classifiers never saw review text, so the baseline vector
-//! stays at [`crate::N_APP_FEATURES`] columns and these ride along only
-//! in the `+text` ablation run ([`app_features_with_text`]). A text-off
+//! keeps the [`crate::app_feature_names`] columns and these ride along
+//! only in the `+text` ablation run ([`app_feature_names_with_text`]). A text-off
 //! study has an empty sketch and every pair gets the all-sentinel row,
 //! so the ablation degrades to the baseline rather than erroring.
 
@@ -15,7 +15,7 @@ use racket_types::AppId;
 
 /// Column names of the text ablation block, aligned with
 /// [`text_features`].
-pub const TEXT_FEATURE_NAMES: [&str; 4] = [
+pub(crate) const TEXT_FEATURE_NAMES: [&str; 4] = [
     "n_texted_reviews",            // reviews of this app reported with text
     "mean_review_len",             // mean text length in bytes (−1 if none)
     "rating_sentiment_divergence", // mean |rating tone − lexicon tone| (−1 if none)
@@ -78,15 +78,8 @@ pub fn text_features(obs: &DeviceObservation, app: AppId) -> Vec<f64> {
     vec![n, mean_len, divergence, neardup_pairs as f64]
 }
 
-/// The `+text` ablation vector: the default §7.1 columns followed by the
-/// [`TEXT_FEATURE_NAMES`] block.
-pub fn app_features_with_text(obs: &DeviceObservation, app: AppId) -> Vec<f64> {
-    let mut v = crate::app_features(obs, app);
-    v.extend(text_features(obs, app));
-    v
-}
-
-/// Column names aligned with [`app_features_with_text`].
+/// Column names of the `+text` ablation vector: the default §7.1 columns
+/// followed by the four text columns.
 pub fn app_feature_names_with_text() -> Vec<String> {
     let mut names = crate::app_feature_names();
     names.extend(TEXT_FEATURE_NAMES.iter().map(|s| s.to_string()));
@@ -159,7 +152,7 @@ mod tests {
         let obs = observation(vec![]);
         assert_eq!(text_features(&obs, A), vec![0.0, -1.0, -1.0, 0.0]);
         assert_eq!(
-            app_features_with_text(&obs, A).len(),
+            crate::app_features(&obs, A).len() + text_features(&obs, A).len(),
             app_feature_names_with_text().len()
         );
     }

@@ -60,7 +60,7 @@ impl Dataset {
 
     /// Select a subset of rows by index (indices may repeat, enabling
     /// bootstrap resamples).
-    pub fn select(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn select(&self, indices: &[usize]) -> Dataset {
         Dataset {
             x: indices.iter().map(|&i| self.x[i].clone()).collect(),
             y: indices.iter().map(|&i| self.y[i]).collect(),
@@ -117,14 +117,14 @@ impl Standardizer {
     }
 
     /// Standardize one row in place.
-    pub fn transform_row(&self, row: &mut [f64]) {
+    pub(crate) fn transform_row(&self, row: &mut [f64]) {
         for ((v, m), s) in row.iter_mut().zip(&self.means).zip(&self.sds) {
             *v = (*v - m) / s;
         }
     }
 
     /// Standardize a copy of the matrix.
-    pub fn transform(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn transform(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
         x.iter()
             .map(|row| {
                 let mut r = row.clone();

@@ -251,7 +251,7 @@ where
     let fold_results: Vec<FoldResult> = pairs
         .into_par_iter()
         .map(|(rep, fold_id)| {
-            let _span = racket_obs::span!(obs, "ml/cv_fold", rep = rep, fold = fold_id);
+            let _span = obs.span("ml/cv_fold");
             let folds = &rep_folds[rep];
             let train_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] != fold_id).collect();
             let valid_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] == fold_id).collect();

@@ -481,7 +481,7 @@ impl GradientBoosting {
     ///
     /// # Panics
     /// If the ensemble is unfitted.
-    pub fn predict_proba_batch(&self, x: &FlatMatrix) -> Vec<f64> {
+    pub(crate) fn predict_proba_batch(&self, x: &FlatMatrix) -> Vec<f64> {
         assert!(!self.trees.is_empty(), "predict on unfitted ensemble");
         let mut z = vec![self.base_score; x.n_rows()];
         for t in &self.trees {

@@ -9,31 +9,34 @@
 //!
 //! This crate implements all of that with no external ML dependencies:
 //!
-//! * [`tree`] — CART decision trees with Gini impurity,
-//! * [`forest`] — bagged random forests with feature subsampling,
-//! * [`gbt`] — second-order gradient-boosted trees (XGBoost-style exact
-//!   greedy split finding with regularized leaf weights),
-//! * [`linear`] — logistic regression and a Pegasos linear SVM,
-//! * [`knn`] / [`lvq`] — instance-based learners,
-//! * [`sampling`] — SMOTE and random resampling,
-//! * [`eval`] — stratified k-fold CV and the metric set the paper reports
-//!   (precision, recall, F1, FPR, ROC-AUC).
+//! * [`DecisionTree`] — CART decision trees with Gini impurity,
+//! * [`RandomForest`] — bagged random forests with feature subsampling,
+//! * [`GradientBoosting`] — second-order gradient-boosted trees
+//!   (XGBoost-style exact greedy split finding with regularized leaf
+//!   weights),
+//! * [`LogisticRegression`] and [`LinearSvm`] — logistic regression and a
+//!   Pegasos linear SVM,
+//! * [`KNearestNeighbors`] / [`Lvq`] — instance-based learners,
+//! * [`smote`] and [`random_oversample`] / [`random_undersample`] — SMOTE
+//!   and random resampling,
+//! * [`cross_validate`] — stratified k-fold CV and the metric set the paper
+//!   reports (precision, recall, F1, FPR, ROC-AUC).
 //!
 //! All learners are deterministic given their seed, implement the common
 //! [`Classifier`] trait, and operate on a plain [`Dataset`].
 
 #![deny(missing_docs)]
 
-pub mod dataset;
-pub mod eval;
-pub mod forest;
-pub mod gbt;
-pub mod knn;
-pub mod linear;
-pub mod lvq;
-pub mod persist;
-pub mod sampling;
-pub mod tree;
+mod dataset;
+mod eval;
+mod forest;
+mod gbt;
+mod knn;
+mod linear;
+mod lvq;
+mod persist;
+mod sampling;
+mod tree;
 
 pub use dataset::{Dataset, Standardizer};
 pub use eval::{

@@ -54,11 +54,6 @@ impl LogisticRegression {
         }
     }
 
-    /// The fitted weight vector (standardized feature space).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     fn sigmoid(z: f64) -> f64 {
         1.0 / (1.0 + (-z).exp())
     }
@@ -159,7 +154,7 @@ impl LinearSvm {
     }
 
     /// Signed margin for a (raw, unstandardized) row.
-    pub fn margin(&self, row: &[f64]) -> f64 {
+    pub(crate) fn margin(&self, row: &[f64]) -> f64 {
         let scaler = self.scaler.as_ref().expect("margin on unfitted model");
         let mut r = row.to_vec();
         scaler.transform_row(&mut r);
@@ -301,7 +296,7 @@ mod tests {
             assert_eq!(lr.predict(row), label);
         }
         // Weight on the informative feature dominates.
-        assert!(lr.weights()[0].abs() > lr.weights()[1].abs());
+        assert!(lr.weights[0].abs() > lr.weights[1].abs());
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl Lvq {
             .expect("no prototypes")
             .0
     }
-
-    /// Number of prototypes in the fitted codebook.
-    pub fn n_prototypes(&self) -> usize {
-        self.prototypes.len()
-    }
 }
 
 impl Classifier for Lvq {
@@ -226,7 +221,7 @@ mod tests {
             .filter(|(r, &l)| lvq.predict(r) == l)
             .count();
         assert!(acc as f64 / x.len() as f64 > 0.95, "acc = {acc}/80");
-        assert_eq!(lvq.n_prototypes(), 16);
+        assert_eq!(lvq.prototypes.len(), 16);
     }
 
     #[test]

@@ -25,9 +25,9 @@ use crate::{
 use racket_columnar::FlatMatrix;
 
 /// File magic for serialized models.
-pub const MAGIC: [u8; 4] = *b"RKML";
+pub(crate) const MAGIC: [u8; 4] = *b"RKML";
 /// Current codec version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Why a model failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,7 +290,7 @@ impl Model {
     /// Probabilities for every row of a flat feature matrix.
     ///
     /// The boosted-tree model dispatches to its columnar batch kernel
-    /// ([`GradientBoosting::predict_proba_batch`]); every other learner
+    /// (`GradientBoosting::predict_proba_batch`); every other learner
     /// scores row by row over the same contiguous buffer. Either way the
     /// result is bitwise equal to calling [`Model::score`] per row.
     pub fn score_batch(&self, x: &FlatMatrix) -> Vec<f64> {

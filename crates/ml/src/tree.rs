@@ -208,11 +208,6 @@ impl DecisionTree {
             node_depth(&self.nodes, 0)
         }
     }
-
-    /// Number of nodes in the fitted tree.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl Classifier for DecisionTree {
@@ -381,7 +376,7 @@ mod tests {
         let y = vec![1, 1, 1];
         let mut t = DecisionTree::new(DecisionTreeParams::default());
         t.fit(&x, &y);
-        assert_eq!(t.n_nodes(), 1, "pure data trains a single leaf");
+        assert_eq!(t.nodes.len(), 1, "pure data trains a single leaf");
         assert_eq!(t.predict_proba(&[5.0]), 1.0);
     }
 
@@ -408,7 +403,7 @@ mod tests {
             ..DecisionTreeParams::default()
         });
         t.fit(&x, &y);
-        assert_eq!(t.n_nodes(), 1);
+        assert_eq!(t.nodes.len(), 1);
     }
 
     #[test]

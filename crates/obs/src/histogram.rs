@@ -23,13 +23,13 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per octave (8 → ≤ 12.5% relative quantile error).
-pub const SUB: usize = 8;
+pub(crate) const SUB: usize = 8;
 const SUB_BITS: u32 = 3;
 /// Total bucket count covering all of `u64`.
-pub const BUCKETS: usize = 61 * SUB + SUB; // indexes 0..=495
+pub(crate) const BUCKETS: usize = 61 * SUB + SUB; // indexes 0..=495
 
 /// Bucket index for a value (monotone in `v`, exact below [`SUB`]).
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
         v as usize
     } else {
@@ -40,7 +40,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive-exclusive `[lo, hi)` value range of bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
     if i < SUB {
         (i as u64, i as u64 + 1)
     } else {
@@ -171,7 +171,7 @@ impl LocalHistogram {
 /// carry their empty-state sentinels (`u64::MAX`/`0`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (dense, [`BUCKETS`] entries).
+    /// Per-bucket observation counts (dense, one entry per log bucket).
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -229,7 +229,7 @@ impl HistogramSnapshot {
 
     /// Sum interpreted as nanoseconds, in seconds (span histograms record
     /// nanosecond durations).
-    pub fn sum_secs(&self) -> f64 {
+    pub(crate) fn sum_secs(&self) -> f64 {
         self.sum as f64 / 1e9
     }
 

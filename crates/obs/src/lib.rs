@@ -11,7 +11,7 @@
 //!   *count* is bit-identical across thread counts and interleavings; only
 //!   wall-clock durations vary. Nothing in a registry ever enters a study
 //!   output fingerprint.
-//! * [`span!`] / [`SpanGuard`] — lightweight tracing spans: a named
+//! * [`Registry::span`] / [`SpanGuard`] — lightweight tracing spans: a named
 //!   wall-clock scope recorded into `span.<name>` on drop, with
 //!   slash-separated names encoding the stage hierarchy
 //!   ([`render_timing_tree`] prints it).
@@ -26,12 +26,10 @@
 
 #![deny(missing_docs)]
 
-pub mod histogram;
-pub mod registry;
-pub mod span;
+mod histogram;
+mod registry;
+mod span;
 
 pub use histogram::{AtomicHistogram, HistogramSnapshot, LocalHistogram};
-pub use registry::{
-    global, install_global, Counter, HistogramHandle, Registry, RegistrySnapshot, TraceEvent,
-};
+pub use registry::{global, install_global, Counter, HistogramHandle, Registry, RegistrySnapshot};
 pub use span::{render_timing_tree, SpanGuard, SPAN_PREFIX};

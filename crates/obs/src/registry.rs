@@ -17,30 +17,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Trace events recorded with field payloads are capped at this many per
-/// registry (cardinality control; aggregation is never capped).
-pub const MAX_TRACE_EVENTS: usize = 4096;
-/// Counter: trace events discarded because the registry already held
-/// [`MAX_TRACE_EVENTS`].
-const TRACE_DROPPED: &str = "trace.dropped";
-
-/// One span completion that carried `key = value` fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Span path (slash-separated stage name).
-    pub path: String,
-    /// Rendered `key=value` fields.
-    pub fields: String,
-    /// Span duration in nanoseconds.
-    pub nanos: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<AtomicHistogram>>>,
-    events: Mutex<Vec<TraceEvent>>,
 }
 
 /// A shared, clonable metrics registry.
@@ -67,11 +48,6 @@ impl Counter {
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add 1.
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// Current value.
@@ -140,27 +116,6 @@ impl Registry {
     /// Record one value into the histogram named `name`.
     pub fn record(&self, name: &str, v: u64) {
         self.histogram(name).record(v);
-    }
-
-    /// Append a trace event; past [`MAX_TRACE_EVENTS`] it is discarded and
-    /// counted under the `trace.dropped` counter.
-    pub fn trace(&self, path: &str, fields: String, nanos: u64) {
-        let mut events = self.inner.events.lock();
-        if events.len() < MAX_TRACE_EVENTS {
-            events.push(TraceEvent {
-                path: path.to_string(),
-                fields,
-                nanos,
-            });
-        } else {
-            drop(events);
-            self.add(TRACE_DROPPED, 1);
-        }
-    }
-
-    /// Copy of the recorded trace events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.events.lock().clone()
     }
 
     /// Freeze every metric into a serializable snapshot.
@@ -262,7 +217,7 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("uploads");
         c.add(3);
-        c.inc();
+        c.add(1);
         reg.add("uploads", 6);
         assert_eq!(c.get(), 10);
         let snap = reg.snapshot();
@@ -296,16 +251,6 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn trace_events_are_bounded() {
-        let reg = Registry::new();
-        for i in 0..(MAX_TRACE_EVENTS + 10) {
-            reg.trace("p", format!("i={i}"), 1);
-        }
-        assert_eq!(reg.events().len(), MAX_TRACE_EVENTS);
-        assert_eq!(reg.snapshot().counter(TRACE_DROPPED), 10);
     }
 
     #[test]

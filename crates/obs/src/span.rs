@@ -23,25 +23,19 @@ pub const SPAN_PREFIX: &str = "span.";
 #[derive(Debug)]
 pub struct SpanGuard {
     hist: HistogramHandle,
-    /// `Some` when the span carries fields: (registry, path, rendered).
-    trace: Option<(Registry, String, String)>,
     start: Instant,
 }
 
 impl SpanGuard {
     /// Elapsed time so far, in nanoseconds.
-    pub fn elapsed_nanos(&self) -> u64 {
+    pub(crate) fn elapsed_nanos(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let nanos = self.elapsed_nanos();
-        self.hist.record(nanos);
-        if let Some((registry, path, fields)) = self.trace.take() {
-            registry.trace(&path, fields, nanos);
-        }
+        self.hist.record(self.elapsed_nanos());
     }
 }
 
@@ -50,36 +44,9 @@ impl Registry {
     pub fn span(&self, name: &str) -> SpanGuard {
         SpanGuard {
             hist: self.histogram(&format!("{SPAN_PREFIX}{name}")),
-            trace: None,
             start: Instant::now(),
         }
     }
-
-    /// Open a span that also records a bounded trace event with rendered
-    /// `key=value` fields when it closes (see [`crate::span!`]).
-    pub fn span_with(&self, name: &str, fields: String) -> SpanGuard {
-        SpanGuard {
-            hist: self.histogram(&format!("{SPAN_PREFIX}{name}")),
-            trace: Some((self.clone(), name.to_string(), fields)),
-            start: Instant::now(),
-        }
-    }
-}
-
-/// Open a span on a registry: `span!(reg, "fleet_gen")`, or with fields,
-/// `span!(reg, "simulate/day/lane", device = idx)`. Bind the result
-/// (`let _span = span!(…)`) — the span closes when the guard drops.
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:expr) => {
-        $registry.span($name)
-    };
-    ($registry:expr, $name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $registry.span_with(
-            $name,
-            [$(format!(concat!(stringify!($key), "={}"), $value)),+].join(" "),
-        )
-    };
 }
 
 /// One rendered row of the timing tree.
@@ -149,28 +116,6 @@ mod tests {
         let h = snap.histogram("span.stage_a").expect("span histogram");
         assert_eq!(h.count, 1);
         assert!(snap.span_secs("stage_a") >= 0.0);
-    }
-
-    #[test]
-    fn span_macro_with_fields_records_trace_event() {
-        let reg = Registry::new();
-        {
-            let _s = crate::span!(reg, "lane", device = 7, day = 2);
-        }
-        let events = reg.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].path, "lane");
-        assert_eq!(events[0].fields, "device=7 day=2");
-        assert_eq!(reg.snapshot().histogram("span.lane").unwrap().count, 1);
-    }
-
-    #[test]
-    fn plain_span_macro_records_no_trace_event() {
-        let reg = Registry::new();
-        {
-            let _s = crate::span!(reg, "quiet");
-        }
-        assert!(reg.events().is_empty());
     }
 
     #[test]

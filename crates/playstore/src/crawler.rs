@@ -14,9 +14,9 @@ use racket_types::{AppId, GoogleId, Review, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
 /// Crawl cadence from the paper.
-pub const CRAWL_PERIOD: SimDuration = SimDuration(12 * 3600);
+pub(crate) const CRAWL_PERIOD: SimDuration = SimDuration(12 * 3600);
 /// First-contact review cap from the paper.
-pub const FIRST_CRAWL_CAP: usize = 100_000;
+pub(crate) const FIRST_CRAWL_CAP: usize = 100_000;
 /// Page size per store query (an implementation knob; the paper queries
 /// "sorted by timestamp" pages).
 const PAGE: usize = 200;
@@ -51,7 +51,7 @@ impl ReviewCrawler {
     /// Crawl one app: first contact pulls up to [`FIRST_CRAWL_CAP`] newest
     /// reviews; afterwards, newest-first until a previously collected
     /// review is encountered. Returns the number of new reviews collected.
-    pub fn crawl_app(&mut self, store: &ReviewStore, app: AppId) -> usize {
+    pub(crate) fn crawl_app(&mut self, store: &ReviewStore, app: AppId) -> usize {
         let first_contact = self.known.insert(app);
         let cap = if first_contact {
             FIRST_CRAWL_CAP
@@ -120,11 +120,6 @@ impl ReviewCrawler {
     pub fn total_collected(&self) -> usize {
         self.collected.values().map(Vec::len).sum()
     }
-
-    /// Number of distinct apps crawled so far.
-    pub fn apps_crawled(&self) -> usize {
-        self.known.len()
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +142,7 @@ mod tests {
         let n = c.crawl_app(&store, AppId(1));
         assert_eq!(n, 500);
         assert_eq!(c.total_collected(), 500);
-        assert_eq!(c.apps_crawled(), 1);
+        assert_eq!(c.known.len(), 1);
     }
 
     #[test]

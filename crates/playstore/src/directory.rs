@@ -8,28 +8,17 @@
 
 use racket_types::{AccountId, GoogleId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Registry mapping Gmail accounts to their Google IDs.
 ///
 /// In the simulation, accounts are created with their Google identity at
 /// fleet-generation time; the directory is the *server-side* view that the
 /// Google-ID crawler queries, one lookup per registered Gmail address.
-/// Lookups take `&self` (the counter is atomic) so the study's assembly
-/// phase can resolve accounts from several worker threads at once.
-#[derive(Debug, Default)]
+/// Lookups take `&self`, so the study's assembly phase can resolve
+/// accounts from several worker threads at once.
+#[derive(Debug, Default, Clone)]
 pub struct GoogleIdDirectory {
     by_account: HashMap<AccountId, GoogleId>,
-    lookups: AtomicU64,
-}
-
-impl Clone for GoogleIdDirectory {
-    fn clone(&self) -> Self {
-        GoogleIdDirectory {
-            by_account: self.by_account.clone(),
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl GoogleIdDirectory {
@@ -45,24 +34,14 @@ impl GoogleIdDirectory {
 
     /// Merge every registration of `other` into this directory (used when
     /// per-device directories built in parallel are folded into the fleet
-    /// directory). Lookup counts are summed.
+    /// directory).
     pub fn absorb(&mut self, other: GoogleIdDirectory) {
         self.by_account.extend(other.by_account);
-        self.lookups
-            .fetch_add(other.lookups.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Resolve an account to its Google ID — the Gmail-search side channel.
-    /// Counts each lookup, mirroring that every resolution costs a crawl
-    /// request.
     pub fn lookup(&self, account: AccountId) -> Option<GoogleId> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
         self.by_account.get(&account).copied()
-    }
-
-    /// Number of side-channel lookups issued so far.
-    pub fn lookups_issued(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Number of registered accounts.
@@ -91,7 +70,6 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.lookup(AccountId(2)), Some(GoogleId(200)));
-        assert_eq!(a.lookups_issued(), 3);
     }
 
     #[test]
@@ -100,7 +78,6 @@ mod tests {
         d.register(AccountId(1), GoogleId(100));
         assert_eq!(d.lookup(AccountId(1)), Some(GoogleId(100)));
         assert_eq!(d.lookup(AccountId(2)), None);
-        assert_eq!(d.lookups_issued(), 2);
         assert_eq!(d.len(), 1);
         assert!(!d.is_empty());
     }

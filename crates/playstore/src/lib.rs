@@ -23,12 +23,12 @@
 
 pub mod catalog;
 pub mod crawler;
-pub mod directory;
-pub mod reviews;
+mod directory;
+mod reviews;
 pub mod virustotal;
 
 pub use catalog::{AppCatalog, CatalogConfig};
 pub use crawler::ReviewCrawler;
 pub use directory::GoogleIdDirectory;
 pub use reviews::ReviewStore;
-pub use virustotal::{VirusTotalSim, VtReport, VT_ENGINE_COUNT};
+pub use virustotal::{VirusTotalSim, VtReport};

@@ -6,7 +6,7 @@
 //! accounts registered on participant devices to the 217,041 reviews they
 //! had posted.
 
-use racket_types::{AppId, GoogleId, Rating, RatingSummary, Review, SimTime};
+use racket_types::{AppId, GoogleId, RatingSummary, Review};
 use std::collections::HashMap;
 
 /// Append-only review store with per-app and per-reviewer indexes.
@@ -127,20 +127,6 @@ impl ReviewStore {
             .unwrap_or_default()
     }
 
-    /// The review a Google ID posted for one app, if any.
-    pub fn review_for(&self, reviewer: GoogleId, app: AppId) -> Option<&Review> {
-        self.by_reviewer.get(&reviewer).and_then(|refs| {
-            refs.iter()
-                .find(|(a, _)| *a == app)
-                .map(|&(a, idx)| &self.by_app[&a][idx])
-        })
-    }
-
-    /// Apps that have at least one review.
-    pub fn reviewed_apps(&self) -> impl Iterator<Item = AppId> + '_ {
-        self.by_app.keys().copied()
-    }
-
     /// Seed `n` background reviews for an app (wider-world volume; see
     /// the `background` field).
     pub fn seed_background(&mut self, app: AppId, n: u64) {
@@ -155,19 +141,30 @@ impl ReviewStore {
     }
 }
 
-/// Convenience constructor used by tests and the fleet simulator.
-pub fn review(app: AppId, reviewer: GoogleId, t: SimTime, stars: u8) -> Review {
-    Review::new(
-        app,
-        reviewer,
-        t,
-        Rating::new(stars).expect("stars in 1..=5"),
-    )
+#[cfg(test)]
+impl ReviewStore {
+    /// Apps that have at least one review.
+    pub(crate) fn reviewed_apps(&self) -> impl Iterator<Item = AppId> + '_ {
+        self.by_app.keys().copied()
+    }
+}
+
+/// Convenience constructor for the store and crawler tests.
+#[cfg(test)]
+pub(crate) fn review(
+    app: AppId,
+    reviewer: GoogleId,
+    t: racket_types::SimTime,
+    stars: u8,
+) -> Review {
+    let rating = racket_types::Rating::new(stars).expect("stars in 1..=5");
+    Review::new(app, reviewer, t, rating)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use racket_types::SimTime;
 
     #[test]
     fn post_and_count() {
@@ -189,7 +186,11 @@ mod tests {
         assert_eq!(s.total_reviews(), 1);
         assert_eq!(s.review_count(AppId(1)), 1);
         assert_eq!(s.rating(AppId(1)), Some(5.0));
-        let r = s.review_for(GoogleId(1), AppId(1)).unwrap();
+        let r = s
+            .reviews_by(GoogleId(1))
+            .into_iter()
+            .find(|r| r.app == AppId(1))
+            .unwrap();
         assert_eq!(r.posted_at, SimTime::from_secs(99));
     }
 
@@ -221,8 +222,9 @@ mod tests {
         s.post(review(AppId(3), GoogleId(8), SimTime::from_secs(3), 2));
         assert_eq!(s.reviews_by(GoogleId(7)).len(), 2);
         assert_eq!(s.reviews_by(GoogleId(9)).len(), 0);
-        assert!(s.review_for(GoogleId(8), AppId(3)).is_some());
-        assert!(s.review_for(GoogleId(8), AppId(1)).is_none());
+        let by_8 = s.reviews_by(GoogleId(8));
+        assert!(by_8.iter().any(|r| r.app == AppId(3)));
+        assert!(!by_8.iter().any(|r| r.app == AppId(1)));
     }
 
     #[test]
@@ -252,7 +254,7 @@ mod tests {
         assert_eq!(a.public_review_count(AppId(1)), 152);
         // The reviewer index survives the merge.
         assert_eq!(a.reviews_by(GoogleId(2)).len(), 2);
-        assert!(a.review_for(GoogleId(2), AppId(2)).is_some());
+        assert!(a.reviews_by(GoogleId(2)).iter().any(|r| r.app == AppId(2)));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use racket_types::ApkHash;
 use std::collections::HashMap;
 
 /// Number of detection engines VirusTotal ran in the study.
-pub const VT_ENGINE_COUNT: u8 = 62;
+pub(crate) const VT_ENGINE_COUNT: u8 = 62;
 
 /// The ≥-flags threshold used for Figure 12's "most malicious" samples.
 pub const HIGH_CONFIDENCE_FLAGS: u8 = 7;
@@ -22,36 +22,18 @@ pub const HIGH_CONFIDENCE_FLAGS: u8 = 7;
 /// One VirusTotal report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VtReport {
-    /// Number of engines (out of [`VT_ENGINE_COUNT`]) flagging the apk.
+    /// Number of engines (out of the 62) flagging the apk.
     pub flags: u8,
-}
-
-impl VtReport {
-    /// Whether the report crosses the Figure 12 high-confidence threshold.
-    pub fn is_high_confidence_malware(&self) -> bool {
-        self.flags >= HIGH_CONFIDENCE_FLAGS
-    }
 }
 
 /// The simulated VirusTotal service.
 ///
-/// Queries take `&self` (the budget counter is atomic) so the study's
-/// assembly phase can resolve reports from several worker threads at once.
-#[derive(Debug, Default)]
+/// Queries take `&self`, so the study's assembly phase can resolve
+/// reports from several worker threads at once.
+#[derive(Debug, Default, Clone)]
 pub struct VirusTotalSim {
     reports: HashMap<ApkHash, VtReport>,
     unavailable: std::collections::HashSet<ApkHash>,
-    queries: std::sync::atomic::AtomicU64,
-}
-
-impl Clone for VirusTotalSim {
-    fn clone(&self) -> Self {
-        VirusTotalSim {
-            reports: self.reports.clone(),
-            unavailable: self.unavailable.clone(),
-            queries: std::sync::atomic::AtomicU64::new(self.queries_issued()),
-        }
-    }
 }
 
 impl VirusTotalSim {
@@ -79,33 +61,23 @@ impl VirusTotalSim {
         VirusTotalSim {
             reports,
             unavailable: unavailable.into_iter().collect(),
-            queries: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// Query one hash. `None` means VirusTotal has no report for it.
     pub fn query(&self, hash: ApkHash) -> Option<VtReport> {
-        self.queries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if self.unavailable.contains(&hash) {
             return None;
         }
         self.reports.get(&hash).copied()
     }
+}
 
-    /// Number of queries issued (the study's research-license budget).
-    pub fn queries_issued(&self) -> u64 {
-        self.queries.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of hashes with available reports.
-    pub fn available_count(&self) -> usize {
-        self.reports.len()
-            - self
-                .reports
-                .keys()
-                .filter(|h| self.unavailable.contains(h))
-                .count()
+#[cfg(test)]
+impl VtReport {
+    /// Whether the report crosses the Figure 12 high-confidence threshold.
+    pub(crate) fn is_high_confidence_malware(&self) -> bool {
+        self.flags >= HIGH_CONFIDENCE_FLAGS
     }
 }
 
@@ -126,8 +98,10 @@ mod tests {
         assert!(m.is_high_confidence_malware());
         assert_eq!(vt.query(h(3)), None, "coverage gap");
         assert_eq!(vt.query(h(9)), None, "never-seen hash");
-        assert_eq!(vt.queries_issued(), 4);
-        assert_eq!(vt.available_count(), 2);
+        let available = [h(1), h(2), h(3)]
+            .into_iter()
+            .filter(|&x| vt.query(x).is_some());
+        assert_eq!(available.count(), 2);
     }
 
     #[test]

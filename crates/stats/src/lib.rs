@@ -18,17 +18,16 @@
 
 #![deny(missing_docs)]
 
-pub mod descriptive;
-pub mod rank;
+mod descriptive;
+mod rank;
 pub mod special;
-pub mod tests;
+mod tests;
 
 pub use descriptive::{quantile, Summary};
-pub use rank::{average_ranks, tie_correction};
 pub use tests::{
     anova_oneway, fligner_killeen, jaccard, kruskal_wallis, ks_2samp, mann_whitney_u, shapiro_wilk,
     TestOutcome,
 };
 
 /// Conventional significance level used throughout the paper (p < 0.05).
-pub const ALPHA: f64 = 0.05;
+pub(crate) const ALPHA: f64 = 0.05;

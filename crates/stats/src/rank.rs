@@ -3,7 +3,7 @@
 /// Midranks (1-based average ranks) of a sample, ties receiving the average
 /// of the positions they span — the convention used by Kruskal–Wallis,
 /// Mann–Whitney and Fligner–Killeen.
-pub fn average_ranks(data: &[f64]) -> Vec<f64> {
+pub(crate) fn average_ranks(data: &[f64]) -> Vec<f64> {
     let n = data.len();
     let mut idx: Vec<usize> = (0..n).collect();
     idx.sort_by(|&a, &b| data[a].partial_cmp(&data[b]).expect("NaN in sample"));
@@ -25,7 +25,7 @@ pub fn average_ranks(data: &[f64]) -> Vec<f64> {
 }
 
 /// Tie sizes in a sample: the multiplicities `t_i > 1` of repeated values.
-pub fn tie_sizes(data: &[f64]) -> Vec<usize> {
+pub(crate) fn tie_sizes(data: &[f64]) -> Vec<usize> {
     let mut sorted = data.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
     let mut ties = Vec::new();
@@ -46,7 +46,7 @@ pub fn tie_sizes(data: &[f64]) -> Vec<usize> {
 /// Kruskal–Wallis tie-correction factor `1 − Σ(t³−t) / (N³−N)`.
 ///
 /// Equals 1 with no ties; the H statistic is divided by this factor.
-pub fn tie_correction(data: &[f64]) -> f64 {
+pub(crate) fn tie_correction(data: &[f64]) -> f64 {
     let n = data.len() as f64;
     if n < 2.0 {
         return 1.0;

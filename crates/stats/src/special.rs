@@ -16,7 +16,7 @@ const FPMIN: f64 = 1e-300;
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
 ///
 /// Valid for `x > 0`; absolute error below 1e-13 over the tested range.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Lanczos coefficients for g = 7.
     const COEF: [f64; 9] = [
@@ -48,7 +48,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// `P(a, x) = γ(a, x) / Γ(a)`; the chi-square CDF with `k` degrees of
 /// freedom is `P(k/2, x/2)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;
@@ -61,7 +61,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_q domain: a > 0, x >= 0");
     if x == 0.0 {
         return 1.0;
@@ -121,7 +121,7 @@ fn gamma_q_contfrac(a: f64, x: f64) -> f64 {
 ///
 /// The F-distribution CDF with `(d1, d2)` degrees of freedom at `f` is
 /// `I_{d1 f / (d1 f + d2)}(d1/2, d2/2)`.
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta_inc domain: a, b > 0");
     assert!(
         (0.0..=1.0).contains(&x),
@@ -191,20 +191,8 @@ fn beta_contfrac(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Error function, via the regularized incomplete gamma (`erf(x) =
-/// P(1/2, x²)` for `x >= 0`, odd extension otherwise).
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        gamma_p(0.5, x * x)
-    } else {
-        -gamma_p(0.5, x * x)
-    }
-}
-
 /// Complementary error function `1 - erf(x)` with better tail accuracy.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x >= 0.0 {
         gamma_q(0.5, x * x)
     } else {
@@ -288,7 +276,7 @@ pub fn chi2_cdf(x: f64, df: f64) -> f64 {
 }
 
 /// Upper-tail probability of the chi-square distribution.
-pub fn chi2_sf(x: f64, df: f64) -> f64 {
+pub(crate) fn chi2_sf(x: f64, df: f64) -> f64 {
     assert!(df > 0.0, "chi2_sf needs df > 0");
     if x <= 0.0 {
         1.0
@@ -308,7 +296,7 @@ pub fn f_cdf(f: f64, d1: f64, d2: f64) -> f64 {
 }
 
 /// Upper-tail probability of the F distribution (the ANOVA p-value).
-pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
+pub(crate) fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
     1.0 - f_cdf(f, d1, d2)
 }
 
@@ -317,7 +305,7 @@ pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
 ///
 /// This is the asymptotic p-value of the two-sample KS statistic after the
 /// effective-sample-size scaling.
-pub fn kolmogorov_sf(lambda: f64) -> f64 {
+pub(crate) fn kolmogorov_sf(lambda: f64) -> f64 {
     if lambda <= 0.0 {
         return 1.0;
     }
@@ -336,6 +324,19 @@ pub fn kolmogorov_sf(lambda: f64) -> f64 {
         sign = -sign;
     }
     (2.0 * sum).clamp(0.0, 1.0)
+}
+
+/// Error function, via the regularized incomplete gamma (`erf(x) =
+/// P(1/2, x²)` for `x >= 0`, odd extension otherwise).
+#[cfg(test)]
+pub(crate) fn erf(x: f64) -> f64 {
+    if x == 0.0 {
+        0.0
+    } else if x > 0.0 {
+        gamma_p(0.5, x * x)
+    } else {
+        -gamma_p(0.5, x * x)
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! kernels those signals are computed from, with zero dependencies so the
 //! hot ingest path stays self-contained:
 //!
-//! * [`token_hashes`] — ASCII word tokenization with case-folded hashing;
-//! * [`shingle_hashes`] — `k`-word shingle hashes over a token stream;
+//! * `token` — ASCII word tokenization with case-folded hashing;
+//! * `shingle` — `k`-word shingle hashes over a token stream;
 //! * [`simhash64`] / [`hamming`] — 64-bit SimHash over shingle sets;
 //! * [`sentiment_score`] — a compile-time hashed positive/negative lexicon;
 //! * [`TextSketch`] — the per-install streaming fold: the set of
@@ -37,7 +37,6 @@ mod token;
 
 pub use index::{NearDupIndex, NearDupScan};
 pub use sentiment::sentiment_score;
-pub use shingle::{mix64, shingle_hashes};
+pub use shingle::mix64;
 pub use simhash::{hamming, simhash64, simhash64_of_text};
 pub use sketch::{ReviewRow, TextSketch};
-pub use token::{token_count, token_hashes};

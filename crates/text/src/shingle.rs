@@ -73,7 +73,8 @@ pub(crate) fn for_each_token_and_shingle(
 
 /// The shingle hashes of `text`, collected (test/diagnostic convenience;
 /// hot paths fold the scan without collecting).
-pub fn shingle_hashes(text: &str, k: usize) -> Vec<u64> {
+#[cfg(test)]
+pub(crate) fn shingle_hashes(text: &str, k: usize) -> Vec<u64> {
     let mut out = Vec::new();
     for_each_shingle(text, k, |s| out.push(s));
     out

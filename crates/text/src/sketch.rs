@@ -109,7 +109,8 @@ impl TextSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sentiment_score, shingle_hashes, simhash64};
+    use crate::shingle::shingle_hashes;
+    use crate::{sentiment_score, simhash64};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

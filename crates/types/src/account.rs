@@ -71,12 +71,6 @@ impl AccountService {
         matches!(self, AccountService::Gmail)
     }
 
-    /// Whether the service is ASO-support tooling rather than a consumer
-    /// service (DualSpace for multi-install, Freelancer for job sourcing).
-    pub fn is_aso_tooling(self) -> bool {
-        matches!(self, AccountService::DualSpace | AccountService::Freelancer)
-    }
-
     /// The services a *regular* device plausibly registers, in rough order
     /// of popularity; used by the persona models.
     pub fn consumer_services() -> &'static [AccountService] {
@@ -146,6 +140,15 @@ impl RegisteredAccount {
             service,
             google_id: None,
         }
+    }
+}
+
+#[cfg(test)]
+impl AccountService {
+    /// Whether the service is ASO-support tooling rather than a consumer
+    /// service (DualSpace for multi-install, Freelancer for job sourcing).
+    pub(crate) fn is_aso_tooling(self) -> bool {
+        matches!(self, AccountService::DualSpace | AccountService::Freelancer)
     }
 }
 

@@ -80,13 +80,6 @@ pub enum AppCategory {
     System,
 }
 
-impl AppCategory {
-    /// Whether apps in this category ship with the device image.
-    pub fn is_preinstalled(self) -> bool {
-        matches!(self, AppCategory::System)
-    }
-}
-
 /// Catalog-level metadata of an app (the store's view; per-device state
 /// lives in [`InstalledApp`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,6 +149,14 @@ impl InstalledApp {
             stopped: true,
             preinstalled: false,
         }
+    }
+}
+
+#[cfg(test)]
+impl AppCategory {
+    /// Whether apps in this category ship with the device image.
+    pub(crate) fn is_preinstalled(self) -> bool {
+        matches!(self, AppCategory::System)
     }
 }
 

@@ -93,9 +93,6 @@ newtype_id!(
 );
 
 impl ParticipantId {
-    /// Number of digits in a participant code.
-    pub const DIGITS: u32 = 6;
-
     /// Whether the raw value is a valid 6-digit code (100000..=999999).
     pub fn is_valid(self) -> bool {
         (100_000..=999_999).contains(&self.0)
@@ -103,9 +100,6 @@ impl ParticipantId {
 }
 
 impl InstallId {
-    /// Number of digits in an install ID.
-    pub const DIGITS: u32 = 10;
-
     /// Whether the raw value fits in 10 decimal digits.
     pub fn is_valid(self) -> bool {
         self.0 >= 1_000_000_000 && self.0 <= 9_999_999_999

@@ -14,16 +14,16 @@
 
 #![deny(missing_docs)]
 
-pub mod account;
-pub mod app;
-pub mod event;
-pub mod id;
+mod account;
+mod app;
+mod event;
+mod id;
 pub mod metrics;
 pub mod online;
-pub mod permission;
-pub mod review;
+mod permission;
+mod review;
 pub mod snapshot;
-pub mod time;
+mod time;
 
 pub use account::{AccountId, AccountService, RegisteredAccount};
 pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};

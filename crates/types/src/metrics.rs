@@ -84,19 +84,19 @@ pub mod keys {
     /// Counter: duplicate/stale frames discarded by sequence-checked codecs.
     pub const STALE_FRAMES: &str = "wire.stale_frames";
     /// Counter: injected frame drops.
-    pub const FAULT_DROPPED: &str = "fault.dropped";
+    pub(crate) const FAULT_DROPPED: &str = "fault.dropped";
     /// Counter: injected frame duplications.
-    pub const FAULT_DUPLICATED: &str = "fault.duplicated";
+    pub(crate) const FAULT_DUPLICATED: &str = "fault.duplicated";
     /// Counter: injected frame reorderings.
-    pub const FAULT_REORDERED: &str = "fault.reordered";
+    pub(crate) const FAULT_REORDERED: &str = "fault.reordered";
     /// Counter: injected frame truncations.
-    pub const FAULT_TRUNCATED: &str = "fault.truncated";
+    pub(crate) const FAULT_TRUNCATED: &str = "fault.truncated";
     /// Counter: injected bit corruptions.
-    pub const FAULT_CORRUPTED: &str = "fault.corrupted";
+    pub(crate) const FAULT_CORRUPTED: &str = "fault.corrupted";
     /// Counter: injected connection resets.
-    pub const FAULT_DISCONNECTED: &str = "fault.disconnected";
+    pub(crate) const FAULT_DISCONNECTED: &str = "fault.disconnected";
     /// Counter: injected indefinite stalls.
-    pub const FAULT_STALLED: &str = "fault.stalled";
+    pub(crate) const FAULT_STALLED: &str = "fault.stalled";
     /// Span: campaign detection over the incremental (streaming) sketches
     /// at study-assemble time.
     pub const SPAN_CAMPAIGN_INCREMENTAL: &str = "campaign/incremental";
@@ -293,7 +293,7 @@ impl PipelineMetrics {
     }
 
     /// Ingestion throughput over the simulate stage, in snapshots/second.
-    pub fn snapshots_per_sec(&self) -> f64 {
+    pub(crate) fn snapshots_per_sec(&self) -> f64 {
         if self.simulate_secs > 0.0 {
             self.snapshots_ingested as f64 / self.simulate_secs
         } else {

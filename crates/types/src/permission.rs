@@ -137,7 +137,7 @@ impl Permission {
     }
 
     /// The `android.permission.*` style name.
-    pub fn android_name(self) -> &'static str {
+    pub(crate) fn android_name(self) -> &'static str {
         use Permission::*;
         match self {
             Internet => "android.permission.INTERNET",
@@ -240,10 +240,13 @@ impl PermissionProfile {
             self.dangerous_count() as f64 / self.total() as f64
         }
     }
+}
 
+#[cfg(test)]
+impl PermissionProfile {
     /// Internal consistency: granted/denied sets are disjoint, dangerous,
     /// and subsets of the requested set.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         let dangerous_subset = |set: &[Permission]| {
             set.iter()
                 .all(|p| p.is_dangerous() && self.requested.contains(p))

@@ -18,8 +18,6 @@ pub struct Rating(u8);
 impl Rating {
     /// One star.
     pub const ONE: Rating = Rating(1);
-    /// Three stars.
-    pub const THREE: Rating = Rating(3);
     /// Four stars.
     pub const FOUR: Rating = Rating(4);
     /// Five stars — the rating paid reviews overwhelmingly carry (§2).
@@ -120,7 +118,7 @@ mod tests {
     fn rating_bounds() {
         assert!(Rating::new(0).is_none());
         assert!(Rating::new(6).is_none());
-        assert_eq!(Rating::new(3), Some(Rating::THREE));
+        assert_eq!(Rating::new(3).map(Rating::stars), Some(3));
         assert_eq!(Rating::FIVE.stars(), 5);
         assert_eq!(Rating::FIVE.to_string(), "5★");
     }

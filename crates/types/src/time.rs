@@ -10,11 +10,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Seconds in one minute.
-pub const MINUTE: u64 = 60;
+pub(crate) const MINUTE: u64 = 60;
 /// Seconds in one hour.
-pub const HOUR: u64 = 3_600;
+pub(crate) const HOUR: u64 = 3_600;
 /// Seconds in one day.
-pub const DAY: u64 = 86_400;
+pub(crate) const DAY: u64 = 86_400;
 
 /// A point in simulated time, in whole seconds since the study epoch.
 ///
@@ -134,11 +134,6 @@ impl SimDuration {
     pub fn as_days(self) -> f64 {
         self.0 as f64 / DAY as f64
     }
-
-    /// The span in fractional hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -213,14 +208,14 @@ mod tests {
         assert_eq!(SimTime::from_hours(3).as_secs(), 3 * HOUR);
         assert_eq!(SimTime::from_mins(5).as_secs(), 300);
         assert_eq!(SimDuration::from_days(1).as_days(), 1.0);
-        assert_eq!(SimDuration::from_hours(2).as_hours(), 2.0);
+        assert_eq!(SimDuration::from_hours(2).0, 2 * HOUR);
     }
 
     #[test]
     fn arithmetic() {
         let t = SimTime::from_days(1) + SimDuration::from_hours(6);
         assert_eq!(t.as_secs(), DAY + 6 * HOUR);
-        assert_eq!((t - SimTime::from_days(1)).as_hours(), 6.0);
+        assert_eq!((t - SimTime::from_days(1)).0, 6 * HOUR);
         assert_eq!(t.day_index(), 1);
     }
 

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 /// sorted key order so the fingerprint reflects *data*, never iteration
 /// order. Includes the full server stats — the right choice when comparing
 /// runs over the *same* path and fault plan (thread invariance).
-pub fn fingerprint(out: &StudyOutput) -> String {
+pub(crate) fn fingerprint(out: &StudyOutput) -> String {
     let mut s = data_fingerprint(out);
     let st = &out.server_stats;
     write!(s, " files={} dup_files={}", st.files, st.dup_files).unwrap();
@@ -39,7 +39,7 @@ pub fn fingerprint(out: &StudyOutput) -> String {
 /// across paths and fault plans: everything in it must be byte-identical
 /// between a direct run, a clean wire run and any survivable
 /// hostile-network run.
-pub fn data_fingerprint(out: &StudyOutput) -> String {
+pub(crate) fn data_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
     for (obs, truth) in out.observations.iter().zip(&out.truth) {
         let r = &obs.record;
@@ -106,7 +106,7 @@ pub fn data_fingerprint(out: &StudyOutput) -> String {
 /// matrix compares this across paths, thread counts and fault plans:
 /// streaming state recovered from a hostile network must be
 /// byte-identical to a clean run's.
-pub fn streaming_fingerprint(out: &StudyOutput) -> String {
+pub(crate) fn streaming_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
     for (obs, stream) in out.observations.iter().zip(&out.streaming) {
         let r = &obs.record;
@@ -146,7 +146,7 @@ pub fn streaming_fingerprint(out: &StudyOutput) -> String {
 /// `f64`-bit-identical to the batch formulas recomputed from the raw
 /// assembled observation — the differential contract of the streaming
 /// engine (ARCHITECTURE.md §7). `context` names the scenario in failures.
-pub fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
+pub(crate) fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
     assert_eq!(
         out.streaming.len(),
         out.observations.len(),
@@ -191,7 +191,7 @@ pub fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
 }
 
 /// Completions of the span named `stage` in the study's registry so far.
-pub fn span_count(out: &StudyOutput, stage: &str) -> u64 {
+pub(crate) fn span_count(out: &StudyOutput, stage: &str) -> u64 {
     let name = format!("{}{stage}", racket_obs::SPAN_PREFIX);
     out.obs.snapshot().histogram(&name).map_or(0, |h| h.count)
 }
@@ -205,7 +205,7 @@ pub fn span_count(out: &StudyOutput, stage: &str) -> u64 {
 ///
 /// The comparison rebuilds once, so it also holds the `campaign/text_rebuild`
 /// span to its meaning: one completion per `batch_text_sketches` call.
-pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) -> String {
+pub(crate) fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) -> String {
     let before = span_count(out, keys::SPAN_TEXT_REBUILD);
     let streamed = racketstore::text::streaming_text_fingerprint(out);
     assert_eq!(
@@ -225,7 +225,7 @@ pub fn assert_text_stream_equals_batch(out: &StudyOutput, context: &str) -> Stri
 /// Everything else (fleet, cadence, seed) is byte-identical to
 /// [`small_config`], which is what the text-off twin of the scenario
 /// table (`tests/scenario/mod.rs`) relies on.
-pub fn text_config(path: CollectionPath) -> StudyConfig {
+pub(crate) fn text_config(path: CollectionPath) -> StudyConfig {
     let mut config = small_config(path);
     config.fleet.review_text = true;
     config
@@ -234,7 +234,7 @@ pub fn text_config(path: CollectionPath) -> StudyConfig {
 /// [`campaign_config`] with review text enabled: campaign workers post
 /// template-shared review text, so the near-duplicate index has real
 /// cross-account structure to find.
-pub fn text_campaign_config(
+pub(crate) fn text_campaign_config(
     path: CollectionPath,
     n: usize,
     pacing: racket_agents::PacingStrategy,
@@ -246,7 +246,7 @@ pub fn text_campaign_config(
 
 /// [`small_config`] with `n` coordinated campaigns scheduled under the
 /// given pacing — the configuration of the lockstep-detection suites.
-pub fn campaign_config(
+pub(crate) fn campaign_config(
     path: CollectionPath,
     n: usize,
     pacing: racket_agents::PacingStrategy,
@@ -277,7 +277,7 @@ impl Drop for RestoreThreads {
 /// the count the environment set. Every call holds one process-wide lock,
 /// so tests in one binary may run concurrently without ever seeing each
 /// other's pins.
-pub fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
+pub(crate) fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
     // A test that panicked inside `f` still restored the variable on
     // unwind, so a poisoned lock guards nothing stale.
     let _serial = THREADS
@@ -293,7 +293,7 @@ pub fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
 /// A deliberately small configuration so repeated full study runs stay
 /// cheap in debug builds; none of the equivalence contracts depends on
 /// scale.
-pub fn small_config(path: CollectionPath) -> StudyConfig {
+pub(crate) fn small_config(path: CollectionPath) -> StudyConfig {
     let mut fleet = FleetConfig::test_scale();
     fleet.n_regular = 8;
     fleet.n_organic = 8;

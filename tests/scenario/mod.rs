@@ -105,7 +105,7 @@ use std::fmt::Write;
 use CollectionPath::{AsyncWire, Direct, Wire};
 
 /// (path, fault plan, worker threads).
-pub type Row = (CollectionPath, &'static str, Option<&'static str>);
+pub(crate) type Row = (CollectionPath, &'static str, Option<&'static str>);
 
 fn plan(fault: &str) -> FaultPlan {
     match fault {
@@ -124,7 +124,7 @@ fn plan(fault: &str) -> FaultPlan {
 
 /// The first value each fingerprint took; later rows must match it.
 #[derive(Default)]
-pub struct Canon(BTreeMap<String, String>);
+pub(crate) struct Canon(BTreeMap<String, String>);
 
 impl Canon {
     fn pin(&mut self, key: String, value: String, context: &str) {
@@ -145,7 +145,7 @@ impl Canon {
     /// Text-off twin of the direct rows: generating review text draws from
     /// its own keyed stream family, so switching it off changes nothing the
     /// other fingerprints can see, and leaves no review text behind.
-    pub fn check_text_off_twin(&mut self) {
+    pub(crate) fn check_text_off_twin(&mut self) {
         let off = with_threads(None, || {
             Study::new(campaign_config(Direct, 2, PacingStrategy::Burst)).run()
         });
@@ -162,7 +162,7 @@ impl Canon {
 
 /// Run each row's study once and check every contract that applies to it;
 /// returns the fingerprints the slice pinned.
-pub fn check(rows: &[Row]) -> Canon {
+pub(crate) fn check(rows: &[Row]) -> Canon {
     let mut canon = Canon::default();
     for &(path, fault, threads) in rows {
         let context = format!("{path:?}/{fault} @ {}", threads.unwrap_or("ambient"));
@@ -282,7 +282,7 @@ fn assert_delivery_evidence(out: &StudyOutput, path: CollectionPath, fault: &str
 }
 
 /// Assert the columnar store is an exact projection of the row records.
-pub fn assert_columnar_mirrors_records(out: &StudyOutput, context: &str) {
+pub(crate) fn assert_columnar_mirrors_records(out: &StudyOutput, context: &str) {
     assert_eq!(
         out.columnar.n_installs(),
         out.observations.len(),
