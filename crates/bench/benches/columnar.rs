@@ -105,16 +105,15 @@ fn bench_batch_scoring(c: &mut Criterion) {
     let (x, y) = dataset(2000, 14);
     let mut m = GradientBoosting::new(GradientBoostingParams::default());
     m.fit(&x, &y);
-    let model = racket_ml::Model::Xgb(m);
     let flat = FlatMatrix::from_rows(&x);
     let mut g = c.benchmark_group("columnar/score");
     g.bench_function("batch_2000", |b| {
-        b.iter(|| model.score_batch(std::hint::black_box(&flat)))
+        b.iter(|| m.predict_proba_batch(std::hint::black_box(&flat)))
     });
     g.bench_function("per_row_2000", |b| {
         b.iter(|| {
             x.iter()
-                .map(|r| model.score(std::hint::black_box(r)))
+                .map(|r| m.predict_proba(std::hint::black_box(r)))
                 .collect::<Vec<f64>>()
         })
     });

@@ -106,19 +106,6 @@ impl FlatMatrix {
         m
     }
 
-    /// Rebuild from raw parts (the persistence path).
-    ///
-    /// # Panics
-    /// If `data.len() != n_rows * n_cols`.
-    pub fn from_parts(data: Vec<f64>, n_rows: usize, n_cols: usize) -> FlatMatrix {
-        assert_eq!(data.len(), n_rows * n_cols, "flat matrix shape mismatch");
-        FlatMatrix {
-            data,
-            n_rows,
-            n_cols,
-        }
-    }
-
     /// Append one row.
     ///
     /// # Panics

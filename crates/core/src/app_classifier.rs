@@ -251,10 +251,10 @@ impl AppClassifier {
         self.model.predict_proba(&app_features(obs, app))
     }
 
-    /// Export the fitted model as a serializable [`racket_ml::Model`] for
-    /// the live detection service (ARCHITECTURE.md §7).
-    pub(crate) fn export(&self) -> racket_ml::Model {
-        racket_ml::Model::Xgb(self.model.clone())
+    /// The fitted ensemble, for the live detection service to adopt
+    /// (ARCHITECTURE.md §7).
+    pub(crate) fn model(&self) -> &GradientBoosting {
+        &self.model
     }
 
     /// Fraction of the device's observed apps flagged as promotion-used —

@@ -6,9 +6,10 @@
 //! surface:
 //!
 //! * [`DetectionService`] bundles the fitted §7 app model and §8 device
-//!   model behind the `racket-ml` RKML codec, so a trained service can be
-//!   serialized, shipped, and restored with byte-exact behaviour
-//!   ([`DetectionService::to_bytes`] / [`DetectionService::from_bytes`]).
+//!   model — two gradient-boosted ensembles — behind the `racket-ml` RKML
+//!   codec, so a trained service can be serialized, shipped, and restored
+//!   with byte-exact behaviour ([`DetectionService::to_bytes`] /
+//!   [`DetectionService::from_bytes`]).
 //! * [`DetectionService::prime`] folds the streaming feature state that
 //!   `Study::run` maintained at ingest time into cached per-device vectors
 //!   (one app-model pass per observed app — the same work the batch path
@@ -30,26 +31,31 @@
 //!
 //! Both paths score through `racket-columnar`: feature vectors are packed
 //! into contiguous [`FlatMatrix`] rows and classified by one
-//! [`Model::score_batch`] pass per matrix, which is bitwise-equal per row
-//! to calling [`Model::score`] (the row→column equivalence contract,
-//! ARCHITECTURE.md §9) — `tests/matrix.rs` holds the verdicts to that.
+//! [`GradientBoosting::predict_proba_batch`] pass per matrix, which is
+//! bitwise-equal per row to calling `predict_proba` (the row→column
+//! equivalence contract, ARCHITECTURE.md §9) — `tests/matrix.rs` holds
+//! the verdicts to that.
 
 use crate::app_classifier::AppClassifier;
 use crate::device_classifier::DEDICATED_SUSPICIOUSNESS;
 use crate::study::StudyOutput;
 use racket_columnar::FlatMatrix;
 use racket_features::{app_features, device_features};
-use racket_ml::{Model, PersistError};
+use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, PersistError};
 use racket_types::metrics::keys;
 
 /// Batch-score a flat matrix of per-(device, app) feature vectors and
 /// reduce each device's segment to its suspiciousness ratio (flagged /
 /// observed apps; 0 for app-less devices). `counts[i]` is device `i`'s
 /// segment length. The per-row probabilities are bitwise what
-/// [`Model::score`] returns, and counting flagged apps is
+/// `predict_proba` returns, and counting flagged apps is
 /// order-invariant, so the ratios match the per-row loop exactly.
-fn suspiciousness_from_segments(model: &Model, vectors: &FlatMatrix, counts: &[usize]) -> Vec<f64> {
-    let scores = model.score_batch(vectors);
+fn suspiciousness_from_segments(
+    model: &GradientBoosting,
+    vectors: &FlatMatrix,
+    counts: &[usize],
+) -> Vec<f64> {
+    let scores = model.predict_proba_batch(vectors);
     let mut offset = 0;
     counts
         .iter()
@@ -69,8 +75,8 @@ fn suspiciousness_from_segments(model: &Model, vectors: &FlatMatrix, counts: &[u
 /// from streaming state or from a batch re-scan.
 #[derive(Debug)]
 pub struct DetectionService {
-    app_model: Model,
-    device_model: Model,
+    app_model: GradientBoosting,
+    device_model: GradientBoosting,
 }
 
 /// Cached per-device scoring state built from streaming feature state by
@@ -103,30 +109,17 @@ impl DeviceVerdict {
 }
 
 impl DetectionService {
-    /// Assemble a service from already-fitted models.
-    ///
-    /// The app model must consume §7 app feature vectors and the device
-    /// model §8 device feature vectors; [`DetectionService::train`] is the
-    /// usual constructor.
-    pub fn from_parts(app_model: Model, device_model: Model) -> DetectionService {
-        DetectionService {
-            app_model,
-            device_model,
-        }
-    }
-
     /// Train the service's device model on a labeled device dataset and
     /// adopt the app classifier that produced its suspiciousness column.
     pub fn train(
         app_classifier: &AppClassifier,
         device_dataset: &crate::device_classifier::DeviceDataset,
     ) -> DetectionService {
-        use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams};
         let mut device = GradientBoosting::new(GradientBoostingParams::default());
         device.fit(&device_dataset.data.x, &device_dataset.data.y);
         DetectionService {
-            app_model: app_classifier.export(),
-            device_model: Model::Xgb(device),
+            app_model: app_classifier.model().clone(),
+            device_model: device,
         }
     }
 
@@ -148,15 +141,13 @@ impl DetectionService {
     /// Corrupted or truncated input returns `Err`, never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<DetectionService, PersistError> {
         fn split_blob(bytes: &[u8]) -> Result<(&[u8], &[u8]), PersistError> {
-            if bytes.len() < 8 {
-                return Err(PersistError::Truncated);
-            }
-            let len = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte slice")) as usize;
-            let rest = &bytes[8..];
-            if rest.len() < len {
-                return Err(PersistError::Truncated);
-            }
-            Ok(rest.split_at(len))
+            let (len, rest) = bytes
+                .split_first_chunk::<8>()
+                .ok_or(PersistError::Truncated)?;
+            usize::try_from(u64::from_le_bytes(*len))
+                .ok()
+                .and_then(|len| rest.split_at_checked(len))
+                .ok_or(PersistError::Truncated)
         }
         let (app, rest) = split_blob(bytes)?;
         let (dev, tail) = split_blob(rest)?;
@@ -164,8 +155,8 @@ impl DetectionService {
             return Err(PersistError::Malformed("trailing bytes after device model"));
         }
         Ok(DetectionService {
-            app_model: Model::from_bytes(app)?,
-            device_model: Model::from_bytes(dev)?,
+            app_model: GradientBoosting::from_bytes(app)?,
+            device_model: GradientBoosting::from_bytes(dev)?,
         })
     }
 
@@ -215,7 +206,7 @@ impl DetectionService {
         let _span = out.obs.span(keys::SPAN_SCORE_STREAM);
         let vectors = FlatMatrix::from_rows(&primed.device_vectors);
         self.device_model
-            .score_batch(&vectors)
+            .predict_proba_batch(&vectors)
             .into_iter()
             .zip(&primed.suspiciousness)
             .map(|(proba, &suspiciousness)| DeviceVerdict {
@@ -257,7 +248,7 @@ impl DetectionService {
             .collect();
         let device_vectors = FlatMatrix::from_rows(&device_vectors);
         self.device_model
-            .score_batch(&device_vectors)
+            .predict_proba_batch(&device_vectors)
             .into_iter()
             .zip(&suspiciousness)
             .map(|(proba, &suspiciousness)| DeviceVerdict {

@@ -3,7 +3,6 @@
 //! "RF" in Tables 1 and 2 of the paper. Importance is the mean decrease in
 //! Gini across trees, the measure plotted in Figures 13 and 14.
 
-use crate::persist::{PersistError, Reader, Writer};
 use crate::tree::{DecisionTree, DecisionTreeParams};
 use crate::{Classifier, FeatureImportance};
 use rand::rngs::StdRng;
@@ -124,48 +123,6 @@ impl FeatureImportance for RandomForest {
             return acc;
         }
         acc.iter().map(|v| v / total).collect()
-    }
-}
-
-impl RandomForest {
-    /// Encode the fitted forest (params + member trees).
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.params.n_trees);
-        w.usize(self.params.max_depth);
-        w.usize(self.params.min_samples_split);
-        w.usize(self.params.min_samples_leaf);
-        w.opt_usize(self.params.max_features);
-        w.u64(self.params.seed);
-        w.usize(self.trees.len());
-        for tree in &self.trees {
-            tree.write_to(w);
-        }
-        w.usize(self.n_features);
-    }
-
-    /// Decode a forest written by [`RandomForest::write_to`].
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let params = RandomForestParams {
-            n_trees: r.usize()?,
-            max_depth: r.usize()?,
-            min_samples_split: r.usize()?,
-            min_samples_leaf: r.usize()?,
-            max_features: r.opt_usize()?,
-            seed: r.u64()?,
-        };
-        let n_trees = r.len(1)?;
-        if n_trees == 0 {
-            return Err(PersistError::Malformed("forest without trees"));
-        }
-        let trees = (0..n_trees)
-            .map(|_| DecisionTree::read_from(r))
-            .collect::<Result<Vec<_>, _>>()?;
-        let n_features = r.usize()?;
-        Ok(RandomForest {
-            params,
-            trees,
-            n_features,
-        })
     }
 }
 

@@ -481,7 +481,7 @@ impl GradientBoosting {
     ///
     /// # Panics
     /// If the ensemble is unfitted.
-    pub(crate) fn predict_proba_batch(&self, x: &FlatMatrix) -> Vec<f64> {
+    pub fn predict_proba_batch(&self, x: &FlatMatrix) -> Vec<f64> {
         assert!(!self.trees.is_empty(), "predict on unfitted ensemble");
         let mut z = vec![self.base_score; x.n_rows()];
         for t in &self.trees {
@@ -615,8 +615,8 @@ impl FeatureImportance for GradientBoosting {
 }
 
 impl GradientBoosting {
-    /// Encode the fitted ensemble (params, trees, base score,
-    /// importances).
+    /// Encode the fitted ensemble as the RKML payload (params, trees,
+    /// base score, importances).
     pub(crate) fn write_to(&self, w: &mut Writer) {
         w.usize(self.params.n_rounds);
         w.usize(self.params.max_depth);
@@ -656,7 +656,7 @@ impl GradientBoosting {
         w.usize(self.n_features);
     }
 
-    /// Decode an ensemble written by [`GradientBoosting::write_to`],
+    /// Decode an RKML payload written by [`GradientBoosting::write_to`],
     /// re-validating the constructor invariants so hostile bytes error
     /// instead of panicking.
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -845,11 +845,6 @@ mod tests {
         });
     }
 
-    /// Serialize a fitted ensemble for byte-level comparison.
-    fn bytes_of(m: &GradientBoosting) -> Vec<u8> {
-        crate::Model::Xgb(m.clone()).to_bytes()
-    }
-
     #[test]
     fn columnar_fit_matches_reference_bitwise() {
         // Integer-ish features force heavy ties — the case where the
@@ -866,8 +861,8 @@ mod tests {
         columnar.fit(&x, &y);
         reference.fit_reference(&x, &y);
         assert_eq!(
-            bytes_of(&columnar),
-            bytes_of(&reference),
+            columnar.to_bytes(),
+            reference.to_bytes(),
             "columnar and reference fits must serialize identically"
         );
         for row in &x {
@@ -953,7 +948,7 @@ mod tests {
                 let mut reference = GradientBoosting::new(params);
                 columnar.fit(&x, &y);
                 reference.fit_reference(&x, &y);
-                prop_assert_eq!(bytes_of(&columnar), bytes_of(&reference));
+                prop_assert_eq!(columnar.to_bytes(), reference.to_bytes());
                 let bits = |m: &GradientBoosting| -> Vec<u64> {
                     m.feature_importances().iter().map(|v| v.to_bits()).collect()
                 };

@@ -8,11 +8,9 @@
 //! contiguous row-major buffer — so the distance loop streams through
 //! memory instead of chasing a `Vec<Vec<f64>>` pointer per neighbour.
 //! Distances use [`racket_columnar::sq_dist`], whose fold order is the
-//! row-oriented expression's, so predictions (and the RKML byte format)
-//! are unchanged by the layout.
+//! row-oriented expression's, so predictions are unchanged by the layout.
 
 use crate::dataset::Standardizer;
-use crate::persist::{PersistError, Reader, Writer};
 use crate::Classifier;
 use racket_columnar::{sq_dist, FlatMatrix};
 
@@ -74,60 +72,6 @@ impl Classifier for KNearestNeighbors {
 
     fn name(&self) -> &'static str {
         "KNN"
-    }
-}
-
-impl KNearestNeighbors {
-    /// Encode the classifier (k, training set, scaler). The byte layout
-    /// predates the flat-matrix storage and is unchanged by it: row
-    /// count, column count, then row-major `f64`s.
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.k);
-        w.usize(self.train_x.n_rows());
-        w.usize(self.train_x.n_cols());
-        for row in self.train_x.rows() {
-            for &v in row {
-                w.f64(v);
-            }
-        }
-        for &label in &self.train_y {
-            w.u8(label);
-        }
-        w.scaler(&self.scaler);
-    }
-
-    /// Decode a classifier written by [`KNearestNeighbors::write_to`],
-    /// re-validating the `k > 0` constructor invariant.
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let k = r.usize()?;
-        if k == 0 {
-            return Err(PersistError::Malformed("k must be positive"));
-        }
-        let rows = r.len(1)?;
-        let cols = r.usize()?;
-        if rows.saturating_mul(cols).saturating_mul(8) > r.remaining() {
-            return Err(PersistError::Truncated);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(r.f64()?);
-        }
-        let train_x = FlatMatrix::from_parts(data, rows, cols);
-        let mut train_y = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let label = r.u8()?;
-            if label > 1 {
-                return Err(PersistError::Malformed("labels must be binary"));
-            }
-            train_y.push(label);
-        }
-        let scaler = r.scaler()?;
-        Ok(KNearestNeighbors {
-            k,
-            train_x,
-            train_y,
-            scaler,
-        })
     }
 }
 

@@ -13,7 +13,9 @@
 //! * [`RandomForest`] — bagged random forests with feature subsampling,
 //! * [`GradientBoosting`] — second-order gradient-boosted trees
 //!   (XGBoost-style exact greedy split finding with regularized leaf
-//!   weights),
+//!   weights); the one learner with a persisted byte form, RKML
+//!   ([`GradientBoosting::to_bytes`] / [`GradientBoosting::from_bytes`]),
+//!   which the detection service ships,
 //! * [`LogisticRegression`] and [`LinearSvm`] — logistic regression and a
 //!   Pegasos linear SVM,
 //! * [`KNearestNeighbors`] / [`Lvq`] — instance-based learners,
@@ -47,7 +49,7 @@ pub use gbt::{GradientBoosting, GradientBoostingParams};
 pub use knn::KNearestNeighbors;
 pub use linear::{LinearSvm, LinearSvmParams, LogisticRegression, LogisticRegressionParams};
 pub use lvq::{Lvq, LvqParams};
-pub use persist::{Model, PersistError};
+pub use persist::PersistError;
 pub use sampling::{random_oversample, random_undersample, smote};
 pub use tree::{DecisionTree, DecisionTreeParams};
 

@@ -6,7 +6,6 @@
 //! per day vs. ratios in `[0, 1]`).
 
 use crate::dataset::Standardizer;
-use crate::persist::{PersistError, Reader, Writer};
 use crate::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -208,66 +207,6 @@ impl Classifier for LinearSvm {
 
     fn name(&self) -> &'static str {
         "SVM"
-    }
-}
-
-impl LogisticRegression {
-    /// Encode the fitted model (params, weights, bias, scaler).
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.params.n_iters);
-        w.f64(self.params.learning_rate);
-        w.f64(self.params.l2);
-        w.f64s(&self.weights);
-        w.f64(self.bias);
-        w.scaler(&self.scaler);
-    }
-
-    /// Decode a model written by [`LogisticRegression::write_to`].
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let params = LogisticRegressionParams {
-            n_iters: r.usize()?,
-            learning_rate: r.f64()?,
-            l2: r.f64()?,
-        };
-        let weights = r.f64s()?;
-        let bias = r.f64()?;
-        let scaler = r.scaler()?;
-        Ok(LogisticRegression {
-            params,
-            weights,
-            bias,
-            scaler,
-        })
-    }
-}
-
-impl LinearSvm {
-    /// Encode the fitted model (params, weights, bias, scaler).
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.params.n_epochs);
-        w.f64(self.params.lambda);
-        w.u64(self.params.seed);
-        w.f64s(&self.weights);
-        w.f64(self.bias);
-        w.scaler(&self.scaler);
-    }
-
-    /// Decode a model written by [`LinearSvm::write_to`].
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let params = LinearSvmParams {
-            n_epochs: r.usize()?,
-            lambda: r.f64()?,
-            seed: r.u64()?,
-        };
-        let weights = r.f64s()?;
-        let bias = r.f64()?;
-        let scaler = r.scaler()?;
-        Ok(LinearSvm {
-            params,
-            weights,
-            bias,
-            scaler,
-        })
     }
 }
 

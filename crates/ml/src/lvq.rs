@@ -5,7 +5,6 @@
 //! match and repels it otherwise, with a linearly decaying learning rate.
 
 use crate::dataset::Standardizer;
-use crate::persist::{PersistError, Reader, Writer};
 use crate::Classifier;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -145,52 +144,6 @@ impl Classifier for Lvq {
 
     fn name(&self) -> &'static str {
         "LVQ"
-    }
-}
-
-impl Lvq {
-    /// Encode the fitted model (params, prototypes, scaler).
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.params.prototypes_per_class);
-        w.usize(self.params.n_epochs);
-        w.f64(self.params.learning_rate);
-        w.u64(self.params.seed);
-        w.usize(self.prototypes.len());
-        for (proto, label) in &self.prototypes {
-            w.f64s(proto);
-            w.u8(*label);
-        }
-        w.scaler(&self.scaler);
-    }
-
-    /// Decode a model written by [`Lvq::write_to`], re-validating the
-    /// constructor invariant.
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let params = LvqParams {
-            prototypes_per_class: r.usize()?,
-            n_epochs: r.usize()?,
-            learning_rate: r.f64()?,
-            seed: r.u64()?,
-        };
-        if params.prototypes_per_class == 0 {
-            return Err(PersistError::Malformed("need at least one prototype"));
-        }
-        let n_protos = r.len(9)?;
-        let mut prototypes = Vec::with_capacity(n_protos);
-        for _ in 0..n_protos {
-            let proto = r.f64s()?;
-            let label = r.u8()?;
-            if label > 1 {
-                return Err(PersistError::Malformed("labels must be binary"));
-            }
-            prototypes.push((proto, label));
-        }
-        let scaler = r.scaler()?;
-        Ok(Lvq {
-            params,
-            prototypes,
-            scaler,
-        })
     }
 }
 

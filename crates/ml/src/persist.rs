@@ -1,12 +1,20 @@
-//! Model serialization: a versioned, checksummed binary codec for every
-//! fitted learner, powering the live detection service.
+//! RKML: the versioned, checksummed byte form of a fitted
+//! [`GradientBoosting`] ensemble — the model the live detection service
+//! stores, ships and scores with.
 //!
 //! # Format
 //!
 //! ```text
-//! [ magic "RKML" | version u16 LE | model tag u8 | payload len u64 LE |
+//! [ magic "RKML" | version u16 LE | model tag u8 = 1 | payload len u64 LE |
 //!   payload … | FNV-1a-64 checksum u64 LE ]
 //! ```
+//!
+//! Tag 1 names gradient-boosted trees, the one model the codec encodes;
+//! any other tag is [`PersistError::BadTag`]. The payload is the nine
+//! parameters, the trees (each a node count, then its nodes depth-first:
+//! `0` + feature, threshold, left, right for a split, `1` + weight for a
+//! leaf), the base score, the per-feature gain importances and the
+//! feature count.
 //!
 //! The checksum covers every byte before it, so arbitrary corruption is
 //! detected before the payload is decoded; all reads are length-checked,
@@ -14,20 +22,20 @@
 //! returns `Err`, it never panics and never trusts a length field beyond
 //! the bytes actually present.
 //!
-//! A round-tripped model produces bit-identical predictions: every `f64`
-//! is stored via [`f64::to_bits`], and the fitted state (trees, weights,
-//! prototypes, training set, scaler) is encoded exactly.
+//! A round-tripped ensemble produces bit-identical predictions: every
+//! `f64` is stored via [`f64::to_bits`], and the fitted state is encoded
+//! exactly.
 
-use crate::{
-    Classifier, GradientBoosting, KNearestNeighbors, LinearSvm, LogisticRegression, Lvq,
-    RandomForest, Standardizer,
-};
-use racket_columnar::FlatMatrix;
+use crate::GradientBoosting;
 
 /// File magic for serialized models.
-pub(crate) const MAGIC: [u8; 4] = *b"RKML";
+const MAGIC: [u8; 4] = *b"RKML";
 /// Current codec version.
-pub(crate) const VERSION: u16 = 1;
+const VERSION: u16 = 1;
+/// The model tag of gradient-boosted trees.
+const TAG: u8 = 1;
+/// Magic, version, tag and payload length precede the payload.
+const HEADER: usize = 4 + 2 + 1 + 8;
 
 /// Why a model failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +46,7 @@ pub enum PersistError {
     BadMagic,
     /// The codec version is not supported.
     BadVersion(u16),
-    /// The model tag byte names no known learner.
+    /// The model tag byte does not name gradient-boosted trees.
     BadTag(u8),
     /// The trailing checksum does not match the bytes.
     Checksum,
@@ -71,17 +79,66 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Little-endian byte sink used by the per-model encoders.
+impl GradientBoosting {
+    /// Serialize to the `RKML` byte form.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.buf.extend_from_slice(&MAGIC);
+        w.buf.extend_from_slice(&VERSION.to_le_bytes());
+        w.u8(TAG);
+        // The payload length, patched once the payload is written.
+        w.u64(0);
+        self.write_to(&mut w);
+        let mut out = w.buf;
+        let payload_len = (out.len() - HEADER) as u64;
+        out[HEADER - 8..HEADER].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    /// Deserialize an ensemble produced by [`GradientBoosting::to_bytes`].
+    ///
+    /// Returns `Err` — never panics — on truncated, corrupted or
+    /// malformed input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<GradientBoosting, PersistError> {
+        let (body, stored) = match bytes.split_last_chunk::<8>() {
+            Some(split) if bytes.len() >= HEADER + 8 => split,
+            _ => return Err(PersistError::Truncated),
+        };
+        if fnv1a64(body) != u64::from_le_bytes(*stored) {
+            return Err(PersistError::Checksum);
+        }
+        let mut r = Reader::new(body);
+        if r.array()? != MAGIC {
+            return Err(PersistError::BadMagic);
+        }
+        let version = u16::from_le_bytes(r.array()?);
+        if version != VERSION {
+            return Err(PersistError::BadVersion(version));
+        }
+        let tag = r.u8()?;
+        if tag != TAG {
+            return Err(PersistError::BadTag(tag));
+        }
+        if r.usize()? != r.remaining() {
+            return Err(PersistError::Malformed("payload length mismatch"));
+        }
+        let model = GradientBoosting::read_from(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(PersistError::Malformed("trailing bytes after payload"));
+        }
+        Ok(model)
+    }
+}
+
+/// Little-endian byte sink the payload encoder writes into.
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer::default()
-    }
-
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -98,31 +155,10 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    pub(crate) fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.usize(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
     pub(crate) fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
         for &v in vs {
             self.f64(v);
-        }
-    }
-
-    pub(crate) fn scaler(&mut self, scaler: &Option<Standardizer>) {
-        match scaler {
-            Some(s) => {
-                self.u8(1);
-                self.f64s(&s.means);
-                self.f64s(&s.sds);
-            }
-            None => self.u8(0),
         }
     }
 }
@@ -137,30 +173,29 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(PersistError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let bytes = *self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(PersistError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A `usize` that will index in-memory structures.
@@ -198,176 +233,16 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn opt_usize(&mut self) -> Result<Option<usize>, PersistError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.usize()?)),
-            _ => Err(PersistError::Malformed("option discriminant")),
-        }
-    }
-
     pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
         let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
-    }
-
-    pub(crate) fn scaler(&mut self) -> Result<Option<Standardizer>, PersistError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let means = self.f64s()?;
-                let sds = self.f64s()?;
-                if means.len() != sds.len() {
-                    return Err(PersistError::Malformed("scaler dimension mismatch"));
-                }
-                Ok(Some(Standardizer { means, sds }))
-            }
-            _ => Err(PersistError::Malformed("scaler discriminant")),
-        }
-    }
-}
-
-/// A fitted learner behind one serializable type — what the live
-/// detection service stores, ships and scores with.
-#[derive(Debug, Clone)]
-pub enum Model {
-    /// Gradient-boosted trees (the paper's XGB, Table 1/2 best).
-    Xgb(GradientBoosting),
-    /// Random forest.
-    Rf(RandomForest),
-    /// Logistic regression.
-    Lr(LogisticRegression),
-    /// Linear (Pegasos) SVM.
-    Svm(LinearSvm),
-    /// K-nearest neighbours.
-    Knn(KNearestNeighbors),
-    /// Learning vector quantization.
-    Lvq(Lvq),
-}
-
-impl Model {
-    fn tag(&self) -> u8 {
-        match self {
-            Model::Xgb(_) => 1,
-            Model::Rf(_) => 2,
-            Model::Lr(_) => 3,
-            Model::Svm(_) => 4,
-            Model::Knn(_) => 5,
-            Model::Lvq(_) => 6,
-        }
-    }
-
-    /// The wrapped learner's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Model::Xgb(m) => m.name(),
-            Model::Rf(m) => m.name(),
-            Model::Lr(m) => m.name(),
-            Model::Svm(m) => m.name(),
-            Model::Knn(m) => m.name(),
-            Model::Lvq(m) => m.name(),
-        }
-    }
-
-    /// Probability that `row` belongs to class 1 — the `score` fast path
-    /// of the detection service.
-    pub fn score(&self, row: &[f64]) -> f64 {
-        match self {
-            Model::Xgb(m) => m.predict_proba(row),
-            Model::Rf(m) => m.predict_proba(row),
-            Model::Lr(m) => m.predict_proba(row),
-            Model::Svm(m) => m.predict_proba(row),
-            Model::Knn(m) => m.predict_proba(row),
-            Model::Lvq(m) => m.predict_proba(row),
-        }
-    }
-
-    /// Hard prediction at the 0.5 threshold.
-    pub fn predict(&self, row: &[f64]) -> u8 {
-        u8::from(self.score(row) >= 0.5)
-    }
-
-    /// Probabilities for every row of a flat feature matrix.
-    ///
-    /// The boosted-tree model dispatches to its columnar batch kernel
-    /// (`GradientBoosting::predict_proba_batch`); every other learner
-    /// scores row by row over the same contiguous buffer. Either way the
-    /// result is bitwise equal to calling [`Model::score`] per row.
-    pub fn score_batch(&self, x: &FlatMatrix) -> Vec<f64> {
-        match self {
-            Model::Xgb(m) => m.predict_proba_batch(x),
-            other => x.rows().map(|row| other.score(row)).collect(),
-        }
-    }
-
-    /// Serialize to the `RKML` wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        match self {
-            Model::Xgb(m) => m.write_to(&mut payload),
-            Model::Rf(m) => m.write_to(&mut payload),
-            Model::Lr(m) => m.write_to(&mut payload),
-            Model::Svm(m) => m.write_to(&mut payload),
-            Model::Knn(m) => m.write_to(&mut payload),
-            Model::Lvq(m) => m.write_to(&mut payload),
-        }
-        let mut out = Vec::with_capacity(payload.buf.len() + 23);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.tag());
-        out.extend_from_slice(&(payload.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload.buf);
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Deserialize a model previously produced by [`Model::to_bytes`].
-    ///
-    /// Returns `Err` — never panics — on truncated, corrupted or
-    /// malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Model, PersistError> {
-        // Envelope: magic/version/tag/len + trailing checksum.
-        if bytes.len() < MAGIC.len() + 2 + 1 + 8 + 8 {
-            return Err(PersistError::Truncated);
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a64(body) != stored {
-            return Err(PersistError::Checksum);
-        }
-        let mut r = Reader::new(body);
-        if r.take(4)? != MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let version = u16::from_le_bytes(r.take(2)?.try_into().unwrap());
-        if version != VERSION {
-            return Err(PersistError::BadVersion(version));
-        }
-        let tag = r.u8()?;
-        let payload_len = r.usize()?;
-        if payload_len != r.remaining() {
-            return Err(PersistError::Malformed("payload length mismatch"));
-        }
-        let model = match tag {
-            1 => Model::Xgb(GradientBoosting::read_from(&mut r)?),
-            2 => Model::Rf(RandomForest::read_from(&mut r)?),
-            3 => Model::Lr(LogisticRegression::read_from(&mut r)?),
-            4 => Model::Svm(LinearSvm::read_from(&mut r)?),
-            5 => Model::Knn(KNearestNeighbors::read_from(&mut r)?),
-            6 => Model::Lvq(Lvq::read_from(&mut r)?),
-            t => return Err(PersistError::BadTag(t)),
-        };
-        if r.remaining() != 0 {
-            return Err(PersistError::Malformed("trailing bytes after payload"));
-        }
-        Ok(model)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Classifier, FeatureImportance, GradientBoostingParams};
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
@@ -394,13 +269,10 @@ mod tests {
         body
     }
 
-    /// Magic, version, tag and payload length precede the payload.
-    const HEADER: usize = 4 + 2 + 1 + 8;
-
-    fn body_of(model: Model) -> Vec<u8> {
+    fn body_of(model: &GradientBoosting) -> Vec<u8> {
         let mut bytes = model.to_bytes();
         bytes.truncate(bytes.len() - 8);
-        assert!(Model::from_bytes(&reseal(bytes.clone())).is_ok());
+        assert!(GradientBoosting::from_bytes(&reseal(bytes.clone())).is_ok());
         bytes
     }
 
@@ -414,25 +286,26 @@ mod tests {
         out
     }
 
-    /// Eight rows the first split separates; three features.
-    fn stump_data() -> (Vec<Vec<f64>>, Vec<u8>) {
-        let x = (0..8).map(|i| vec![f64::from(i), 1.0, 2.0]).collect();
-        (x, (0..8).map(|i| u8::from(i >= 4)).collect())
-    }
-
-    /// `leaf_only`'s first tree is one leaf (tag + value): cut it out, so
-    /// the tree is empty and scoring would index node 0 of nothing.
-    fn without_its_only_node(leaf_only: &[u8], n_nodes: usize) -> Vec<u8> {
-        assert_eq!(u64_at(leaf_only, n_nodes), 1);
-        let mut empty = with_u64(leaf_only, n_nodes, 0);
-        empty.drain(n_nodes + 8..n_nodes + 8 + 9);
-        empty
+    /// A one-round ensemble of depth `max_depth` over eight rows the
+    /// first split separates; three features.
+    fn stump(max_depth: usize) -> GradientBoosting {
+        let x: Vec<Vec<f64>> = (0..8).map(|i| vec![f64::from(i), 1.0, 2.0]).collect();
+        let y: Vec<u8> = (0..8).map(|i| u8::from(i >= 4)).collect();
+        let mut m = GradientBoosting::new(GradientBoostingParams {
+            n_rounds: 1,
+            max_depth,
+            subsample: 1.0,
+            colsample: 1.0,
+            ..GradientBoostingParams::default()
+        });
+        m.fit(&x, &y);
+        m
     }
 
     fn assert_malformed(what: &str, body: Vec<u8>) {
         assert!(
             matches!(
-                Model::from_bytes(&reseal(body)),
+                GradientBoosting::from_bytes(&reseal(body)),
                 Err(PersistError::Malformed(_))
             ),
             "{what}: a correctly sealed model that cannot be scored must not decode"
@@ -442,25 +315,12 @@ mod tests {
     /// Fields the checksum cannot vouch for: the writer that forged them
     /// recomputed it. Each case is one edit of a real fitted ensemble.
     #[test]
-    fn sealed_xgb_models_that_cannot_be_scored_are_rejected() {
-        use crate::{GradientBoosting, GradientBoostingParams};
-        let (x, y) = stump_data();
-        let fit = |max_depth| {
-            let mut m = GradientBoosting::new(GradientBoostingParams {
-                n_rounds: 1,
-                max_depth,
-                subsample: 1.0,
-                colsample: 1.0,
-                ..GradientBoostingParams::default()
-            });
-            m.fit(&x, &y);
-            body_of(Model::Xgb(m))
-        };
+    fn sealed_models_that_cannot_be_scored_are_rejected() {
         // Nine 8-byte parameters, the tree count, then tree 0: node
         // count, root tag, feature, threshold, left, right.
         let n_nodes = HEADER + 9 * 8 + 8;
         let (feature, left, right) = (n_nodes + 9, n_nodes + 25, n_nodes + 33);
-        let body = fit(1);
+        let body = body_of(&stump(1));
         assert_eq!(
             (
                 u64_at(&body, n_nodes),
@@ -482,61 +342,100 @@ mod tests {
         short.drain(imp_len + 8..imp_len + 16);
         assert_malformed("importance vector shorter than n_features", short);
 
-        // A depth-0 fit is one leaf.
-        assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
+        // A depth-0 fit is one leaf (tag + value): cut it out, so the tree
+        // is empty and scoring would index node 0 of nothing.
+        let leaf_only = body_of(&stump(0));
+        assert_eq!(u64_at(&leaf_only, n_nodes), 1);
+        let mut empty = with_u64(&leaf_only, n_nodes, 0);
+        empty.drain(n_nodes + 8..n_nodes + 8 + 9);
+        assert_malformed("zero-node tree", empty);
 
         // What `to_bytes` seals for an ensemble that was never fitted.
-        let unfitted = Model::Xgb(GradientBoosting::new(GradientBoostingParams::default()));
+        let unfitted = GradientBoosting::new(GradientBoostingParams::default());
         assert!(matches!(
-            Model::from_bytes(&unfitted.to_bytes()),
+            GradientBoosting::from_bytes(&unfitted.to_bytes()),
             Err(PersistError::Malformed("ensemble without trees"))
         ));
     }
 
+    /// The tag byte admits gradient-boosted trees only: a sealed blob
+    /// under any other tag is refused before its payload is read.
     #[test]
-    fn sealed_forests_that_cannot_be_scored_are_rejected() {
-        use crate::RandomForestParams;
-        let (x, y) = stump_data();
-        let fit = |max_depth| {
-            let mut m = RandomForest::new(RandomForestParams {
-                n_trees: 1,
-                max_depth,
-                // Every feature at every node: the root must find column 0.
-                max_features: Some(3),
-                ..RandomForestParams::default()
-            });
-            m.fit(&x, &y);
-            body_of(Model::Rf(m))
-        };
-        // Forest: four sizes, `Some(max_features)`, seed, tree count;
-        // tree 0: three sizes, `Some(max_features)`, seed, node count.
-        let n_nodes = HEADER + (4 * 8 + 9 + 8 + 8) + (3 * 8 + 9 + 8);
-        let (left, right) = (n_nodes + 25, n_nodes + 33);
-        let body = fit(1);
-        assert_eq!((u64_at(&body, n_nodes), body[n_nodes + 8]), (3, 0));
-        assert_eq!((u64_at(&body, left), u64_at(&body, right)), (1, 2));
+    fn sealed_blobs_under_another_tag_are_rejected() {
+        let body = body_of(&stump(1));
+        for tag in [0, 2, 3, 4, 5, 6, 0xff] {
+            let mut other = body.clone();
+            other[HEADER - 9] = tag;
+            assert_eq!(
+                GradientBoosting::from_bytes(&reseal(other)).unwrap_err(),
+                PersistError::BadTag(tag)
+            );
+        }
+    }
 
-        assert_malformed("left child = own slot", with_u64(&body, left, 0));
-        assert_malformed("right child = own slot", with_u64(&body, right, 0));
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
 
-        assert_malformed("zero-node tree", without_its_only_node(&fit(0), n_nodes));
-
-        // What `to_bytes` seals for a forest that was never fitted.
-        let unfitted = Model::Rf(RandomForest::new(RandomForestParams::default()));
-        assert!(matches!(
-            Model::from_bytes(&unfitted.to_bytes()),
-            Err(PersistError::Malformed("forest without trees"))
-        ));
+        proptest! {
+            /// Up to three edits of a real ensemble's body — a word
+            /// overwritten with a small count, an index, `u64::MAX` or
+            /// noise; a bit flipped; the tail cut; the tail of the other
+            /// ensemble spliced on — resealed the way a hostile writer
+            /// would. Each decodes to `Err`, or to a model that scores
+            /// without panicking and re-encodes to exactly the bytes it
+            /// came from.
+            #[test]
+            fn resealed_edits_decode_to_err_or_a_scorable_model(
+                base in 0usize..2,
+                edits in proptest::collection::vec((0u8..4, any::<usize>(), any::<u64>()), 1..=3),
+            ) {
+                let bodies = [body_of(&stump(1)), body_of(&stump(3))];
+                let mut body = bodies[base].clone();
+                for (kind, at, v) in edits {
+                    if body.len() <= HEADER {
+                        break;
+                    }
+                    let at = HEADER + at % (body.len() - HEADER);
+                    match kind {
+                        0 => {
+                            let word = match v % 4 {
+                                0 => v >> 60,
+                                1 => u64::MAX,
+                                2 => (v >> 32) % body.len() as u64,
+                                _ => v,
+                            };
+                            let end = body.len().min(at + 8);
+                            body[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                        }
+                        1 => body[at] ^= 1 << (v % 8),
+                        2 => body.truncate(at),
+                        _ => {
+                            let other = &bodies[1 - base];
+                            let from = HEADER + v as usize % (other.len() - HEADER);
+                            body.truncate(at);
+                            body.extend_from_slice(&other[from..]);
+                        }
+                    }
+                }
+                let sealed = reseal(body);
+                if let Ok(m) = GradientBoosting::from_bytes(&sealed) {
+                    let row = vec![0.5; m.feature_importances().len()];
+                    let _ = m.predict_proba(&row);
+                    prop_assert_eq!(m.to_bytes(), sealed);
+                }
+            }
+        }
     }
 
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(matches!(
-            Model::from_bytes(&[]),
+            GradientBoosting::from_bytes(&[]),
             Err(PersistError::Truncated)
         ));
         assert!(matches!(
-            Model::from_bytes(&[0u8; 64]),
+            GradientBoosting::from_bytes(&[0u8; 64]),
             Err(PersistError::Checksum)
         ));
     }

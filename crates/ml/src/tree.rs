@@ -8,7 +8,6 @@
 //! accumulated so ensembles can report *mean decrease in Gini* — the
 //! feature-importance measure of Figures 13 and 14.
 
-use crate::persist::{PersistError, Reader, Writer};
 use crate::{Classifier, FeatureImportance};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -255,88 +254,6 @@ impl FeatureImportance for DecisionTree {
             return vec![0.0; self.importances.len()];
         }
         self.importances.iter().map(|v| v / total).collect()
-    }
-}
-
-impl DecisionTree {
-    /// Encode the fitted tree (params, node arena, importances).
-    pub(crate) fn write_to(&self, w: &mut Writer) {
-        w.usize(self.params.max_depth);
-        w.usize(self.params.min_samples_split);
-        w.usize(self.params.min_samples_leaf);
-        w.opt_usize(self.params.max_features);
-        w.u64(self.params.seed);
-        w.usize(self.nodes.len());
-        for node in &self.nodes {
-            match *node {
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    w.u8(0);
-                    w.usize(feature);
-                    w.f64(threshold);
-                    w.usize(left);
-                    w.usize(right);
-                }
-                Node::Leaf { proba } => {
-                    w.u8(1);
-                    w.f64(proba);
-                }
-            }
-        }
-        w.f64s(&self.importances);
-        w.usize(self.n_features);
-    }
-
-    /// Decode a tree written by [`DecisionTree::write_to`]; every length
-    /// and child index is validated so hostile bytes error out.
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let params = DecisionTreeParams {
-            max_depth: r.usize()?,
-            min_samples_split: r.usize()?,
-            min_samples_leaf: r.usize()?,
-            max_features: r.opt_usize()?,
-            seed: r.u64()?,
-        };
-        let n_nodes = r.len(9)?;
-        if n_nodes == 0 {
-            return Err(PersistError::Malformed("tree without nodes"));
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for at in 0..n_nodes {
-            nodes.push(match r.u8()? {
-                0 => {
-                    let feature = r.usize()?;
-                    let threshold = r.f64()?;
-                    let (left, right) = r.children(at, n_nodes)?;
-                    Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    }
-                }
-                1 => Node::Leaf { proba: r.f64()? },
-                _ => return Err(PersistError::Malformed("tree node discriminant")),
-            });
-        }
-        let importances = r.f64s()?;
-        let n_features = r.usize()?;
-        if nodes
-            .iter()
-            .any(|n| matches!(n, Node::Split { feature, .. } if *feature >= n_features))
-        {
-            return Err(PersistError::Malformed("split feature out of range"));
-        }
-        Ok(DecisionTree {
-            params,
-            nodes,
-            importances,
-            n_features,
-        })
     }
 }
 

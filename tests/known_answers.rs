@@ -137,13 +137,13 @@ fn gbt_matrix() -> (Vec<Vec<f64>>, Vec<u8>) {
 /// `min_child_weight` that rejects candidates.
 #[test]
 fn gbt_model_bytes_are_pinned() {
-    use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, Model};
+    use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams};
     let (x, y) = gbt_matrix();
     let pinned = |params: GradientBoostingParams| {
         let mut m = GradientBoosting::new(params);
         m.fit(&x, &y);
         let proba = m.predict_proba(&x[17]).to_bits();
-        let bytes = Model::Xgb(m).to_bytes();
+        let bytes = m.to_bytes();
         let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         (bytes.len(), checksum, proba)
     };

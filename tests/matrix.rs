@@ -5,8 +5,9 @@
 //! * [`fleet_generation_is_thread_invariant`]: `Fleet::generate` gives the
 //!   same fleet at 1 and 8 worker threads;
 //! * [`training_and_scoring_match_their_references`]: on one test-scale
-//!   study, GBT `fit` ≡ `fit_reference` bytes, `score_batch` ≡ `score`,
-//!   streaming ≡ batch verdicts, and each stage's span completed once.
+//!   study, GBT `fit` ≡ `fit_reference` bytes, `predict_proba_batch` ≡
+//!   `predict_proba`, streaming ≡ batch verdicts, and each stage's span
+//!   completed once.
 //!
 //! The two tests may run concurrently: [`with_threads`] serialises every
 //! study behind one lock and restores the worker count it found.
@@ -17,7 +18,7 @@ mod scenario;
 use common::{span_count, with_threads};
 use racket_agents::{Fleet, FleetConfig};
 use racket_columnar::FlatMatrix;
-use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, Model};
+use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams};
 use racket_types::metrics::keys;
 use racketstore::app_classifier::{AppClassifier, AppUsageDataset};
 use racketstore::device_classifier::DeviceDataset;
@@ -88,20 +89,19 @@ fn training_and_scoring_match_their_references() {
         let mut reference = GradientBoosting::new(GradientBoostingParams::default());
         reference.fit_reference(&ds.data.x, &ds.data.y);
         assert_eq!(
-            Model::Xgb(columnar.clone()).to_bytes(),
-            Model::Xgb(reference).to_bytes(),
+            columnar.to_bytes(),
+            reference.to_bytes(),
             "columnar and reference split searches must agree byte-for-byte"
         );
 
         // Flat-matrix batch scoring == per-row scoring, bitwise.
-        let model = Model::Xgb(columnar);
         let flat = FlatMatrix::from_rows(&ds.data.x);
-        let batch = model.score_batch(&flat);
+        let batch = columnar.predict_proba_batch(&flat);
         assert_eq!(batch.len(), ds.data.x.len());
         for (row, proba) in ds.data.x.iter().zip(&batch) {
             assert_eq!(
                 proba.to_bits(),
-                model.score(row).to_bits(),
+                columnar.predict_proba(row).to_bits(),
                 "batch scoring must equal per-row scoring"
             );
         }

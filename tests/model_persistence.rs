@@ -1,8 +1,7 @@
-//! Model serialization round-trips for every learner the paper evaluates.
-//!
-//! The live detection service ships fitted models as RKML blobs
-//! (`racket_ml::persist`), so the codec's contract is pinned here for all
-//! six learners (XGB, RF, LR, SVM, KNN, LVQ):
+//! Round-trips of the one persisted model, the gradient-boosted ensemble
+//! the live detection service ships as an RKML blob
+//! (`GradientBoosting::to_bytes` / `from_bytes`). The codec's contract is
+//! pinned here over several ensemble shapes:
 //!
 //! * **round-trip fidelity** — a deserialized model produces bit-identical
 //!   probabilities to the original on every probe row;
@@ -10,11 +9,7 @@
 //!   corruption anywhere in the blob, trailing garbage and empty input
 //!   all return `Err`, never panic, never a silently different model.
 
-use racket_ml::{
-    Classifier, GradientBoosting, GradientBoostingParams, KNearestNeighbors, LinearSvm,
-    LinearSvmParams, LogisticRegression, LogisticRegressionParams, Lvq, LvqParams, Model,
-    RandomForest, RandomForestParams,
-};
+use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,85 +33,95 @@ fn synthetic(n: usize, dims: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
     (x, y)
 }
 
-/// Every learner of Tables 1 and 2, fitted on the same dataset and wrapped
-/// in the [`Model`] envelope.
-fn fitted_models(x: &[Vec<f64>], y: &[u8]) -> Vec<Model> {
-    let mut xgb = GradientBoosting::new(GradientBoostingParams::default());
-    xgb.fit(x, y);
-    let mut rf = RandomForest::new(RandomForestParams::default());
-    rf.fit(x, y);
-    let mut lr = LogisticRegression::new(LogisticRegressionParams::default());
-    lr.fit(x, y);
-    let mut svm = LinearSvm::new(LinearSvmParams::default());
-    svm.fit(x, y);
-    let mut knn = KNearestNeighbors::paper_default();
-    knn.fit(x, y);
-    let mut lvq = Lvq::new(LvqParams::default());
-    lvq.fit(x, y);
-    vec![
-        Model::Xgb(xgb),
-        Model::Rf(rf),
-        Model::Lr(lr),
-        Model::Svm(svm),
-        Model::Knn(knn),
-        Model::Lvq(lvq),
-    ]
+/// Ensembles of every shape the codec must carry, fitted on one dataset:
+/// the service's default (row and column subsampling), an unsampled deep
+/// fit, a single-split stump and a lone leaf.
+fn fitted_models(x: &[Vec<f64>], y: &[u8]) -> Vec<(&'static str, GradientBoosting)> {
+    let shapes = [
+        ("default", GradientBoostingParams::default()),
+        (
+            "deep",
+            GradientBoostingParams {
+                n_rounds: 30,
+                max_depth: 6,
+                subsample: 1.0,
+                colsample: 1.0,
+                ..GradientBoostingParams::default()
+            },
+        ),
+        (
+            "stump",
+            GradientBoostingParams {
+                n_rounds: 1,
+                max_depth: 1,
+                ..GradientBoostingParams::default()
+            },
+        ),
+        (
+            "leaf",
+            GradientBoostingParams {
+                n_rounds: 3,
+                max_depth: 0,
+                ..GradientBoostingParams::default()
+            },
+        ),
+    ];
+    shapes
+        .into_iter()
+        .map(|(name, params)| {
+            let mut m = GradientBoosting::new(params);
+            m.fit(x, y);
+            (name, m)
+        })
+        .collect()
 }
 
 #[test]
-fn every_learner_round_trips_with_identical_predictions() {
+fn gbt_round_trips_with_identical_predictions() {
     let (x, y) = synthetic(80, 6, 4242);
     let (probe, _) = synthetic(40, 6, 999);
-    for model in fitted_models(&x, &y) {
+    for (name, model) in fitted_models(&x, &y) {
         let bytes = model.to_bytes();
-        let restored = Model::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("{}: clean bytes failed to decode: {e}", model.name()));
-        assert_eq!(model.name(), restored.name());
+        let restored = GradientBoosting::from_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("{name}: clean bytes failed to decode: {e}"));
+        assert_eq!(model.n_trees(), restored.n_trees(), "{name}");
         for (i, row) in probe.iter().enumerate() {
-            let before = model.score(row);
-            let after = restored.score(row);
+            let before = model.predict_proba(row);
+            let after = restored.predict_proba(row);
             assert_eq!(
                 before.to_bits(),
                 after.to_bits(),
-                "{}: probe {i}: {before:?} != {after:?} after round-trip",
-                model.name()
+                "{name}: probe {i}: {before:?} != {after:?} after round-trip"
             );
-            assert_eq!(model.predict(row), restored.predict(row));
         }
         // Re-serializing the restored model reproduces the same blob.
-        assert_eq!(
-            bytes,
-            restored.to_bytes(),
-            "{}: bytes unstable",
-            model.name()
-        );
+        assert_eq!(bytes, restored.to_bytes(), "{name}: bytes unstable");
     }
 }
 
 #[test]
 fn truncated_bytes_return_err_never_panic() {
     let (x, y) = synthetic(40, 4, 7);
-    for model in fitted_models(&x, &y) {
+    for (name, model) in fitted_models(&x, &y) {
         let bytes = model.to_bytes();
         // Every strict prefix must fail closed — the checksum trailer is
         // checked before any payload parsing, so no prefix can decode.
         let step = (bytes.len() / 97).max(1);
         for len in (0..bytes.len()).step_by(step) {
             assert!(
-                Model::from_bytes(&bytes[..len]).is_err(),
-                "{}: {len}-byte prefix of {} decoded",
-                model.name(),
+                GradientBoosting::from_bytes(&bytes[..len]).is_err(),
+                "{name}: {len}-byte prefix of {} decoded",
                 bytes.len()
             );
         }
-        assert!(Model::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        assert!(GradientBoosting::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 }
 
 #[test]
 fn corrupted_bytes_return_err_never_panic() {
     let (x, y) = synthetic(40, 4, 8);
-    for model in fitted_models(&x, &y) {
+    for (name, model) in fitted_models(&x, &y) {
         let bytes = model.to_bytes();
         // A single flipped byte anywhere breaks the FNV-1a trailer (or is
         // the trailer itself); sample positions to keep the suite fast.
@@ -125,18 +130,17 @@ fn corrupted_bytes_return_err_never_panic() {
             let mut bad = bytes.clone();
             bad[pos] ^= 0xa5;
             assert!(
-                Model::from_bytes(&bad).is_err(),
-                "{}: flip at {pos}/{} decoded",
-                model.name(),
+                GradientBoosting::from_bytes(&bad).is_err(),
+                "{name}: flip at {pos}/{} decoded",
                 bytes.len()
             );
         }
         // Trailing garbage after a valid blob is rejected too.
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(Model::from_bytes(&trailing).is_err());
+        assert!(GradientBoosting::from_bytes(&trailing).is_err());
     }
-    assert!(Model::from_bytes(&[]).is_err());
-    assert!(Model::from_bytes(b"RKML").is_err());
-    assert!(Model::from_bytes(&[0u8; 256]).is_err());
+    assert!(GradientBoosting::from_bytes(&[]).is_err());
+    assert!(GradientBoosting::from_bytes(b"RKML").is_err());
+    assert!(GradientBoosting::from_bytes(&[0u8; 256]).is_err());
 }

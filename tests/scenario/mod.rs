@@ -81,8 +81,9 @@
 //!     is equal on every row of a slice.
 //! 11. **Training and scoring equal their references**
 //!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
-//!     study: GBT `fit` ≡ `fit_reference` bytes, `score_batch` ≡ `score`,
-//!     streaming ≡ batch verdicts, each stage's span completed once.
+//!     study: GBT `fit` ≡ `fit_reference` bytes, `predict_proba_batch` ≡
+//!     `predict_proba`, streaming ≡ batch verdicts, each stage's span
+//!     completed once.
 //!
 //! Tests in one binary may run concurrently: [`with_threads`] serialises
 //! every study behind one lock and restores the worker count it found.
