@@ -320,9 +320,8 @@ impl DeviceAgent {
             Persona::DedicatedWorker => 0.05,
         };
         let mut profile = PermissionProfile {
-            requested: requested.to_vec(),
-            granted: Vec::new(),
-            denied: Vec::new(),
+            requested: requested.iter().copied().collect(),
+            ..PermissionProfile::default()
         };
         for p in requested.iter().filter(|p| p.is_dangerous()) {
             if rng.gen_bool(deny_prob) {
@@ -487,7 +486,7 @@ impl DeviceAgent {
             let meta = catalog.app(app);
             device.preinstall_app(
                 app,
-                PermissionProfile::grant_all(meta.permissions.clone()),
+                PermissionProfile::grant_all(&meta.permissions),
                 meta.apk_hash,
             );
             // Regular users live in their system apps (store, mail, browser).
@@ -792,9 +791,9 @@ pub fn apply_action_collecting(
             // already exercised for the history base, and §7.1 permission
             // features mix both.
             let profile = if rng.gen_bool(0.85) {
-                PermissionProfile::grant_all(meta.permissions.clone())
+                PermissionProfile::grant_all(&meta.permissions)
             } else {
-                let mut p = PermissionProfile::grant_all(meta.permissions.clone());
+                let mut p = PermissionProfile::grant_all(&meta.permissions);
                 if let Some(d) = p.granted.pop() {
                     p.denied.push(d);
                 }

@@ -112,7 +112,9 @@ fn bench_poll(c: &mut Criterion) {
             let mut n = 0usize;
             for s in 0..SLICES {
                 let now = SimTime::from_secs(t0.as_secs() + (s + 1) * SLICE_SECS);
-                n += collector.poll(&device, now).len();
+                let mut batch = SnapshotBatch::new();
+                collector.poll_into(&device, now, &mut batch);
+                n += batch.len();
             }
             n
         });

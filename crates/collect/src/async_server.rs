@@ -40,7 +40,7 @@
 //! `tests/backpressure.rs` enforce it.
 
 use crate::retry::SERVER_FAULT_SALT;
-use crate::server::{ProtocolCore, ServerStats};
+use crate::server::{IngestScratch, ProtocolCore, ServerStats};
 pub use crate::session::SHED_ERROR_CODE;
 use crate::session::{Session, QUEUE_LIMIT};
 use crate::shard::ShardedIngest;
@@ -241,9 +241,9 @@ struct Worker {
     poller: Poller<Connection>,
     wheel: TimerWheel,
     idle: IdleStrategy,
-    /// Pooled inflate scratch shared by every upload this worker
-    /// processes.
-    scratch: Vec<u8>,
+    /// Inflate buffer and decode batch shared by every upload this
+    /// worker processes.
+    scratch: IngestScratch,
     /// Monotonic stamp generator for stall-timer entries.
     stamp_counter: u64,
     report: WorkerReport,
@@ -258,7 +258,7 @@ impl Worker {
             poller: Poller::new(),
             wheel: TimerWheel::new(256),
             idle: IdleStrategy::default_for_io(),
-            scratch: Vec::new(),
+            scratch: IngestScratch::new(),
             stamp_counter: 0,
             report: WorkerReport::default(),
         }

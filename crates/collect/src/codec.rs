@@ -28,12 +28,21 @@
 //! `Other(tag)` escaping to `0xFF` + `u16`.
 //!
 //! Every decoder validates: truncation, unknown tags, out-of-range
-//! discriminants and trailing garbage all return [`DecodeError`], never
-//! panic — the chaos harness feeds this path corrupted payloads.
+//! discriminants, a permission list longer than the catalog and trailing
+//! garbage all return [`DecodeError`], never panic — the chaos harness
+//! feeds this path corrupted payloads.
+//!
+//! There is one decoder, `decode_file`, and it decodes into a pooled
+//! [`SnapshotBatch`]: the server keeps one batch per caller and refills it
+//! file after file; [`SnapshotCollector::deserialize_file`] is the
+//! one-shot form over a fresh batch.
+//!
+//! [`SnapshotCollector::deserialize_file`]: crate::SnapshotCollector::deserialize_file
 
+use crate::collector::SnapshotBatch;
 use racket_types::{
     AccountId, AccountService, AndroidId, ApkHash, AppId, FastSnapshot, GoogleId, InstallDelta,
-    InstallId, InstalledApp, ParticipantId, Permission, PermissionProfile, Rating,
+    InstallId, InstalledApp, ParticipantId, Permission, PermissionList, PermissionProfile, Rating,
     RegisteredAccount, ReviewEvent, SimTime, SlowSnapshot, Snapshot,
 };
 
@@ -263,26 +272,29 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, _) = self.data[self.pos..]
+            .split_first_chunk()
+            .ok_or(DecodeError::Truncated)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bool(&mut self) -> Result<bool, DecodeError> {
@@ -319,15 +331,19 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn permissions(&mut self) -> Result<Vec<Permission>, DecodeError> {
+    /// One permission list. It holds at most one entry per catalog
+    /// permission, so a longer list is corrupt.
+    fn permissions(&mut self) -> Result<PermissionList, DecodeError> {
         let n = self.count(1)?;
-        let mut perms = Vec::with_capacity(n);
+        let mut perms = PermissionList::new();
         for _ in 0..n {
             let i = self.u8()? as usize;
             let p = *Permission::ALL
                 .get(i)
                 .ok_or(DecodeError::Corrupt("permission discriminant out of range"))?;
-            perms.push(p);
+            perms
+                .try_push(p)
+                .map_err(|_| DecodeError::Corrupt("permission list longer than the catalog"))?;
         }
         Ok(perms)
     }
@@ -342,7 +358,7 @@ impl<'a> Reader<'a> {
                 granted: self.permissions()?,
                 denied: self.permissions()?,
             },
-            apk_hash: ApkHash(self.take(16)?.try_into().expect("16 bytes")),
+            apk_hash: ApkHash(self.array()?),
             stopped: self.bool()?,
             preinstalled: self.bool()?,
         })
@@ -381,8 +397,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode one record body (the bytes after the tag + length prefix).
-fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
+/// Decode one record body (the bytes after the tag + length prefix), its
+/// vectors taken from `batch`'s free lists.
+fn decode_body(body: &[u8], batch: &mut SnapshotBatch) -> Result<Snapshot, DecodeError> {
     let mut r = Reader::new(body);
     let snapshot = match r.u8()? {
         KIND_FAST => {
@@ -393,7 +410,8 @@ fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
             let screen_on = r.bool()?;
             let battery_pct = r.u8()?;
             let n_events = r.count(5)?;
-            let mut install_events = Vec::with_capacity(n_events);
+            let mut install_events = batch.take_events();
+            install_events.reserve(n_events);
             for _ in 0..n_events {
                 install_events.push(match r.u8()? {
                     DELTA_INSTALLED => InstallDelta::Installed(r.installed_app()?),
@@ -419,7 +437,8 @@ fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
             let android_id = r.opt_u64()?.map(AndroidId);
             let time = SimTime::from_secs(r.u64()?);
             let n_accounts = r.count(10)?;
-            let mut accounts = Vec::with_capacity(n_accounts);
+            let mut accounts = batch.take_accounts();
+            accounts.reserve(n_accounts);
             for _ in 0..n_accounts {
                 let id = AccountId(r.u64()?);
                 let tag = r.u8()?;
@@ -433,14 +452,15 @@ fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
             }
             let save_mode = r.bool()?;
             let n_stopped = r.count(4)?;
-            let mut stopped_apps = Vec::with_capacity(n_stopped);
+            let mut stopped_apps = batch.take_apps();
+            stopped_apps.reserve(n_stopped);
             for _ in 0..n_stopped {
                 stopped_apps.push(AppId(r.u32()?));
             }
             // Optional trailing review section (records written with
             // review collection off — and all pre-review records — end
             // right here).
-            let mut review_events = Vec::new();
+            let mut review_events = batch.take_reviews();
             if r.has_remaining() {
                 let n_reviews = r.count(25)?;
                 review_events.reserve(n_reviews);
@@ -466,32 +486,37 @@ fn decode_body(body: &[u8]) -> Result<Snapshot, DecodeError> {
 }
 
 /// Decode a whole binary accumulation file (a concatenation of
-/// [`encode_record`] outputs) into its snapshots.
-pub(crate) fn decode_file(data: &[u8]) -> Result<Vec<Snapshot>, DecodeError> {
-    // A fast snapshot without events is ~36 bytes of body + 5 of framing.
-    let mut snapshots = Vec::with_capacity(data.len() / 40 + 1);
-    let mut pos = 0;
-    while pos < data.len() {
-        if data[pos] != TAG_BINARY_V1 {
+/// [`encode_record`] outputs), appending its snapshots to `batch` in file
+/// order. A batch cleared and refilled file after file allocates only when
+/// a file outgrows every earlier one. On `Err`, `batch` holds the records
+/// before the bad one.
+pub(crate) fn decode_file(data: &[u8], batch: &mut SnapshotBatch) -> Result<(), DecodeError> {
+    let mut rest = data;
+    while let Some((&tag, after_tag)) = rest.split_first() {
+        if tag != TAG_BINARY_V1 {
             return Err(DecodeError::Corrupt("unknown record tag"));
         }
-        if pos + 5 > data.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-        let end = pos + 5 + len;
-        if len > data.len() || end > data.len() {
-            return Err(DecodeError::Truncated);
-        }
-        snapshots.push(decode_body(&data[pos + 5..end])?);
-        pos = end;
+        let (len, after_len) = after_tag
+            .split_first_chunk()
+            .ok_or(DecodeError::Truncated)?;
+        let (body, next) = after_len
+            .split_at_checked(u32::from_le_bytes(*len) as usize)
+            .ok_or(DecodeError::Truncated)?;
+        let snapshot = decode_body(body, batch)?;
+        batch.push(snapshot);
+        rest = next;
     }
-    Ok(snapshots)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SnapshotCollector;
+
+    fn decode_file(data: &[u8]) -> Result<Vec<Snapshot>, DecodeError> {
+        SnapshotCollector::deserialize_file(data)
+    }
 
     fn fast(events: Vec<InstallDelta>) -> Snapshot {
         Snapshot::Fast(FastSnapshot {
@@ -558,9 +583,11 @@ mod tests {
             install_time: SimTime::from_secs(100),
             last_update: SimTime::from_secs(200),
             permissions: PermissionProfile {
-                requested: vec![Permission::Internet, Permission::Camera],
-                granted: vec![Permission::Internet],
-                denied: vec![Permission::Camera],
+                requested: [Permission::Internet, Permission::Camera]
+                    .into_iter()
+                    .collect(),
+                granted: [Permission::Internet].into_iter().collect(),
+                denied: [Permission::Camera].into_iter().collect(),
             },
             apk_hash: ApkHash([0xAB; 16]),
             stopped: false,
@@ -659,6 +686,40 @@ mod tests {
         for (i, &p) in Permission::ALL.iter().enumerate() {
             assert_eq!(p as u8 as usize, i, "{p:?} discriminant moved");
         }
+    }
+
+    #[test]
+    fn a_permission_list_longer_than_the_catalog_is_corrupt() {
+        // An app requesting every catalog permission: the longest list.
+        let Snapshot::Fast(mut f) = fast(vec![installed()]) else {
+            unreachable!()
+        };
+        let InstallDelta::Installed(app) = &mut f.install_events[0] else {
+            unreachable!()
+        };
+        app.permissions.requested = Permission::ALL.iter().copied().collect();
+        let full = Snapshot::Fast(f);
+        assert_eq!(round_trip(&full), full);
+        // One more entry, its count and the record length resealed.
+        let mut buf = Vec::new();
+        encode_record(&full, &mut buf);
+        let n = Permission::ALL.len();
+        let mut list = (n as u32).to_le_bytes().to_vec();
+        list.extend(0..n as u8);
+        let at = buf
+            .windows(list.len())
+            .position(|w| w == list.as_slice())
+            .expect("the full list is in the record");
+        buf[at..at + 4].copy_from_slice(&(n as u32 + 1).to_le_bytes());
+        buf.insert(at + 4 + n, Permission::Camera as u8);
+        let len = (buf.len() - 5) as u32;
+        buf[1..5].copy_from_slice(&len.to_le_bytes());
+        assert!(matches!(
+            decode_file(&buf),
+            Err(DecodeError::Corrupt(
+                "permission list longer than the catalog"
+            ))
+        ));
     }
 
     #[test]

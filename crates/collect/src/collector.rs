@@ -47,7 +47,8 @@ impl Default for CollectorConfig {
     }
 }
 
-/// A pooled batch of snapshots: the target of [`SnapshotCollector::poll_into`].
+/// A pooled batch of snapshots: the target of [`SnapshotCollector::poll_into`]
+/// on the device side and of the server's decoder.
 ///
 /// Owns the emitted [`Snapshot`]s plus free lists for their heap-backed
 /// internals (`install_events` / `accounts` / `stopped_apps`). Clearing the
@@ -107,19 +108,37 @@ impl SnapshotBatch {
         self.snaps
     }
 
-    fn take_events(&mut self) -> Vec<InstallDelta> {
+    /// Heap bytes a cleared batch holds on to: its snapshot slots and its
+    /// pooled vectors.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        fn pool<T>(free: &Vec<Vec<T>>) -> usize {
+            free.capacity() * size_of::<Vec<T>>()
+                + free.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<T>()
+        }
+        self.snaps.capacity() * size_of::<Snapshot>()
+            + pool(&self.free_events)
+            + pool(&self.free_accounts)
+            + pool(&self.free_apps)
+            + pool(&self.free_reviews)
+    }
+
+    pub(crate) fn push(&mut self, snapshot: Snapshot) {
+        self.snaps.push(snapshot);
+    }
+
+    pub(crate) fn take_events(&mut self) -> Vec<InstallDelta> {
         self.free_events.pop().unwrap_or_default()
     }
 
-    fn take_accounts(&mut self) -> Vec<RegisteredAccount> {
+    pub(crate) fn take_accounts(&mut self) -> Vec<RegisteredAccount> {
         self.free_accounts.pop().unwrap_or_default()
     }
 
-    fn take_apps(&mut self) -> Vec<AppId> {
+    pub(crate) fn take_apps(&mut self) -> Vec<AppId> {
         self.free_apps.pop().unwrap_or_default()
     }
 
-    fn take_reviews(&mut self) -> Vec<ReviewEvent> {
+    pub(crate) fn take_reviews(&mut self) -> Vec<ReviewEvent> {
         self.free_reviews.pop().unwrap_or_default()
     }
 }
@@ -168,18 +187,11 @@ impl SnapshotCollector {
         }
     }
 
-    /// Produce all snapshots due in `(.., now]`, advancing internal timers.
-    /// The first call emits one fast and one slow snapshot immediately.
-    pub fn poll(&mut self, device: &racket_device::Device, now: SimTime) -> Vec<Snapshot> {
-        let mut batch = SnapshotBatch::new();
-        self.poll_into(device, now, &mut batch);
-        batch.into_snapshots()
-    }
-
-    /// [`SnapshotCollector::poll`] into a caller-owned pooled batch:
-    /// appends every due snapshot to `batch` (which the caller clears
-    /// between polls to recycle buffers), in the same order `poll` returns
-    /// them — all due fast snapshots, then all due slow snapshots.
+    /// Produce all snapshots due in `(.., now]`, advancing internal timers,
+    /// into a caller-owned pooled batch: appends every due snapshot to
+    /// `batch` (which the caller clears between polls to recycle buffers)
+    /// — all due fast snapshots, then all due slow snapshots. The first
+    /// call emits one fast and one slow snapshot immediately.
     pub fn poll_into(
         &mut self,
         device: &racket_device::Device,
@@ -193,7 +205,7 @@ impl SnapshotCollector {
         while t <= now {
             let deltas = batch.take_events();
             let snap = self.sample_fast_pooled(device, t, deltas);
-            batch.snaps.push(Snapshot::Fast(snap));
+            batch.push(Snapshot::Fast(snap));
             t += fast_period;
         }
         self.next_fast = Some(t);
@@ -204,7 +216,7 @@ impl SnapshotCollector {
             let stopped = batch.take_apps();
             let reviews = batch.take_reviews();
             let snap = self.sample_slow_pooled(device, t, accounts, stopped, reviews);
-            batch.snaps.push(Snapshot::Slow(snap));
+            batch.push(Snapshot::Slow(snap));
             t += slow_period;
         }
         self.next_slow = Some(t);
@@ -241,7 +253,7 @@ impl SnapshotCollector {
                 }
                 match self.known_apps.get(k) {
                     Some(&(app, t)) if app == info.app && t == info.install_time => {}
-                    _ => deltas.push(InstallDelta::Installed(info.clone())),
+                    _ => deltas.push(InstallDelta::Installed(*info)),
                 }
             }
             let mut c = 0; // cursor into the new baseline
@@ -328,9 +340,11 @@ impl SnapshotCollector {
     }
 
     /// Parse an accumulation file ([`crate::codec`] records back to back)
-    /// into snapshots.
+    /// into snapshots: the one-shot form of the server's pooled decode.
     pub fn deserialize_file(data: &[u8]) -> Result<Vec<Snapshot>, crate::codec::DecodeError> {
-        crate::codec::decode_file(data)
+        let mut batch = SnapshotBatch::new();
+        crate::codec::decode_file(data, &mut batch)?;
+        Ok(batch.into_snapshots())
     }
 }
 
@@ -351,6 +365,13 @@ mod tests {
         d
     }
 
+    /// The allocating reference for `poll_into`: a fresh batch per poll.
+    fn poll(c: &mut SnapshotCollector, d: &Device, now: SimTime) -> Vec<Snapshot> {
+        let mut batch = SnapshotBatch::new();
+        c.poll_into(d, now, &mut batch);
+        batch.into_snapshots()
+    }
+
     fn collector() -> SnapshotCollector {
         SnapshotCollector::new(
             CollectorConfig::default(),
@@ -363,7 +384,7 @@ mod tests {
     fn first_poll_emits_both_kinds_and_full_app_list() {
         let d = device();
         let mut c = collector();
-        let snaps = c.poll(&d, SimTime::from_secs(100));
+        let snaps = poll(&mut c, &d, SimTime::from_secs(100));
         assert_eq!(snaps.len(), 2);
         let fast = snaps.iter().find(|s| s.is_fast()).unwrap();
         if let Snapshot::Fast(f) = fast {
@@ -376,9 +397,9 @@ mod tests {
     fn cadence_five_seconds_and_two_minutes() {
         let d = device();
         let mut c = collector();
-        c.poll(&d, SimTime::from_secs(0));
+        poll(&mut c, &d, SimTime::from_secs(0));
         // 120 seconds later: 24 fast ticks (5..=120 step 5) + 1 slow tick.
-        let snaps = c.poll(&d, SimTime::from_secs(120));
+        let snaps = poll(&mut c, &d, SimTime::from_secs(120));
         let fast = snaps.iter().filter(|s| s.is_fast()).count();
         let slow = snaps.len() - fast;
         assert_eq!(fast, 24);
@@ -389,7 +410,7 @@ mod tests {
     fn install_and_uninstall_deltas() {
         let mut d = device();
         let mut c = collector();
-        c.poll(&d, SimTime::from_secs(0));
+        poll(&mut c, &d, SimTime::from_secs(0));
         d.install_app(
             AppId(2),
             SimTime::from_secs(2),
@@ -423,7 +444,7 @@ mod tests {
     fn reinstall_reported_as_fresh_install() {
         let mut d = device();
         let mut c = collector();
-        c.poll(&d, SimTime::from_secs(0));
+        poll(&mut c, &d, SimTime::from_secs(0));
         d.install_app(
             AppId(1),
             SimTime::from_secs(50),
@@ -477,7 +498,7 @@ mod tests {
     fn serialization_round_trips_files() {
         let d = device();
         let mut c = collector();
-        let snaps = c.poll(&d, SimTime::from_secs(100));
+        let snaps = poll(&mut c, &d, SimTime::from_secs(100));
         let mut file = Vec::new();
         for s in &snaps {
             file.extend_from_slice(&SnapshotCollector::serialize(s));
@@ -512,7 +533,7 @@ mod tests {
                 }
                 _ => {}
             }
-            let expected = c_ref.poll(&d, t);
+            let expected = poll(&mut c_ref, &d, t);
             batch.clear();
             c_pooled.poll_into(&d, t, &mut batch);
             assert_eq!(batch.snapshots(), expected.as_slice(), "step {step}");
@@ -527,16 +548,16 @@ mod tests {
     fn poll_at_exact_period_boundary_is_inclusive_and_idempotent() {
         let d = device();
         let mut c = collector();
-        c.poll(&d, SimTime::from_secs(0));
+        poll(&mut c, &d, SimTime::from_secs(0));
         // One second before the next fast tick: nothing is due.
-        assert!(c.poll(&d, SimTime::from_secs(4)).is_empty());
+        assert!(poll(&mut c, &d, SimTime::from_secs(4)).is_empty());
         // Exactly on the tick: due snapshots are emitted inclusively…
-        let snaps = c.poll(&d, SimTime::from_secs(5));
+        let snaps = poll(&mut c, &d, SimTime::from_secs(5));
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].time().as_secs(), 5);
         // …and a second poll at the same instant (the study driver's
         // end-of-monitoring final tick pattern) emits nothing again.
-        assert!(c.poll(&d, SimTime::from_secs(5)).is_empty());
+        assert!(poll(&mut c, &d, SimTime::from_secs(5)).is_empty());
     }
 
     #[test]
@@ -545,7 +566,7 @@ mod tests {
         // package churn; every mutation must still surface exactly once.
         let mut d = device();
         let mut c = collector();
-        c.poll(&d, SimTime::from_secs(0));
+        poll(&mut c, &d, SimTime::from_secs(0));
         for quiet in 1..=3 {
             assert!(c
                 .sample_fast_pooled(&d, SimTime::from_secs(quiet), Vec::new())
@@ -617,8 +638,8 @@ mod tests {
             InstallId(1),
             ParticipantId(1),
         );
-        c.poll(&d, SimTime::from_secs(0));
-        let snaps = c.poll(&d, SimTime::from_secs(600));
+        poll(&mut c, &d, SimTime::from_secs(0));
+        let snaps = poll(&mut c, &d, SimTime::from_secs(600));
         let fast = snaps.iter().filter(|s| s.is_fast()).count();
         assert_eq!(fast, 10);
     }

@@ -51,7 +51,7 @@
 
 use crate::async_server::AsyncConn;
 use crate::buffer::{DataBuffer, StageTimers};
-use crate::server::ProtocolCore;
+use crate::server::{IngestScratch, ProtocolCore};
 use crate::session::{Session, QUEUE_LIMIT};
 use crate::transport::{splitmix64, FaultPlan, MemTransport, Transport};
 use crate::wire::{self, FrameCodec, Message};
@@ -159,9 +159,9 @@ enum LaneBackend {
         /// Boxed so an async lane does not carry a loopback lane's size.
         session: Box<Session>,
         core: Arc<ProtocolCore>,
-        /// Pooled inflate scratch (what a reactor worker owns on the
-        /// async path).
-        scratch: Vec<u8>,
+        /// Inflate buffer and decode batch (what a reactor worker owns on
+        /// the async path); boxed like `session`.
+        scratch: Box<IngestScratch>,
         /// The server half lost framing, or its reply send was reset:
         /// once the replies it produced before that are read, the link is
         /// [`Reply::Broken`] until the lane reconnects.
@@ -271,7 +271,7 @@ impl WireLane {
             server_end,
             session: Box::new(Session::strict(QUEUE_LIMIT)),
             core,
-            scratch: Vec::new(),
+            scratch: Box::default(),
             broken: false,
         };
         Self::over(backend, install, participant, seed)
@@ -732,7 +732,7 @@ impl WireLane {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::collector::{CollectorConfig, SnapshotCollector};
+    use crate::collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
     use crate::shard::ShardedIngest;
     use racket_device::{Device, DeviceModel};
     use racket_types::{AndroidId, ApkHash, AppId, DeviceId, PermissionProfile, SimTime};
@@ -753,11 +753,13 @@ pub(crate) mod tests {
             );
         }
         let mut collector = SnapshotCollector::new(CollectorConfig::default(), I, P);
-        let mut buffer = DataBuffer::new();
+        let (mut buffer, mut batch) = (DataBuffer::new(), SnapshotBatch::new());
         let mut n_snapshots = 0u64;
         for minute in 0..20 {
-            for snap in collector.poll(&device, SimTime::from_mins(minute)) {
-                buffer.push(&snap);
+            batch.clear();
+            collector.poll_into(&device, SimTime::from_mins(minute), &mut batch);
+            for snap in batch.snapshots() {
+                buffer.push(snap);
                 n_snapshots += 1;
             }
             // Force-rotate every minute so the fixture yields many small

@@ -19,7 +19,8 @@
 //!   its store for fixtures, examples and the TCP driver.
 
 use crate::buffer::FAST_ROTATE_BYTES;
-use crate::collector::SnapshotCollector;
+use crate::codec;
+use crate::collector::SnapshotBatch;
 use crate::hash::sha256;
 use crate::lzss;
 use crate::session::{Session, QUEUE_LIMIT};
@@ -142,6 +143,12 @@ impl InstallRecord {
                         .or_insert(0) += 1;
                     self.stream.note_foreground(app);
                 }
+                // A first snapshot lists the whole app set: size the maps
+                // for it once instead of growing them by doubling.
+                if self.apps.is_empty() {
+                    self.apps.reserve(f.install_events.len());
+                    self.installed_now.reserve(f.install_events.len());
+                }
                 for delta in &f.install_events {
                     match delta {
                         InstallDelta::Installed(info) => {
@@ -153,7 +160,7 @@ impl InstallRecord {
                                 self.stream.note_install(info.app, info.install_time);
                             }
                             self.installed_now.insert(info.app);
-                            self.apps.insert(info.app, info.clone());
+                            self.apps.insert(info.app, *info);
                         }
                         InstallDelta::Uninstalled { app } => {
                             self.uninstall_events.push((*app, t));
@@ -245,7 +252,47 @@ impl ServerStats {
 /// [`FAST_ROTATE_BYTES`] of headroom for that one record, while bounding
 /// what a 4 MB payload of match tokens (~80× expansion) can make a pooled
 /// scratch grow to.
-pub(crate) const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
+pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
+
+/// Most bytes an [`IngestScratch`]'s batch keeps between uploads. An
+/// honest file needs under half of it (a full fast file of event-free
+/// snapshots decodes into ≈ 0.6 MB of slots and pooled vectors); a hostile
+/// one that decodes to more — thousands of 5-byte uninstall deltas, each a
+/// 152-byte slot in memory — has its pools dropped once folded.
+const MAX_RETAINED_BATCH_BYTES: usize = 4 * MAX_INFLATED_BYTES;
+
+/// What one caller of [`ProtocolCore::handle`] — a reactor worker, a
+/// loopback lane, a TCP connection thread — reuses from upload to upload:
+/// the inflate buffer and the [`SnapshotBatch`] each file decodes into.
+/// After the first file of a shape, inflating, decoding and folding the
+/// next one ask for no memory.
+#[derive(Debug, Default)]
+pub struct IngestScratch {
+    inflated: Vec<u8>,
+    batch: SnapshotBatch,
+}
+
+impl IngestScratch {
+    /// An empty scratch; its buffers grow with the first uploads.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Heap bytes held between uploads: at most [`MAX_INFLATED_BYTES`] of
+    /// inflate buffer plus `MAX_RETAINED_BATCH_BYTES` of batch.
+    pub fn retained_bytes(&self) -> usize {
+        self.inflated.capacity() + self.batch.retained_bytes()
+    }
+
+    /// Recycle the decoded snapshots into the batch's pools, dropping the
+    /// pools if a file grew them past `MAX_RETAINED_BATCH_BYTES`.
+    fn recycle(&mut self) {
+        self.batch.clear();
+        if self.batch.retained_bytes() > MAX_RETAINED_BATCH_BYTES {
+            self.batch = SnapshotBatch::new();
+        }
+    }
+}
 
 /// Number of sign-in/dedup shards. Sized so that even a full worker pool
 /// rarely contends on one lock.
@@ -301,9 +348,9 @@ impl ProtocolCore {
     }
 
     /// Handle one protocol message, producing the reply to send (if any).
-    /// `scratch` is the caller's pooled inflate buffer (one per lane or
-    /// worker); it never grows past `MAX_INFLATED_BYTES`.
-    pub fn handle(&self, msg: Message, scratch: &mut Vec<u8>) -> Option<Message> {
+    /// `scratch` is the caller's own [`IngestScratch`] (one per lane,
+    /// worker or connection thread).
+    pub fn handle(&self, msg: Message, scratch: &mut IngestScratch) -> Option<Message> {
         match msg {
             Message::SignIn {
                 participant,
@@ -340,7 +387,7 @@ impl ProtocolCore {
         install: InstallId,
         file_id: u64,
         payload: &[u8],
-        scratch: &mut Vec<u8>,
+        scratch: &mut IngestScratch,
     ) -> Message {
         let Some(next) = self.shard(install).lock().next_file.get(&install).copied() else {
             return Message::Error {
@@ -371,22 +418,23 @@ impl ProtocolCore {
             self.shard(install).lock().stats.dup_files += 1;
             return ack;
         }
-        let decoded = lzss::decompress_capped(payload, scratch, MAX_INFLATED_BYTES)
+        let IngestScratch { inflated, batch } = scratch;
+        let decoded = lzss::decompress_capped(payload, inflated, MAX_INFLATED_BYTES)
             .map_err(|e| e.to_string())
-            .and_then(|()| SnapshotCollector::deserialize_file(scratch).map_err(|e| e.to_string()))
-            .and_then(|snapshots| {
+            .and_then(|()| codec::decode_file(inflated, batch).map_err(|e| e.to_string()))
+            .and_then(|()| {
                 // The gate checked the header's install; the records must
                 // name the same one, or a signed-in client could write
                 // into any install's aggregate.
-                if snapshots.iter().all(|s| s.install_id() == install) {
-                    Ok(snapshots)
+                if batch.snapshots().iter().all(|s| s.install_id() == install) {
+                    Ok(())
                 } else {
                     Err("file holds another install's snapshots".to_string())
                 }
             });
-        match decoded {
-            Ok(snapshots) => {
-                self.store.ingest_batch(&snapshots);
+        let reply = match decoded {
+            Ok(()) => {
+                self.store.ingest_batch(batch.snapshots());
                 let mut shard = self.shard(install).lock();
                 shard.stats.files += 1;
                 shard.next_file.insert(install, next + 1);
@@ -396,7 +444,9 @@ impl ProtocolCore {
                 self.shard(install).lock().stats.bad_uploads += 1;
                 Message::Error { code: 400, detail }
             }
-        }
+        };
+        scratch.recycle();
+        reply
     }
 
     /// Ingestion statistics so far: the shards' protocol counters plus
@@ -411,11 +461,11 @@ impl ProtocolCore {
     }
 }
 
-/// A [`ProtocolCore`] with its own store and inflate scratch: the
+/// A [`ProtocolCore`] with its own store and ingest scratch: the
 /// single-owner server that fixtures, examples and the TCP driver use.
 pub struct CollectionServer {
     core: ProtocolCore,
-    scratch: Vec<u8>,
+    scratch: IngestScratch,
 }
 
 impl CollectionServer {
@@ -423,7 +473,7 @@ impl CollectionServer {
     pub fn new(participants: impl IntoIterator<Item = ParticipantId>) -> Self {
         CollectionServer {
             core: ProtocolCore::new(participants, Arc::new(ShardedIngest::new(8))),
-            scratch: Vec::new(),
+            scratch: IngestScratch::new(),
         }
     }
 
@@ -452,7 +502,7 @@ impl CollectionServer {
     /// or `max_connections` clients have been handled (tests bound this;
     /// pass `usize::MAX` to serve forever). One blocking thread per
     /// connection — read, feed its `Session`, write the replies — each
-    /// with its own inflate scratch; the threads share only the core. A
+    /// with its own [`IngestScratch`]; the threads share only the core. A
     /// stream that fails to decode closes its connection.
     pub fn serve_tcp(
         &self,
@@ -466,7 +516,7 @@ impl CollectionServer {
                 scope.spawn(move || {
                     let mut transport = TcpTransport::new(stream);
                     let mut session = Session::lenient(QUEUE_LIMIT);
-                    let (mut scratch, mut replies) = (Vec::new(), Vec::new());
+                    let (mut scratch, mut replies) = (IngestScratch::new(), Vec::new());
                     let mut buf = [0u8; 4096];
                     while let Ok(n @ 1..) = transport.recv(&mut buf) {
                         session.feed(&buf[..n]);
@@ -489,6 +539,7 @@ impl CollectionServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SnapshotCollector;
     use racket_types::{ApkHash, FastSnapshot, PermissionProfile, SlowSnapshot};
 
     const P: ParticipantId = ParticipantId(123_456);
@@ -614,7 +665,7 @@ mod tests {
         ];
         let store = Arc::new(ShardedIngest::new(4));
         let core = ProtocolCore::new([P], Arc::clone(&store));
-        let mut scratch = Vec::new();
+        let mut scratch = IngestScratch::new();
         for (name, msg, want, stats) in table {
             let got = core.handle(msg, &mut scratch);
             match (want, got) {
@@ -626,7 +677,7 @@ mod tests {
                 (_, got) => panic!("{name}: unexpected reply {got:?}"),
             }
             assert_eq!(core.stats(), stats, "{name}");
-            assert!(scratch.capacity() <= MAX_INFLATED_BYTES, "{name}");
+            assert!(scratch.inflated.capacity() <= MAX_INFLATED_BYTES, "{name}");
         }
         // Only the three accepted snapshots were folded, in file order and
         // all under the uploader's install.
@@ -655,7 +706,7 @@ mod tests {
                 .collect();
             let store = Arc::new(ShardedIngest::new(4));
             let core = ProtocolCore::new([P], Arc::clone(&store));
-            let mut scratch = Vec::new();
+            let mut scratch = IngestScratch::new();
             let sign_in = Message::SignIn { participant: P, install: I };
             core.handle(sign_in, &mut scratch);
             let mut next = 1u64;
@@ -688,7 +739,7 @@ mod tests {
         // recognized as one.
         const N: u64 = 100_000;
         let core = ProtocolCore::new([P], Arc::new(ShardedIngest::new(4)));
-        let mut scratch = Vec::new();
+        let mut scratch = IngestScratch::new();
         core.handle(
             Message::SignIn {
                 participant: P,

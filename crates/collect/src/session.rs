@@ -10,7 +10,7 @@
 //! ([`crate::retry::WireLane`]) and the blocking TCP driver
 //! ([`crate::server::CollectionServer::serve_tcp`]).
 
-use crate::server::ProtocolCore;
+use crate::server::{IngestScratch, ProtocolCore};
 use crate::wire::{FrameCodec, Message};
 use std::collections::VecDeque;
 
@@ -120,7 +120,7 @@ impl Session {
     pub(crate) fn service(
         &mut self,
         core: &ProtocolCore,
-        scratch: &mut Vec<u8>,
+        scratch: &mut IngestScratch,
         budget: usize,
         mut sink: impl FnMut(&[u8]),
     ) -> Serviced {
@@ -291,7 +291,7 @@ mod tests {
         for (name, steps, want) in table {
             let core = ProtocolCore::new([P], Arc::new(ShardedIngest::new(4)));
             let mut session = Session::strict(LIMIT);
-            let mut scratch = Vec::new();
+            let mut scratch = IngestScratch::new();
             let mut wire = FrameCodec::new();
             let (mut sheds, mut poisoned) = (0, false);
             for step in steps {

@@ -27,9 +27,9 @@ fn profile() -> impl Strategy<Value = PermissionProfile> {
         proptest::collection::vec(permission(), 0..4),
     )
         .prop_map(|(requested, granted, denied)| PermissionProfile {
-            requested,
-            granted,
-            denied,
+            requested: requested.into_iter().collect(),
+            granted: granted.into_iter().collect(),
+            denied: denied.into_iter().collect(),
         })
 }
 

@@ -18,8 +18,8 @@ use racket_campaign::{detect_with_text, CampaignReport, CampaignSketch, Detector
 use racket_collect::wire::Message;
 use racket_collect::{
     coalesce_installs, AsyncCollectServer, AsyncServerConfig, CandidateInstall, CollectorConfig,
-    ColumnarSnapshots, DataBuffer, FaultPlan, ProtocolCore, ShardedIngest, SnapshotBatch,
-    SnapshotCollector, WireLane,
+    ColumnarSnapshots, DataBuffer, FaultPlan, IngestScratch, ProtocolCore, ShardedIngest,
+    SnapshotBatch, SnapshotCollector, WireLane,
 };
 use racket_features::{DeviceObservation, DeviceStreamState};
 use racket_obs::{LocalHistogram, Registry};
@@ -352,7 +352,7 @@ impl Study {
                             participant: lane.dev.participant,
                             install: lane.dev.install_id,
                         };
-                        core.handle(sign_in, &mut Vec::new())
+                        core.handle(sign_in, &mut IngestScratch::new())
                             == Some(Message::SignInAck { accepted: true })
                     }
                 };

@@ -406,7 +406,7 @@ mod tests {
         d.install_app(
             AppId(app),
             SimTime::from_days(day),
-            PermissionProfile::grant_all(vec![Permission::Internet, Permission::Camera]),
+            PermissionProfile::grant_all(&[Permission::Internet, Permission::Camera]),
             ApkHash([app as u8; 16]),
         );
     }

@@ -194,13 +194,15 @@ mod tests {
     fn base_observation() -> DeviceObservation {
         let mut server = racket_collect::CollectionServer::new([P]);
         let perms = PermissionProfile {
-            requested: vec![
+            requested: [
                 Permission::Internet,
                 Permission::Camera,
                 Permission::ReadContacts,
-            ],
-            granted: vec![Permission::Camera],
-            denied: vec![Permission::ReadContacts],
+            ]
+            .into_iter()
+            .collect(),
+            granted: [Permission::Camera].into_iter().collect(),
+            denied: [Permission::ReadContacts].into_iter().collect(),
         };
         // App installed on day 2 (before monitoring starts on day 10).
         server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {

@@ -237,9 +237,11 @@ mod tests {
             AppId(app),
             SimTime::from_days(day),
             PermissionProfile {
-                requested: vec![Permission::Internet, Permission::Camera],
-                granted: vec![Permission::Camera],
-                denied: vec![],
+                requested: [Permission::Internet, Permission::Camera]
+                    .into_iter()
+                    .collect(),
+                granted: [Permission::Camera].into_iter().collect(),
+                ..PermissionProfile::default()
             },
             ApkHash([app as u8; 16]),
         ))

@@ -109,8 +109,9 @@ impl AppMetadata {
 }
 
 /// Per-device state of one installed app, the unit the fast snapshot
-/// collector reports deltas about (§3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// collector reports deltas about (§3). Plain data with its permission
+/// lists inline, so it is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InstalledApp {
     /// Which app is installed.
     pub app: AppId,

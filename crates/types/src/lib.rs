@@ -31,7 +31,7 @@ pub use event::{DeviceEvent, EventKind};
 pub use id::{AndroidId, DeviceId, GoogleId, InstallId, ParticipantId};
 pub use metrics::{FaultCounters, PipelineMetrics};
 pub use online::{Distinct, GapAccum, MinMax};
-pub use permission::{Permission, PermissionProfile};
+pub use permission::{Permission, PermissionList, PermissionProfile};
 pub use review::{Rating, RatingSummary, Review, ReviewEvent};
 pub use snapshot::{FastSnapshot, InstallDelta, ReclaimedBuffer, SlowSnapshot, Snapshot};
 pub use time::{SimDuration, SimTime, TimeInterval};

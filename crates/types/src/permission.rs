@@ -185,35 +185,150 @@ impl fmt::Display for Permission {
     }
 }
 
+/// An ordered list of at most one entry per catalog permission, stored
+/// inline: the requested, granted or denied set of one installed app, in
+/// the order the device reports it.
+///
+/// It derefs to `&[Permission]`, and its `Debug` and serde forms are a
+/// `Vec`'s, so a list prints and serializes exactly as a
+/// `Vec<Permission>` of the same entries would. Being `Copy`, it (and the
+/// [`PermissionProfile`] and installed-app record holding it) moves without
+/// touching the heap.
+#[derive(Clone, Copy)]
+pub struct PermissionList {
+    len: u8,
+    items: [Permission; PermissionList::CAPACITY],
+}
+
+impl PermissionList {
+    /// Most entries a list holds: one per catalog permission.
+    pub const CAPACITY: usize = Permission::ALL.len();
+
+    /// An empty list.
+    pub const fn new() -> Self {
+        PermissionList {
+            len: 0,
+            items: [Permission::Internet; Self::CAPACITY],
+        }
+    }
+
+    /// Append `p`, or hand it back if the list already holds
+    /// [`PermissionList::CAPACITY`] entries.
+    pub fn try_push(&mut self, p: Permission) -> Result<(), Permission> {
+        let slot = self.items.get_mut(usize::from(self.len)).ok_or(p)?;
+        *slot = p;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Append `p`.
+    ///
+    /// # Panics
+    ///
+    /// If the list is full. A manifest names each permission at most once,
+    /// so a list built from one never is.
+    pub fn push(&mut self, p: Permission) {
+        if self.try_push(p).is_err() {
+            panic!("a permission list holds at most {} entries", Self::CAPACITY);
+        }
+    }
+
+    /// Remove and return the last entry.
+    pub fn pop(&mut self) -> Option<Permission> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.items[usize::from(self.len)])
+    }
+}
+
+impl Default for PermissionList {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for PermissionList {
+    type Target = [Permission];
+
+    fn deref(&self) -> &[Permission] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for PermissionList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PermissionList {}
+
+impl fmt::Debug for PermissionList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Collects with [`PermissionList::push`], so it panics past
+/// [`PermissionList::CAPACITY`] entries.
+impl FromIterator<Permission> for PermissionList {
+    fn from_iter<I: IntoIterator<Item = Permission>>(iter: I) -> Self {
+        let mut list = Self::new();
+        for p in iter {
+            list.push(p);
+        }
+        list
+    }
+}
+
+impl Serialize for PermissionList {
+    fn to_content(&self) -> serde::Content {
+        (**self).to_content()
+    }
+}
+
+impl Deserialize for PermissionList {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
+        let mut list = Self::new();
+        for p in Vec::<Permission>::from_content(c)? {
+            list.try_push(p)
+                .map_err(|_| serde::DeError(format!("more than {} permissions", Self::CAPACITY)))?;
+        }
+        Ok(list)
+    }
+}
+
 /// The permission footprint of one app: what it requests, and what the user
 /// granted or denied.
 ///
 /// `granted`/`denied` only apply to dangerous permissions; normal ones are
 /// auto-granted at install time (like RacketStore's own five install-time
 /// permissions, §3).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PermissionProfile {
     /// Permissions declared in the app manifest.
-    pub requested: Vec<Permission>,
+    pub requested: PermissionList,
     /// Dangerous permissions the user granted at runtime.
-    pub granted: Vec<Permission>,
+    pub granted: PermissionList,
     /// Dangerous permissions the user denied.
-    pub denied: Vec<Permission>,
+    pub denied: PermissionList,
 }
 
 impl PermissionProfile {
     /// Build a profile with every dangerous permission granted — the policy
     /// five of the interviewed workers reported ("grant all requested").
-    pub fn grant_all(requested: Vec<Permission>) -> Self {
-        let granted = requested
-            .iter()
-            .copied()
-            .filter(|p| p.is_dangerous())
-            .collect();
+    ///
+    /// # Panics
+    ///
+    /// If `requested` is longer than [`PermissionList::CAPACITY`].
+    pub fn grant_all(requested: &[Permission]) -> Self {
         PermissionProfile {
-            requested,
-            granted,
-            denied: Vec::new(),
+            requested: requested.iter().copied().collect(),
+            granted: requested
+                .iter()
+                .copied()
+                .filter(|p| p.is_dangerous())
+                .collect(),
+            denied: PermissionList::new(),
         }
     }
 
@@ -300,7 +415,7 @@ mod tests {
 
     #[test]
     fn profile_counts() {
-        let profile = PermissionProfile::grant_all(vec![
+        let profile = PermissionProfile::grant_all(&[
             Permission::Internet,
             Permission::Camera,
             Permission::ReadContacts,
@@ -314,20 +429,60 @@ mod tests {
     }
 
     #[test]
+    fn permission_list_prints_and_serializes_like_a_vec() {
+        let perms = vec![
+            Permission::Camera,
+            Permission::Internet,
+            Permission::ReadSms,
+        ];
+        let list: PermissionList = perms.iter().copied().collect();
+        assert_eq!(&*list, perms.as_slice());
+        assert_eq!(format!("{list:?}"), format!("{perms:?}"));
+        let json = serde_json::to_string(&perms).unwrap();
+        assert_eq!(serde_json::to_string(&list).unwrap(), json);
+        assert_eq!(serde_json::from_str::<PermissionList>(&json).unwrap(), list);
+        assert_eq!(format!("{:?}", PermissionList::new()), "[]");
+    }
+
+    #[test]
+    fn permission_list_holds_one_entry_per_catalog_permission() {
+        let mut list: PermissionList = Permission::ALL.iter().copied().collect();
+        assert_eq!(list.len(), PermissionList::CAPACITY);
+        assert_eq!(list.try_push(Permission::Camera), Err(Permission::Camera));
+        assert_eq!(list.pop(), Some(Permission::SystemAlertWindow));
+        assert_eq!(list.try_push(Permission::Camera), Ok(()));
+        assert_eq!(list.last(), Some(&Permission::Camera));
+        let too_long = [Permission::ALL, &[Permission::Camera]].concat();
+        let json = serde_json::to_string(&too_long).unwrap();
+        assert!(serde_json::from_str::<PermissionList>(&json).is_err());
+        assert_eq!(PermissionList::new().pop(), None);
+    }
+
+    #[test]
+    fn permission_lists_compare_by_their_entries_only() {
+        // A popped entry leaves its slot behind; equality must not see it.
+        let mut popped: PermissionList = [Permission::Camera, Permission::ReadSms]
+            .into_iter()
+            .collect();
+        popped.pop();
+        assert_eq!(popped, [Permission::Camera].into_iter().collect());
+        assert_ne!(popped, PermissionList::new());
+    }
+
+    #[test]
     fn empty_profile_ratio_is_zero() {
         assert_eq!(PermissionProfile::default().dangerous_ratio(), 0.0);
     }
 
     #[test]
     fn inconsistent_profile_detected() {
-        let mut profile = PermissionProfile::grant_all(vec![Permission::Camera]);
+        let mut profile = PermissionProfile::grant_all(&[Permission::Camera]);
         profile.denied.push(Permission::Camera); // granted AND denied
         assert!(!profile.is_consistent());
 
         let rogue = PermissionProfile {
-            requested: vec![],
-            granted: vec![Permission::Camera], // granted but never requested
-            denied: vec![],
+            granted: [Permission::Camera].into_iter().collect(), // never requested
+            ..PermissionProfile::default()
         };
         assert!(!rogue.is_consistent());
     }

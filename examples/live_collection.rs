@@ -13,7 +13,8 @@
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector, TcpTransport, Transport,
+    CollectionServer, CollectorConfig, DataBuffer, SnapshotBatch, SnapshotCollector, TcpTransport,
+    Transport,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
@@ -68,11 +69,13 @@ fn main() {
 
     // 2. Collect snapshots for a simulated hour and buffer them.
     let mut collector = SnapshotCollector::new(CollectorConfig::default(), INSTALL, PARTICIPANT);
-    let mut buffer = DataBuffer::new();
+    let (mut buffer, mut batch) = (DataBuffer::new(), SnapshotBatch::new());
     for minute in 0..60 {
         let now = SimTime::from_mins(minute);
-        for snap in collector.poll(&device, now) {
-            buffer.push(&snap);
+        batch.clear();
+        collector.poll_into(&device, now, &mut batch);
+        for snap in batch.snapshots() {
+            buffer.push(snap);
         }
         if minute == 30 {
             device.open_app(AppId(4), now, 120); // some mid-hour activity

@@ -1,16 +1,17 @@
 //! Allocation pins, by count under a counting allocator (never by clock).
 //!
-//! Six hot paths whose cost model *is* their allocation count: the
+//! Seven hot paths whose cost model *is* their allocation count: the
 //! simulator's steady-state lane-day (below), an empty poll of an
 //! in-memory connection (the async plane's load generator makes 10⁴ of
 //! them per round, so one boxed error each was most of `ingest_plane`'s
 //! allocations per snapshot), a lane's windowed upload tick (whose window
 //! is two integers and a timestamp, not a list), the server's fold of a
-//! slow snapshot (lists overwritten in place), the near-duplicate scan
-//! (which used to allocate per bucket and per candidate and now allocates
-//! for its output only), and a boosted fit (whose split search works inside
-//! buffers sized once per fit). The counter is per thread, so the tests run
-//! side by side.
+//! slow snapshot (lists overwritten in place), an upload through the
+//! protocol core (decoded into the caller's pooled batch), the
+//! near-duplicate scan (which used to allocate per bucket and per candidate
+//! and now allocates for its output only), and a boosted fit (whose split
+//! search works inside buffers sized once per fit). The counter is per
+//! thread, so the tests run side by side.
 //!
 //! The lane engine's contract (ARCHITECTURE.md §12) is that a steady-state
 //! device-day — plan, poll snapshots at every action boundary, apply —
@@ -30,6 +31,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use racket_agents::{apply_action_collecting, DeviceAgent, LaneScratch, PersonaParams};
+use racket_collect::Message;
 use racket_collect::{
     AsyncCollectServer, AsyncServerConfig, CollectionServer, CollectorConfig, DataBuffer,
     FaultPlan, MemTransport, ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
@@ -38,8 +40,9 @@ use racket_device::{Device, DeviceModel};
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
 use racket_text::{mix64, NearDupIndex};
 use racket_types::{
-    AccountId, AccountService, AndroidId, AppId, DeviceId, InstallId, ParticipantId,
-    RegisteredAccount, SimDuration, SimTime, SlowSnapshot, Snapshot,
+    AccountId, AccountService, AndroidId, ApkHash, AppId, DeviceId, FastSnapshot, InstallDelta,
+    InstallId, InstalledApp, ParticipantId, Permission, PermissionProfile, RegisteredAccount,
+    SimDuration, SimTime, SlowSnapshot, Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -308,6 +311,105 @@ fn steady_state_slow_snapshot_fold_allocates_nothing() {
     assert_eq!(
         spent, 0,
         "1,000 same-shape slow snapshots allocated {spent}×"
+    );
+}
+
+/// After a caller's first file, an upload of the same shape through
+/// `ProtocolCore::handle` asks for memory a constant number of times,
+/// however many apps and snapshots it holds: the inflate buffer and the
+/// decode batch are the caller's `IngestScratch`, reused file after file,
+/// and an installed app (permission lists inline) is copied into the
+/// record's existing slot. Each file here is one fast snapshot listing the
+/// install's apps plus slow snapshots, sent as the install's next file id.
+/// It measures 0 per file; the pin allows 2. A decoder that allocates each
+/// app's three permission lists, and a fold that clones them, cost 210
+/// allocations a file at 50 apps and 834 at 200.
+#[test]
+fn steady_state_upload_allocates_a_constant_per_file() {
+    const P: ParticipantId = ParticipantId(123_456);
+    const I: InstallId = InstallId(1_000_000_000);
+    let upload = |file_id: u64, n_apps: u32, n_slow: u64| {
+        let profile = PermissionProfile::grant_all(&[
+            Permission::Internet,
+            Permission::Camera,
+            Permission::ReadContacts,
+            Permission::AccessFineLocation,
+        ]);
+        // Installed before the first snapshot and re-listed unchanged, on
+        // one calendar day: the record gains no event and no entry.
+        let fast = Snapshot::Fast(FastSnapshot {
+            install_id: I,
+            participant_id: P,
+            time: SimTime::from_secs(86_400 + file_id),
+            foreground_app: Some(AppId(0)),
+            screen_on: true,
+            battery_pct: 80,
+            install_events: (0..n_apps)
+                .map(|app| {
+                    InstallDelta::Installed(InstalledApp::fresh(
+                        AppId(app),
+                        SimTime::from_secs(u64::from(app)),
+                        profile,
+                        ApkHash([app as u8; 16]),
+                    ))
+                })
+                .collect(),
+        });
+        let mut raw = SnapshotCollector::serialize(&fast);
+        for k in 0..n_slow {
+            let slow = Snapshot::Slow(SlowSnapshot {
+                install_id: I,
+                participant_id: P,
+                android_id: Some(AndroidId(1)),
+                time: SimTime::from_secs(86_400 + file_id + k),
+                accounts: vec![RegisteredAccount::non_gmail(
+                    AccountId(1),
+                    AccountService::Facebook,
+                )],
+                save_mode: false,
+                stopped_apps: (0..5).map(AppId).collect(),
+                review_events: Vec::new(),
+            });
+            SnapshotCollector::serialize_into(&slow, &mut raw);
+        }
+        Message::SnapshotUpload {
+            install: I,
+            file_id,
+            fast: true,
+            payload: racket_collect::lzss::compress(&raw),
+        }
+    };
+    // Allocations per file over files 2..=21 of one install.
+    let per_file = |n_apps: u32, n_slow: u64| {
+        let mut server = CollectionServer::new([P]);
+        let sign_in = Message::SignIn {
+            participant: P,
+            install: I,
+        };
+        assert_eq!(
+            server.handle(sign_in),
+            Some(Message::SignInAck { accepted: true })
+        );
+        let uploads: Vec<Message> = (1..=21).map(|id| upload(id, n_apps, n_slow)).collect();
+        let mut spent = Vec::new();
+        for (id, msg) in (1..).zip(uploads) {
+            let before = allocations();
+            let reply = server.handle(msg);
+            spent.push(allocations() - before);
+            assert!(
+                matches!(reply, Some(Message::UploadAck { file_id, .. }) if file_id == id),
+                "{reply:?}"
+            );
+        }
+        assert_eq!(server.stats().snapshots, 21 * (1 + n_slow));
+        spent.split_off(1)
+    };
+    let small = per_file(50, 4);
+    let large = per_file(200, 16);
+    assert!(
+        small.iter().chain(&large).all(|&n| n == small[0] && n <= 2),
+        "allocations per file after the first: 50 apps + 4 slow {small:?}, \
+         200 apps + 16 slow {large:?}"
     );
 }
 

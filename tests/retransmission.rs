@@ -5,7 +5,9 @@
 
 use racket_collect::transport::{MemTransport, Transport};
 use racket_collect::wire::{FrameCodec, Message};
-use racket_collect::{CollectionServer, CollectorConfig, DataBuffer, FaultPlan, SnapshotCollector};
+use racket_collect::{
+    CollectionServer, CollectorConfig, DataBuffer, FaultPlan, SnapshotBatch, SnapshotCollector,
+};
 use racket_device::{Device, DeviceModel};
 use racket_types::{
     AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
@@ -33,10 +35,12 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
         );
     }
     let mut collector = SnapshotCollector::new(CollectorConfig::default(), I, P);
-    let mut buffer = DataBuffer::new();
+    let (mut buffer, mut batch) = (DataBuffer::new(), SnapshotBatch::new());
     for minute in 0..20 {
-        for snap in collector.poll(&device, SimTime::from_mins(minute)) {
-            buffer.push(&snap);
+        batch.clear();
+        collector.poll_into(&device, SimTime::from_mins(minute), &mut batch);
+        for snap in batch.snapshots() {
+            buffer.push(snap);
         }
     }
     buffer.flush();

@@ -7,7 +7,8 @@
 use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    lzss, CollectionServer, CollectorConfig, DataBuffer, SnapshotCollector, TcpTransport, Transport,
+    lzss, CollectionServer, CollectorConfig, DataBuffer, SnapshotBatch, SnapshotCollector,
+    TcpTransport, Transport,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
@@ -69,10 +70,12 @@ fn concurrent_tcp_clients_are_fully_ingested() {
             // 30 simulated minutes of snapshots.
             let mut collector =
                 SnapshotCollector::new(CollectorConfig::default(), install(i), participant(i));
-            let mut buffer = DataBuffer::new();
+            let (mut buffer, mut batch) = (DataBuffer::new(), SnapshotBatch::new());
             for minute in 0..30 {
-                for snap in collector.poll(&device, SimTime::from_mins(minute)) {
-                    buffer.push(&snap);
+                batch.clear();
+                collector.poll_into(&device, SimTime::from_mins(minute), &mut batch);
+                for snap in batch.snapshots() {
+                    buffer.push(snap);
                 }
             }
             buffer.flush();
