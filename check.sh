@@ -21,9 +21,9 @@ cargo build --release
 
 step "cargo test -q (every first-party crate and the umbrella package)"
 # Unit, integration and doc tests of the 15 crates plus the root tests/
-# (examples are built); a bare `cargo test` at the root would cover only
-# the umbrella package. racket-bench's `report` runs in release below (it is
-# ignored in a debug build).
+# (examples are built) — the same set a bare `cargo test` at the root runs,
+# since they are the workspace's default members. racket-bench's `report`
+# runs in release below (it is ignored in a debug build).
 cargo test -q "${first_party[@]}" -p racketstore-suite
 
 step "scenario matrix (release)"

@@ -1,63 +1,80 @@
 //! The asynchronous collection front end: a reactor-driven server that
 //! multiplexes thousands of device connections over a small pool of
-//! worker threads.
+//! worker threads, and the one connection step every server connection
+//! runs.
 //!
-//! The synchronous paths ([`crate::server::CollectionServer::serve_tcp`],
-//! the loopback [`crate::WireLane`]) dedicate a thread or an inline
-//! pump to every connection. That is the right shape for tens of devices
-//! and the wrong one for the paper's scale ambition (§5 ingested 58.3M
-//! snapshots from a fleet): a million idle installs must not cost a
-//! million stacks. This module is the scale path:
-//!
+//! * `Connection::step` is the only driver of a connection's `Session`
+//!   (`session.rs`, the same decode / bounded-queue admission / 429 shed /
+//!   reply numbering everywhere): it reads the connection's pipe — the
+//!   server end of an in-memory pair or a non-blocking TCP socket — feeds
+//!   the session, services it against the shared [`ProtocolCore`],
+//!   writes the replies and decides whether the connection closes. A
+//!   reactor worker steps its connections; a loopback
+//!   [`crate::WireLane`] steps its own server half inline, with no
+//!   thread and no clock.
+//! * A connection is **replaced, never repaired** (`PROTOCOL.md` §6.2):
+//!   poisoned framing, a partial frame with no progress for the stall
+//!   deadline (`STALL_DEADLINE_MS` in memory, `TCP_STALL_DEADLINE_MS` on a
+//!   socket), or a reply that cannot be written whole closes it, once
+//!   every message it decoded whole is answered. The client
+//!   reconnects on a fresh pair — fresh codecs and sequence spaces, each
+//!   end's fault state carried over — and an in-memory reconnect takes
+//!   the old connection's place on the same worker.
 //! * [`AsyncCollectServer::start`] spawns a thread-per-core pool of
 //!   workers. Each worker owns a [`racket_reactor::Poller`] over its
 //!   share of connections, a [`racket_reactor::TimerWheel`] for stall
-//!   deadlines and an [`racket_reactor::IdleStrategy`] so an idle fleet
-//!   costs no CPU: a worker with nothing ready parks, and every
-//!   cross-thread signal that creates work for it — a client's
-//!   [`AsyncConn::send`], a reconnect request, shutdown — publishes
-//!   first and then unparks that worker. A request is picked up when it
-//!   is sent, not at the worker's next polling tick; the park's 1 ms
-//!   timeout only paces the stall timers.
+//!   deadlines and an [`racket_reactor::IdleStrategy`] so an idle
+//!   in-memory fleet costs no CPU: a worker with nothing ready parks,
+//!   and every cross-thread signal that creates work for it — a client's
+//!   [`AsyncConn::send`], a reconnect, shutdown — publishes first and
+//!   then unparks that worker. Nothing unparks a worker for a socket: its
+//!   bytes are noticed at the next round, within the park's 1 ms tick,
+//!   and a worker holding sockets peeks each of them every round
+//!   (`PROTOCOL.md` §10 has the measured cost).
 //! * [`AsyncCollectServer::connect`] hands out an [`AsyncConn`] — the
 //!   client half of an in-memory duplex pair, optionally behind the same
-//!   seeded [`FaultPlan`] the chaos suite drives — and registers the
-//!   server half with one worker. A connection lives on exactly one
-//!   worker for its lifetime, so per-connection frame order is preserved
-//!   without any cross-thread coordination.
-//! * Each connection's bytes go through its own `Session`
-//!   (`session.rs`) — the same decode / bounded-queue admission / 429
-//!   shed / reply numbering as every other driver — and every admitted
-//!   message through the shared [`ProtocolCore`], so this module owns no
-//!   protocol state of its own: only connections, readiness and timers.
+//!   seeded [`FaultPlan`] the chaos suite drives — and
+//!   [`AsyncCollectServer::accept`] takes an accepted `TcpStream`; either
+//!   is placed on one worker (round-robin), where it lives until it
+//!   closes, so per-connection frame order is preserved without any
+//!   cross-thread coordination.
 //!
 //! What is specific to this driver — how much a flood overfills a queue
-//! before the worker looks, stall sweeps, the reconnect handshake — is
-//! timing-dependent and exists only as observability counters, excluded
-//! from every output fingerprint.
-//! `ARCHITECTURE.md` §8 states the driver contract;
-//! The scenario table (`tests/scenario/mod.rs`) and
-//! `tests/backpressure.rs` enforce it.
+//! before the worker looks, stall sweeps — is timing-dependent and exists
+//! only as observability counters, excluded from every output
+//! fingerprint. `ARCHITECTURE.md` §8 states the driver contract; the
+//! scenario table (`tests/scenario/mod.rs`) and `tests/backpressure.rs`
+//! enforce it.
 
-use crate::retry::SERVER_FAULT_SALT;
 use crate::server::{IngestScratch, ProtocolCore, ServerStats};
 pub use crate::session::SHED_ERROR_CODE;
 use crate::session::{Session, QUEUE_LIMIT};
 use crate::shard::ShardedIngest;
-use crate::transport::{FaultPlan, MemTransport, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::transport::{FaultPlan, MemTransport};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use racket_obs::{LocalHistogram, Registry, SPAN_PREFIX};
 use racket_reactor::{IdleStrategy, Poller, Source, TimerWheel, Token};
 use racket_types::metrics::keys;
 use racket_types::{FaultCounters, ParticipantId};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+/// Salt separating the server end's fault RNG stream from the client's,
+/// so the two directions of one connection fail independently.
+const SERVER_FAULT_SALT: u64 = 0x9E6C_63D0_3F15_2A85;
 /// A connection buffering a partial frame with no progress for this long
-/// (worker-clock milliseconds) is swept: transport purged, session
-/// resynchronized. Recovers streams wedged by a corrupted length field.
+/// (worker-clock milliseconds) is closed: what a corrupted length field
+/// or a client that went silent mid-frame leaves behind.
 const STALL_DEADLINE_MS: u64 = 50;
+/// The same deadline for a socket. A real network may hold a segment
+/// back for a retransmission timeout (at least 200 ms on Linux, doubling
+/// per loss), so a socket's partial frame gets the time for a segment to
+/// be resent three times at the minimum RTO before it counts as wedged.
+const TCP_STALL_DEADLINE_MS: u64 = 2_000;
 /// Max ready connections serviced per poll round (fairness bound; the
 /// poller's rotating cursor resumes where a truncated round stopped).
 const POLL_BUDGET: usize = 1024;
@@ -87,21 +104,183 @@ impl Default for AsyncServerConfig {
     }
 }
 
-/// Client/worker rendezvous for the reconnect handshake.
-///
-/// A reconnect must atomically retire both sequence spaces of a
-/// connection, but the two halves live on different threads. The client
-/// bumps `reset_req` and waits (bounded) for the worker to acknowledge;
-/// the worker, which checks the flag at the top of every service round,
-/// purges its incoming direction, installs a fresh strict codec, resets
-/// its outgoing sequence counter and publishes the acknowledged
-/// generation in `reset_ack`.
-#[derive(Debug, Default)]
-struct ConnShared {
-    /// Reconnect generation requested by the client.
-    reset_req: AtomicU32,
-    /// Latest generation the worker has acknowledged.
-    reset_ack: AtomicU32,
+/// The byte pipe under one server connection.
+pub(crate) enum Pipe {
+    /// The server end of an in-memory pair: a loopback lane's, or one
+    /// [`AsyncCollectServer::connect`] handed out.
+    Mem(MemTransport),
+    /// An accepted socket, non-blocking ([`AsyncCollectServer::accept`]).
+    Tcp(TcpStream),
+}
+
+impl Pipe {
+    /// How long a partial frame may sit on this pipe without progress.
+    fn stall_deadline_ms(&self) -> u64 {
+        match self {
+            Pipe::Mem(_) => STALL_DEADLINE_MS,
+            Pipe::Tcp(_) => TCP_STALL_DEADLINE_MS,
+        }
+    }
+}
+
+/// The server half of one connection: its pipe, its protocol [`Session`]
+/// and the stall marker a worker's clock needs.
+pub(crate) struct Connection {
+    pipe: Pipe,
+    session: Session,
+    /// `(buffered_bytes, stamp)` while the session holds a partial frame:
+    /// the stall detector's progress marker. A timer expiry whose stamp
+    /// and byte count both still match means the stream is wedged.
+    wedge: Option<(usize, u64)>,
+    /// Nothing more is read: the pipe ended, or the connection broke. It
+    /// closes once its queue is drained.
+    done: bool,
+    /// Where an [`AsyncConn`] sends the server end of its next pair when
+    /// it reconnects (`None` for a socket).
+    reopened: Option<Receiver<MemTransport>>,
+    /// Stale frames the sessions this connection replaced discarded.
+    replaced_stale: u64,
+}
+
+/// What one [`Connection::step`] did.
+pub(crate) struct Stepped {
+    /// Bytes were read or the session made progress.
+    pub(crate) progress: bool,
+    /// Uploads the session shed.
+    pub(crate) sheds: u64,
+    /// The connection is over: its owner replaces or retires it.
+    pub(crate) close: bool,
+}
+
+impl Connection {
+    pub(crate) fn new(pipe: Pipe, session: Session) -> Self {
+        Connection {
+            pipe,
+            session,
+            wedge: None,
+            done: false,
+            reopened: None,
+            replaced_stale: 0,
+        }
+    }
+
+    /// One step of the connection: take the client's new pipe if it has
+    /// reconnected, read what the pipe holds (at most eight 4 KiB reads
+    /// per message `budget` lets the session drain, so an unbounded budget
+    /// reads everything), feed the session, service it, write each reply
+    /// frame, and decide whether the connection is over (`PROTOCOL.md`
+    /// §6.2 rule 5). It is once it is done — the pipe ended, framing was
+    /// poisoned, or a reply could not be written whole — and every message
+    /// it decoded whole has been answered.
+    pub(crate) fn step(
+        &mut self,
+        core: &ProtocolCore,
+        scratch: &mut IngestScratch,
+        budget: usize,
+    ) -> Stepped {
+        let mut progress = false;
+        // A reconnect replaces this connection once what it decoded whole
+        // is answered; what the old pipe still holds is lost with it. Of
+        // several reconnects since the last step only the latest is live.
+        if let (0, Some(next)) = (self.session.queued(), &self.reopened) {
+            if let Some(fresh) = std::iter::from_fn(|| next.try_recv().ok()).last() {
+                self.replace(fresh);
+                progress = true;
+            }
+        }
+        let mut buf = [0u8; 4096];
+        let mut reads = budget.saturating_mul(8);
+        while !self.done && reads > 0 {
+            reads -= 1;
+            let read = match &mut self.pipe {
+                Pipe::Mem(end) => end.try_recv(&mut buf),
+                Pipe::Tcp(socket) => socket.read(&mut buf),
+            };
+            match read {
+                Ok(0) => self.done = true,
+                Ok(n) => {
+                    self.session.feed(&buf[..n]);
+                    progress = true;
+                }
+                Err(e) => {
+                    self.done = e.kind() != ErrorKind::WouldBlock;
+                    break;
+                }
+            }
+        }
+        let mut written = true;
+        let Connection { pipe, session, .. } = self;
+        let served = session.service(core, scratch, budget, |frame| {
+            if written {
+                written = match pipe {
+                    Pipe::Mem(end) => end.send(frame),
+                    Pipe::Tcp(socket) => socket.write_all(frame),
+                }
+                .is_ok();
+            }
+        });
+        self.done |= served.poisoned || !written;
+        Stepped {
+            progress: progress || served.progress,
+            sheds: served.sheds,
+            close: self.done && self.session.queued() == 0,
+        }
+    }
+
+    /// Take `fresh`, the server end of the client's new pair, in place of
+    /// this connection's in-memory pipe: a fresh strict session, the old
+    /// end's fault state carried over.
+    fn replace(&mut self, fresh: MemTransport) {
+        if let Pipe::Mem(end) = &mut self.pipe {
+            end.rebind(fresh);
+        }
+        let session = Session::strict(self.session.queue_limit());
+        self.replaced_stale += std::mem::replace(&mut self.session, session).stale_discards();
+        self.wedge = None;
+        self.done = false;
+    }
+
+    /// Duplicate/stale frames discarded on this connection.
+    pub(crate) fn stale_discards(&self) -> u64 {
+        self.replaced_stale + self.session.stale_discards()
+    }
+
+    /// Faults the server end injected so far (none over a socket).
+    pub(crate) fn fault_stats(&self) -> FaultCounters {
+        match &self.pipe {
+            Pipe::Mem(end) => end.fault_stats(),
+            Pipe::Tcp(_) => FaultCounters::default(),
+        }
+    }
+}
+
+impl Source for Connection {
+    fn ready(&mut self) -> bool {
+        if self.done && self.session.queued() == 0 {
+            // Closed, its slot waiting for the client's reconnect: ready
+            // once that arrives (its pipe is taken here), or once the
+            // client is gone, for the step to retire the slot.
+            return match self.reopened.as_ref().map(Receiver::try_recv) {
+                Some(Ok(fresh)) => {
+                    self.replace(fresh);
+                    true
+                }
+                Some(Err(TryRecvError::Empty)) => false,
+                _ => true,
+            };
+        }
+        self.session.queued() > 0
+            || self.reopened.as_ref().is_some_and(|next| !next.is_empty())
+            || !self.done
+                && match &mut self.pipe {
+                    Pipe::Mem(end) => end.has_incoming(),
+                    // Level-triggered: bytes to read, the end of the
+                    // stream, or an error — anything but "not yet".
+                    Pipe::Tcp(socket) => {
+                        !matches!(socket.peek(&mut [0]), Err(e) if e.kind() == ErrorKind::WouldBlock)
+                    }
+                }
+    }
 }
 
 /// The client half of an async-plane connection.
@@ -113,11 +292,13 @@ struct ConnShared {
 /// [`crate::retry::WireLane`] in async mode, or a bench client).
 pub struct AsyncConn {
     transport: MemTransport,
-    shared: Arc<ConnShared>,
-    /// The worker thread that polls the server half. Unparked after
-    /// every signal published to it (park's token makes publish-then-
-    /// unpark race-free against the worker's poll-then-park).
-    worker: std::thread::Thread,
+    /// Where [`AsyncConn::reconnect`] sends the server end of a new pair.
+    reopen: Sender<MemTransport>,
+    /// The worker thread that polls the server half (`None`: a loopback
+    /// lane steps it). Unparked after every signal published to it
+    /// (park's token makes publish-then-unpark race-free against the
+    /// worker's poll-then-park).
+    worker: Option<Thread>,
 }
 
 impl AsyncConn {
@@ -126,7 +307,7 @@ impl AsyncConn {
     /// like the loopback lane.
     pub fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         let sent = self.transport.send(bytes);
-        self.worker.unpark();
+        self.wake();
         sent
     }
 
@@ -152,70 +333,44 @@ impl AsyncConn {
         self.transport.peer_is_behind()
     }
 
-    /// Run the reconnect handshake: request a server-side reset and wait
-    /// (bounded) for the worker to acknowledge it, then purge this end.
-    /// After it returns the client must install a fresh strict codec and
-    /// restart its sequence numbers at 0 — the worker has done the same.
-    ///
-    /// The bound (1 s of yields) only matters if the worker is wedged or
-    /// gone; the worker is woken for the request, so the handshake
-    /// normally completes within one poll round. An unacknowledged reset
-    /// is still safe: the worker applies it at its next service round,
-    /// and until then the strict codec discards the client's restarted
-    /// sequence numbers exactly like stale frames — the retry loop
-    /// absorbs the extra round trips.
-    pub(crate) fn request_reset(&mut self) {
-        let generation = self.shared.reset_req.fetch_add(1, Ordering::SeqCst) + 1;
-        self.worker.unpark();
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while self.shared.reset_ack.load(Ordering::SeqCst) < generation {
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        self.transport.purge();
+    /// Replace the connection: move this end onto a fresh pair (its fault
+    /// state kept) and hand the other end to the server half, which takes
+    /// it in the old pipe's place at its next step — on the same worker.
+    /// The caller starts a fresh codec and sequence space; nothing is
+    /// waited for.
+    pub(crate) fn reconnect(&mut self) {
+        let server_end = self.transport.reopen();
+        // A worker that has stopped is gone with its end of `reopen`; the
+        // new pair's first send then reports the closed link.
+        let _ = self.reopen.send(server_end);
+        self.wake();
     }
-}
 
-/// The worker-side half of one connection: its transport, its protocol
-/// [`Session`] and the handshake/stall bookkeeping that needs a clock or
-/// another thread.
-struct Connection {
-    transport: MemTransport,
-    session: Session,
-    shared: Arc<ConnShared>,
-    /// Last reconnect generation this worker acknowledged.
-    handled_reset: u32,
-    /// `(buffered_bytes, stamp)` while the session holds a partial frame:
-    /// the stall detector's progress marker. A timer expiry whose stamp
-    /// and byte count both still match means the stream is wedged.
-    wedge: Option<(usize, u64)>,
-    /// Peer closed its half (drain the queue, then deregister).
-    closed: bool,
-}
-
-impl Connection {
-    /// A freshly accepted connection: both sequence spaces at 0, nothing
-    /// queued.
-    fn new(transport: MemTransport, shared: Arc<ConnShared>, queue_limit: usize) -> Self {
-        Connection {
-            transport,
-            session: Session::strict(queue_limit),
-            shared,
-            handled_reset: 0,
-            wedge: None,
-            closed: false,
+    fn wake(&self) {
+        if let Some(worker) = &self.worker {
+            worker.unpark();
         }
     }
 }
 
-impl Source for Connection {
-    fn ready(&mut self) -> bool {
-        self.shared.reset_req.load(Ordering::Acquire) != self.handled_reset
-            || self.transport.has_incoming()
-            || self.session.queued() > 0
-    }
+/// An in-memory connection: the client half, and the server half for the
+/// caller to step or to place on a worker. `plan` is installed on both
+/// directions with independent seeded streams — the client's from `seed`,
+/// the server's from `seed ^ SERVER_FAULT_SALT` — so chaos seeds are
+/// comparable across the loopback and async paths.
+pub(crate) fn open(plan: FaultPlan, seed: u64, queue_limit: usize) -> (AsyncConn, Connection) {
+    let (mut transport, mut server_end) = MemTransport::pair();
+    transport.inject_faults(plan, seed);
+    server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
+    let (reopen, reopened) = unbounded();
+    let mut conn = Connection::new(Pipe::Mem(server_end), Session::strict(queue_limit));
+    conn.reopened = Some(reopened);
+    let client = AsyncConn {
+        transport,
+        reopen,
+        worker: None,
+    };
+    (client, conn)
 }
 
 /// Per-worker counters and span histograms, returned on join and merged
@@ -233,7 +388,7 @@ struct WorkerReport {
 }
 
 /// One reactor worker: accepts connections from its intake channel,
-/// polls them for readiness, decodes/admits/replies, sweeps stalls.
+/// polls them for readiness, steps the ready ones, sweeps stalls.
 struct Worker {
     intake: Receiver<Connection>,
     stop: Arc<AtomicBool>,
@@ -289,13 +444,7 @@ impl Worker {
             let n_ready = self.poller.poll(&mut ready, POLL_BUDGET);
             if n_ready > 0 {
                 for &token in &ready {
-                    let (progress, close) = self.service(token, now_ms);
-                    progressed |= progress;
-                    if close {
-                        if let Some(conn) = self.poller.deregister(token) {
-                            self.retire(conn);
-                        }
-                    }
+                    progressed |= self.service(token, now_ms);
                 }
                 self.report
                     .poll
@@ -304,7 +453,7 @@ impl Worker {
             // Fire stall deadlines.
             self.wheel.advance(now_ms, &mut expired);
             for &(token, stamp) in &expired {
-                self.sweep(token, stamp);
+                progressed |= self.sweep(token, stamp);
             }
             if self.stop.load(Ordering::Acquire) && !progressed && self.intake.is_empty() {
                 break;
@@ -325,114 +474,92 @@ impl Worker {
         self.report
     }
 
-    /// Service one ready connection: reconnect handshake, reads, then one
-    /// round of its [`Session`] — decode, admit or shed, and a
-    /// fairness-bounded drain of the queue through the core. Returns
-    /// `(made_progress, should_close)`.
-    fn service(&mut self, token: Token, now_ms: u64) -> (bool, bool) {
+    /// Step one ready connection with a fairness-bounded drain (the
+    /// shutdown drain processes everything), keep its stall marker, and
+    /// close it if the step says so. Returns whether it made progress (a
+    /// close is progress: a new pipe may be waiting to be read).
+    fn service(&mut self, token: Token, now_ms: u64) -> bool {
         let Some(conn) = self.poller.get_mut(token) else {
-            return (false, false);
+            return false;
         };
-        let mut progress = false;
-        // Reconnect handshake: retire both sequence spaces, then publish
-        // the acknowledged generation so the blocked client proceeds.
-        let reset_req = conn.shared.reset_req.load(Ordering::Acquire);
-        if reset_req != conn.handled_reset {
-            conn.transport.purge();
-            conn.session.reset();
-            conn.wedge = None;
-            conn.handled_reset = reset_req;
-            conn.shared.reset_ack.store(reset_req, Ordering::Release);
-            progress = true;
-        }
-        // Drain the transport into the session (bounded for fairness; any
-        // remainder keeps the connection ready for the next round).
-        let mut buf = [0u8; 4096];
-        for _ in 0..256 {
-            match conn.transport.try_recv(&mut buf) {
-                Ok(0) => {
-                    conn.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.session.feed(&buf[..n]);
-                    progress = true;
-                }
-                Err(_) => break, // WouldBlock: drained
-            }
-        }
-        // Queued messages are admitted a bounded number per round for
-        // fairness (the shutdown drain processes everything).
         let budget = if self.stop.load(Ordering::Acquire) {
             usize::MAX
         } else {
             DRAIN_PER_CONN
         };
-        let Connection {
-            transport, session, ..
-        } = &mut *conn;
-        let served = session.service(&self.core, &mut self.scratch, budget, |frame| {
-            // A failed reply send (injected reset, client gone) is the
-            // client's problem to recover: its retry loop times out and
-            // retransmits.
-            let _ = transport.send(frame);
-        });
-        progress |= served.progress;
-        self.report.load_sheds += served.sheds;
+        let stepped = conn.step(&self.core, &mut self.scratch, budget);
+        self.report.load_sheds += stepped.sheds;
         self.report.queue_depth_peak = self
             .report
             .queue_depth_peak
             .max(conn.session.queue_peak() as u64);
-        if served.poisoned {
-            // The session has resynchronized on the client's next
-            // transmission (a fresh strict codec accepts any continuing
-            // sequence number); what the pipe still holds is garbage.
-            conn.transport.purge();
-        }
         // Stall bookkeeping: a partial frame with no byte progress past
         // the deadline will be swept; any progress re-arms the timer.
         let buffered = conn.session.buffered();
-        if buffered > 0 {
-            let rearm = match conn.wedge {
-                Some((len, _)) => len != buffered,
-                None => true,
-            };
-            if rearm {
-                self.stamp_counter += 1;
-                conn.wedge = Some((buffered, self.stamp_counter));
-                self.wheel
-                    .schedule(now_ms + STALL_DEADLINE_MS, token, self.stamp_counter);
-            }
-        } else {
+        if buffered == 0 || conn.done {
             conn.wedge = None;
+        } else if conn.wedge.is_none_or(|(len, _)| len != buffered) {
+            self.stamp_counter += 1;
+            conn.wedge = Some((buffered, self.stamp_counter));
+            let deadline = now_ms + conn.pipe.stall_deadline_ms();
+            self.wheel.schedule(deadline, token, self.stamp_counter);
         }
-        let close = conn.closed && conn.session.queued() == 0;
-        (progress, close)
+        if stepped.close {
+            self.close(token);
+        }
+        stepped.progress || stepped.close
     }
 
-    /// Timer expiry: sweep the connection if its wedge marker still
-    /// matches (same stamp, same buffered byte count — no progress since
-    /// the deadline was armed).
-    fn sweep(&mut self, token: Token, stamp: u64) {
+    /// Timer expiry: a connection whose wedge marker still matches (same
+    /// stamp, same buffered byte count — no progress since the deadline
+    /// was armed) is done, and closes once its queue is drained. Returns
+    /// whether it swept.
+    fn sweep(&mut self, token: Token, stamp: u64) -> bool {
         let Some(conn) = self.poller.get_mut(token) else {
-            return; // connection retired; lazily cancelled timer
+            return false; // connection retired; lazily cancelled timer
         };
         match conn.wedge {
             Some((len, s)) if s == stamp && conn.session.buffered() == len => {
-                conn.transport.purge();
-                conn.session.resync();
                 conn.wedge = None;
+                conn.done = true;
                 self.report.stall_sweeps += 1;
+                if conn.session.queued() == 0 {
+                    self.close(token);
+                }
+                true
             }
-            _ => {} // progress was made, or a newer wedge owns the timer
+            _ => false, // progress was made, or a newer wedge owns the timer
+        }
+    }
+
+    /// Close a connection the step gave up on. An in-memory client that
+    /// has reconnected gets its new pipe in the old one's place, on this
+    /// worker; one that has not yet sees its pipe shut, and the slot waits
+    /// for its reconnect. A socket, or a connection whose client is gone,
+    /// is retired.
+    fn close(&mut self, token: Token) {
+        let Some(conn) = self.poller.get_mut(token) else {
+            return;
+        };
+        match (
+            conn.reopened.as_ref().map(Receiver::try_recv),
+            &mut conn.pipe,
+        ) {
+            (Some(Ok(fresh)), _) => conn.replace(fresh),
+            (Some(Err(TryRecvError::Empty)), Pipe::Mem(end)) => drop(end.reopen()),
+            _ => {
+                if let Some(conn) = self.poller.deregister(token) {
+                    self.retire(conn);
+                }
+            }
         }
     }
 
     /// Fold a retiring connection's transport and session tallies into the
     /// worker report.
     fn retire(&mut self, conn: Connection) {
-        self.report.stale_frames += conn.session.stale_discards();
-        self.report.faults.merge(&conn.transport.fault_stats());
+        self.report.stale_frames += conn.stale_discards();
+        self.report.faults.merge(&conn.fault_stats());
     }
 }
 
@@ -489,27 +616,38 @@ impl AsyncCollectServer {
         }
     }
 
-    /// Open one connection, placing its server half on a worker
-    /// (round-robin). `plan` is installed on both directions with
-    /// independent seeded streams — the client's from `seed`, the
-    /// server's from `seed ^ SERVER_FAULT_SALT`, matching the loopback
-    /// lane's convention so chaos seeds are comparable across paths.
+    /// Open one in-memory connection on the next worker (round-robin).
+    /// `plan` is installed on both directions with independent seeded
+    /// streams — the client's from `seed`, the server's from
+    /// `seed ^ SERVER_FAULT_SALT`, matching the loopback lane's
+    /// convention so chaos seeds are comparable across paths.
     pub fn connect(&self, plan: FaultPlan, seed: u64) -> AsyncConn {
-        let (mut client, mut server_end) = MemTransport::pair();
-        client.inject_faults(plan, seed);
-        server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
-        let shared = Arc::new(ConnShared::default());
-        let conn = Connection::new(server_end, Arc::clone(&shared), self.queue_limit);
+        let (mut client, conn) = open(plan, seed, self.queue_limit);
+        client.worker = Some(self.place(conn).clone());
+        client
+    }
+
+    /// Serve an accepted TCP connection on the next worker (round-robin):
+    /// the socket turns non-blocking and runs a lenient session (the
+    /// stream is ordered and exactly-once). The caller runs the accept
+    /// loop. Errors only if the socket cannot be made non-blocking.
+    pub fn accept(&self, socket: TcpStream) -> std::io::Result<()> {
+        socket.set_nonblocking(true)?;
+        let session = Session::lenient(self.queue_limit);
+        self.place(Connection::new(Pipe::Tcp(socket), session))
+            .unpark();
+        Ok(())
+    }
+
+    /// Hand a connection to the next worker (round-robin); returns that
+    /// worker's thread.
+    fn place(&self, conn: Connection) -> &Thread {
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.intakes.len();
         assert!(
             self.intakes[w].send(conn).is_ok(),
             "collection worker is running"
         );
-        AsyncConn {
-            transport: client,
-            shared,
-            worker: self.handles[w].thread().clone(),
-        }
+        self.handles[w].thread()
     }
 
     /// Stop the workers (after they drain every queued message), merge
@@ -577,7 +715,12 @@ pub(crate) mod tests {
 
     /// One compressed single-snapshot upload payload, distinct per `t`.
     pub(crate) fn payload(t: u64) -> Vec<u8> {
-        let snap = Snapshot::Fast(FastSnapshot {
+        lzss::compress(&SnapshotCollector::serialize(&snapshot(t)))
+    }
+
+    /// The snapshot [`payload`] holds.
+    pub(crate) fn snapshot(t: u64) -> Snapshot {
+        Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_secs(t),
@@ -590,8 +733,7 @@ pub(crate) mod tests {
                 PermissionProfile::default(),
                 ApkHash([1; 16]),
             ))],
-        });
-        lzss::compress(&SnapshotCollector::serialize(&snap))
+        })
     }
 
     /// Drain replies until one decodes or the deadline passes.
@@ -667,30 +809,6 @@ pub(crate) mod tests {
         assert_eq!(snap.counter(keys::SERVER_STALL_SWEEPS), 0);
     }
 
-    /// Play raw client frames, one send and one service round each,
-    /// through a hand-stepped worker owning a single connection; returns
-    /// the replies in arrival order (`session::tests::drivers_agree`).
-    pub(crate) fn play_worker(core: Arc<ProtocolCore>, script: &[Vec<u8>]) -> Vec<Message> {
-        let mut worker = Worker::new(unbounded().1, Arc::default(), core);
-        let (mut client, server_end) = MemTransport::pair();
-        let conn = Connection::new(server_end, Arc::default(), QUEUE_LIMIT);
-        let token = worker.poller.register(conn);
-        let mut codec = FrameCodec::strict();
-        let mut buf = [0u8; 4096];
-        let mut replies = Vec::new();
-        for frame in script {
-            client.send(frame).unwrap();
-            worker.service(token, 0);
-            while let Ok(n) = client.try_recv(&mut buf) {
-                codec.feed(&buf[..n]);
-            }
-            replies.extend(std::iter::from_fn(|| {
-                codec.try_decode_message().expect("clean link")
-            }));
-        }
-        replies
-    }
-
     #[test]
     fn overflowed_queue_sheds_uploads_without_data_loss() {
         // The worker is stepped by hand, so how far the frame-by-frame
@@ -703,9 +821,8 @@ pub(crate) mod tests {
         let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
         let mut worker = Worker::new(unbounded().1, Arc::default(), Arc::clone(&core));
         let (mut client, server_end) = MemTransport::pair();
-        let token = worker
-            .poller
-            .register(Connection::new(server_end, Arc::default(), 1));
+        let conn = Connection::new(Pipe::Mem(server_end), Session::strict(1));
+        let token = worker.poller.register(conn);
         let mut codec = FrameCodec::strict();
         let mut replies = |client: &mut MemTransport| -> Vec<Message> {
             let mut buf = [0u8; 4096];
@@ -772,8 +889,8 @@ pub(crate) mod tests {
     fn every_cross_thread_signal_wakes_a_parked_worker() {
         // Lost-wake regression. This worker parks at once on every empty
         // round and its park tick is a minute, so nothing below can be
-        // served by the tick: each exchange, the reconnect handshake and
-        // the shutdown completes only because its signal unparked the
+        // served by the tick: each exchange, the reconnect and the
+        // shutdown completes only because its signal unparked the
         // worker, and one lost wake fails an `expect` (or the last
         // assertion) instead of costing a millisecond nobody notices.
         const TICK: Duration = Duration::from_secs(60);
@@ -813,10 +930,11 @@ pub(crate) mod tests {
             let reply = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)).expect("ack");
             assert!(matches!(reply, Message::UploadAck { file_id: f, .. } if f == file_id));
         }
-        // A reconnect request is acknowledged before its one-second
-        // give-up bound…
-        conn.request_reset();
-        assert_eq!(conn.shared.reset_ack.load(Ordering::SeqCst), 1);
+        // A reconnect is served: the worker takes the new pipe in the old
+        // one's place and answers on it, from sequence number 0…
+        conn.reconnect();
+        let (mut codec, mut seq) = (FrameCodec::strict(), 0);
+        sign_in(&mut conn, &mut codec, &mut seq);
         // …and shutdown's stop flag is seen without a further send.
         let stats = srv.shutdown(&Registry::new());
         assert_eq!(stats.files, n_files);
@@ -828,62 +946,114 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reconnect_handshake_restarts_both_sequence_spaces() {
-        let (srv, _sharded) = start(test_cfg());
-        let mut conn = srv.connect(FaultPlan::none(), 3);
-        let mut codec = FrameCodec::strict();
-        let mut seq = 5u32; // pretend earlier traffic consumed 0..5
-        sign_in(&mut conn, &mut codec, &mut seq);
-        // Without a handshake, restarting at seq 0 would be discarded by
-        // the server's strict codec as stale. The handshake must make it
-        // acceptable again.
-        conn.request_reset();
-        let mut codec = FrameCodec::strict();
-        let mut seq = 0u32;
-        sign_in(&mut conn, &mut codec, &mut seq);
-        let registry = Registry::new();
-        let stats = srv.shutdown(&registry);
-        assert_eq!(stats.sign_ins, 1, "re-sign-in is idempotent");
+    fn a_reconnect_opens_a_fresh_connection_on_the_same_worker() {
+        // A hand-stepped worker holding one connection whose every chunk,
+        // either way, is duplicated: whatever the reconnect opens, only
+        // this worker can serve it.
+        let core = Arc::new(ProtocolCore::new([P], Arc::new(ShardedIngest::new(4))));
+        let mut worker = Worker::new(unbounded().1, Arc::default(), core);
+        let plan = FaultPlan {
+            duplicate: 1.0,
+            ..FaultPlan::none()
+        };
+        let (mut conn, server) = open(plan, 3, QUEUE_LIMIT);
+        let token = worker.poller.register(server);
+        let sign_in = Message::SignIn {
+            participant: P,
+            install: I,
+        };
+        // One exchange per connection; returns the reply frames' numbers.
+        let exchange = |conn: &mut AsyncConn, worker: &mut Worker, seq: u32| {
+            conn.send(&sign_in.encode_seq(seq)).unwrap();
+            while worker.poller.get_mut(token).is_some_and(|c| c.ready()) {
+                worker.service(token, 0);
+            }
+            let mut codec = FrameCodec::new();
+            let mut buf = [0u8; 4096];
+            while let Ok(n @ 1..) = conn.try_recv(&mut buf) {
+                codec.feed(&buf[..n]);
+            }
+            std::iter::from_fn(|| codec.try_decode().expect("clean frames"))
+                .map(|frame| frame.seq)
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(exchange(&mut conn, &mut worker, 5), [0, 0]);
+        // Without a reconnect, sequence number 0 is stale on this
+        // connection; on the new one both sequence spaces start over.
+        conn.reconnect();
+        assert_eq!(exchange(&mut conn, &mut worker, 0), [0, 0]);
+        assert_eq!(
+            worker.poller.len(),
+            1,
+            "the new pipe took the old one's slot"
+        );
+        assert_eq!(worker.core.stats().sign_ins, 1, "re-sign-in is idempotent");
+        // Each end's fault state carried over: both replies and both
+        // sign-ins were duplicated, and each session discarded one copy.
+        assert_eq!(conn.fault_stats().duplicated, 2);
+        let retired = worker.poller.deregister(token).expect("registered");
+        worker.retire(retired);
+        assert_eq!(worker.report.faults.duplicated, 2);
+        assert_eq!(worker.report.stale_frames, 2);
     }
 
     #[test]
-    fn wedged_partial_frame_is_stall_swept() {
+    fn a_closed_connection_whose_client_is_gone_is_retired() {
+        let core = Arc::new(ProtocolCore::new([P], Arc::new(ShardedIngest::new(4))));
+        let mut worker = Worker::new(unbounded().1, Arc::default(), core);
+        let (mut conn, server) = open(FaultPlan::none(), 5, QUEUE_LIMIT);
+        let token = worker.poller.register(server);
+        // A bad magic poisons the framing: the connection closes, and its
+        // slot waits for a reconnect that an idle client never sends.
+        conn.send(&[0xAB; 64]).unwrap();
+        let mut ready = Vec::new();
+        let mut poll = |worker: &mut Worker| {
+            worker.poller.poll(&mut ready, POLL_BUDGET);
+            for &token in &ready {
+                worker.service(token, 0);
+            }
+        };
+        poll(&mut worker);
+        poll(&mut worker);
+        assert!(!worker.poller.get_mut(token).is_some_and(|c| c.ready()));
+        assert_eq!(worker.poller.len(), 1, "the slot waits for the client");
+        // The client goes without reconnecting: the next round retires
+        // the slot.
+        drop(conn);
+        poll(&mut worker);
+        assert_eq!(worker.poller.len(), 0);
+    }
+
+    #[test]
+    fn a_wedged_partial_frame_closes_the_connection_and_the_lane_recovers() {
         let (srv, sharded) = start(test_cfg());
         let mut conn = srv.connect(FaultPlan::none(), 4);
-        let mut codec = FrameCodec::strict();
-        let mut seq = 0u32;
-        sign_in(&mut conn, &mut codec, &mut seq);
         // A frame cut off mid-header wedges the server's decoder: it
-        // waits for bytes that never come. The stall sweeper must purge
-        // and resynchronize without the client reconnecting.
-        let data = payload(7);
+        // waits for bytes that never come. Past the stall deadline the
+        // worker closes the connection.
         let frame = Message::SnapshotUpload {
             install: I,
             file_id: 1,
             fast: true,
-            payload: data.clone(),
+            payload: payload(7),
         }
-        .encode_seq(seq);
-        seq += 1;
+        .encode_seq(0);
         conn.send(&frame[..frame.len() / 2]).unwrap();
         std::thread::sleep(Duration::from_millis(3 * STALL_DEADLINE_MS));
-        // The retransmission (fresh seq) decodes on the swept codec.
-        let msg = Message::SnapshotUpload {
-            install: I,
-            file_id: 1,
-            fast: true,
-            payload: data,
-        };
-        conn.send(&msg.encode_seq(seq)).unwrap();
-        let reply = recv_reply(&mut conn, &mut codec, Duration::from_secs(5)).expect("ack");
-        assert!(matches!(reply, Message::UploadAck { file_id: 1, .. }));
+        // A lane on that connection finds it closed, reconnects on a
+        // fresh one and delivers.
+        let mut lane = crate::WireLane::new_async(I, P, 4, conn);
+        assert_eq!(lane.sign_in(), Some(true));
+        let mut buffer = crate::DataBuffer::new();
+        buffer.push(&snapshot(7));
+        buffer.flush();
+        lane.upload_pending(&mut buffer);
+        assert_eq!(buffer.pending_count(), 0);
+        assert_eq!(lane.stats().reconnects, 1);
         let registry = Registry::new();
         let stats = srv.shutdown(&registry);
         assert_eq!(stats.files, 1);
         assert_eq!(sharded.snapshots_ingested(), 1);
-        assert!(
-            registry.snapshot().counter(keys::SERVER_STALL_SWEEPS) >= 1,
-            "the wedged stream must be recovered by a sweep"
-        );
+        assert_eq!(registry.snapshot().counter(keys::SERVER_STALL_SWEEPS), 1);
     }
 }

@@ -16,27 +16,27 @@
 //! * [`lzss`] — the compression applied to rotated snapshot files;
 //! * [`wire`] — the length-prefixed, CRC-protected frame codec and message
 //!   set (sign-in, snapshot upload, hash acknowledgement);
-//! * [`transport`] — a blocking [`transport::Transport`] abstraction with
-//!   in-memory (crossbeam channel) and TCP implementations, plus the
-//!   seeded fault-injection layer ([`transport::FaultPlan`]) chaos tests
-//!   drive;
+//! * [`transport`] — the in-memory duplex pipe ([`MemTransport`], a
+//!   crossbeam channel pair) and the seeded fault-injection layer
+//!   ([`transport::FaultPlan`]) chaos tests drive;
 //! * `retry` — the client-side window/retry/backoff state machine:
 //!   [`WireLane`] runs one device's protocol session over a
 //!   (possibly fault-injected) link with a sliding window of files in
 //!   flight, Go-Back-N recovery, bounded exponential backoff,
 //!   reconnect-and-resume, and exactly-once in-order delivery via the
 //!   server's file-order rule; a loopback lane also steps the server
-//!   half of its link inline;
+//!   half of its link inline, with the async plane's connection step;
 //! * [`server`] — the server side of the protocol as one sans-IO core
 //!   ([`ProtocolCore`]; the contract is `PROTOCOL.md` §6) and the
 //!   per-install aggregate it folds into; the private `session` module
 //!   is the per-connection half of the same contract (decode, bounded
-//!   admission with its 429 shed, reply numbering), owned by every
-//!   driver;
-//! * [`async_server`] — the reactor-driven driver: thread-per-core
-//!   workers multiplexing thousands of connections over
-//!   [`racket_reactor`] readiness polling, with server-side stall sweeps
-//!   (the million-device scale path; see `ARCHITECTURE.md` §8);
+//!   admission with its 429 shed, reply numbering), one per connection;
+//! * [`async_server`] — the one connection step (read, feed the
+//!   session, reply, close on trouble) and the reactor-driven server that
+//!   runs it: thread-per-core workers multiplexing thousands of
+//!   in-memory and TCP connections over [`racket_reactor`] readiness
+//!   polling, with server-side stall deadlines (the million-device scale
+//!   path; see `ARCHITECTURE.md` §8);
 //! * `shard` — the one record table ([`ShardedIngest`]): per-install records spread over
 //!   independently locked shards so batches from different devices
 //!   ingest concurrently on every collection path;
@@ -77,5 +77,5 @@ pub use retry::{RetryStats, WireLane};
 pub use server::{CollectionServer, IngestScratch, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
 pub use stream::{AppStream, StreamAggregates};
-pub use transport::{FaultPlan, MemTransport, TcpTransport, Transport};
+pub use transport::{FaultPlan, MemTransport};
 pub use wire::{Frame, FrameCodec, Message};

@@ -455,6 +455,68 @@ pub(crate) fn decompress_capped(
 mod tests {
     use super::*;
 
+    #[test]
+    fn hostile_streams_fail_or_stay_within_the_cap() {
+        // 256 seeded edits of real compressed files — words overwritten,
+        // bits flipped, tails cut or spliced — and 64 runs of raw random
+        // bytes, through the capped inflate of the upload path, into one
+        // long-lived buffer as an ingest scratch keeps it. Each returns
+        // `Err` or at most the cap, and the buffer never grows past it.
+        use crate::server::MAX_INFLATED_BYTES;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let record = crate::SnapshotCollector::serialize(&crate::async_server::tests::snapshot(9));
+        let files = [
+            compress(&record.repeat(40)),
+            compress(&record.repeat(MAX_INFLATED_BYTES / record.len() - 1)),
+            compress(&vec![b'x'; 2 * MAX_INFLATED_BYTES]),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed_1233);
+        let mut cases: Vec<Vec<u8>> = (0..64)
+            .map(|_| (0..rng.gen_range(0..4096)).map(|_| rng.gen()).collect())
+            .collect();
+        for _ in 0..256 {
+            let mut file = files[rng.gen_range(0..files.len())].clone();
+            for _ in 0..rng.gen_range(1..=3) {
+                let at = rng.gen_range(0..file.len());
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let word: u32 = [0, u32::MAX, rng.gen()][rng.gen_range(0..3)];
+                        let end = file.len().min(at + 4);
+                        file[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                    }
+                    1 => file[at] ^= 1 << rng.gen_range(0..8),
+                    2 => file.truncate(at.max(1)),
+                    _ => {
+                        let other = &files[rng.gen_range(0..files.len())];
+                        file.truncate(at);
+                        file.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
+                    }
+                }
+            }
+            cases.push(file);
+        }
+        let (mut out, mut inflated, mut refused) = (Vec::new(), 0, 0);
+        for (k, case) in cases.iter().enumerate() {
+            match decompress_capped(case, &mut out, MAX_INFLATED_BYTES) {
+                Ok(()) => {
+                    assert!(out.len() <= MAX_INFLATED_BYTES, "case {k}");
+                    inflated += 1;
+                }
+                Err(_) => refused += 1,
+            }
+            assert!(
+                out.capacity() <= MAX_INFLATED_BYTES,
+                "case {k}: {}",
+                out.capacity()
+            );
+        }
+        assert!(
+            inflated > 50 && refused > 50,
+            "{inflated} inflated, {refused} refused"
+        );
+    }
+
     fn round_trip(data: &[u8]) -> Vec<u8> {
         let c = compress(data);
         decompress(&c).expect("round trip must decompress")

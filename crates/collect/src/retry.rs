@@ -10,8 +10,8 @@
 //! and not yet acknowledged, Go-Back-N recovery — any trouble with the
 //! oldest unacknowledged file rewinds the window to it — with bounded
 //! exponential backoff and jittered, RNG-seeded delays, and a reconnect
-//! (purge + fresh sequence-checked codecs) after a connection reset or a
-//! poisoned frame stream.
+//! (a fresh pair with fresh sequence-checked codecs) after a connection
+//! reset, a closed link or a poisoned frame stream.
 //!
 //! Recovery is safe because the protocol is idempotent end to end:
 //!
@@ -33,37 +33,34 @@
 //!
 //! # Backends
 //!
-//! A lane runs over one of two backends (`LaneBackend`, chosen at
-//! construction):
+//! A lane always owns the client half of an in-memory connection, an
+//! [`AsyncConn`]; what serves the other half is chosen at construction:
 //!
-//! * **Loopback** ([`WireLane::new`]) — the lane owns both transport
-//!   endpoints and the server half of the connection (a `Session` over
-//!   the shared [`ProtocolCore`]), which it steps inline whenever it looks
-//!   for replies: a one-connection worker without a thread. Fully
+//! * **Loopback** ([`WireLane::new`]) — the lane also owns the server
+//!   half, the same `Connection` a reactor worker serves, and steps it
+//!   inline against the shared [`ProtocolCore`] whenever it looks for
+//!   replies: a one-connection worker without a thread or a clock. Fully
 //!   deterministic; the synchronous study path.
-//! * **Async** ([`WireLane::new_async`]) — the lane owns only the client
-//!   half of an [`AsyncConn`] from
-//!   [`crate::async_server::AsyncCollectServer::connect`]; the server side
-//!   runs on the async plane's reactor workers, and replies are awaited
-//!   up to a deadline that follows the lane's observed ack latency. Same
-//!   state machine, same wire semantics; reconnect becomes the explicit
-//!   cross-thread handshake ([`AsyncConn::request_reset`]).
+//! * **Async** ([`WireLane::new_async`]) — the connection comes from
+//!   [`crate::async_server::AsyncCollectServer::connect`] and its server
+//!   half runs on one of the async plane's reactor workers; replies are
+//!   awaited up to a deadline that follows the lane's observed ack
+//!   latency.
+//!
+//! Same state machine, same wire semantics, same reconnect: a fresh pair
+//! whose server end takes the old one's place at the server half's next
+//! step.
 
-use crate::async_server::AsyncConn;
+use crate::async_server::{self, AsyncConn, Connection};
 use crate::buffer::{DataBuffer, StageTimers};
 use crate::server::{IngestScratch, ProtocolCore};
-use crate::session::{Session, QUEUE_LIMIT};
-use crate::transport::{splitmix64, FaultPlan, MemTransport, Transport};
+use crate::session::QUEUE_LIMIT;
+use crate::transport::{splitmix64, FaultPlan};
 use crate::wire::{self, FrameCodec, Message};
 use racket_types::{FaultCounters, InstallId, ParticipantId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Salt separating the server endpoint's fault RNG stream from the
-/// client's, so the two directions of one lane fail independently. Shared
-/// with the async plane's `connect`, which installs the same two streams
-/// on the two ends of a connection.
-pub(crate) const SERVER_FAULT_SALT: u64 = 0x9E6C_63D0_3F15_2A85;
 /// Salt separating backoff jitter from fault sampling.
 const JITTER_SALT: u64 = 0x4CF5_AD43_2745_937F;
 
@@ -142,42 +139,12 @@ impl RetryStats {
     }
 }
 
-/// Which kind of link a [`WireLane`] runs over.
-///
-/// Private enum, public concept: the lane's observable protocol behaviour
-/// (sequence discipline, window, retry/backoff, idempotent recovery) is
-/// identical across backends; only the mechanics of moving bytes, waiting
-/// and reconnecting differ. The equivalence is enforced end-to-end by
-/// the scenario table, `tests/scenario/mod.rs`.
-enum LaneBackend {
-    /// The lane owns both endpoints of an in-memory pair and the server
-    /// half of the connection, stepped inline (the deterministic,
-    /// thread-free study path).
-    Loopback {
-        client: MemTransport,
-        server_end: MemTransport,
-        /// Boxed so an async lane does not carry a loopback lane's size.
-        session: Box<Session>,
-        core: Arc<ProtocolCore>,
-        /// Inflate buffer and decode batch (what a reactor worker owns on
-        /// the async path); boxed like `session`.
-        scratch: Box<IngestScratch>,
-        /// The server half lost framing, or its reply send was reset:
-        /// once the replies it produced before that are read, the link is
-        /// [`Reply::Broken`] until the lane reconnects.
-        broken: bool,
-    },
-    /// The lane owns the client half of an async-plane connection; the
-    /// server half lives on a reactor worker thread.
-    Async { conn: AsyncConn },
-}
-
-impl LaneBackend {
-    /// Whether frames the lane sent are still in the pipe, unread by a
-    /// reactor worker. (A loopback lane steps its server half itself.)
-    fn worker_is_behind(&self) -> bool {
-        matches!(self, LaneBackend::Async { conn } if conn.worker_is_behind())
-    }
+/// A loopback lane's server half: the connection a reactor worker would
+/// serve, stepped inline against `core` with the lane's own scratch.
+struct Loopback {
+    server: Connection,
+    core: Arc<ProtocolCore>,
+    scratch: IngestScratch,
 }
 
 /// What [`WireLane::next_reply`] found on the link.
@@ -208,16 +175,21 @@ enum Step {
 
 /// One device's protocol session over a fault-injected link.
 ///
-/// With the loopback backend the lane owns both transport endpoints — the
-/// study driver is an in-process simulation, so the lane itself steps the
-/// server half of the pipe against the shared [`ProtocolCore`]; replies
+/// With the loopback backend the lane owns both halves of the connection
+/// — the study driver is an in-process simulation, so the lane itself
+/// steps the server half against the shared [`ProtocolCore`]; replies
 /// travel back through the same fault layer. Both directions get
 /// independent seeded fault streams derived from the lane seed. With the
 /// async backend the async plane's workers own the server half and
 /// replies are awaited up to a deadline that follows the observed ack
 /// latency.
 pub struct WireLane {
-    backend: LaneBackend,
+    conn: AsyncConn,
+    /// The server half, if this lane steps it (boxed so an async lane
+    /// does not carry a loopback lane's size). Once it closes, and the
+    /// replies it wrote before are read, the link is [`Reply::Broken`]
+    /// until the lane reconnects.
+    loopback: Option<Box<Loopback>>,
     client_codec: FrameCodec,
     client_seq: u32,
     install: InstallId,
@@ -263,18 +235,13 @@ impl WireLane {
         seed: u64,
         core: Arc<ProtocolCore>,
     ) -> Self {
-        let (mut client, mut server_end) = MemTransport::pair();
-        client.inject_faults(plan, seed);
-        server_end.inject_faults(plan, seed ^ SERVER_FAULT_SALT);
-        let backend = LaneBackend::Loopback {
-            client,
-            server_end,
-            session: Box::new(Session::strict(QUEUE_LIMIT)),
+        let (conn, server) = async_server::open(plan, seed, QUEUE_LIMIT);
+        let loopback = Loopback {
+            server,
             core,
-            scratch: Box::default(),
-            broken: false,
+            scratch: IngestScratch::new(),
         };
-        Self::over(backend, install, participant, seed)
+        Self::over(conn, Some(Box::new(loopback)), install, participant, seed)
     }
 
     /// Create a lane over an async-plane connection (from
@@ -288,17 +255,19 @@ impl WireLane {
         seed: u64,
         conn: AsyncConn,
     ) -> Self {
-        Self::over(LaneBackend::Async { conn }, install, participant, seed)
+        Self::over(conn, None, install, participant, seed)
     }
 
     fn over(
-        backend: LaneBackend,
+        conn: AsyncConn,
+        loopback: Option<Box<Loopback>>,
         install: InstallId,
         participant: ParticipantId,
         seed: u64,
     ) -> Self {
         WireLane {
-            backend,
+            conn,
+            loopback,
             client_codec: FrameCodec::strict(),
             client_seq: 0,
             install,
@@ -323,8 +292,8 @@ impl WireLane {
     pub fn stats(&self) -> RetryStats {
         let mut s = self.stats;
         s.stale_frames += self.client_codec.stale_discards();
-        if let LaneBackend::Loopback { session, .. } = &self.backend {
-            s.stale_frames += session.stale_discards();
+        if let Some(loopback) = &self.loopback {
+            s.stale_frames += loopback.server.stale_discards();
         }
         s
     }
@@ -334,16 +303,11 @@ impl WireLane {
     /// (the server→client direction is tallied by the worker that owns
     /// the connection and recorded at plane shutdown).
     pub fn fault_stats(&self) -> FaultCounters {
-        match &self.backend {
-            LaneBackend::Loopback {
-                client, server_end, ..
-            } => {
-                let mut f = client.fault_stats();
-                f.merge(&server_end.fault_stats());
-                f
-            }
-            LaneBackend::Async { conn } => conn.fault_stats(),
+        let mut f = self.conn.fault_stats();
+        if let Some(loopback) = &self.loopback {
+            f.merge(&loopback.server.fault_stats());
         }
+        f
     }
 
     /// Sign in (with retries). Returns the server's verdict, or `None` if
@@ -458,9 +422,12 @@ impl WireLane {
                 } else {
                     // The link reset under this frame. That loses the
                     // frame and whatever the pipes still hold, not what
-                    // already reached either end: settle the acks that
-                    // are back before reconnecting.
-                    while let Step::Acked = self.settle_replies(buffer, false) {}
+                    // already reached either end: settle the acks for
+                    // what the server took before reconnecting. A worker
+                    // may not have read the frames sent before this one
+                    // yet, so wait for each ack until its deadline (a
+                    // loopback lane has stepped its server by then).
+                    while let Step::Acked = self.settle_replies(buffer, true) {}
                     self.reconnect();
                     self.in_flight = 0;
                 }
@@ -514,7 +481,7 @@ impl WireLane {
                 // the silence is its backlog (or a stolen CPU), nothing was
                 // lost, and resending would only deepen the backlog. The
                 // deadline starts over.
-                Reply::Quiet if self.backend.worker_is_behind() => {
+                Reply::Quiet if self.conn.worker_is_behind() => {
                     self.head_since = Instant::now();
                     deadline = self.head_since + self.reply_deadline(self.head_sends);
                     if !wait {
@@ -576,20 +543,18 @@ impl WireLane {
     fn transmit(&mut self) -> std::io::Result<()> {
         self.stats.attempts += 1;
         self.client_seq += 1;
-        match &mut self.backend {
-            LaneBackend::Loopback { client, .. } => client.send(&self.frame_buf),
-            LaneBackend::Async { conn } => conn.send(&self.frame_buf),
-        }
+        self.conn.send(&self.frame_buf)
     }
 
     /// The next reply on the link. On loopback: step the server half over
     /// whatever the fault layer let through (its replies come back through
-    /// the fault layer too) — what that round does not bring never comes,
+    /// the fault layer too) — what that step does not bring never comes,
     /// so `deadline` is not consulted. On async: take what has arrived,
     /// else park until `deadline` (`None`: do not park).
     fn next_reply(&mut self, deadline: Option<Instant>) -> Reply {
         let WireLane {
-            backend,
+            conn,
+            loopback,
             client_codec,
             ..
         } = self;
@@ -601,55 +566,30 @@ impl WireLane {
                 Ok(None) => {}
                 Err(_) => return Reply::Broken,
             }
-            match backend {
-                LaneBackend::Loopback {
-                    client,
-                    server_end,
-                    session,
-                    core,
-                    scratch,
-                    broken,
-                } => {
-                    while let Ok(n @ 1..) = server_end.try_recv(&mut buf) {
-                        session.feed(&buf[..n]);
-                    }
-                    let mut reply_sent = Ok(());
-                    let served = session.service(core, scratch, usize::MAX, |frame| {
-                        if reply_sent.is_ok() {
-                            reply_sent = server_end.send(frame);
-                        }
-                    });
-                    // A poisoned stream is recovered from this end: the
-                    // client reconnects, which retires both sequence
-                    // spaces — after it has read what the server answered
-                    // before the stream broke.
-                    *broken |= served.poisoned || reply_sent.is_err();
-                    let mut arrived = false;
-                    while let Ok(n @ 1..) = client.try_recv(&mut buf) {
-                        client_codec.feed(&buf[..n]);
-                        arrived = true;
-                    }
-                    if !arrived {
-                        return if *broken { Reply::Broken } else { Reply::Quiet };
-                    }
+            let closed = loopback
+                .as_mut()
+                .map(|lb| lb.server.step(&lb.core, &mut lb.scratch, usize::MAX).close);
+            let mut arrived = false;
+            loop {
+                match conn.try_recv(&mut buf) {
+                    Ok(0) => return Reply::Broken, // the server closed the pipe
+                    Ok(n) => client_codec.feed(&buf[..n]),
+                    Err(_) => break,
                 }
-                LaneBackend::Async { conn } => {
-                    let received = match conn.try_recv(&mut buf) {
-                        Ok(n) => Ok(n),
-                        Err(_) => {
-                            let Some(deadline) = deadline else {
-                                return Reply::Quiet;
-                            };
-                            let now = Instant::now();
-                            if now >= deadline {
-                                return Reply::Quiet;
-                            }
-                            awaited = true;
-                            conn.recv_deadline(&mut buf, deadline - now)
-                        }
-                    };
-                    match received {
-                        Ok(0) => return Reply::Broken, // server closed the pipe
+                arrived = true;
+            }
+            match (arrived, closed, deadline) {
+                (true, ..) => {}
+                (false, Some(true), _) => return Reply::Broken,
+                (false, Some(false), _) | (false, None, None) => return Reply::Quiet,
+                (false, None, Some(deadline)) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Reply::Quiet;
+                    }
+                    awaited = true;
+                    match conn.recv_deadline(&mut buf, deadline - now) {
+                        Ok(0) => return Reply::Broken,
                         Ok(n) => client_codec.feed(&buf[..n]),
                         Err(_) => {} // timed out; the deadline check above ends it
                     }
@@ -662,7 +602,7 @@ impl WireLane {
     /// `sends`-th transmission of that file. Loopback has no clock and
     /// needs none ([`WireLane::next_reply`]).
     fn reply_deadline(&self, sends: u32) -> Duration {
-        if matches!(self.backend, LaneBackend::Loopback { .. }) {
+        if self.loopback.is_some() {
             return Duration::ZERO;
         }
         let cap = Duration::from_millis(ASYNC_REPLY_CAP_MS);
@@ -686,31 +626,17 @@ impl WireLane {
         });
     }
 
-    /// Simulated reconnect: discard everything in flight, restart both
-    /// codecs (fresh per-connection sequence spaces) and resume. The
+    /// Reconnect: a fresh connection replaces the old one, discarding
+    /// everything in flight, with fresh codecs (fresh per-connection
+    /// sequence spaces) at both ends; each end keeps its fault state. The
     /// server keeps the install's sign-in session and its place in the
     /// file order, so resuming is just resending from the oldest
-    /// unacknowledged file. On the async backend this runs the
-    /// cross-thread handshake ([`AsyncConn::request_reset`]) so the
-    /// worker retires its half of the sequence space in step.
+    /// unacknowledged file.
     fn reconnect(&mut self) {
         self.stats.reconnects += 1;
-        match &mut self.backend {
-            LaneBackend::Loopback {
-                client,
-                server_end,
-                session,
-                broken,
-                ..
-            } => {
-                client.purge();
-                server_end.purge();
-                session.reset();
-                *broken = false;
-            }
-            LaneBackend::Async { conn } => conn.request_reset(),
-        }
-        self.client_codec.reset();
+        self.conn.reconnect();
+        self.stats.stale_frames += self.client_codec.stale_discards();
+        self.client_codec = FrameCodec::strict();
         self.client_seq = 0;
     }
 
@@ -784,10 +710,7 @@ pub(crate) mod tests {
         let mut lane = WireLane::new(I, P, FaultPlan::none(), 1, core);
         let mut replies = Vec::new();
         for frame in script {
-            let LaneBackend::Loopback { client, .. } = &mut lane.backend else {
-                unreachable!("WireLane::new builds a loopback lane")
-            };
-            client.send(frame).unwrap();
+            lane.conn.send(frame).unwrap();
             while let Reply::Msg(reply, _) = lane.next_reply(None) {
                 replies.push(reply);
             }
@@ -1088,7 +1011,7 @@ pub(crate) mod tests {
         let registry = racket_obs::Registry::new();
         let stats = srv.shutdown(&registry);
         // The recovery guarantee holds across threads: exactly-once
-        // ingestion despite replays, resets and reconnect handshakes.
+        // ingestion despite replays, resets and reconnects.
         assert_eq!(stats.files, n_files);
         assert_eq!(sharded.snapshots_ingested(), n_snapshots);
     }
@@ -1115,8 +1038,8 @@ pub(crate) mod tests {
         gave_up(&lane);
         assert_eq!(core.stats().sign_ins, 0);
         // The async lane waits out a reply deadline per send (at most
-        // ASYNC_REPLY_CAP_MS each) and a reset handshake every
-        // RECONNECT_AFTER sends, so its wall time to give up is bounded.
+        // ASYNC_REPLY_CAP_MS each) and reconnects every RECONNECT_AFTER
+        // sends, so its wall time to give up is bounded.
         let (srv, _sharded, mut lane) = start_async(dead, 13);
         let start = Instant::now();
         assert_eq!(lane.sign_in(), None);

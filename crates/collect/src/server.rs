@@ -4,26 +4,24 @@
 //! * [`ProtocolCore`] is the *only* implementation of the server's
 //!   message → reply decision — sign-in gate, per-install file order,
 //!   content-hash ack, replay re-ack, inflate cap, single-install rule.
-//!   The contract is stated once, in `PROTOCOL.md` §6. Every driver
-//!   reaches it through its connection's `Session` (`session.rs`, the
-//!   bytes → messages → replies half of the same section): the async
-//!   plane's reactor workers
-//!   ([`crate::async_server`]), the loopback lanes of the study driver
-//!   ([`crate::retry::WireLane`]), and the blocking TCP driver
-//!   ([`CollectionServer::serve_tcp`]).
+//!   The contract is stated once, in `PROTOCOL.md` §6. Every connection
+//!   reaches it through its `Session` (`session.rs`, the bytes →
+//!   messages → replies half of the same section), stepped by the one
+//!   connection step of [`crate::async_server`] — on a reactor worker,
+//!   in memory or over TCP, or inline in a loopback
+//!   [`crate::retry::WireLane`].
 //! * [`InstallRecord`] is the per-install aggregate the measurement and
 //!   feature pipelines read (the real backend inserted snapshots into
 //!   MongoDB and aggregated at query time); the one table of them is
 //!   [`ShardedIngest`].
 //! * [`CollectionServer`] is a single-owner convenience over a core and
-//!   its store for fixtures, examples and the TCP driver.
+//!   its store for fixtures and examples.
 
 use crate::buffer::FAST_ROTATE_BYTES;
 use crate::codec;
 use crate::collector::SnapshotBatch;
 use crate::hash::sha256;
 use crate::lzss;
-use crate::session::{Session, QUEUE_LIMIT};
 use crate::shard::ShardedIngest;
 use crate::stream::StreamAggregates;
 use crate::wire::Message;
@@ -262,7 +260,7 @@ pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
 const MAX_RETAINED_BATCH_BYTES: usize = 4 * MAX_INFLATED_BYTES;
 
 /// What one caller of [`ProtocolCore::handle`] — a reactor worker, a
-/// loopback lane, a TCP connection thread — reuses from upload to upload:
+/// loopback lane — reuses from upload to upload:
 /// the inflate buffer and the [`SnapshotBatch`] each file decodes into.
 /// After the first file of a shape, inflating, decoding and folding the
 /// next one ask for no memory.
@@ -316,11 +314,12 @@ struct CoreShard {
 /// threads a driver runs.
 ///
 /// Lock discipline: hashing, inflating and parsing happen on the calling
-/// thread *outside* any lock; a shard lock is held only for map probes
-/// and counter bumps, and the fold takes the store's own shard lock. An
-/// install's messages arrive sequentially (one install = one
-/// connection), so the window between reading an install's next file id
-/// and advancing it is race-free without holding a lock across the parse.
+/// thread *outside* any lock. A shard lock is held for map probes and
+/// counter bumps, and for the fold of a decoded file: the install's next
+/// file id is checked again under it, then the fold (which takes the
+/// store's own shard lock inside it) and the advance happen before it is
+/// released. Two connections of one install that decode the same file
+/// side by side therefore fold it once; the other copy is a replay.
 pub struct ProtocolCore {
     registered: HashSet<ParticipantId>,
     shards: Vec<Mutex<CoreShard>>,
@@ -434,10 +433,15 @@ impl ProtocolCore {
             });
         let reply = match decoded {
             Ok(()) => {
-                self.store.ingest_batch(batch.snapshots());
                 let mut shard = self.shard(install).lock();
-                shard.stats.files += 1;
-                shard.next_file.insert(install, next + 1);
+                if shard.next_file.get(&install) == Some(&next) {
+                    self.store.ingest_batch(batch.snapshots());
+                    shard.stats.files += 1;
+                    shard.next_file.insert(install, next + 1);
+                } else {
+                    // Another connection folded it while this copy decoded.
+                    shard.stats.dup_files += 1;
+                }
                 ack
             }
             Err(detail) => {
@@ -462,7 +466,7 @@ impl ProtocolCore {
 }
 
 /// A [`ProtocolCore`] with its own store and ingest scratch: the
-/// single-owner server that fixtures, examples and the TCP driver use.
+/// single-owner server that fixtures and examples use.
 pub struct CollectionServer {
     core: ProtocolCore,
     scratch: IngestScratch,
@@ -496,43 +500,6 @@ impl CollectionServer {
     /// Ingestion statistics.
     pub fn stats(&self) -> ServerStats {
         self.core.stats()
-    }
-
-    /// Serve the wire protocol on a TCP listener until the listener errors
-    /// or `max_connections` clients have been handled (tests bound this;
-    /// pass `usize::MAX` to serve forever). One blocking thread per
-    /// connection — read, feed its `Session`, write the replies — each
-    /// with its own [`IngestScratch`]; the threads share only the core. A
-    /// stream that fails to decode closes its connection.
-    pub fn serve_tcp(
-        &self,
-        listener: std::net::TcpListener,
-        max_connections: usize,
-    ) -> std::io::Result<()> {
-        use crate::transport::{TcpTransport, Transport};
-        std::thread::scope(|scope| {
-            for stream in listener.incoming().take(max_connections) {
-                let stream = stream?;
-                scope.spawn(move || {
-                    let mut transport = TcpTransport::new(stream);
-                    let mut session = Session::lenient(QUEUE_LIMIT);
-                    let (mut scratch, mut replies) = (IngestScratch::new(), Vec::new());
-                    let mut buf = [0u8; 4096];
-                    while let Ok(n @ 1..) = transport.recv(&mut buf) {
-                        session.feed(&buf[..n]);
-                        replies.clear();
-                        let served =
-                            session.service(&self.core, &mut scratch, usize::MAX, |frame| {
-                                replies.extend_from_slice(frame)
-                            });
-                        if transport.send(&replies).is_err() || served.poisoned {
-                            break;
-                        }
-                    }
-                });
-            }
-            Ok(())
-        })
     }
 }
 
@@ -730,6 +697,57 @@ mod tests {
                 (next - 1, next - 1, replays)
             );
         }
+    }
+
+    #[test]
+    fn two_connections_of_one_install_fold_each_file_once() {
+        // Two callers of one core — two connections of one install, each
+        // with its own scratch — push files 1..=N, each retrying a file
+        // until it is acked. Decode runs outside every lock, so both may
+        // pass the order check for the same file side by side; the check
+        // under the lock folds it once and re-acks the other copy.
+        const N: u64 = 300;
+        let files: Vec<Vec<u8>> = (0..=N)
+            .map(|k| file_of(&[fast_with_install(100 + k, k as u32, 100 + k)]))
+            .collect();
+        let store = Arc::new(ShardedIngest::new(4));
+        let core = ProtocolCore::new([P], Arc::clone(&store));
+        let sign_in = Message::SignIn {
+            participant: P,
+            install: I,
+        };
+        core.handle(sign_in, &mut IngestScratch::new());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut scratch = IngestScratch::new();
+                    start.wait();
+                    for k in 1..=N {
+                        let file = &files[k as usize];
+                        while !matches!(
+                            core.handle(upload(k, file), &mut scratch),
+                            Some(Message::UploadAck { .. })
+                        ) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
+        let stats = core.stats();
+        assert_eq!((stats.files, stats.snapshots), (N, N));
+        let rec = store.record(I).expect("record");
+        let folded: Vec<u64> = rec
+            .install_events
+            .iter()
+            .map(|(a, _)| u64::from(a.0))
+            .collect();
+        assert_eq!(
+            folded,
+            (1..=N).collect::<Vec<u64>>(),
+            "each file once, in order"
+        );
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! [`ProtocolCore`] decides what one *message* gets back; a [`Session`]
 //! is everything between a connection's byte stream and that decision —
 //! frame decoding, the bounded admission queue and its 429 shed, reply
-//! numbering — with no transport, clock or thread of its own. Every
-//! driver owns one per connection and keeps only I/O and time: the
-//! reactor workers ([`crate::async_server`]), the loopback lanes
-//! ([`crate::retry::WireLane`]) and the blocking TCP driver
-//! ([`crate::server::CollectionServer::serve_tcp`]).
+//! numbering — with no transport, clock or thread of its own. Each
+//! connection owns one, and one connection step drives it
+//! (`async_server::Connection::step`), whether a reactor worker or a
+//! loopback lane ([`crate::retry::WireLane`]) takes the step and whether
+//! the pipe is in memory or a TCP socket.
 
 use crate::server::{IngestScratch, ProtocolCore};
 use crate::wire::{FrameCodec, Message};
@@ -30,9 +30,8 @@ pub(crate) struct Serviced {
     /// Uploads answered with [`SHED_ERROR_CODE`] instead of queued.
     pub(crate) sheds: u64,
     /// The byte stream failed to decode (bad magic/version/length/CRC or
-    /// a malformed payload). The session has already resynchronized; the
-    /// driver discards whatever its transport still holds (or closes
-    /// the connection).
+    /// a malformed payload). Framing is lost for good: the connection
+    /// closes once what was decoded before the bad frame is answered.
     pub(crate) poisoned: bool,
 }
 
@@ -79,6 +78,11 @@ impl Session {
         self.codec.feed(bytes);
     }
 
+    /// The bound on the decoded-message queue.
+    pub(crate) fn queue_limit(&self) -> usize {
+        self.queue_limit
+    }
+
     /// Bytes of a partial frame waiting for the rest of it.
     pub(crate) fn buffered(&self) -> usize {
         self.codec.buffered()
@@ -94,23 +98,9 @@ impl Session {
         self.queue_peak
     }
 
-    /// Duplicate/stale frames discarded so far, across resyncs.
+    /// Duplicate/stale frames discarded so far.
     pub(crate) fn stale_discards(&self) -> u64 {
         self.codec.stale_discards()
-    }
-
-    /// Drop the buffered bytes and accept whatever sequence number comes
-    /// next, keeping the outgoing numbering: how a wedged or poisoned
-    /// stream is recovered without the client's cooperation.
-    pub(crate) fn resync(&mut self) {
-        self.codec.reset();
-    }
-
-    /// The server half of a reconnect: both sequence spaces restart at 0.
-    /// Messages already admitted stay queued — they arrived whole.
-    pub(crate) fn reset(&mut self) {
-        self.resync();
-        self.out_seq = 0;
     }
 
     /// Decode everything decodable — queueing each message, or answering
@@ -149,7 +139,6 @@ impl Session {
                 Err(_) => {
                     // Framing is unrecoverable after corruption: nothing
                     // behind the bad frame can be trusted.
-                    self.resync();
                     done.progress = true;
                     done.poisoned = true;
                     break;
@@ -178,13 +167,16 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_server::tests::{payload, play_worker, I, P};
+    use crate::async_server::tests::{payload, I, P};
     use crate::hash::sha256;
     use crate::retry::tests::play_loopback;
-    use crate::server::{CollectionServer, InstallRecord, ServerStats};
+    use crate::server::{InstallRecord, ServerStats};
     use crate::shard::ShardedIngest;
-    use crate::transport::{recv_message, TcpTransport, Transport};
+    use crate::{AsyncCollectServer, AsyncConn, AsyncServerConfig, FaultPlan};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// Queue bound of the table's sessions.
     const LIMIT: usize = 4;
@@ -229,10 +221,8 @@ mod tests {
         Feed(Vec<Vec<u8>>),
         /// One service round with this drain budget.
         Service(usize),
-        /// The server half of a reconnect.
-        Reset,
     }
-    use Step::{Feed, Reset, Service};
+    use Step::{Feed, Service};
 
     /// What the session must have done by the end of a row.
     struct Want {
@@ -281,12 +271,9 @@ mod tests {
             ("...and the next round resumes it",
              vec![Feed(vec![sign_in(0), upload(1, 1), upload(2, 2), upload(3, 3)]), Service(2), Service(2)],
              Want { replies: vec![(0, SIGNED_IN), (1, ack(1)), (2, ack(2)), (3, ack(3))], sheds: 0, poisoned: false, stale: 0, queued: 0, files: 3 }),
-            ("without a reset a restarted sequence space is stale",
+            ("a sequence space restarted on the same connection is stale",
              vec![Feed(vec![sign_in(0), upload(1, 1)]), Service(all), Feed(vec![sign_in(0)]), Service(all)],
              Want { replies: vec![(0, SIGNED_IN), (1, ack(1))], sheds: 0, poisoned: false, stale: 1, queued: 0, files: 1 }),
-            ("reset restarts both sequence spaces",
-             vec![Feed(vec![sign_in(0), upload(1, 1)]), Service(all), Reset, Feed(vec![sign_in(0)]), Service(all)],
-             Want { replies: vec![(0, SIGNED_IN), (1, ack(1)), (0, SIGNED_IN)], sheds: 0, poisoned: false, stale: 0, queued: 0, files: 1 }),
         ];
         for (name, steps, want) in table {
             let core = ProtocolCore::new([P], Arc::new(ShardedIngest::new(4)));
@@ -297,7 +284,6 @@ mod tests {
             for step in steps {
                 match step {
                     Feed(frames) => session.feed(&frames.concat()),
-                    Reset => session.reset(),
                     Service(budget) => {
                         let served =
                             session.service(&core, &mut scratch, budget, |frame| wire.feed(frame));
@@ -314,9 +300,131 @@ mod tests {
             assert_eq!(poisoned, want.poisoned, "{name}");
             assert_eq!(session.stale_discards(), want.stale, "{name}");
             assert_eq!(session.queued(), want.queued, "{name}");
-            assert_eq!(session.buffered(), 0, "{name}");
+            // A poisoned session keeps what it could not decode; its
+            // connection closes (PROTOCOL.md §6.2 rule 6).
+            assert_eq!(session.buffered() > 0, want.poisoned, "{name}");
             assert_eq!(core.stats().files, want.files, "{name}");
         }
+    }
+
+    #[test]
+    fn resealed_hostile_frames_are_answered_or_poison_the_session() {
+        // 256 seeded edits of real sign-in and upload frames — the magic,
+        // version, type, sequence and declared-length fields overwritten
+        // (lengths past MAX_PAYLOAD included), bits flipped, tails cut or
+        // spliced — resealed with a CRC over what the header now declares
+        // wherever the bytes reach that far. Each goes to a fresh strict
+        // and a fresh lenient session in random chunks, followed by an
+        // honest sign-in, with a service round after every chunk. Each
+        // round is answered or poisons the session; where the header
+        // declares more bytes than arrived, the declared rest (zeros)
+        // arrives and must settle it. No panic, and a session never holds
+        // more than one maximal frame.
+        use crate::hash::crc32;
+        use crate::wire::MAX_PAYLOAD;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const HEADER: usize = 12;
+        const MAX_FRAME: usize = HEADER + MAX_PAYLOAD + 4;
+        let declared = |f: &[u8]| u32::from_le_bytes(f[8..12].try_into().unwrap()) as usize;
+        let real = [sign_in(0), upload(1, 1), upload(2, 7)];
+        let mut rng = StdRng::seed_from_u64(0x5eed_0033);
+        let (mut answered, mut poisoned, mut waited) = (0, 0, 0);
+        for round in 0..256 {
+            let mut frame = real[rng.gen_range(0..real.len())].clone();
+            let len = declared(&frame) as u32;
+            let word = |at: usize, value: u32, frame: &mut Vec<u8>| {
+                frame[at..at + 4].copy_from_slice(&value.to_le_bytes())
+            };
+            match rng.gen_range(0..8) {
+                _ if round == 0 => word(8, MAX_PAYLOAD as u32, &mut frame),
+                0 => frame[0..2].copy_from_slice(&rng.gen::<u16>().to_le_bytes()),
+                1 => frame[2] = rng.gen(),
+                2 => frame[3] = rng.gen(),
+                3 => word(4, [0, u32::MAX, rng.gen()][rng.gen_range(0..3)], &mut frame),
+                // Past the bound, or more or fewer bytes than the frame
+                // has (round 0 declares the bound itself, once: zero-filling
+                // it is slow in a debug build).
+                4 => {
+                    let longer = len + rng.gen_range(1..4096);
+                    let lengths = [
+                        rng.gen(),
+                        MAX_PAYLOAD as u32 + 1,
+                        longer,
+                        rng.gen_range(0..len),
+                    ];
+                    word(8, lengths[rng.gen_range(0..lengths.len())], &mut frame);
+                }
+                5 => {
+                    let at = rng.gen_range(0..frame.len());
+                    frame[at] ^= 1 << rng.gen_range(0..8);
+                }
+                6 => frame.truncate(rng.gen_range(0..frame.len())),
+                _ => {
+                    let other = &real[rng.gen_range(0..real.len())];
+                    frame.truncate(rng.gen_range(0..frame.len()));
+                    frame.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
+                }
+            }
+            if frame.len() >= HEADER && HEADER + declared(&frame) <= frame.len() {
+                let end = HEADER + declared(&frame);
+                frame.truncate(end);
+                let crc = crc32(&frame[2..end]);
+                frame.extend_from_slice(&crc.to_le_bytes());
+            }
+            let mut bytes = frame.clone();
+            bytes.extend_from_slice(&sign_in(u32::MAX));
+            for strict in [true, false] {
+                let core = ProtocolCore::new([P], Arc::new(ShardedIngest::new(1)));
+                let mut scratch = IngestScratch::new();
+                let mut session = if strict {
+                    Session::strict(LIMIT)
+                } else {
+                    Session::lenient(LIMIT)
+                };
+                let (mut replies, mut bad) = (0, false);
+                let mut feed = |session: &mut Session, chunk: &[u8]| {
+                    session.feed(chunk);
+                    let mut n = 0;
+                    let served = session.service(&core, &mut scratch, usize::MAX, |_| n += 1);
+                    assert!(session.buffered() <= MAX_FRAME, "round {round}");
+                    (n, served.poisoned)
+                };
+                let mut rest = &bytes[..];
+                while !rest.is_empty() {
+                    let n = rng.gen_range(1..=rest.len().min(97));
+                    let (n_replies, poison) = feed(&mut session, &rest[..n]);
+                    (replies, bad) = (replies + n_replies, bad || poison);
+                    rest = &rest[n..];
+                }
+                if replies == 0 && !bad {
+                    // Waiting on a frame whose header declares more than
+                    // arrived (what the session holds is the tail of what
+                    // was fed): the declared rest arrives.
+                    let partial = session.buffered();
+                    assert!(
+                        partial >= HEADER,
+                        "round {round}: {partial} bytes, nothing decoded"
+                    );
+                    let header = &bytes[bytes.len() - partial..];
+                    let owed = (HEADER + declared(header) + 4).saturating_sub(partial);
+                    assert!(owed > 0 && partial + owed <= MAX_FRAME, "round {round}");
+                    let (n_replies, poison) = feed(&mut session, &vec![0; owed]);
+                    (replies, bad) = (replies + n_replies, bad || poison);
+                    waited += 1;
+                }
+                assert!(
+                    replies > 0 || bad,
+                    "round {round} strict={strict}: no answer"
+                );
+                answered += usize::from(replies > 0);
+                poisoned += usize::from(bad);
+            }
+        }
+        assert!(
+            answered > 100 && poisoned > 100 && waited > 10,
+            "{answered} answered, {poisoned} poisoned, {waited} waited"
+        );
     }
 
     /// The fields of a record that are ordered containers or scalars.
@@ -335,11 +443,39 @@ mod tests {
         )
     }
 
+    /// Send each frame of `script` through a byte pipe and read until
+    /// its one reply decodes; returns the replies in arrival order.
+    fn play<T>(
+        script: &[Vec<u8>],
+        pipe: &mut T,
+        send: fn(&mut T, &[u8]),
+        recv: fn(&mut T, &mut [u8]) -> usize,
+    ) -> Vec<Message> {
+        let mut codec = FrameCodec::new();
+        let mut buf = [0u8; 4096];
+        let mut replies = Vec::new();
+        for frame in script {
+            send(pipe, frame);
+            loop {
+                if let Some(reply) = codec.try_decode_message().expect("clean link") {
+                    replies.push(reply);
+                    break;
+                }
+                let n = recv(pipe, &mut buf);
+                assert!(n > 0, "the server closed after {} replies", replies.len());
+                codec.feed(&buf[..n]);
+            }
+        }
+        replies
+    }
+
     #[test]
     fn drivers_agree() {
         // One scripted client byte stream — sign-in, three uploads, a
-        // replay of the second — through each driver of the session: the
-        // same replies in the same order, the same stats, the same record.
+        // replay of the second — through the connection step three ways:
+        // inline in a loopback lane, on a worker thread over an in-memory
+        // pair, and on a worker thread over a TCP socket. The same replies
+        // in the same order, the same stats, the same record.
         let script = [
             sign_in(0),
             upload(1, 1),
@@ -347,30 +483,36 @@ mod tests {
             upload(3, 3),
             upload(2, 4),
         ];
-        let in_memory = |play: fn(Arc<ProtocolCore>, &[Vec<u8>]) -> Vec<Message>| {
+        let loopback = || {
             let store = Arc::new(ShardedIngest::new(4));
             let core = Arc::new(ProtocolCore::new([P], Arc::clone(&store)));
-            let replies = play(Arc::clone(&core), &script);
+            let replies = play_loopback(Arc::clone(&core), &script);
             (replies, core.stats(), render(store.record(I)))
         };
-        let over_tcp = || {
-            let server = CollectionServer::new([P]);
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let replies = std::thread::scope(|scope| {
-                scope.spawn(|| server.serve_tcp(listener, 1).unwrap());
-                let mut client = TcpTransport::connect(addr).unwrap();
-                let mut codec = FrameCodec::new();
-                let mut replies = Vec::new();
-                for frame in &script {
-                    client.send(frame).unwrap();
-                    replies.push(recv_message(&mut client, &mut codec).unwrap().unwrap());
-                }
-                replies
-            });
-            (replies, server.stats(), render(server.record(I)))
+        let on_worker = |tcp: bool| {
+            let store = Arc::new(ShardedIngest::new(4));
+            let config = AsyncServerConfig {
+                workers: 1,
+                ..AsyncServerConfig::default()
+            };
+            let server = AsyncCollectServer::start([P], Arc::clone(&store), config);
+            let replies = if tcp {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                server.accept(listener.accept().unwrap().0).unwrap();
+                let send = |c: &mut TcpStream, frame: &[u8]| c.write_all(frame).unwrap();
+                play(&script, &mut client, send, |c, buf| c.read(buf).unwrap())
+            } else {
+                let mut conn = server.connect(FaultPlan::none(), 1);
+                let send = |c: &mut AsyncConn, frame: &[u8]| c.send(frame).unwrap();
+                play(&script, &mut conn, send, |c, buf| {
+                    c.recv_deadline(buf, Duration::from_secs(5)).unwrap()
+                })
+            };
+            let stats = server.shutdown(&racket_obs::Registry::new());
+            (replies, stats, render(store.record(I)))
         };
-        let want: (Vec<Message>, ServerStats, String) = in_memory(play_loopback);
+        let want: (Vec<Message>, ServerStats, String) = loopback();
         assert_eq!(
             want.0,
             [SIGNED_IN, ack(1), ack(2), ack(3), ack(2)],
@@ -380,7 +522,7 @@ mod tests {
             (want.1.files, want.1.dup_files, want.1.snapshots),
             (3, 1, 3)
         );
-        assert_eq!(in_memory(play_worker), want, "hand-stepped worker");
-        assert_eq!(over_tcp(), want, "serve_tcp");
+        assert_eq!(on_worker(false), want, "worker over an in-memory pair");
+        assert_eq!(on_worker(true), want, "worker over TCP");
     }
 }

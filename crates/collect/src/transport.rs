@@ -1,12 +1,10 @@
 //! Byte-stream transports and the deterministic fault-injection layer.
 //!
-//! The frame codec is sans-IO; this module supplies the byte pipes it runs
-//! over. [`MemTransport`] is a crossbeam-channel loopback used by unit
-//! tests and the deterministic study driver; [`TcpTransport`] wraps a real
-//! `std::net::TcpStream` and is exercised over loopback by the integration
-//! tests and the `live_collection` example — the production path of the
-//! real platform (TLS termination aside, which is orthogonal to the
-//! protocol).
+//! The frame codec is sans-IO; this module supplies the in-memory byte
+//! pipe it runs over in the study driver and every chaos test:
+//! [`MemTransport`], a crossbeam-channel duplex pair. Real sockets are
+//! plain `std::net::TcpStream`s, which the async plane's workers serve
+//! directly ([`crate::AsyncCollectServer::accept`]).
 //!
 //! # Fault injection
 //!
@@ -24,18 +22,6 @@
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use racket_types::FaultCounters;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
-/// A blocking, ordered, reliable byte-stream transport.
-pub trait Transport {
-    /// Send bytes; blocks until accepted by the transport.
-    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()>;
-
-    /// Receive up to `buf.len()` bytes; returns 0 on a cleanly closed
-    /// peer, blocks if no data is available.
-    fn recv(&mut self, buf: &mut [u8]) -> std::io::Result<usize>;
-}
 
 /// SplitMix64 step: the canonical 64-bit finalizer, good enough to drive
 /// fault sampling and backoff jitter deterministically.
@@ -280,15 +266,24 @@ impl MemTransport {
         self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
-    /// Discard everything in flight towards this endpoint plus any chunk
-    /// held back by a reorder fault — the transport half of a simulated
-    /// reconnect (both endpoints of the pair must purge). Fault RNG state
-    /// and tallies survive, so a chaos run stays on one deterministic
-    /// stream across reconnects.
-    pub(crate) fn purge(&mut self) {
-        self.pending.clear();
-        self.held = None;
-        while self.rx.try_recv().is_ok() {}
+    /// Move this endpoint onto `fresh`'s pipes, as on a new connection:
+    /// the old pipes go with everything they held (their peer sees the
+    /// close), and so does any chunk held back by a reorder fault. The
+    /// fault plan, RNG state and tallies stay with this endpoint, so a
+    /// chaos run stays on one deterministic stream across reconnects.
+    pub(crate) fn rebind(&mut self, fresh: MemTransport) {
+        *self = MemTransport {
+            faults: self.faults.take(),
+            ..fresh
+        };
+    }
+
+    /// [`MemTransport::rebind`] this endpoint onto a new pair and return
+    /// the new pair's other end.
+    pub(crate) fn reopen(&mut self) -> MemTransport {
+        let (mine, peer) = MemTransport::pair();
+        self.rebind(mine);
+        peer
     }
 
     /// Non-blocking receive used by pollers.
@@ -310,7 +305,7 @@ impl MemTransport {
     }
 
     /// Move as much of the residue as fits into `buf` — the shared tail
-    /// of the three receive calls.
+    /// of the two receive calls.
     fn read_pending(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.pending.len());
         buf[..n].copy_from_slice(&self.pending[..n]);
@@ -366,10 +361,10 @@ impl MemTransport {
         }
         Ok(())
     }
-}
 
-impl Transport for MemTransport {
-    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    /// Send one chunk through the fault layer. `Err` is an injected
+    /// connection reset or a peer that is gone.
+    pub fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         let mut chunk = bytes.to_vec();
         let Some(faults) = self.faults.as_mut() else {
             return self.deliver(chunk);
@@ -425,68 +420,6 @@ impl Transport for MemTransport {
             }
         }
     }
-
-    fn recv(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pending.is_empty() {
-            match self.rx.recv() {
-                Ok(chunk) => self.pending = chunk,
-                Err(_) => return Ok(0), // peer closed
-            }
-        }
-        Ok(self.read_pending(buf))
-    }
-}
-
-/// TCP-backed transport.
-pub struct TcpTransport {
-    stream: TcpStream,
-}
-
-impl TcpTransport {
-    /// Wrap an established stream.
-    pub fn new(stream: TcpStream) -> Self {
-        TcpTransport { stream }
-    }
-
-    /// Connect to an address.
-    pub fn connect(addr: impl std::net::ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(TcpTransport {
-            stream: TcpStream::connect(addr)?,
-        })
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(bytes)
-    }
-
-    fn recv(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.stream.read(buf)
-    }
-}
-
-/// Drive a codec until one full message arrives on `transport` (helper for
-/// request/response exchanges).
-pub fn recv_message(
-    transport: &mut impl Transport,
-    codec: &mut crate::wire::FrameCodec,
-) -> std::io::Result<Option<crate::wire::Message>> {
-    loop {
-        match codec.try_decode_message() {
-            Ok(Some(msg)) => return Ok(Some(msg)),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-            }
-        }
-        let mut buf = [0u8; 4096];
-        let n = transport.recv(&mut buf)?;
-        if n == 0 {
-            return Ok(None); // peer closed mid-message
-        }
-        codec.feed(&buf[..n]);
-    }
 }
 
 #[cfg(test)]
@@ -501,17 +434,17 @@ mod tests {
         a.send(b"hello").unwrap();
         a.send(b" world").unwrap();
         let mut buf = [0u8; 3];
-        assert_eq!(b.recv(&mut buf).unwrap(), 3);
+        assert_eq!(b.try_recv(&mut buf).unwrap(), 3);
         assert_eq!(&buf, b"hel");
-        assert_eq!(b.recv(&mut buf).unwrap(), 2);
+        assert_eq!(b.try_recv(&mut buf).unwrap(), 2);
         assert_eq!(&buf[..2], b"lo");
-        assert_eq!(b.recv(&mut buf).unwrap(), 3);
+        assert_eq!(b.try_recv(&mut buf).unwrap(), 3);
         assert_eq!(&buf, b" wo");
     }
 
     #[test]
     fn large_chunk_read_in_slices_keeps_bytes_and_residue() {
-        // One 1 MB chunk consumed 4 KB at a time through each of the three
+        // One 1 MB chunk consumed 4 KB at a time through each of the two
         // receive calls in turn: the same bytes come out, and the residue
         // stays visible to the readiness probe until the last slice.
         let data: Vec<u8> = (0..1_048_576u32).map(|i| ((i * 31) >> 3) as u8).collect();
@@ -522,10 +455,9 @@ mod tests {
         let mut reads = 0usize;
         while got.len() < data.len() {
             assert!(b.has_incoming(), "residue after {} bytes", got.len());
-            let n = match reads % 3 {
+            let n = match reads % 2 {
                 0 => b.try_recv(&mut buf),
-                1 => b.recv_deadline(&mut buf, std::time::Duration::from_secs(5)),
-                _ => b.recv(&mut buf),
+                _ => b.recv_deadline(&mut buf, std::time::Duration::from_secs(5)),
             }
             .unwrap();
             assert_eq!(n, 4096);
@@ -534,13 +466,14 @@ mod tests {
         }
         assert!(got == data, "sliced reads reassemble the chunk");
         assert!(!b.has_incoming());
-        // A purge mid-chunk discards the unread part; the next chunk
-        // starts clean.
+        // A reopen mid-chunk discards the unread part; the first chunk on
+        // the new pair starts clean, and the old peer sees the close.
         a.send(&data).unwrap();
         assert_eq!(b.try_recv(&mut buf).unwrap(), 4096);
-        b.purge();
+        let mut a2 = b.reopen();
         assert!(!b.has_incoming());
-        a.send(b"next").unwrap();
+        assert!(a.send(b"old").is_err(), "the old pair is closed");
+        a2.send(b"next").unwrap();
         assert_eq!(b.try_recv(&mut buf).unwrap(), 4);
         assert_eq!(&buf[..4], b"next");
     }
@@ -587,8 +520,11 @@ mod tests {
         };
         client.send(&msg.encode()).unwrap();
         let mut codec = FrameCodec::new();
-        let got = recv_message(&mut server, &mut codec).unwrap().unwrap();
-        assert_eq!(got, msg);
+        let mut buf = [0u8; 7];
+        while let Ok(n @ 1..) = server.try_recv(&mut buf) {
+            codec.feed(&buf[..n]);
+        }
+        assert_eq!(codec.try_decode_message().unwrap(), Some(msg));
     }
 
     fn drain(t: &mut MemTransport) -> Vec<Vec<u8>> {
@@ -654,11 +590,14 @@ mod tests {
         // A second reorder releases the first hold.
         a.send(b"second").unwrap();
         assert_eq!(drain(&mut b), vec![b"first".to_vec()]);
-        // Purge clears the remaining held chunk.
-        a.purge();
-        a.inject_faults(FaultPlan::none(), 0);
+        // A reopen drops the remaining held chunk and keeps the plan: the
+        // fault RNG and its tallies carry onto the new pair.
+        let mut b = a.reopen();
         a.send(b"third").unwrap();
-        assert_eq!(drain(&mut b), vec![b"third".to_vec()]);
+        assert_eq!(a.fault_stats().reordered, 3);
+        a.inject_faults(FaultPlan::none(), 0);
+        a.send(b"fourth").unwrap();
+        assert_eq!(drain(&mut b), vec![b"fourth".to_vec(), b"third".to_vec()]);
     }
 
     #[test]
@@ -749,31 +688,7 @@ mod tests {
         let (a, mut b) = MemTransport::pair();
         drop(a);
         let mut buf = [0u8; 8];
-        assert_eq!(b.recv(&mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn tcp_loopback_round_trip() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream);
-            let mut codec = FrameCodec::new();
-            let msg = recv_message(&mut t, &mut codec).unwrap().unwrap();
-            t.send(&Message::SignInAck { accepted: true }.encode())
-                .unwrap();
-            msg
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let sent = Message::SignIn {
-            participant: ParticipantId(222_222),
-            install: InstallId(2_000_000_002),
-        };
-        client.send(&sent.encode()).unwrap();
-        let mut codec = FrameCodec::new();
-        let ack = recv_message(&mut client, &mut codec).unwrap().unwrap();
-        assert_eq!(ack, Message::SignInAck { accepted: true });
-        assert_eq!(handle.join().unwrap(), sent);
+        let wait = std::time::Duration::from_secs(5);
+        assert_eq!(b.recv_deadline(&mut buf, wait).unwrap(), 0);
     }
 }

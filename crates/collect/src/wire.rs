@@ -410,14 +410,6 @@ impl FrameCodec {
         }
     }
 
-    /// Start over as on a fresh connection: buffered bytes are dropped and
-    /// a strict codec accepts any sequence number again. The mode and the
-    /// `stale_discards` tally are kept.
-    pub fn reset(&mut self) {
-        self.buf = BytesMut::new();
-        self.strict = self.strict.map(|_| 0);
-    }
-
     /// Append received bytes to the decode buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -435,9 +427,8 @@ impl FrameCodec {
     }
 
     /// Try to decode the next complete, *accepted* frame. `Ok(None)` means
-    /// more bytes are needed. On error the buffer is poisoned and should
-    /// be discarded along with the connection (framing is unrecoverable
-    /// after corruption).
+    /// more bytes are needed. On error the buffer is poisoned: framing is
+    /// unrecoverable after corruption, and the connection is replaced.
     pub fn try_decode(&mut self) -> Result<Option<Frame>, WireError> {
         self.next_accepted(|msg_type, seq, payload| {
             Ok(Frame {
@@ -497,7 +488,9 @@ impl FrameCodec {
                     self.buf.advance(total);
                     continue; // duplicate or stale reordered copy
                 }
-                self.strict = Some(seq + 1);
+                // A peer's sequence number is its own to choose: the top
+                // of the space ends it instead of wrapping around to 0.
+                self.strict = Some(seq.saturating_add(1));
             }
             let built = build(msg_type, seq, &self.buf[HEADER..HEADER + len]);
             self.buf.advance(total);

@@ -27,9 +27,10 @@ pub trait Source {
 /// previous round stopped, so under sustained load every source is
 /// visited before any source is visited twice — a busy connection cannot
 /// starve the rest. This is level-triggered polling over in-process
-/// sources (channels, non-blocking transports), which is exactly what the
-/// collection plane's `MemTransport` fleet needs; an epoll-backed
-/// `Source` would slot in without changing the worker loop.
+/// sources (channels, non-blocking transports): the collection plane
+/// polls its in-memory pipes with a channel peek and its TCP sockets with
+/// a non-blocking `peek`. An epoll-backed `Source` would slot in without
+/// changing the worker loop.
 #[derive(Debug, Default)]
 pub struct Poller<S> {
     slots: Vec<Option<S>>,

@@ -1,7 +1,7 @@
 //! Live collection over real TCP.
 //!
-//! Boots the collection server on a loopback socket, then runs one
-//! simulated device through the complete §3 pipeline: sign-in with the
+//! Boots the async collection plane behind a loopback socket, then runs
+//! one simulated device through the complete §3 pipeline: sign-in with the
 //! participant code, periodic fast/slow snapshots, on-device buffering
 //! with LZSS compression and threshold rotation, framed uploads, and
 //! SHA-256 hash acknowledgements that release the local files.
@@ -10,16 +10,17 @@
 //! cargo run --release --example live_collection
 //! ```
 
-use racket_collect::transport::recv_message;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    CollectionServer, CollectorConfig, DataBuffer, SnapshotBatch, SnapshotCollector, TcpTransport,
-    Transport,
+    AsyncCollectServer, AsyncServerConfig, CollectorConfig, DataBuffer, ShardedIngest,
+    SnapshotBatch, SnapshotCollector,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
     AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
 };
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 const PARTICIPANT: ParticipantId = ParticipantId(482_913);
@@ -28,13 +29,16 @@ const INSTALL: InstallId = InstallId(4_829_130_017);
 fn main() {
     println!("== Live collection over TCP loopback ==\n");
 
-    // Server side.
-    let server = Arc::new(CollectionServer::new([PARTICIPANT]));
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    // Server side: one reactor worker; the accept loop is ours.
+    let store = Arc::new(ShardedIngest::new(8));
+    let config = AsyncServerConfig {
+        workers: 1,
+        ..AsyncServerConfig::default()
+    };
+    let server = AsyncCollectServer::start([PARTICIPANT], Arc::clone(&store), config);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     println!("collection server listening on {addr}");
-    let server_bg = Arc::clone(&server);
-    let server_thread = std::thread::spawn(move || server_bg.serve_tcp(listener, 1));
 
     // Client side: a device with a few apps and some activity.
     let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(0xFEED));
@@ -48,12 +52,14 @@ fn main() {
     }
     device.open_app(AppId(2), SimTime::from_mins(10), 300);
 
-    let mut transport = TcpTransport::connect(addr).expect("connect");
+    let mut transport = TcpStream::connect(addr).expect("connect");
+    let (socket, _) = listener.accept().expect("accept");
+    server.accept(socket).expect("serve the connection");
     let mut codec = FrameCodec::new();
 
     // 1. Sign in with the recruitment code.
     transport
-        .send(
+        .write_all(
             &Message::SignIn {
                 participant: PARTICIPANT,
                 install: INSTALL,
@@ -61,9 +67,7 @@ fn main() {
             .encode(),
         )
         .expect("send");
-    let ack = recv_message(&mut transport, &mut codec)
-        .expect("recv")
-        .expect("ack");
+    let ack = recv_message(&mut transport, &mut codec).expect("ack");
     println!("sign-in: {ack:?}");
     assert_eq!(ack, Message::SignInAck { accepted: true });
 
@@ -92,7 +96,7 @@ fn main() {
     let files: Vec<_> = buffer.pending().cloned().collect();
     for f in files {
         transport
-            .send(
+            .write_all(
                 &Message::SnapshotUpload {
                     install: INSTALL,
                     file_id: f.file_id,
@@ -102,10 +106,7 @@ fn main() {
                 .encode(),
             )
             .expect("send");
-        match recv_message(&mut transport, &mut codec)
-            .expect("recv")
-            .expect("reply")
-        {
+        match recv_message(&mut transport, &mut codec).expect("reply") {
             Message::UploadAck { file_id, sha256 } => {
                 let deleted = buffer.acknowledge(file_id, sha256);
                 println!(
@@ -119,14 +120,11 @@ fn main() {
     }
     assert_eq!(buffer.pending_count(), 0, "all files acknowledged");
 
-    drop(transport); // close the connection so the server thread exits
-    server_thread
-        .join()
-        .expect("server thread")
-        .expect("serve_tcp");
+    drop(transport);
+    let stats = server.shutdown(&racket_obs::Registry::new());
 
     // 4. What the server aggregated.
-    let record = server.record(INSTALL).expect("record exists");
+    let record = store.record(INSTALL).expect("record exists");
     println!(
         "\nserver aggregate: {} fast + {} slow snapshots over {} active day(s), {} apps observed",
         record.n_fast,
@@ -134,9 +132,23 @@ fn main() {
         record.active_days(),
         record.apps.len()
     );
-    let stats = server.stats();
     println!(
         "server stats: {} files, {} snapshots, {} bad uploads",
         stats.files, stats.snapshots, stats.bad_uploads
     );
+}
+
+/// Read from the socket until one reply decodes (`None`: the server closed
+/// the connection first).
+fn recv_message(stream: &mut TcpStream, codec: &mut FrameCodec) -> Option<Message> {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(msg) = codec.try_decode_message().expect("a well-framed reply") {
+            return Some(msg);
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => codec.feed(&buf[..n]),
+        }
+    }
 }

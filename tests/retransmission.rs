@@ -3,7 +3,7 @@
 //! mismatches), the client keeps the file and retries until the server's
 //! hash matches — no snapshot is ever lost or duplicated.
 
-use racket_collect::transport::{MemTransport, Transport};
+use racket_collect::transport::MemTransport;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
     CollectionServer, CollectorConfig, DataBuffer, FaultPlan, SnapshotBatch, SnapshotCollector,
