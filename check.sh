@@ -74,6 +74,18 @@ step "benchmark package smoke (release)"
 # ./bench_history.sh (~15 min, once per PR, not here).
 bash benchmark/run.sh --smoke
 
+step "benchmark harness unchanged"
+# benchmark/ (its Cargo.lock included) and BENCHMARK.json are frozen: the
+# benchmark compares every change against its parent with them, so a
+# change may not edit them — and an edit to a Cargo.toml in the
+# benchmark's dependency graph makes the smoke run above rewrite the lock
+# file. Fail naming whatever the tree now shows changed there.
+frozen=$(git status --porcelain -- benchmark BENCHMARK.json)
+if [ -n "$frozen" ]; then
+  printf 'the frozen benchmark harness changed:\n%s\n' "$frozen" >&2
+  exit 1
+fi
+
 if command -v cargo-clippy >/dev/null 2>&1; then
   step "cargo clippy --all-targets (warnings denied)"
   cargo clippy --all-targets -q "${first_party[@]}" -p racketstore-suite -- -D warnings

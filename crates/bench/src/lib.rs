@@ -142,8 +142,12 @@ impl Report {
             "[paper_report] seed {seed_index}: study done in {secs:.1}s, {snapshots} snapshots"
         );
         if seed_index == 0 {
-            eprintln!("== Pipeline metrics ==\n{}", out.metrics.report());
-            let tree = racket_obs::render_timing_tree(&out.obs.snapshot());
+            let snap = out.obs.snapshot();
+            eprintln!("== Pipeline metrics ==");
+            for (name, value) in snap.counters.iter().chain(&snap.gauges) {
+                eprintln!("{name}: {value}");
+            }
+            let tree = racket_obs::render_timing_tree(&snap);
             eprintln!("== Stage timing tree ==\n{tree}");
         }
         let app_ds = scale.app_dataset(&out);

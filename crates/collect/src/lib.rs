@@ -41,9 +41,8 @@
 //!   independently locked shards so batches from different devices
 //!   ingest concurrently on every collection path;
 //! * `columnar` — the struct-of-arrays projection of the ingest store
-//!   ([`ColumnarSnapshots`]): dictionary-encoded identifiers and
-//!   contiguous per-field columns for the analyze-side scans
-//!   (`ARCHITECTURE.md` §9);
+//!   ([`ColumnarSnapshots`]): the install-event and review families the
+//!   batch campaign and text rebuilds scan (`ARCHITECTURE.md` §9);
 //! * `fingerprint` — Appendix A's snapshot fingerprinting: coalescing
 //!   RacketStore installs into physical devices using install intervals,
 //!   Android IDs and Jaccard similarity.
@@ -70,11 +69,11 @@ pub use async_server::{AsyncCollectServer, AsyncConn, AsyncServerConfig};
 pub use buffer::{DataBuffer, UploadFile};
 pub use codec::DecodeError;
 pub use collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
-pub use columnar::{AppEntry, ColumnarSnapshots, ReviewEntry, NEVER_UNINSTALLED};
+pub use columnar::{ColumnarSnapshots, ReviewEntry};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
 pub use hash::{crc32, sha256};
 pub use retry::{RetryStats, WireLane};
-pub use server::{CollectionServer, IngestScratch, InstallRecord, ProtocolCore};
+pub use server::{IngestScratch, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
 pub use stream::{AppStream, StreamAggregates};
 pub use transport::{FaultPlan, MemTransport};

@@ -14,8 +14,6 @@
 //!   feature pipelines read (the real backend inserted snapshots into
 //!   MongoDB and aggregated at query time); the one table of them is
 //!   [`ShardedIngest`].
-//! * [`CollectionServer`] is a single-owner convenience over a core and
-//!   its store for fixtures and examples.
 
 use crate::buffer::FAST_ROTATE_BYTES;
 use crate::codec;
@@ -465,44 +463,6 @@ impl ProtocolCore {
     }
 }
 
-/// A [`ProtocolCore`] with its own store and ingest scratch: the
-/// single-owner server that fixtures and examples use.
-pub struct CollectionServer {
-    core: ProtocolCore,
-    scratch: IngestScratch,
-}
-
-impl CollectionServer {
-    /// Create a server recognizing the given participant codes.
-    pub fn new(participants: impl IntoIterator<Item = ParticipantId>) -> Self {
-        CollectionServer {
-            core: ProtocolCore::new(participants, Arc::new(ShardedIngest::new(8))),
-            scratch: IngestScratch::new(),
-        }
-    }
-
-    /// Handle one protocol message ([`ProtocolCore::handle`]).
-    pub fn handle(&mut self, msg: Message) -> Option<Message> {
-        self.core.handle(msg, &mut self.scratch)
-    }
-
-    /// Fold one snapshot straight into its install record, bypassing the
-    /// protocol (fixtures that need a record, not an upload).
-    pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
-        self.core.store.ingest_batch(std::slice::from_ref(snapshot));
-    }
-
-    /// A copy of one install's record.
-    pub fn record(&self, install: InstallId) -> Option<InstallRecord> {
-        self.core.store.record(install)
-    }
-
-    /// Ingestion statistics.
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,8 +472,38 @@ mod tests {
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);
 
-    fn server() -> CollectionServer {
-        CollectionServer::new([P])
+    /// A core over its own store, with one ingest scratch: a single
+    /// caller of [`ProtocolCore::handle`].
+    struct Server {
+        core: ProtocolCore,
+        scratch: IngestScratch,
+    }
+
+    impl Server {
+        fn handle(&mut self, msg: Message) -> Option<Message> {
+            self.core.handle(msg, &mut self.scratch)
+        }
+
+        /// Fold one snapshot straight into its record, bypassing the
+        /// protocol.
+        fn ingest_snapshot(&mut self, snapshot: &Snapshot) {
+            self.core.store.ingest_batch(std::slice::from_ref(snapshot));
+        }
+
+        fn record(&self, install: InstallId) -> Option<InstallRecord> {
+            self.core.store.record(install)
+        }
+
+        fn stats(&self) -> ServerStats {
+            self.core.stats()
+        }
+    }
+
+    fn server() -> Server {
+        Server {
+            core: ProtocolCore::new([P], Arc::new(ShardedIngest::new(8))),
+            scratch: IngestScratch::new(),
+        }
     }
 
     fn fast_with_install(t: u64, app: u32, installed_at: u64) -> Snapshot {

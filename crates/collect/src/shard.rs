@@ -97,16 +97,15 @@ impl ShardedIngest {
             .cloned()
     }
 
-    /// Install records held per shard (the occupancy series reported in
-    /// [`racket_types::PipelineMetrics`]).
+    /// Install records held per shard, in shard order.
     pub fn occupancy(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.lock().len()).collect()
     }
 
     /// Publish the occupancy series as `ingest.shard_occupancy.<idx>`
-    /// gauges (zero-padded index, so gauge-name order is shard order —
-    /// the layout [`racket_types::PipelineMetrics::from_snapshot`] reads
-    /// back).
+    /// gauges of the study registry (zero-padded index, so gauge-name
+    /// order is shard order for whoever reads them back by the
+    /// [`racket_types::metrics::keys::SHARD_OCCUPANCY_PREFIX`] prefix).
     pub fn record_occupancy_to(&self, registry: &racket_obs::Registry) {
         use racket_types::metrics::keys;
         for (i, n) in self.occupancy().into_iter().enumerate() {

@@ -2,13 +2,15 @@
 //! of the RacketStore pipeline.
 //!
 //! The analyze stage group dominates non-wire runs (on `benchmark/`'s
-//! `e2e_direct`, CV + training are the largest measured cost): feature
-//! builds and learner inner loops used to walk row-oriented state
-//! (`Vec<Vec<f64>>` feature matrices, `HashMap`-of-`BTreeMap` install
-//! records), paying a pointer chase per comparison. This crate is the
-//! storage layer that removes those chases — ARCHITECTURE.md §9 documents
-//! the memory layout, the dictionary-encoding scheme and the split
-//! search's buffer ranges; this crate-level doc is the API-side summary.
+//! `e2e_direct`, CV + training are the largest measured cost): learner
+//! inner loops used to walk row-oriented `Vec<Vec<f64>>` feature
+//! matrices, paying a pointer chase per comparison. This crate holds the
+//! matrix layouts and kernels that remove those chases, plus the shingle
+//! packer the campaign detector keys on — ARCHITECTURE.md §9 documents
+//! the memory layout and the split search's buffer ranges; this
+//! crate-level doc is the API-side summary. (The struct-of-arrays
+//! snapshot store the batch campaign and text rebuilds scan is
+//! `racket_collect::ColumnarSnapshots`.)
 //!
 //! # Column families
 //!
@@ -20,9 +22,6 @@
 //!   buffer, rows back to back). This is the layout for per-row kernels —
 //!   batch model scoring and KNN distance loops — where a whole row is
 //!   consumed at once and must be contiguous.
-//! * [`Dict`] — a dictionary encoder mapping sparse external identifiers
-//!   (app / account-service / install IDs) to dense `u32` codes, so
-//!   columnar stores index arrays instead of hashing IDs.
 //!
 //! # The row→column equivalence contract
 //!
@@ -56,11 +55,9 @@
 #![deny(missing_docs)]
 
 mod column;
-mod dict;
 mod kernel;
 mod shingle;
 
 pub use column::{ColumnMatrix, FlatMatrix};
-pub use dict::Dict;
 pub use kernel::{sort_pairs, sq_dist, SortPair};
 pub use shingle::pack_shingle;

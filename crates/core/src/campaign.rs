@@ -30,12 +30,12 @@ pub fn batch_report(out: &StudyOutput) -> CampaignReport {
         Vec::with_capacity(out.columnar.n_installs());
     {
         let _span = obs.span(keys::SPAN_CAMPAIGN_SHINGLE);
-        for code in 0..out.columnar.n_installs() as u32 {
+        for i in 0..out.columnar.n_installs() {
             let mut sk = CampaignSketch::default();
-            for (app, t) in out.columnar.install_events_of(code) {
+            for (app, t) in out.columnar.install_events_of(i) {
                 sk.observe(app, t);
             }
-            sketches.push((out.columnar.install_id(code), sk));
+            sketches.push((out.columnar.install_id(i), sk));
         }
         obs.add(
             keys::CAMPAIGN_SHINGLES,

@@ -25,7 +25,7 @@ use racket_features::{DeviceObservation, DeviceStreamState};
 use racket_obs::{LocalHistogram, Registry};
 use racket_playstore::crawler::ReviewCrawler;
 use racket_types::metrics::keys;
-use racket_types::{AppId, Cohort, Persona, PipelineMetrics, Review, SimDuration, SimTime};
+use racket_types::{AppId, Cohort, Persona, Review, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -142,10 +142,10 @@ pub struct StudyOutput {
     /// Ground truth aligned with `observations`.
     pub truth: Vec<GroundTruth>,
     /// The columnar (struct-of-arrays) projection of the ingested records:
-    /// dictionary-encoded install/app/service IDs with contiguous
-    /// per-field columns, built from the canonical sorted record vector
-    /// at assemble time (ARCHITECTURE.md §9). Analyze-side scans read
-    /// this instead of re-walking the row store.
+    /// their install-event and review families, built from the canonical
+    /// sorted record vector at assemble time (ARCHITECTURE.md §9). The
+    /// batch campaign and text rebuilds scan it; everything else reads
+    /// the rows (`observations[i].record`).
     pub columnar: ColumnarSnapshots,
     /// The fleet (catalog, store, directory, VirusTotal) post-run.
     pub fleet: Fleet,
@@ -161,20 +161,18 @@ pub struct StudyOutput {
     /// (ARCHITECTURE.md §10). `racketstore::campaign::batch_report`
     /// recomputes the same report from the columnar install-event family;
     /// the equivalence suite pins them byte-identical. Excluded from
-    /// output fingerprints (like `metrics`/`obs`, it is a derived
-    /// analysis, not collected data).
+    /// output fingerprints (like `obs`, it is a derived analysis, not
+    /// collected data).
     pub campaigns: CampaignReport,
-    /// Pipeline wall-time and throughput metrics for this run
-    /// (a [`PipelineMetrics::from_snapshot`] projection of `obs`). The
-    /// only thread-count-dependent part of the output.
-    pub metrics: PipelineMetrics,
     /// The run's private observability registry: every stage span
     /// (`span.fleet_gen`, `span.simulate/day`, …), fault/retry/ingest
-    /// counter and shard-occupancy gauge. Private per run — never the
-    /// process-global registry — so concurrent studies (e.g. the test
-    /// suite) cannot pollute each other's metrics. Excluded from output
-    /// fingerprints; downstream stages (scoring, the batch campaign
-    /// and text rebuilds) keep recording into it.
+    /// counter and shard-occupancy gauge, read by the [`keys`] names. Its
+    /// timings are the only thread-count-dependent part of the output.
+    /// Private per run — never the process-global registry — so
+    /// concurrent studies (e.g. the test suite) cannot pollute each
+    /// other's metrics. Excluded from output fingerprints; downstream
+    /// stages (scoring, the batch campaign and text rebuilds) keep
+    /// recording into it.
     pub obs: Registry,
 }
 
@@ -236,8 +234,8 @@ impl Study {
     /// Run the complete study.
     pub fn run(&self) -> StudyOutput {
         let config = &self.config;
-        // Every stage records into this run's private registry; the
-        // PipelineMetrics the output carries is a projection of it.
+        // Every stage records into this run's private registry, which the
+        // output carries as `obs`.
         let obs = Registry::new();
         obs.gauge_set(keys::THREADS, rayon::current_num_threads() as u64);
 
@@ -607,7 +605,6 @@ impl Study {
             detect_with_text(&inputs, &texts, &DetectorConfig::default(), Some(&obs))
         };
 
-        let metrics = PipelineMetrics::from_snapshot(&obs.snapshot());
         StudyOutput {
             observations,
             streaming,
@@ -618,7 +615,6 @@ impl Study {
             server_stats,
             coalesced_devices,
             fleet,
-            metrics,
             obs,
         }
     }
@@ -826,34 +822,56 @@ mod tests {
         assert_eq!(out.coalesced_devices, 60);
     }
 
+    /// Records per ingest shard, from the zero-padded
+    /// `ingest.shard_occupancy.*` gauges (gauge-name order is shard order).
+    fn shard_occupancy(snap: &racket_obs::RegistrySnapshot) -> Vec<u64> {
+        snap.gauges
+            .iter()
+            .filter(|(k, _)| k.starts_with(keys::SHARD_OCCUPANCY_PREFIX))
+            .map(|(_, &v)| v)
+            .collect()
+    }
+
     #[test]
     fn wire_path_reports_metrics() {
         let out = test_output();
-        assert_eq!(out.metrics.snapshots_ingested, out.server_stats.snapshots);
+        let snap = out.obs.snapshot();
+        assert_eq!(
+            snap.counter(keys::SNAPSHOTS_INGESTED),
+            out.server_stats.snapshots
+        );
         assert!(
-            out.metrics.bytes_compressed > 0,
+            snap.counter(keys::BYTES_COMPRESSED) > 0,
             "wire path compresses uploads"
         );
         assert_eq!(
-            out.metrics.shard_occupancy.iter().sum::<usize>(),
+            shard_occupancy(&snap).iter().sum::<u64>(),
             60,
             "the wire path folds into the same sharded store"
         );
-        assert!(out.metrics.simulate_secs > 0.0);
-        assert!(out.metrics.threads >= 1);
+        assert!(snap.span_secs(keys::SPAN_SIMULATE) > 0.0);
+        assert!(snap.gauge(keys::THREADS) >= 1);
     }
 
     #[test]
     fn clean_wire_run_reports_zero_faults_and_retries() {
         let out = test_output();
-        assert_eq!(out.metrics.faults.total(), 0);
-        assert!(out.metrics.upload_attempts > 0, "exchanges are counted");
-        assert_eq!(out.metrics.upload_retries, 0);
-        assert_eq!(out.metrics.reconnects, 0);
-        assert_eq!(out.metrics.backoff_ms, 0);
-        assert_eq!(out.metrics.exchanges_exhausted, 0);
-        assert_eq!(out.metrics.stale_frames, 0);
-        assert_eq!(out.metrics.dup_files_deduped, 0);
+        let snap = out.obs.snapshot();
+        assert_eq!(racket_types::FaultCounters::from_snapshot(&snap).total(), 0);
+        assert!(
+            snap.counter(keys::UPLOAD_ATTEMPTS) > 0,
+            "exchanges are counted"
+        );
+        for key in [
+            keys::UPLOAD_RETRIES,
+            keys::RECONNECTS,
+            keys::BACKOFF_MS,
+            keys::EXCHANGES_EXHAUSTED,
+            keys::STALE_FRAMES,
+            keys::DUP_FILES,
+        ] {
+            assert_eq!(snap.counter(key), 0, "{key}");
+        }
         assert_eq!(out.server_stats.dup_files, 0);
     }
 
@@ -863,16 +881,21 @@ mod tests {
         config.path = CollectionPath::Direct;
         let out = Study::new(config).run();
         assert_eq!(out.observations.len(), 60);
+        let snap = out.obs.snapshot();
         assert_eq!(
-            out.metrics.shard_occupancy.iter().sum::<usize>(),
+            shard_occupancy(&snap).iter().sum::<u64>(),
             60,
             "every device's record lands on exactly one shard"
         );
         assert_eq!(
-            out.metrics.bytes_compressed, 0,
+            snap.counter(keys::BYTES_COMPRESSED),
+            0,
             "direct path skips compression"
         );
-        assert_eq!(out.metrics.snapshots_ingested, out.server_stats.snapshots);
+        assert_eq!(
+            snap.counter(keys::SNAPSHOTS_INGESTED),
+            out.server_stats.snapshots
+        );
     }
 
     #[test]
@@ -894,37 +917,32 @@ mod tests {
             assert_eq!(x.record.n_fast, y.record.n_fast);
             assert_eq!(x.record.snapshots_per_day, y.record.snapshots_per_day);
         }
+        let snap = out.obs.snapshot();
         assert!(
-            !out.metrics.shard_occupancy.is_empty(),
+            !shard_occupancy(&snap).is_empty(),
             "the async plane ingests through its sharded store"
         );
-        assert!(out.metrics.bytes_compressed > 0);
-        assert_eq!(out.metrics.faults.total(), 0, "clean link injects nothing");
+        assert!(snap.counter(keys::BYTES_COMPRESSED) > 0);
+        assert_eq!(
+            racket_types::FaultCounters::from_snapshot(&snap).total(),
+            0,
+            "clean link injects nothing"
+        );
     }
 
     #[test]
     fn columnar_store_mirrors_the_records() {
         let out = test_output();
         assert_eq!(out.columnar.n_installs(), out.observations.len());
-        for o in &out.observations {
-            let code = out
+        let mut records: Vec<_> = out.observations.iter().map(|o| &o.record).collect();
+        records.sort_by_key(|r| r.install_id);
+        for (i, r) in records.into_iter().enumerate() {
+            assert_eq!(out.columnar.install_id(i), r.install_id);
+            assert!(out
                 .columnar
-                .install_code(o.record.install_id)
-                .expect("every joined record was columnarized");
-            assert_eq!(out.columnar.participant(code), o.record.participant);
-            assert_eq!(
-                out.columnar.snapshot_counts(code),
-                (o.record.n_fast, o.record.n_slow)
-            );
-            assert_eq!(
-                out.columnar.active_days(code) as usize,
-                o.record.active_days()
-            );
-            assert_eq!(out.columnar.apps_of(code).count(), o.record.apps.len());
-            assert_eq!(
-                out.columnar.services_of(code).count(),
-                o.record.accounts.len()
-            );
+                .install_events_of(i)
+                .eq(r.install_events.iter().copied()));
+            assert_eq!(out.columnar.reviews_of(i).count(), r.review_events.len());
         }
     }
 

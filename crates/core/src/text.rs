@@ -20,9 +20,9 @@ use racket_types::InstallId;
 pub fn batch_text_sketches(out: &StudyOutput) -> Vec<(InstallId, TextSketch)> {
     let _span = out.obs.span(keys::SPAN_TEXT_REBUILD);
     let mut sketches = Vec::new();
-    for code in 0..out.columnar.n_installs() as u32 {
+    for i in 0..out.columnar.n_installs() {
         let mut sk = TextSketch::default();
-        for e in out.columnar.reviews_of(code) {
+        for e in out.columnar.reviews_of(i) {
             sk.observe(
                 e.app.raw(),
                 e.reviewer.raw(),
@@ -32,7 +32,7 @@ pub fn batch_text_sketches(out: &StudyOutput) -> Vec<(InstallId, TextSketch)> {
             );
         }
         if !sk.is_empty() {
-            sketches.push((out.columnar.install_id(code), sk));
+            sketches.push((out.columnar.install_id(i), sk));
         }
     }
     sketches

@@ -192,7 +192,7 @@ mod tests {
     const I: InstallId = InstallId(1);
 
     fn base_observation() -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
+        let store = racket_collect::ShardedIngest::new(8);
         let perms = PermissionProfile {
             requested: [
                 Permission::Internet,
@@ -205,7 +205,7 @@ mod tests {
             denied: [Permission::ReadContacts].into_iter().collect(),
         };
         // App installed on day 2 (before monitoring starts on day 10).
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        store.ingest_batch(&[Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(10),
@@ -216,9 +216,9 @@ mod tests {
                 stopped: false,
                 ..InstalledApp::fresh(AppId(1), SimTime::from_days(2), perms, ApkHash([1; 16]))
             })],
-        }));
+        })]);
         // A second day of foreground observations.
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        store.ingest_batch(&[Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(11),
@@ -226,8 +226,8 @@ mod tests {
             screen_on: true,
             battery_pct: 85,
             install_events: vec![],
-        }));
-        let record = server.record(I).unwrap().clone();
+        })]);
+        let record = store.record(I).unwrap();
         DeviceObservation {
             record,
             monitoring: TimeInterval::new(SimTime::from_days(10), SimTime::from_days(14)),

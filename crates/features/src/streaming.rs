@@ -248,15 +248,15 @@ mod tests {
     }
 
     fn observation() -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
-        server.ingest_snapshot(&fast(10, Some(1), vec![installed(1, 2), installed(100, 0)]));
-        server.ingest_snapshot(&fast(11, Some(1), vec![installed(2, 11)]));
-        server.ingest_snapshot(&fast(
+        let store = racket_collect::ShardedIngest::new(8);
+        store.ingest_batch(&[fast(10, Some(1), vec![installed(1, 2), installed(100, 0)])]);
+        store.ingest_batch(&[fast(11, Some(1), vec![installed(2, 11)])]);
+        store.ingest_batch(&[fast(
             12,
             None,
             vec![InstallDelta::Uninstalled { app: AppId(2) }],
-        ));
-        server.ingest_snapshot(&Snapshot::Slow(SlowSnapshot {
+        )]);
+        store.ingest_batch(&[Snapshot::Slow(SlowSnapshot {
             install_id: I,
             participant_id: P,
             android_id: None,
@@ -268,8 +268,8 @@ mod tests {
             save_mode: false,
             stopped_apps: vec![AppId(100)],
             review_events: vec![],
-        }));
-        let record = server.record(I).unwrap().clone();
+        })]);
+        let record = store.record(I).unwrap();
         let mut reviews_by_app = HashMap::new();
         reviews_by_app.insert(
             AppId(1),

@@ -100,8 +100,8 @@ mod tests {
     const A: AppId = AppId(1);
 
     fn observation(reviews: Vec<ReviewEvent>) -> DeviceObservation {
-        let mut server = racket_collect::CollectionServer::new([P]);
-        server.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
+        let store = racket_collect::ShardedIngest::new(8);
+        store.ingest_batch(&[Snapshot::Fast(FastSnapshot {
             install_id: I,
             participant_id: P,
             time: SimTime::from_days(10),
@@ -116,8 +116,8 @@ mod tests {
                     racket_types::ApkHash([1; 16]),
                 ),
             )],
-        }));
-        server.ingest_snapshot(&Snapshot::Slow(SlowSnapshot {
+        })]);
+        store.ingest_batch(&[Snapshot::Slow(SlowSnapshot {
             install_id: I,
             participant_id: P,
             android_id: None,
@@ -126,9 +126,9 @@ mod tests {
             save_mode: false,
             stopped_apps: vec![],
             review_events: reviews,
-        }));
+        })]);
         DeviceObservation {
-            record: server.record(I).unwrap().clone(),
+            record: store.record(I).unwrap(),
             monitoring: TimeInterval::new(SimTime::from_days(10), SimTime::from_days(14)),
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app: HashMap::new(),

@@ -377,18 +377,43 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `(offset, end)` of every node count and of the tree count in a
+        /// body whose tree section still parses: where the count's word
+        /// sits and where the bytes it covers end. `None` once an earlier
+        /// edit broke that section.
+        fn count_spans(body: &[u8]) -> Option<Vec<(usize, usize)>> {
+            let word = |at: usize| Some(u64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?));
+            // Nine 8-byte parameters, then the tree count.
+            let trees_at = HEADER + 9 * 8;
+            let mut spans = Vec::new();
+            let mut p = trees_at + 8;
+            for _ in 0..word(trees_at)? {
+                let nodes_at = p;
+                p += 8;
+                for _ in 0..word(nodes_at)? {
+                    // A split is tag, feature, threshold, left and right;
+                    // a leaf is tag and weight.
+                    p += if *body.get(p)? == 0 { 33 } else { 9 };
+                }
+                spans.push((nodes_at, p));
+            }
+            spans.push((trees_at, p));
+            (p <= body.len()).then_some(spans)
+        }
+
         proptest! {
             /// Up to three edits of a real ensemble's body — a word
             /// overwritten with a small count, an index, `u64::MAX` or
             /// noise; a bit flipped; the tail cut; the tail of the other
-            /// ensemble spliced on — resealed the way a hostile writer
-            /// would. Each decodes to `Err`, or to a model that scores
-            /// without panicking and re-encodes to exactly the bytes it
-            /// came from.
+            /// ensemble spliced on; the tree count or a node count set to
+            /// 0 and the bytes it covered cut — resealed the way a hostile
+            /// writer would. Each decodes to `Err`, or to a model that
+            /// scores without panicking and re-encodes to exactly the
+            /// bytes it came from.
             #[test]
             fn resealed_edits_decode_to_err_or_a_scorable_model(
                 base in 0usize..2,
-                edits in proptest::collection::vec((0u8..4, any::<usize>(), any::<u64>()), 1..=3),
+                edits in proptest::collection::vec((0u8..5, any::<usize>(), any::<u64>()), 1..=3),
             ) {
                 let bodies = [body_of(&stump(1)), body_of(&stump(3))];
                 let mut body = bodies[base].clone();
@@ -410,11 +435,18 @@ mod tests {
                         }
                         1 => body[at] ^= 1 << (v % 8),
                         2 => body.truncate(at),
-                        _ => {
+                        3 => {
                             let other = &bodies[1 - base];
                             let from = HEADER + v as usize % (other.len() - HEADER);
                             body.truncate(at);
                             body.extend_from_slice(&other[from..]);
+                        }
+                        _ => {
+                            if let Some(spans) = count_spans(&body) {
+                                let (count_at, end) = spans[v as usize % spans.len()];
+                                body[count_at..count_at + 8].copy_from_slice(&[0; 8]);
+                                body.drain(count_at + 8..end);
+                            }
                         }
                     }
                 }

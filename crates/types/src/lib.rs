@@ -29,7 +29,7 @@ pub use account::{AccountId, AccountService, RegisteredAccount};
 pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};
 pub use event::{DeviceEvent, EventKind};
 pub use id::{AndroidId, DeviceId, GoogleId, InstallId, ParticipantId};
-pub use metrics::{FaultCounters, PipelineMetrics};
+pub use metrics::FaultCounters;
 pub use online::{Distinct, GapAccum, MinMax};
 pub use permission::{Permission, PermissionList, PermissionProfile};
 pub use review::{Rating, RatingSummary, Review, ReviewEvent};

@@ -33,8 +33,8 @@ use std::cell::Cell;
 use racket_agents::{apply_action_collecting, DeviceAgent, LaneScratch, PersonaParams};
 use racket_collect::Message;
 use racket_collect::{
-    AsyncCollectServer, AsyncServerConfig, CollectionServer, CollectorConfig, DataBuffer,
-    FaultPlan, MemTransport, ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
+    AsyncCollectServer, AsyncServerConfig, CollectorConfig, DataBuffer, FaultPlan, IngestScratch,
+    MemTransport, ProtocolCore, ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
 };
 use racket_device::{Device, DeviceModel};
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
@@ -300,14 +300,14 @@ fn steady_state_slow_snapshot_fold_allocates_nothing() {
     };
     // One calendar day, so the per-day count map gains no entry either.
     let snapshots: Vec<Snapshot> = (0..=1_000).map(|i| slow(60 * i)).collect();
-    let mut server = CollectionServer::new([ParticipantId(1)]);
-    server.ingest_snapshot(&snapshots[0]);
+    let store = ShardedIngest::new(8);
+    store.ingest_batch(&snapshots[..1]);
     let before = allocations();
     for snapshot in &snapshots[1..] {
-        server.ingest_snapshot(snapshot);
+        store.ingest_batch(std::slice::from_ref(snapshot));
     }
     let spent = allocations() - before;
-    assert_eq!(server.record(InstallId(1)).expect("record").n_slow, 1_001);
+    assert_eq!(store.record(InstallId(1)).expect("record").n_slow, 1_001);
     assert_eq!(
         spent, 0,
         "1,000 same-shape slow snapshots allocated {spent}×"
@@ -381,20 +381,21 @@ fn steady_state_upload_allocates_a_constant_per_file() {
     };
     // Allocations per file over files 2..=21 of one install.
     let per_file = |n_apps: u32, n_slow: u64| {
-        let mut server = CollectionServer::new([P]);
+        let server = ProtocolCore::new([P], std::sync::Arc::new(ShardedIngest::new(8)));
+        let mut scratch = IngestScratch::new();
         let sign_in = Message::SignIn {
             participant: P,
             install: I,
         };
         assert_eq!(
-            server.handle(sign_in),
+            server.handle(sign_in, &mut scratch),
             Some(Message::SignInAck { accepted: true })
         );
         let uploads: Vec<Message> = (1..=21).map(|id| upload(id, n_apps, n_slow)).collect();
         let mut spent = Vec::new();
         for (id, msg) in (1..).zip(uploads) {
             let before = allocations();
-            let reply = server.handle(msg);
+            let reply = server.handle(msg, &mut scratch);
             spent.push(allocations() - before);
             assert!(
                 matches!(reply, Some(Message::UploadAck { file_id, .. }) if file_id == id),

@@ -1,8 +1,8 @@
 //! A slice of the scenario table (`tests/scenario/mod.rs`), which checks
 //! every contract on each row; named for the columnar store's contract
-//! (ARCHITECTURE.md §9): the store mirrors the row records, and its
-//! dictionary codes do not depend on the collection path or the worker
-//! count. The training and scoring half of that contract is in
+//! (ARCHITECTURE.md §9): the store mirrors the row records' install
+//! events and reviews, and its contents do not depend on the collection
+//! path or the worker count. The training and scoring half of that contract is in
 //! `tests/matrix.rs`.
 
 mod common;

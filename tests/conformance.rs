@@ -23,6 +23,7 @@
 mod common;
 
 use racket_agents::{ClampedLogNormal, PersonaParams};
+use racket_types::metrics::keys;
 use racketstore::measurements::MeasurementReport;
 use racketstore::study::{CollectionPath, Study, StudyConfig, StudyOutput};
 use std::sync::OnceLock;
@@ -187,13 +188,14 @@ fn metrics_stay_out_of_the_fingerprint() {
     let again = Study::new(conformance_config()).run();
     assert_eq!(common::fingerprint(out), common::fingerprint(&again));
     // Wall-clock histograms are genuinely recorded (non-zero spans) …
-    assert!(out.metrics.simulate_secs > 0.0);
+    let (snap, snap_again) = (out.obs.snapshot(), again.obs.snapshot());
+    assert!(snap.span_secs(keys::SPAN_SIMULATE) > 0.0);
     // … but the registry snapshot is not part of the fingerprint, so
     // differing timings between the two runs did not perturb it.
-    assert!(again.metrics.simulate_secs > 0.0);
+    assert!(snap_again.span_secs(keys::SPAN_SIMULATE) > 0.0);
     assert_ne!(
-        out.obs.snapshot().histograms.get("span.simulate"),
-        again.obs.snapshot().histograms.get("span.simulate"),
+        snap.histograms.get("span.simulate"),
+        snap_again.histograms.get("span.simulate"),
         "independent runs time differently (nanosecond-exact collision \
          would be astronomically unlikely)"
     );

@@ -6,23 +6,30 @@
 use racket_collect::transport::MemTransport;
 use racket_collect::wire::{FrameCodec, Message};
 use racket_collect::{
-    CollectionServer, CollectorConfig, DataBuffer, FaultPlan, SnapshotBatch, SnapshotCollector,
+    CollectorConfig, DataBuffer, FaultPlan, IngestScratch, ProtocolCore, ShardedIngest,
+    SnapshotBatch, SnapshotCollector,
 };
 use racket_device::{Device, DeviceModel};
 use racket_types::{
     AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
 };
+use std::sync::Arc;
 
 const P: ParticipantId = ParticipantId(123_456);
 const I: InstallId = InstallId(1_000_000_000);
 
 #[test]
 fn corrupted_uploads_are_retried_until_acknowledged() {
-    let mut server = CollectionServer::new([P]);
-    server.handle(Message::SignIn {
-        participant: P,
-        install: I,
-    });
+    let store = Arc::new(ShardedIngest::new(8));
+    let server = ProtocolCore::new([P], Arc::clone(&store));
+    let mut scratch = IngestScratch::new();
+    server.handle(
+        Message::SignIn {
+            participant: P,
+            install: I,
+        },
+        &mut scratch,
+    );
 
     // A device with some snapshots buffered.
     let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
@@ -84,7 +91,7 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
             codec.feed(&chunk[..n]);
         }
         if let Ok(Some(msg)) = codec.try_decode_message() {
-            if let Some(Message::UploadAck { file_id, sha256 }) = server.handle(msg) {
+            if let Some(Message::UploadAck { file_id, sha256 }) = server.handle(msg, &mut scratch) {
                 if buffer.acknowledge(file_id, sha256) {
                     delivered += 1;
                 }
@@ -102,7 +109,7 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
         "corruption must have forced retries"
     );
     // Every snapshot arrived exactly once despite the lossy channel.
-    let rec = server.record(I).expect("record");
+    let rec = store.record(I).expect("record");
     assert_eq!(rec.n_fast + rec.n_slow, server.stats().snapshots);
     assert_eq!(server.stats().files as usize, total_files);
     assert_eq!(

@@ -61,7 +61,7 @@
 //!    and text fingerprints; it shows its class sampled and the protocol's
 //!    recovery (retries, stale discards, reconnects, dedups as the class
 //!    calls for, backoff behind every sync retry); it exhausts no exchange
-//!    and reports `dup_files_deduped == server_stats.dup_files`. The clean
+//!    and counts as many `ingest.dup_files` as `server_stats.dup_files`. The clean
 //!    wire rows really are clean: no fault, retry, reconnect, backoff,
 //!    stale frame or dedup.
 //! 6. **Streaming ≡ batch feature bits** (`streaming_equivalence.rs`):
@@ -77,8 +77,9 @@
 //!    cluster, text candidate pairs > 0 and one campaign fingerprint per
 //!    slice.
 //! 10. **The columnar store mirrors the records**
-//!     (`columnar_equivalence.rs`): every row, and the columnar fingerprint
-//!     is equal on every row of a slice.
+//!     (`columnar_equivalence.rs`): on every row its install events and
+//!     review events equal the records', and the columnar fingerprint
+//!     (installs, events, reviews) is equal on every row of a slice.
 //! 11. **Training and scoring equal their references**
 //!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
 //!     study: GBT `fit` ≡ `fit_reference` bytes, `predict_proba_batch` ≡
@@ -99,6 +100,8 @@ use crate::common::{
 };
 use racket_agents::PacingStrategy;
 use racket_collect::FaultPlan;
+use racket_types::metrics::keys;
+use racket_types::{FaultCounters, ReviewEvent};
 use racketstore::campaign::batch_report;
 use racketstore::study::{CollectionPath, Study, StudyOutput};
 use std::collections::BTreeMap;
@@ -223,13 +226,20 @@ pub(crate) fn check(rows: &[Row]) -> Canon {
 /// The fault layer's evidence on one row: the plan's class was sampled,
 /// the protocol visibly recovered, and nothing was abandoned.
 fn assert_delivery_evidence(out: &StudyOutput, path: CollectionPath, fault: &str, context: &str) {
-    let m = &out.metrics;
-    let f = &m.faults;
-    assert_eq!(
-        m.exchanges_exhausted, 0,
-        "{context}: retry budget exhausted"
-    );
-    assert_eq!(m.dup_files_deduped, out.server_stats.dup_files, "{context}");
+    let snap = out.obs.snapshot();
+    let f = FaultCounters::from_snapshot(&snap);
+    let [attempts, retries, reconnects, backoff_ms, exhausted, stale, dedups] = [
+        keys::UPLOAD_ATTEMPTS,
+        keys::UPLOAD_RETRIES,
+        keys::RECONNECTS,
+        keys::BACKOFF_MS,
+        keys::EXCHANGES_EXHAUSTED,
+        keys::STALE_FRAMES,
+        keys::DUP_FILES,
+    ]
+    .map(|key| snap.counter(key));
+    assert_eq!(exhausted, 0, "{context}: retry budget exhausted");
+    assert_eq!(dedups, out.server_stats.dup_files, "{context}");
     assert_eq!(
         out.server_stats.files > 0,
         path != Direct,
@@ -237,139 +247,98 @@ fn assert_delivery_evidence(out: &StudyOutput, path: CollectionPath, fault: &str
     );
     if path == AsyncWire {
         assert!(
-            !m.shard_occupancy.is_empty(),
+            snap.gauges
+                .keys()
+                .any(|k| k.starts_with(keys::SHARD_OCCUPANCY_PREFIX)),
             "{context}: async plane ingests through shards"
         );
     }
     let summary = format!(
-        "{context}: retries={} reconnects={} stale={} dedups={}",
-        m.upload_retries, m.reconnects, m.stale_frames, m.dup_files_deduped
+        "{context}: retries={retries} reconnects={reconnects} stale={stale} dedups={dedups}"
     );
     if fault == "clean" {
         assert_eq!(f.total(), 0, "{context}: a clean link injected faults");
         if path == Wire {
-            assert!(m.upload_attempts > 0, "{context}");
-            let quiet = m.upload_retries
-                + m.reconnects
-                + m.backoff_ms
-                + m.stale_frames
-                + m.dup_files_deduped;
+            assert!(attempts > 0, "{context}");
+            let quiet = retries + reconnects + backoff_ms + stale + dedups;
             assert_eq!(quiet, 0, "{summary}");
         }
         return;
     }
     let (sampled, recovered) = match fault {
-        "drop" => (f.dropped, m.upload_retries > 0 && m.dup_files_deduped > 0),
-        "duplicate" => (f.duplicated, m.stale_frames > 0),
-        "reorder" => (f.reordered, m.upload_retries > 0 && m.stale_frames > 0),
-        "truncate" => (f.truncated, m.reconnects > 0),
-        "corrupt" => (f.corrupted, m.reconnects > 0),
-        "disconnect" => (f.disconnected, m.reconnects > 0),
-        "stall" => (f.stalled, m.upload_retries > 0),
-        _ if path == AsyncWire => (f.total(), m.upload_retries > 0),
+        "drop" => (f.dropped, retries > 0 && dedups > 0),
+        "duplicate" => (f.duplicated, stale > 0),
+        "reorder" => (f.reordered, retries > 0 && stale > 0),
+        "truncate" => (f.truncated, reconnects > 0),
+        "corrupt" => (f.corrupted, reconnects > 0),
+        "disconnect" => (f.disconnected, reconnects > 0),
+        "stall" => (f.stalled, retries > 0),
+        _ if path == AsyncWire => (f.total(), retries > 0),
         _ => (
             f.total(),
-            m.upload_retries > 0
-                && m.reconnects > 0
-                && m.stale_frames > 0
-                && m.dup_files_deduped > 0,
+            retries > 0 && reconnects > 0 && stale > 0 && dedups > 0,
         ),
     };
     assert!(sampled > 0, "{context}: the plan injected no {fault} fault");
     assert!(recovered, "{summary}: no evidence of recovery");
-    if path == Wire && m.upload_retries > 0 {
-        assert!(m.backoff_ms > 0, "{summary}: retries without backoff");
+    if path == Wire && retries > 0 {
+        assert!(backoff_ms > 0, "{summary}: retries without backoff");
     }
 }
 
-/// Assert the columnar store is an exact projection of the row records.
+/// Assert the columnar store carries exactly the row records' install
+/// events and review events, install by install in sorted record order —
+/// the two families the batch campaign and text rebuilds scan.
 pub(crate) fn assert_columnar_mirrors_records(out: &StudyOutput, context: &str) {
     assert_eq!(
         out.columnar.n_installs(),
         out.observations.len(),
-        "{context}: one columnar row per joined record"
+        "{context}: one columnar install per joined record"
     );
-    for obs in &out.observations {
-        let r = &obs.record;
-        let code = out
+    let mut records: Vec<_> = out.observations.iter().map(|o| &o.record).collect();
+    records.sort_by_key(|r| r.install_id);
+    for (i, r) in records.into_iter().enumerate() {
+        assert_eq!(out.columnar.install_id(i), r.install_id, "{context}");
+        let events: Vec<_> = out.columnar.install_events_of(i).collect();
+        assert_eq!(events, r.install_events, "{context}: install events");
+        let reviews: Vec<_> = out
             .columnar
-            .install_code(r.install_id)
-            .unwrap_or_else(|| panic!("{context}: {:?} missing from dictionary", r.install_id));
-        assert_eq!(out.columnar.install_id(code), r.install_id, "{context}");
-        assert_eq!(out.columnar.participant(code), r.participant, "{context}");
-        assert_eq!(
-            out.columnar.snapshot_counts(code),
-            (r.n_fast, r.n_slow),
-            "{context}"
-        );
-        assert_eq!(
-            out.columnar.active_days(code) as usize,
-            r.active_days(),
-            "{context}"
-        );
-        assert_eq!(
-            out.columnar.avg_snapshots_per_day(code).to_bits(),
-            r.avg_snapshots_per_day().to_bits(),
-            "{context}: avg snapshots/day must be the same f64"
-        );
-        assert_eq!(
-            out.columnar.event_totals(code),
-            (r.stream.n_install_events, r.stream.n_uninstall_events),
-            "{context}"
-        );
-        // CSR app entries: ascending AppId, stats equal to the streaming
-        // aggregates latched on the record.
-        let entries: Vec<_> = out.columnar.apps_of(code).collect();
-        assert_eq!(entries.len(), r.apps.len(), "{context}: app entry count");
-        let mut expected: Vec<_> = r.apps.keys().copied().collect();
-        expected.sort_unstable();
-        for (entry, &app) in entries.iter().zip(&expected) {
-            assert_eq!(entry.app, app, "{context}: apps sorted by AppId");
-            let stream = r.stream.app(app).copied().unwrap_or_default();
-            assert_eq!(entry.fg_total, stream.fg_total, "{context}: {app:?}");
-            assert_eq!(entry.n_installs, stream.n_installs, "{context}: {app:?}");
-            assert_eq!(
-                entry.n_uninstalls, stream.n_uninstalls,
-                "{context}: {app:?}"
-            );
-            let last = stream
-                .last_uninstall
-                .map_or(racket_collect::NEVER_UNINSTALLED, |t| t.as_secs());
-            assert_eq!(entry.last_uninstall, last, "{context}: {app:?}");
-        }
-        // Account services, in snapshot order.
-        let services: Vec<_> = out.columnar.services_of(code).collect();
-        let expected_services: Vec<_> = r.accounts.iter().map(|a| a.service).collect();
-        assert_eq!(services, expected_services, "{context}: account services");
+            .reviews_of(i)
+            .map(|e| ReviewEvent {
+                app: e.app,
+                reviewer: e.reviewer,
+                time: e.time,
+                rating: e.rating,
+                text: e.text.to_owned(),
+            })
+            .collect();
+        assert_eq!(reviews, r.review_events, "{context}: review events");
     }
 }
 
-/// Canonical dump of the columnar store (codes come from the sorted
-/// record order, so it is identical across thread counts and paths).
+/// Canonical dump of the columnar store: every install with its events
+/// and reviews (the install order is the sorted record order, so it is
+/// identical across thread counts and paths).
 fn columnar_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
-    for code in 0..out.columnar.n_installs() as u32 {
-        write!(
-            s,
-            "{:?}|{:?}|{:?}|{}|{:x}|{:?}",
-            out.columnar.install_id(code),
-            out.columnar.participant(code),
-            out.columnar.snapshot_counts(code),
-            out.columnar.active_days(code),
-            out.columnar.avg_snapshots_per_day(code).to_bits(),
-            out.columnar.event_totals(code),
-        )
-        .unwrap();
-        for e in out.columnar.apps_of(code) {
+    for i in 0..out.columnar.n_installs() {
+        write!(s, "{:?}", out.columnar.install_id(i)).unwrap();
+        for (app, t) in out.columnar.install_events_of(i) {
+            write!(s, "|{}@{}", app.0, t.as_secs()).unwrap();
+        }
+        for e in out.columnar.reviews_of(i) {
             write!(
                 s,
-                "|{:?}:{},{},{},{}",
-                e.app, e.fg_total, e.n_installs, e.n_uninstalls, e.last_uninstall
+                "|{}:{}@{}*{}:{:?}",
+                e.app.0,
+                e.reviewer.0,
+                e.time.as_secs(),
+                e.rating.stars(),
+                e.text
             )
             .unwrap();
         }
-        let services: Vec<_> = out.columnar.services_of(code).collect();
-        writeln!(s, "|{services:?}").unwrap();
+        s.push('\n');
     }
     s
 }
