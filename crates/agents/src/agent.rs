@@ -451,7 +451,7 @@ impl DeviceAgent {
         for _ in 0..self.profile.n_gmail {
             let (account, google_id) = ids.next_account();
             directory.register(account, google_id);
-            device.register_account(RegisteredAccount::gmail(account, google_id), SimTime::EPOCH);
+            device.register_account(RegisteredAccount::gmail(account, google_id));
             self.gmail.push((account, google_id));
         }
         let mut services: Vec<AccountService> = AccountService::consumer_services().to_vec();
@@ -461,24 +461,21 @@ impl DeviceAgent {
             .take(self.profile.n_consumer_services as usize)
         {
             let (account, _) = ids.next_account();
-            device.register_account(
-                RegisteredAccount::non_gmail(account, service),
-                SimTime::EPOCH,
-            );
+            device.register_account(RegisteredAccount::non_gmail(account, service));
         }
         if self.profile.has_dualspace {
             let (account, _) = ids.next_account();
-            device.register_account(
-                RegisteredAccount::non_gmail(account, AccountService::DualSpace),
-                SimTime::EPOCH,
-            );
+            device.register_account(RegisteredAccount::non_gmail(
+                account,
+                AccountService::DualSpace,
+            ));
         }
         if self.profile.has_freelancer {
             let (account, _) = ids.next_account();
-            device.register_account(
-                RegisteredAccount::non_gmail(account, AccountService::Freelancer),
-                SimTime::EPOCH,
-            );
+            device.register_account(RegisteredAccount::non_gmail(
+                account,
+                AccountService::Freelancer,
+            ));
         }
 
         // ---- preinstalled system apps --------------------------------------
@@ -495,11 +492,11 @@ impl DeviceAgent {
                 Persona::OrganicWorker => 3,
                 Persona::DedicatedWorker => 1,
             };
-            for d in 0..open_days {
+            for _ in 0..open_days {
                 if rng.gen_bool(0.6) {
-                    let t = now.saturating_since(SimTime::from_days(d + 1));
-                    let t = SimTime::from_secs(t.as_secs() + rng.gen_range(0..86_400u64));
-                    device.open_app(app, t, rng.gen_range(30..600));
+                    // Open time and session length: kept draws, the device stores neither.
+                    let _ = (rng.gen_range(0..86_400u64), rng.gen_range(30..600u64));
+                    device.open_app(app);
                 }
             }
         }
@@ -531,17 +528,16 @@ impl DeviceAgent {
                     rng.gen_range(1..=(days_since as u64).clamp(1, 6))
                 };
                 for _ in 0..n_days {
-                    let t = SimTime::from_secs(
-                        install_time.as_secs()
-                            + rng.gen_range(0..(history_secs - install_time.as_secs()).max(1)),
-                    );
-                    device.open_app(app, t, rng.gen_range(20..900));
+                    // Open time and session length: kept draws, the device stores neither.
+                    let _ = rng.gen_range(0..(history_secs - install_time.as_secs()).max(1));
+                    let _ = rng.gen_range(20..900u64);
+                    device.open_app(app);
                 }
             }
             if is_promo {
                 self.schedule_promo_reviews(app, install_time, horizon, rng);
                 if rng.gen_bool(self.params.promo_stop_prob) {
-                    device.stop_app(app, now);
+                    device.stop_app(app);
                 }
             } else {
                 self.maybe_schedule_personal_review(app, install_time, horizon, rng);
@@ -575,7 +571,7 @@ impl DeviceAgent {
                 self.account_scratch.extend_from_slice(&self.gmail);
                 self.account_scratch.shuffle(rng);
                 for idx in 0..k.min(self.account_scratch.len()) {
-                    let (account, google_id) = self.account_scratch[idx];
+                    let (_, google_id) = self.account_scratch[idx];
                     if !rng.gen_bool(self.params.promo_review_prob) {
                         continue;
                     }
@@ -586,7 +582,7 @@ impl DeviceAgent {
                     store.post(Review::new(app, google_id, t, Self::promo_rating(rng)));
                     let rating = Self::promo_rating(rng);
                     let text = self.promo_text(app, google_id, rating);
-                    device.record_review(app, account, google_id, rating, t, &text);
+                    device.record_review(app, google_id, rating, t, &text);
                 }
             }
         }
@@ -611,7 +607,7 @@ impl DeviceAgent {
             let p = self.pending.pop().expect("peeked");
             let rating = Rating::new(p.stars).expect("valid stars");
             store.post(Review::new(p.app, p.google_id, p.time, rating));
-            device.record_review(p.app, p.account, p.google_id, rating, p.time, &p.text);
+            device.record_review(p.app, p.google_id, rating, p.time, &p.text);
         }
     }
 
@@ -802,26 +798,26 @@ pub fn apply_action_collecting(
             device.install_app(*app, ta.time, profile, meta.apk_hash);
         }
         Action::Uninstall { app } => {
-            device.uninstall_app(*app, ta.time);
+            device.uninstall_app(*app);
         }
-        Action::Open { app, secs } => {
-            device.open_app(*app, ta.time, *secs);
+        Action::Open { app, .. } => {
+            device.open_app(*app);
         }
         Action::Stop { app } => {
-            device.stop_app(*app, ta.time);
+            device.stop_app(*app);
         }
         Action::Review {
             app,
-            account,
             google_id,
             rating,
             text,
+            ..
         } => {
             reviews.push(Review::new(*app, *google_id, ta.time, *rating));
-            device.record_review(*app, *account, *google_id, *rating, ta.time, text);
+            device.record_review(*app, *google_id, *rating, ta.time, text);
         }
         Action::ScreenOff => {
-            device.set_screen(false, ta.time);
+            device.set_screen(false);
         }
     }
 }
@@ -829,9 +825,9 @@ pub fn apply_action_collecting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racket_device::{Device, DeviceModel};
+    use racket_device::Device;
     use racket_playstore::CatalogConfig;
-    use racket_types::{AndroidId, DeviceId};
+    use racket_types::AndroidId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -853,7 +849,7 @@ mod tests {
 
     fn setup(persona: Persona) -> (Device, DeviceAgent, AppCatalog, ReviewStore) {
         let (catalog, mut store, mut dir, mut ids, mut rng) = harness();
-        let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
+        let mut device = Device::new(Some(AndroidId(1)));
         let mut agent = DeviceAgent::new(persona, &mut rng);
         let now = SimTime::from_days(180);
         let horizon = SimTime::from_days(195);
@@ -908,7 +904,7 @@ mod tests {
             .count();
         assert!(promo_installed > 0);
         // Stopped apps accumulate (never-opened promos + force stops).
-        assert!(device.stopped_apps().len() >= 5);
+        assert!(device.installed_apps().filter(|a| a.stopped).count() >= 5);
     }
 
     #[test]
@@ -930,7 +926,7 @@ mod tests {
         let (mut device, mut agent, catalog, mut store) = setup(Persona::DedicatedWorker);
         let mut rng = StdRng::seed_from_u64(4);
         let before_reviews = store.total_reviews();
-        let before_installs = device.churn_totals().0;
+        let before_stamp = device.pkg_stamp();
         for day in 180..184 {
             let day_start = SimTime::from_days(day);
             let actions = agent.plan_day(
@@ -948,10 +944,7 @@ mod tests {
                 store.post(review);
             }
         }
-        assert!(
-            device.churn_totals().0 > before_installs,
-            "installs happened"
-        );
+        assert!(device.pkg_stamp() > before_stamp, "packages changed");
         assert!(store.total_reviews() >= before_reviews);
     }
 

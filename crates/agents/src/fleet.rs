@@ -14,11 +14,11 @@
 use crate::agent::{DeviceAgent, IdAllocator};
 use crate::campaign::{CampaignConfig, CampaignDirective, CampaignPlan, CampaignSpec};
 use crate::params::PersonaParams;
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_playstore::{
     catalog::CatalogConfig, AppCatalog, GoogleIdDirectory, ReviewStore, VirusTotalSim,
 };
-use racket_types::{AndroidId, DeviceId, InstallId, ParticipantId, Persona, SimTime, TimeInterval};
+use racket_types::{AndroidId, InstallId, ParticipantId, Persona, SimTime, TimeInterval};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -315,10 +315,9 @@ impl Fleet {
         let mut directory = GoogleIdDirectory::new();
         let mut ids = IdAllocator::with_base(i as u64 * ID_STRIDE);
 
-        let mut model = DeviceModel::generic();
-        model.model = format!("SM-SIM{i:04}");
-        model.reports_android_id = !rng.gen_bool(config.no_android_id_rate);
-        let mut device = Device::new(DeviceId(i as u32), model, AndroidId(0x1000 + i as u64));
+        // Appendix A: some models report no ANDROID_ID.
+        let reports_android_id = !rng.gen_bool(config.no_android_id_rate);
+        let mut device = Device::new(reports_android_id.then_some(AndroidId(0x1000 + i as u64)));
 
         let mut agent = DeviceAgent::with_params(config.overrides.params_for(persona), &mut rng);
         if config.review_text {

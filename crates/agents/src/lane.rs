@@ -142,11 +142,7 @@ mod tests {
         let mut dir = racket_playstore::GoogleIdDirectory::new();
         let mut ids = crate::agent::IdAllocator::default();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut device = racket_device::Device::new(
-            racket_types::DeviceId(1),
-            racket_device::DeviceModel::generic(),
-            racket_types::AndroidId(1),
-        );
+        let mut device = racket_device::Device::new(Some(racket_types::AndroidId(1)));
         let persona = Persona::OrganicWorker;
         let mut agent = DeviceAgent::new(persona, &mut rng);
         agent.setup_history(
@@ -185,10 +181,9 @@ mod tests {
         // Churn: uninstall some existing apps, install fresh ones
         // (including promoted, which stays out of a worker's openable).
         let victims: Vec<AppId> = removable.iter().copied().take(3).collect();
-        for (i, app) in victims.into_iter().enumerate() {
-            let t = SimTime::from_days(30) + racket_types::SimDuration::from_secs(i as u64);
+        for app in victims {
             assert!(device.is_installed(app));
-            device.uninstall_app(app, t);
+            device.uninstall_app(app);
             scratch.note_uninstall(app);
         }
         let fresh: Vec<AppId> = catalog

@@ -153,11 +153,11 @@ fn stopped_apps_heavier_on_worker_devices() {
     // Paper Figure 8: workers accumulate stopped apps (dedicated median 23).
     let fleet = fleet();
     let workers = Summary::of(&per_device(fleet, Cohort::Worker, |d| {
-        d.device.stopped_apps().len() as f64
+        d.device.installed_apps().filter(|a| a.stopped).count() as f64
     }))
     .unwrap();
     let regular = Summary::of(&per_device(fleet, Cohort::Regular, |d| {
-        d.device.stopped_apps().len() as f64
+        d.device.installed_apps().filter(|a| a.stopped).count() as f64
     }))
     .unwrap();
     assert!(

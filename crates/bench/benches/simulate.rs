@@ -17,7 +17,7 @@ use racket_agents::{DeviceAgent, IdAllocator, LaneScratch};
 use racket_collect::collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
 use racket_collect::lzss;
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
-use racket_types::{AndroidId, DeviceId, InstallId, ParticipantId, Persona, SimTime};
+use racket_types::{AndroidId, InstallId, ParticipantId, Persona, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,11 +29,7 @@ fn study_device() -> (racket_device::Device, DeviceAgent, AppCatalog) {
     let mut directory = GoogleIdDirectory::new();
     let mut ids = IdAllocator::default();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut device = racket_device::Device::new(
-        DeviceId(1),
-        racket_device::DeviceModel::generic(),
-        AndroidId(1),
-    );
+    let mut device = racket_device::Device::new(Some(AndroidId(1)));
     let mut agent = DeviceAgent::new(Persona::OrganicWorker, &mut rng);
     agent.setup_history(
         &mut device,

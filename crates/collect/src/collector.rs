@@ -351,11 +351,11 @@ impl SnapshotCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racket_device::{Device, DeviceModel, DevicePermissions};
-    use racket_types::{AndroidId, ApkHash, DeviceId, PermissionProfile};
+    use racket_device::{Device, DevicePermissions};
+    use racket_types::{AndroidId, ApkHash, PermissionProfile};
 
     fn device() -> Device {
-        let mut d = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(5));
+        let mut d = Device::new(Some(AndroidId(5)));
         d.install_app(
             AppId(1),
             SimTime::from_secs(10),
@@ -417,7 +417,7 @@ mod tests {
             PermissionProfile::default(),
             ApkHash([2; 16]),
         );
-        d.uninstall_app(AppId(1), SimTime::from_secs(3));
+        d.uninstall_app(AppId(1));
         let snap = c.sample_fast_pooled(&d, SimTime::from_secs(5), Vec::new());
         let installs: Vec<_> = snap
             .install_events
@@ -459,14 +459,11 @@ mod tests {
     #[test]
     fn permissions_gate_collection() {
         let mut d = device();
-        d.register_account(
-            racket_types::RegisteredAccount::gmail(
-                racket_types::AccountId(1),
-                racket_types::GoogleId(1),
-            ),
-            SimTime::EPOCH,
-        );
-        d.open_app(AppId(1), SimTime::from_secs(1), 60);
+        d.register_account(racket_types::RegisteredAccount::gmail(
+            racket_types::AccountId(1),
+            racket_types::GoogleId(1),
+        ));
+        d.open_app(AppId(1));
         d.set_permissions(DevicePermissions {
             usage_stats: false,
             get_accounts: false,
@@ -529,7 +526,7 @@ mod tests {
                     );
                 }
                 3 => {
-                    d.uninstall_app(AppId(100 + step - 2), t);
+                    d.uninstall_app(AppId(100 + step - 2));
                 }
                 _ => {}
             }
@@ -585,7 +582,7 @@ mod tests {
         // Uninstall then reinstall between samples: both the uninstall and
         // the fresh install carry distinct stamps, so the skip cannot hide
         // the combined churn either.
-        d.uninstall_app(AppId(2), SimTime::from_secs(6));
+        d.uninstall_app(AppId(2));
         d.install_app(
             AppId(2),
             SimTime::from_secs(7),

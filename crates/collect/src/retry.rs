@@ -660,8 +660,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::collector::{CollectorConfig, SnapshotBatch, SnapshotCollector};
     use crate::shard::ShardedIngest;
-    use racket_device::{Device, DeviceModel};
-    use racket_types::{AndroidId, ApkHash, AppId, DeviceId, PermissionProfile, SimTime};
+    use racket_device::Device;
+    use racket_types::{AndroidId, ApkHash, AppId, PermissionProfile, SimTime};
 
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);
@@ -669,7 +669,7 @@ pub(crate) mod tests {
     /// A buffer with ~20 simulated minutes of snapshots rotated into
     /// upload files.
     fn loaded_buffer() -> (DataBuffer, u64) {
-        let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
+        let mut device = Device::new(Some(AndroidId(1)));
         for app in 0..4u32 {
             device.install_app(
                 AppId(app),

@@ -13,11 +13,10 @@ use racket_collect::{
     lzss, CollectorConfig, FrameCodec, IngestScratch, Message, ProtocolCore, ShardedIngest,
     SnapshotBatch, SnapshotCollector,
 };
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_types::{
-    AccountId, AndroidId, ApkHash, AppId, DeviceId, FastSnapshot, GoogleId, InstallDelta,
-    InstallId, ParticipantId, Permission, PermissionProfile, Rating, RegisteredAccount, SimTime,
-    Snapshot,
+    AccountId, AndroidId, ApkHash, AppId, FastSnapshot, GoogleId, InstallDelta, InstallId,
+    ParticipantId, Permission, PermissionProfile, Rating, RegisteredAccount, SimTime, Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,7 +118,7 @@ fn signed_in_core() -> (Arc<ShardedIngest>, ProtocolCore, IngestScratch) {
 /// later ones carry installs and uninstalls; the slow snapshots carry
 /// accounts, stopped apps and reviews.
 fn real_files() -> [Vec<u8>; 2] {
-    let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(7));
+    let mut device = Device::new(Some(AndroidId(7)));
     let profile = |k: usize| {
         let requested: Vec<Permission> = Permission::ALL
             .iter()
@@ -138,10 +137,7 @@ fn real_files() -> [Vec<u8>; 2] {
         let t = SimTime::from_secs(u64::from(k));
         device.install_app(AppId(k), t, profile(k as usize), ApkHash([k as u8; 16]));
     }
-    device.register_account(
-        RegisteredAccount::gmail(AccountId(1), GoogleId(9)),
-        SimTime::EPOCH,
-    );
+    device.register_account(RegisteredAccount::gmail(AccountId(1), GoogleId(9)));
     let config = CollectorConfig {
         fast_period_secs: 60,
         slow_period_secs: 120,
@@ -157,11 +153,10 @@ fn real_files() -> [Vec<u8>; 2] {
                 device.install_app(app, now, profile(minute as usize), ApkHash([3; 16]));
             }
             2 => {
-                device.uninstall_app(AppId(minute), now);
+                device.uninstall_app(AppId(minute));
             }
             3 => device.record_review(
                 AppId(minute),
-                AccountId(1),
                 GoogleId(9),
                 Rating::new(1 + (minute % 5) as u8).expect("stars in 1..=5"),
                 now,

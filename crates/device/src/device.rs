@@ -1,17 +1,14 @@
 //! The device state machine.
 
-use crate::model::DeviceModel;
-use crate::usage::UsageStats;
 use racket_types::{
-    AccountService, AndroidId, ApkHash, AppId, DeviceEvent, DeviceId, EventKind, GoogleId,
-    InstalledApp, PermissionProfile, Rating, RegisteredAccount, ReviewEvent, SimTime,
+    AccountService, AndroidId, ApkHash, AppId, GoogleId, InstalledApp, PermissionProfile, Rating,
+    RegisteredAccount, ReviewEvent, SimTime,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which runtime permissions the participant granted to the RacketStore
 /// app on this device (§3: participants may grant any subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevicePermissions {
     /// `PACKAGE_USAGE_STATS` — gates foreground-app and usage collection.
     pub usage_stats: bool,
@@ -30,13 +27,10 @@ impl Default for DevicePermissions {
 
 /// A simulated Android device.
 ///
-/// All mutation goes through event methods (`install_app`, `open_app`, …)
-/// which update state and append to the ground-truth event log; all the
-/// queries the RacketStore collectors need are read-only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// All mutation goes through event methods (`install_app`, `open_app`, …);
+/// all the queries the RacketStore collectors need are read-only.
+#[derive(Debug, Clone)]
 pub struct Device {
-    id: DeviceId,
-    model: DeviceModel,
     android_id: Option<AndroidId>,
     permissions: DevicePermissions,
     installed: BTreeMap<AppId, InstalledApp>,
@@ -45,13 +39,9 @@ pub struct Device {
     battery_pct: u8,
     save_mode: bool,
     foreground: Option<AppId>,
-    usage: UsageStats,
-    events: Vec<DeviceEvent>,
     /// Append-only log of reviews posted from this device, with their
     /// text — what review-enabled slow snapshots report incrementally.
     review_log: Vec<ReviewEvent>,
-    installs_total: u64,
-    uninstalls_total: u64,
     /// Package-manager generation stamp: bumped by every mutation of the
     /// installed-app map (`install_app`, `preinstall_app`,
     /// `uninstall_app`). Snapshot collectors compare it against the stamp
@@ -61,13 +51,10 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device. `android_id` is reported in slow snapshots only if
-    /// the model supports it.
-    pub fn new(id: DeviceId, model: DeviceModel, android_id: AndroidId) -> Self {
-        let android_id = model.reports_android_id.then_some(android_id);
+    /// Create a device. `android_id` is what its slow snapshots report:
+    /// `None` on the models that fail to report one (Appendix A).
+    pub fn new(android_id: Option<AndroidId>) -> Self {
         Device {
-            id,
-            model,
             android_id,
             permissions: DevicePermissions::default(),
             installed: BTreeMap::new(),
@@ -76,26 +63,12 @@ impl Device {
             battery_pct: 100,
             save_mode: false,
             foreground: None,
-            usage: UsageStats::default(),
-            events: Vec::new(),
             review_log: Vec::new(),
-            installs_total: 0,
-            uninstalls_total: 0,
             pkg_stamp: 0,
         }
     }
 
     // ---- identity & configuration -------------------------------------
-
-    /// Ground-truth device identity (not observable by the server).
-    pub fn id(&self) -> DeviceId {
-        self.id
-    }
-
-    /// The hardware model.
-    pub fn model(&self) -> &DeviceModel {
-        &self.model
-    }
 
     /// `ANDROID_ID` as the slow snapshot reports it (`None` when the model
     /// is incompatible).
@@ -134,12 +107,6 @@ impl Device {
         if self.foreground == Some(app) {
             self.foreground = None;
         }
-        self.installs_total += 1;
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::AppInstalled { app },
-        ));
     }
 
     /// Install a preinstalled (system image) app at the epoch.
@@ -151,51 +118,34 @@ impl Device {
         self.pkg_stamp += 1;
     }
 
-    /// Uninstall an app; returns whether it was installed. Usage history
-    /// for the package is forgotten, as Android does.
-    pub fn uninstall_app(&mut self, app: AppId, time: SimTime) -> bool {
+    /// Uninstall an app; returns whether it was installed.
+    pub fn uninstall_app(&mut self, app: AppId) -> bool {
         if self.installed.remove(&app).is_none() {
             return false;
         }
         self.pkg_stamp += 1;
-        self.usage.forget(app);
         if self.foreground == Some(app) {
             self.foreground = None;
         }
-        self.uninstalls_total += 1;
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::AppUninstalled { app },
-        ));
         true
     }
 
-    /// Bring an app to the foreground for `secs` seconds. Clears its
-    /// stopped state (first launch un-stops a fresh install). Returns
-    /// `false` if the app is not installed.
-    pub fn open_app(&mut self, app: AppId, time: SimTime, secs: u64) -> bool {
+    /// Bring an app to the foreground. Clears its stopped state (first
+    /// launch un-stops a fresh install). Returns `false` if the app is not
+    /// installed.
+    pub fn open_app(&mut self, app: AppId) -> bool {
         let Some(info) = self.installed.get_mut(&app) else {
             return false;
         };
         info.stopped = false;
         self.foreground = Some(app);
         self.screen_on = true;
-        self.usage.record_open(app, time, secs);
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::AppOpened {
-                app,
-                foreground_secs: secs,
-            },
-        ));
         true
     }
 
     /// Force-stop an app (§6.3: workers stop misbehaving promoted apps
     /// rather than uninstalling them, to preserve retention installs).
-    pub fn stop_app(&mut self, app: AppId, time: SimTime) -> bool {
+    pub fn stop_app(&mut self, app: AppId) -> bool {
         let Some(info) = self.installed.get_mut(&app) else {
             return false;
         };
@@ -203,50 +153,28 @@ impl Device {
         if self.foreground == Some(app) {
             self.foreground = None;
         }
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::AppStopped { app },
-        ));
         true
     }
 
     // ---- accounts --------------------------------------------------------
 
     /// Register an account on the device.
-    pub fn register_account(&mut self, account: RegisteredAccount, time: SimTime) {
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::AccountRegistered {
-                account: account.id,
-            },
-        ));
+    pub fn register_account(&mut self, account: RegisteredAccount) {
         self.accounts.push(account);
     }
 
-    /// Record a review posted from this device (ground truth; the review
-    /// itself also lands in the Play-store simulator). The posting Google
-    /// identity and the review text go to the device's review log, which
-    /// review-enabled slow snapshots drain incrementally.
+    /// Record a review posted from this device (the review itself also
+    /// lands in the Play-store simulator). The posting Google identity and
+    /// the review text go to the device's review log, which review-enabled
+    /// slow snapshots drain incrementally.
     pub fn record_review(
         &mut self,
         app: AppId,
-        account: racket_types::AccountId,
         google_id: GoogleId,
         rating: Rating,
         time: SimTime,
         text: &str,
     ) {
-        self.events.push(DeviceEvent::new(
-            self.id,
-            time,
-            EventKind::ReviewPosted {
-                app,
-                account,
-                rating,
-            },
-        ));
         self.review_log.push(ReviewEvent {
             app,
             reviewer: google_id,
@@ -259,18 +187,7 @@ impl Device {
     // ---- screen & power ---------------------------------------------------
 
     /// Turn the screen on or off.
-    pub fn set_screen(&mut self, on: bool, time: SimTime) {
-        if self.screen_on != on {
-            self.events.push(DeviceEvent::new(
-                self.id,
-                time,
-                if on {
-                    EventKind::ScreenOn
-                } else {
-                    EventKind::ScreenOff
-                },
-            ));
-        }
+    pub fn set_screen(&mut self, on: bool) {
         self.screen_on = on;
         if !on {
             self.foreground = None;
@@ -319,18 +236,10 @@ impl Device {
         self.installed.len()
     }
 
-    /// Apps currently in the stopped state (the slow snapshot's
-    /// `stopped_apps` list).
-    pub fn stopped_apps(&self) -> Vec<AppId> {
-        let mut out = Vec::new();
-        self.stopped_apps_into(&mut out);
-        out
-    }
-
-    /// Write the stopped-app list into a caller-owned buffer (cleared
-    /// first) — the allocation-free path the pooled snapshot collectors
-    /// sample through. Order is ascending [`AppId`], identical to
-    /// [`Device::stopped_apps`].
+    /// Write the apps currently in the stopped state (the slow snapshot's
+    /// `stopped_apps` list) into a caller-owned buffer, cleared first — the
+    /// allocation-free path the pooled snapshot collectors sample through.
+    /// Order is ascending [`AppId`].
     pub fn stopped_apps_into(&self, out: &mut Vec<AppId>) {
         out.clear();
         out.extend(self.installed.values().filter(|a| a.stopped).map(|a| a.app));
@@ -362,25 +271,10 @@ impl Device {
         services.len()
     }
 
-    /// Usage-stats service (gated on `PACKAGE_USAGE_STATS`).
-    pub fn usage(&self) -> &UsageStats {
-        &self.usage
-    }
-
-    /// Ground-truth event log since creation.
-    pub fn events(&self) -> &[DeviceEvent] {
-        &self.events
-    }
-
     /// Append-only log of reviews posted from this device (the slow
     /// snapshot collector's review source when review collection is on).
     pub fn review_log(&self) -> &[ReviewEvent] {
         &self.review_log
-    }
-
-    /// Lifetime install / uninstall event counts.
-    pub fn churn_totals(&self) -> (u64, u64) {
-        (self.installs_total, self.uninstalls_total)
     }
 }
 
@@ -399,7 +293,7 @@ mod tests {
     use racket_types::{AccountId, GoogleId, Permission};
 
     fn device() -> Device {
-        Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(42))
+        Device::new(Some(AndroidId(42)))
     }
 
     fn install(d: &mut Device, app: u32, day: u64) {
@@ -411,13 +305,19 @@ mod tests {
         );
     }
 
+    fn stopped(d: &Device) -> Vec<AppId> {
+        let mut out = Vec::new();
+        d.stopped_apps_into(&mut out);
+        out
+    }
+
     #[test]
     fn fresh_install_is_stopped_until_opened() {
         let mut d = device();
         install(&mut d, 1, 0);
-        assert_eq!(d.stopped_apps(), vec![AppId(1)]);
-        assert!(d.open_app(AppId(1), SimTime::from_days(0), 30));
-        assert!(d.stopped_apps().is_empty());
+        assert_eq!(stopped(&d), vec![AppId(1)]);
+        assert!(d.open_app(AppId(1)));
+        assert!(stopped(&d).is_empty());
         assert_eq!(d.foreground_app(), Some(AppId(1)));
         assert!(d.screen_on());
     }
@@ -430,34 +330,28 @@ mod tests {
         let info = d.installed_app(AppId(1)).unwrap();
         assert_eq!(info.install_time, SimTime::from_days(10));
         assert_eq!(d.installed_count(), 1);
-        assert_eq!(d.churn_totals(), (2, 0));
     }
 
     #[test]
     fn uninstall_forgets_usage_and_foreground() {
         let mut d = device();
         install(&mut d, 1, 0);
-        d.open_app(AppId(1), SimTime::from_days(0), 30);
-        assert!(d.uninstall_app(AppId(1), SimTime::from_days(1)));
+        d.open_app(AppId(1));
+        assert!(d.uninstall_app(AppId(1)));
         assert!(!d.is_installed(AppId(1)));
-        assert!(d.usage().app(AppId(1)).is_none());
         assert_eq!(d.foreground_app(), None);
-        assert!(
-            !d.uninstall_app(AppId(1), SimTime::from_days(1)),
-            "double uninstall"
-        );
-        assert_eq!(d.churn_totals(), (1, 1));
+        assert!(!d.uninstall_app(AppId(1)), "double uninstall");
     }
 
     #[test]
     fn stop_app_sets_stopped_state() {
         let mut d = device();
         install(&mut d, 1, 0);
-        d.open_app(AppId(1), SimTime::from_days(0), 30);
-        assert!(d.stop_app(AppId(1), SimTime::from_days(0)));
-        assert_eq!(d.stopped_apps(), vec![AppId(1)]);
+        d.open_app(AppId(1));
+        assert!(d.stop_app(AppId(1)));
+        assert_eq!(stopped(&d), vec![AppId(1)]);
         assert_eq!(d.foreground_app(), None);
-        assert!(!d.stop_app(AppId(9), SimTime::from_days(0)), "unknown app");
+        assert!(!d.stop_app(AppId(9)), "unknown app");
     }
 
     #[test]
@@ -467,53 +361,29 @@ mod tests {
         install(&mut d, 1, 0);
         assert_eq!(d.installed_count(), 2);
         assert_eq!(d.installed_apps().filter(|a| a.preinstalled).count(), 1);
-        assert_eq!(
-            d.stopped_apps(),
-            vec![AppId(1)],
-            "system app is not stopped"
-        );
+        assert_eq!(stopped(&d), vec![AppId(1)], "system app is not stopped");
     }
 
     #[test]
     fn account_registry() {
         let mut d = device();
-        d.register_account(
-            RegisteredAccount::gmail(AccountId(1), GoogleId(10)),
-            SimTime::EPOCH,
-        );
-        d.register_account(
-            RegisteredAccount::gmail(AccountId(2), GoogleId(11)),
-            SimTime::EPOCH,
-        );
-        d.register_account(
-            RegisteredAccount::non_gmail(AccountId(3), AccountService::WhatsApp),
-            SimTime::EPOCH,
-        );
+        d.register_account(RegisteredAccount::gmail(AccountId(1), GoogleId(10)));
+        d.register_account(RegisteredAccount::gmail(AccountId(2), GoogleId(11)));
+        d.register_account(RegisteredAccount::non_gmail(
+            AccountId(3),
+            AccountService::WhatsApp,
+        ));
         assert_eq!(d.accounts().len(), 3);
         assert_eq!(d.gmail_accounts().count(), 2);
         assert_eq!(d.account_service_count(), 2);
     }
 
     #[test]
-    fn screen_events_logged_once_per_transition() {
-        let mut d = device();
-        d.set_screen(true, SimTime::from_secs(1));
-        d.set_screen(true, SimTime::from_secs(2)); // no-op
-        d.set_screen(false, SimTime::from_secs(3));
-        let screens: Vec<_> = d
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::ScreenOn | EventKind::ScreenOff))
-            .collect();
-        assert_eq!(screens.len(), 2);
-    }
-
-    #[test]
     fn screen_off_clears_foreground() {
         let mut d = device();
         install(&mut d, 1, 0);
-        d.open_app(AppId(1), SimTime::from_days(0), 5);
-        d.set_screen(false, SimTime::from_days(0));
+        d.open_app(AppId(1));
+        d.set_screen(false);
         assert_eq!(d.foreground_app(), None);
     }
 
@@ -528,15 +398,13 @@ mod tests {
     #[test]
     fn opening_uninstalled_app_fails() {
         let mut d = device();
-        assert!(!d.open_app(AppId(5), SimTime::EPOCH, 10));
+        assert!(!d.open_app(AppId(5)));
     }
 
     #[test]
     fn android_id_absent_on_incompatible_model() {
-        let mut model = DeviceModel::generic();
-        model.reports_android_id = false;
-        let d = Device::new(DeviceId(2), model, AndroidId(7));
-        assert_eq!(d.android_id(), None);
+        assert_eq!(Device::new(None).android_id(), None);
+        assert_eq!(device().android_id(), Some(AndroidId(42)));
     }
 
     #[test]
@@ -547,9 +415,9 @@ mod tests {
         let s1 = d.pkg_stamp();
         assert_ne!(s0, s1, "install bumps the stamp");
         // Non-package mutations leave the stamp alone.
-        d.open_app(AppId(1), SimTime::from_days(0), 10);
-        d.stop_app(AppId(1), SimTime::from_days(0));
-        d.set_screen(true, SimTime::from_days(0));
+        d.open_app(AppId(1));
+        d.stop_app(AppId(1));
+        d.set_screen(true);
         d.set_power(50, false);
         assert_eq!(d.pkg_stamp(), s1);
         // Re-install (changed install time) bumps: the collector must
@@ -557,11 +425,11 @@ mod tests {
         install(&mut d, 1, 5);
         let s2 = d.pkg_stamp();
         assert_ne!(s1, s2);
-        assert!(d.uninstall_app(AppId(1), SimTime::from_days(6)));
+        assert!(d.uninstall_app(AppId(1)));
         let s3 = d.pkg_stamp();
         assert_ne!(s2, s3);
         // Uninstalling an absent app is a no-op on the stamp.
-        assert!(!d.uninstall_app(AppId(1), SimTime::from_days(6)));
+        assert!(!d.uninstall_app(AppId(1)));
         assert_eq!(d.pkg_stamp(), s3);
         d.preinstall_app(AppId(9), PermissionProfile::default(), ApkHash([0; 16]));
         assert_ne!(d.pkg_stamp(), s3);
@@ -573,30 +441,32 @@ mod tests {
         install(&mut d, 3, 0);
         install(&mut d, 1, 0);
         install(&mut d, 2, 0);
-        d.open_app(AppId(2), SimTime::from_days(0), 5);
+        d.open_app(AppId(2));
         let mut buf = vec![AppId(99)]; // stale contents must be cleared
         d.stopped_apps_into(&mut buf);
-        assert_eq!(buf, d.stopped_apps());
+        let filtered: Vec<AppId> = d
+            .installed_apps()
+            .filter(|a| a.stopped)
+            .map(|a| a.app)
+            .collect();
+        assert_eq!(buf, filtered);
         assert_eq!(buf, vec![AppId(1), AppId(3)]);
     }
 
     #[test]
-    fn event_log_orders_and_labels() {
+    fn review_log_keeps_reviewer_and_text() {
         let mut d = device();
         install(&mut d, 1, 0);
-        d.open_app(AppId(1), SimTime::from_days(1), 10);
         d.record_review(
             AppId(1),
-            AccountId(1),
             GoogleId(10),
             Rating::FIVE,
             SimTime::from_days(2),
             "great app",
         );
-        let levels: Vec<Option<u8>> = d.events().iter().map(|e| e.kind.timeline_level()).collect();
-        assert_eq!(levels, vec![Some(4), Some(2), Some(3)]);
         assert_eq!(d.review_log().len(), 1);
         assert_eq!(d.review_log()[0].reviewer, GoogleId(10));
+        assert_eq!(d.review_log()[0].time, SimTime::from_days(2));
         assert_eq!(d.review_log()[0].text, "great app");
     }
 }

@@ -3,8 +3,8 @@
 //! internal invariants must hold.
 
 use proptest::prelude::*;
-use racket_device::{Device, DeviceModel};
-use racket_types::{AndroidId, ApkHash, AppId, DeviceId, PermissionProfile, SimTime};
+use racket_device::Device;
+use racket_types::{AndroidId, ApkHash, AppId, PermissionProfile, SimTime};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,11 +28,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn random_op_sequences_keep_invariants(ops in proptest::collection::vec(arb_op(), 0..200)) {
-        let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
+        let mut device = Device::new(Some(AndroidId(1)));
+        let packages = |d: &Device| -> Vec<(AppId, SimTime)> {
+            d.installed_apps().map(|a| (a.app, a.install_time)).collect()
+        };
+        let mut stopped = Vec::new();
         let mut t = 0u64;
         for op in &ops {
             t += 10;
             let now = SimTime::from_secs(t);
+            let (stamp_before, packages_before) = (device.pkg_stamp(), packages(&device));
             match op {
                 Op::Install(a) => device.install_app(
                     AppId(u32::from(*a)),
@@ -41,15 +46,15 @@ proptest! {
                     ApkHash([*a; 16]),
                 ),
                 Op::Uninstall(a) => {
-                    device.uninstall_app(AppId(u32::from(*a)), now);
+                    device.uninstall_app(AppId(u32::from(*a)));
                 }
                 Op::Open(a) => {
-                    device.open_app(AppId(u32::from(*a)), now, 30);
+                    device.open_app(AppId(u32::from(*a)));
                 }
                 Op::Stop(a) => {
-                    device.stop_app(AppId(u32::from(*a)), now);
+                    device.stop_app(AppId(u32::from(*a)));
                 }
-                Op::Screen(on) => device.set_screen(*on, now),
+                Op::Screen(on) => device.set_screen(*on),
             }
 
             // Invariants after every operation:
@@ -60,21 +65,15 @@ proptest! {
                 prop_assert!(device.screen_on(), "foreground implies screen on");
             }
             // 2. stopped apps are a subset of installed apps.
-            for app in device.stopped_apps() {
+            device.stopped_apps_into(&mut stopped);
+            for &app in &stopped {
                 prop_assert!(device.is_installed(app));
             }
-            // 3. usage stats never reference uninstalled apps.
-            for (app, _) in device.usage().iter() {
-                prop_assert!(device.is_installed(*app), "usage for uninstalled app");
-            }
-            // 4. churn totals are consistent with the event log.
-            let (installs, uninstalls) = device.churn_totals();
-            prop_assert!(installs >= uninstalls || device.installed_count() == 0);
-        }
-        // 5. event log is time-ordered.
-        let times: Vec<_> = device.events().iter().map(|e| e.time).collect();
-        for w in times.windows(2) {
-            prop_assert!(w[0] <= w[1], "event log out of order");
+            // 3. the package stamp moves exactly when the (app, install
+            // time) set the collector's delta scan reads changes.
+            let stamp_moved = device.pkg_stamp() != stamp_before;
+            prop_assert!(device.pkg_stamp() >= stamp_before, "stamp went backwards");
+            prop_assert_eq!(stamp_moved, packages(&device) != packages_before, "{:?}", op);
         }
     }
 }

@@ -4,9 +4,10 @@
 //! 10-digit *install ID* generated by the app at sign-in, the 6-digit
 //! *participant ID* assigned at recruitment, and the *Android ID* of the
 //! device — plus, server-side, the Google ID that the Gmail-search side
-//! channel maps an e-mail address to (§5). The physical `DeviceId` exists
-//! only in the simulator / ground truth; the collection pipeline must
-//! *recover* it from the other three via Appendix A's fingerprinting.
+//! channel maps an e-mail address to (§5). A physical device has no
+//! identifier of its own: the simulator knows it by fleet index, and the
+//! collection pipeline must *recover* which installs share one from the
+//! other three via Appendix A's fingerprinting.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -39,16 +40,6 @@ macro_rules! newtype_id {
         }
     };
 }
-
-newtype_id!(
-    /// Ground-truth identity of a physical device in the simulator.
-    ///
-    /// Never observable by the collection server; used to validate the
-    /// Appendix A fingerprinting and to label training data.
-    DeviceId,
-    u32,
-    "dev-"
-);
 
 newtype_id!(
     /// 6-digit participant code sent at recruitment over a side channel.
@@ -112,7 +103,6 @@ mod tests {
 
     #[test]
     fn display_prefixes() {
-        assert_eq!(DeviceId(7).to_string(), "dev-7");
         assert_eq!(ParticipantId(123456).to_string(), "p-123456");
         assert_eq!(InstallId(1234567890).to_string(), "inst-1234567890");
         assert_eq!(AndroidId(42).to_string(), "aid-42");
@@ -137,8 +127,8 @@ mod tests {
 
     #[test]
     fn ordering_and_conversion() {
-        let a: DeviceId = 1u32.into();
-        let b: DeviceId = 2u32.into();
+        let a: ParticipantId = 1u32.into();
+        let b: ParticipantId = 2u32.into();
         assert!(a < b);
         assert_eq!(a.raw(), 1);
     }

@@ -2,9 +2,9 @@
 //!
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: identifiers for devices, installs, participants and accounts;
-//! simulated time; the Android permission catalog; app metadata; device
-//! events; the two snapshot formats collected by the RacketStore app
-//! (fast, every 5 s; slow, every 2 min); and Google Play reviews.
+//! simulated time; the Android permission catalog; app metadata; the two
+//! snapshot formats collected by the RacketStore app (fast, every 5 s;
+//! slow, every 2 min); and Google Play reviews.
 //!
 //! The types mirror §3 ("Measurements Infrastructure") and §5 ("Data") of
 //! *RacketStore: Measurements of ASO Deception in Google Play via Mobile and
@@ -16,7 +16,6 @@
 
 mod account;
 mod app;
-mod event;
 mod id;
 pub mod metrics;
 pub mod online;
@@ -27,8 +26,7 @@ mod time;
 
 pub use account::{AccountId, AccountService, RegisteredAccount};
 pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};
-pub use event::{DeviceEvent, EventKind};
-pub use id::{AndroidId, DeviceId, GoogleId, InstallId, ParticipantId};
+pub use id::{AndroidId, GoogleId, InstallId, ParticipantId};
 pub use metrics::FaultCounters;
 pub use online::{Distinct, GapAccum, MinMax};
 pub use permission::{Permission, PermissionList, PermissionProfile};

@@ -15,9 +15,9 @@ use racket_collect::{
     AsyncCollectServer, AsyncServerConfig, CollectorConfig, DataBuffer, ShardedIngest,
     SnapshotBatch, SnapshotCollector,
 };
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_types::{
-    AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
+    AndroidId, ApkHash, AppId, InstallId, ParticipantId, PermissionProfile, SimTime,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -41,7 +41,7 @@ fn main() {
     println!("collection server listening on {addr}");
 
     // Client side: a device with a few apps and some activity.
-    let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(0xFEED));
+    let mut device = Device::new(Some(AndroidId(0xFEED)));
     for app in 0..5u32 {
         device.install_app(
             AppId(app),
@@ -50,7 +50,7 @@ fn main() {
             ApkHash([app as u8; 16]),
         );
     }
-    device.open_app(AppId(2), SimTime::from_mins(10), 300);
+    device.open_app(AppId(2));
 
     let mut transport = TcpStream::connect(addr).expect("connect");
     let (socket, _) = listener.accept().expect("accept");
@@ -82,7 +82,7 @@ fn main() {
             buffer.push(snap);
         }
         if minute == 30 {
-            device.open_app(AppId(4), now, 120); // some mid-hour activity
+            device.open_app(AppId(4)); // some mid-hour activity
         }
     }
     buffer.flush();

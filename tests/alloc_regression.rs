@@ -36,13 +36,13 @@ use racket_collect::{
     AsyncCollectServer, AsyncServerConfig, CollectorConfig, DataBuffer, FaultPlan, IngestScratch,
     MemTransport, ProtocolCore, ShardedIngest, SnapshotBatch, SnapshotCollector, WireLane,
 };
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_playstore::{AppCatalog, CatalogConfig, GoogleIdDirectory, ReviewStore};
 use racket_text::{mix64, NearDupIndex};
 use racket_types::{
-    AccountId, AccountService, AndroidId, ApkHash, AppId, DeviceId, FastSnapshot, InstallDelta,
-    InstallId, InstalledApp, ParticipantId, Permission, PermissionProfile, RegisteredAccount,
-    SimDuration, SimTime, SlowSnapshot, Snapshot,
+    AccountId, AccountService, AndroidId, ApkHash, AppId, FastSnapshot, InstallDelta, InstallId,
+    InstalledApp, ParticipantId, Permission, PermissionProfile, RegisteredAccount, SimDuration,
+    SimTime, SlowSnapshot, Snapshot,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,7 +112,7 @@ fn steady_state_lane_day_is_allocation_free() {
     let mut directory = GoogleIdDirectory::new();
     let mut ids = racket_agents::IdAllocator::default();
     let mut rng = StdRng::seed_from_u64(0x5eed);
-    let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
+    let mut device = Device::new(Some(AndroidId(1)));
     let mut agent = DeviceAgent::with_params(params, &mut rng);
 
     let day0 = SimTime::from_days(30);

@@ -9,9 +9,9 @@ use racket_collect::{
     CollectorConfig, DataBuffer, FaultPlan, IngestScratch, ProtocolCore, ShardedIngest,
     SnapshotBatch, SnapshotCollector,
 };
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_types::{
-    AndroidId, ApkHash, AppId, DeviceId, InstallId, ParticipantId, PermissionProfile, SimTime,
+    AndroidId, ApkHash, AppId, InstallId, ParticipantId, PermissionProfile, SimTime,
 };
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ fn corrupted_uploads_are_retried_until_acknowledged() {
     );
 
     // A device with some snapshots buffered.
-    let mut device = Device::new(DeviceId(1), DeviceModel::generic(), AndroidId(1));
+    let mut device = Device::new(Some(AndroidId(1)));
     for app in 0..4u32 {
         device.install_app(
             AppId(app),

@@ -11,12 +11,12 @@ use racket_collect::{
     lzss, AsyncCollectServer, AsyncServerConfig, CollectorConfig, DataBuffer, ShardedIngest,
     SnapshotBatch, SnapshotCollector,
 };
-use racket_device::{Device, DeviceModel};
+use racket_device::Device;
 use racket_obs::Registry;
 use racket_types::metrics::keys;
 use racket_types::{
-    AndroidId, ApkHash, AppId, DeviceId, FastSnapshot, InstallId, ParticipantId, PermissionProfile,
-    SimTime, Snapshot,
+    AndroidId, ApkHash, AppId, FastSnapshot, InstallId, ParticipantId, PermissionProfile, SimTime,
+    Snapshot,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -79,11 +79,7 @@ fn recv(stream: &mut TcpStream, codec: &mut FrameCodec) -> Option<Message> {
 /// A device of client `i` with three apps, 30 simulated minutes of
 /// snapshots rotated into upload files.
 fn buffered_device(i: usize) -> DataBuffer {
-    let mut device = Device::new(
-        DeviceId(i as u32),
-        DeviceModel::generic(),
-        AndroidId(i as u64),
-    );
+    let mut device = Device::new(Some(AndroidId(i as u64)));
     for app in 0..3u32 {
         device.install_app(
             AppId(i as u32 * 10 + app),
