@@ -1,4 +1,4 @@
-//! The asynchronous collection front end: a reactor-driven server that
+//! The asynchronous collection front end: a worker-pool server that
 //! multiplexes thousands of device connections over a small pool of
 //! worker threads, and the one connection step every server connection
 //! runs.
@@ -9,7 +9,7 @@
 //!   server end of an in-memory pair or a non-blocking TCP socket — feeds
 //!   the session, services it against the shared [`ProtocolCore`],
 //!   writes the replies and decides whether the connection closes. A
-//!   reactor worker steps its connections; a loopback
+//!   worker steps its connections; a loopback
 //!   [`crate::WireLane`] steps its own server half inline, with no
 //!   thread and no clock.
 //! * A connection is **replaced, never repaired** (`PROTOCOL.md` §6.2):
@@ -21,16 +21,18 @@
 //!   end's fault state carried over — and an in-memory reconnect takes
 //!   the old connection's place on the same worker.
 //! * [`AsyncCollectServer::start`] spawns a thread-per-core pool of
-//!   workers. Each worker owns a [`racket_reactor::Poller`] over its
-//!   share of connections, a [`racket_reactor::TimerWheel`] for stall
-//!   deadlines and an [`racket_reactor::IdleStrategy`] so an idle
-//!   in-memory fleet costs no CPU: a worker with nothing ready parks,
-//!   and every cross-thread signal that creates work for it — a client's
+//!   workers. Each worker holds its share of connections in a plain
+//!   `Vec`, and a round is one pass over it: each connection is asked
+//!   whether it is ready, stepped if it is, checked against its stall
+//!   deadline, and closed, replaced or retired in place. A round that did
+//!   nothing hands over to the [`racket_reactor::IdleStrategy`] (spin,
+//!   then park), so an idle in-memory fleet costs no CPU; every
+//!   cross-thread signal that creates work for a worker — a client's
 //!   [`AsyncConn::send`], a reconnect, shutdown — publishes first and
-//!   then unparks that worker. Nothing unparks a worker for a socket: its
-//!   bytes are noticed at the next round, within the park's 1 ms tick,
-//!   and a worker holding sockets peeks each of them every round
-//!   (`PROTOCOL.md` §10 has the measured cost).
+//!   then unparks it. Nothing unparks a worker for a socket: its bytes
+//!   are noticed at the next round, within the park's 1 ms tick, and a
+//!   worker holding sockets peeks each of them every round (`PROTOCOL.md`
+//!   §10 has the measured cost).
 //! * [`AsyncCollectServer::connect`] hands out an [`AsyncConn`] — the
 //!   client half of an in-memory duplex pair, optionally behind the same
 //!   seeded [`FaultPlan`] the chaos suite drives — and
@@ -53,7 +55,7 @@ use crate::shard::ShardedIngest;
 use crate::transport::{FaultPlan, MemTransport};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use racket_obs::{LocalHistogram, Registry, SPAN_PREFIX};
-use racket_reactor::{IdleStrategy, Poller, Source, TimerWheel, Token};
+use racket_reactor::IdleStrategy;
 use racket_types::metrics::keys;
 use racket_types::{FaultCounters, ParticipantId};
 use std::io::{ErrorKind, Read, Write};
@@ -75,10 +77,7 @@ const STALL_DEADLINE_MS: u64 = 50;
 /// per loss), so a socket's partial frame gets the time for a segment to
 /// be resent three times at the minimum RTO before it counts as wedged.
 const TCP_STALL_DEADLINE_MS: u64 = 2_000;
-/// Max ready connections serviced per poll round (fairness bound; the
-/// poller's rotating cursor resumes where a truncated round stopped).
-const POLL_BUDGET: usize = 1024;
-/// Max queued messages processed per connection per service round, so one
+/// Max queued messages processed per connection per worker round, so one
 /// chatty device cannot starve its worker's other connections. Ignored
 /// during shutdown drain (everything queued is processed).
 const DRAIN_PER_CONN: usize = 32;
@@ -124,13 +123,13 @@ impl Pipe {
 }
 
 /// The server half of one connection: its pipe, its protocol [`Session`]
-/// and the stall marker a worker's clock needs.
+/// and the stall marker a worker's round checks.
 pub(crate) struct Connection {
     pipe: Pipe,
     session: Session,
-    /// `(buffered_bytes, stamp)` while the session holds a partial frame:
-    /// the stall detector's progress marker. A timer expiry whose stamp
-    /// and byte count both still match means the stream is wedged.
+    /// `(buffered_bytes, since_ms)` while the session holds a partial
+    /// frame: its size, and the worker-clock time it last changed. No
+    /// change for the pipe's stall deadline means the stream is wedged.
     wedge: Option<(usize, u64)>,
     /// Nothing more is read: the pipe ended, or the connection broke. It
     /// closes once its queue is drained.
@@ -240,6 +239,22 @@ impl Connection {
         self.done = false;
     }
 
+    /// Close this connection in place: take the client's new pipe if it
+    /// has reconnected, or shut this one so the client notices and keep
+    /// the place for its reconnect. Returns `false` for a connection that
+    /// is over for good: a socket, or one whose client is gone.
+    fn close_in_place(&mut self) -> bool {
+        match (
+            self.reopened.as_ref().map(Receiver::try_recv),
+            &mut self.pipe,
+        ) {
+            (Some(Ok(fresh)), _) => self.replace(fresh),
+            (Some(Err(TryRecvError::Empty)), Pipe::Mem(end)) => drop(end.reopen()),
+            _ => return false,
+        }
+        true
+    }
+
     /// Duplicate/stale frames discarded on this connection.
     pub(crate) fn stale_discards(&self) -> u64 {
         self.replaced_stale + self.session.stale_discards()
@@ -252,14 +267,16 @@ impl Connection {
             Pipe::Tcp(_) => FaultCounters::default(),
         }
     }
-}
 
-impl Source for Connection {
+    /// Whether a step would make progress now — the readiness probe a
+    /// worker's round makes of every connection. Level-triggered and cheap:
+    /// a queued message, a pending reconnect, or bytes (or the end) on the
+    /// pipe.
     fn ready(&mut self) -> bool {
         if self.done && self.session.queued() == 0 {
-            // Closed, its slot waiting for the client's reconnect: ready
+            // Closed, waiting in place for the client's reconnect: ready
             // once that arrives (its pipe is taken here), or once the
-            // client is gone, for the step to retire the slot.
+            // client is gone, for the round to retire it.
             return match self.reopened.as_ref().map(Receiver::try_recv) {
                 Some(Ok(fresh)) => {
                     self.replace(fresh);
@@ -286,7 +303,7 @@ impl Source for Connection {
 /// The client half of an async-plane connection.
 ///
 /// Handed out by [`AsyncCollectServer::connect`]; the matching server
-/// half lives inside one worker's poll set. All methods are plain
+/// half lives on one worker. All methods are plain
 /// non-blocking or deadline-bounded byte-pipe operations — the protocol
 /// state machine on top of them is the caller's (normally
 /// [`crate::retry::WireLane`] in async mode, or a bench client).
@@ -387,20 +404,25 @@ struct WorkerReport {
     poll: LocalHistogram,
 }
 
-/// One reactor worker: accepts connections from its intake channel,
-/// polls them for readiness, steps the ready ones, sweeps stalls.
+impl WorkerReport {
+    /// Fold a retiring connection's transport and session tallies in.
+    fn retire(&mut self, conn: &Connection) {
+        self.stale_frames += conn.stale_discards();
+        self.faults.merge(&conn.fault_stats());
+    }
+}
+
+/// One reactor worker: takes connections from its intake channel and
+/// runs rounds over them, parking when a round finds nothing to do.
 struct Worker {
     intake: Receiver<Connection>,
     stop: Arc<AtomicBool>,
     core: Arc<ProtocolCore>,
-    poller: Poller<Connection>,
-    wheel: TimerWheel,
+    conns: Vec<Connection>,
     idle: IdleStrategy,
     /// Inflate buffer and decode batch shared by every upload this
     /// worker processes.
     scratch: IngestScratch,
-    /// Monotonic stamp generator for stall-timer entries.
-    stamp_counter: u64,
     report: WorkerReport,
 }
 
@@ -410,51 +432,29 @@ impl Worker {
             intake,
             stop,
             core,
-            poller: Poller::new(),
-            wheel: TimerWheel::new(256),
+            conns: Vec::new(),
             idle: IdleStrategy::default_for_io(),
             scratch: IngestScratch::new(),
-            stamp_counter: 0,
             report: WorkerReport::default(),
         }
     }
 
     fn run(mut self) -> WorkerReport {
         let start = Instant::now();
-        let mut ready: Vec<Token> = Vec::new();
-        let mut expired: Vec<(Token, u64)> = Vec::new();
         loop {
-            let mut progressed = false;
-            // Accept newly connected clients into the poll set.
+            // Accept newly connected clients.
             let accept_start = Instant::now();
-            let mut accepted = 0usize;
+            let before = self.conns.len();
             while let Ok(conn) = self.intake.try_recv() {
-                self.poller.register(conn);
-                accepted += 1;
+                self.conns.push(conn);
             }
-            if accepted > 0 {
+            let mut progressed = self.conns.len() > before;
+            if progressed {
                 self.report
                     .accept
                     .record(accept_start.elapsed().as_nanos() as u64);
-                progressed = true;
             }
-            // One poll round over this worker's share of the fleet.
-            let now_ms = start.elapsed().as_millis() as u64;
-            let poll_start = Instant::now();
-            let n_ready = self.poller.poll(&mut ready, POLL_BUDGET);
-            if n_ready > 0 {
-                for &token in &ready {
-                    progressed |= self.service(token, now_ms);
-                }
-                self.report
-                    .poll
-                    .record(poll_start.elapsed().as_nanos() as u64);
-            }
-            // Fire stall deadlines.
-            self.wheel.advance(now_ms, &mut expired);
-            for &(token, stamp) in &expired {
-                progressed |= self.sweep(token, stamp);
-            }
+            progressed |= self.round(start.elapsed().as_millis() as u64);
             if self.stop.load(Ordering::Acquire) && !progressed && self.intake.is_empty() {
                 break;
             }
@@ -465,101 +465,74 @@ impl Worker {
             }
         }
         // Fold the surviving connections' codec/transport tallies in.
-        let mut leftovers: Vec<Token> = self.poller.iter_mut().map(|(t, _)| t).collect();
-        for token in leftovers.drain(..) {
-            if let Some(conn) = self.poller.deregister(token) {
-                self.retire(conn);
-            }
+        for conn in &self.conns {
+            self.report.retire(conn);
         }
         self.report
     }
 
-    /// Step one ready connection with a fairness-bounded drain (the
-    /// shutdown drain processes everything), keep its stall marker, and
-    /// close it if the step says so. Returns whether it made progress (a
-    /// close is progress: a new pipe may be waiting to be read).
-    fn service(&mut self, token: Token, now_ms: u64) -> bool {
-        let Some(conn) = self.poller.get_mut(token) else {
-            return false;
-        };
+    /// One pass over this worker's connections at worker-clock `now_ms`.
+    /// Each ready connection is stepped with a fairness-bounded drain (the
+    /// shutdown drain processes everything); a connection whose partial
+    /// frame has made no progress for its pipe's stall deadline is swept
+    /// (done, closing once its queue is drained); and one the step or the
+    /// sweep closes is replaced or retired in place. Returns whether
+    /// anything progressed (a close is progress: a new pipe may be waiting
+    /// to be read).
+    fn round(&mut self, now_ms: u64) -> bool {
         let budget = if self.stop.load(Ordering::Acquire) {
             usize::MAX
         } else {
             DRAIN_PER_CONN
         };
-        let stepped = conn.step(&self.core, &mut self.scratch, budget);
-        self.report.load_sheds += stepped.sheds;
-        self.report.queue_depth_peak = self
-            .report
-            .queue_depth_peak
-            .max(conn.session.queue_peak() as u64);
-        // Stall bookkeeping: a partial frame with no byte progress past
-        // the deadline will be swept; any progress re-arms the timer.
-        let buffered = conn.session.buffered();
-        if buffered == 0 || conn.done {
-            conn.wedge = None;
-        } else if conn.wedge.is_none_or(|(len, _)| len != buffered) {
-            self.stamp_counter += 1;
-            conn.wedge = Some((buffered, self.stamp_counter));
-            let deadline = now_ms + conn.pipe.stall_deadline_ms();
-            self.wheel.schedule(deadline, token, self.stamp_counter);
-        }
-        if stepped.close {
-            self.close(token);
-        }
-        stepped.progress || stepped.close
-    }
-
-    /// Timer expiry: a connection whose wedge marker still matches (same
-    /// stamp, same buffered byte count — no progress since the deadline
-    /// was armed) is done, and closes once its queue is drained. Returns
-    /// whether it swept.
-    fn sweep(&mut self, token: Token, stamp: u64) -> bool {
-        let Some(conn) = self.poller.get_mut(token) else {
-            return false; // connection retired; lazily cancelled timer
-        };
-        match conn.wedge {
-            Some((len, s)) if s == stamp && conn.session.buffered() == len => {
-                conn.wedge = None;
-                conn.done = true;
-                self.report.stall_sweeps += 1;
-                if conn.session.queued() == 0 {
-                    self.close(token);
+        let poll_start = Instant::now();
+        let (mut stepped_any, mut progressed) = (false, false);
+        let Worker {
+            conns,
+            core,
+            scratch,
+            report,
+            ..
+        } = self;
+        conns.retain_mut(|conn| {
+            let mut close = false;
+            if conn.ready() {
+                let stepped = conn.step(core, scratch, budget);
+                report.load_sheds += stepped.sheds;
+                report.queue_depth_peak = report
+                    .queue_depth_peak
+                    .max(conn.session.queue_peak() as u64);
+                // The partial frame changes only in a step: a new size is
+                // progress and restarts the stall clock.
+                let buffered = conn.session.buffered();
+                if buffered == 0 || conn.done {
+                    conn.wedge = None;
+                } else if conn.wedge.is_none_or(|(len, _)| len != buffered) {
+                    conn.wedge = Some((buffered, now_ms));
                 }
-                true
+                stepped_any = true;
+                progressed |= stepped.progress || stepped.close;
+                close = stepped.close;
             }
-            _ => false, // progress was made, or a newer wedge owns the timer
-        }
-    }
-
-    /// Close a connection the step gave up on. An in-memory client that
-    /// has reconnected gets its new pipe in the old one's place, on this
-    /// worker; one that has not yet sees its pipe shut, and the slot waits
-    /// for its reconnect. A socket, or a connection whose client is gone,
-    /// is retired.
-    fn close(&mut self, token: Token) {
-        let Some(conn) = self.poller.get_mut(token) else {
-            return;
-        };
-        match (
-            conn.reopened.as_ref().map(Receiver::try_recv),
-            &mut conn.pipe,
-        ) {
-            (Some(Ok(fresh)), _) => conn.replace(fresh),
-            (Some(Err(TryRecvError::Empty)), Pipe::Mem(end)) => drop(end.reopen()),
-            _ => {
-                if let Some(conn) = self.poller.deregister(token) {
-                    self.retire(conn);
+            if let Some((_, since)) = conn.wedge {
+                if now_ms >= since + conn.pipe.stall_deadline_ms() {
+                    conn.wedge = None;
+                    conn.done = true;
+                    report.stall_sweeps += 1;
+                    progressed = true;
+                    close = conn.session.queued() == 0;
                 }
             }
+            let keep = !close || conn.close_in_place();
+            if !keep {
+                report.retire(conn);
+            }
+            keep
+        });
+        if stepped_any {
+            report.poll.record(poll_start.elapsed().as_nanos() as u64);
         }
-    }
-
-    /// Fold a retiring connection's transport and session tallies into the
-    /// worker report.
-    fn retire(&mut self, conn: Connection) {
-        self.report.stale_frames += conn.stale_discards();
-        self.report.faults.merge(&conn.fault_stats());
+        progressed
     }
 }
 
@@ -813,7 +786,7 @@ pub(crate) mod tests {
     fn overflowed_queue_sheds_uploads_without_data_loss() {
         // The worker is stepped by hand, so how far the frame-by-frame
         // flood gets ahead of it is this test's choice and not the
-        // scheduler's: a whole round of sends, then one service round.
+        // scheduler's: a whole round of sends, then one worker round.
         // (Against a running worker, which every send wakes, the same
         // flood may be drained as fast as it arrives and shed nothing;
         // `tests/backpressure.rs` covers what holds either way.)
@@ -821,8 +794,9 @@ pub(crate) mod tests {
         let core = Arc::new(ProtocolCore::new([P], Arc::clone(&sharded)));
         let mut worker = Worker::new(unbounded().1, Arc::default(), Arc::clone(&core));
         let (mut client, server_end) = MemTransport::pair();
-        let conn = Connection::new(Pipe::Mem(server_end), Session::strict(1));
-        let token = worker.poller.register(conn);
+        worker
+            .conns
+            .push(Connection::new(Pipe::Mem(server_end), Session::strict(1)));
         let mut codec = FrameCodec::strict();
         let mut replies = |client: &mut MemTransport| -> Vec<Message> {
             let mut buf = [0u8; 4096];
@@ -836,7 +810,7 @@ pub(crate) mod tests {
             install: I,
         };
         client.send(&sign_in.encode_seq(0)).unwrap();
-        worker.service(token, 0);
+        worker.round(0);
         assert_eq!(
             replies(&mut client),
             [Message::SignInAck { accepted: true }]
@@ -860,7 +834,7 @@ pub(crate) mod tests {
                 client.send(&msg.encode_seq(seq)).unwrap();
                 seq += 1;
             }
-            worker.service(token, 0);
+            worker.round(0);
             // Every sent frame gets exactly one reply: the one upload
             // the 1-deep queue admitted is acked, the rest get a 429.
             let round = replies(&mut client);
@@ -957,7 +931,7 @@ pub(crate) mod tests {
             ..FaultPlan::none()
         };
         let (mut conn, server) = open(plan, 3, QUEUE_LIMIT);
-        let token = worker.poller.register(server);
+        worker.conns.push(server);
         let sign_in = Message::SignIn {
             participant: P,
             install: I,
@@ -965,9 +939,7 @@ pub(crate) mod tests {
         // One exchange per connection; returns the reply frames' numbers.
         let exchange = |conn: &mut AsyncConn, worker: &mut Worker, seq: u32| {
             conn.send(&sign_in.encode_seq(seq)).unwrap();
-            while worker.poller.get_mut(token).is_some_and(|c| c.ready()) {
-                worker.service(token, 0);
-            }
+            while worker.round(0) {}
             let mut codec = FrameCodec::new();
             let mut buf = [0u8; 4096];
             while let Ok(n @ 1..) = conn.try_recv(&mut buf) {
@@ -983,16 +955,16 @@ pub(crate) mod tests {
         conn.reconnect();
         assert_eq!(exchange(&mut conn, &mut worker, 0), [0, 0]);
         assert_eq!(
-            worker.poller.len(),
+            worker.conns.len(),
             1,
-            "the new pipe took the old one's slot"
+            "the new pipe took the old one's place"
         );
         assert_eq!(worker.core.stats().sign_ins, 1, "re-sign-in is idempotent");
         // Each end's fault state carried over: both replies and both
         // sign-ins were duplicated, and each session discarded one copy.
         assert_eq!(conn.fault_stats().duplicated, 2);
-        let retired = worker.poller.deregister(token).expect("registered");
-        worker.retire(retired);
+        let retired = worker.conns.pop().expect("still open");
+        worker.report.retire(&retired);
         assert_eq!(worker.report.faults.duplicated, 2);
         assert_eq!(worker.report.stale_frames, 2);
     }
@@ -1002,26 +974,120 @@ pub(crate) mod tests {
         let core = Arc::new(ProtocolCore::new([P], Arc::new(ShardedIngest::new(4))));
         let mut worker = Worker::new(unbounded().1, Arc::default(), core);
         let (mut conn, server) = open(FaultPlan::none(), 5, QUEUE_LIMIT);
-        let token = worker.poller.register(server);
-        // A bad magic poisons the framing: the connection closes, and its
-        // slot waits for a reconnect that an idle client never sends.
+        worker.conns.push(server);
+        // A bad magic poisons the framing: the connection closes, and it
+        // waits in place for a reconnect that an idle client never sends.
         conn.send(&[0xAB; 64]).unwrap();
-        let mut ready = Vec::new();
-        let mut poll = |worker: &mut Worker| {
-            worker.poller.poll(&mut ready, POLL_BUDGET);
-            for &token in &ready {
-                worker.service(token, 0);
-            }
-        };
-        poll(&mut worker);
-        poll(&mut worker);
-        assert!(!worker.poller.get_mut(token).is_some_and(|c| c.ready()));
-        assert_eq!(worker.poller.len(), 1, "the slot waits for the client");
+        worker.round(0);
+        worker.round(0);
+        assert!(!worker.conns[0].ready());
+        assert_eq!(worker.conns.len(), 1, "it waits for the client");
         // The client goes without reconnecting: the next round retires
-        // the slot.
+        // the connection.
         drop(conn);
-        poll(&mut worker);
-        assert_eq!(worker.poller.len(), 0);
+        worker.round(0);
+        assert_eq!(worker.conns.len(), 0);
+    }
+
+    /// A hand-stepped worker over a fresh core.
+    fn hand_worker() -> Worker {
+        let core = Arc::new(ProtocolCore::new([P], Arc::new(ShardedIngest::new(4))));
+        Worker::new(unbounded().1, Arc::default(), core)
+    }
+
+    /// A new in-memory connection on `worker`; returns its client end.
+    fn hand_connect(worker: &mut Worker) -> MemTransport {
+        let (client, server_end) = MemTransport::pair();
+        let session = Session::strict(QUEUE_LIMIT);
+        worker
+            .conns
+            .push(Connection::new(Pipe::Mem(server_end), session));
+        client
+    }
+
+    /// Every reply waiting at a client end, decoded.
+    fn replies(client: &mut MemTransport, codec: &mut FrameCodec) -> Vec<Message> {
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = client.try_recv(&mut buf) {
+            codec.feed(&buf[..n]);
+        }
+        std::iter::from_fn(|| codec.try_decode_message().expect("clean link")).collect()
+    }
+
+    const SIGN_IN: Message = Message::SignIn {
+        participant: P,
+        install: I,
+    };
+    const SIGN_IN_ACK: Message = Message::SignInAck { accepted: true };
+
+    #[test]
+    fn a_stalled_partial_frame_is_swept_at_the_deadline_after_its_last_progress() {
+        // The worker is stepped by hand, so its clock is this test's.
+        let mut worker = hand_worker();
+        let mut client = hand_connect(&mut worker);
+        let mut codec = FrameCodec::strict();
+        // Four rounds' drain of sign-ins and one more (sign-ins are never
+        // shed), then half an upload frame.
+        let n_sign_ins = 4 * DRAIN_PER_CONN as u32 + 1;
+        for seq in 0..n_sign_ins {
+            client.send(&SIGN_IN.encode_seq(seq)).unwrap();
+        }
+        let frame = Message::SnapshotUpload {
+            install: I,
+            file_id: 1,
+            fast: true,
+            payload: payload(7),
+        }
+        .encode_seq(n_sign_ins);
+        let half = frame.len() / 2;
+        client.send(&frame[..half]).unwrap();
+        worker.round(0);
+        // One byte of progress restarts the stall clock.
+        client.send(&frame[half..=half]).unwrap();
+        worker.round(30);
+        worker.round(30 + STALL_DEADLINE_MS - 1);
+        assert_eq!(worker.report.stall_sweeps, 0, "swept before its deadline");
+        assert!(!worker.conns[0].done);
+        worker.round(30 + STALL_DEADLINE_MS);
+        assert_eq!(worker.report.stall_sweeps, 1, "not swept at its deadline");
+        // Swept with a whole sign-in still queued: the connection stays
+        // until that is answered, and closes in the round that answers it.
+        assert_eq!(replies(&mut client, &mut codec).len(), 4 * DRAIN_PER_CONN);
+        assert_eq!(worker.conns.len(), 1);
+        worker.round(31 + STALL_DEADLINE_MS);
+        assert_eq!(replies(&mut client, &mut codec), [SIGN_IN_ACK]);
+        assert!(worker.conns.is_empty());
+    }
+
+    #[test]
+    fn one_round_answers_a_quiet_connection_beside_a_flooder() {
+        let mut worker = hand_worker();
+        let mut flooder = hand_connect(&mut worker);
+        let mut quiet = hand_connect(&mut worker);
+        let n_flood = 3 * DRAIN_PER_CONN;
+        for seq in 0..n_flood as u32 {
+            flooder.send(&SIGN_IN.encode_seq(seq)).unwrap();
+        }
+        quiet.send(&SIGN_IN.encode_seq(0)).unwrap();
+        worker.round(0);
+        // The flooder, stepped first, drains one bounded share of its
+        // queue; the quiet connection is answered in the same round.
+        let mut flood_codec = FrameCodec::strict();
+        assert_eq!(
+            replies(&mut flooder, &mut flood_codec).len(),
+            DRAIN_PER_CONN
+        );
+        assert_eq!(
+            replies(&mut quiet, &mut FrameCodec::strict()),
+            [SIGN_IN_ACK]
+        );
+        // The rest of the flood is answered over the next rounds.
+        worker.round(1);
+        worker.round(2);
+        assert_eq!(
+            replies(&mut flooder, &mut flood_codec).len(),
+            n_flood - DRAIN_PER_CONN
+        );
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //!   is the per-connection half of the same contract (decode, bounded
 //!   admission with its 429 shed, reply numbering), one per connection;
 //! * [`async_server`] — the one connection step (read, feed the
-//!   session, reply, close on trouble) and the reactor-driven server that
+//!   session, reply, close on trouble) and the worker-pool server that
 //!   runs it: thread-per-core workers multiplexing thousands of
-//!   in-memory and TCP connections over [`racket_reactor`] readiness
-//!   polling, with server-side stall deadlines (the million-device scale
-//!   path; see `ARCHITECTURE.md` §8);
+//!   in-memory and TCP connections, each round one pass over a worker's
+//!   connections (readiness, step, stall deadline) and an idle round a
+//!   spin-then-park (the million-device scale path; see
+//!   `ARCHITECTURE.md` §8);
 //! * `shard` — the one record table ([`ShardedIngest`]): per-install records spread over
 //!   independently locked shards so batches from different devices
 //!   ingest concurrently on every collection path;

@@ -286,7 +286,7 @@ impl MemTransport {
         peer
     }
 
-    /// Non-blocking receive used by pollers.
+    /// Non-blocking receive, as a worker's connection step reads.
     ///
     /// Returns `Err(WouldBlock)` when no data is waiting but the peer is
     /// still connected (a stall, from the caller's perspective), and
@@ -313,10 +313,10 @@ impl MemTransport {
         n
     }
 
-    /// Whether bytes are waiting to be received — the readiness probe the
-    /// async plane's poller calls once per connection per round. A `true`
-    /// is definitive (residue or a queued chunk exists); a `false` may be
-    /// stale by the next instruction, which level-triggered polling
+    /// Whether bytes are waiting to be received — the readiness probe an
+    /// async-plane worker makes of each connection once per round. A
+    /// `true` is definitive (residue or a queued chunk exists); a `false`
+    /// may be stale by the next instruction, which a level-triggered scan
     /// tolerates (the next round sees it).
     pub(crate) fn has_incoming(&self) -> bool {
         !self.pending.is_empty() || !self.rx.is_empty()

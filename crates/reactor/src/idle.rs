@@ -4,21 +4,23 @@ use std::time::Duration;
 
 /// Spin → park backoff for a worker loop with nothing to do.
 ///
-/// A worker that found no ready sources calls [`IdleStrategy::idle`] once
-/// per empty round and [`IdleStrategy::reset`] as soon as any round makes
-/// progress:
+/// A worker whose round found nothing to do calls [`IdleStrategy::idle`]
+/// once per empty round and [`IdleStrategy::reset`] as soon as any round
+/// makes progress:
 ///
 /// * fresh idleness spins (`spin_hint`), so a request that is
 ///   microseconds away is picked up without a syscall;
 /// * after that the worker parks and costs no CPU until whoever creates
 ///   work for it calls [`std::thread::Thread::unpark`] on its handle, or
-///   `park_timeout` passes — the tick on which the worker runs its timers.
+///   `park_timeout` passes — the tick on which the worker runs a round
+///   anyway, and so checks its connections' stall deadlines.
 ///
-/// The waker's order is *publish, then unpark*; the worker's is *poll,
+/// The waker's order is *publish, then unpark*; the worker's is *round,
 /// then park*. `park`'s token makes the pair race-free: an unpark that
-/// lands between an empty poll and the park is remembered, and the park
+/// lands between an empty round and the park is remembered, and the park
 /// returns at once. Wakeup latency is therefore set by the waker, not by
-/// `park_timeout`, which bounds only how late a timer may fire.
+/// `park_timeout`, which bounds only how late a stall deadline or a
+/// socket's bytes are noticed.
 #[derive(Debug, Clone)]
 pub struct IdleStrategy {
     spin_limit: u32,
@@ -38,7 +40,7 @@ impl IdleStrategy {
     }
 
     /// The tuning the collection plane's workers use: a short spin, then
-    /// parks ended by the client's send or the 1 ms stall-timer tick.
+    /// parks ended by the client's send or the 1 ms park tick.
     pub fn default_for_io() -> Self {
         IdleStrategy::new(16, Duration::from_millis(1))
     }
@@ -96,7 +98,7 @@ mod tests {
     #[test]
     fn an_unpark_before_the_park_is_not_lost() {
         // The race the worker loop relies on: work is published and the
-        // worker unparked after its empty poll but before it parks. The
+        // worker unparked after its empty round but before it parks. The
         // park must return on the stored token, not sit out the timeout.
         let mut s = IdleStrategy::new(0, Duration::from_secs(30));
         std::thread::current().unpark();

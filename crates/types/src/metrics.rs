@@ -39,10 +39,11 @@ pub mod keys {
     /// every feature from the raw record).
     pub const SPAN_SCORE_BATCH: &str = "analyze/score_batch";
     /// Span: async plane — accepting newly connected clients into a
-    /// worker's poll set.
+    /// worker's connection list.
     pub const SPAN_SERVER_ACCEPT: &str = "server/accept";
-    /// Span: async plane — one worker poll round (readiness scan + frame
-    /// decode + admission + ingest for every ready connection).
+    /// Span: async plane — one worker round that stepped a connection
+    /// (readiness scan, stall checks, and frame decode + admission +
+    /// ingest for every ready connection).
     pub const SPAN_SERVER_POLL: &str = "server/poll";
     /// Counter: async plane — uploads load-shed with a 429 because a
     /// per-connection queue was full. Varies with timing; excluded from
