@@ -60,18 +60,6 @@ fn bench_minhash(c: &mut Criterion) {
             })
         });
     }
-    let a = {
-        let mut mh = MinHash::empty(128);
-        shingles.iter().for_each(|&s| mh.observe(s));
-        mh
-    };
-    g.bench_function("merge_128", |b| {
-        b.iter(|| {
-            let mut m = a.clone();
-            m.merge(std::hint::black_box(&a));
-            m
-        })
-    });
     g.finish();
 }
 

@@ -432,7 +432,7 @@ const STRATEGIES: [&str; 6] = [
 /// like a regular user before reviewing; `engage_with_apps` opens every
 /// promoted app and never force-stops it; `fewer_reviews` posts from one
 /// account per app and skips half the jobs.
-fn evade(mut p: PersonaParams, strategy: &str) -> Option<PersonaParams> {
+fn evade(mut p: PersonaParams, strategy: &str) -> PersonaParams {
     let chosen = |name| strategy == name || strategy == "all_of_the_above";
     if chosen("fewer_accounts") {
         p.gmail_accounts.median = (p.gmail_accounts.median / 2.0).max(1.0);
@@ -452,33 +452,42 @@ fn evade(mut p: PersonaParams, strategy: &str) -> Option<PersonaParams> {
         p.promo_accounts_per_app.median = 1.0;
         p.promo_accounts_per_app.max = 2.0;
     }
-    Some(p)
+    p
 }
 
 /// The paper's §9 argument made quantitative: each strategy regenerates the
 /// study with modified worker personas, retrains the two-stage pipeline and
 /// states worker-device recall beside the fraud output (reviews per worker
 /// device). Evasion buys recall points only by collapsing the output.
+/// `baseline` changes no persona parameter, so its study, app dataset and
+/// app classifier are the base study's.
 fn evasion_cost(r: &Report, sink: &mut Sink) {
     let mut rows = Vec::new();
     for name in STRATEGIES {
-        let mut config = r.config.clone();
-        config.fleet.overrides = PersonaOverrides {
-            regular: None,
-            organic: evade(PersonaParams::organic_worker(), name),
-            dedicated: evade(PersonaParams::dedicated_worker(), name),
-        };
-        let out = Study::new(config).run();
+        let variant = (name != "baseline").then(|| {
+            let mut config = r.config.clone();
+            config.fleet.overrides = PersonaOverrides {
+                regular: None,
+                organic: Some(evade(PersonaParams::organic_worker(), name)),
+                dedicated: Some(evade(PersonaParams::dedicated_worker(), name)),
+            };
+            let out = Study::new(config).run();
+            let app_ds = r.scale.app_dataset(&out);
+            (out, app_ds)
+        });
+        let (out, app_ds) = variant
+            .as_ref()
+            .map_or((&r.out, &r.app_ds), |(o, a)| (o, a));
         let reviews: usize = out.cohort(Cohort::Worker).map(|o| o.total_reviews()).sum();
         let fraud = reviews as f64 / out.cohort(Cohort::Worker).count().max(1) as f64;
         sink.headline(format!("{name}.reviews_per_worker"), fraud);
-        let app_ds = r.scale.app_dataset(&out);
         if app_ds.n_suspicious() == 0 || app_ds.n_regular() == 0 {
             // Labeling degenerated: nothing to train on. The keys this
             // seed does not state show as n < SEEDS in the aggregate.
             continue;
         }
-        let dev_ds = DeviceDataset::build(&out, &AppClassifier::train(&app_ds), 2, None, 7);
+        let trained = variant.is_some().then(|| AppClassifier::train(app_ds));
+        let dev_ds = DeviceDataset::build(out, trained.as_ref().unwrap_or(&r.app_clf), 2, None, 7);
         let report = device_classifier::evaluate(&dev_ds, Resampling::Smote { k: 5 });
         let xgb = &report.table[0].metrics;
         let (recall, precision, f1) = (xgb.recall, xgb.precision, xgb.f1);

@@ -10,9 +10,9 @@
 //!    of `(app, 6-hour bucket)` shingles (`BUCKET_SECS` in `sketch.rs`,
 //!    packed by `racket_columnar::pack_shingle`).
 //! 2. **MinHash** — a 128-row [`MinHash`] signature summarises each
-//!    shingle set — the workspace's one MinHash kernel. Signatures merge
-//!    by elementwise min, which makes the fold order-insensitive and
-//!    mergeable across ingest shards.
+//!    shingle set — the workspace's one MinHash kernel. Each row keeps an
+//!    elementwise min, which makes the fold order- and
+//!    duplicate-insensitive.
 //! 3. **LSH banding** — [`lsh::candidate_pairs`] buckets signature bands
 //!    to propose likely-similar device pairs without the O(n²) scan.
 //! 4. **Temporal co-occurrence scoring** — candidate pairs are verified

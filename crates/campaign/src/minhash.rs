@@ -4,8 +4,8 @@
 //! Permutation `k` hashes a shingle `s` to `mix64(s ^ mix64(SALT ^ k))`;
 //! a signature keeps the minimum per permutation. `min` is commutative,
 //! associative and idempotent, so a signature is a pure function of the
-//! shingle *set*: fold order, duplicate folds and merge order are all
-//! invisible — the whole batch ≡ incremental argument at the kernel level.
+//! shingle *set*: fold order and duplicate folds are invisible — the whole
+//! batch ≡ incremental argument at the kernel level.
 
 use racket_text::mix64;
 
@@ -37,7 +37,7 @@ pub struct MinHash {
 }
 
 impl MinHash {
-    /// The empty signature of length `k` (merge identity).
+    /// The empty signature of length `k`.
     ///
     /// # Panics
     /// If `k` exceeds the 128-entry seed table.
@@ -73,25 +73,6 @@ impl MinHash {
             let h = mix64(shingle ^ seed);
             if h < *slot {
                 *slot = h;
-            }
-        }
-    }
-
-    /// Merge a signature built over another shingle set: elementwise min,
-    /// so the result equals the signature of the union. Commutative,
-    /// associative, idempotent, with [`MinHash::empty`] as identity.
-    ///
-    /// # Panics
-    /// If the signature lengths differ.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.sig.len(),
-            other.sig.len(),
-            "cannot merge MinHash signatures of different lengths"
-        );
-        for (a, &b) in self.sig.iter_mut().zip(&other.sig) {
-            if b < *a {
-                *a = b;
             }
         }
     }

@@ -14,9 +14,8 @@
 //! the install-event column family of `ColumnarSnapshots`. Both end at
 //! identical sketches because every ingredient is order- and
 //! duplicate-insensitive: B-tree sets absorb replays, and the MinHash
-//! fold is an elementwise min. [`CampaignSketch::merge`] is commutative
-//! and associative with the default sketch as identity, so sharded
-//! ingest can combine partial sketches in any order.
+//! fold is an elementwise min. Each install's sketch is folded in the one
+//! ingest shard that owns its record, so sketches are never merged.
 
 use crate::minhash::MinHash;
 use racket_types::{AppId, SimTime};
@@ -59,15 +58,6 @@ impl CampaignSketch {
         if self.shingles.insert(s) {
             self.minhash.observe(s);
         }
-    }
-
-    /// Merge a sketch built over another slice of the same install's
-    /// snapshots: set unions plus a MinHash merge. Commutative and
-    /// associative with [`CampaignSketch::default`] as identity.
-    pub fn merge(&mut self, other: &CampaignSketch) {
-        self.events.extend(other.events.iter().copied());
-        self.shingles.extend(other.shingles.iter().copied());
-        self.minhash.merge(&other.minhash);
     }
 
     /// Number of distinct shingles folded so far.
@@ -127,29 +117,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.n_shingles(), 2);
         assert_eq!(a.events().count(), 2);
-    }
-
-    #[test]
-    fn merge_equals_union_fold() {
-        let mut left = CampaignSketch::default();
-        left.observe(AppId(1), SimTime::from_hours(1));
-        left.observe(AppId(3), SimTime::from_hours(30));
-        let mut right = CampaignSketch::default();
-        right.observe(AppId(3), SimTime::from_hours(30)); // overlap
-        right.observe(AppId(7), SimTime::from_days(2));
-
-        let mut merged = left.clone();
-        merged.merge(&right);
-
-        let mut direct = CampaignSketch::default();
-        for (app, t) in left.events().chain(right.events()) {
-            direct.observe(app, t);
-        }
-        assert_eq!(merged, direct);
-
-        let mut with_id = left.clone();
-        with_id.merge(&CampaignSketch::default());
-        assert_eq!(with_id, left);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property suite for the LSH banding layer: band monotonicity and
-//! identical-set recall. The MinHash laws themselves (merge algebra,
-//! Jaccard error band) run once per hash family in the workspace-level
-//! `tests/properties.rs`.
+//! identical-set recall. The MinHash laws themselves (a signature depends
+//! only on the shingle set, the Jaccard error band) run in the
+//! workspace-level `tests/properties.rs`.
 
 use proptest::prelude::*;
 use racket_campaign::lsh::candidate_pairs;

@@ -14,6 +14,8 @@
 //!
 //! Everything here is an exact integer/latch aggregate (no floats), which
 //! is what lets the streaming feature vectors match batch bit-for-bit.
+//! Sharded ingest keeps each install's record in exactly one shard, so
+//! the aggregate is only ever folded, never merged from partial states.
 
 use racket_campaign::CampaignSketch;
 use racket_text::TextSketch;
@@ -36,36 +38,17 @@ pub struct AppStream {
     pub fg_total: u64,
 }
 
-impl AppStream {
-    /// Merge another per-app aggregate built over a disjoint slice of the
-    /// same install's snapshots. Counters add; the uninstall latch takes
-    /// the max — commutative and associative, with the default value as
-    /// identity.
-    pub fn merge(&mut self, other: &AppStream) {
-        self.n_installs += other.n_installs;
-        self.n_uninstalls += other.n_uninstalls;
-        self.last_uninstall = match (self.last_uninstall, other.last_uninstall) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.fg_total += other.fg_total;
-    }
-}
-
 /// The per-install streaming aggregate: one [`AppStream`] per app that has
-/// produced an event or foreground observation, plus device-level event
-/// totals.
+/// produced an event or foreground observation, plus the campaign and text
+/// sketches. Device-level event totals are the lengths of the record's
+/// event vectors.
 #[derive(Debug, Clone, Default)]
 pub struct StreamAggregates {
     per_app: HashMap<AppId, AppStream>,
-    /// Total install events (equals `install_events.len()`).
-    pub n_install_events: u64,
-    /// Total uninstall events (equals `uninstall_events.len()`).
-    pub n_uninstall_events: u64,
     /// Lockstep-detection sketch over the install events (shingle set,
     /// MinHash signature, exact event set — ARCHITECTURE.md §10). Folded
-    /// at the same program point as `n_install_events`, so it is equal to
-    /// the batch rebuild from the install-event column family by
+    /// where the record pushes onto its install-event vector, so it is
+    /// equal to the batch rebuild from the install-event column family by
     /// construction. Never enters feature vectors or fingerprints.
     campaign: CampaignSketch,
     /// Review-text sketch over the reported review events (the set of
@@ -77,7 +60,7 @@ pub struct StreamAggregates {
 }
 
 impl StreamAggregates {
-    /// The empty aggregate (merge identity).
+    /// The empty aggregate.
     pub fn new() -> Self {
         StreamAggregates::default()
     }
@@ -90,16 +73,6 @@ impl StreamAggregates {
     /// Iterate all per-app aggregates (unspecified order).
     pub fn apps(&self) -> impl Iterator<Item = (&AppId, &AppStream)> {
         self.per_app.iter()
-    }
-
-    /// Number of apps with any streaming signal.
-    pub fn len(&self) -> usize {
-        self.per_app.len()
-    }
-
-    /// Whether no signal has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.per_app.is_empty() && self.n_install_events == 0 && self.n_uninstall_events == 0
     }
 
     /// The campaign (lockstep-detection) sketch folded so far.
@@ -117,7 +90,6 @@ impl StreamAggregates {
     /// same value the event vector records).
     pub fn note_install(&mut self, app: AppId, t: SimTime) {
         self.per_app.entry(app).or_default().n_installs += 1;
-        self.n_install_events += 1;
         self.campaign.observe(app, t);
     }
 
@@ -130,7 +102,6 @@ impl StreamAggregates {
             Some(prev) => prev.max(t),
             None => t,
         });
-        self.n_uninstall_events += 1;
     }
 
     /// Fold one foreground observation (called exactly when the record
@@ -151,20 +122,6 @@ impl StreamAggregates {
     ) {
         self.text
             .observe(app.raw(), reviewer.raw(), t.as_secs(), rating.stars(), text);
-    }
-
-    /// Merge an aggregate built over a disjoint slice of the same
-    /// install's snapshots: per-app entries merge pairwise, totals add.
-    /// Commutative and associative with [`StreamAggregates::new`] as
-    /// identity (pinned by the property suite).
-    pub fn merge(&mut self, other: &StreamAggregates) {
-        for (&app, s) in &other.per_app {
-            self.per_app.entry(app).or_default().merge(s);
-        }
-        self.n_install_events += other.n_install_events;
-        self.n_uninstall_events += other.n_uninstall_events;
-        self.campaign.merge(&other.campaign);
-        self.text.merge(&other.text);
     }
 }
 
@@ -188,9 +145,7 @@ mod tests {
         assert_eq!(a.n_uninstalls, 2);
         assert_eq!(a.last_uninstall, Some(SimTime::from_secs(50)));
         assert_eq!(s.app(B).unwrap().fg_total, 1);
-        assert_eq!(s.n_install_events, 2);
-        assert_eq!(s.n_uninstall_events, 2);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.apps().count(), 2);
     }
 
     /// `install_time` is decoded from the socket as a raw `u64`: the
@@ -201,7 +156,7 @@ mod tests {
         let mut s = StreamAggregates::new();
         s.note_install(A, SimTime::from_secs(u64::MAX));
         s.note_install(A, SimTime::from_secs(0));
-        assert_eq!(s.n_install_events, 2);
+        assert_eq!(s.app(A).unwrap().n_installs, 2);
         assert_eq!(
             s.campaign().shingles().collect::<Vec<_>>(),
             vec![1 << 32, (1 << 32) | u64::from(u32::MAX)]
@@ -209,70 +164,28 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_with_identity() {
-        let mut x = StreamAggregates::new();
-        x.note_install(A, SimTime::from_secs(1));
-        x.note_foreground(A);
-        let mut y = StreamAggregates::new();
-        y.note_uninstall(A, SimTime::from_secs(9));
-        y.note_install(B, SimTime::from_secs(2));
-
-        let mut xy = x.clone();
-        xy.merge(&y);
-        let mut yx = y.clone();
-        yx.merge(&x);
-        assert_eq!(xy.app(A), yx.app(A));
-        assert_eq!(xy.app(B), yx.app(B));
-        assert_eq!(xy.n_install_events, yx.n_install_events);
-        assert_eq!(xy.campaign(), yx.campaign());
-        assert_eq!(xy.campaign().events().count(), 2);
-
-        let mut with_id = x.clone();
-        with_id.merge(&StreamAggregates::new());
-        assert_eq!(with_id.app(A), x.app(A));
-        assert!(StreamAggregates::new().is_empty());
-    }
-
-    #[test]
-    fn review_folds_reach_the_text_sketch_and_merge() {
-        let mut x = StreamAggregates::new();
-        x.note_review(
+    fn review_folds_reach_the_text_sketch() {
+        let mut s = StreamAggregates::new();
+        s.note_review(
             A,
             GoogleId(7),
             SimTime::from_secs(100),
             Rating::FIVE,
             "great app",
         );
-        let mut y = StreamAggregates::new();
-        y.note_review(
+        s.note_review(
             B,
             GoogleId(8),
             SimTime::from_secs(200),
             Rating::ONE,
             "crashes a lot",
         );
-
-        let mut both = StreamAggregates::new();
-        both.note_review(
-            A,
-            GoogleId(7),
-            SimTime::from_secs(100),
-            Rating::FIVE,
-            "great app",
-        );
-        both.note_review(
-            B,
-            GoogleId(8),
-            SimTime::from_secs(200),
-            Rating::ONE,
-            "crashes a lot",
-        );
-
-        let mut xy = x.clone();
-        xy.merge(&y);
-        assert_eq!(xy.text(), both.text());
-        assert_eq!(xy.text().n_reviews(), 2);
+        let mut text = TextSketch::default();
+        text.observe(A.raw(), 7, 100, 5, "great app");
+        text.observe(B.raw(), 8, 200, 1, "crashes a lot");
+        assert_eq!(s.text(), &text);
+        assert_eq!(s.text().n_reviews(), 2);
         // Text folds do not create per-app install aggregates.
-        assert_eq!(xy.len(), 0);
+        assert_eq!(s.apps().count(), 0);
     }
 }

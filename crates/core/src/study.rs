@@ -456,7 +456,8 @@ impl Study {
                 frame_hist.merge_local(&wire.timers.frame);
             }
             // Buffer-side kernel shards: snapshot serialization and LZSS
-            // compression (recorded on both direct and wire paths).
+            // compression (recorded on wire lanes only: a Direct lane
+            // never pushes into its buffer, so its shards stay empty).
             serialize_hist.merge_local(&lane.buffer.timers.serialize);
             compress_hist.merge_local(&lane.buffer.timers.compress);
             obs.add(keys::BYTES_COMPRESSED, lane.bytes_compressed);

@@ -1,19 +1,19 @@
-//! Online review-side aggregators for the streaming feature engine.
+//! Online review-side state for the streaming feature engine.
 //!
 //! The batch extractor ([`crate::app_features`]) derives the review-timing
 //! feature families (§7.1 (1)–(3)) by re-scanning the app's review list:
 //! reviewer sets split around the monitoring window, install-to-review
-//! delays, and inter-review gaps. [`AppReviewStream`] maintains the same
-//! quantities as single-pass folds over the *coalesced* (time-sorted)
-//! review stream, built from the shared aggregator primitives in
-//! [`racket_types::online`]:
+//! delays, and inter-review gaps. [`AppReviewStream`] keeps exactly what
+//! those families emit, folded once over the *coalesced* (time-sorted)
+//! review stream:
 //!
-//! * [`Distinct`] for the before/during/after reviewer cardinalities;
-//! * [`MinMax`] for delay extrema — its min latch is literally the batch
-//!   `fold(f64::INFINITY, f64::min)`, so emission is bit-identical;
-//! * [`GapAccum`] for inter-review gaps — exact integer second gaps whose
-//!   min/max map to the batch's per-gap `secs as f64 / day` values through
-//!   a monotone transform (same bits).
+//! * the before/during/after reviewer sets;
+//! * the delay count and min latch — the min starts at `f64::INFINITY`
+//!   and is literally the batch `fold(f64::INFINITY, f64::min)`, so
+//!   emission is bit-identical;
+//! * the gap count and exact integer-second min/max, which map to the
+//!   batch's per-gap `secs as f64 / day` values through a monotone
+//!   transform (same bits).
 //!
 //! The f64 *sums* that feed emitted means (`delay_sum_days`,
 //! `gap_sum_days`) are folded in the batch's canonical order (reviews
@@ -21,37 +21,62 @@
 //! returns them), replicating `iter().sum::<f64>()` add-for-add so the
 //! emitted means match batch bit-for-bit.
 
-pub(crate) use racket_types::online::{Distinct, GapAccum, MinMax};
-
 use racket_types::{GoogleId, Review, SimTime, TimeInterval};
+use std::collections::HashSet;
 
 /// Seconds per day, matching the constant in [`crate::app_features`].
 pub(crate) const DAY_SECS: f64 = 86_400.0;
 
 /// Streaming sufficient statistics for the review-derived features of one
 /// (app, device) instance.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppReviewStream {
     /// Total reviews folded for this app.
     pub n_reviews: u64,
     /// Reviewers who posted before the monitoring window.
-    pub before: Distinct<GoogleId>,
+    pub before: HashSet<GoogleId>,
     /// Reviewers who posted during the monitoring window.
-    pub during: Distinct<GoogleId>,
+    pub during: HashSet<GoogleId>,
     /// Reviewers who posted after the monitoring window.
-    pub after: Distinct<GoogleId>,
+    pub after: HashSet<GoogleId>,
     /// Sum of non-negative install-to-review delays, in days, folded in
     /// coalesced review order (bit-compatible with the batch sum).
     pub delay_sum_days: f64,
-    /// Extrema/count of the same delays (min latch = batch min fold).
-    pub delays: MinMax,
-    /// Exact integer inter-review gaps, in seconds.
-    pub gaps: GapAccum,
+    /// Number of non-negative delays folded.
+    pub n_delays: u64,
+    /// Smallest delay in days (`f64::INFINITY` while none; the batch min
+    /// fold).
+    pub min_delay_days: f64,
+    /// Number of inter-review gaps (reviews − 1 once any was folded).
+    pub n_gaps: u64,
+    /// Smallest inter-review gap, in seconds (exact).
+    pub min_gap_secs: u64,
+    /// Largest inter-review gap, in seconds (exact).
+    pub max_gap_secs: u64,
     /// Sum of inter-review gaps in days, folded in coalesced order
-    /// (bit-compatible with the batch sum; `gaps.sum / DAY` is *not*).
+    /// (bit-compatible with the batch sum).
     pub gap_sum_days: f64,
     /// Time of the previously folded review (gap anchor).
     pub last_posted: Option<SimTime>,
+}
+
+impl Default for AppReviewStream {
+    fn default() -> Self {
+        AppReviewStream {
+            n_reviews: 0,
+            before: HashSet::new(),
+            during: HashSet::new(),
+            after: HashSet::new(),
+            delay_sum_days: 0.0,
+            n_delays: 0,
+            min_delay_days: f64::INFINITY,
+            n_gaps: 0,
+            min_gap_secs: u64::MAX,
+            max_gap_secs: 0,
+            gap_sum_days: 0.0,
+            last_posted: None,
+        }
+    }
 }
 
 impl AppReviewStream {
@@ -68,11 +93,11 @@ impl AppReviewStream {
 
         // (1) reviewer sets relative to the monitoring window.
         if review.posted_at < monitoring.start {
-            self.before.fold(review.reviewer);
+            self.before.insert(review.reviewer);
         } else if review.posted_at < monitoring.end {
-            self.during.fold(review.reviewer);
+            self.during.insert(review.reviewer);
         } else {
-            self.after.fold(review.reviewer);
+            self.after.insert(review.reviewer);
         }
 
         // (2) install-to-review delay (non-negative only, §6.3).
@@ -80,27 +105,30 @@ impl AppReviewStream {
         if d >= 0 {
             let days = d as f64 / DAY_SECS;
             self.delay_sum_days += days;
-            self.delays.fold(days);
+            self.n_delays += 1;
+            self.min_delay_days = self.min_delay_days.min(days);
         }
 
         // (3) inter-review gap from the previous review.
         if let Some(last) = self.last_posted {
-            let gap_days = (review.posted_at - last).as_secs() as f64 / DAY_SECS;
-            self.gap_sum_days += gap_days;
+            let gap = (review.posted_at - last).as_secs();
+            self.n_gaps += 1;
+            self.min_gap_secs = self.min_gap_secs.min(gap);
+            self.max_gap_secs = self.max_gap_secs.max(gap);
+            self.gap_sum_days += gap as f64 / DAY_SECS;
         }
-        self.gaps.fold(review.posted_at.as_secs());
         self.last_posted = Some(review.posted_at);
     }
 
     /// Emitted §7.1 family (2): `(avg_install_review_days,
     /// min_install_review_days)` with the −1 sentinels.
     pub(crate) fn delay_features(&self) -> (f64, f64) {
-        if self.delays.count == 0 {
+        if self.n_delays == 0 {
             (-1.0, -1.0)
         } else {
             (
-                self.delay_sum_days / self.delays.count as f64,
-                self.delays.min,
+                self.delay_sum_days / self.n_delays as f64,
+                self.min_delay_days,
             )
         }
     }
@@ -108,13 +136,13 @@ impl AppReviewStream {
     /// Emitted §7.1 family (3): `(mean, min, max)` inter-review days with
     /// the −1 sentinels.
     pub(crate) fn gap_features(&self) -> (f64, f64, f64) {
-        if self.gaps.count == 0 {
+        if self.n_gaps == 0 {
             (-1.0, -1.0, -1.0)
         } else {
             (
-                self.gap_sum_days / self.gaps.count as f64,
-                self.gaps.min as f64 / DAY_SECS,
-                self.gaps.max as f64 / DAY_SECS,
+                self.gap_sum_days / self.n_gaps as f64,
+                self.min_gap_secs as f64 / DAY_SECS,
+                self.max_gap_secs as f64 / DAY_SECS,
             )
         }
     }

@@ -167,8 +167,8 @@ impl DeviceStreamState {
         let n_user = record.installed_now.len() - n_pre;
 
         let active_days = record.active_days().max(1) as f64;
-        let daily_installs = record.stream.n_install_events as f64 / active_days;
-        let daily_uninstalls = record.stream.n_uninstall_events as f64 / active_days;
+        let daily_installs = record.install_events.len() as f64 / active_days;
+        let daily_uninstalls = record.uninstall_events.len() as f64 / active_days;
 
         let n_gmail = record
             .accounts

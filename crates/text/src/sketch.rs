@@ -6,9 +6,10 @@
 //! The state is engineered for exactly that contract: each review reduces
 //! to one canonical [`ReviewRow`] (a pure function of the review fields)
 //! and the sketch is the B-tree *set* of those rows. Folding is therefore
-//! order-insensitive and idempotent, and [`TextSketch::merge`] (set
-//! union) is commutative and associative with the default sketch as
-//! identity, so sharded ingest merges freely.
+//! order-insensitive and idempotent. Each install's sketch is folded in
+//! the one ingest shard that owns its record, so the pipeline never
+//! merges sketches; [`TextSketch::merge`] exists for the benchmark's
+//! corpus fold.
 
 use crate::sentiment::token_vote;
 use crate::shingle::for_each_token_and_shingle;
@@ -100,7 +101,9 @@ impl TextSketch {
     }
 
     /// Merge another sketch (row-set union). Commutative, associative,
-    /// idempotent; the default sketch is the identity.
+    /// idempotent; the default sketch is the identity. Its one caller is
+    /// the `detect_corpus` workload of `benchmark/`, which merges
+    /// per-install sketches down to groups; ingest never merges.
     pub fn merge(&mut self, other: &TextSketch) {
         self.rows.extend(other.rows.iter().copied());
     }

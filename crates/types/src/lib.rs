@@ -18,7 +18,6 @@ mod account;
 mod app;
 mod id;
 pub mod metrics;
-pub mod online;
 mod permission;
 mod review;
 pub mod snapshot;
@@ -28,7 +27,6 @@ pub use account::{AccountId, AccountService, RegisteredAccount};
 pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};
 pub use id::{AndroidId, GoogleId, InstallId, ParticipantId};
 pub use metrics::FaultCounters;
-pub use online::{Distinct, GapAccum, MinMax};
 pub use permission::{Permission, PermissionList, PermissionProfile};
 pub use review::{Rating, RatingSummary, Review, ReviewEvent};
 pub use snapshot::{FastSnapshot, InstallDelta, ReclaimedBuffer, SlowSnapshot, Snapshot};

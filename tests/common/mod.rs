@@ -113,7 +113,9 @@ pub(crate) fn streaming_fingerprint(out: &StudyOutput) -> String {
         write!(
             s,
             "{:?} installs={} uninstalls={}",
-            r.install_id, r.stream.n_install_events, r.stream.n_uninstall_events
+            r.install_id,
+            r.install_events.len(),
+            r.uninstall_events.len()
         )
         .unwrap();
         let per_app: BTreeMap<_, _> = r
