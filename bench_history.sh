@@ -48,23 +48,11 @@ else
   sha_ni=false
 fi
 
-line="$(jq -c --slurpfile spec BENCHMARK.json \
+line="$(jq -c -L "$PWD" --slurpfile spec BENCHMARK.json \
   --arg commit "$(git rev-parse --short HEAD)" --argjson dirty "$dirty" \
   --argjson nproc "$(nproc)" --argjson sha_ni "$sha_ni" '
-  def median: sort | length as $n
-    | if $n == 0 then null
-      elif $n % 2 == 1 then .[($n - 1) / 2]
-      else (.[$n / 2 - 1] + .[$n / 2]) / 2 end;
-  def quartile($i): sort as $v | length as $m
-    | if $m < 2 then null
-      else ([1, ([($i * ($m + 1) / 4 | floor), $m - 1] | min)] | max) as $j
-        | ($i * ($m + 1) - $j * 4) as $d
-        | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4 end;
-  ["collect.retry.wait_s", "collect.retry.retries", "collect.server.dup_files",
-   "reactor.poll.rounds", "collect.lzss.compress_busy_s", "snapshots_per_s",
-   "alloc.count_per_snapshot", "text.index.scan_busy_s", "ml.cv.busy_s",
-   "ml.gbt.train_busy_s", "scaling_efficiency", "obs.overhead_share",
-   "collect.hash.sha256_mb_per_s"] as $layers
+  include "bench_stats";
+  history_layers as $layers
   | .runs as $runs
   | { commit: $commit, dirty: $dirty, nproc: $nproc, sha_ni: $sha_ni,
       source: "bench_history.sh",
@@ -75,7 +63,7 @@ line="$(jq -c --slurpfile spec BENCHMARK.json \
             key: $m,
             value: ([$runs[] | select(.workload == $w and (.traced | not))
                      | .metrics[] | select(.[0] == $m) | .[1]]
-                    | { median: median, q1: quartile(1), q3: quartile(3) })
+                    | spread)
           }) | from_entries)
           + { layers: ([$runs[] | select(.workload == $w and .traced)
                         | .metrics[] | select(.[0] as $n | $layers | index($n))

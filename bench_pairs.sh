@@ -19,7 +19,18 @@
 # k/N"); then each side's failed operations. A run that failed a check
 # counts its operations as failed and still reports its metrics. Nothing
 # is gated: the exit code is 0 whatever the numbers say (bench_history.sh
-# is the gate). Each run's stderr goes to <scratch>/logs/. Needs jq.
+# is the gate). After the pairs, each side runs each workload once traced
+# (`--trace 1`).
+#
+# The table is also appended to BENCH_history.jsonl as one line in
+# bench_history.sh's shape: commit, dirty, nproc, sha_ni, and per workload
+# the change's median/q1/q3 of each end-to-end metric (which the next
+# bench_history.sh run holds its medians against) and its traced run's
+# `layers`. Beside them: `source: "bench_pairs.sh"`, the parent commit,
+# the pair count, per metric the parent's median/q1/q3 and `change_better`
+# / `of` (pairs the change won / pairs with both values), and the parent's
+# traced `parent_layers`. Each run's stderr goes to <scratch>/logs/ (pair
+# 0 is the traced run). Needs jq.
 set -euo pipefail
 root="$(cd "$(dirname "$0")" && pwd)"
 usage="usage: $0 <parent-rev> <workload>... [--pairs N]"
@@ -68,17 +79,21 @@ for tree in "$parent" "$root"; do
 done
 
 results="$scratch/bench_pairs_results.jsonl"
+traced="$scratch/bench_pairs_traced.jsonl"
 : >"$results"
-# One run from one tree's root; appends its result line, tagged.
+: >"$traced"
+# One run from one tree's root, untraced in pairs 1..N and traced in pair
+# 0; appends its result line, tagged, to $results or $traced.
 run() {
-  local side="$1" tree="$2" w="$3" pair="$4" line
-  line="$(cd "$tree" && bash benchmark/run.sh --workload "$w" --seconds 20 --trace 0 \
+  local side="$1" tree="$2" w="$3" pair="$4" trace=0 out="$results" line
+  if [ "$pair" -eq 0 ]; then trace=1 out="$traced"; fi
+  line="$(cd "$tree" && bash benchmark/run.sh --workload "$w" --seconds 20 --trace "$trace" \
     2>"$scratch/logs/$w.$side.$pair.log" | tail -n 1)" || true
   if ! jq -e 'has("metrics")' <<<"$line" >/dev/null 2>&1; then
     line='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
   fi
   jq -c --arg side "$side" --arg w "$w" --argjson pair "$pair" \
-    '. + {side: $side, workload: $w, pair: $pair}' <<<"$line" >>"$results"
+    '. + {side: $side, workload: $w, pair: $pair}' <<<"$line" >>"$out"
 }
 
 for w in "${workloads[@]}"; do
@@ -92,18 +107,28 @@ for w in "${workloads[@]}"; do
     fi
     echo "$w: pair $i/$pairs done" >&2
   done
+  run parent "$parent" "$w" 0
+  run change "$root" "$w" 0
+  echo "$w: traced runs done" >&2
 done
 
-jq -rs --slurpfile spec "$root/BENCHMARK.json" '
-  def median: sort | length as $n
-    | if $n == 0 then null
-      elif $n % 2 == 1 then .[($n - 1) / 2]
-      else (.[$n / 2 - 1] + .[$n / 2]) / 2 end;
-  def quartile($i): sort as $v | length as $m
-    | if $m < 2 then null
-      else ([1, ([($i * ($m + 1) / 4 | floor), $m - 1] | min)] | max) as $j
-        | ($i * ($m + 1) - $j * 4) as $d
-        | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4 end;
+# One workload's pair table for one end-to-end metric $m, from its
+# untraced runs $r: the change's median/q1/q3, the parent's, and on how
+# many pairs with both values the change was better.
+pair_table='
+  include "bench_stats";
+  def pair_table($r; $m):
+    ([$r[] | select(.side == "parent") | {key: (.pair | tostring), value: .metrics[$m.name].value}]
+     | from_entries) as $pp
+    | [$r[] | select(.side == "change") | .pair as $k | .metrics[$m.name].value as $v
+       | $pp[$k | tostring] as $a
+       | select($a != null and $v != null)
+       | if $m.better == "lower" then $v < $a else $v > $a end] as $wins
+    | ([$r[] | select(.side == "change") | .metrics[$m.name].value // empty] | spread)
+      + { parent: ([$r[] | select(.side == "parent") | .metrics[$m.name].value // empty] | spread),
+          change_better: ($wins | map(select(.)) | length), of: ($wins | length) };'
+
+jq -rs -L "$root" --slurpfile spec "$root/BENCHMARK.json" "$pair_table"'
   def num: if . == null then "n/a" else (. * 1000 | round / 1000 | tostring) end;
   . as $runs
   | ($runs | map(.workload) | unique) as $ws
@@ -111,18 +136,35 @@ jq -rs --slurpfile spec "$root/BENCHMARK.json" '
   | ($runs | map(select(.workload == $w))) as $r
   | "== \($w) (\($r | map(.pair) | max) pairs)",
     ($spec[0].end_to_end[] as $m
-     | [$r[] | select(.side == "parent") | .metrics[$m.name].value // empty] as $p
-     | [$r[] | select(.side == "change") | .metrics[$m.name].value // empty] as $c
-     | ([$r[] | select(.side == "parent") | {key: (.pair | tostring), value: .metrics[$m.name].value}]
-        | from_entries) as $pp
-     | [$r[] | select(.side == "change") | .pair as $k | .metrics[$m.name].value as $v
-        | $pp[$k | tostring] as $a
-        | select($a != null and $v != null)
-        | if $m.better == "lower" then $v < $a else $v > $a end] as $wins
-     | ($p | median) as $pm | ($c | median) as $cm
-     | "  \($m.name): \($pm | num) [\(if ($p | length) < 2 then "n/a" else (($p | quartile(3)) - ($p | quartile(1))) | num end)] -> \($cm | num) \($m.unit)"
-       + "  \(if $pm == null or $cm == null or $pm == 0 then "n/a" else (($cm - $pm) / $pm * 1000 | round / 10 | tostring) + " %" end)"
-       + "  change better \($wins | map(select(.)) | length)/\($wins | length)"),
+     | pair_table($r; $m) as $t
+     | "  \($m.name): \($t.parent.median | num) [\(if $t.parent.q1 == null then "n/a" else ($t.parent.q3 - $t.parent.q1) | num end)] -> \($t.median | num) \($m.unit)"
+       + "  \(if $t.parent.median == null or $t.median == null or $t.parent.median == 0 then "n/a" else (($t.median - $t.parent.median) / $t.parent.median * 1000 | round / 10 | tostring) + " %" end)"
+       + "  change better \($t.change_better)/\($t.of)"),
     ("  failed operations: parent \([$r[] | select(.side == "parent") | .failed] | add) of \([$r[] | select(.side == "parent") | .attempted] | add)"
      + ", change \([$r[] | select(.side == "change") | .failed] | add) of \([$r[] | select(.side == "change") | .attempted] | add)")
 ' "$results"
+
+if [ -n "$(git -C "$root" status --porcelain --untracked-files=no -- . ':!BENCH_history.jsonl')" ]; then
+  dirty=true
+else
+  dirty=false
+fi
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then sha_ni=true; else sha_ni=false; fi
+jq -cs -L "$root" --slurpfile spec "$root/BENCHMARK.json" --slurpfile traced "$traced" \
+  --arg commit "$(git -C "$root" rev-parse --short HEAD)" --argjson dirty "$dirty" \
+  --arg parent "$(git -C "$root" rev-parse --short "$sha")" --argjson pairs "$pairs" \
+  --argjson nproc "$(nproc)" --argjson sha_ni "$sha_ni" "$pair_table"'
+  def layers_of($w; $side):
+    [$traced[] | select(.workload == $w and .side == $side)
+     | .metrics | to_entries[] | select(.key as $n | history_layers | index($n))
+     | { key, value: .value.value }] | from_entries;
+  . as $runs
+  | { commit: $commit, dirty: $dirty, nproc: $nproc, sha_ni: $sha_ni,
+      source: "bench_pairs.sh", parent: $parent, pairs: $pairs,
+      workloads: ($runs | map(.workload) | unique | map(. as $w
+        | ($runs | map(select(.workload == $w))) as $r
+        | { key: $w,
+            value: (($spec[0].end_to_end | map({ key: .name, value: pair_table($r; .) }) | from_entries)
+              + { layers: layers_of($w; "change"), parent_layers: layers_of($w; "parent") }) })
+        | from_entries) }' "$results" >>"$root/BENCH_history.jsonl"
+echo "appended the table to $root/BENCH_history.jsonl" >&2

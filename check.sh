@@ -107,4 +107,9 @@ step "code size (informational)"
 # Non-test Rust lines and `pub` items per crate; both should only go down.
 ./size.sh
 
+step "mutation table (informational)"
+# Counted, not run: ./mutants.sh applies each row and runs its test
+# (~3 min cold); ./mutants.sh --changed runs the rows this diff touches.
+printf '%s rows in mutants.tsv\n' "$(grep -cv -e '^#' -e '^$' mutants.tsv)"
+
 printf '\nAll checks passed.\n'

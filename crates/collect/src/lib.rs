@@ -74,7 +74,7 @@ pub use columnar::{ColumnarSnapshots, ReviewEntry};
 pub use fingerprint::{coalesce_installs, CandidateInstall, CoalescedDevice};
 pub use hash::{crc32, sha256};
 pub use retry::{RetryStats, WireLane};
-pub use server::{IngestScratch, InstallRecord, ProtocolCore};
+pub use server::{AppTable, IngestScratch, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
 pub use stream::{AppStream, StreamAggregates};
 pub use transport::{FaultPlan, MemTransport};

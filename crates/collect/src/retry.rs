@@ -864,8 +864,7 @@ pub(crate) mod tests {
         }
         assert_eq!(buffer.pending_count(), 0, "{plan:?} window {window}");
         let r = store.record(I).expect("record");
-        let mut installed: Vec<AppId> = r.installed_now.iter().copied().collect();
-        installed.sort();
+        let installed: Vec<&AppId> = r.apps.installed().collect();
         format!(
             "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             r.n_fast,

@@ -33,6 +33,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Server-side aggregate for one RacketStore install (one install ID).
+/// Its layout and bytes per install are stated in ARCHITECTURE.md §2,
+/// item 5.
 #[derive(Debug, Clone)]
 pub struct InstallRecord {
     /// The reporting install.
@@ -54,10 +56,10 @@ pub struct InstallRecord {
     /// Foreground observations: app → day → count of fast snapshots with
     /// the app on screen.
     pub foreground: HashMap<AppId, BTreeMap<u64, u64>>,
-    /// Latest metadata for every app ever observed installed.
-    pub apps: HashMap<AppId, InstalledApp>,
-    /// Apps currently installed (as of the latest delta).
-    pub installed_now: HashSet<AppId>,
+    /// Every app ever observed installed: its latest metadata and whether
+    /// it is installed as of the latest delta, one row per app in
+    /// ascending app order.
+    pub apps: AppTable,
     /// Install events observed (app, time) — *during* monitoring.
     pub install_events: Vec<(AppId, SimTime)>,
     /// Uninstall events observed (app, time).
@@ -67,7 +69,8 @@ pub struct InstallRecord {
     /// Latest stopped-app list.
     pub stopped_apps: Vec<AppId>,
     /// Reviews reported by slow snapshots, in arrival order (empty unless
-    /// the fleet collects reviews).
+    /// the fleet collects reviews). Grows by each slow snapshot's whole
+    /// list at once, amortised.
     pub review_events: Vec<ReviewEvent>,
     /// Per-app streaming aggregates folded at the same program points as
     /// the batch-visible vectors above (see [`StreamAggregates`]).
@@ -86,8 +89,7 @@ impl InstallRecord {
             n_slow: 0,
             snapshots_per_day: BTreeMap::new(),
             foreground: HashMap::new(),
-            apps: HashMap::new(),
-            installed_now: HashSet::new(),
+            apps: AppTable::default(),
             install_events: Vec::new(),
             uninstall_events: Vec::new(),
             accounts: Vec::new(),
@@ -122,7 +124,25 @@ impl InstallRecord {
         self.snapshots_per_day.values().sum::<u64>() as f64 / self.snapshots_per_day.len() as f64
     }
 
-    pub(crate) fn ingest(&mut self, snapshot: &Snapshot) {
+    /// Fold one batch of this install's snapshots, in order. Each snapshot
+    /// folds on its own, except into the two sorted containers: the app
+    /// table takes the whole batch's deltas and the text sketch its
+    /// reviews in one merge each, so no order a client sends shifts either
+    /// container once per element.
+    pub(crate) fn ingest(&mut self, snapshots: &[Snapshot]) {
+        let reviews_before = self.review_events.len();
+        for snapshot in snapshots {
+            self.fold(snapshot);
+        }
+        self.apps.apply(snapshots.iter().flat_map(|s| match s {
+            Snapshot::Fast(f) => f.install_events.as_slice(),
+            Snapshot::Slow(_) => &[],
+        }));
+        self.stream
+            .note_reviews(&self.review_events[reviews_before..]);
+    }
+
+    fn fold(&mut self, snapshot: &Snapshot) {
         let t = snapshot.time();
         self.first_seen = self.first_seen.min(t);
         self.last_seen = self.last_seen.max(t);
@@ -139,12 +159,6 @@ impl InstallRecord {
                         .or_insert(0) += 1;
                     self.stream.note_foreground(app);
                 }
-                // A first snapshot lists the whole app set: size the maps
-                // for it once instead of growing them by doubling.
-                if self.apps.is_empty() {
-                    self.apps.reserve(f.install_events.len());
-                    self.installed_now.reserve(f.install_events.len());
-                }
                 for delta in &f.install_events {
                     match delta {
                         InstallDelta::Installed(info) => {
@@ -155,13 +169,10 @@ impl InstallRecord {
                                 self.install_events.push((info.app, info.install_time));
                                 self.stream.note_install(info.app, info.install_time);
                             }
-                            self.installed_now.insert(info.app);
-                            self.apps.insert(info.app, *info);
                         }
                         InstallDelta::Uninstalled { app } => {
                             self.uninstall_events.push((*app, t));
                             self.stream.note_uninstall(*app, t);
-                            self.installed_now.remove(app);
                         }
                     }
                 }
@@ -175,18 +186,201 @@ impl InstallRecord {
                     self.accounts.clone_from(&s.accounts);
                 }
                 self.stopped_apps.clone_from(&s.stopped_apps);
-                for review in &s.review_events {
-                    self.review_events.push(review.clone());
-                    self.stream.note_review(
-                        review.app,
-                        review.reviewer,
-                        review.time,
-                        review.rating,
-                        &review.text,
-                    );
-                }
+                // Reserves room for the whole list once, then clones it in.
+                self.review_events.extend_from_slice(&s.review_events);
             }
         }
+    }
+}
+
+/// One install's app table: a row per app ever observed installed,
+/// sorted by [`AppId`], holding the app's latest [`InstalledApp`] and
+/// whether it is installed as of the latest delta. One binary search
+/// finds both; iteration ascends by app.
+///
+/// Ingest applies each batch of snapshots' deltas in one merge: the last
+/// delta for an app decides whether it is installed, and its row keeps
+/// the last `Installed` metadata. The table grows to exactly its row
+/// count: a first snapshot's apps take one allocation of their number.
+///
+/// A merge moves every row above the batch's lowest new app, so a batch
+/// costs O(rows) at worst: a client that adds one app per upload, in
+/// descending order, pays O(uploads × rows) over the install's life.
+#[derive(Debug, Clone, Default)]
+pub struct AppTable {
+    rows: Vec<AppRow>,
+}
+
+/// One app's row of an [`AppTable`].
+#[derive(Debug, Clone, Copy)]
+struct AppRow {
+    info: InstalledApp,
+    installed: bool,
+}
+
+/// What a run of deltas leaves of one app: the last `Installed`
+/// metadata among them, if any, and whether the last delta installed it.
+#[derive(Clone, Copy)]
+struct Change<'a> {
+    app: AppId,
+    /// The delta's place in its batch, which orders one app's deltas.
+    seq: usize,
+    info: Option<&'a InstalledApp>,
+    installed: bool,
+}
+
+impl<'a> Change<'a> {
+    fn of(seq: usize, delta: &'a InstallDelta) -> Self {
+        match delta {
+            InstallDelta::Installed(info) => Change {
+                app: info.app,
+                seq,
+                info: Some(info),
+                installed: true,
+            },
+            InstallDelta::Uninstalled { app } => Change {
+                app: *app,
+                seq,
+                info: None,
+                installed: false,
+            },
+        }
+    }
+
+    /// This change followed by `next`, a later one for the same app.
+    fn then(self, next: Change<'a>) -> Self {
+        Change {
+            info: next.info.or(self.info),
+            ..next
+        }
+    }
+}
+
+impl AppTable {
+    fn find(&self, app: AppId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&app, |row| row.info.app)
+    }
+
+    /// Apps ever observed installed.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no app was ever observed installed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The app's latest metadata, if it was ever observed installed.
+    pub fn get(&self, app: &AppId) -> Option<&InstalledApp> {
+        self.find(*app).ok().map(|i| &self.rows[i].info)
+    }
+
+    /// Whether the app was ever observed installed.
+    pub fn contains_key(&self, app: &AppId) -> bool {
+        self.find(*app).is_ok()
+    }
+
+    /// Whether the app is installed as of the latest delta.
+    pub fn is_installed(&self, app: &AppId) -> bool {
+        self.find(*app).is_ok_and(|i| self.rows[i].installed)
+    }
+
+    /// Every app ever observed installed, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &AppId> {
+        self.rows.iter().map(|row| &row.info.app)
+    }
+
+    /// Every app's latest metadata, ascending by app.
+    pub fn values(&self) -> impl Iterator<Item = &InstalledApp> {
+        self.rows.iter().map(|row| &row.info)
+    }
+
+    /// The apps installed as of the latest delta, ascending.
+    pub fn installed(&self) -> impl Iterator<Item = &AppId> {
+        self.rows
+            .iter()
+            .filter(|row| row.installed)
+            .map(|row| &row.info.app)
+    }
+
+    /// Apply a batch of deltas in arrival order: sort them by app (an
+    /// ascending batch, such as a first snapshot, in one scan), reduce each
+    /// app's run to one [`Change`] and merge those, so no order costs a
+    /// shift per delta.
+    pub(crate) fn apply<'a>(&mut self, deltas: impl Iterator<Item = &'a InstallDelta>) {
+        let mut changes: Vec<Change> = deltas
+            .enumerate()
+            .map(|(seq, delta)| Change::of(seq, delta))
+            .collect();
+        // Unstable, but the key is unique: it needs no scratch buffer.
+        changes.sort_unstable_by_key(|c| (c.app, c.seq));
+        changes.dedup_by(|later, earlier| {
+            let same = later.app == earlier.app;
+            if same {
+                *earlier = earlier.then(*later);
+            }
+            same
+        });
+        self.merge(&changes);
+    }
+
+    /// Merge changes that ascend by app, one per app: present rows take
+    /// theirs in place, then the table grows to exactly its new length and
+    /// one backward pass moves each old row at most once to make room for
+    /// the new ones. An uninstall of an app the table lacks changes
+    /// nothing.
+    fn merge(&mut self, changes: &[Change]) {
+        let mut added = 0;
+        for &change in changes {
+            match self.find(change.app) {
+                Ok(i) => self.rows[i].apply(change),
+                Err(_) => added += usize::from(change.info.is_some()),
+            }
+        }
+        if added == 0 {
+            return;
+        }
+        // Some change adds a row, so one carries metadata: the filler the
+        // backward pass overwrites.
+        let Some(fill) = changes.iter().copied().find_map(AppRow::new) else {
+            return;
+        };
+        let old = self.rows.len();
+        self.rows.reserve_exact(added);
+        self.rows.resize(old + added, fill);
+        let (mut read, mut write) = (old, old + added);
+        for &change in changes.iter().rev() {
+            let Some(row) = AppRow::new(change) else {
+                continue;
+            };
+            while read > 0 && self.rows[read - 1].info.app > change.app {
+                read -= 1;
+                write -= 1;
+                self.rows[write] = self.rows[read];
+            }
+            if read == 0 || self.rows[read - 1].info.app != change.app {
+                write -= 1;
+                self.rows[write] = row;
+            }
+        }
+    }
+}
+
+impl AppRow {
+    /// The row a change adds, if it carries metadata.
+    fn new(change: Change) -> Option<Self> {
+        change.info.map(|&info| AppRow {
+            info,
+            installed: change.installed,
+        })
+    }
+
+    fn apply(&mut self, change: Change) {
+        if let Some(&info) = change.info {
+            self.info = info;
+        }
+        self.installed = change.installed;
     }
 }
 
@@ -641,7 +835,7 @@ mod tests {
         let rec = store.record(I).unwrap();
         assert_eq!(rec.n_fast, 3);
         assert_eq!(rec.apps.len(), 3);
-        assert!(rec.installed_now.contains(&AppId(1)));
+        assert!(rec.apps.is_installed(&AppId(1)));
         let folded: Vec<u32> = rec.install_events.iter().map(|(app, _)| app.0).collect();
         assert_eq!(folded, [2, 3], "file 1's monitored install, then file 2's");
         assert!(store.record(OTHER).is_none());
@@ -935,7 +1129,7 @@ mod tests {
         }));
         let rec = s.record(I).unwrap();
         assert_eq!(rec.uninstall_events.len(), 1);
-        assert!(!rec.installed_now.contains(&AppId(1)));
+        assert!(!rec.apps.is_installed(&AppId(1)));
         assert!(
             rec.apps.contains_key(&AppId(1)),
             "metadata retained after uninstall"
@@ -1015,6 +1209,108 @@ mod tests {
         let rec = s.record(I).unwrap();
         assert_eq!(rec.review_events, once.review_events);
         assert_eq!(rec.stream.text(), once.stream.text());
+    }
+
+    fn delta(install: bool, app: u32, t: u64) -> InstallDelta {
+        if install {
+            InstallDelta::Installed(InstalledApp::fresh(
+                AppId(app),
+                SimTime::from_secs(t),
+                PermissionProfile::default(),
+                ApkHash([t as u8; 16]),
+            ))
+        } else {
+            InstallDelta::Uninstalled { app: AppId(app) }
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted table against a model of the two hash containers it
+        /// replaced, folded delta by delta. Each snapshot's list is strictly
+        /// ascending (as a first snapshot), descending with repeats, or as
+        /// drawn; the small id and time ranges give repeated
+        /// ids, uninstalls before installs and of unknown apps, and
+        /// reinstalls with a new time.
+        #[test]
+        fn app_table_folds_like_the_containers_it_replaced(
+            snapshots in proptest::collection::vec(
+                (proptest::collection::vec((proptest::prelude::any::<bool>(), 0u32..24, 0u64..4), 0..40), 0u8..3),
+                1..12,
+            )
+        ) {
+            let mut table = AppTable::default();
+            let mut apps = BTreeMap::new();
+            let mut installed = std::collections::BTreeSet::new();
+            for (mut raw, order) in snapshots {
+                match order {
+                    0 => {
+                        raw.sort_by_key(|&(_, app, _)| app);
+                        raw.dedup_by_key(|&mut (_, app, _)| app);
+                    }
+                    1 => raw.sort_by_key(|&(_, app, _)| std::cmp::Reverse(app)),
+                    _ => {}
+                }
+                let deltas: Vec<InstallDelta> =
+                    raw.iter().map(|&(install, app, t)| delta(install, app, t)).collect();
+                for d in &deltas {
+                    match *d {
+                        InstallDelta::Installed(info) => {
+                            installed.insert(info.app);
+                            apps.insert(info.app, info);
+                        }
+                        InstallDelta::Uninstalled { app } => {
+                            installed.remove(&app);
+                        }
+                    }
+                }
+                table.apply(deltas.iter());
+                proptest::prop_assert!(table.keys().is_sorted_by(|a, b| a < b));
+                proptest::prop_assert!(table.keys().eq(apps.keys()));
+                proptest::prop_assert!(table.installed().eq(installed.iter()));
+                for app in (0..24).map(AppId) {
+                    proptest::prop_assert_eq!(table.get(&app), apps.get(&app));
+                    proptest::prop_assert_eq!(table.contains_key(&app), apps.contains_key(&app));
+                    proptest::prop_assert_eq!(table.is_installed(&app), installed.contains(&app));
+                }
+            }
+        }
+    }
+
+    /// An honest first snapshot's ≈ 70 apps land in a table of exactly
+    /// that many rows, and a slow snapshot's review list in a log of
+    /// exactly its length: nothing is sized by doubling past them.
+    #[test]
+    fn a_first_snapshot_and_a_review_list_take_exact_capacity() {
+        let mut rec = InstallRecord::new(I, P, SimTime::from_secs(100));
+        rec.ingest(&[Snapshot::Fast(FastSnapshot {
+            install_id: I,
+            participant_id: P,
+            time: SimTime::from_secs(100),
+            foreground_app: None,
+            screen_on: true,
+            battery_pct: 80,
+            install_events: (0..70).map(|app| delta(true, app, 50)).collect(),
+        })]);
+        assert_eq!((rec.apps.len(), rec.apps.rows.capacity()), (70, 70));
+        let review = |k: u64| ReviewEvent {
+            app: AppId(k as u32 % 70),
+            reviewer: racket_types::GoogleId(k),
+            time: SimTime::from_secs(k),
+            rating: racket_types::Rating::FIVE,
+            text: String::new(),
+        };
+        rec.ingest(&[Snapshot::Slow(SlowSnapshot {
+            install_id: I,
+            participant_id: P,
+            android_id: None,
+            time: SimTime::from_secs(200),
+            accounts: vec![],
+            save_mode: false,
+            stopped_apps: vec![],
+            review_events: (0..111).map(review).collect(),
+        })]);
+        assert_eq!(rec.review_events.capacity(), 111);
+        assert_eq!(rec.stream.text().n_reviews(), 111);
     }
 
     #[test]

@@ -57,31 +57,28 @@ impl ShardedIngest {
     }
 
     /// Ingest a batch of snapshots from one device (callable from any
-    /// thread): the shard lock is taken once for the whole batch.
+    /// thread): the shard lock is taken and the record found once for the
+    /// whole batch.
     pub fn ingest_batch(&self, snapshots: &[Snapshot]) {
         let Some(first) = snapshots.first() else {
             return;
         };
         self.snapshots
             .fetch_add(snapshots.len() as u64, Ordering::Relaxed);
+        debug_assert!(
+            snapshots
+                .iter()
+                .all(|s| s.install_id() == first.install_id()),
+            "a batch must come from one device"
+        );
         let shard = &self.shards[self.shard_of(first.install_id())];
-        let mut map = shard.lock();
-        for snapshot in snapshots {
-            debug_assert_eq!(
-                snapshot.install_id(),
-                first.install_id(),
-                "a batch must come from one device"
-            );
-            map.entry(snapshot.install_id())
-                .or_insert_with(|| {
-                    InstallRecord::new(
-                        snapshot.install_id(),
-                        snapshot.participant_id(),
-                        snapshot.time(),
-                    )
-                })
-                .ingest(snapshot);
-        }
+        shard
+            .lock()
+            .entry(first.install_id())
+            .or_insert_with(|| {
+                InstallRecord::new(first.install_id(), first.participant_id(), first.time())
+            })
+            .ingest(snapshots);
     }
 
     /// Snapshots ingested so far.

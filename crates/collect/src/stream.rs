@@ -19,7 +19,7 @@
 
 use racket_campaign::CampaignSketch;
 use racket_text::TextSketch;
-use racket_types::{AppId, GoogleId, Rating, SimTime};
+use racket_types::{AppId, ReviewEvent, SimTime};
 use std::collections::HashMap;
 
 /// Streaming sufficient statistics for one app on one install.
@@ -51,11 +51,12 @@ pub struct StreamAggregates {
     /// equal to the batch rebuild from the install-event column family by
     /// construction. Never enters feature vectors or fingerprints.
     campaign: CampaignSketch,
-    /// Review-text sketch over the reported review events (the set of
-    /// canonical per-review rows — ARCHITECTURE.md §13). Folded at the
-    /// same program point as the record's review-event vector, so it
-    /// equals the batch rebuild from the columnar review family by
-    /// construction. Stays empty in review-off studies.
+    /// Review-text sketch over the reported review events (the sorted,
+    /// deduplicated canonical per-review rows — ARCHITECTURE.md §13).
+    /// Folded from exactly the reviews the record appends to its
+    /// review-event vector, so it equals the batch rebuild from the
+    /// columnar review family by construction. Stays empty in review-off
+    /// studies.
     text: TextSketch,
 }
 
@@ -110,24 +111,26 @@ impl StreamAggregates {
         self.per_app.entry(app).or_default().fg_total += 1;
     }
 
-    /// Fold one reported review (called exactly when the record pushes
-    /// onto its review-event vector).
-    pub fn note_review(
-        &mut self,
-        app: AppId,
-        reviewer: GoogleId,
-        t: SimTime,
-        rating: Rating,
-        text: &str,
-    ) {
-        self.text
-            .observe(app.raw(), reviewer.raw(), t.as_secs(), rating.stars(), text);
+    /// Fold the reviews a batch of snapshots reported (called once per
+    /// batch with what the record just appended to its review-event
+    /// vector), sorted and merged into the text sketch in one pass.
+    pub fn note_reviews(&mut self, reviews: &[ReviewEvent]) {
+        self.text.observe_all(reviews.iter().map(|r| {
+            (
+                r.app.raw(),
+                r.reviewer.raw(),
+                r.time.as_secs(),
+                r.rating.stars(),
+                r.text.as_str(),
+            )
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use racket_types::{GoogleId, Rating};
 
     const A: AppId = AppId(1);
     const B: AppId = AppId(2);
@@ -165,21 +168,19 @@ mod tests {
 
     #[test]
     fn review_folds_reach_the_text_sketch() {
+        let review = |app, who, t, rating, text: &str| ReviewEvent {
+            app,
+            reviewer: GoogleId(who),
+            time: SimTime::from_secs(t),
+            rating,
+            text: text.to_string(),
+        };
         let mut s = StreamAggregates::new();
-        s.note_review(
-            A,
-            GoogleId(7),
-            SimTime::from_secs(100),
-            Rating::FIVE,
-            "great app",
-        );
-        s.note_review(
-            B,
-            GoogleId(8),
-            SimTime::from_secs(200),
-            Rating::ONE,
-            "crashes a lot",
-        );
+        s.note_reviews(&[
+            review(B, 8, 200, Rating::ONE, "crashes a lot"),
+            review(A, 7, 100, Rating::FIVE, "great app"),
+        ]);
+        s.note_reviews(&[review(A, 7, 100, Rating::FIVE, "great app")]);
         let mut text = TextSketch::default();
         text.observe(A.raw(), 7, 100, 5, "great app");
         text.observe(B.raw(), 8, 200, 1, "crashes a lot");

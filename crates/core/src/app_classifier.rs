@@ -48,12 +48,9 @@ impl AppUsageDataset {
             .collect();
         for &i in &holdout {
             let obs = &out.observations[i];
-            // Sorted app order: the row order of the training set must not
-            // depend on HashMap iteration order, or the fitted model (and
-            // everything downstream of it) varies run to run.
-            let mut apps: Vec<AppId> = obs.record.apps.keys().copied().collect();
-            apps.sort_unstable();
-            for app in &apps {
+            // Ascending app order (the table's): the row order of the
+            // training set fixes the fitted model and everything downstream.
+            for app in obs.record.apps.keys() {
                 let label = if labels.suspicious.contains(app) {
                     1u8
                 } else if labels.non_suspicious.contains(app) {
@@ -264,12 +261,12 @@ impl AppClassifier {
     /// system messaging/call apps (§8.2), so a device whose owner lives
     /// in its system apps reads as organic.
     pub(crate) fn device_suspiciousness(&self, obs: &racket_features::DeviceObservation) -> f64 {
-        let apps: Vec<AppId> = obs.record.apps.keys().copied().collect();
+        let apps = &obs.record.apps;
         if apps.is_empty() {
             return 0.0;
         }
         let flagged = apps
-            .iter()
+            .keys()
             .filter(|&&a| self.suspicion_proba(obs, a) >= 0.5)
             .count();
         flagged as f64 / apps.len() as f64

@@ -231,7 +231,7 @@ impl MeasurementReport {
         let non_gmail_accounts = CohortComparison::new("non_gmail_accounts", r, w);
 
         // Figure 6 — installed / reviewed apps.
-        let (r, w) = split(&|i| out.observations[i].record.installed_now.len() as f64);
+        let (r, w) = split(&|i| out.observations[i].record.apps.installed().count() as f64);
         let installed_apps = CohortComparison::new("installed_apps", r, w);
         let (r, w) = split(&|i| out.observations[i].installed_and_reviewed() as f64);
         let installed_and_reviewed = CohortComparison::new("installed_and_reviewed", r, w);
@@ -250,7 +250,7 @@ impl MeasurementReport {
                     let Some(info) = obs.record.apps.get(app) else {
                         continue;
                     };
-                    if !obs.record.installed_now.contains(app) {
+                    if !obs.record.apps.is_installed(app) {
                         continue;
                     }
                     for review in reviews {
@@ -317,7 +317,7 @@ impl MeasurementReport {
                 };
                 AppsUsedPoint {
                     apps_used_per_day: used,
-                    installed: rec.installed_now.len(),
+                    installed: rec.apps.installed().count(),
                     cohort: cohorts[i],
                 }
             })

@@ -585,7 +585,7 @@ impl Study {
         // sketches were folded at ingest (StreamAggregates::note_install),
         // so the detector reads them straight off the records — no event
         // re-scan. The text sketches folded from reported reviews
-        // (StreamAggregates::note_review) ride along as the second
+        // (StreamAggregates::note_reviews) ride along as the second
         // candidate source; with review collection off every text sketch
         // is empty and the slice stays empty, so the detector runs the
         // event-only path bit-for-bit. The batch path

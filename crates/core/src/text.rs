@@ -1,7 +1,7 @@
 //! Batch review-text sketch rebuild and canonical text fingerprints.
 //!
 //! The streaming engine folds one [`racket_text::TextSketch`] per install
-//! at snapshot-ingest time (`StreamAggregates::note_review`); this module
+//! at snapshot-ingest time (`StreamAggregates::note_reviews`); this module
 //! is the batch half of that contract: [`batch_text_sketches`] rebuilds
 //! every sketch from the columnar review column family, and the two
 //! fingerprint helpers render either side canonically so the scenario
@@ -22,15 +22,15 @@ pub fn batch_text_sketches(out: &StudyOutput) -> Vec<(InstallId, TextSketch)> {
     let mut sketches = Vec::new();
     for i in 0..out.columnar.n_installs() {
         let mut sk = TextSketch::default();
-        for e in out.columnar.reviews_of(i) {
-            sk.observe(
+        sk.observe_all(out.columnar.reviews_of(i).map(|e| {
+            (
                 e.app.raw(),
                 e.reviewer.raw(),
                 e.time.as_secs(),
                 e.rating.stars(),
                 e.text,
-            );
-        }
+            )
+        }));
         if !sk.is_empty() {
             sketches.push((out.columnar.install_id(i), sk));
         }
@@ -39,8 +39,8 @@ pub fn batch_text_sketches(out: &StudyOutput) -> Vec<(InstallId, TextSketch)> {
 }
 
 /// Canonical rendering of one install's text-sketch state: every review
-/// row. Byte-identical iff the sketches are identical (rows are a B-tree
-/// set).
+/// row. Byte-identical iff the sketches are identical (rows are a sorted,
+/// deduplicated set).
 fn render_sketch(out: &mut String, id: InstallId, sk: &TextSketch) {
     use std::fmt::Write;
     let _ = writeln!(out, "install={} reviews={}", id.0, sk.n_reviews());

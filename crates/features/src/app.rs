@@ -114,7 +114,7 @@ pub fn app_features(obs: &DeviceObservation, app: AppId) -> Vec<f64> {
 
     // (7) inner retention: installed coverage inside the monitoring window.
     let installed_before = info.install_time < monitoring.start;
-    let installed_at_end = obs.record.installed_now.contains(&app);
+    let installed_at_end = obs.record.apps.is_installed(&app);
     let retention_start = info.install_time.max(monitoring.start);
     let retention_end = if installed_at_end {
         monitoring.end

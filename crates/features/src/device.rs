@@ -35,7 +35,7 @@ pub const DEVICE_FEATURE_NAMES: [&str; 14] = [
 /// app classifier (0.0 if the caller has no classifier, e.g. in ablations).
 pub fn device_features(obs: &DeviceObservation, app_suspiciousness: f64) -> Vec<f64> {
     let record = &obs.record;
-    let installed: Vec<_> = record.installed_now.iter().collect();
+    let installed: Vec<_> = record.apps.installed().collect();
     let n_pre = installed
         .iter()
         .filter(|a| obs.preinstalled.contains(a))

@@ -53,8 +53,8 @@ impl DeviceObservation {
     /// (Figure 6, center).
     pub fn installed_and_reviewed(&self) -> usize {
         self.record
-            .installed_now
-            .iter()
+            .apps
+            .installed()
             .filter(|app| self.reviews_by_app.get(app).is_some_and(|v| !v.is_empty()))
             .count()
     }

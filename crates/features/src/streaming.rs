@@ -61,7 +61,8 @@ impl DeviceStreamState {
     /// add-for-add like the batch expressions.
     pub fn fold(obs: &DeviceObservation) -> Self {
         let mut state = DeviceStreamState::default();
-        for (&app, info) in &obs.record.apps {
+        for info in obs.record.apps.values() {
+            let app = info.app;
             let mut stream = AppReviewStream::new();
             for review in obs.reviews_for(app) {
                 stream.fold(review, info.install_time, obs.monitoring);
@@ -112,7 +113,7 @@ impl DeviceStreamState {
 
         // (7) inner retention from the last-uninstall latch.
         let installed_before = info.install_time < monitoring.start;
-        let installed_at_end = obs.record.installed_now.contains(&app);
+        let installed_at_end = obs.record.apps.is_installed(&app);
         let retention_start = info.install_time.max(monitoring.start);
         let retention_end = if installed_at_end {
             monitoring.end
@@ -160,11 +161,11 @@ impl DeviceStreamState {
     pub fn device_vector(&self, obs: &DeviceObservation, app_suspiciousness: f64) -> Vec<f64> {
         let record = &obs.record;
         let n_pre = record
-            .installed_now
-            .iter()
+            .apps
+            .installed()
             .filter(|a| obs.preinstalled.contains(a))
             .count();
-        let n_user = record.installed_now.len() - n_pre;
+        let n_user = record.apps.installed().count() - n_pre;
 
         let active_days = record.active_days().max(1) as f64;
         let daily_installs = record.install_events.len() as f64 / active_days;

@@ -13,7 +13,8 @@
 //! * [`sentiment_score`] — a compile-time hashed positive/negative lexicon;
 //! * [`TextSketch`] — the per-install streaming fold: the set of
 //!   canonical [`ReviewRow`]s, each reduced from its review in one scan
-//!   of the text. Observation is idempotent and merge is
+//!   of the text, kept as one sorted, deduplicated vector. Observation is
+//!   idempotent and merge (one linear pass) is
 //!   commutative/associative with the default sketch as identity, which
 //!   is what makes the incremental ingest-time fold byte-identical to a
 //!   batch rebuild from the columnar store;
@@ -24,7 +25,7 @@
 //!   in memory proportional to the rows and the verified pairs.
 //!
 //! Everything here is deterministic: no `RandomState`, no floats in any
-//! state, B-tree ordering throughout.
+//! state, and every collection iterates in sorted order.
 
 #![deny(missing_docs)]
 

@@ -1,20 +1,23 @@
 //! The per-install streaming text sketch.
 //!
-//! A [`TextSketch`] is folded one review at a time at snapshot-ingest
-//! time (inside `StreamAggregates`) and rebuilt in batch from the
-//! columnar review family; both paths must produce identical sketches.
+//! A [`TextSketch`] is folded at snapshot-ingest time (inside
+//! `StreamAggregates`) and rebuilt in batch from the columnar review
+//! family; both paths must produce identical sketches.
 //! The state is engineered for exactly that contract: each review reduces
 //! to one canonical [`ReviewRow`] (a pure function of the review fields)
-//! and the sketch is the B-tree *set* of those rows. Folding is therefore
-//! order-insensitive and idempotent. Each install's sketch is folded in
-//! the one ingest shard that owns its record, so the pipeline never
-//! merges sketches; [`TextSketch::merge`] exists for the benchmark's
-//! corpus fold.
+//! and the sketch is the *set* of those rows, kept as one sorted,
+//! deduplicated vector (40 bytes a row, no node overhead). Folding is
+//! therefore order-insensitive and idempotent. Ingest folds each upload's
+//! reviews, and the batch rebuild each install's, with
+//! [`TextSketch::observe_all`]: one sort of the batch and one linear
+//! merge, whatever order a client sends. Each install's sketch is
+//! folded in the one ingest shard that owns its record, so the pipeline
+//! never merges sketches; [`TextSketch::merge`] (the same linear merge)
+//! exists for the benchmark's corpus fold.
 
 use crate::sentiment::token_vote;
 use crate::shingle::for_each_token_and_shingle;
 use crate::simhash::Votes;
-use std::collections::BTreeSet;
 
 /// Words per shingle: short review texts need narrow shingles to overlap.
 const SHINGLE_K: usize = 2;
@@ -71,10 +74,11 @@ impl ReviewRow {
     }
 }
 
-/// Streaming per-install text state: the set of canonical review rows.
+/// Streaming per-install text state: the set of canonical review rows,
+/// sorted and deduplicated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TextSketch {
-    rows: BTreeSet<ReviewRow>,
+    rows: Vec<ReviewRow>,
 }
 
 impl TextSketch {
@@ -93,11 +97,32 @@ impl TextSketch {
         self.rows.is_empty()
     }
 
-    /// Fold one review. Idempotent: re-folding an identical review leaves
-    /// the sketch unchanged (the row set dedups it).
+    /// Fold one review into its sorted place. Idempotent: re-folding an
+    /// identical review leaves the sketch unchanged.
     pub fn observe(&mut self, app: u32, reviewer: u64, time: u64, rating: u8, text: &str) {
-        self.rows
-            .insert(ReviewRow::of(app, reviewer, time, rating, text));
+        let row = ReviewRow::of(app, reviewer, time, rating, text);
+        if let Err(at) = self.rows.binary_search(&row) {
+            self.rows.insert(at, row);
+        }
+    }
+
+    /// Fold a batch of `(app, reviewer, time, rating, text)` reviews: the
+    /// batch's rows are sorted once and merged in one pass, so no order of
+    /// the batch shifts the sketch once per review. Equal to
+    /// [`TextSketch::observe`] on each review.
+    pub fn observe_all<'t>(
+        &mut self,
+        reviews: impl IntoIterator<Item = (u32, u64, u64, u8, &'t str)>,
+    ) {
+        let mut batch: Vec<ReviewRow> = reviews
+            .into_iter()
+            .map(|(app, reviewer, time, rating, text)| {
+                ReviewRow::of(app, reviewer, time, rating, text)
+            })
+            .collect();
+        batch.sort_unstable();
+        batch.dedup();
+        self.merge_rows(&batch);
     }
 
     /// Merge another sketch (row-set union). Commutative, associative,
@@ -105,7 +130,37 @@ impl TextSketch {
     /// the `detect_corpus` workload of `benchmark/`, which merges
     /// per-install sketches down to groups; ingest never merges.
     pub fn merge(&mut self, other: &TextSketch) {
-        self.rows.extend(other.rows.iter().copied());
+        self.merge_rows(&other.rows);
+    }
+
+    /// Union with `other` (sorted, deduplicated) in place: the vector grows
+    /// to exactly its new length, then one backward pass moves each old
+    /// row above `other`'s lowest new row once. So a fold costs O(rows) at
+    /// worst: a client that sends one review per upload, in descending row
+    /// order, pays O(uploads × rows) over the install's life.
+    fn merge_rows(&mut self, other: &[ReviewRow]) {
+        let added = other
+            .iter()
+            .filter(|row| self.rows.binary_search(row).is_err())
+            .count();
+        if added == 0 {
+            return;
+        }
+        let old = self.rows.len();
+        self.rows.reserve_exact(added);
+        self.rows.resize(old + added, other[0]);
+        let (mut read, mut write) = (old, old + added);
+        for &row in other.iter().rev() {
+            while read > 0 && self.rows[read - 1] > row {
+                read -= 1;
+                write -= 1;
+                self.rows[write] = self.rows[read];
+            }
+            if read == 0 || self.rows[read - 1] != row {
+                write -= 1;
+                self.rows[write] = row;
+            }
+        }
     }
 }
 
@@ -203,24 +258,45 @@ mod tests {
         assert_eq!(a.n_reviews(), 2);
     }
 
-    #[test]
-    fn merge_equals_observing_the_union() {
-        let all = sketch_of(&[
-            (1, 10, 100, 5, "great app works well"),
-            (2, 11, 200, 2, "slow and buggy"),
-            (3, 12, 300, 4, "nice design"),
-        ]);
-        let mut left = sketch_of(&[(1, 10, 100, 5, "great app works well")]);
-        let right = sketch_of(&[
-            (2, 11, 200, 2, "slow and buggy"),
-            (3, 12, 300, 4, "nice design"),
-        ]);
-        left.merge(&right);
-        assert_eq!(left, all);
-        // Identity + idempotence.
-        left.merge(&TextSketch::default());
-        left.merge(&right);
-        assert_eq!(left, all);
+    const TEXTS: [&str; 3] = ["great app works well", "slow and buggy", ""];
+
+    /// Reviews from small ranges (the last field indexes `TEXTS`), so two
+    /// lists share rows.
+    fn arbitrary_reviews() -> impl Strategy<Value = Vec<(u32, u64, u64, u8, usize)>> {
+        proptest::collection::vec((0u32..4, 0u64..3, 0u64..3, 1u8..=5, 0usize..3), 0..24)
+    }
+
+    fn observed(reviews: &[(u32, u64, u64, u8, usize)]) -> TextSketch {
+        let mut s = TextSketch::default();
+        for &(app, who, t, stars, text) in reviews {
+            s.observe(app, who, t, stars, TEXTS[text]);
+        }
+        s
+    }
+
+    proptest! {
+        /// The linear merge of two sketches, overlapping rows included,
+        /// equals observing both review lists into one sketch; so does a
+        /// batch fold of the second list. The default sketch is the
+        /// identity and merging again changes nothing.
+        #[test]
+        fn merge_equals_observing_the_union(
+            left in arbitrary_reviews(),
+            right in arbitrary_reviews(),
+        ) {
+            let union = observed(&[left.clone(), right.clone()].concat());
+            let mut merged = observed(&left);
+            merged.merge(&observed(&right));
+            prop_assert_eq!(&merged, &union);
+            prop_assert!(merged.rows().is_sorted_by(|a, b| a < b));
+            merged.merge(&TextSketch::default());
+            merged.merge(&observed(&right));
+            prop_assert_eq!(&merged, &union);
+
+            let mut batched = observed(&left);
+            batched.observe_all(right.iter().map(|&(a, w, t, r, x)| (a, w, t, r, TEXTS[x])));
+            prop_assert_eq!(&batched, &union);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 # Mutation table runner: proves that a named test guards a named line.
 #
 #   ./mutants.sh [id...]      (no id: every row of mutants.tsv)
+#   ./mutants.sh --changed    (the rows whose file `git diff HEAD` touches)
 #
 # Each row of mutants.tsv (tab-separated, `#` lines are comments) is
 #
@@ -35,11 +36,27 @@ mkdir -p "$logs"
 # Field n (from 1) of a table row; empty fields stay empty.
 field() { cut -f"$2" <<<"$1"; }
 
+# `--changed` selects by file: the paths the working tree's tracked changes
+# touch, one per line with a blank line at each end for whole-line matches.
+changed=""
+if [ "${1:-}" = "--changed" ]; then
+  [ $# -eq 1 ] || { echo "--changed takes no ids" >&2; exit 2; }
+  changed=$'\n'"$(git -C "$root" diff HEAD --name-only)"$'\n'
+fi
+
 rows=()
 while IFS= read -r line; do
   [ -z "$line" ] || [ "${line:0:1}" = "#" ] && continue
-  if [ $# -eq 0 ] || [[ " $* " == *" $(field "$line" 1) "* ]]; then rows+=("$line"); fi
+  if [ -n "$changed" ]; then
+    [[ "$changed" == *$'\n'"$(field "$line" 2)"$'\n'* ]] && rows+=("$line")
+  elif [ $# -eq 0 ] || [[ " $* " == *" $(field "$line" 1) "* ]]; then
+    rows+=("$line")
+  fi
 done <"$table"
+if [ ${#rows[@]} -eq 0 ] && [ -n "$changed" ]; then
+  echo "no row of $table guards a file the working tree changes"
+  exit 0
+fi
 [ ${#rows[@]} -gt 0 ] || { echo "no row of $table matches: $*" >&2; exit 2; }
 
 # A clone left by an earlier run is reset and reused, keeping its build.

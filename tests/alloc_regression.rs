@@ -319,9 +319,10 @@ fn steady_state_slow_snapshot_fold_allocates_nothing() {
 /// however many apps and snapshots it holds: the inflate buffer and the
 /// decode batch are the caller's `IngestScratch`, reused file after file,
 /// and an installed app (permission lists inline) is copied into the
-/// record's existing slot. Each file here is one fast snapshot listing the
+/// record's existing row. Each file here is one fast snapshot listing the
 /// install's apps plus slow snapshots, sent as the install's next file id.
-/// It measures 0 per file; the pin allows 2. A decoder that allocates each
+/// It measures 1 per file (the app table sorts a file's deltas in one
+/// vector); the pin allows 2. A decoder that allocates each
 /// app's three permission lists, and a fold that clones them, cost 210
 /// allocations a file at 50 apps and 834 at 200.
 #[test]

@@ -12,7 +12,6 @@ use racket_agents::FleetConfig;
 use racket_collect::CollectorConfig;
 use racket_features::{app_features, device_features};
 use racket_types::metrics::keys;
-use racket_types::AppId;
 use racketstore::study::{CollectionPath, StudyConfig, StudyOutput};
 use std::collections::BTreeMap;
 use std::ffi::OsString;
@@ -58,10 +57,9 @@ pub(crate) fn data_fingerprint(out: &StudyOutput) -> String {
         .unwrap();
         let foreground: BTreeMap<_, _> = r.foreground.iter().collect();
         write!(s, "{foreground:?}").unwrap();
-        let apps: BTreeMap<_, _> = r.apps.iter().map(|(k, v)| (k, format!("{v:?}"))).collect();
+        let apps: BTreeMap<_, _> = r.apps.values().map(|v| (v.app, format!("{v:?}"))).collect();
         write!(s, "{apps:?}").unwrap();
-        let mut installed: Vec<_> = r.installed_now.iter().collect();
-        installed.sort();
+        let installed: Vec<_> = r.apps.installed().collect();
         write!(
             s,
             "{installed:?}{:?}{:?}{:?}{:?}",
@@ -124,9 +122,7 @@ pub(crate) fn streaming_fingerprint(out: &StudyOutput) -> String {
             .map(|(k, v)| (k, format!("{v:?}")))
             .collect();
         write!(s, "{per_app:?}").unwrap();
-        let mut apps: Vec<AppId> = r.apps.keys().copied().collect();
-        apps.sort_unstable();
-        for app in apps {
+        for &app in r.apps.keys() {
             let bits: Vec<u64> = stream
                 .app_vector(obs, app)
                 .iter()
@@ -155,9 +151,7 @@ pub(crate) fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
         "{context}: streaming state misaligned with observations"
     );
     for (i, (obs, stream)) in out.observations.iter().zip(&out.streaming).enumerate() {
-        let mut apps: Vec<AppId> = obs.record.apps.keys().copied().collect();
-        apps.sort_unstable();
-        for app in apps {
+        for &app in obs.record.apps.keys() {
             let streamed = stream.app_vector(obs, app);
             let batch = app_features(obs, app);
             assert_eq!(streamed.len(), batch.len(), "{context}: app vector arity");
