@@ -58,11 +58,6 @@ step "paper report (release, test scale)"
 # ~6 min on 2 vCPUs: the one-thread sweep is the long pole.
 cargo test --release -p racket-bench --test report -q
 
-step "criterion benches compile"
-# The criterion microbenchmarks must stay buildable even though CI never
-# runs them to completion.
-cargo bench --no-run -q
-
 step "benchmark package smoke (release)"
 # benchmark/ is the one measurement harness and a workspace of its own, so
 # none of the steps above compile it: an API slip in racket-collect or

@@ -10,9 +10,10 @@
 //!    simulator). Workers additionally have *past jobs*: promoted apps
 //!    reviewed from their accounts and since uninstalled — the bulk of the
 //!    208.91 average total reviews per worker device (§6.3, Figure 6).
-//! 2. [`DeviceAgent::plan_day`] — during the monitored window, plans one
-//!    day of timestamped actions (installs, uninstalls, opens, stops,
-//!    reviews) against the device's *current* state. Reviews are scheduled
+//! 2. [`DeviceAgent::plan_day_into`] — during the monitored window, plans
+//!    one day of timestamped actions (installs, uninstalls, opens, stops,
+//!    reviews) against the device's *current* state, into a lane's
+//!    reused [`crate::lane::LaneScratch`]. Reviews are scheduled
 //!    at install time with persona-calibrated delays and fire on the day
 //!    they fall due.
 
@@ -615,28 +616,9 @@ impl DeviceAgent {
     /// device's current state. Install actions schedule their future
     /// reviews; reviews already due today are emitted as actions.
     ///
-    /// Convenience wrapper over [`DeviceAgent::plan_day_into`] with a
-    /// throwaway [`crate::lane::LaneScratch`]; the study driver holds a
-    /// persistent scratch per lane instead. Both go through the same
-    /// planning code, so their RNG draws and output are identical.
-    pub fn plan_day(
-        &mut self,
-        device: &racket_device::Device,
-        catalog: &AppCatalog,
-        day_start: SimTime,
-        horizon: SimTime,
-        rng: &mut impl Rng,
-    ) -> Vec<TimelineAction> {
-        let mut scratch = crate::lane::LaneScratch::new();
-        scratch.seed_indexes(device, catalog, self.params.persona);
-        self.plan_day_into(device, catalog, day_start, horizon, rng, &mut scratch);
-        scratch.actions
-    }
-
-    /// [`DeviceAgent::plan_day`] writing into caller-owned scratch: the
-    /// plan lands in `scratch.actions` (cleared first), the uninstall and
-    /// open pools are read from `scratch`'s incremental indexes instead of
-    /// being rebuilt from the device, and `scratch.shuffle` carries the
+    /// The plan lands in `scratch.actions` (cleared first), the uninstall
+    /// and open pools are read from `scratch`'s incremental indexes instead
+    /// of being rebuilt from the device, and `scratch.shuffle` carries the
     /// uninstall shuffle. Steady state allocates nothing.
     pub fn plan_day_into(
         &mut self,
@@ -866,6 +848,22 @@ mod tests {
         (device, agent, catalog, store)
     }
 
+    /// [`DeviceAgent::plan_day_into`] with a throwaway scratch seeded from
+    /// the device, returning the plan (a lane keeps its scratch instead).
+    fn plan_day(
+        agent: &mut DeviceAgent,
+        device: &Device,
+        catalog: &AppCatalog,
+        day_start: SimTime,
+        horizon: SimTime,
+        rng: &mut impl Rng,
+    ) -> Vec<TimelineAction> {
+        let mut scratch = crate::lane::LaneScratch::new();
+        scratch.seed_indexes(device, catalog, agent.params.persona);
+        agent.plan_day_into(device, catalog, day_start, horizon, rng, &mut scratch);
+        scratch.actions
+    }
+
     #[test]
     fn regular_history_shape() {
         let (device, agent, catalog, store) = setup(Persona::Regular);
@@ -912,7 +910,14 @@ mod tests {
         let (device, mut agent, catalog, _) = setup(Persona::OrganicWorker);
         let mut rng = StdRng::seed_from_u64(3);
         let day = SimTime::from_days(180);
-        let actions = agent.plan_day(&device, &catalog, day, SimTime::from_days(195), &mut rng);
+        let actions = plan_day(
+            &mut agent,
+            &device,
+            &catalog,
+            day,
+            SimTime::from_days(195),
+            &mut rng,
+        );
         for w in actions.windows(2) {
             assert!(w[0].time <= w[1].time, "actions sorted by time");
         }
@@ -929,7 +934,8 @@ mod tests {
         let before_stamp = device.pkg_stamp();
         for day in 180..184 {
             let day_start = SimTime::from_days(day);
-            let actions = agent.plan_day(
+            let actions = plan_day(
+                &mut agent,
                 &device,
                 &catalog,
                 day_start,

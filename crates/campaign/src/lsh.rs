@@ -20,10 +20,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// detection, where workers share a handful of campaign shingles amid
 /// larger organic activity (`j ≈ 0.15` is proposed with probability
 /// ≈ 0.77, `j ≥ 0.3` essentially always).
-pub const LSH_BANDS: usize = 64;
+pub(crate) const LSH_BANDS: usize = 64;
 
 /// Rows per band.
-pub const LSH_ROWS: usize = 2;
+pub(crate) const LSH_ROWS: usize = 2;
 
 /// Propose candidate pairs from a slice of signatures.
 ///

@@ -189,21 +189,17 @@ impl Workspace {
     /// speed. Match comparison runs eight bytes at a time, chain
     /// candidates that cannot win are skipped on one byte, and a winning
     /// look-ahead is carried into the next step instead of searched for
-    /// again; the output is byte-identical to
-    /// [`Workspace::compress_into_scalar`] (property-tested in
-    /// `tests/codec_props.rs`).
+    /// again; the output is byte-identical to the byte-at-a-time
+    /// reference, `compress_impl::<false>` (property-tested in this
+    /// file's `wide_compare_*` unit tests).
     pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
         self.compress_impl::<true>(data, out);
     }
 
-    /// Byte-at-a-time reference implementation of
-    /// [`Workspace::compress_into`]: same tokenizer, scalar match loop,
-    /// every candidate compared in full, every search run afresh. Exists
-    /// so the fast path has an in-tree oracle; not used on any hot path.
-    pub fn compress_into_scalar(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_impl::<false>(data, out);
-    }
-
+    /// The tokenizer. With `WIDE` it is [`Workspace::compress_into`];
+    /// without, it is the reference the tests compare that to: scalar
+    /// match loop, every candidate compared in full, every search run
+    /// afresh.
     fn compress_impl<const WIDE: bool>(&mut self, data: &[u8], out: &mut Vec<u8>) {
         out.clear();
         if data.is_empty() {
@@ -454,6 +450,48 @@ pub(crate) fn decompress_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time reference compressor: the same tokenizer as
+    /// [`Workspace::compress_into`] without any of its shortcuts.
+    fn compress_into_scalar(data: &[u8], out: &mut Vec<u8>) {
+        Workspace::new().compress_impl::<false>(data, out);
+    }
+
+    proptest! {
+        /// The u64-wide match loop is a pure speedup: on arbitrary input the
+        /// wide compressor's stream is byte-identical to the scalar
+        /// reference's, and decompresses back to the input.
+        #[test]
+        fn wide_compare_compressor_matches_scalar_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..4_096)
+        ) {
+            let mut wide_out = Vec::new();
+            let mut scalar_out = Vec::new();
+            Workspace::new().compress_into(&data, &mut wide_out);
+            compress_into_scalar(&data, &mut scalar_out);
+            prop_assert_eq!(&wide_out, &scalar_out);
+            prop_assert_eq!(&decompress(&wide_out).expect("round trip"), &data);
+        }
+
+        /// Same property on the adversarial-for-LZSS case: highly repetitive
+        /// input built from a few symbols, where long overlapping matches and
+        /// the lazy-matching peek dominate (this also drives the doubling
+        /// overlapped-copy path in `decompress_into`).
+        #[test]
+        fn wide_compare_matches_scalar_on_repetitive_input(
+            motif in proptest::collection::vec(0u8..4, 1..24),
+            reps in 1usize..400,
+        ) {
+            let data: Vec<u8> = motif.iter().copied().cycle().take(motif.len() * reps).collect();
+            let mut wide_out = Vec::new();
+            let mut scalar_out = Vec::new();
+            Workspace::new().compress_into(&data, &mut wide_out);
+            compress_into_scalar(&data, &mut scalar_out);
+            prop_assert_eq!(&wide_out, &scalar_out);
+            prop_assert_eq!(&decompress(&wide_out).expect("round trip"), &data);
+        }
+    }
 
     #[test]
     fn hostile_streams_fail_or_stay_within_the_cap() {

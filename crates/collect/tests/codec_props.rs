@@ -190,39 +190,6 @@ proptest! {
         }
     }
 
-    /// The u64-wide match loop is a pure speedup: on arbitrary input the
-    /// wide compressor's stream is byte-identical to the scalar
-    /// reference's, and decompresses back to the input.
-    #[test]
-    fn wide_compare_compressor_matches_scalar_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..4_096)
-    ) {
-        let mut wide_out = Vec::new();
-        let mut scalar_out = Vec::new();
-        lzss::Workspace::new().compress_into(&data, &mut wide_out);
-        lzss::Workspace::new().compress_into_scalar(&data, &mut scalar_out);
-        prop_assert_eq!(&wide_out, &scalar_out);
-        prop_assert_eq!(&lzss::decompress(&wide_out).expect("round trip"), &data);
-    }
-
-    /// Same property on the adversarial-for-LZSS case: highly repetitive
-    /// input built from a few symbols, where long overlapping matches and
-    /// the lazy-matching peek dominate (this also drives the doubling
-    /// overlapped-copy path in `decompress_into`).
-    #[test]
-    fn wide_compare_matches_scalar_on_repetitive_input(
-        motif in proptest::collection::vec(0u8..4, 1..24),
-        reps in 1usize..400,
-    ) {
-        let data: Vec<u8> = motif.iter().copied().cycle().take(motif.len() * reps).collect();
-        let mut wide_out = Vec::new();
-        let mut scalar_out = Vec::new();
-        lzss::Workspace::new().compress_into(&data, &mut wide_out);
-        lzss::Workspace::new().compress_into_scalar(&data, &mut scalar_out);
-        prop_assert_eq!(&wide_out, &scalar_out);
-        prop_assert_eq!(&lzss::decompress(&wide_out).expect("round trip"), &data);
-    }
-
     /// Truncating a valid binary file anywhere inside a record must error,
     /// never panic. (Cuts at record boundaries are valid shorter files —
     /// including the boundary between a slow record's base body and its

@@ -27,11 +27,14 @@
 //! defines the **batch-canonical order**: row sets are kept ascending by
 //! row index, gradient/hessian sums fold in ascending row order, and a
 //! feature's scan visits rows by `(feature value, row index)` — ties
-//! always break toward the lower row. The row-oriented
-//! [`GradientBoosting::fit_reference`] implements exactly the same
-//! order, is kept as the executable specification, and the differential
-//! tests serialize both fits and compare bytes. ARCHITECTURE.md §9
-//! spells out the equivalence argument.
+//! always break toward the lower row. The fit is generic over its
+//! tree-growing step (`GrowTree`): every fit grows with the columnar
+//! search, and this file's tests hold a row-oriented reference grower
+//! that implements exactly the same order by re-sorting at every node.
+//! It is the executable specification: the differential tests run the
+//! same fit scaffolding with either grower, serialize both models and
+//! compare bytes. ARCHITECTURE.md §9 spells out the equivalence
+//! argument.
 
 use crate::persist::{PersistError, Reader, Writer};
 use crate::{Classifier, FeatureImportance};
@@ -217,6 +220,49 @@ fn ping_pong<T>(pair: &mut [Vec<T>; 2], depth: usize) -> (&[T], &mut [T]) {
     }
 }
 
+/// One round's tree growth, the step [`GradientBoosting::fit_with`] is
+/// generic over: [`SplitBuffers`] in every fit, the row-oriented reference
+/// in this file's tests. Static dispatch, so the fit pays no indirection.
+trait GrowTree {
+    /// Grow one tree on the gradients `g` and hessians `h` over the
+    /// round's ascending row sample `idx` (`in_sample` is its mask over
+    /// every row) and the round's sampled features `feats`.
+    fn grow(
+        &mut self,
+        gbt: &mut GradientBoosting,
+        g: &[f64],
+        h: &[f64],
+        idx: &[usize],
+        feats: &[usize],
+        in_sample: &[u8],
+    ) -> RegTree;
+
+    /// Per row, the weight of the leaf that took it in the tree just
+    /// grown, if the grower kept it (read for sampled rows only).
+    fn leaf_weights(&self) -> Option<&[f64]>;
+}
+
+impl GrowTree for SplitBuffers {
+    fn grow(
+        &mut self,
+        gbt: &mut GradientBoosting,
+        g: &[f64],
+        h: &[f64],
+        idx: &[usize],
+        feats: &[usize],
+        in_sample: &[u8],
+    ) -> RegTree {
+        let mut nodes = Vec::new();
+        self.load_root(idx, feats, in_sample);
+        gbt.grow_buffers(&mut nodes, self, g, h, feats, (0, idx.len()), 0);
+        RegTree { nodes }
+    }
+
+    fn leaf_weights(&self) -> Option<&[f64]> {
+        Some(&self.leaf_weight)
+    }
+}
+
 /// Gradient-boosted tree ensemble with logistic loss.
 #[derive(Debug, Clone)]
 pub struct GradientBoosting {
@@ -257,95 +303,6 @@ impl GradientBoosting {
         1.0 / (1.0 + (-z).exp())
     }
 
-    /// Grow one regression tree on gradients/hessians over `rows` —
-    /// row-oriented **reference** implementation.
-    ///
-    /// This is the executable specification of the split search: the
-    /// columnar [`GradientBoosting::grow_buffers`] must produce bit-identical
-    /// trees (the `fit_matches_reference` tests and the
-    /// scenario matrix's training check enforce it). Everything folds in
-    /// the batch-canonical order:
-    ///
-    /// * `rows` is ascending by row index and the gradient/hessian sums
-    ///   fold in that order;
-    /// * each feature's scan order is a fresh stable sort of `rows` by
-    ///   feature value, so ties are visited in ascending row order;
-    /// * children partition `rows`, preserving ascending order.
-    #[allow(clippy::too_many_arguments)]
-    fn grow_reference(
-        &mut self,
-        tree: &mut Vec<RegNode>,
-        x: &[Vec<f64>],
-        g: &[f64],
-        h: &[f64],
-        rows: &[usize],
-        feats: &[usize],
-        depth: usize,
-    ) -> usize {
-        let g_sum: f64 = rows.iter().map(|&i| g[i]).sum();
-        let h_sum: f64 = rows.iter().map(|&i| h[i]).sum();
-        let lambda = self.params.lambda;
-
-        let leaf = |tree: &mut Vec<RegNode>| {
-            tree.push(RegNode::Leaf {
-                weight: -g_sum / (h_sum + lambda),
-            });
-            tree.len() - 1
-        };
-
-        if depth >= self.params.max_depth || rows.len() < 2 {
-            return leaf(tree);
-        }
-
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for &f in feats {
-            let mut order: Vec<usize> = rows.to_vec();
-            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("NaN feature value"));
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for w in 0..order.len() - 1 {
-                let i = order[w];
-                gl += g[i];
-                hl += h[i];
-                if x[order[w]][f] == x[order[w + 1]][f] {
-                    continue;
-                }
-                let hr = h_sum - hl;
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
-                    continue;
-                }
-                let gr = g_sum - gl;
-                let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
-                    - self.params.gamma;
-                if gain > best.map_or(1e-12, |(_, _, bg)| bg) {
-                    let threshold = (x[order[w]][f] + x[order[w + 1]][f]) / 2.0;
-                    best = Some((f, threshold, gain));
-                }
-            }
-        }
-
-        let Some((feature, threshold, gain)) = best else {
-            return leaf(tree);
-        };
-        self.gain_importance[feature] += gain;
-
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-            rows.iter().partition(|&&i| x[i][feature] <= threshold);
-
-        let slot = tree.len();
-        tree.push(RegNode::Leaf { weight: 0.0 }); // placeholder
-        let left = self.grow_reference(tree, x, g, h, &left_rows, feats, depth + 1);
-        let right = self.grow_reference(tree, x, g, h, &right_rows, feats, depth + 1);
-        tree[slot] = RegNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        slot
-    }
-
     /// Whether a node of `n_rows` rows at `depth` searches for a split;
     /// one that does not is a leaf, and never reads its pair stripes.
     fn scans(&self, depth: usize, n_rows: usize) -> bool {
@@ -355,7 +312,8 @@ impl GradientBoosting {
     /// Grow the node `[lo, hi)` at `depth` (see [`SplitBuffers`]) and its
     /// subtree — the default path.
     ///
-    /// Bit-identical to [`GradientBoosting::grow_reference`]: the node's
+    /// Bit-identical to the tests' row-oriented reference grower, which
+    /// re-sorts at every node and folds in ascending row order: the node's
     /// rows are ascending and each stripe is sorted by
     /// `(value, row index)`, a stable partition by the split predicate
     /// keeps both true for the children, and a fresh stable sort of
@@ -492,19 +450,11 @@ impl GradientBoosting {
         z.into_iter().map(Self::sigmoid).collect()
     }
 
-    /// Fit with the row-oriented reference split search.
-    ///
-    /// Identical results to [`Classifier::fit`], kept as the executable
-    /// specification for the columnar engine; the differential tests
-    /// serialize both fits and compare bytes.
-    pub fn fit_reference(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_impl(x, y, true);
-    }
-
-    /// Shared fit scaffolding: base score, per-round gradients,
-    /// subsampling (one RNG stream regardless of path), tree growth via
-    /// the columnar or the reference search, margin updates.
-    fn fit_impl(&mut self, x: &[Vec<f64>], y: &[u8], reference: bool) {
+    /// The fit's scaffolding around a tree grower: base score, per-round
+    /// gradients, subsampling (one RNG stream whatever the grower), one
+    /// tree a round, margin updates. `grower` builds the grower from the
+    /// number of features each round samples.
+    fn fit_with<G: GrowTree>(&mut self, x: &[Vec<f64>], y: &[u8], grower: impl FnOnce(usize) -> G) {
         crate::validate_xy(x, y);
         self.n_features = x[0].len();
         self.trees.clear();
@@ -520,7 +470,7 @@ impl GradientBoosting {
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let n_cols = ((self.n_features as f64) * self.params.colsample).ceil() as usize;
         let n_rows = ((n as f64) * self.params.subsample).ceil() as usize;
-        let mut bufs = (!reference).then(|| SplitBuffers::new(x, n_cols));
+        let mut grower = grower(n_cols);
 
         let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
         // The round's row sample: as a mask, and ascending (the
@@ -563,23 +513,14 @@ impl GradientBoosting {
             // uniformly across configurations.
             let _: u32 = rng.gen();
 
-            let mut nodes = Vec::new();
-            match &mut bufs {
-                Some(bufs) => {
-                    bufs.load_root(&idx, &feats, &in_sample);
-                    self.grow_buffers(&mut nodes, bufs, &g, &h, &feats, (0, idx.len()), 0);
-                }
-                None => {
-                    self.grow_reference(&mut nodes, x, &g, &h, &idx, &feats, 0);
-                }
-            }
-            let tree = RegTree { nodes };
+            let tree = grower.grow(self, &g, &h, &idx, &feats, &in_sample);
 
             // The search already knows the leaf of every row it trained
             // on; only the rows left out of the round walk the tree.
+            let leaf_weight = grower.leaf_weights();
             for i in 0..n {
-                let weight = match &bufs {
-                    Some(bufs) if in_sample[i] == 1 => bufs.leaf_weight[i],
+                let weight = match leaf_weight {
+                    Some(known) if in_sample[i] == 1 => known[i],
                     _ => tree.predict(&x[i]),
                 };
                 margins[i] += self.params.learning_rate * weight;
@@ -591,7 +532,7 @@ impl GradientBoosting {
 
 impl Classifier for GradientBoosting {
     fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_impl(x, y, false);
+        self.fit_with(x, y, |n_cols| SplitBuffers::new(x, n_cols));
     }
 
     fn predict_proba(&self, row: &[f64]) -> f64 {
@@ -732,6 +673,128 @@ impl GradientBoosting {
 mod tests {
     use super::*;
 
+    /// The reference grower: [`grow_reference`] from the root over the
+    /// round's sample. It keeps no leaf weights, so every row's margin
+    /// update walks the tree.
+    struct Reference<'a> {
+        x: &'a [Vec<f64>],
+    }
+
+    impl GrowTree for Reference<'_> {
+        fn grow(
+            &mut self,
+            gbt: &mut GradientBoosting,
+            g: &[f64],
+            h: &[f64],
+            idx: &[usize],
+            feats: &[usize],
+            _in_sample: &[u8],
+        ) -> RegTree {
+            let mut nodes = Vec::new();
+            grow_reference(gbt, &mut nodes, self.x, g, h, idx, feats, 0);
+            RegTree { nodes }
+        }
+
+        fn leaf_weights(&self) -> Option<&[f64]> {
+            None
+        }
+    }
+
+    /// Fit with the row-oriented reference split search: the fit's own
+    /// scaffolding, so the same RNG stream, gradients and margins.
+    fn fit_reference(gbt: &mut GradientBoosting, x: &[Vec<f64>], y: &[u8]) {
+        gbt.fit_with(x, y, |_| Reference { x });
+    }
+
+    /// Grow one regression tree on gradients/hessians over `rows` —
+    /// row-oriented **reference** implementation.
+    ///
+    /// This is the executable specification of the split search: the
+    /// columnar [`GradientBoosting::grow_buffers`] must produce bit-identical
+    /// trees (`columnar_fit_matches_reference_bitwise` and
+    /// `columnar_fit_is_bitwise_reference` enforce it). Everything folds in
+    /// the batch-canonical order:
+    ///
+    /// * `rows` is ascending by row index and the gradient/hessian sums
+    ///   fold in that order;
+    /// * each feature's scan order is a fresh stable sort of `rows` by
+    ///   feature value, so ties are visited in ascending row order;
+    /// * children partition `rows`, preserving ascending order.
+    #[allow(clippy::too_many_arguments)]
+    fn grow_reference(
+        gbt: &mut GradientBoosting,
+        tree: &mut Vec<RegNode>,
+        x: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        rows: &[usize],
+        feats: &[usize],
+        depth: usize,
+    ) -> usize {
+        let g_sum: f64 = rows.iter().map(|&i| g[i]).sum();
+        let h_sum: f64 = rows.iter().map(|&i| h[i]).sum();
+        let lambda = gbt.params.lambda;
+
+        let leaf = |tree: &mut Vec<RegNode>| {
+            tree.push(RegNode::Leaf {
+                weight: -g_sum / (h_sum + lambda),
+            });
+            tree.len() - 1
+        };
+
+        if depth >= gbt.params.max_depth || rows.len() < 2 {
+            return leaf(tree);
+        }
+
+        let parent_score = g_sum * g_sum / (h_sum + lambda);
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &f in feats {
+            let mut order: Vec<usize> = rows.to_vec();
+            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("NaN feature value"));
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for w in 0..order.len() - 1 {
+                let i = order[w];
+                gl += g[i];
+                hl += h[i];
+                if x[order[w]][f] == x[order[w + 1]][f] {
+                    continue;
+                }
+                let hr = h_sum - hl;
+                if hl < gbt.params.min_child_weight || hr < gbt.params.min_child_weight {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                    - gbt.params.gamma;
+                if gain > best.map_or(1e-12, |(_, _, bg)| bg) {
+                    let threshold = (x[order[w]][f] + x[order[w + 1]][f]) / 2.0;
+                    best = Some((f, threshold, gain));
+                }
+            }
+        }
+
+        let Some((feature, threshold, gain)) = best else {
+            return leaf(tree);
+        };
+        gbt.gain_importance[feature] += gain;
+
+        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+            rows.iter().partition(|&&i| x[i][feature] <= threshold);
+
+        let slot = tree.len();
+        tree.push(RegNode::Leaf { weight: 0.0 }); // placeholder
+        let left = grow_reference(gbt, tree, x, g, h, &left_rows, feats, depth + 1);
+        let right = grow_reference(gbt, tree, x, g, h, &right_rows, feats, depth + 1);
+        tree[slot] = RegNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        slot
+    }
+
     fn two_moons_like(n: usize) -> (Vec<Vec<f64>>, Vec<u8>) {
         // Deterministic non-linear boundary: label = (x0² + x1 > 4).
         let mut x = Vec::new();
@@ -845,36 +908,78 @@ mod tests {
         });
     }
 
+    /// A matrix shaped like the app-usage dataset the study trains on
+    /// (half-mid scale, seed 7): 1,520 rows, 21 columns holding exactly
+    /// these numbers of distinct values — one constant column, several
+    /// binary ones, and near-unique ones with up to 893 values — and about
+    /// three positives in four.
+    fn app_matrix_like() -> (Vec<Vec<f64>>, Vec<u8>) {
+        const DISTINCT: [u64; 21] = [
+            14, 6, 1, 893, 892, 632, 631, 632, 2, 158, 35, 754, 2, 2, 4, 10, 10, 5, 17, 3, 3,
+        ];
+        let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let mut x = Vec::with_capacity(1520);
+        let mut y = Vec::with_capacity(1520);
+        for i in 0..1520u64 {
+            // The first k rows of a k-valued column walk all k values (101
+            // is coprime to every k), so each occurs; the rest are drawn.
+            let row: Vec<f64> = DISTINCT
+                .iter()
+                .zip(0u64..)
+                .map(|(&k, f)| if i < k { (i * 101 + f * 37) % k } else { next() % k } as f64)
+                .collect();
+            let score = row[3] / 893.0 + row[9] / 158.0 + row[10] / 35.0;
+            let label = u8::from(score > 1.1);
+            y.push(if next() % 200 == 0 { 1 - label } else { label });
+            x.push(row);
+        }
+        (x, y)
+    }
+
     #[test]
     fn columnar_fit_matches_reference_bitwise() {
         // Integer-ish features force heavy ties — the case where the
-        // stable-sort tie-order argument actually matters.
-        let (x, y) = two_moons_like(150);
-        let params = GradientBoostingParams {
-            n_rounds: 40,
-            subsample: 0.8,
-            colsample: 0.5,
-            ..GradientBoostingParams::default()
-        };
-        let mut columnar = GradientBoosting::new(params.clone());
-        let mut reference = GradientBoosting::new(params);
-        columnar.fit(&x, &y);
-        reference.fit_reference(&x, &y);
-        assert_eq!(
-            columnar.to_bytes(),
-            reference.to_bytes(),
-            "columnar and reference fits must serialize identically"
-        );
-        for row in &x {
+        // stable-sort tie-order argument actually matters — and the
+        // app-shaped matrix at default params is the realistic case.
+        let cases = [
+            (
+                two_moons_like(150),
+                GradientBoostingParams {
+                    n_rounds: 40,
+                    subsample: 0.8,
+                    colsample: 0.5,
+                    ..GradientBoostingParams::default()
+                },
+            ),
+            (app_matrix_like(), GradientBoostingParams::default()),
+        ];
+        for ((x, y), params) in cases {
+            let mut columnar = GradientBoosting::new(params.clone());
+            let mut reference = GradientBoosting::new(params);
+            columnar.fit(&x, &y);
+            fit_reference(&mut reference, &x, &y);
             assert_eq!(
-                columnar.predict_proba(row).to_bits(),
-                reference.predict_proba(row).to_bits()
+                columnar.to_bytes(),
+                reference.to_bytes(),
+                "columnar and reference fits must serialize identically"
+            );
+            for row in &x {
+                assert_eq!(
+                    columnar.predict_proba(row).to_bits(),
+                    reference.predict_proba(row).to_bits()
+                );
+            }
+            assert_eq!(
+                columnar.feature_importances(),
+                reference.feature_importances()
             );
         }
-        assert_eq!(
-            columnar.feature_importances(),
-            reference.feature_importances()
-        );
     }
 
     #[test]
@@ -947,7 +1052,7 @@ mod tests {
                 let mut columnar = GradientBoosting::new(params.clone());
                 let mut reference = GradientBoosting::new(params);
                 columnar.fit(&x, &y);
-                reference.fit_reference(&x, &y);
+                fit_reference(&mut reference, &x, &y);
                 prop_assert_eq!(columnar.to_bytes(), reference.to_bytes());
                 let bits = |m: &GradientBoosting| -> Vec<u64> {
                     m.feature_importances().iter().map(|v| v.to_bits()).collect()

@@ -49,26 +49,24 @@ pub(crate) fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {
     }
 }
 
-/// The token hashes of `text`, collected (test/diagnostic convenience;
-/// hot paths fold the scan without collecting).
-/// Number of tokens in `text`.
-#[cfg(test)]
-pub(crate) fn token_count(text: &str) -> usize {
-    let mut n = 0;
-    for_each_token_hash(text, |_| n += 1);
-    n
-}
-
-#[cfg(test)]
-pub(crate) fn token_hashes(text: &str) -> Vec<u64> {
-    let mut out = Vec::new();
-    for_each_token_hash(text, |h| out.push(h));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of tokens in `text`.
+    fn token_count(text: &str) -> usize {
+        let mut n = 0;
+        for_each_token_hash(text, |_| n += 1);
+        n
+    }
+
+    /// The token hashes of `text`, collected (hot paths fold the scan
+    /// without collecting).
+    fn token_hashes(text: &str) -> Vec<u64> {
+        let mut out = Vec::new();
+        for_each_token_hash(text, |h| out.push(h));
+        out
+    }
 
     #[test]
     fn tokens_are_alphanumeric_runs() {

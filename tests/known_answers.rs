@@ -127,8 +127,8 @@ fn gbt_matrix() -> (Vec<Vec<f64>>, Vec<u8>) {
 }
 
 /// The boosted ensemble's bytes, pinned as literals. The differential
-/// tests (`fit` ≡ `fit_reference`, `tests/matrix.rs`) run
-/// both searches through one `fit_impl`, so a slip in the shared
+/// tests (`fit` ≡ `fit_reference`, `racket-ml`'s `gbt.rs` unit tests) run
+/// both searches through one `fit_with`, so a slip in the shared
 /// scaffolding — the RNG stream, the canonical row order, the margin
 /// update — moves both sides together; this does not move. Computed at
 /// `f8365cb`, when every node owned a `Vec` of sorted pair lists, and

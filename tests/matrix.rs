@@ -5,9 +5,11 @@
 //! * [`fleet_generation_is_thread_invariant`]: `Fleet::generate` gives the
 //!   same fleet at 1 and 8 worker threads;
 //! * [`training_and_scoring_match_their_references`]: on one test-scale
-//!   study, GBT `fit` ≡ `fit_reference` bytes, `predict_proba_batch` ≡
-//!   `predict_proba`, streaming ≡ batch verdicts, and each stage's span
-//!   completed once.
+//!   study, `predict_proba_batch` ≡ `predict_proba`, streaming ≡ batch
+//!   verdicts, and each stage's span completed once. (GBT `fit` ≡ the
+//!   row-oriented reference search runs in `racket-ml`'s unit tests, on
+//!   a matrix shaped like the study's app matrix: the reference is a
+//!   test-only item.)
 //!
 //! The two tests may run concurrently: [`with_threads`] serialises every
 //! study behind one lock and restores the worker count it found.
@@ -80,19 +82,11 @@ fn training_and_scoring_match_their_references() {
         let out = Study::new(StudyConfig::test_scale()).run();
         assert_columnar_mirrors_records(&out, "test-scale/wire/clean");
 
-        // Study-derived app feature matrix: the presorted columnar split
-        // search must reproduce the row-oriented reference byte for byte.
+        // Study-derived app feature matrix.
         let labels = label_apps(&out, &LabelingConfig::test_scale());
         let ds = AppUsageDataset::build(&out, &labels);
         let mut columnar = GradientBoosting::new(GradientBoostingParams::default());
         columnar.fit(&ds.data.x, &ds.data.y);
-        let mut reference = GradientBoosting::new(GradientBoostingParams::default());
-        reference.fit_reference(&ds.data.x, &ds.data.y);
-        assert_eq!(
-            columnar.to_bytes(),
-            reference.to_bytes(),
-            "columnar and reference split searches must agree byte-for-byte"
-        );
 
         // Flat-matrix batch scoring == per-row scoring, bitwise.
         let flat = FlatMatrix::from_rows(&ds.data.x);

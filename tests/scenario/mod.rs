@@ -82,9 +82,13 @@
 //!     (installs, events, reviews) is equal on every row of a slice.
 //! 11. **Training and scoring equal their references**
 //!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
-//!     study: GBT `fit` ≡ `fit_reference` bytes, `predict_proba_batch` ≡
-//!     `predict_proba`, streaming ≡ batch verdicts, each stage's span
-//!     completed once.
+//!     study: `predict_proba_batch` ≡ `predict_proba`, streaming ≡ batch
+//!     verdicts, each stage's span completed once. GBT `fit` ≡ the
+//!     row-oriented reference fit, byte for byte, is a unit test of
+//!     `racket-ml` (`gbt.rs`, `columnar_fit_matches_reference_bitwise`
+//!     on a 1,520 × 21 matrix shaped like the study's app matrix, and the
+//!     `columnar_fit_is_bitwise_reference` proptest), because the
+//!     reference grower is a test-only item.
 //!
 //! Tests in one binary may run concurrently: [`with_threads`] serialises
 //! every study behind one lock and restores the worker count it found.
