@@ -21,7 +21,7 @@ use crate::dist::poisson;
 use crate::params::PersonaParams;
 use racket_playstore::{AppCatalog, GoogleIdDirectory, ReviewStore};
 use racket_types::{
-    AccountId, AccountService, AppId, GoogleId, Permission, PermissionProfile, Persona, Rating,
+    AccountId, AccountService, AppId, GoogleId, PermissionProfile, PermissionSet, Persona, Rating,
     RegisteredAccount, Review, SimDuration, SimTime,
 };
 use rand::seq::SliceRandom;
@@ -312,7 +312,7 @@ impl DeviceAgent {
     /// permissions (§6.3 "App Permissions").
     fn permission_profile(
         &self,
-        requested: &[Permission],
+        requested: PermissionSet,
         rng: &mut impl Rng,
     ) -> PermissionProfile {
         let deny_prob = match self.params.persona {
@@ -321,14 +321,14 @@ impl DeviceAgent {
             Persona::DedicatedWorker => 0.05,
         };
         let mut profile = PermissionProfile {
-            requested: requested.iter().copied().collect(),
+            requested,
             ..PermissionProfile::default()
         };
-        for p in requested.iter().filter(|p| p.is_dangerous()) {
+        for p in requested.dangerous().iter() {
             if rng.gen_bool(deny_prob) {
-                profile.denied.push(*p);
+                profile.denied.insert(p);
             } else {
-                profile.granted.push(*p);
+                profile.granted.insert(p);
             }
         }
         profile
@@ -484,7 +484,7 @@ impl DeviceAgent {
             let meta = catalog.app(app);
             device.preinstall_app(
                 app,
-                PermissionProfile::grant_all(&meta.permissions),
+                PermissionProfile::grant_all(meta.permissions),
                 meta.apk_hash,
             );
             // Regular users live in their system apps (store, mail, browser).
@@ -511,7 +511,7 @@ impl DeviceAgent {
             }
             let meta = catalog.app(app);
             let install_time = SimTime::from_secs(rng.gen_range(0..history_secs));
-            let profile = self.permission_profile(&meta.permissions, rng);
+            let profile = self.permission_profile(meta.permissions, rng);
             device.install_app(app, install_time, profile, meta.apk_hash);
 
             let is_promo = catalog.promoted_apps().contains(&app);
@@ -769,11 +769,12 @@ pub fn apply_action_collecting(
             // already exercised for the history base, and §7.1 permission
             // features mix both.
             let profile = if rng.gen_bool(0.85) {
-                PermissionProfile::grant_all(&meta.permissions)
+                PermissionProfile::grant_all(meta.permissions)
             } else {
-                let mut p = PermissionProfile::grant_all(&meta.permissions);
-                if let Some(d) = p.granted.pop() {
-                    p.denied.push(d);
+                let mut p = PermissionProfile::grant_all(meta.permissions);
+                if let Some(d) = p.granted.iter().last() {
+                    p.granted.remove(d);
+                    p.denied.insert(d);
                 }
                 p
             };

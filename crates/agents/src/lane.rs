@@ -200,7 +200,7 @@ mod tests {
             device.install_app(
                 app,
                 t,
-                racket_types::PermissionProfile::grant_all(&meta.permissions),
+                racket_types::PermissionProfile::grant_all(meta.permissions),
                 meta.apk_hash,
             );
             scratch.note_install(app, &catalog, persona);

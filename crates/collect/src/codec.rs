@@ -42,7 +42,7 @@
 use crate::collector::SnapshotBatch;
 use racket_types::{
     AccountId, AccountService, AndroidId, ApkHash, AppId, FastSnapshot, GoogleId, InstallDelta,
-    InstallId, InstalledApp, ParticipantId, Permission, PermissionList, PermissionProfile, Rating,
+    InstallId, InstalledApp, ParticipantId, Permission, PermissionProfile, PermissionSet, Rating,
     RegisteredAccount, ReviewEvent, SimTime, SlowSnapshot, Snapshot,
 };
 
@@ -100,20 +100,20 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_permissions(out: &mut Vec<u8>, perms: &[Permission]) {
+/// A permission set as a count and one discriminant byte each, in
+/// catalog order.
+fn put_permissions(out: &mut Vec<u8>, perms: PermissionSet) {
     out.extend_from_slice(&(perms.len() as u32).to_le_bytes());
-    for &p in perms {
-        out.push(p as u8);
-    }
+    out.extend(perms.iter().map(|p| p as u8));
 }
 
 fn put_installed_app(out: &mut Vec<u8>, app: &InstalledApp) {
     out.extend_from_slice(&app.app.raw().to_le_bytes());
     out.extend_from_slice(&app.install_time.as_secs().to_le_bytes());
     out.extend_from_slice(&app.last_update.as_secs().to_le_bytes());
-    put_permissions(out, &app.permissions.requested);
-    put_permissions(out, &app.permissions.granted);
-    put_permissions(out, &app.permissions.denied);
+    put_permissions(out, app.permissions.requested);
+    put_permissions(out, app.permissions.granted);
+    put_permissions(out, app.permissions.denied);
     out.extend_from_slice(app.apk_hash.bytes());
     out.push(app.stopped as u8);
     out.push(app.preinstalled as u8);
@@ -331,19 +331,24 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// One permission list. It holds at most one entry per catalog
-    /// permission, so a longer list is corrupt.
-    fn permissions(&mut self) -> Result<PermissionList, DecodeError> {
+    /// One permission set. It names each catalog permission at most once,
+    /// so a longer list, or one that repeats a permission, is corrupt.
+    fn permissions(&mut self) -> Result<PermissionSet, DecodeError> {
         let n = self.count(1)?;
-        let mut perms = PermissionList::new();
+        if n > Permission::ALL.len() {
+            return Err(DecodeError::Corrupt(
+                "permission list longer than the catalog",
+            ));
+        }
+        let mut perms = PermissionSet::default();
         for _ in 0..n {
             let i = self.u8()? as usize;
             let p = *Permission::ALL
                 .get(i)
                 .ok_or(DecodeError::Corrupt("permission discriminant out of range"))?;
-            perms
-                .try_push(p)
-                .map_err(|_| DecodeError::Corrupt("permission list longer than the catalog"))?;
+            if !perms.insert(p) {
+                return Err(DecodeError::Corrupt("repeated permission"));
+            }
         }
         Ok(perms)
     }
@@ -719,6 +724,25 @@ mod tests {
             Err(DecodeError::Corrupt(
                 "permission list longer than the catalog"
             ))
+        ));
+    }
+
+    #[test]
+    fn a_repeated_permission_is_corrupt() {
+        // `installed()` requests Internet and Camera, written in catalog
+        // order; naming Internet twice keeps the count and the length.
+        let mut buf = Vec::new();
+        encode_record(&fast(vec![installed()]), &mut buf);
+        let mut list = 2u32.to_le_bytes().to_vec();
+        list.extend([Permission::Internet as u8, Permission::Camera as u8]);
+        let at = buf
+            .windows(list.len())
+            .position(|w| w == list.as_slice())
+            .expect("the requested list is in the record");
+        buf[at + 5] = Permission::Internet as u8;
+        assert!(matches!(
+            decode_file(&buf),
+            Err(DecodeError::Corrupt("repeated permission"))
         ));
     }
 

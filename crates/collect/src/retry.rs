@@ -55,7 +55,7 @@ use crate::async_server::{self, AsyncConn, Connection};
 use crate::buffer::{DataBuffer, StageTimers};
 use crate::server::{IngestScratch, ProtocolCore};
 use crate::session::QUEUE_LIMIT;
-use crate::transport::{splitmix64, FaultPlan};
+use crate::transport::{unit_f64, FaultPlan};
 use crate::wire::{self, FrameCodec, Message};
 use racket_types::{FaultCounters, InstallId, ParticipantId};
 use std::sync::Arc;
@@ -649,8 +649,7 @@ impl WireLane {
         let raw = BASE_BACKOFF_MS
             .saturating_mul(1u64 << exp)
             .min(MAX_BACKOFF_MS);
-        let u = (splitmix64(&mut self.jitter_rng) >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 - JITTER / 2.0 + JITTER * u;
+        let factor = 1.0 - JITTER / 2.0 + JITTER * unit_f64(&mut self.jitter_rng);
         ((raw as f64 * factor).round() as u64).max(1)
     }
 }
@@ -913,7 +912,7 @@ pub(crate) mod tests {
         // One review whose text LZSS cannot shrink below the frame limit.
         let mut noise = 0x5eed_u64;
         let text: String = (0..wire::MAX_PAYLOAD + wire::MAX_PAYLOAD / 8)
-            .map(|_| char::from(b'0' + (splitmix64(&mut noise) % 64) as u8))
+            .map(|_| char::from(b'0' + (crate::transport::splitmix64(&mut noise) % 64) as u8))
             .collect();
         buffer.push(&Snapshot::Slow(SlowSnapshot {
             install_id: I,

@@ -448,7 +448,7 @@ pub const MAX_INFLATED_BYTES: usize = 4 * FAST_ROTATE_BYTES;
 /// honest file needs under half of it (a full fast file of event-free
 /// snapshots decodes into ≈ 0.6 MB of slots and pooled vectors); a hostile
 /// one that decodes to more — thousands of 5-byte uninstall deltas, each a
-/// 152-byte slot in memory — has its pools dropped once folded.
+/// 64-byte slot in memory — has its pools dropped once folded.
 const MAX_RETAINED_BATCH_BYTES: usize = 4 * MAX_INFLATED_BYTES;
 
 /// What one caller of [`ProtocolCore::handle`] — a reactor worker, a

@@ -23,18 +23,18 @@
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use racket_types::FaultCounters;
 
-/// SplitMix64 step: the canonical 64-bit finalizer, good enough to drive
-/// fault sampling and backoff jitter deterministically.
+/// SplitMix64 step, good enough to drive fault sampling and backoff
+/// jitter deterministically: the state advances by the golden increment,
+/// and [`racket_text::mix64`], which adds that increment itself, mixes the
+/// state it advanced from.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let old = *state;
+    *state = old.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    racket_text::mix64(old)
 }
 
 /// Uniform draw in `[0, 1)` from a SplitMix64 stream.
-fn unit_f64(state: &mut u64) -> f64 {
+pub(crate) fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -427,6 +427,15 @@ mod tests {
     use super::*;
     use crate::wire::{FrameCodec, Message};
     use racket_types::{InstallId, ParticipantId};
+
+    #[test]
+    fn splitmix64_is_the_reference_stream() {
+        // The first outputs of SplitMix64 seeded with 0 (Vigna's reference).
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(&mut state), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(state, 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2));
+    }
 
     #[test]
     fn mem_pair_round_trip() {

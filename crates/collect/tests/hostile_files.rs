@@ -225,6 +225,19 @@ fn overlong_list(file: &mut Vec<u8>, rng: &mut StdRng) {
     file[rec + 1..rec + 5].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
+/// Make one permission list of two or more entries name its first entry
+/// again in its last place: the count, the length and every discriminant
+/// stay valid, so only the set's refusal of a repeat can catch it.
+fn repeated_permission(file: &mut [u8], rng: &mut StdRng) {
+    let counts: Vec<_> = permission_counts(file)
+        .into_iter()
+        .filter(|&(_, at)| u32_at(file, at) >= 2)
+        .collect();
+    let (_, at) = counts[rng.gen_range(0..counts.len())];
+    let n = u32_at(file, at);
+    file[at + 4 + n - 1] = file[at + 4];
+}
+
 /// A count in a slow record's body (the layout is `codec.rs`'s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlowCount {
@@ -477,6 +490,31 @@ fn resealed_edits_get_an_ack_or_a_400_and_bounded_scratch() {
     );
     let record = store.record(I).expect("the accepted files were folded");
     assert!(record.uninstall_events.len() >= n_wide);
+}
+
+#[test]
+fn resealed_repeated_permissions_get_a_400() {
+    let fast = &real_files()[0];
+    let (_, core, mut scratch) = signed_in_core();
+    let mut rng = StdRng::seed_from_u64(0x5eed_0042);
+    let n = 32;
+    for k in 0..n {
+        let mut file = fast.clone();
+        repeated_permission(&mut file, &mut rng);
+        match handle_bounded(&core, resealed(&file, 1, true), &mut scratch, k) {
+            Some(Message::Error { code: 400, detail }) => {
+                assert!(detail.contains("repeated permission"), "case {k}: {detail}");
+            }
+            other => panic!("case {k}: {other:?}"),
+        }
+    }
+    let stats = core.stats();
+    assert_eq!((stats.files, stats.bad_uploads), (0, n as u64));
+    // The unedited file is still acknowledged.
+    assert!(matches!(
+        handle_bounded(&core, resealed(fast, 1, true), &mut scratch, n),
+        Some(Message::UploadAck { file_id: 1, .. })
+    ));
 }
 
 #[test]

@@ -29,7 +29,7 @@ use racket_types::{AppId, Cohort, Persona, Review, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -503,7 +503,6 @@ impl Study {
             ColumnarSnapshots::from_records(&records)
         };
 
-        let preinstalled: HashSet<AppId> = fleet.catalog.system_apps().iter().copied().collect();
         // Each device takes ownership of its record (devices that never
         // snapshotted have none to join), in fleet order.
         let mut by_install: HashMap<_, _> =
@@ -551,7 +550,6 @@ impl Study {
                     google_ids,
                     reviews_by_app,
                     vt_flags,
-                    preinstalled: preinstalled.clone(),
                 };
                 // Streaming feature state: the review-side aggregates fold
                 // here (the snapshot-side half already lives on the

@@ -300,7 +300,11 @@ mod tests {
         d.install_app(
             AppId(app),
             SimTime::from_days(day),
-            PermissionProfile::grant_all(&[Permission::Internet, Permission::Camera]),
+            PermissionProfile::grant_all(
+                [Permission::Internet, Permission::Camera]
+                    .into_iter()
+                    .collect(),
+            ),
             ApkHash([app as u8; 16]),
         );
     }

@@ -186,7 +186,7 @@ mod tests {
         ApkHash, FastSnapshot, GoogleId, InstallDelta, InstallId, InstalledApp, ParticipantId,
         Permission, PermissionProfile, Rating, Review, SimTime, Snapshot, TimeInterval,
     };
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     const P: ParticipantId = ParticipantId(111_111);
     const I: InstallId = InstallId(1);
@@ -234,7 +234,6 @@ mod tests {
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app: HashMap::new(),
             vt_flags: HashMap::new(),
-            preinstalled: HashSet::new(),
         }
     }
 

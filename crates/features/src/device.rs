@@ -36,10 +36,7 @@ pub const DEVICE_FEATURE_NAMES: [&str; 14] = [
 pub fn device_features(obs: &DeviceObservation, app_suspiciousness: f64) -> Vec<f64> {
     let record = &obs.record;
     let installed: Vec<_> = record.apps.installed().collect();
-    let n_pre = installed
-        .iter()
-        .filter(|a| obs.preinstalled.contains(a))
-        .count();
+    let n_pre = obs.n_preinstalled();
     let n_user = installed.len() - n_pre;
 
     let active_days = record.active_days().max(1) as f64;
@@ -98,6 +95,13 @@ mod tests {
         let store = racket_collect::ShardedIngest::new(8);
         // Two installed apps: one preinstalled (100), one user (1).
         for (app, install_day) in [(100u32, 0u64), (1, 11)] {
+            let mut info = InstalledApp::fresh(
+                AppId(app),
+                SimTime::from_days(install_day),
+                PermissionProfile::default(),
+                ApkHash([app as u8; 16]),
+            );
+            info.preinstalled = app == 100;
             store.ingest_batch(&[Snapshot::Fast(FastSnapshot {
                 install_id: I,
                 participant_id: P,
@@ -105,12 +109,7 @@ mod tests {
                 foreground_app: None,
                 screen_on: false,
                 battery_pct: 70,
-                install_events: vec![InstallDelta::Installed(InstalledApp::fresh(
-                    AppId(app),
-                    SimTime::from_days(install_day),
-                    PermissionProfile::default(),
-                    ApkHash([app as u8; 16]),
-                ))],
+                install_events: vec![InstallDelta::Installed(info)],
             })]);
         }
         store.ingest_batch(&[Snapshot::Slow(SlowSnapshot {
@@ -151,7 +150,6 @@ mod tests {
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app,
             vt_flags: HashMap::new(),
-            preinstalled: [AppId(100)].into_iter().collect(),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use racket_collect::InstallRecord;
 use racket_types::{AppId, GoogleId, Review, TimeInterval};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Everything the study knows about one (coalesced) physical device:
 /// the server-side snapshot aggregate, joined with the crawled reviews
@@ -24,8 +24,6 @@ pub struct DeviceObservation {
     /// VirusTotal flag counts for installed apps; `None` when VirusTotal
     /// has no report for the apk (the §6.4 coverage gap).
     pub vt_flags: HashMap<AppId, Option<u8>>,
-    /// Apps that shipped with the device image.
-    pub preinstalled: HashSet<AppId>,
 }
 
 impl DeviceObservation {
@@ -38,6 +36,16 @@ impl DeviceObservation {
             .unwrap_or_default();
         reviews.sort_by_key(|r| r.posted_at);
         reviews
+    }
+
+    /// Number of installed apps the device reported as shipped with its
+    /// image (§8.1 feature 1).
+    pub(crate) fn n_preinstalled(&self) -> usize {
+        self.record
+            .apps
+            .values()
+            .filter(|info| info.preinstalled && self.record.apps.is_installed(&info.app))
+            .count()
     }
 
     /// Number of distinct apps reviewed from device accounts, installed
@@ -113,7 +121,6 @@ mod tests {
             google_ids: vec![GoogleId(9), GoogleId(10)],
             reviews_by_app,
             vt_flags: HashMap::new(),
-            preinstalled: HashSet::new(),
         }
     }
 

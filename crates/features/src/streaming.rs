@@ -160,11 +160,7 @@ impl DeviceStreamState {
     /// bitwise equal to [`crate::device_features`].
     pub fn device_vector(&self, obs: &DeviceObservation, app_suspiciousness: f64) -> Vec<f64> {
         let record = &obs.record;
-        let n_pre = record
-            .apps
-            .installed()
-            .filter(|a| obs.preinstalled.contains(a))
-            .count();
+        let n_pre = obs.n_preinstalled();
         let n_user = record.apps.installed().count() - n_pre;
 
         let active_days = record.active_days().max(1) as f64;
@@ -295,7 +291,6 @@ mod tests {
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app,
             vt_flags: [(AppId(1), Some(3u8))].into_iter().collect(),
-            preinstalled: [AppId(100)].into_iter().collect(),
         }
     }
 

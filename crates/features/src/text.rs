@@ -93,7 +93,7 @@ mod tests {
         FastSnapshot, GoogleId, InstallId, ParticipantId, Rating, ReviewEvent, SimTime,
         SlowSnapshot, Snapshot, TimeInterval,
     };
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     const P: ParticipantId = ParticipantId(111_111);
     const I: InstallId = InstallId(1);
@@ -133,7 +133,6 @@ mod tests {
             google_ids: vec![GoogleId(1), GoogleId(2)],
             reviews_by_app: HashMap::new(),
             vt_flags: HashMap::new(),
-            preinstalled: HashSet::new(),
         }
     }
 

@@ -13,7 +13,7 @@
 //! * apps not on the Play Store at all, including *modded* builds (§6.3);
 //! * a minority of malware-carrying builds with VirusTotal flags (§6.4).
 
-use racket_types::{ApkHash, AppCategory, AppId, AppMetadata, Permission};
+use racket_types::{ApkHash, AppCategory, AppId, AppMetadata, Permission, PermissionSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -248,7 +248,7 @@ impl AppCatalog {
     /// Sample a permission manifest for a category: every app gets the
     /// basic normal permissions plus a category-dependent number of
     /// dangerous ones.
-    fn sample_permissions(rng: &mut StdRng, category: AppCategory) -> Vec<Permission> {
+    fn sample_permissions(rng: &mut StdRng, category: AppCategory) -> PermissionSet {
         let mut perms = vec![Permission::Internet, Permission::AccessNetworkState];
         if rng.gen_bool(0.6) {
             perms.push(Permission::WakeLock);
@@ -268,8 +268,10 @@ impl AppCatalog {
         };
         let mut pool = dangerous;
         pool.shuffle(rng);
-        perms.extend(pool.into_iter().take(n_dangerous));
         perms
+            .into_iter()
+            .chain(pool.into_iter().take(n_dangerous))
+            .collect()
     }
 
     /// All apps.
@@ -400,7 +402,7 @@ mod tests {
     fn every_app_requests_internet() {
         let c = catalog();
         for app in c.apps() {
-            assert!(app.permissions.contains(&Permission::Internet));
+            assert!(app.permissions.contains(Permission::Internet));
         }
     }
 

@@ -5,7 +5,7 @@
 //! permissions and the MD5 hash of its apk (§3), and joined apps against
 //! Play-Store reviews and VirusTotal verdicts.
 
-use crate::permission::{Permission, PermissionProfile};
+use crate::permission::{PermissionProfile, PermissionSet};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,7 +91,7 @@ pub struct AppMetadata {
     /// Store category.
     pub category: AppCategory,
     /// Permissions declared in the manifest.
-    pub permissions: Vec<Permission>,
+    pub permissions: PermissionSet,
     /// Canonical apk hash of the current store build.
     pub apk_hash: ApkHash,
     /// Whether the app is distributed through Google Play at all; §6.3
@@ -104,13 +104,13 @@ pub struct AppMetadata {
 impl AppMetadata {
     /// Number of dangerous permissions in the manifest (Figure 11 y-axis).
     pub fn dangerous_permission_count(&self) -> usize {
-        self.permissions.iter().filter(|p| p.is_dangerous()).count()
+        self.permissions.dangerous().len()
     }
 }
 
 /// Per-device state of one installed app, the unit the fast snapshot
 /// collector reports deltas about (§3). Plain data with its permission
-/// lists inline, so it is `Copy`.
+/// sets as masks, so it is `Copy` and 64 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InstalledApp {
     /// Which app is installed.
@@ -164,8 +164,9 @@ impl AppCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::permission::Permission;
 
-    fn meta(perms: Vec<Permission>) -> AppMetadata {
+    fn meta(perms: PermissionSet) -> AppMetadata {
         AppMetadata {
             id: AppId(1),
             package: "com.example.app".into(),
@@ -189,11 +190,15 @@ mod tests {
 
     #[test]
     fn dangerous_permission_count() {
-        let m = meta(vec![
-            Permission::Internet,
-            Permission::Camera,
-            Permission::ReadSms,
-        ]);
+        let m = meta(
+            [
+                Permission::Internet,
+                Permission::Camera,
+                Permission::ReadSms,
+            ]
+            .into_iter()
+            .collect(),
+        );
         assert_eq!(m.dangerous_permission_count(), 2);
     }
 
@@ -211,6 +216,17 @@ mod tests {
         );
         assert_eq!(app.install_time, app.last_update);
         assert!(!app.preinstalled);
+    }
+
+    #[test]
+    fn installed_app_is_at_most_64_bytes() {
+        // Three permission masks of eight bytes each; every app-table row,
+        // decoded snapshot slot and device app entry holds one.
+        assert!(
+            size_of::<InstalledApp>() <= 64,
+            "{}",
+            size_of::<InstalledApp>()
+        );
     }
 
     #[test]

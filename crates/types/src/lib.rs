@@ -27,7 +27,7 @@ pub use account::{AccountId, AccountService, RegisteredAccount};
 pub use app::{ApkHash, AppCategory, AppId, AppMetadata, InstalledApp};
 pub use id::{AndroidId, GoogleId, InstallId, ParticipantId};
 pub use metrics::FaultCounters;
-pub use permission::{Permission, PermissionList, PermissionProfile};
+pub use permission::{Permission, PermissionProfile, PermissionSet};
 pub use review::{Rating, RatingSummary, Review, ReviewEvent};
 pub use snapshot::{FastSnapshot, InstallDelta, ReclaimedBuffer, SlowSnapshot, Snapshot};
 pub use time::{SimDuration, SimTime, TimeInterval};

@@ -185,115 +185,71 @@ impl fmt::Display for Permission {
     }
 }
 
-/// An ordered list of at most one entry per catalog permission, stored
-/// inline: the requested, granted or denied set of one installed app, in
-/// the order the device reports it.
-///
-/// It derefs to `&[Permission]`, and its `Debug` and serde forms are a
-/// `Vec`'s, so a list prints and serializes exactly as a
-/// `Vec<Permission>` of the same entries would. Being `Copy`, it (and the
-/// [`PermissionProfile`] and installed-app record holding it) moves without
-/// touching the heap.
-#[derive(Clone, Copy)]
-pub struct PermissionList {
-    len: u8,
-    items: [Permission; PermissionList::CAPACITY],
-}
+/// A set of catalog permissions: bit `p as u8` of one `u64`, so it is
+/// `Copy`, eight bytes, and iterates in catalog order
+/// ([`Permission::ALL`]), the only order it has. It is the requested,
+/// granted or denied set of one installed app, and an app's manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct PermissionSet(u64);
 
-impl PermissionList {
-    /// Most entries a list holds: one per catalog permission.
-    pub const CAPACITY: usize = Permission::ALL.len();
+// Every catalog permission has a bit of the mask.
+const _: () = assert!(Permission::ALL.len() <= 64);
 
-    /// An empty list.
-    pub const fn new() -> Self {
-        PermissionList {
-            len: 0,
-            items: [Permission::Internet; Self::CAPACITY],
-        }
+impl PermissionSet {
+    fn bit(p: Permission) -> u64 {
+        1 << p as u8
     }
 
-    /// Append `p`, or hand it back if the list already holds
-    /// [`PermissionList::CAPACITY`] entries.
-    pub fn try_push(&mut self, p: Permission) -> Result<(), Permission> {
-        let slot = self.items.get_mut(usize::from(self.len)).ok_or(p)?;
-        *slot = p;
-        self.len += 1;
-        Ok(())
+    /// Add `p`; whether it was absent.
+    pub fn insert(&mut self, p: Permission) -> bool {
+        let absent = !self.contains(p);
+        self.0 |= Self::bit(p);
+        absent
     }
 
-    /// Append `p`.
-    ///
-    /// # Panics
-    ///
-    /// If the list is full. A manifest names each permission at most once,
-    /// so a list built from one never is.
-    pub fn push(&mut self, p: Permission) {
-        if self.try_push(p).is_err() {
-            panic!("a permission list holds at most {} entries", Self::CAPACITY);
-        }
+    /// Remove `p`; whether it was present.
+    pub fn remove(&mut self, p: Permission) -> bool {
+        let present = self.contains(p);
+        self.0 &= !Self::bit(p);
+        present
     }
 
-    /// Remove and return the last entry.
-    pub fn pop(&mut self) -> Option<Permission> {
-        self.len = self.len.checked_sub(1)?;
-        Some(self.items[usize::from(self.len)])
+    /// Whether `p` is in the set.
+    pub fn contains(self, p: Permission) -> bool {
+        self.0 & Self::bit(p) != 0
     }
-}
 
-impl Default for PermissionList {
-    fn default() -> Self {
-        Self::new()
+    /// Number of permissions in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The set's permissions in catalog order.
+    pub fn iter(self) -> impl Iterator<Item = Permission> {
+        Permission::ALL
+            .iter()
+            .copied()
+            .filter(move |&p| self.contains(p))
+    }
+
+    /// The set's dangerous permissions.
+    pub fn dangerous(self) -> Self {
+        self.iter().filter(|p| p.is_dangerous()).collect()
     }
 }
 
-impl std::ops::Deref for PermissionList {
-    type Target = [Permission];
-
-    fn deref(&self) -> &[Permission] {
-        &self.items[..usize::from(self.len)]
-    }
-}
-
-impl PartialEq for PermissionList {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for PermissionList {}
-
-impl fmt::Debug for PermissionList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Collects with [`PermissionList::push`], so it panics past
-/// [`PermissionList::CAPACITY`] entries.
-impl FromIterator<Permission> for PermissionList {
+impl FromIterator<Permission> for PermissionSet {
     fn from_iter<I: IntoIterator<Item = Permission>>(iter: I) -> Self {
-        let mut list = Self::new();
+        let mut set = Self::default();
         for p in iter {
-            list.push(p);
+            set.insert(p);
         }
-        list
-    }
-}
-
-impl Serialize for PermissionList {
-    fn to_content(&self) -> serde::Content {
-        (**self).to_content()
-    }
-}
-
-impl Deserialize for PermissionList {
-    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
-        let mut list = Self::new();
-        for p in Vec::<Permission>::from_content(c)? {
-            list.try_push(p)
-                .map_err(|_| serde::DeError(format!("more than {} permissions", Self::CAPACITY)))?;
-        }
-        Ok(list)
+        set
     }
 }
 
@@ -306,29 +262,21 @@ impl Deserialize for PermissionList {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PermissionProfile {
     /// Permissions declared in the app manifest.
-    pub requested: PermissionList,
+    pub requested: PermissionSet,
     /// Dangerous permissions the user granted at runtime.
-    pub granted: PermissionList,
+    pub granted: PermissionSet,
     /// Dangerous permissions the user denied.
-    pub denied: PermissionList,
+    pub denied: PermissionSet,
 }
 
 impl PermissionProfile {
     /// Build a profile with every dangerous permission granted — the policy
     /// five of the interviewed workers reported ("grant all requested").
-    ///
-    /// # Panics
-    ///
-    /// If `requested` is longer than [`PermissionList::CAPACITY`].
-    pub fn grant_all(requested: &[Permission]) -> Self {
+    pub fn grant_all(requested: PermissionSet) -> Self {
         PermissionProfile {
-            requested: requested.iter().copied().collect(),
-            granted: requested
-                .iter()
-                .copied()
-                .filter(|p| p.is_dangerous())
-                .collect(),
-            denied: PermissionList::new(),
+            requested,
+            granted: requested.dangerous(),
+            denied: PermissionSet::default(),
         }
     }
 
@@ -339,7 +287,7 @@ impl PermissionProfile {
 
     /// Number of requested permissions that are dangerous (Figure 11 y-axis).
     pub fn dangerous_count(&self) -> usize {
-        self.requested.iter().filter(|p| p.is_dangerous()).count()
+        self.requested.dangerous().len()
     }
 
     /// Number of requested permissions that are normal.
@@ -362,12 +310,12 @@ impl PermissionProfile {
     /// Internal consistency: granted/denied sets are disjoint, dangerous,
     /// and subsets of the requested set.
     pub(crate) fn is_consistent(&self) -> bool {
-        let dangerous_subset = |set: &[Permission]| {
+        let dangerous_subset = |set: PermissionSet| {
             set.iter()
                 .all(|p| p.is_dangerous() && self.requested.contains(p))
         };
-        dangerous_subset(&self.granted)
-            && dangerous_subset(&self.denied)
+        dangerous_subset(self.granted)
+            && dangerous_subset(self.denied)
             && self.granted.iter().all(|p| !self.denied.contains(p))
     }
 }
@@ -415,11 +363,15 @@ mod tests {
 
     #[test]
     fn profile_counts() {
-        let profile = PermissionProfile::grant_all(&[
-            Permission::Internet,
-            Permission::Camera,
-            Permission::ReadContacts,
-        ]);
+        let profile = PermissionProfile::grant_all(
+            [
+                Permission::Internet,
+                Permission::Camera,
+                Permission::ReadContacts,
+            ]
+            .into_iter()
+            .collect(),
+        );
         assert_eq!(profile.total(), 3);
         assert_eq!(profile.dangerous_count(), 2);
         assert_eq!(profile.normal_count(), 1);
@@ -429,44 +381,54 @@ mod tests {
     }
 
     #[test]
-    fn permission_list_prints_and_serializes_like_a_vec() {
-        let perms = vec![
-            Permission::Camera,
-            Permission::Internet,
+    fn permission_set_iterates_in_catalog_order_and_serializes_its_mask() {
+        let set: PermissionSet = [
             Permission::ReadSms,
-        ];
-        let list: PermissionList = perms.iter().copied().collect();
-        assert_eq!(&*list, perms.as_slice());
-        assert_eq!(format!("{list:?}"), format!("{perms:?}"));
-        let json = serde_json::to_string(&perms).unwrap();
-        assert_eq!(serde_json::to_string(&list).unwrap(), json);
-        assert_eq!(serde_json::from_str::<PermissionList>(&json).unwrap(), list);
-        assert_eq!(format!("{:?}", PermissionList::new()), "[]");
+            Permission::Internet,
+            Permission::Camera,
+        ]
+        .into_iter()
+        .collect();
+        let order: Vec<_> = set.iter().collect();
+        assert_eq!(
+            order,
+            [
+                Permission::Internet,
+                Permission::Camera,
+                Permission::ReadSms
+            ]
+        );
+        let json = serde_json::to_string(&set).unwrap();
+        assert_eq!(serde_json::from_str::<PermissionSet>(&json).unwrap(), set);
+        assert_eq!(PermissionSet::default().iter().next(), None);
     }
 
     #[test]
-    fn permission_list_holds_one_entry_per_catalog_permission() {
-        let mut list: PermissionList = Permission::ALL.iter().copied().collect();
-        assert_eq!(list.len(), PermissionList::CAPACITY);
-        assert_eq!(list.try_push(Permission::Camera), Err(Permission::Camera));
-        assert_eq!(list.pop(), Some(Permission::SystemAlertWindow));
-        assert_eq!(list.try_push(Permission::Camera), Ok(()));
-        assert_eq!(list.last(), Some(&Permission::Camera));
-        let too_long = [Permission::ALL, &[Permission::Camera]].concat();
-        let json = serde_json::to_string(&too_long).unwrap();
-        assert!(serde_json::from_str::<PermissionList>(&json).is_err());
-        assert_eq!(PermissionList::new().pop(), None);
+    fn permission_set_holds_each_catalog_permission_once() {
+        let mut set: PermissionSet = Permission::ALL.iter().copied().collect();
+        assert_eq!(set.len(), Permission::ALL.len());
+        assert!(set.iter().eq(Permission::ALL.iter().copied()));
+        assert!(!set.insert(Permission::Camera), "already present");
+        assert_eq!(set.len(), Permission::ALL.len());
+        assert!(set.remove(Permission::Camera));
+        assert!(!set.remove(Permission::Camera), "already absent");
+        assert!(!set.contains(Permission::Camera));
+        assert_eq!(set.len(), Permission::ALL.len() - 1);
+        assert!(set.insert(Permission::Camera));
+        assert_eq!(set.dangerous().len(), Permission::dangerous().count());
     }
 
     #[test]
-    fn permission_lists_compare_by_their_entries_only() {
-        // A popped entry leaves its slot behind; equality must not see it.
-        let mut popped: PermissionList = [Permission::Camera, Permission::ReadSms]
+    fn permission_sets_compare_by_membership_only() {
+        let mut removed: PermissionSet = [Permission::Camera, Permission::ReadSms]
             .into_iter()
             .collect();
-        popped.pop();
-        assert_eq!(popped, [Permission::Camera].into_iter().collect());
-        assert_ne!(popped, PermissionList::new());
+        removed.remove(Permission::ReadSms);
+        assert_eq!(removed, [Permission::Camera].into_iter().collect());
+        assert_ne!(removed, PermissionSet::default());
+        removed.remove(Permission::Camera);
+        assert!(removed.is_empty());
+        assert_eq!(removed, PermissionSet::default());
     }
 
     #[test]
@@ -476,8 +438,8 @@ mod tests {
 
     #[test]
     fn inconsistent_profile_detected() {
-        let mut profile = PermissionProfile::grant_all(&[Permission::Camera]);
-        profile.denied.push(Permission::Camera); // granted AND denied
+        let mut profile = PermissionProfile::grant_all([Permission::Camera].into_iter().collect());
+        profile.denied.insert(Permission::Camera); // granted AND denied
         assert!(!profile.is_consistent());
 
         let rogue = PermissionProfile {

@@ -330,12 +330,16 @@ fn steady_state_upload_allocates_a_constant_per_file() {
     const P: ParticipantId = ParticipantId(123_456);
     const I: InstallId = InstallId(1_000_000_000);
     let upload = |file_id: u64, n_apps: u32, n_slow: u64| {
-        let profile = PermissionProfile::grant_all(&[
-            Permission::Internet,
-            Permission::Camera,
-            Permission::ReadContacts,
-            Permission::AccessFineLocation,
-        ]);
+        let profile = PermissionProfile::grant_all(
+            [
+                Permission::Internet,
+                Permission::Camera,
+                Permission::ReadContacts,
+                Permission::AccessFineLocation,
+            ]
+            .into_iter()
+            .collect(),
+        );
         // Installed before the first snapshot and re-listed unchanged, on
         // one calendar day: the record gains no event and no entry.
         let fast = Snapshot::Fast(FastSnapshot {

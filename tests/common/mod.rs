@@ -75,9 +75,7 @@ pub(crate) fn data_fingerprint(out: &StudyOutput) -> String {
         write!(s, "{reviews:?}").unwrap();
         let vt: BTreeMap<_, _> = obs.vt_flags.iter().collect();
         write!(s, "{vt:?}").unwrap();
-        let mut pre: Vec<_> = obs.preinstalled.iter().collect();
-        pre.sort();
-        writeln!(s, "{pre:?}|{:?}", truth.persona).unwrap();
+        writeln!(s, "{:?}", truth.persona).unwrap();
     }
     // Render the stats field-by-field (not `{:?}` of the whole struct) so
     // the path- and fault-variant file counters stay out of this fingerprint.
