@@ -29,9 +29,9 @@ cargo test -q "${first_party[@]}" -p racketstore-suite
 step "scenario matrix (release)"
 # The scenario table (tests/scenario/mod.rs) runs each (path, fault plan,
 # threads) study once and checks every equivalence contract on that output
-# (streaming == batch, text stream == batch, campaign batch == incremental,
-# columnar == row, wire == direct, async == sync, faulted == clean, N
-# threads == 1); its module doc lists the contracts and the test and rows
+# (text stream == batch, campaign batch == incremental, columnar == row,
+# wire == direct, async == sync, faulted == clean, N threads == 1, and
+# feature bits equal on every row); its module doc lists the contracts and the test and rows
 # that check each. Each binary below runs one slice of it; tests/matrix.rs
 # adds the fleet-generation and training/scoring checks. Run at 1 and 8
 # worker threads so the ambient rows see both a serial and a parallel pool.
@@ -41,7 +41,7 @@ step "scenario matrix (release)"
 # kernels, the sentiment table against its word lists).
 cargo test --release -p racket-collect --lib -q window_delivers_in_file_order_under_every_fault_plan
 cargo test --release -p racket-text -q
-scenario=(--test matrix --test streaming_equivalence --test path_equivalence
+scenario=(--test matrix --test thread_equivalence --test path_equivalence
   --test async_equivalence --test chaos --test text_equivalence
   --test campaign_equivalence --test columnar_equivalence)
 RAYON_NUM_THREADS=1 cargo test --release -q "${scenario[@]}"
@@ -62,10 +62,10 @@ step "benchmark package smoke (release)"
 # benchmark/ is the one measurement harness and a workspace of its own, so
 # none of the steps above compile it: an API slip in racket-collect or
 # racketstore would otherwise only surface in the benchmark pipeline. Small
-# sizes, every correctness check on (streaming == batch verdicts, batch ==
-# incremental campaigns, streaming == rebuilt text sketches, exactly-once
-# ingest on the async plane), < 20 s after the first build (into
-# .bench_build, git-ignored). The full run with its regression gate is
+# sizes, every correctness check on (score_streaming == score_batch
+# verdicts, batch == incremental campaigns, streaming == rebuilt text
+# sketches, exactly-once ingest on the async plane), < 20 s after the
+# first build (into .bench_build, git-ignored). The full run with its regression gate is
 # ./bench_history.sh (~15 min, once per PR, not here).
 bash benchmark/run.sh --smoke
 

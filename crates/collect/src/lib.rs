@@ -76,6 +76,6 @@ pub use hash::{crc32, sha256};
 pub use retry::{RetryStats, WireLane};
 pub use server::{AppTable, IngestScratch, InstallRecord, ProtocolCore};
 pub use shard::ShardedIngest;
-pub use stream::{AppStream, StreamAggregates};
+pub use stream::StreamAggregates;
 pub use transport::{FaultPlan, MemTransport};
 pub use wire::{Frame, FrameCodec, Message};

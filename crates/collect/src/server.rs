@@ -72,8 +72,8 @@ pub struct InstallRecord {
     /// the fleet collects reviews). Grows by each slow snapshot's whole
     /// list at once, amortised.
     pub review_events: Vec<ReviewEvent>,
-    /// Per-app streaming aggregates folded at the same program points as
-    /// the batch-visible vectors above (see [`StreamAggregates`]).
+    /// The campaign and text sketches, folded at the same program points
+    /// as `install_events` and `review_events` (see [`StreamAggregates`]).
     pub stream: StreamAggregates,
 }
 
@@ -157,7 +157,6 @@ impl InstallRecord {
                         .or_default()
                         .entry(t.day_index())
                         .or_insert(0) += 1;
-                    self.stream.note_foreground(app);
                 }
                 for delta in &f.install_events {
                     match delta {
@@ -172,7 +171,6 @@ impl InstallRecord {
                         }
                         InstallDelta::Uninstalled { app } => {
                             self.uninstall_events.push((*app, t));
-                            self.stream.note_uninstall(*app, t);
                         }
                     }
                 }
@@ -977,7 +975,7 @@ mod tests {
     fn replayed_upload_folds_streaming_state_exactly_once() {
         // Regression guard for the latent double-count hazard: a replayed
         // upload chunk walks the same server batch path as the original,
-        // and every per-install counter *and* streaming aggregate must
+        // and every per-install counter *and* the campaign sketch must
         // fold once — never per delivery attempt.
         let mut s = server();
         s.handle(Message::SignIn {
@@ -1018,11 +1016,15 @@ mod tests {
         assert_eq!(rec.snapshots_per_day, once.snapshots_per_day);
         assert_eq!(rec.install_events, once.install_events);
         assert_eq!(rec.uninstall_events, once.uninstall_events);
-        let app = rec.stream.app(AppId(7)).unwrap();
-        assert_eq!(app.n_installs, 1, "install folded once");
-        assert_eq!(app.n_uninstalls, 1, "uninstall folded once");
-        assert_eq!(app.last_uninstall, Some(SimTime::from_secs(60)));
-        assert_eq!(app.fg_total, 2, "one foreground fold per snapshot");
+        assert_eq!(rec.foreground, once.foreground);
+        assert_eq!(rec.stream.campaign(), once.stream.campaign());
+        assert_eq!(rec.install_events.len(), 1, "install folded once");
+        assert_eq!(rec.uninstall_events.len(), 1, "uninstall folded once");
+        assert_eq!(
+            rec.foreground[&AppId(7)].values().sum::<u64>(),
+            2,
+            "one foreground fold per snapshot"
+        );
     }
 
     #[test]
@@ -1056,49 +1058,6 @@ mod tests {
             crate::fingerprint::CandidateInstall::from_record(&rec),
         ]);
         assert_eq!(devices.len(), 1);
-    }
-
-    #[test]
-    fn stream_state_mirrors_batch_event_vectors() {
-        // The stream aggregate is folded at the same program points as the
-        // batch-visible vectors, so counts must agree by construction.
-        let mut s = server();
-        s.ingest_snapshot(&fast_with_install(0, 1, 0));
-        s.ingest_snapshot(&fast_with_install(86_400, 2, 86_400));
-        s.ingest_snapshot(&Snapshot::Fast(FastSnapshot {
-            install_id: I,
-            participant_id: P,
-            time: SimTime::from_secs(90_000),
-            foreground_app: None,
-            screen_on: false,
-            battery_pct: 50,
-            install_events: vec![InstallDelta::Uninstalled { app: AppId(1) }],
-        }));
-        let rec = s.record(I).unwrap();
-        for (app, stream) in rec.stream.apps() {
-            let batch_installs = rec.install_events.iter().filter(|(a, _)| a == app).count();
-            let batch_uninstalls = rec
-                .uninstall_events
-                .iter()
-                .filter(|(a, _)| a == app)
-                .count();
-            let batch_fg: u64 = rec
-                .foreground
-                .get(app)
-                .map(|days| days.values().sum())
-                .unwrap_or(0);
-            assert_eq!(stream.n_installs as usize, batch_installs);
-            assert_eq!(stream.n_uninstalls as usize, batch_uninstalls);
-            assert_eq!(stream.fg_total, batch_fg);
-            assert_eq!(
-                stream.last_uninstall,
-                rec.uninstall_events
-                    .iter()
-                    .filter(|(a, _)| a == app)
-                    .map(|&(_, t)| t)
-                    .max()
-            );
-        }
     }
 
     #[test]

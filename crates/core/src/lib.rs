@@ -23,9 +23,9 @@
 //!    the *app suspiciousness* feature.
 //! 6. [`scoring`] — §9: the live detection service. Fitted models are
 //!    serialized through the `racket-ml` RKML codec and score devices
-//!    directly from the streaming feature state the study maintained at
-//!    ingest time — bitwise-equal to a batch re-scan, at a fraction of
-//!    the end-of-study latency.
+//!    from the feature vectors `racket-features` derives from the
+//!    assembled observations; vectors built once can be classified again
+//!    without being rebuilt.
 //! 7. [`campaign`] — §7.3: coordinated-campaign (lockstep) detection.
 //!    The study reports campaigns incrementally from ingest-time sketches;
 //!    [`campaign::batch_report`] recomputes the identical report from the

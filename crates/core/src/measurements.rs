@@ -345,7 +345,7 @@ impl MeasurementReport {
                 let meta = out.fleet.catalog.app(app);
                 permissions.push(PermissionPoint {
                     total: meta.permissions.len(),
-                    dangerous: meta.dangerous_permission_count(),
+                    dangerous: meta.permissions.dangerous().len(),
                     cohort,
                 });
             }

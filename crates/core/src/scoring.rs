@@ -1,4 +1,4 @@
-//! §9: the live detection service — scoring devices from streaming state.
+//! §9: the live detection service.
 //!
 //! The paper closes by arguing that RacketStore-style detection could run
 //! *inside* the store, flagging worker devices as their snapshots arrive
@@ -10,31 +10,27 @@
 //!   codec, so a trained service can be serialized, shipped, and restored
 //!   with byte-exact behaviour ([`DetectionService::to_bytes`] /
 //!   [`DetectionService::from_bytes`]).
-//! * [`DetectionService::prime`] folds the streaming feature state that
-//!   `Study::run` maintained at ingest time into cached per-device vectors
-//!   (one app-model pass per observed app — the same work the batch path
-//!   spends *re-deriving* every feature from raw snapshots).
-//! * [`DetectionService::score_streaming`] then classifies every device
-//!   with a single device-model pass over the cached vectors — the
-//!   "moment the last snapshot lands" latency the streaming engine buys.
-//! * [`DetectionService::score_batch`] is the reference path: recompute
-//!   every app and device feature from the assembled observations and
-//!   classify from scratch.
+//! * [`DetectionService::prime`] builds every device's vectors once: each
+//!   observed (device, app) pair's [`app_features`] row, one app-model
+//!   pass over them for the suspiciousness ratios, then each device's
+//!   [`device_features`] row. It caches the ratios and device vectors in
+//!   [`PrimedScores`].
+//! * [`DetectionService::score_streaming`] classifies every device with a
+//!   single device-model pass over the cached vectors.
+//! * [`DetectionService::score_batch`] builds the vectors and classifies
+//!   them in one call.
 //!
-//! The two paths must agree **bitwise**: streaming state is maintained
-//! from exact sufficient statistics (see `racket_features::streaming`),
-//! so every suspiciousness ratio, feature vector and verdict probability
-//! is `f64`-identical between them. The scenario table
-//! (`tests/scenario/mod.rs`) pins the feature vectors across paths, thread
-//! counts and fault profiles, and `tests/matrix.rs` the verdicts on a
-//! test-scale study.
+//! All three run the same private builder and classifier, so the two
+//! scoring paths agree **bitwise** by construction; `tests/matrix.rs`
+//! still checks it on a test-scale study, and each path keeps its own
+//! span (`analyze/stream_prime`, `analyze/score_streaming`,
+//! `analyze/score_batch`).
 //!
-//! Both paths score through `racket-columnar`: feature vectors are packed
-//! into contiguous [`FlatMatrix`] rows and classified by one
-//! [`GradientBoosting::predict_proba_batch`] pass per matrix, which is
-//! bitwise-equal per row to calling `predict_proba` (the row→column
-//! equivalence contract, ARCHITECTURE.md §9) — `tests/matrix.rs` holds
-//! the verdicts to that.
+//! Vectors are packed into contiguous [`FlatMatrix`] rows and classified
+//! by one [`GradientBoosting::predict_proba_batch`] pass per matrix,
+//! which is bitwise-equal per row to calling `predict_proba` (the
+//! row→column equivalence contract, ARCHITECTURE.md §9) — `tests/matrix.rs`
+//! holds the verdicts to that.
 
 use crate::app_classifier::AppClassifier;
 use crate::device_classifier::DEDICATED_SUSPICIOUSNESS;
@@ -44,49 +40,20 @@ use racket_features::{app_features, device_features};
 use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, PersistError};
 use racket_types::metrics::keys;
 
-/// Batch-score a flat matrix of per-(device, app) feature vectors and
-/// reduce each device's segment to its suspiciousness ratio (flagged /
-/// observed apps; 0 for app-less devices). `counts[i]` is device `i`'s
-/// segment length. The per-row probabilities are bitwise what
-/// `predict_proba` returns, and counting flagged apps is
-/// order-invariant, so the ratios match the per-row loop exactly.
-fn suspiciousness_from_segments(
-    model: &GradientBoosting,
-    vectors: &FlatMatrix,
-    counts: &[usize],
-) -> Vec<f64> {
-    let scores = model.predict_proba_batch(vectors);
-    let mut offset = 0;
-    counts
-        .iter()
-        .map(|&n| {
-            let segment = &scores[offset..offset + n];
-            offset += n;
-            if n == 0 {
-                0.0
-            } else {
-                segment.iter().filter(|&&p| p >= 0.5).count() as f64 / n as f64
-            }
-        })
-        .collect()
-}
-
-/// The deployable pair of fitted models, ready to score devices either
-/// from streaming state or from a batch re-scan.
+/// The deployable pair of fitted models.
 #[derive(Debug)]
 pub struct DetectionService {
     app_model: GradientBoosting,
     device_model: GradientBoosting,
 }
 
-/// Cached per-device scoring state built from streaming feature state by
-/// [`DetectionService::prime`].
+/// Cached per-device scoring state built by [`DetectionService::prime`].
 #[derive(Debug, Clone)]
 pub struct PrimedScores {
     /// App-suspiciousness ratio per observation (Figure 15 x-axis).
     pub suspiciousness: Vec<f64>,
-    /// Device feature vector per observation, emitted from streaming
-    /// state — ready for a single device-model pass.
+    /// Device feature vector per observation — ready for a single
+    /// device-model pass.
     pub device_vectors: Vec<Vec<f64>>,
 }
 
@@ -160,39 +127,67 @@ impl DetectionService {
         })
     }
 
-    /// Fold the streaming feature state into cached scoring state: one
-    /// app-model pass per (device, app) to compute suspiciousness, plus
-    /// the device feature vector emitted straight from streaming state.
-    ///
-    /// This is the incremental cost the streaming engine pays *once*; the
-    /// per-query work left for [`DetectionService::score_streaming`] is a
-    /// single device-model pass per device.
+    /// Build every device's vectors once and cache them: one app-model
+    /// pass over all (device, app) rows for the suspiciousness ratios,
+    /// plus each device's feature vector. The per-query work left for
+    /// [`DetectionService::score_streaming`] is a single device-model pass.
     pub fn prime(&self, out: &StudyOutput) -> PrimedScores {
         let _span = out.obs.span(keys::SPAN_STREAM_PRIME);
-        // Every (device, app) vector lands in one flat matrix, scored by a
-        // single batch pass over contiguous rows instead of one model call
-        // (and one Vec walk) per app.
-        let mut vectors: Option<FlatMatrix> = None;
-        let mut counts = Vec::with_capacity(out.observations.len());
-        for (obs, stream) in out.observations.iter().zip(&out.streaming) {
-            let mut n = 0;
+        self.vectors(out)
+    }
+
+    /// Classify every device from primed state: one device-model pass over
+    /// the cached vectors, no feature recomputation.
+    pub fn score_streaming(&self, out: &StudyOutput, primed: &PrimedScores) -> Vec<DeviceVerdict> {
+        let _span = out.obs.span(keys::SPAN_SCORE_STREAM);
+        self.classify(primed)
+    }
+
+    /// Build every device's vectors and classify them in one call.
+    /// Bitwise-equal verdicts to [`DetectionService::score_streaming`]
+    /// over [`DetectionService::prime`]: both run the same builder and
+    /// classifier.
+    pub fn score_batch(&self, out: &StudyOutput) -> Vec<DeviceVerdict> {
+        let _span = out.obs.span(keys::SPAN_SCORE_BATCH);
+        self.classify(&self.vectors(out))
+    }
+
+    /// Every (device, app) vector lands in one flat matrix, scored by a
+    /// single app-model pass; each device's segment reduces to its
+    /// suspiciousness ratio (flagged / observed apps; 0 for app-less
+    /// devices), which feeds its device vector.
+    fn vectors(&self, out: &StudyOutput) -> PrimedScores {
+        let mut app_vectors: Option<FlatMatrix> = None;
+        for obs in &out.observations {
             for &a in obs.record.apps.keys() {
-                let v = stream.app_vector(obs, a);
-                vectors
+                let v = app_features(obs, a);
+                app_vectors
                     .get_or_insert_with(|| FlatMatrix::new(v.len()))
                     .push_row(&v);
-                n += 1;
             }
-            counts.push(n);
         }
-        let vectors = vectors.unwrap_or_else(|| FlatMatrix::new(0));
-        let suspiciousness = suspiciousness_from_segments(&self.app_model, &vectors, &counts);
+        let app_vectors = app_vectors.unwrap_or_else(|| FlatMatrix::new(0));
+        let scores = self.app_model.predict_proba_batch(&app_vectors);
+        let mut rest = scores.as_slice();
+        let suspiciousness: Vec<f64> = out
+            .observations
+            .iter()
+            .map(|obs| {
+                let n = obs.record.apps.len();
+                let (segment, tail) = rest.split_at(n);
+                rest = tail;
+                if n == 0 {
+                    0.0
+                } else {
+                    segment.iter().filter(|&&p| p >= 0.5).count() as f64 / n as f64
+                }
+            })
+            .collect();
         let device_vectors = out
             .observations
             .iter()
-            .zip(&out.streaming)
             .zip(&suspiciousness)
-            .map(|((obs, stream), &susp)| stream.device_vector(obs, susp))
+            .map(|(obs, &susp)| device_features(obs, susp))
             .collect();
         PrimedScores {
             suspiciousness,
@@ -200,57 +195,13 @@ impl DetectionService {
         }
     }
 
-    /// Classify every device from primed streaming state: one device-model
-    /// pass per cached vector, no feature recomputation.
-    pub fn score_streaming(&self, out: &StudyOutput, primed: &PrimedScores) -> Vec<DeviceVerdict> {
-        let _span = out.obs.span(keys::SPAN_SCORE_STREAM);
+    /// One device-model pass over the device vectors.
+    fn classify(&self, primed: &PrimedScores) -> Vec<DeviceVerdict> {
         let vectors = FlatMatrix::from_rows(&primed.device_vectors);
         self.device_model
             .predict_proba_batch(&vectors)
             .into_iter()
             .zip(&primed.suspiciousness)
-            .map(|(proba, &suspiciousness)| DeviceVerdict {
-                suspiciousness,
-                proba,
-                is_worker: proba >= 0.5,
-            })
-            .collect()
-    }
-
-    /// Classify every device by re-deriving all features from the raw
-    /// assembled observations — the offline reference path the streaming
-    /// engine replaces. Bitwise-equal verdicts to
-    /// [`DetectionService::score_streaming`].
-    pub fn score_batch(&self, out: &StudyOutput) -> Vec<DeviceVerdict> {
-        let _span = out.obs.span(keys::SPAN_SCORE_BATCH);
-        // Same two-matrix shape as the streaming path: one batch pass over
-        // all (device, app) vectors, then one over the device vectors.
-        let mut app_vectors: Option<FlatMatrix> = None;
-        let mut counts = Vec::with_capacity(out.observations.len());
-        for obs in &out.observations {
-            let mut n = 0;
-            for &a in obs.record.apps.keys() {
-                let v = app_features(obs, a);
-                app_vectors
-                    .get_or_insert_with(|| FlatMatrix::new(v.len()))
-                    .push_row(&v);
-                n += 1;
-            }
-            counts.push(n);
-        }
-        let app_vectors = app_vectors.unwrap_or_else(|| FlatMatrix::new(0));
-        let suspiciousness = suspiciousness_from_segments(&self.app_model, &app_vectors, &counts);
-        let device_vectors: Vec<Vec<f64>> = out
-            .observations
-            .iter()
-            .zip(&suspiciousness)
-            .map(|(obs, &susp)| device_features(obs, susp))
-            .collect();
-        let device_vectors = FlatMatrix::from_rows(&device_vectors);
-        self.device_model
-            .predict_proba_batch(&device_vectors)
-            .into_iter()
-            .zip(&suspiciousness)
             .map(|(proba, &suspiciousness)| DeviceVerdict {
                 suspiciousness,
                 proba,

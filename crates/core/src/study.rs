@@ -21,7 +21,7 @@ use racket_collect::{
     ColumnarSnapshots, DataBuffer, FaultPlan, IngestScratch, ProtocolCore, ShardedIngest,
     SnapshotBatch, SnapshotCollector, WireLane,
 };
-use racket_features::{DeviceObservation, DeviceStreamState};
+use racket_features::DeviceObservation;
 use racket_obs::{LocalHistogram, Registry};
 use racket_playstore::crawler::ReviewCrawler;
 use racket_types::metrics::keys;
@@ -133,12 +133,11 @@ pub struct GroundTruth {
 /// Everything the study produces.
 #[derive(Debug)]
 pub struct StudyOutput {
-    /// One joined observation per physical device, in fleet order.
+    /// One joined observation per physical device, in fleet order: the
+    /// one input of `racket_features::app_features` / `device_features`,
+    /// which every dataset and scoring path derives its vectors from
+    /// (ARCHITECTURE.md §7).
     pub observations: Vec<DeviceObservation>,
-    /// Streaming feature state aligned with `observations`: ready the
-    /// moment the last snapshot lands, emits Table 1/Table 2 feature
-    /// vectors bitwise-equal to the batch extractors (ARCHITECTURE.md §7).
-    pub streaming: Vec<DeviceStreamState>,
     /// Ground truth aligned with `observations`.
     pub truth: Vec<GroundTruth>,
     /// The columnar (struct-of-arrays) projection of the ingested records:
@@ -156,8 +155,8 @@ pub struct StudyOutput {
     /// Number of physical devices recovered by fingerprint coalescing.
     pub coalesced_devices: usize,
     /// Coordinated-campaign detection report, computed *incrementally*:
-    /// the detector runs over the lockstep sketches the streaming engine
-    /// folded at ingest time, with no re-scan of the event vectors
+    /// the detector runs over the lockstep sketches ingest folded into
+    /// each record, with no re-scan of the event vectors
     /// (ARCHITECTURE.md §10). `racketstore::campaign::batch_report`
     /// recomputes the same report from the columnar install-event family;
     /// the equivalence suite pins them byte-identical. Excluded from
@@ -516,7 +515,7 @@ impl Study {
         // Per-device joins (Google-ID crawl, review join, VirusTotal) are
         // independent — one observation per device, built in parallel.
         let join_span = obs.span("assemble/join");
-        let joined: Vec<(DeviceObservation, DeviceStreamState, GroundTruth)> = paired
+        let joined: Vec<(DeviceObservation, GroundTruth)> = paired
             .into_par_iter()
             .map(|(dev, record)| {
                 // Google-ID crawl: resolve every Gmail account on the device.
@@ -551,17 +550,8 @@ impl Study {
                     reviews_by_app,
                     vt_flags,
                 };
-                // Streaming feature state: the review-side aggregates fold
-                // here (the snapshot-side half already lives on the
-                // record, folded at ingest), so the feature vectors are
-                // ready without any later re-scan.
-                let stream_state = {
-                    let _span = obs.span(keys::SPAN_STREAM_FOLD);
-                    DeviceStreamState::fold(&observation)
-                };
                 (
                     observation,
-                    stream_state,
                     GroundTruth {
                         persona: dev.persona(),
                     },
@@ -569,14 +559,7 @@ impl Study {
             })
             .collect();
         drop(join_span);
-        let mut observations = Vec::with_capacity(joined.len());
-        let mut streaming = Vec::with_capacity(joined.len());
-        let mut truth = Vec::with_capacity(joined.len());
-        for (observation, stream_state, gt) in joined {
-            observations.push(observation);
-            streaming.push(stream_state);
-            truth.push(gt);
-        }
+        let (observations, truth): (Vec<_>, Vec<_>) = joined.into_iter().unzip();
         drop(assemble_span);
 
         // Incremental campaign detection: the per-install lockstep
@@ -606,7 +589,6 @@ impl Study {
 
         StudyOutput {
             observations,
-            streaming,
             truth,
             columnar,
             campaigns,

@@ -43,6 +43,8 @@ pub fn app_feature_names() -> Vec<String> {
 }
 
 /// Extract the §7.1 feature vector for app `app` on the observed device.
+/// The one implementation of Table 1: the app datasets and every scoring
+/// path of `racketstore::scoring` call it.
 ///
 /// # Panics
 /// If the app was never observed on the device (no metadata).

@@ -16,23 +16,18 @@
 //! study pipeline assembles from the collection server's install records,
 //! the review crawler and the VirusTotal reports.
 //!
-//! The streaming analysis engine (ARCHITECTURE.md §7) adds single-pass
-//! review-side aggregators ([`AppReviewStream`]) and a per-device
-//! [`DeviceStreamState`] that emits both feature vectors
-//! bitwise-equal to the batch extractors, with no post-hoc scan.
+//! These two functions are the only implementation of Tables 1 and 2:
+//! dataset builds, the ablations and every scoring path of the detection
+//! service (ARCHITECTURE.md §7) call them.
 
 #![deny(missing_docs)]
 
 mod app;
 mod device;
 mod observation;
-mod online;
-mod streaming;
 mod text;
 
 pub use app::{app_feature_names, app_features};
 pub use device::{device_features, DEVICE_FEATURE_NAMES};
 pub use observation::DeviceObservation;
-pub use online::AppReviewStream;
-pub use streaming::DeviceStreamState;
 pub use text::{app_feature_names_with_text, text_features};

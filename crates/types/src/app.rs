@@ -101,13 +101,6 @@ pub struct AppMetadata {
     pub modded: bool,
 }
 
-impl AppMetadata {
-    /// Number of dangerous permissions in the manifest (Figure 11 y-axis).
-    pub fn dangerous_permission_count(&self) -> usize {
-        self.permissions.dangerous().len()
-    }
-}
-
 /// Per-device state of one installed app, the unit the fast snapshot
 /// collector reports deltas about (§3). Plain data with its permission
 /// sets as masks, so it is `Copy` and 64 bytes.
@@ -164,19 +157,6 @@ impl AppCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::permission::Permission;
-
-    fn meta(perms: PermissionSet) -> AppMetadata {
-        AppMetadata {
-            id: AppId(1),
-            package: "com.example.app".into(),
-            category: AppCategory::Tools,
-            permissions: perms,
-            apk_hash: ApkHash([0xab; 16]),
-            on_play_store: true,
-            modded: false,
-        }
-    }
 
     #[test]
     fn apk_hash_hex() {
@@ -186,20 +166,6 @@ mod tests {
         ]);
         assert_eq!(h.to_hex(), "00112233445566778899aabbccddeeff");
         assert_eq!(h.to_string(), h.to_hex());
-    }
-
-    #[test]
-    fn dangerous_permission_count() {
-        let m = meta(
-            [
-                Permission::Internet,
-                Permission::Camera,
-                Permission::ReadSms,
-            ]
-            .into_iter()
-            .collect(),
-        );
-        assert_eq!(m.dangerous_permission_count(), 2);
     }
 
     #[test]

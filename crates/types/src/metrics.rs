@@ -24,19 +24,22 @@ pub mod keys {
     pub const SPAN_SIMULATE: &str = "simulate";
     /// Span: database assembly (coalescing, crawl joins, feature inputs).
     pub const SPAN_ASSEMBLE: &str = "assemble";
-    /// Span: folding per-device streaming feature state at assemble time.
+    /// Span: recorded by nothing. Assembly no longer folds per-device
+    /// feature state (every vector comes from `racket_features`' one
+    /// extractor); the name stays only because the benchmark harness still
+    /// reads it, so its `features.streaming.fold_busy_s` layer reads 0.
     pub const SPAN_STREAM_FOLD: &str = "assemble/stream_fold";
     /// Span: building the columnar (struct-of-arrays) snapshot store from
     /// the canonical sorted record vector (ARCHITECTURE.md §9).
     pub const SPAN_COLUMNARIZE: &str = "assemble/columnarize";
-    /// Span: priming the detection service from streaming state (per-app
-    /// scores + cached device vectors).
+    /// Span: priming the detection service (per-app scores + cached
+    /// device vectors, built once).
     pub const SPAN_STREAM_PRIME: &str = "analyze/stream_prime";
-    /// Span: end-of-study device classification from primed streaming
-    /// state (the latency the streaming engine is measured on).
+    /// Span: device classification from primed vectors (one device-model
+    /// pass).
     pub const SPAN_SCORE_STREAM: &str = "analyze/score_streaming";
-    /// Span: device classification via the batch re-scan path (recomputes
-    /// every feature from the raw record).
+    /// Span: device classification that builds its vectors in the same
+    /// call (prime and classify in one).
     pub const SPAN_SCORE_BATCH: &str = "analyze/score_batch";
     /// Span: async plane — accepting newly connected clients into a
     /// worker's connection list.

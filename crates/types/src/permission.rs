@@ -280,11 +280,6 @@ impl PermissionProfile {
         }
     }
 
-    /// Total number of requested permissions.
-    pub fn total(&self) -> usize {
-        self.requested.len()
-    }
-
     /// Number of requested permissions that are dangerous (Figure 11 y-axis).
     pub fn dangerous_count(&self) -> usize {
         self.requested.dangerous().len()
@@ -292,16 +287,7 @@ impl PermissionProfile {
 
     /// Number of requested permissions that are normal.
     pub fn normal_count(&self) -> usize {
-        self.total() - self.dangerous_count()
-    }
-
-    /// Ratio of dangerous to total permissions; 0 for an empty manifest.
-    pub fn dangerous_ratio(&self) -> f64 {
-        if self.requested.is_empty() {
-            0.0
-        } else {
-            self.dangerous_count() as f64 / self.total() as f64
-        }
+        self.requested.len() - self.dangerous_count()
     }
 }
 
@@ -372,10 +358,8 @@ mod tests {
             .into_iter()
             .collect(),
         );
-        assert_eq!(profile.total(), 3);
         assert_eq!(profile.dangerous_count(), 2);
         assert_eq!(profile.normal_count(), 1);
-        assert!((profile.dangerous_ratio() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(profile.granted.len(), 2);
         assert!(profile.is_consistent());
     }
@@ -429,11 +413,6 @@ mod tests {
         removed.remove(Permission::Camera);
         assert!(removed.is_empty());
         assert_eq!(removed, PermissionSet::default());
-    }
-
-    #[test]
-    fn empty_profile_ratio_is_zero() {
-        assert_eq!(PermissionProfile::default().dangerous_ratio(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! which checks every contract on each row. The reactor-driven collection
 //! plane (ARCHITECTURE.md §8) is a different front end, not a different
 //! protocol: at every worker count it reproduces the sync wire study's
-//! data and streaming fingerprints and uploads as many files.
+//! data and feature fingerprints and uploads as many files.
 
 mod common;
 mod scenario;

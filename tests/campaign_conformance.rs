@@ -12,7 +12,7 @@
 mod common;
 
 use common::{
-    campaign_config, fingerprint, small_config, streaming_fingerprint, text_campaign_config,
+    campaign_config, feature_fingerprint, fingerprint, small_config, text_campaign_config,
     text_config,
 };
 use racket_agents::PacingStrategy;
@@ -200,7 +200,7 @@ fn stealth_pacing_degrades_recall_not_precision() {
 /// must stay outside every canonical output fingerprint. This regression
 /// test mutates the report and asserts the fingerprints cannot see it —
 /// if a later change renders `campaigns` into `fingerprint` /
-/// `streaming_fingerprint`, this fails.
+/// `feature_fingerprint`, this fails.
 #[test]
 fn campaign_report_is_excluded_from_output_fingerprints() {
     let mut out = Study::new(campaign_config(
@@ -213,8 +213,8 @@ fn campaign_report_is_excluded_from_output_fingerprints() {
         !out.campaigns.campaigns.is_empty(),
         "exclusion test is vacuous without a detected campaign"
     );
-    let (fp, sfp) = (fingerprint(&out), streaming_fingerprint(&out));
+    let (fp, ffp) = (fingerprint(&out), feature_fingerprint(&out));
     out.campaigns = Default::default();
     assert_eq!(fp, fingerprint(&out));
-    assert_eq!(sfp, streaming_fingerprint(&out));
+    assert_eq!(ffp, feature_fingerprint(&out));
 }

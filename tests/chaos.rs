@@ -3,7 +3,7 @@
 //! hostile network can change how many times things are sent, never what
 //! is ingested (ARCHITECTURE.md "Chaos and idempotency", PROTOCOL.md
 //! §§5–7): each fault class alone, then the combined hostile plan at 1 and
-//! 8 threads, reproduces the clean run's data, streaming and text state,
+//! 8 threads, reproduces the clean run's data, features and text state,
 //! with evidence that the faults happened and were survived. The async
 //! hostile rows are the last rows of the text, campaign and columnar
 //! slices.

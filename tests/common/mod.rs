@@ -95,93 +95,27 @@ pub(crate) fn data_fingerprint(out: &StudyOutput) -> String {
     s
 }
 
-/// Canonical fingerprint of the *streaming* feature state: the per-app
-/// ingest-time aggregates latched on each install record, plus the exact
-/// bit pattern (`f64::to_bits`) of every feature vector emitted from
-/// streaming state. Per-app maps render in sorted ID order. The scenario
-/// matrix compares this across paths, thread counts and fault plans:
-/// streaming state recovered from a hostile network must be
-/// byte-identical to a clean run's.
-pub(crate) fn streaming_fingerprint(out: &StudyOutput) -> String {
+/// Canonical fingerprint of the features: the exact bit pattern
+/// (`f64::to_bits`) of [`app_features`] for every app observed on each
+/// device, in ascending app order, and of [`device_features`] (at
+/// suspiciousness 0) for every device. The scenario matrix compares this
+/// across paths, thread counts and fault plans: features recovered from a
+/// hostile network must be bit-identical to a clean run's.
+pub(crate) fn feature_fingerprint(out: &StudyOutput) -> String {
     let mut s = String::new();
-    for (obs, stream) in out.observations.iter().zip(&out.streaming) {
-        let r = &obs.record;
-        write!(
-            s,
-            "{:?} installs={} uninstalls={}",
-            r.install_id,
-            r.install_events.len(),
-            r.uninstall_events.len()
-        )
-        .unwrap();
-        let per_app: BTreeMap<_, _> = r
-            .stream
-            .apps()
-            .map(|(k, v)| (k, format!("{v:?}")))
-            .collect();
-        write!(s, "{per_app:?}").unwrap();
-        for &app in r.apps.keys() {
-            let bits: Vec<u64> = stream
-                .app_vector(obs, app)
-                .iter()
-                .map(|f| f.to_bits())
-                .collect();
+    for obs in &out.observations {
+        write!(s, "{:?}", obs.record.install_id).unwrap();
+        for &app in obs.record.apps.keys() {
+            let bits: Vec<u64> = app_features(obs, app).iter().map(|f| f.to_bits()).collect();
             write!(s, "|{app:?}:{bits:x?}").unwrap();
         }
-        let bits: Vec<u64> = stream
-            .device_vector(obs, 0.0)
+        let bits: Vec<u64> = device_features(obs, 0.0)
             .iter()
             .map(|f| f.to_bits())
             .collect();
         writeln!(s, "|device:{bits:x?}").unwrap();
     }
     s
-}
-
-/// Assert that every feature vector emitted from streaming state is
-/// `f64`-bit-identical to the batch formulas recomputed from the raw
-/// assembled observation — the differential contract of the streaming
-/// engine (ARCHITECTURE.md §7). `context` names the scenario in failures.
-pub(crate) fn assert_stream_equals_batch(out: &StudyOutput, context: &str) {
-    assert_eq!(
-        out.streaming.len(),
-        out.observations.len(),
-        "{context}: streaming state misaligned with observations"
-    );
-    for (i, (obs, stream)) in out.observations.iter().zip(&out.streaming).enumerate() {
-        for &app in obs.record.apps.keys() {
-            let streamed = stream.app_vector(obs, app);
-            let batch = app_features(obs, app);
-            assert_eq!(streamed.len(), batch.len(), "{context}: app vector arity");
-            for (col, (sv, bv)) in streamed.iter().zip(&batch).enumerate() {
-                assert_eq!(
-                    sv.to_bits(),
-                    bv.to_bits(),
-                    "{context}: device {i} app {app:?} feature {col}: \
-                     streaming {sv:?} != batch {bv:?}"
-                );
-            }
-        }
-        // Any suspiciousness constant passes through both paths untouched;
-        // exercise the 0 edge and an arbitrary interior value.
-        for susp in [0.0, 0.375] {
-            let streamed = stream.device_vector(obs, susp);
-            let batch = device_features(obs, susp);
-            assert_eq!(
-                streamed.len(),
-                batch.len(),
-                "{context}: device vector arity"
-            );
-            for (col, (sv, bv)) in streamed.iter().zip(&batch).enumerate() {
-                assert_eq!(
-                    sv.to_bits(),
-                    bv.to_bits(),
-                    "{context}: device {i} feature {col} (susp {susp}): \
-                     streaming {sv:?} != batch {bv:?}"
-                );
-            }
-        }
-    }
 }
 
 /// Completions of the span named `stage` in the study's registry so far.

@@ -12,8 +12,8 @@
 //!
 //! | test | rows (path/fault @ threads) |
 //! |---|---|
-//! | `streaming_equivalence::ambient_streaming_state_equals_batch_features` | direct/clean @ ambient |
-//! | `streaming_equivalence::matrix_streaming_state_equals_batch_features` | direct/clean @ ambient, 1, 2, 3, 8 |
+//! | `thread_equivalence::ambient_direct_study_meets_every_contract` | direct/clean @ ambient |
+//! | `thread_equivalence::direct_study_is_equal_at_every_thread_count` | direct/clean @ ambient, 1, 2, 3, 8 |
 //! | `path_equivalence::wire_and_direct_paths_yield_identical_aggregates` | direct/clean @ 1; wire/clean @ 1, 3, 8 |
 //! | `async_equivalence::async_driver_reproduces_the_sync_wire_study` | wire/clean @ 1; async/clean @ 1, 2, 3, 8 |
 //! | `chaos::study_output_survives_every_fault_class` | wire/clean @ 1; wire/each of the seven classes @ 1; wire/hostile @ 1, 8 |
@@ -26,7 +26,7 @@
 //! 34 small studies in all: the 24 rows of the table, the text-off twin,
 //! and the nine direct or clean wire reference rows that anchor a slice's
 //! cross-row comparisons. Three are async + hostile. Every multi-row slice
-//! starts at direct/clean or wire/clean at 1 thread; the streaming slice
+//! starts at direct/clean or wire/clean at 1 thread; the thread slice
 //! holds direct at ambient and 1 thread, and the path slice holds direct
 //! and wire at 1 thread. So the per-slice comparisons chain into one
 //! equality over the whole table. Every slice with an async row starts at
@@ -50,37 +50,38 @@
 //!    files, as many as the slice's first off-direct row, and no direct
 //!    row uploaded any.
 //! 4. **Async ≡ sync** (`async_equivalence.rs`, `chaos.rs`): the async rows
-//!    (clean at 1/2/3/8, hostile at 1/3/8) reproduce the data and streaming
+//!    (clean at 1/2/3/8, hostile at 1/3/8) reproduce the data and feature
 //!    fingerprints and the uploaded-file count of the clean sync wire row
 //!    their slice starts with; the async plane ingested through shards,
 //!    injected nothing on a clean link, and its hostile rows sampled
 //!    faults, retried and exhausted no exchange.
 //! 5. **Faulted ≡ clean** (`chaos.rs`, `streaming_equivalence.rs`): every
 //!    fault row (the seven single classes on wire at 1 thread, hostile on
-//!    wire at 1/8 and async at 1/3/8) reproduces the clean data, streaming
+//!    wire at 1/8 and async at 1/3/8) reproduces the clean data, feature
 //!    and text fingerprints; it shows its class sampled and the protocol's
 //!    recovery (retries, stale discards, reconnects, dedups as the class
 //!    calls for, backoff behind every sync retry); it exhausts no exchange
 //!    and counts as many `ingest.dup_files` as `server_stats.dup_files`. The clean
 //!    wire rows really are clean: no fault, retry, reconnect, backoff,
 //!    stale frame or dedup.
-//! 6. **Streaming ≡ batch feature bits** (`streaming_equivalence.rs`):
-//!    every row.
-//! 7. **Text stream ≡ batch, one span per rebuild** (`text_equivalence.rs`,
+//!    The feature fingerprint holds the bits of every `app_features` and
+//!    `device_features` vector, so features recovered over any path,
+//!    fault plan or thread count equal the clean direct run's.
+//! 6. **Text stream ≡ batch, one span per rebuild** (`text_equivalence.rs`,
 //!    `streaming_equivalence.rs`, `chaos.rs`): every row; the text
 //!    fingerprint is non-vacuous and equal on every row of a slice.
-//! 8. **Text-on reproduces text-off** (`text_equivalence.rs`): the text-off
-//!    twin of the ambient direct row has that row's full and streaming
+//! 7. **Text-on reproduces text-off** (`text_equivalence.rs`): the text-off
+//!    twin of the ambient direct row has that row's full and feature
 //!    fingerprints and no review text.
-//! 9. **Campaign batch ≡ incremental** (`campaign_equivalence.rs`,
+//! 8. **Campaign batch ≡ incremental** (`campaign_equivalence.rs`,
 //!    `text_equivalence.rs`): every row, with at least one detected
 //!    cluster, text candidate pairs > 0 and one campaign fingerprint per
 //!    slice.
-//! 10. **The columnar store mirrors the records**
-//!     (`columnar_equivalence.rs`): on every row its install events and
-//!     review events equal the records', and the columnar fingerprint
-//!     (installs, events, reviews) is equal on every row of a slice.
-//! 11. **Training and scoring equal their references**
+//! 9. **The columnar store mirrors the records**
+//!    (`columnar_equivalence.rs`): on every row its install events and
+//!    review events equal the records', and the columnar fingerprint
+//!    (installs, events, reviews) is equal on every row of a slice.
+//! 10. **Training and scoring equal their references**
 //!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
 //!     study: `predict_proba_batch` ≡ `predict_proba`, streaming ≡ batch
 //!     verdicts, each stage's span completed once. GBT `fit` ≡ the
@@ -99,8 +100,8 @@
 #![allow(dead_code)]
 
 use crate::common::{
-    assert_stream_equals_batch, assert_text_stream_equals_batch, campaign_config, data_fingerprint,
-    fingerprint, streaming_fingerprint, text_campaign_config, with_threads,
+    assert_text_stream_equals_batch, campaign_config, data_fingerprint, feature_fingerprint,
+    fingerprint, text_campaign_config, with_threads,
 };
 use racket_agents::PacingStrategy;
 use racket_collect::FaultPlan;
@@ -159,7 +160,7 @@ impl Canon {
         });
         let context = "Direct/clean text-off";
         self.pin("full Direct/clean".into(), fingerprint(&off), context);
-        self.pin("streaming".into(), streaming_fingerprint(&off), context);
+        self.pin("features".into(), feature_fingerprint(&off), context);
         let text = assert_text_stream_equals_batch(&off, context);
         assert!(
             text.starts_with("texted_installs=0 "),
@@ -181,7 +182,6 @@ pub(crate) fn check(rows: &[Row]) -> Canon {
         });
 
         // Row-local contracts.
-        assert_stream_equals_batch(&out, &context);
         let text = assert_text_stream_equals_batch(&out, &context);
         assert!(
             !text.starts_with("texted_installs=0 "),
@@ -209,7 +209,7 @@ pub(crate) fn check(rows: &[Row]) -> Canon {
         // (path, fault) pair, while the async plane's `dup_files` follows
         // its timing.
         canon.pin("data".into(), data_fingerprint(&out), &context);
-        canon.pin("streaming".into(), streaming_fingerprint(&out), &context);
+        canon.pin("features".into(), feature_fingerprint(&out), &context);
         canon.pin("text".into(), text, &context);
         canon.pin("campaign".into(), out.campaigns.fingerprint(), &context);
         canon.pin("columnar".into(), columnar_fingerprint(&out), &context);

@@ -1,6 +1,6 @@
 //! The direct rows of the scenario table (`tests/scenario/mod.rs`), which
-//! checks every contract on each row; named for the streaming ≡ batch
-//! feature-bits contract (ARCHITECTURE.md §7).
+//! checks every contract on each row; named for the N threads ≡ 1 thread
+//! contract its matrix test pins on the direct path.
 
 mod common;
 mod scenario;
@@ -9,14 +9,15 @@ use racketstore::study::CollectionPath::Direct;
 
 /// Whatever thread pool the environment gives us (no pinning).
 #[test]
-fn ambient_streaming_state_equals_batch_features() {
+fn ambient_direct_study_meets_every_contract() {
     scenario::check(&[(Direct, "clean", None)]);
 }
 
 /// The direct path at every worker count: N threads ≡ 1 thread on the
-/// full fingerprint, and every row-local contract at each count.
+/// full and feature fingerprints, and every row-local contract at each
+/// count.
 #[test]
-fn matrix_streaming_state_equals_batch_features() {
+fn direct_study_is_equal_at_every_thread_count() {
     scenario::check(&[
         (Direct, "clean", None),
         (Direct, "clean", Some("1")),
