@@ -31,10 +31,12 @@ step "scenario matrix (release)"
 # threads) study once and checks every equivalence contract on that output
 # (text stream == batch, campaign batch == incremental, columnar == row,
 # wire == direct, async == sync, faulted == clean, N threads == 1, and
-# feature bits equal on every row); its module doc lists the contracts and the test and rows
-# that check each. Each binary below runs one slice of it; tests/matrix.rs
-# adds the fleet-generation and training/scoring checks. Run at 1 and 8
-# worker threads so the ambient rows see both a serial and a parallel pool.
+# feature bits equal on every row); its module doc lists the contracts and
+# the test and rows that check each. Each slice binary below holds its own
+# rows and compares them with the table's pinned fingerprint digests, so no
+# slice re-runs a reference row; tests/matrix.rs adds the fleet-generation
+# and training/scoring checks. Run at 1 and 8 worker threads so the
+# ambient rows see both a serial and a parallel pool.
 # Before it, in the same release build: the hand-stepped window test (one
 # lane, session and core under every fault profile at window 1, 2 and 16)
 # and racket-text's own tests (the one-pass review row against the two-scan

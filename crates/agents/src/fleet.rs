@@ -14,6 +14,7 @@
 use crate::agent::{DeviceAgent, IdAllocator};
 use crate::campaign::{CampaignConfig, CampaignDirective, CampaignPlan, CampaignSpec};
 use crate::params::PersonaParams;
+use crate::textgen::fmix64;
 use racket_device::Device;
 use racket_playstore::{
     catalog::CatalogConfig, AppCatalog, GoogleIdDirectory, ReviewStore, VirusTotalSim,
@@ -37,10 +38,8 @@ pub(crate) const ID_STRIDE: u64 = 1_000_000;
 /// same whether devices are built serially or on any number of worker
 /// threads, in any order.
 pub fn stream_seed(master: u64, index: u64) -> u64 {
-    let mut z = master ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    fmix64(master ^ index.wrapping_add(1).wrapping_mul(GOLDEN))
 }
 
 /// Fleet composition and timing.

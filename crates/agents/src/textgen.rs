@@ -36,7 +36,7 @@ pub(crate) const TEXT_STREAM_SALT: u64 = 0x7EA7_5EED_C0DE_2021;
 /// not `racket_text::mix64`, which adds it first. Every generated review
 /// text is keyed through this function, so swapping in the other mixer
 /// would shift every text-on fingerprint.
-fn fmix64(mut z: u64) -> u64 {
+pub(crate) fn fmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -8,7 +8,8 @@
 
 use crate::labeling::AppLabels;
 use crate::study::StudyOutput;
-use racket_features::{app_feature_names, app_features};
+use racket_columnar::FlatMatrix;
+use racket_features::{app_feature_names, app_features, DeviceObservation};
 use racket_ml::{
     cross_validate, Classifier, Dataset, FeatureImportance, GradientBoosting,
     GradientBoostingParams, KNearestNeighbors, LinearSvm, LinearSvmParams, LogisticRegression,
@@ -244,7 +245,7 @@ impl AppClassifier {
     }
 
     /// Probability that the app's usage on this device is promotion.
-    pub fn suspicion_proba(&self, obs: &racket_features::DeviceObservation, app: AppId) -> f64 {
+    pub fn suspicion_proba(&self, obs: &DeviceObservation, app: AppId) -> f64 {
         self.model.predict_proba(&app_features(obs, app))
     }
 
@@ -253,24 +254,47 @@ impl AppClassifier {
     pub(crate) fn model(&self) -> &GradientBoosting {
         &self.model
     }
+}
 
-    /// Fraction of the device's observed apps flagged as promotion-used —
-    /// the §8.1 *app suspiciousness* feature and the Figure 15 x-axis.
-    /// Preinstalled apps count toward the denominator: the paper's
-    /// examples of personally-used apps on worker devices are Samsung
-    /// system messaging/call apps (§8.2), so a device whose owner lives
-    /// in its system apps reads as organic.
-    pub(crate) fn device_suspiciousness(&self, obs: &racket_features::DeviceObservation) -> f64 {
-        let apps = &obs.record.apps;
-        if apps.is_empty() {
-            return 0.0;
+/// Each device's *app suspiciousness*: the fraction of its observed apps
+/// that `model` flags as promotion-used — the §8.1 feature and the
+/// Figure 15 x-axis; 0 for a device with no apps. Every (device, app)
+/// vector lands in one flat matrix, scored by a single
+/// [`GradientBoosting::predict_proba_batch`] pass (bitwise-equal per row
+/// to `predict_proba`). Preinstalled apps count toward the denominator:
+/// the paper's examples of personally-used apps on worker devices are
+/// Samsung system messaging/call apps (§8.2), so a device whose owner
+/// lives in its system apps reads as organic.
+pub(crate) fn suspiciousness<'a, I>(model: &GradientBoosting, devices: I) -> Vec<f64>
+where
+    I: IntoIterator<Item = &'a DeviceObservation>,
+    I::IntoIter: Clone,
+{
+    let devices = devices.into_iter();
+    let mut vectors: Option<FlatMatrix> = None;
+    for obs in devices.clone() {
+        for &a in obs.record.apps.keys() {
+            let v = app_features(obs, a);
+            vectors
+                .get_or_insert_with(|| FlatMatrix::new(v.len()))
+                .push_row(&v);
         }
-        let flagged = apps
-            .keys()
-            .filter(|&&a| self.suspicion_proba(obs, a) >= 0.5)
-            .count();
-        flagged as f64 / apps.len() as f64
     }
+    let vectors = vectors.unwrap_or_else(|| FlatMatrix::new(0));
+    let scores = model.predict_proba_batch(&vectors);
+    let mut rest = scores.as_slice();
+    devices
+        .map(|obs| {
+            let n = obs.record.apps.len();
+            let (segment, tail) = rest.split_at(n);
+            rest = tail;
+            if n == 0 {
+                0.0
+            } else {
+                segment.iter().filter(|&&p| p >= 0.5).count() as f64 / n as f64
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -351,13 +375,13 @@ mod tests {
     fn trained_classifier_separates_device_suspiciousness_by_cohort() {
         let (out, ds) = dataset();
         let clf = AppClassifier::train(ds);
+        let susp = suspiciousness(clf.model(), &out.observations);
         let mean = |cohort| {
-            let vals: Vec<f64> = out
-                .observations
+            let vals: Vec<f64> = susp
                 .iter()
                 .zip(&out.truth)
                 .filter(|(_, t)| t.persona.cohort() == cohort)
-                .map(|(o, _)| clf.device_suspiciousness(o))
+                .map(|(&s, _)| s)
                 .collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };

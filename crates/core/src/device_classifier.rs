@@ -6,7 +6,9 @@
 //! CV, reports the Figure 14 importances, and computes the Figure 15
 //! organic/dedicated split over worker devices.
 
-use crate::app_classifier::{feature_importance, table2_algorithms, AlgorithmRow, AppClassifier};
+use crate::app_classifier::{
+    feature_importance, suspiciousness, table2_algorithms, AlgorithmRow, AppClassifier,
+};
 use crate::study::StudyOutput;
 use racket_features::{device_features, DEVICE_FEATURE_NAMES};
 use racket_ml::{cross_validate, Dataset, Resampling};
@@ -62,16 +64,19 @@ impl DeviceDataset {
             eligible.sort_unstable();
         }
 
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        let mut suspiciousness = Vec::new();
-        for &i in &eligible {
-            let obs = &out.observations[i];
-            let susp = app_classifier.device_suspiciousness(obs);
-            x.push(device_features(obs, susp));
-            y.push(u8::from(out.truth[i].persona.cohort() == Cohort::Worker));
-            suspiciousness.push(susp);
-        }
+        let suspiciousness = suspiciousness(
+            app_classifier.model(),
+            eligible.iter().map(|&i| &out.observations[i]),
+        );
+        let x = eligible
+            .iter()
+            .zip(&suspiciousness)
+            .map(|(&i, &susp)| device_features(&out.observations[i], susp))
+            .collect();
+        let y = eligible
+            .iter()
+            .map(|&i| u8::from(out.truth[i].persona.cohort() == Cohort::Worker))
+            .collect();
         DeviceDataset {
             data: Dataset::new(
                 x,

@@ -12,7 +12,8 @@
 //!   [`DetectionService::from_bytes`]).
 //! * [`DetectionService::prime`] builds every device's vectors once: each
 //!   observed (device, app) pair's [`app_features`] row, one app-model
-//!   pass over them for the suspiciousness ratios, then each device's
+//!   pass over them for the suspiciousness ratios (`DeviceDataset::build`
+//!   computes its column with the same helper), then each device's
 //!   [`device_features`] row. It caches the ratios and device vectors in
 //!   [`PrimedScores`].
 //! * [`DetectionService::score_streaming`] classifies every device with a
@@ -31,12 +32,14 @@
 //! which is bitwise-equal per row to calling `predict_proba` (the
 //! row→column equivalence contract, ARCHITECTURE.md §9) — `tests/matrix.rs`
 //! holds the verdicts to that.
+//!
+//! [`app_features`]: racket_features::app_features
 
-use crate::app_classifier::AppClassifier;
+use crate::app_classifier::{suspiciousness, AppClassifier};
 use crate::device_classifier::DEDICATED_SUSPICIOUSNESS;
 use crate::study::StudyOutput;
 use racket_columnar::FlatMatrix;
-use racket_features::{app_features, device_features};
+use racket_features::device_features;
 use racket_ml::{Classifier, GradientBoosting, GradientBoostingParams, PersistError};
 use racket_types::metrics::keys;
 
@@ -152,37 +155,10 @@ impl DetectionService {
         self.classify(&self.vectors(out))
     }
 
-    /// Every (device, app) vector lands in one flat matrix, scored by a
-    /// single app-model pass; each device's segment reduces to its
-    /// suspiciousness ratio (flagged / observed apps; 0 for app-less
-    /// devices), which feeds its device vector.
+    /// Each device's suspiciousness ratio from one app-model pass over
+    /// every (device, app) vector, then each device's vector.
     fn vectors(&self, out: &StudyOutput) -> PrimedScores {
-        let mut app_vectors: Option<FlatMatrix> = None;
-        for obs in &out.observations {
-            for &a in obs.record.apps.keys() {
-                let v = app_features(obs, a);
-                app_vectors
-                    .get_or_insert_with(|| FlatMatrix::new(v.len()))
-                    .push_row(&v);
-            }
-        }
-        let app_vectors = app_vectors.unwrap_or_else(|| FlatMatrix::new(0));
-        let scores = self.app_model.predict_proba_batch(&app_vectors);
-        let mut rest = scores.as_slice();
-        let suspiciousness: Vec<f64> = out
-            .observations
-            .iter()
-            .map(|obs| {
-                let n = obs.record.apps.len();
-                let (segment, tail) = rest.split_at(n);
-                rest = tail;
-                if n == 0 {
-                    0.0
-                } else {
-                    segment.iter().filter(|&&p| p >= 0.5).count() as f64 / n as f64
-                }
-            })
-            .collect();
+        let suspiciousness = suspiciousness(&self.app_model, &out.observations);
         let device_vectors = out
             .observations
             .iter()

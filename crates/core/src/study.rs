@@ -855,87 +855,4 @@ mod tests {
         }
         assert_eq!(out.server_stats.dup_files, 0);
     }
-
-    #[test]
-    fn direct_path_shards_and_matches_device_count() {
-        let mut config = StudyConfig::test_scale();
-        config.path = CollectionPath::Direct;
-        let out = Study::new(config).run();
-        assert_eq!(out.observations.len(), 60);
-        let snap = out.obs.snapshot();
-        assert_eq!(
-            shard_occupancy(&snap).iter().sum::<u64>(),
-            60,
-            "every device's record lands on exactly one shard"
-        );
-        assert_eq!(
-            snap.counter(keys::BYTES_COMPRESSED),
-            0,
-            "direct path skips compression"
-        );
-        assert_eq!(
-            snap.counter(keys::SNAPSHOTS_INGESTED),
-            out.server_stats.snapshots
-        );
-    }
-
-    #[test]
-    fn async_wire_path_matches_sync_wire_output() {
-        let sync = test_output();
-        let mut config = StudyConfig::test_scale();
-        config.path = CollectionPath::AsyncWire;
-        let out = Study::new(config).run();
-        // Data output identical to the sync wire path (the §8 equivalence
-        // contract); dup_files is deliberately NOT compared — premature
-        // retries under load inflate it without touching the data.
-        assert_eq!(out.observations.len(), sync.observations.len());
-        assert_eq!(out.server_stats.snapshots, sync.server_stats.snapshots);
-        assert_eq!(out.server_stats.files, sync.server_stats.files);
-        assert_eq!(out.server_stats.sign_ins, 60);
-        assert_eq!(out.server_stats.bad_uploads, 0);
-        for (x, y) in out.observations.iter().zip(&sync.observations) {
-            assert_eq!(x.record.install_id, y.record.install_id);
-            assert_eq!(x.record.n_fast, y.record.n_fast);
-            assert_eq!(x.record.snapshots_per_day, y.record.snapshots_per_day);
-        }
-        let snap = out.obs.snapshot();
-        assert!(
-            !shard_occupancy(&snap).is_empty(),
-            "the async plane ingests through its sharded store"
-        );
-        assert!(snap.counter(keys::BYTES_COMPRESSED) > 0);
-        assert_eq!(
-            racket_types::FaultCounters::from_snapshot(&snap).total(),
-            0,
-            "clean link injects nothing"
-        );
-    }
-
-    #[test]
-    fn columnar_store_mirrors_the_records() {
-        let out = test_output();
-        assert_eq!(out.columnar.n_installs(), out.observations.len());
-        let mut records: Vec<_> = out.observations.iter().map(|o| &o.record).collect();
-        records.sort_by_key(|r| r.install_id);
-        for (i, r) in records.into_iter().enumerate() {
-            assert_eq!(out.columnar.install_id(i), r.install_id);
-            assert!(out
-                .columnar
-                .install_events_of(i)
-                .eq(r.install_events.iter().copied()));
-            assert_eq!(out.columnar.reviews_of(i).count(), r.review_events.len());
-        }
-    }
-
-    #[test]
-    fn study_is_deterministic() {
-        let a = test_output();
-        let b = Study::new(StudyConfig::test_scale()).run();
-        assert_eq!(a.server_stats.snapshots, b.server_stats.snapshots);
-        assert_eq!(a.reviews_crawled, b.reviews_crawled);
-        for (x, y) in a.observations.iter().zip(&b.observations) {
-            assert_eq!(x.record.n_fast, y.record.n_fast);
-            assert_eq!(x.total_reviews(), y.total_reviews());
-        }
-    }
 }

@@ -12,7 +12,7 @@
 # one line of `file` (so a refactor that moves or duplicates it fails
 # loudly instead of testing nothing); `replacement` is what it becomes;
 # `test` is the argument list given to `cargo test --release -p <package>`
-# (a target such as `--test thread_equivalence`, or `--lib` and a name
+# (a target such as `--test matrix`, or `--lib` and a name
 # filter). Fields are literal: no escapes are interpreted.
 #
 # The script `git clone`s HEAD into a scratch directory beside this

@@ -7,7 +7,7 @@
 mod common;
 mod scenario;
 
-use racketstore::study::CollectionPath::{AsyncWire, Direct, Wire};
+use racketstore::study::CollectionPath::{AsyncWire, Direct};
 
 /// Whatever thread pool the environment gives us (no pinning).
 #[test]
@@ -15,12 +15,9 @@ fn ambient_batch_report_equals_incremental() {
     scenario::check(&[(Direct, "clean", None)]);
 }
 
-/// An async hostile row against the clean sync wire baseline: replays
-/// never double-fold a sketch, and the campaign fingerprint does not move.
+/// An async hostile row: replays never double-fold a sketch, and the
+/// campaign fingerprint stays the pinned one.
 #[test]
 fn matrix_batch_report_equals_incremental_everywhere() {
-    scenario::check(&[
-        (Wire, "clean", Some("1")),
-        (AsyncWire, "hostile", Some("3")),
-    ]);
+    scenario::check(&[(AsyncWire, "hostile", Some("3"))]);
 }

@@ -6,87 +6,81 @@
 //! set; `check.sh` runs the table's binaries at `RAYON_NUM_THREADS=1` and
 //! `=8`). [`check`] runs each row of a slice once, checks every row-local
 //! contract on its output, and compares each output's fingerprints with
-//! the first row of the slice that produced them. The table is split into
-//! slices, one per test, so that each study of the table runs once in the
-//! suite:
+//! the first row of the slice that produced them and with the digests in
+//! [`PINNED`]. Because every slice is held to the same pins, a slice needs
+//! no reference row to compare against and holds only rows of its own:
 //!
 //! | test | rows (path/fault @ threads) |
 //! |---|---|
 //! | `thread_equivalence::ambient_direct_study_meets_every_contract` | direct/clean @ ambient |
-//! | `thread_equivalence::direct_study_is_equal_at_every_thread_count` | direct/clean @ ambient, 1, 2, 3, 8 |
-//! | `path_equivalence::wire_and_direct_paths_yield_identical_aggregates` | direct/clean @ 1; wire/clean @ 1, 3, 8 |
-//! | `async_equivalence::async_driver_reproduces_the_sync_wire_study` | wire/clean @ 1; async/clean @ 1, 2, 3, 8 |
-//! | `chaos::study_output_survives_every_fault_class` | wire/clean @ 1; wire/each of the seven classes @ 1; wire/hostile @ 1, 8 |
-//! | `text_equivalence::ambient_text_on_study_reproduces_text_off_bytes` | direct/clean @ ambient, then its text-off twin |
-//! | `text_equivalence::matrix_streaming_text_equals_batch_everywhere` | wire/clean @ 1; async/hostile @ 1 |
+//! | `thread_equivalence::direct_study_is_equal_at_every_thread_count` | direct/clean @ 1, 2, 3, 8 |
+//! | `path_equivalence::wire_and_direct_paths_yield_identical_aggregates` | wire/clean @ 1, 3, 8 |
+//! | `async_equivalence::async_driver_reproduces_the_sync_wire_study` | async/clean @ 1, 2, 3, 8 |
+//! | `chaos::study_output_survives_every_fault_class` | wire/each of the seven classes @ 1; wire/hostile @ 1, 8 |
+//! | `text_equivalence::ambient_text_on_study_reproduces_text_off_bytes` | the text-off twin of direct/clean @ ambient |
+//! | `text_equivalence::matrix_streaming_text_equals_batch_everywhere` | async/hostile @ 1 |
 //! | `campaign_equivalence::ambient_batch_report_equals_incremental` | direct/clean @ ambient |
-//! | `campaign_equivalence::matrix_batch_report_equals_incremental_everywhere` | wire/clean @ 1; async/hostile @ 3 |
-//! | `columnar_equivalence::matrix_columnar_store_is_path_and_thread_invariant` | wire/clean @ 1; async/hostile @ 8 |
+//! | `campaign_equivalence::matrix_batch_report_equals_incremental_everywhere` | async/hostile @ 3 |
+//! | `columnar_equivalence::matrix_columnar_store_is_path_and_thread_invariant` | async/hostile @ 8 |
 //!
-//! 34 small studies in all: the 24 rows of the table, the text-off twin,
-//! and the nine direct or clean wire reference rows that anchor a slice's
-//! cross-row comparisons. Three are async + hostile. Every multi-row slice
-//! starts at direct/clean or wire/clean at 1 thread; the thread slice
-//! holds direct at ambient and 1 thread, and the path slice holds direct
-//! and wire at 1 thread. So the per-slice comparisons chain into one
-//! equality over the whole table. Every slice with an async row starts at
-//! clean sync wire, so each async row's uploaded-file count is compared
-//! with the sync wire count.
+//! 26 small studies in all: the 24 rows of the table, the text-off twin,
+//! and direct/clean @ ambient once more, because two tests are named for
+//! the ambient direct study.
 //!
-//! The contracts, each with the test file that checked it before the
-//! table, and the rows that check it now:
+//! The contracts, and the rows that check each:
 //!
-//! 1. **N threads ≡ 1 thread** on direct and wire (`determinism.rs`): the
+//! 1. **N threads ≡ 1 thread** on direct and wire: the
 //!    full [`fingerprint`] (`files` and `dup_files` included) is equal
 //!    across the thread counts of each direct and sync wire (path, fault)
-//!    pair in a slice: direct clean at ambient/1/2/3/8, wire clean at
-//!    1/3/8, wire hostile at 1/8. 3 does not divide the 20-lane fleet, so
-//!    its workers claim lanes in an interleaving no other count produces.
-//! 2. **Fleet generation is thread-invariant** (`determinism.rs`):
-//!    `tests/matrix.rs`, 1 vs 8 threads.
-//! 3. **Wire ≡ direct** (`path_equivalence.rs`): every row's
-//!    [`data_fingerprint`] (all records, review joins and server totals)
-//!    equals its slice's first row's; every wire and async row uploaded
-//!    files, as many as the slice's first off-direct row, and no direct
-//!    row uploaded any.
-//! 4. **Async ≡ sync** (`async_equivalence.rs`, `chaos.rs`): the async rows
-//!    (clean at 1/2/3/8, hostile at 1/3/8) reproduce the data and feature
-//!    fingerprints and the uploaded-file count of the clean sync wire row
-//!    their slice starts with; the async plane ingested through shards,
-//!    injected nothing on a clean link, and its hostile rows sampled
-//!    faults, retried and exhausted no exchange.
-//! 5. **Faulted ≡ clean** (`chaos.rs`, `streaming_equivalence.rs`): every
-//!    fault row (the seven single classes on wire at 1 thread, hostile on
+//!    pair: direct clean at ambient/1/2/3/8 (against the pin, since
+//!    three tests hold those rows), wire clean at 1/3/8 and wire hostile
+//!    at 1/8 (each within its slice). 3 does not divide the 20-lane fleet,
+//!    so its workers claim lanes in an interleaving no other count
+//!    produces.
+//! 2. **Fleet generation is thread-invariant**: `tests/matrix.rs`, 1 vs
+//!    8 threads.
+//! 3. **Wire ≡ direct**: every row's [`data_fingerprint`] (all records,
+//!    review joins and server totals) equals the ambient direct row's;
+//!    every wire and async row uploaded
+//!    files, as many as the clean sync wire row, and no direct row
+//!    uploaded any. On every row the `ingest.shard_occupancy.*` gauges sum
+//!    to the fleet's device count, as do the observations, no upload was
+//!    bad, `ingest.snapshots` equals `server_stats.snapshots`, and
+//!    `wire.bytes_compressed` is 0 on the direct rows and positive on the
+//!    others.
+//! 4. **Async ≡ sync**: the async rows (clean at 1/2/3/8, hostile at
+//!    1/3/8) reproduce the data and feature
+//!    fingerprints and the uploaded-file count of the clean sync wire
+//!    rows; the async plane injected nothing on a clean link, and its
+//!    hostile rows sampled faults, retried and exhausted no exchange.
+//! 5. **Faulted ≡ clean**: every fault row (the seven single classes on wire at 1 thread, hostile on
 //!    wire at 1/8 and async at 1/3/8) reproduces the clean data, feature
 //!    and text fingerprints; it shows its class sampled and the protocol's
 //!    recovery (retries, stale discards, reconnects, dedups as the class
 //!    calls for, backoff behind every sync retry); it exhausts no exchange
-//!    and counts as many `ingest.dup_files` as `server_stats.dup_files`. The clean
-//!    wire rows really are clean: no fault, retry, reconnect, backoff,
-//!    stale frame or dedup.
+//!    and counts as many `ingest.dup_files` as `server_stats.dup_files`.
+//!    The clean wire rows really are clean: no fault, retry, reconnect,
+//!    backoff, stale frame or dedup.
 //!    The feature fingerprint holds the bits of every `app_features` and
 //!    `device_features` vector, so features recovered over any path,
 //!    fault plan or thread count equal the clean direct run's.
-//! 6. **Text stream ≡ batch, one span per rebuild** (`text_equivalence.rs`,
-//!    `streaming_equivalence.rs`, `chaos.rs`): every row; the text
-//!    fingerprint is non-vacuous and equal on every row of a slice.
-//! 7. **Text-on reproduces text-off** (`text_equivalence.rs`): the text-off
-//!    twin of the ambient direct row has that row's full and feature
-//!    fingerprints and no review text.
-//! 8. **Campaign batch ≡ incremental** (`campaign_equivalence.rs`,
-//!    `text_equivalence.rs`): every row, with at least one detected
-//!    cluster, text candidate pairs > 0 and one campaign fingerprint per
-//!    slice.
-//! 9. **The columnar store mirrors the records**
-//!    (`columnar_equivalence.rs`): on every row its install events and
-//!    review events equal the records', and the columnar fingerprint
-//!    (installs, events, reviews) is equal on every row of a slice.
-//! 10. **Training and scoring equal their references**
-//!     (`columnar_equivalence.rs`): `tests/matrix.rs`, on one test-scale
-//!     study: `predict_proba_batch` ≡ `predict_proba`, streaming ≡ batch
-//!     verdicts, each stage's span completed once. GBT `fit` ≡ the
-//!     row-oriented reference fit, byte for byte, is a unit test of
-//!     `racket-ml` (`gbt.rs`, `columnar_fit_matches_reference_bitwise`
+//! 6. **Text stream ≡ batch, one span per rebuild**: every row; the text
+//!    fingerprint is non-vacuous and equal on every row.
+//! 7. **Text-on reproduces text-off**: the text-off twin of the ambient
+//!    direct row has that row's full and feature fingerprints and no
+//!    review text.
+//! 8. **Campaign batch ≡ incremental**: every row, with at least one
+//!    detected cluster, text candidate pairs > 0 and one campaign
+//!    fingerprint.
+//! 9. **The columnar store mirrors the records**: on every row its install
+//!    events and review events equal the records', install by install in
+//!    sorted record order, and the columnar fingerprint (installs, events,
+//!    reviews) is equal on every row.
+//! 10. **Training and scoring equal their references**: `tests/matrix.rs`,
+//!     on one test-scale study: `predict_proba_batch` ≡ `predict_proba`,
+//!     streaming ≡ batch verdicts, each stage's span completed once. GBT
+//!     `fit` ≡ the row-oriented reference fit, byte for byte, is a unit
+//!     test of `racket-ml` (`gbt.rs`, `columnar_fit_matches_reference_bitwise`
 //!     on a 1,520 × 21 matrix shaped like the study's app matrix, and the
 //!     `columnar_fit_is_bitwise_reference` proptest), because the
 //!     reference grower is a test-only item.
@@ -131,12 +125,51 @@ fn plan(fault: &str) -> FaultPlan {
     }
 }
 
-/// The first value each fingerprint took; later rows must match it.
+/// Digests ([`digest`]) of the fingerprints every row reproduces, whichever
+/// slice runs it. They were recorded from the rows that first produce
+/// them: the ambient direct row for the data, feature, text, campaign,
+/// columnar and full direct fingerprints, the clean sync wire row at 1
+/// thread for the uploaded-file count. A change that moves one on purpose
+/// moves it on every row alike; the failure message gives the new digest.
+/// The simulation samples through the platform's `ln` and `exp`, so a
+/// libm that rounds differently would move them all alike too. The
+/// other full fingerprints (wire clean, wire hostile and each single fault
+/// class) are compared within the one slice that holds all their rows.
+pub(crate) const PINNED: [(&str, u64); 7] = [
+    ("data", 0x0af8_3716_ba60_dc07),
+    ("features", 0x26fa_97c8_7b6d_a57e),
+    ("text", 0xfc83_e27e_5bff_07c2),
+    ("campaign", 0x1222_b3af_f230_187d),
+    ("columnar", 0x72c3_51bd_f225_84af),
+    ("files", 0x3e16_9f18_1458_72dd),
+    ("full Direct/clean", 0x52f3_83eb_70e6_f8b9),
+];
+
+/// FNV-1a, 64-bit: a digest of a fingerprint that stays the same from one
+/// toolchain to the next (std's `DefaultHasher` does not promise that).
+fn digest(fingerprint: &str) -> u64 {
+    fingerprint.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The first value each fingerprint took in one slice; later rows must
+/// match it, and the pinned ones must match [`PINNED`].
 #[derive(Default)]
-pub(crate) struct Canon(BTreeMap<String, String>);
+struct Canon(BTreeMap<String, String>);
 
 impl Canon {
     fn pin(&mut self, key: String, value: String, context: &str) {
+        if let Some(&(_, pinned)) = PINNED.iter().find(|(k, _)| *k == key) {
+            let got = digest(&value);
+            assert_eq!(
+                got,
+                pinned,
+                "{context}: {key} fingerprint digest {got:#018x} is not the pinned \
+                 {pinned:#018x}; its first line is {:?}",
+                value.lines().next().unwrap_or("")
+            );
+        }
         let first = self.0.entry(key.clone()).or_insert_with(|| value.clone());
         if *first != value {
             let (was, is) = first
@@ -150,28 +183,29 @@ impl Canon {
             );
         }
     }
-
-    /// Text-off twin of the direct rows: generating review text draws from
-    /// its own keyed stream family, so switching it off changes nothing the
-    /// other fingerprints can see, and leaves no review text behind.
-    pub(crate) fn check_text_off_twin(&mut self) {
-        let off = with_threads(None, || {
-            Study::new(campaign_config(Direct, 2, PacingStrategy::Burst)).run()
-        });
-        let context = "Direct/clean text-off";
-        self.pin("full Direct/clean".into(), fingerprint(&off), context);
-        self.pin("features".into(), feature_fingerprint(&off), context);
-        let text = assert_text_stream_equals_batch(&off, context);
-        assert!(
-            text.starts_with("texted_installs=0 "),
-            "{context}: review text from nowhere"
-        );
-    }
 }
 
-/// Run each row's study once and check every contract that applies to it;
-/// returns the fingerprints the slice pinned.
-pub(crate) fn check(rows: &[Row]) -> Canon {
+/// Text-off twin of the direct rows: generating review text draws from its
+/// own keyed stream family, so switching it off changes nothing the other
+/// fingerprints can see (the twin reproduces the pinned full direct and
+/// feature fingerprints), and leaves no review text behind.
+pub(crate) fn check_text_off_twin() {
+    let off = with_threads(None, || {
+        Study::new(campaign_config(Direct, 2, PacingStrategy::Burst)).run()
+    });
+    let context = "Direct/clean text-off";
+    let mut canon = Canon::default();
+    canon.pin("full Direct/clean".into(), fingerprint(&off), context);
+    canon.pin("features".into(), feature_fingerprint(&off), context);
+    let text = assert_text_stream_equals_batch(&off, context);
+    assert!(
+        text.starts_with("texted_installs=0 "),
+        "{context}: review text from nowhere"
+    );
+}
+
+/// Run each row's study once and check every contract that applies to it.
+pub(crate) fn check(rows: &[Row]) {
     let mut canon = Canon::default();
     for &(path, fault, threads) in rows {
         let context = format!("{path:?}/{fault} @ {}", threads.unwrap_or("ambient"));
@@ -203,11 +237,11 @@ pub(crate) fn check(rows: &[Row]) -> Canon {
         assert_columnar_mirrors_records(&out, &context);
         assert_delivery_evidence(&out, path, fault, &context);
 
-        // Cross-row contracts. Every off-direct row uploads as many files
-        // as the slice's first one. The full fingerprint adds the file
-        // counters: equal across thread counts of one direct or sync wire
-        // (path, fault) pair, while the async plane's `dup_files` follows
-        // its timing.
+        // Cross-row contracts. Every off-direct row uploads the pinned
+        // number of files. The full fingerprint adds the file counters:
+        // equal across thread counts of one direct or sync wire (path,
+        // fault) pair, while the async plane's `dup_files` follows its
+        // timing.
         canon.pin("data".into(), data_fingerprint(&out), &context);
         canon.pin("features".into(), feature_fingerprint(&out), &context);
         canon.pin("text".into(), text, &context);
@@ -224,7 +258,6 @@ pub(crate) fn check(rows: &[Row]) -> Canon {
             );
         }
     }
-    canon
 }
 
 /// The fault layer's evidence on one row: the plan's class was sampled,
@@ -249,14 +282,33 @@ fn assert_delivery_evidence(out: &StudyOutput, path: CollectionPath, fault: &str
         path != Direct,
         "{context}: files uploaded"
     );
-    if path == AsyncWire {
-        assert!(
-            snap.gauges
-                .keys()
-                .any(|k| k.starts_with(keys::SHARD_OCCUPANCY_PREFIX)),
-            "{context}: async plane ingests through shards"
-        );
-    }
+    assert_eq!(
+        snap.counter(keys::BYTES_COMPRESSED) > 0,
+        path != Direct,
+        "{context}: uploads compressed"
+    );
+    assert_eq!(
+        snap.counter(keys::SNAPSHOTS_INGESTED),
+        out.server_stats.snapshots,
+        "{context}: snapshots ingested"
+    );
+    let occupancy: u64 = snap
+        .gauges
+        .iter()
+        .filter(|(k, _)| k.starts_with(keys::SHARD_OCCUPANCY_PREFIX))
+        .map(|(_, &n)| n)
+        .sum();
+    assert_eq!(
+        occupancy,
+        out.fleet.devices.len() as u64,
+        "{context}: every device's record lands on exactly one shard"
+    );
+    assert_eq!(
+        out.observations.len(),
+        out.fleet.devices.len(),
+        "{context}: one observation per device"
+    );
+    assert_eq!(out.server_stats.bad_uploads, 0, "{context}: bad uploads");
     let summary = format!(
         "{context}: retries={retries} reconnects={reconnects} stale={stale} dedups={dedups}"
     );

@@ -6,21 +6,18 @@
 mod common;
 mod scenario;
 
-use racketstore::study::CollectionPath::{AsyncWire, Direct, Wire};
+use racketstore::study::CollectionPath::AsyncWire;
 
-/// The ambient direct row and its text-off twin: the no-perturbation
-/// contract.
+/// The text-off twin of the ambient direct row against that row's pinned
+/// fingerprints: the no-perturbation contract.
 #[test]
 fn ambient_text_on_study_reproduces_text_off_bytes() {
-    scenario::check(&[(Direct, "clean", None)]).check_text_off_twin();
+    scenario::check_text_off_twin();
 }
 
-/// An async hostile row against the clean sync wire baseline: replays and
-/// reconnects on the reactor plane never double-fold a review row.
+/// An async hostile row: replays and reconnects on the reactor plane never
+/// double-fold a review row, and the text fingerprint stays the pinned one.
 #[test]
 fn matrix_streaming_text_equals_batch_everywhere() {
-    scenario::check(&[
-        (Wire, "clean", Some("1")),
-        (AsyncWire, "hostile", Some("1")),
-    ]);
+    scenario::check(&[(AsyncWire, "hostile", Some("1"))]);
 }

@@ -1,6 +1,6 @@
 //! The direct rows of the scenario table (`tests/scenario/mod.rs`), which
 //! checks every contract on each row; named for the N threads ≡ 1 thread
-//! contract its matrix test pins on the direct path.
+//! contract its rows pin on the direct path.
 
 mod common;
 mod scenario;
@@ -13,13 +13,12 @@ fn ambient_direct_study_meets_every_contract() {
     scenario::check(&[(Direct, "clean", None)]);
 }
 
-/// The direct path at every worker count: N threads ≡ 1 thread on the
-/// full and feature fingerprints, and every row-local contract at each
-/// count.
+/// The direct path at every pinned worker count: N threads ≡ 1 thread on
+/// the full and feature fingerprints, and every row-local contract at
+/// each count.
 #[test]
 fn direct_study_is_equal_at_every_thread_count() {
     scenario::check(&[
-        (Direct, "clean", None),
         (Direct, "clean", Some("1")),
         (Direct, "clean", Some("2")),
         (Direct, "clean", Some("3")),
